@@ -44,7 +44,7 @@ must be ≥5x faster than cold on the repeated-layer workload and every
 Table I layer must compile to a fully vectorized plan (zero fallbacks).
 ``--native-smoke`` runs the CI native-tier gate: layer 1 must promote, run
 ≥2x faster than the vectorized tier and stay bit-identical (skips cleanly
-when neither numba nor a C compiler is installed).
+when no C compiler is installed).
 
 Or run under pytest-benchmark along with the figure benchmarks::
 
@@ -70,7 +70,6 @@ from repro.tir import (
     EngineStats,
     Executor,
     Interpreter,
-    VectorizedEngine,
     alloc_buffers,
     compile_plan,
     plan_cache,
@@ -122,12 +121,13 @@ def bench_validation() -> dict:
     scalar_s = time.perf_counter() - t0
 
     # Warm-up pass (numpy internal caches), then a timed pass on a fresh
-    # engine so the reported stats cover exactly one execution.
-    VectorizedEngine(result.func).run({t: a.copy() for t, a in buffers.items()})
-    engine = VectorizedEngine(result.func)
+    # executor so the reported stats cover exactly one execution.
+    Executor(tier="vectorized").run(result.func, {t: a.copy() for t, a in buffers.items()})
+    engine = Executor(tier="vectorized")
     t0 = time.perf_counter()
-    got = engine.run({t: a.copy() for t, a in buffers.items()})
+    got = engine.run(result.func, {t: a.copy() for t, a in buffers.items()})
     vector_s = time.perf_counter() - t0
+    plan_stats = plan_cache().get_or_compile(result.func).stats
 
     return {
         "workload": VALIDATE_PARAMS.describe(),
@@ -140,8 +140,8 @@ def bench_validation() -> dict:
             "fallback_nests": engine.stats.fallback_nests,
             "intrinsic_rounds": engine.stats.intrinsic_rounds,
             "intrinsic_points": engine.stats.intrinsic_points,
-            "proved_nests": engine.plan.stats.proved_nests,
-            "elided_checks": engine.plan.stats.elided_checks,
+            "proved_nests": plan_stats.proved_nests,
+            "elided_checks": plan_stats.elided_checks,
         },
     }
 
@@ -181,8 +181,8 @@ def bench_native_tier(limit: int) -> dict:
     (``promote_after=1`` — one warm run compiles the kernel and spot-checks
     it for bit identity) and time the promoted native runs.  Reports the
     native/vectorized speedup plus the promotion counters that
-    ``check_regression.py`` gates never-lower.  When no toolchain (numba or
-    a C compiler) is available the section reports ``available: false`` and
+    ``check_regression.py`` gates never-lower.  When no C compiler is
+    available the section reports ``available: false`` and
     nothing else — the graceful-fallback story, not a failure.
     """
     from repro.tir import native_toolchain, tier_state
@@ -613,8 +613,8 @@ def test_validation_engine_speed(benchmark):
     buffers = alloc_buffers(compiled.func, np.random.default_rng(0))
 
     def _validate():
-        return VectorizedEngine(compiled.func).run(
-            {t: a.copy() for t, a in buffers.items()}
+        return Executor(tier="vectorized").run(
+            compiled.func, {t: a.copy() for t, a in buffers.items()}
         )
 
     out = benchmark(_validate)

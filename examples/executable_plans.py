@@ -21,7 +21,7 @@ import numpy as np
 from repro.core import tensorize
 from repro.graph import Conv2DNode, Graph, InputNode, TensorShape, run_model
 from repro.rewriter import CpuTuningConfig
-from repro.tir import EngineStats, alloc_buffers, compile_plan, execute, plan_cache
+from repro.tir import EngineStats, Executor, alloc_buffers, compile_plan, plan_cache
 from repro.workloads import Conv2DParams, conv2d_nchwc
 
 
@@ -53,10 +53,11 @@ def main() -> None:
     cache = plan_cache()
     cache.clear()
     hits0, misses0 = cache.stats.hits, cache.stats.misses
+    executor = Executor(tier="vectorized")
     for _ in range(4):  # four *distinct* lowerings of the same program
         twin = tensorize(conv2d_nchwc(params), "x86.avx512.vpdpbusd",
                          config=CpuTuningConfig()).func
-        execute(twin, alloc_buffers(twin, np.random.default_rng(1)))
+        executor.run(twin, alloc_buffers(twin, np.random.default_rng(1)))
     print(
         f"cache: {cache.stats.hits - hits0} hits / "
         f"{cache.stats.misses - misses0} miss — one compile served all four"

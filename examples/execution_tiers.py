@@ -7,7 +7,7 @@ example shows the tier lifecycle end to end:
 1. the three tiers (interpreter / vectorized / native) produce bit-identical
    results on the same buffers;
 2. under the native tier a plan starts vectorized and *promotes* to a
-   compiled kernel (numba ``@njit`` or C-via-ctypes) after ``promote_after``
+   compiled C kernel (loaded through ctypes) after ``promote_after``
    warm runs, spot-checked for bit identity at the moment of promotion;
 3. promotion is license-gated: a nest the static verifier could not prove
    never promotes — it demotes with a recorded reason and keeps running

@@ -1,15 +1,5 @@
-"""Setup shim so that editable installs work without the ``wheel`` package.
-
-The ``native`` extra pulls in numba for the JIT path of the tiered native
-execution backend (``repro.tir.backend``).  Without it the backend uses the
-host C compiler when one exists and otherwise stays on the vectorized tier —
-the extra is an acceleration, never a requirement.
-"""
+"""Setup shim so that editable installs work without the ``wheel`` package."""
 
 from setuptools import setup
 
-setup(
-    extras_require={
-        "native": ["numba"],
-    },
-)
+setup()

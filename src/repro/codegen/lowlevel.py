@@ -46,7 +46,6 @@ __all__ = [
     "LoweringError",
     "NativeSource",
     "generate_c",
-    "generate_numba_source",
     "native_support_reason",
 ]
 
@@ -274,10 +273,9 @@ def generate(func: PrimFunc, target: str = "generic") -> CodegenResult:
 # ---------------------------------------------------------------------------
 # Native source generation (the "LLVM step" of the paper, Section II-C.4).
 #
-# The emitters below lower a tensorized PrimFunc all the way to *executable*
-# source: C (compiled by the host toolchain, loaded through ctypes) or Python
-# (numba ``@njit``-able, and runnable un-jitted for testing).  Both mirror the
-# scalar interpreter's semantics bit for bit:
+# The emitter below lowers a tensorized PrimFunc all the way to *executable*
+# C source (compiled by the host toolchain, loaded through ctypes).  It mirrors
+# the scalar interpreter's semantics bit for bit:
 #
 # * index expressions are evaluated the way the interpreter evaluates them —
 #   over Python ints, i.e. effectively unbounded integers.  In C these render
@@ -303,16 +301,14 @@ class LoweringError(Exception):
 
 @dataclass(frozen=True)
 class NativeSource:
-    """Generated native source for one PrimFunc.
+    """Generated C source for one PrimFunc (compile with a C toolchain, call
+    through ctypes).
 
-    ``language`` is ``"c"`` (compile with a C toolchain, call through ctypes)
-    or ``"python"`` (exec, optionally wrap with ``numba.njit``).  ``params``
-    records the buffer order of the entry point — identical to
+    ``params`` records the buffer order of the entry point — identical to
     ``func.params``.
     """
 
     func_name: str
-    language: str
     source: str
     entry: str
     params: Tuple = ()
@@ -328,18 +324,6 @@ _C_TYPES = {
     "float32": "float",
     "float64": "double",
     "bool": "uint8_t",
-}
-
-_NP_CTORS = {
-    "int8": "np.int8",
-    "uint8": "np.uint8",
-    "int16": "np.int16",
-    "uint16": "np.uint16",
-    "int32": "np.int32",
-    "int64": "np.int64",
-    "float32": "np.float32",
-    "float64": "np.float64",
-    "bool": "np.bool_",
 }
 
 # Weak kinds (NEP-50 "python scalar" operands): weak int, weak float, weak
@@ -392,16 +376,6 @@ def _c_type_for(kind) -> str:
             raise LoweringError(f"dtype {kind.name} has no native lowering")
         return ctype
     return {"wi": "int64_t", "wf": "double", "wb": "int64_t"}[kind]
-
-
-def _py_ctor_for(kind) -> Optional[str]:
-    """numpy scalar constructor for strong kinds; None for weak (python) math."""
-    if isinstance(kind, DType):
-        ctor = _NP_CTORS.get(kind.name)
-        if ctor is None:
-            raise LoweringError(f"dtype {kind.name} has no native lowering")
-        return ctor
-    return None
 
 
 def _c_float_literal(value: float, single: bool) -> str:
@@ -568,7 +542,7 @@ static inline double repro_fmodd(double a, double b) {
 
 
 class _NameTable:
-    """Identity-keyed unique C/Python identifiers for Vars and Tensors."""
+    """Identity-keyed unique C identifiers for Vars and Tensors."""
 
     def __init__(self) -> None:
         self._names: Dict[int, str] = {}
@@ -900,270 +874,6 @@ def generate_c(func: PrimFunc, parallel: bool = True) -> NativeSource:
     lines.append("}")
     return NativeSource(
         func_name=func.name,
-        language="c",
-        source="\n".join(lines) + "\n",
-        entry=entry,
-        params=tuple(func.params),
-    )
-
-
-# -- Python / numba emitter ---------------------------------------------------
-
-
-class _PyEmitter:
-    """Emit the same kernel as Python source.
-
-    Weak math is plain python ints (exactly the interpreter), strong math is
-    numpy scalar constructors (which numba compiles to native truncating
-    ops).  The result runs un-jitted for testing and under ``numba.njit``
-    for speed.
-    """
-
-    def __init__(self, func: PrimFunc) -> None:
-        self.func = func
-        self.lines: List[str] = []
-        self.depth = 1
-        self.names = _NameTable()
-        self._tmp = 0
-
-    def line(self, text: str) -> None:
-        self.lines.append("    " * self.depth + text)
-
-    def fresh(self, prefix: str) -> str:
-        self._tmp += 1
-        return f"{prefix}{self._tmp}"
-
-    def var_name(self, var: E.Var) -> str:
-        return self.names.name(var, var.name, "v_")
-
-    def tensor_name(self, tensor) -> str:
-        return self.names.name(tensor, tensor.name, "t_")
-
-    def _wrap(self, kind, code: str) -> str:
-        ctor = _py_ctor_for(kind)
-        return f"{ctor}({code})" if ctor else f"({code})"
-
-    def index(self, expr: E.Expr) -> str:
-        if isinstance(expr, E.Var):
-            return self.var_name(expr)
-        if isinstance(expr, E.Const):
-            return repr(expr.value)
-        if isinstance(expr, E.Add):
-            return f"(({self.index(expr.a)}) + ({self.index(expr.b)}))"
-        if isinstance(expr, E.Sub):
-            return f"(({self.index(expr.a)}) - ({self.index(expr.b)}))"
-        if isinstance(expr, E.Mul):
-            return f"(({self.index(expr.a)}) * ({self.index(expr.b)}))"
-        if isinstance(expr, E.FloorDiv):
-            a, b = self.index(expr.a), self.index(expr.b)
-            return f"(({a}) // ({b}) if ({b}) != 0 else 0)"
-        if isinstance(expr, E.Mod):
-            a, b = self.index(expr.a), self.index(expr.b)
-            return f"(({a}) % ({b}) if ({b}) != 0 else 0)"
-        if isinstance(expr, E.Min):
-            return f"min({self.index(expr.a)}, {self.index(expr.b)})"
-        if isinstance(expr, E.Max):
-            return f"max({self.index(expr.a)}, {self.index(expr.b)})"
-        if isinstance(expr, E.Select):
-            cond, _ = self.value(expr.cond, {})
-            return f"(({self.index(expr.true_value)}) if ({cond}) else ({self.index(expr.false_value)}))"
-        if isinstance(expr, E.Cast):
-            return f"int({self.index(expr.value)})"
-        code, _ = self.value(expr, {})
-        return f"int({code})"
-
-    def subscript(self, indices) -> str:
-        return ", ".join(self.index(i) for i in indices)
-
-    def value(self, expr: E.Expr, subs: Dict[int, Tuple[str, object]]) -> Tuple[str, object]:
-        if id(expr) in subs:
-            return subs[id(expr)]
-        if isinstance(expr, E.Var):
-            return self.var_name(expr), _WI
-        if isinstance(expr, E.Const):
-            return repr(expr.value), _kind_of(expr)
-        if isinstance(expr, E.TensorLoad):
-            name = self.tensor_name(expr.tensor)
-            return f"{name}[{self.subscript(expr.indices)}]", expr.dtype
-        if isinstance(expr, E.Cast):
-            code, _ = self.value(expr.value, subs)
-            return self._wrap(expr.dtype, code), expr.dtype
-        if isinstance(expr, E.Compare):
-            ca, _ = self.value(expr.a, subs)
-            cb, _ = self.value(expr.b, subs)
-            return f"(({ca}) {expr.op} ({cb}))", _WB
-        if isinstance(expr, E.Select):
-            cc, _ = self.value(expr.cond, subs)
-            tc, tk = self.value(expr.true_value, subs)
-            fc, fk = self.value(expr.false_value, subs)
-            return f"(({tc}) if ({cc}) else ({fc}))", _combine_kinds(tk, fk)
-        if isinstance(expr, E.Reduce):
-            raise LoweringError("Reduce must be hoisted before rendering")
-        if isinstance(expr, E.BinaryOp):
-            ca, ka = self.value(expr.a, subs)
-            cb, kb = self.value(expr.b, subs)
-            kind = _combine_kinds(ka, kb)
-            name = type(expr).__name__
-            if name in ("Add", "Sub", "Mul"):
-                op = {"Add": "+", "Sub": "-", "Mul": "*"}[name]
-                return self._wrap(kind, f"({ca}) {op} ({cb})"), kind
-            if name == "FloorDiv":
-                return self._wrap(kind, f"({ca}) // ({cb})"), kind
-            if name == "Mod":
-                return self._wrap(kind, f"({ca}) % ({cb})"), kind
-            if name == "Min":
-                return self._wrap(kind, f"min({ca}, {cb})"), kind
-            if name == "Max":
-                return self._wrap(kind, f"max({ca}, {cb})"), kind
-        raise LoweringError(f"cannot lower {type(expr).__name__} to Python")
-
-    def hoist_reduces(self, expr: E.Expr, subs: Dict[int, Tuple[str, object]]) -> None:
-        if isinstance(expr, E.Reduce):
-            kind = _kind_of(expr.source)
-            tmp = self.fresh("red")
-            ctor = _py_ctor_for(kind)
-            if expr.combiner == "sum":
-                self.line(f"{tmp} = {ctor}(0)" if ctor else f"{tmp} = 0")
-                self._open_loops(expr.axes)
-                self.hoist_reduces(expr.source, subs)
-                code, _ = self.value(expr.source, subs)
-                self.line(f"{tmp} = {self._wrap(kind, f'{tmp} + ({code})')}")
-                self._close_loops(expr.axes)
-            else:
-                cmp = "<" if expr.combiner == "min" else ">"
-                self.line(f"{tmp} = {ctor}(0)" if ctor else f"{tmp} = 0")
-                self.line(f"{tmp}_first = True")
-                self._open_loops(expr.axes)
-                self.hoist_reduces(expr.source, subs)
-                code, _ = self.value(expr.source, subs)
-                self.line(f"{tmp}_v = {self._wrap(kind, code)}")
-                self.line(f"if {tmp}_first or {tmp}_v {cmp} {tmp}:")
-                self.depth += 1
-                self.line(f"{tmp} = {tmp}_v")
-                self.depth -= 1
-                self.line(f"{tmp}_first = False")
-                self._close_loops(expr.axes)
-            subs[id(expr)] = (tmp, kind)
-            return
-        for child in expr.children:
-            self.hoist_reduces(child, subs)
-
-    def _open_loops(self, axes) -> None:
-        for axis in axes:
-            name = self.var_name(axis.var)
-            self.line(f"for {name} in range({axis.extent}):")
-            self.depth += 1
-
-    def _close_loops(self, axes) -> None:
-        self.depth -= len(list(axes))
-
-    def visit(self, stmt: Stmt) -> None:
-        if isinstance(stmt, SeqStmt):
-            for s in stmt.stmts:
-                self.visit(s)
-        elif isinstance(stmt, For):
-            name = self.var_name(stmt.var)
-            self.line(f"for {name} in range({stmt.extent}):")
-            self.depth += 1
-            self.visit(stmt.body)
-            self.depth -= 1
-        elif isinstance(stmt, IfThenElse):
-            subs: Dict[int, Tuple[str, object]] = {}
-            self.hoist_reduces(stmt.condition, subs)
-            cond, _ = self.value(stmt.condition, subs)
-            self.line(f"if {cond}:")
-            self.depth += 1
-            self.visit(stmt.then_case)
-            self.depth -= 1
-            if stmt.else_case is not None:
-                self.line("else:")
-                self.depth += 1
-                self.visit(stmt.else_case)
-                self.depth -= 1
-        elif isinstance(stmt, AttrStmt):
-            self.visit(stmt.body)
-        elif isinstance(stmt, Allocate):
-            name = self.tensor_name(stmt.tensor)
-            shape = ", ".join(str(s) for s in stmt.tensor.shape)
-            ctor = _NP_CTORS[stmt.tensor.dtype.name]
-            self.line(f"{name} = np.zeros(({shape},), dtype={ctor})")
-            self.visit(stmt.body)
-        elif isinstance(stmt, Store):
-            subs = {}
-            self.hoist_reduces(stmt.value, subs)
-            code, _ = self.value(stmt.value, subs)
-            name = self.tensor_name(stmt.tensor)
-            ctor = _NP_CTORS[stmt.tensor.dtype.name]
-            self.line(f"{name}[{self.subscript(stmt.indices)}] = {ctor}({code})")
-        elif isinstance(stmt, Evaluate):
-            pass
-        elif isinstance(stmt, IntrinsicCall):
-            self._intrinsic(stmt)
-        else:
-            raise LoweringError(f"cannot lower {type(stmt).__name__} to Python")
-
-    def _intrinsic(self, call: IntrinsicCall) -> None:
-        reason = _intrinsic_native_reason(call.intrin)
-        if reason:
-            raise LoweringError(reason)
-        op = call.intrin.op
-        for binding in list(call.inputs) + [call.output]:
-            reg = binding.intrin_tensor
-            name = self.tensor_name(reg)
-            shape = ", ".join(str(s) for s in reg.shape)
-            ctor = _NP_CTORS[reg.dtype.name]
-            self.line(f"{name} = np.zeros(({shape},), dtype={ctor})")
-        self._open_loops(call.axes)
-        for binding in call.inputs:
-            reg = binding.intrin_tensor
-            src = self.tensor_name(binding.program_tensor)
-            dst = self.tensor_name(reg)
-            self.line(
-                f"{dst}[{self.subscript(binding.intrin_indices)}] = "
-                f"{src}[{self.subscript(binding.program_indices)}]"
-            )
-        self._close_loops(call.axes)
-        out_reg = call.output.intrin_tensor
-        out_name = self.tensor_name(out_reg)
-        self._open_loops(op.axes)
-        subs: Dict[int, Tuple[str, object]] = {}
-        self.hoist_reduces(op.body, subs)
-        code, _ = self.value(op.body, subs)
-        out_sub = self.subscript([ax.var for ax in op.axes])
-        ctor = _NP_CTORS[out_reg.dtype.name]
-        self.line(f"{out_name}[{out_sub}] = {ctor}({code})")
-        self._close_loops(op.axes)
-        out_binding = call.output
-        dst = self.tensor_name(out_binding.program_tensor)
-        ctor = _NP_CTORS[out_binding.program_tensor.dtype.name]
-        self._open_loops(call.axes)
-        self.line(
-            f"{dst}[{self.subscript(out_binding.program_indices)}] = "
-            f"{ctor}({out_name}[{self.subscript(out_binding.intrin_indices)}])"
-        )
-        self._close_loops(call.axes)
-
-
-def generate_numba_source(func: PrimFunc) -> NativeSource:
-    """Lower ``func`` to Python source suitable for ``numba.njit``.
-
-    The emitted module defines ``repro_kernel(<one array per func.params>)``.
-    It is plain Python/numpy, so it also runs (slowly) without numba — which
-    is how the tests verify it when numba is not installed.
-    """
-    reason = native_support_reason(func)
-    if reason:
-        raise LoweringError(reason)
-    emitter = _PyEmitter(func)
-    params = [emitter.tensor_name(tensor) for tensor in func.params]
-    emitter.visit(func.body)
-    entry = "repro_kernel"
-    lines = ["import numpy as np", "", "", f"def {entry}({', '.join(params)}):"]
-    body = emitter.lines or ["    pass"]
-    lines.extend(body)
-    return NativeSource(
-        func_name=func.name,
-        language="python",
         source="\n".join(lines) + "\n",
         entry=entry,
         params=tuple(func.params),

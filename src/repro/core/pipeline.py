@@ -35,6 +35,7 @@ from ..rewriter.records import TuningKey, params_fingerprint, space_fingerprint
 from ..rewriter.session import TuningSession
 from ..rewriter.store import ShardedTuningStore
 from ..rewriter.tuner import TuningResult
+from ..tir.executor import ValidationPolicy
 from ..workloads.conv2d import Conv2DParams
 from ..workloads.conv3d import Conv3DParams
 from ..workloads.dense import DenseParams
@@ -85,8 +86,8 @@ class _SessionTunedRunner:
     """Shared tuning plumbing: key construction + session-backed search.
 
     Subclasses provide ``session``, ``intrin``, ``machine``, ``_space``,
-    ``tuning_results``, ``_configs()`` and (for functional validation)
-    ``_validation_op(kind, params)``.
+    ``validation``, ``tuning_results``, ``_configs()`` and (for functional
+    validation) ``_validation_op(kind, params)``.
 
     ``tuning_results`` holds trial-level data only for searches performed
     in-process; a record served from a cache loaded off disk carries no
@@ -100,41 +101,14 @@ class _SessionTunedRunner:
     through the engine, which must reproduce the reference lowering
     bit-identically for integer kernels, within a tight tolerance for float
     kernels (:func:`repro.core.unit.validate_tensorize`); ``FULL`` validates
-    every candidate; ``OFF`` trusts the cost model.  The boolean
-    ``validate=`` kwarg is the deprecated spelling of ``SPOT``.
+    every candidate; ``OFF`` (the default) trusts the cost model.
     """
-
-    validate: bool = False
-    validation = None
-
-    @staticmethod
-    def _resolve_validation(validate, validation, owner: str):
-        """Map the (deprecated bool, policy) kwarg pair to one policy."""
-        from ..tir.executor import ValidationPolicy
-
-        if validation is not None:
-            if validate is not None:
-                raise TypeError("pass either validation= or the deprecated validate=")
-            return ValidationPolicy.coerce(
-                validation,
-                default=ValidationPolicy.OFF,
-                bool_true=ValidationPolicy.SPOT,
-                owner=owner,
-            )
-        if validate is not None:
-            return ValidationPolicy.coerce(
-                bool(validate),
-                default=ValidationPolicy.OFF,
-                bool_true=ValidationPolicy.SPOT,
-                owner=owner,
-            )
-        return ValidationPolicy.OFF
 
     def _validation_op(self, kind: str, params):
         raise NotImplementedError
 
     def _validator(self, kind: str, params):
-        if not self.validate:
+        if self.validation is ValidationPolicy.OFF:
             return None
 
         def check(config) -> None:
@@ -148,14 +122,14 @@ class _SessionTunedRunner:
     def _precheck(self, kind: str, params):
         """The static-verification candidate gate (raise-to-reject).
 
-        Only built when ``validate`` is on: it tensorizes the workload with
+        Only built when validation is on: it tensorizes the workload with
         each candidate configuration (no numeric execution) so the rewrite
         passes through :func:`repro.analysis.verify_rewrite` — a candidate
         whose bounds / tile-disjointness / dtype proofs fail is rejected
         before the cost model evaluates it, and counted in
         ``TuningResult.rejected``.
         """
-        if not self.validate:
+        if self.validation is ValidationPolicy.OFF:
             return None
 
         def check(config) -> None:
@@ -201,8 +175,7 @@ class UnitCpuRunner(_SessionTunedRunner):
     tuning-time functional checks (``SPOT`` validates the winning
     configuration of every fresh search bit-identically against the
     reference lowering before its record is cached; ``FULL`` validates every
-    candidate).  ``validate=True`` is the deprecated boolean spelling of
-    ``SPOT``.
+    candidate; the default ``OFF`` trusts the cost model).
     """
 
     def __init__(
@@ -213,7 +186,6 @@ class UnitCpuRunner(_SessionTunedRunner):
         candidates: Optional[Sequence[CpuTuningConfig]] = None,
         max_candidates: int = 16,
         session: Optional[TuningSession] = None,
-        validate: Optional[bool] = None,
         validation=None,
     ) -> None:
         if tuning not in ("parallel", "first_pair", "full"):
@@ -226,8 +198,7 @@ class UnitCpuRunner(_SessionTunedRunner):
             max_pairs=max_candidates
         )
         self.session = session if session is not None else TuningSession()
-        self.validation = self._resolve_validation(validate, validation, "UnitCpuRunner")
-        self.validate = self.validation.value != "off"
+        self.validation = ValidationPolicy.coerce(validation, default=ValidationPolicy.OFF)
         self._space = space_fingerprint(tuning, self._configs())
         self.tuning_results: Dict[object, TuningResult] = {}
 
@@ -316,7 +287,6 @@ class UnitGpuRunner(_SessionTunedRunner):
         intrinsic_name: str = "nvvm.wmma.m16n16k16.mma.row.row.f32.f32",
         mode: str = "tune",
         session: Optional[TuningSession] = None,
-        validate: Optional[bool] = None,
         validation=None,
     ) -> None:
         if mode not in ("generic", "fusedim", "splitk", "tune"):
@@ -326,8 +296,7 @@ class UnitGpuRunner(_SessionTunedRunner):
         self.model = GpuKernelModel(machine, self.intrin)
         self.mode = mode
         self.session = session if session is not None else TuningSession()
-        self.validation = self._resolve_validation(validate, validation, "UnitGpuRunner")
-        self.validate = self.validation.value != "off"
+        self.validation = ValidationPolicy.coerce(validation, default=ValidationPolicy.OFF)
         self._space = space_fingerprint(mode, self._configs())
         self.tuning_results: Dict[object, TuningResult] = {}
 

@@ -35,7 +35,7 @@ from ..rewriter import (
     reorganize_loops,
 )
 from ..tir import PrimFunc, alloc_buffers, lower, verify
-from ..tir.executor import Executor, tier_for_engine
+from ..tir.executor import Executor
 
 __all__ = ["TensorizeResult", "tensorize", "select_intrinsic", "validate_tensorize"]
 
@@ -55,17 +55,14 @@ class TensorizeResult:
     def execute(
         self,
         buffers: Dict[Tensor, np.ndarray],
-        engine: str = "vector",
         executor: Optional[Executor] = None,
     ) -> np.ndarray:
         """Run the tensorized program on numpy buffers (correctness check).
 
         Executes through a :class:`repro.tir.Executor` — pass one to control
-        the tier and validation policy, or use the legacy ``engine`` string
-        (``"vector"`` by default, ``"scalar"`` for the reference
-        interpreter, ``"native"`` for tiered compiled execution).
+        the tier and validation policy (the vectorized tier by default).
         """
-        executor = executor or Executor(tier=tier_for_engine(engine))
+        executor = executor or Executor(tier="vectorized")
         return executor.run(self.func, buffers)
 
     @property
@@ -98,23 +95,23 @@ def select_intrinsic(operation_or_tensor, target: str) -> InspectionResult:
 def validate_tensorize(
     result: TensorizeResult,
     rng: Optional[np.random.Generator] = None,
-    engine: str = "vector",
     executor: Optional[Executor] = None,
 ) -> None:
     """Numerically validate a tensorized function against its operation.
 
     Executes ``result.func`` and the plain (default-schedule) lowering of the
-    original operation over identical random buffers through the selected
-    engine.  Integer outputs must be *bit-identical*; floating-point outputs
-    are compared with a tight ``allclose`` tolerance, because tensorized
-    instructions legitimately reassociate the reduction (e.g. the WMMA
-    hardware model accumulates a 16-wide K slab per call).  Raises
+    original operation over identical random buffers through ``executor``
+    (the vectorized tier by default).  Integer outputs must be
+    *bit-identical*; floating-point outputs are compared with a tight
+    ``allclose`` tolerance, because tensorized instructions legitimately
+    reassociate the reduction (e.g. the WMMA hardware model accumulates a
+    16-wide K slab per call).  Raises
     :class:`TensorizeError` on any mismatch.  This is the functional oracle
     the schedule verification and tuning paths share; with the vectorized
     engine it is cheap enough to run per tuned workload.
     """
     rng = rng or np.random.default_rng(0)
-    executor = executor or Executor(tier=tier_for_engine(engine))
+    executor = executor or Executor(tier="vectorized")
     reference = lower(result.operation, name=f"{result.operation.name}_ref")
     buffers = alloc_buffers(result.func, rng)
     got = executor.run(result.func, {t: a.copy() for t, a in buffers.items()})

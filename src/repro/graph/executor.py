@@ -8,10 +8,10 @@ the end-to-end figures; batch size is always 1 (Section V-C).
 
 The *functional* executor (:func:`execute_graph`) runs the same graph
 numerically: compute-intensive operators (convolutions, dense layers) are
-expressed in the tensor DSL, lowered, and executed through the vectorized
-execution engine (``repro.tir.execute``) — the repository's validation
-oracle — while structural operators (pooling, concat, softmax, elementwise)
-use direct numpy semantics.
+expressed in the tensor DSL, lowered, and executed through a
+:class:`repro.tir.Executor` (the vectorized tier by default — the
+repository's validation oracle), while structural operators (pooling,
+concat, softmax, elementwise) use direct numpy semantics.
 
 :func:`run_model` is the *memory-planned* whole-model path: a liveness
 analysis (:func:`plan_memory`) assigns every activation a slot in one shared
@@ -140,7 +140,6 @@ def execute_graph(
     inputs: Dict[str, np.ndarray],
     weights: Optional[Dict[str, np.ndarray]] = None,
     rng: Optional[np.random.Generator] = None,
-    engine: str = "vector",
     executor=None,
 ) -> Dict[str, np.ndarray]:
     """Execute ``graph`` numerically in float32, CHW activations.
@@ -152,16 +151,15 @@ def execute_graph(
 
     Convolutions and dense layers are lowered from the tensor DSL and run
     through a :class:`~repro.tir.Executor` — pass one via ``executor`` to
-    control the tier and validation policy, or use the legacy ``engine``
-    string (``"vector"`` is the default oracle, ``"scalar"`` the reference
-    interpreter), so graph execution exercises exactly the code path that
-    validates tensorized kernels.  Returns every node's output keyed by node
-    name.
+    control the tier and validation policy (the default is the vectorized
+    tier, the oracle), so graph execution exercises exactly the code path
+    that validates tensorized kernels.  Returns every node's output keyed by
+    node name.
     """
     graph.infer_shapes()
     weights = dict(weights or {})
     rng = rng or np.random.default_rng(0)
-    executor = _resolve_executor(executor, engine)
+    executor = _resolve_executor(executor)
     outputs: Dict[str, np.ndarray] = {}
     for node in graph.nodes:
         ins = [outputs[name] for name in node.inputs]
@@ -172,14 +170,13 @@ def execute_graph(
     return outputs
 
 
-def _resolve_executor(executor, engine: str):
-    """An Executor for graph execution: the caller's, or one for the legacy
-    ``engine`` string."""
+def _resolve_executor(executor):
+    """The caller's Executor, or the default vectorized-tier one."""
     if executor is not None:
         return executor
-    from ..tir.executor import Executor, tier_for_engine
+    from ..tir.executor import Executor
 
-    return Executor(tier=tier_for_engine(engine))
+    return Executor(tier="vectorized")
 
 
 def _execute_node(node, ins, inputs, weights, rng, executor, out_buf=None) -> np.ndarray:
@@ -498,7 +495,6 @@ def run_model(
     inputs: Dict[str, np.ndarray],
     weights: Optional[Dict[str, np.ndarray]] = None,
     rng: Optional[np.random.Generator] = None,
-    engine: str = "vector",
     keep: Sequence[str] = (),
     executor=None,
 ) -> ModelRun:
@@ -523,7 +519,7 @@ def run_model(
     memory = plan_memory(graph, keep=keep)
     weights = dict(weights or {})
     rng = rng or np.random.default_rng(0)
-    executor = _resolve_executor(executor, engine)
+    executor = _resolve_executor(executor)
 
     cache_stats = plan_cache().stats
     hits0, misses0 = cache_stats.hits, cache_stats.misses

@@ -256,13 +256,23 @@ class Graph:
 
     # -- analysis ---------------------------------------------------------------
     def infer_shapes(self) -> Dict[str, TensorShape]:
-        """Propagate activation shapes and fill each node's ``in_shape``."""
+        """Propagate activation shapes and fill each node's ``in_shape``.
+
+        Raises :class:`ValueError` as soon as a node's inferred shape has an
+        extent <= 0 (e.g. a model rescaled below what its strides survive).
+        """
         shapes: Dict[str, TensorShape] = {}
         for node in self.nodes:
             input_shapes = [shapes[i] for i in node.inputs]
             if input_shapes and hasattr(node, "in_shape"):
                 node.in_shape = input_shapes[0]
-            shapes[node.name] = node.output_shape(input_shapes)
+            shape = node.output_shape(input_shapes)
+            if shape.channels <= 0 or shape.height <= 0 or shape.width <= 0:
+                raise ValueError(
+                    f"graph {self.name!r}: node {node.name!r} has empty output "
+                    f"shape {shape} for input shape(s) {input_shapes}"
+                )
+            shapes[node.name] = shape
         self._shapes = shapes
         return shapes
 

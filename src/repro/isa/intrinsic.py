@@ -24,7 +24,7 @@ from ..dsl.axis import IterAxis
 from ..dsl.compute import ComputeOp
 from ..dsl.dtype import DType
 from ..dsl.tensor import Tensor
-from ..tir import execute, lower
+from ..tir import Executor, lower
 
 __all__ = ["TensorIntrinsic", "IntrinsicPerf", "dot_product_grid"]
 
@@ -229,7 +229,7 @@ class TensorIntrinsic:
             buffers[out] = np.array(init, dtype=out.dtype.np_dtype, copy=True)
         else:
             buffers[out] = np.zeros(out.shape, dtype=out.dtype.np_dtype)
-        return execute(func, buffers)
+        return Executor(tier="vectorized").run(func, buffers)
 
     def _check_operands(self, operands: Dict[str, np.ndarray]) -> None:
         for tensor in self.input_tensors:

@@ -2,7 +2,7 @@
 
 Before this module, each tier that could fail transiently grew its own
 ad-hoc recovery loop: :class:`~repro.service.client.ServiceClient` slept a
-*linear* ``retry_backoff_s * attempt``, :class:`RemoteSession` kept a fixed
+*linear* backoff per attempt, :class:`RemoteSession` kept a fixed
 reconnect cooldown, and :class:`~repro.rewriter.store.FileLock` spun on a
 constant poll interval.  Three loops, three sets of constants, none of them
 jittered — so a fleet of clients that lost the daemon together retried in

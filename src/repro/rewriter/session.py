@@ -37,32 +37,15 @@ SEARCH_STRATEGIES = ("exhaustive", "parallel", "early_exit")
 _APPROXIMATE_STRATEGIES = ("early_exit",)
 
 
-def _apply_validation_policy(validate, oracle, precheck, validation):
-    """Normalise the legacy/unified validation kwargs of :meth:`tune`.
-
-    Returns the effective ``(oracle, precheck)`` pair for the requested
-    :class:`~repro.tir.ValidationPolicy`: ``OFF`` drops the oracle, ``SPOT``
-    keeps it winner-only (the historical behaviour), ``FULL`` merges it into
-    the per-candidate precheck.  The deprecated ``validate=`` callable keeps
-    working with one :class:`DeprecationWarning`.
+def _apply_validation_policy(oracle, precheck, validation):
+    """The effective ``(oracle, precheck)`` pair of :meth:`tune` for the
+    requested :class:`~repro.tir.ValidationPolicy`: ``OFF`` drops the oracle,
+    ``SPOT`` keeps it winner-only, ``FULL`` merges it into the per-candidate
+    precheck.
     """
-    from ..tir.executor import ValidationPolicy, warn_once
+    from ..tir.executor import ValidationPolicy
 
-    if validate is not None:
-        if oracle is not None:
-            raise TypeError("pass either oracle= or the deprecated validate=")
-        warn_once(
-            "TuningSession.tune:validate",
-            "TuningSession.tune(validate=...) is deprecated; pass oracle=... "
-            "(and validation=ValidationPolicy.SPOT/FULL/OFF)",
-        )
-        oracle = validate
-    policy = ValidationPolicy.coerce(
-        validation,
-        default=ValidationPolicy.SPOT,
-        bool_true=ValidationPolicy.FULL,
-        owner="TuningSession.tune",
-    )
+    policy = ValidationPolicy.coerce(validation, default=ValidationPolicy.SPOT)
     if policy is ValidationPolicy.OFF:
         return None, precheck
     if policy is ValidationPolicy.FULL and oracle is not None:
@@ -144,9 +127,8 @@ class TuningSession:
         key: TuningKey,
         candidates: Sequence,
         evaluate: Callable[[object], CostBreakdown],
-        validate: Optional[Callable[[object], None]] = None,
-        precheck: Optional[Callable[[object], None]] = None,
         *,
+        precheck: Optional[Callable[[object], None]] = None,
         oracle: Optional[Callable[[object], None]] = None,
         validation=None,
     ) -> TuningRecord:
@@ -178,11 +160,8 @@ class TuningSession:
         sound is never costed, never profiled and never wins.  Rejections are
         counted in ``TuningResult.rejected`` and the session's
         ``candidates_rejected``.
-
-        ``validate`` is the deprecated spelling of ``oracle`` and keeps
-        working with a :class:`DeprecationWarning`.
         """
-        oracle, precheck = _apply_validation_policy(validate, oracle, precheck, validation)
+        oracle, precheck = _apply_validation_policy(oracle, precheck, validation)
         key = self._record_key(key)
         record = self._lookup(key)
         if record is not None:

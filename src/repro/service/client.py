@@ -125,9 +125,8 @@ class ServiceClient:
     ``shutting_down`` is treated exactly like a dead one.  When every
     attempt is exhausted :class:`ServiceUnavailable` carries the last error.
 
-    ``retry_backoff_s`` is a deprecated alias from the linear-backoff days;
-    it seeds the policy's ``base_delay_s``.  Not thread-safe: give each
-    thread its own client (connections are cheap; records are not).
+    Not thread-safe: give each thread its own client (connections are cheap;
+    records are not).
     """
 
     def __init__(
@@ -136,7 +135,6 @@ class ServiceClient:
         timeout: float = 10.0,
         tune_timeout: float = 300.0,
         retries: Optional[int] = None,
-        retry_backoff_s: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
         hedge_delay_s: float = 0.05,
     ) -> None:
@@ -144,17 +142,10 @@ class ServiceClient:
         self.address = self.addresses[0]  # the preferred endpoint
         self.timeout = timeout
         self.tune_timeout = tune_timeout
-        if retry_backoff_s is not None:
-            warnings.warn(
-                "ServiceClient(retry_backoff_s=...) is deprecated; pass "
-                "retry_policy=RetryPolicy(base_delay_s=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if retry_policy is None:
             retry_policy = RetryPolicy(
                 max_attempts=(2 if retries is None else retries) + 1,
-                base_delay_s=0.05 if retry_backoff_s is None else retry_backoff_s,
+                base_delay_s=0.05,
                 max_delay_s=2.0,
                 transient=TRANSPORT_ERRORS,
             )
@@ -172,16 +163,10 @@ class ServiceClient:
         self.hedged_gets = 0
         self.hedged_wins = 0
 
-    # -- compatibility aliases -------------------------------------------------
     @property
     def retries(self) -> int:
         """Retry count after the first attempt (mirrors the policy)."""
         return (self.retry.max_attempts or 1) - 1
-
-    @property
-    def retry_backoff_s(self) -> float:
-        """Deprecated: the policy's base delay."""
-        return self.retry.base_delay_s
 
     # -- endpoint health -------------------------------------------------------
     def _pick_endpoint(self, avoid: Optional[int] = None) -> int:
@@ -613,15 +598,14 @@ class RemoteSession(TuningSession):
         key: TuningKey,
         candidates: Sequence,
         evaluate: Callable[[object], CostBreakdown],
-        validate: Optional[Callable[[object], None]] = None,
-        precheck: Optional[Callable[[object], None]] = None,
         *,
+        precheck: Optional[Callable[[object], None]] = None,
         oracle: Optional[Callable[[object], None]] = None,
         validation=None,
     ) -> TuningRecord:
         from ..rewriter.session import _apply_validation_policy
 
-        oracle, precheck = _apply_validation_policy(validate, oracle, precheck, validation)
+        oracle, precheck = _apply_validation_policy(oracle, precheck, validation)
         key = self._record_key(key)
         record = self._lookup(key)
         if record is not None:

@@ -2,13 +2,11 @@
 
 Lowering (:func:`lower`) turns a ComputeOp plus a schedule into a
 :class:`PrimFunc` whose body is a canonical loop nest.  Execution goes
-through one front door — :class:`Executor`, which selects a tier from the
-:mod:`~repro.tir.backend` registry (``interpreter`` / ``vectorized`` /
-``native``) and applies a :class:`ValidationPolicy`.  The scalar
-:class:`Interpreter` remains the reference semantics every tier is tested
-against; the legacy :func:`execute` / :func:`vector_run` entrypoints survive
-as deprecation shims.  The verifier checks structural invariants, and the
-printer renders C-like listings.
+through one front door — :class:`Executor`, which runs one of three tiers
+(``interpreter`` / ``vectorized`` / ``native``) and applies a
+:class:`ValidationPolicy`.  The scalar :class:`Interpreter` is the reference
+semantics every tier is tested against.  The verifier checks structural
+invariants, and the printer renders C-like listings.
 """
 
 from .lower import PrimFunc, decompose_reduction, lower
@@ -17,36 +15,23 @@ from .engine import (
     ExecutablePlan,
     PlanStats,
     Unvectorizable,
-    VectorizedEngine,
     compile_plan,
-    execute,
-    vector_run,
 )
 from .backend import (
-    ExecutionBackend,
     NativeKernel,
     NativeUnavailable,
     TierState,
-    available_backends,
     compile_native,
-    get_backend,
     native_eligibility_reason,
     native_toolchain,
-    register_backend,
     tier_state,
 )
-from .executor import (
-    Executor,
-    ValidationError,
-    ValidationPolicy,
-    reset_deprecation_warnings,
-)
+from .executor import Executor, ValidationError, ValidationPolicy
 from .sandbox import SandboxVerdict, sandbox_enabled
 from .interpreter import Frame, Interpreter, alloc_buffers, random_array, run
 from .plan import (
     PlanCache,
     PlanCacheStats,
-    cached_execute,
     func_signature,
     func_structural_equal,
     func_structural_hash,
@@ -78,25 +63,17 @@ __all__ = [
     "run",
     "alloc_buffers",
     "random_array",
-    "VectorizedEngine",
     "EngineStats",
     "Unvectorizable",
-    "execute",
-    "vector_run",
     "Executor",
     "ValidationPolicy",
     "ValidationError",
-    "reset_deprecation_warnings",
-    "ExecutionBackend",
     "NativeKernel",
     "NativeUnavailable",
     "TierState",
-    "available_backends",
     "compile_native",
-    "get_backend",
     "native_eligibility_reason",
     "native_toolchain",
-    "register_backend",
     "tier_state",
     "SandboxVerdict",
     "sandbox_enabled",
@@ -106,7 +83,6 @@ __all__ = [
     "PlanCache",
     "PlanCacheStats",
     "plan_cache",
-    "cached_execute",
     "func_signature",
     "func_structural_hash",
     "func_structural_equal",

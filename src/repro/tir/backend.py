@@ -1,17 +1,17 @@
-"""Tiered execution backends: interpreter → vectorized → native.
+"""The native tier: promotion of warm plans to compiled C kernels.
 
 The paper hands rewritten tensor IR to LLVM (Section II-C.4); this module is
-that step for the reproduction.  Three :class:`ExecutionBackend`\\ s share one
-interface:
+that step for the reproduction.  :class:`~repro.tir.executor.Executor`
+dispatches over three tiers:
 
 * ``interpreter`` — the scalar reference semantics (:mod:`.interpreter`);
 * ``vectorized`` — batched numpy execution through a cached
   :class:`~repro.tir.engine.ExecutablePlan`;
-* ``native`` — the vectorized tier plus *tiered promotion*: once a plan has
-  run warm ``promote_after`` times, its function is lowered through
-  :mod:`repro.codegen.lowlevel` to real machine code (numba ``@njit`` when
-  importable, else C compiled by the host toolchain and loaded through
-  ctypes) and subsequent runs dispatch to the compiled kernel.
+* ``native`` — the vectorized tier plus *tiered promotion*
+  (:func:`run_tiered`): once a plan has run warm ``promote_after`` times, its
+  function is lowered through :func:`repro.codegen.lowlevel.generate_c`,
+  compiled by the host C toolchain, loaded through ctypes, and subsequent
+  runs dispatch to the compiled kernel.
 
 Promotion is conservative by construction:
 
@@ -40,7 +40,6 @@ import shutil
 import subprocess
 import tempfile
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -53,7 +52,6 @@ from ..testing import faults
 if TYPE_CHECKING:  # runtime import is lazy (see _lowlevel) to avoid a cycle
     from ..codegen.lowlevel import NativeSource
 from .engine import EngineStats, ExecutablePlan
-from .interpreter import Interpreter
 from .lower import PrimFunc
 
 
@@ -66,21 +64,13 @@ def _lowlevel():
     return lowlevel
 
 __all__ = [
-    "ExecutionBackend",
-    "InterpreterBackend",
-    "VectorizedBackend",
-    "NativeBackend",
     "NativeUnavailable",
     "NativeKernel",
     "TierState",
-    "available_backends",
     "compile_native",
-    "default_promote_after",
-    "get_backend",
     "native_eligibility_reason",
     "native_toolchain",
-    "register_backend",
-    "set_default_promote_after",
+    "run_tiered",
     "tier_state",
 ]
 
@@ -91,7 +81,7 @@ __all__ = [
 
 
 class NativeUnavailable(RuntimeError):
-    """No native toolchain (numba or a C compiler) is installed."""
+    """No C compiler is installed (or the native tier is disabled)."""
 
 
 _TOOLCHAIN_LOCK = threading.Lock()
@@ -101,25 +91,19 @@ _TOOLCHAIN: Optional[Tuple[Optional[str], object]] = None
 def _discover_toolchain() -> Tuple[Optional[str], object]:
     if os.environ.get("REPRO_DISABLE_NATIVE"):
         return None, "native tier disabled via REPRO_DISABLE_NATIVE"
-    try:
-        import numba  # type: ignore
-
-        return "numba", numba
-    except Exception:  # pragma: no cover - depends on environment
-        pass
     for name in ("cc", "gcc", "clang"):
         path = shutil.which(name)
         if path:
             return "cc", path
-    return None, "neither numba nor a C compiler (cc/gcc/clang) is available"
+    return None, "no C compiler (cc/gcc/clang) is available"
 
 
 def native_toolchain(refresh: bool = False) -> Tuple[Optional[str], object]:
     """The available native toolchain.
 
-    Returns ``("numba", <module>)``, ``("cc", <compiler path>)``, or
-    ``(None, <reason string>)``.  Cached after the first probe; pass
-    ``refresh=True`` to re-probe (tests monkeypatching the environment).
+    Returns ``("cc", <compiler path>)`` or ``(None, <reason string>)``.
+    Cached after the first probe; pass ``refresh=True`` to re-probe (tests
+    monkeypatching the environment).
     """
     global _TOOLCHAIN
     with _TOOLCHAIN_LOCK:
@@ -153,9 +137,8 @@ class NativeKernel:
     mutated in place, exactly like ``Interpreter.run``.
     """
 
-    def __init__(self, source: NativeSource, toolchain: str, entry: Callable) -> None:
+    def __init__(self, source: NativeSource, entry: Callable) -> None:
         self.source = source
-        self.toolchain = toolchain
         self._entry = entry
         self.params: Tuple[Tensor, ...] = tuple(source.params)
 
@@ -184,10 +167,7 @@ class NativeKernel:
                 writeback.append((pos, contiguous))
             else:
                 prepared.append(array)
-        if self.toolchain == "cc":
-            self._entry(*[a.ctypes.data_as(ctypes.c_void_p) for a in prepared])
-        else:
-            self._entry(*prepared)
+        self._entry(*[a.ctypes.data_as(ctypes.c_void_p) for a in prepared])
         for pos, contiguous in writeback:
             arrays[pos][...] = contiguous
         return arrays[-1]
@@ -241,21 +221,13 @@ def _compile_c(source: NativeSource, compiler: str) -> NativeKernel:
     library = ctypes.CDLL(so_path)
     entry = getattr(library, source.entry)
     entry.restype = None
-    kernel = NativeKernel(source, "cc", entry)
+    kernel = NativeKernel(source, entry)
     kernel._library = library  # keep the handle alive with the kernel
     return kernel
 
 
-def _compile_numba(source: NativeSource, numba_module) -> NativeKernel:
-    namespace: Dict[str, object] = {}
-    exec(compile(source.source, f"<native:{source.func_name}>", "exec"), namespace)
-    python_fn = namespace[source.entry]
-    jitted = numba_module.njit(cache=False)(python_fn)
-    return NativeKernel(source, "numba", jitted)
-
-
 def compile_native(func: PrimFunc) -> NativeKernel:
-    """Lower ``func`` to a compiled kernel with the best available toolchain.
+    """Lower ``func`` to a compiled kernel with the host C toolchain.
 
     Raises :class:`NativeUnavailable` when no toolchain exists and
     :class:`~repro.codegen.lowlevel.LoweringError` when ``func`` cannot be
@@ -265,41 +237,16 @@ def compile_native(func: PrimFunc) -> NativeKernel:
     if kind is None:
         raise NativeUnavailable(str(payload))
     faults.fire("backend.compile", func_name=func.name, where="host")
-    lowlevel = _lowlevel()
-    if kind == "numba":
-        return _compile_numba(lowlevel.generate_numba_source(func), payload)
-    return _compile_c(lowlevel.generate_c(func), str(payload))
+    return _compile_c(_lowlevel().generate_c(func), str(payload))
 
 
 # ---------------------------------------------------------------------------
 # Tier state and promotion
 # ---------------------------------------------------------------------------
 
+# Warm runs before a plan is considered for native promotion;
+# ``Executor(promote_after=)`` is the one override.
 _DEFAULT_PROMOTE_AFTER = 3
-
-
-def default_promote_after() -> int:
-    """Warm runs before a plan is considered for native promotion."""
-    env = os.environ.get("REPRO_NATIVE_PROMOTE_AFTER")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            warnings.warn(
-                f"ignoring invalid REPRO_NATIVE_PROMOTE_AFTER={env!r} "
-                f"(not an integer); using the default of "
-                f"{_DEFAULT_PROMOTE_AFTER}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return _DEFAULT_PROMOTE_AFTER
-
-
-def set_default_promote_after(value: int) -> None:
-    global _DEFAULT_PROMOTE_AFTER
-    if value < 1:
-        raise ValueError("promote_after must be >= 1")
-    _DEFAULT_PROMOTE_AFTER = int(value)
 
 
 @dataclass
@@ -414,12 +361,10 @@ def _try_promote(
             state.sandbox_outcome = verdict.outcome
             if stats is not None:
                 stats.sandbox_qualifications += 1
-            plan.stats.sandbox_qualifications += 1
             _metrics.count("tir.sandbox_qualifications")
             if not verdict.ok:
                 if stats is not None:
                     stats.sandbox_rejections += 1
-                plan.stats.sandbox_rejections += 1
                 _metrics.count("tir.sandbox_rejections")
                 promote_span.set(outcome="sandbox_rejected")
                 _demote(
@@ -456,7 +401,6 @@ def _try_promote(
         promote_span.set(outcome="promoted")
     if stats is not None:
         stats.native_promotions += 1
-    plan.stats.native_promotions += 1
     _metrics.count("tir.native_promotions")
 
 
@@ -477,7 +421,7 @@ def run_tiered(
     """
     func = func or plan.func
     state = tier_state(plan)
-    threshold = promote_after if promote_after is not None else default_promote_after()
+    threshold = promote_after if promote_after is not None else _DEFAULT_PROMOTE_AFTER
 
     if state.tier == "native" and state.kernel is not None:
         arrays = _kernel_arrays(plan, func, buffers)
@@ -489,7 +433,6 @@ def run_tiered(
         else:
             if stats is not None:
                 stats.native_runs += 1
-            plan.stats.native_runs += 1
             _metrics.count("tir.native_runs")
             return result
 
@@ -520,87 +463,3 @@ def run_tiered(
             else:
                 _try_promote(plan, func, inputs_before, output_before, result, stats)
     return result
-
-
-# ---------------------------------------------------------------------------
-# Backend registry
-# ---------------------------------------------------------------------------
-
-
-class ExecutionBackend:
-    """One way to execute a PrimFunc over numpy buffers."""
-
-    name: str = "abstract"
-
-    def run(
-        self,
-        func: PrimFunc,
-        buffers: Dict[Tensor, np.ndarray],
-        stats: Optional[EngineStats] = None,
-        strict: bool = False,
-        promote_after: Optional[int] = None,
-    ) -> np.ndarray:
-        raise NotImplementedError
-
-
-class InterpreterBackend(ExecutionBackend):
-    """The scalar reference interpreter — the semantics oracle."""
-
-    name = "interpreter"
-
-    def run(self, func, buffers, stats=None, strict=False, promote_after=None):
-        return Interpreter(func).run(buffers)
-
-
-class VectorizedBackend(ExecutionBackend):
-    """Batched numpy execution through the cached ExecutablePlan."""
-
-    name = "vectorized"
-
-    def _plan(self, func: PrimFunc, strict: bool) -> ExecutablePlan:
-        from .engine import compile_plan
-        from .plan import plan_cache
-
-        if strict:
-            return compile_plan(func, strict=True)
-        return plan_cache().get_or_compile(func)
-
-    def run(self, func, buffers, stats=None, strict=False, promote_after=None):
-        return self._plan(func, strict).run(buffers, stats=stats, func=func)
-
-
-class NativeBackend(VectorizedBackend):
-    """The vectorized tier plus tiered promotion to compiled kernels."""
-
-    name = "native"
-
-    def run(self, func, buffers, stats=None, strict=False, promote_after=None):
-        plan = self._plan(func, strict)
-        return run_tiered(
-            plan, buffers, stats=stats, func=func, promote_after=promote_after
-        )
-
-
-_BACKENDS: Dict[str, ExecutionBackend] = {}
-
-
-def register_backend(backend: ExecutionBackend) -> None:
-    _BACKENDS[backend.name] = backend
-
-
-def get_backend(name: str) -> ExecutionBackend:
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown execution backend {name!r} (available: {sorted(_BACKENDS)})"
-        ) from None
-
-
-def available_backends() -> List[str]:
-    return sorted(_BACKENDS)
-
-
-register_backend(InterpreterBackend())
-register_backend(VectorizedBackend())
-register_backend(NativeBackend())

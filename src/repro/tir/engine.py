@@ -40,8 +40,7 @@ Any statement the compiler cannot prove vectorizable becomes a *fallback
 step* that executes through the scalar interpreter over the same buffers, so
 the engine is always exact: vectorization is an optimization, never a
 semantics change.  :class:`EngineStats` records how much of a run was
-vectorized and why fallbacks happened; :class:`VectorizedEngine` keeps its
-historical one-object interface on top of the plan machinery.
+vectorized and why fallbacks happened.
 """
 
 from __future__ import annotations
@@ -68,14 +67,11 @@ from .stmt import (
 )
 
 __all__ = [
-    "VectorizedEngine",
     "EngineStats",
     "PlanStats",
     "ExecutablePlan",
     "Unvectorizable",
     "compile_plan",
-    "execute",
-    "vector_run",
 ]
 
 # Element budget for one stacked intrinsic-round slab: bounds the transient
@@ -140,10 +136,6 @@ class PlanStats:
     fallback_nests: int = 0
     proved_nests: int = 0
     elided_checks: int = 0
-    native_runs: int = 0
-    native_promotions: int = 0
-    sandbox_qualifications: int = 0
-    sandbox_rejections: int = 0
     fallback_reasons: List[str] = field(default_factory=list)
 
     @property
@@ -1820,8 +1812,8 @@ def compile_plan(func: PrimFunc, strict: bool = False) -> ExecutablePlan:
     ``strict`` makes compilation raise :class:`Unvectorizable` instead of
     emitting interpreter-fallback steps — useful in tests that assert full
     vectorization.  Prefer :func:`repro.tir.plan.plan_cache` (or simply
-    :func:`execute`) over calling this directly: the cache recognises
-    structurally identical functions and compiles them once.
+    :class:`~repro.tir.executor.Executor`) over calling this directly: the
+    cache recognises structurally identical functions and compiles them once.
     """
     from ..telemetry import metrics as _metrics, trace as _trace
 
@@ -1835,87 +1827,3 @@ def compile_plan(func: PrimFunc, strict: bool = False) -> ExecutablePlan:
         )
     _metrics.count("tir.plan_compiles")
     return plan
-
-
-# ---------------------------------------------------------------------------
-# The historical engine interface, now a thin wrapper over plans
-# ---------------------------------------------------------------------------
-
-
-class VectorizedEngine:
-    """Execute a :class:`PrimFunc` over numpy buffers by batched array ops.
-
-    Compiles (or fetches from the process-wide plan cache) an
-    :class:`ExecutablePlan` on first use and delegates every ``run`` to it;
-    ``stats`` accumulates per-run execution counters exactly as before the
-    compile/run split.
-    """
-
-    def __init__(self, func: PrimFunc, strict: bool = False) -> None:
-        self.func = func
-        self.strict = strict
-        self.stats = EngineStats()
-        self._plan: Optional[ExecutablePlan] = None
-
-    @property
-    def plan(self) -> ExecutablePlan:
-        """The compiled plan (compiled lazily; cached process-wide unless
-        ``strict``, whose raise-on-fallback contract is per-engine)."""
-        if self._plan is None:
-            if self.strict:
-                self._plan = compile_plan(self.func, strict=True)
-            else:
-                from .plan import plan_cache
-
-                self._plan = plan_cache().get_or_compile(self.func)
-        return self._plan
-
-    def run(self, buffers: Dict[Tensor, np.ndarray]) -> np.ndarray:
-        """Execute the function; same contract as ``Interpreter.run``."""
-        return self.plan.run(buffers, stats=self.stats, func=self.func)
-
-
-def vector_run(
-    func: PrimFunc, buffers: Dict[Tensor, np.ndarray], strict: bool = False
-) -> np.ndarray:
-    """Execute ``func`` through the vectorized engine.
-
-    .. deprecated::
-        Use ``repro.tir.Executor(tier="vectorized").run(func, buffers)``.
-    """
-    from .executor import Executor, warn_once
-
-    warn_once(
-        "tir.engine.vector_run",
-        "repro.tir.vector_run is deprecated; use "
-        "repro.tir.Executor(tier='vectorized').run(func, buffers)",
-    )
-    return Executor(tier="vectorized", strict=strict).run(func, buffers)
-
-
-def execute(
-    func: PrimFunc,
-    buffers: Dict[Tensor, np.ndarray],
-    engine: str = "vector",
-    strict: bool = False,
-) -> np.ndarray:
-    """Execute ``func`` over ``buffers`` with the selected engine.
-
-    ``engine`` is ``"vector"`` (the default oracle — batched numpy execution
-    through a cached :class:`ExecutablePlan`, with automatic scalar fallback),
-    ``"scalar"`` (the reference interpreter), or ``"native"`` (tiered
-    promotion to compiled kernels).  ``strict`` makes the vector engine raise
-    :class:`Unvectorizable` instead of falling back — useful in tests that
-    assert full vectorization.
-
-    .. deprecated::
-        Use ``repro.tir.Executor(tier=...).run(func, buffers)``.
-    """
-    from .executor import Executor, tier_for_engine, warn_once
-
-    warn_once(
-        "tir.engine.execute",
-        "repro.tir.execute is deprecated; use "
-        "repro.tir.Executor(tier=...).run(func, buffers)",
-    )
-    return Executor(tier=tier_for_engine(engine), strict=strict).run(func, buffers)

@@ -1,67 +1,40 @@
-"""The unified execution facade: one front door for every way to run IR.
-
-Execution used to be reachable through five uncoordinated entrypoints
-(``Interpreter.run``, ``tir.engine.execute``, ``vector_run``, ``plan.run``,
-``graph.run_model``), each with its own ``validate=``/``strict=`` spelling.
-:class:`Executor` replaces them:
+"""The execution facade: the one way to run a PrimFunc.
 
     executor = repro.tir.Executor(tier="native")
     out = executor.run(func, buffers)
     run = executor.run_model(graph, inputs)
 
-``tier`` selects the :mod:`~repro.tir.backend` registry entry — or ``"auto"``
-(the default), which means the native tier when a toolchain is available and
-the vectorized tier otherwise.  ``validation`` is a
+``tier`` is ``"interpreter"`` (the scalar reference semantics),
+``"vectorized"`` (batched numpy through the cached
+:class:`~repro.tir.engine.ExecutablePlan`), ``"native"`` (vectorized plus
+promotion of warm plans to compiled C kernels, :mod:`~repro.tir.backend`) —
+or ``"auto"`` (the default), which means the native tier when a C compiler is
+available and the vectorized tier otherwise.  ``validation`` is a
 :class:`ValidationPolicy`: ``OFF`` trusts the engine, ``SPOT`` checks each
 distinct plan once against the scalar interpreter, ``FULL`` checks every run.
-The old entrypoints survive as thin shims that emit one
-:class:`DeprecationWarning` per process and delegate here.
 """
 
 from __future__ import annotations
 
-import threading
-import warnings
 from enum import Enum
 from typing import Dict, Optional, Set, Union
 
 import numpy as np
 
 from ..dsl.tensor import Tensor
-from .engine import EngineStats
+from .backend import native_toolchain, run_tiered
+from .engine import EngineStats, compile_plan
 from .interpreter import Interpreter
 from .lower import PrimFunc
+from .plan import func_signature, func_structural_hash, plan_cache
 
 __all__ = [
     "Executor",
     "ValidationPolicy",
     "ValidationError",
-    "reset_deprecation_warnings",
 ]
 
-
-# -- warn-once plumbing (shared by every deprecation shim in this PR) --------
-
-_WARNED: Set[str] = set()
-_WARNED_LOCK = threading.Lock()
-
-
-def warn_once(key: str, message: str) -> None:
-    """Emit ``DeprecationWarning`` for ``key`` once per process."""
-    with _WARNED_LOCK:
-        if key in _WARNED:
-            return
-        _WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which deprecation warnings fired (test hook)."""
-    with _WARNED_LOCK:
-        _WARNED.clear()
-
-
-# -- validation policy -------------------------------------------------------
+_TIERS = ("interpreter", "vectorized", "native")
 
 
 class ValidationPolicy(Enum):
@@ -84,30 +57,15 @@ class ValidationPolicy(Enum):
     @classmethod
     def coerce(
         cls,
-        value: Union[None, bool, str, "ValidationPolicy"],
+        value: Union[None, str, "ValidationPolicy"],
         *,
         default: "ValidationPolicy",
-        bool_true: "ValidationPolicy",
-        owner: str,
     ) -> "ValidationPolicy":
-        """Normalise legacy spellings to a policy.
-
-        ``None`` → ``default``; booleans (the deprecated convention) warn
-        once and map ``True`` → ``bool_true``, ``False`` → ``OFF``; strings
-        are enum values.
-        """
+        """``None`` → ``default``; strings are enum values."""
         if value is None:
             return default
         if isinstance(value, cls):
             return value
-        if isinstance(value, bool):
-            warn_once(
-                f"{owner}:validate-bool",
-                f"{owner}: boolean validate= is deprecated; pass "
-                f"validation=ValidationPolicy.{bool_true.name if value else 'OFF'} "
-                f"(or the strings 'off'/'spot'/'full')",
-            )
-            return bool_true if value else cls.OFF
         if isinstance(value, str):
             return cls(value.lower())
         raise TypeError(f"cannot interpret {value!r} as a ValidationPolicy")
@@ -119,30 +77,14 @@ class ValidationError(AssertionError):
 
 # -- the facade --------------------------------------------------------------
 
-_ENGINE_TO_TIER = {
-    "scalar": "interpreter",
-    "vector": "vectorized",
-    "native": "native",
-}
-
-
-def tier_for_engine(engine: str) -> str:
-    """Map a legacy ``engine=`` string to a tier name."""
-    try:
-        return _ENGINE_TO_TIER[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {engine!r} (expected 'scalar', 'vector', or 'native')"
-        ) from None
-
 
 class Executor:
-    """Unified execution over the tiered backend registry.
+    """The one way to execute a PrimFunc (or a whole model).
 
     Parameters
     ----------
     tier:
-        ``"auto"`` (native when a toolchain exists, else vectorized),
+        ``"auto"`` (native when a C compiler exists, else vectorized),
         ``"interpreter"``, ``"vectorized"``, or ``"native"``.
     validation:
         A :class:`ValidationPolicy` (or its string value).  ``SPOT`` checks
@@ -152,10 +94,7 @@ class Executor:
         Vectorized/native tiers raise instead of falling back to the
         interpreter on unvectorizable nests.
     promote_after:
-        Warm runs before native promotion (defaults to the process-wide
-        setting, see :func:`repro.tir.backend.default_promote_after`).
-    validate:
-        Deprecated boolean spelling of ``validation`` (True → ``FULL``).
+        Warm runs before native promotion (default 3).
     """
 
     def __init__(
@@ -164,23 +103,8 @@ class Executor:
         validation: Union[None, str, ValidationPolicy] = None,
         strict: bool = False,
         promote_after: Optional[int] = None,
-        validate: Optional[bool] = None,
     ) -> None:
-        if validate is not None:
-            if validation is not None:
-                raise TypeError("pass either validation= or the deprecated validate=")
-            validation = ValidationPolicy.coerce(
-                validate,
-                default=ValidationPolicy.OFF,
-                bool_true=ValidationPolicy.FULL,
-                owner="Executor",
-            )
-        self.validation = ValidationPolicy.coerce(
-            validation,
-            default=ValidationPolicy.OFF,
-            bool_true=ValidationPolicy.FULL,
-            owner="Executor",
-        )
+        self.validation = ValidationPolicy.coerce(validation, default=ValidationPolicy.OFF)
         self.strict = strict
         self.promote_after = promote_after
         self.stats = EngineStats()
@@ -189,17 +113,12 @@ class Executor:
 
     @staticmethod
     def _resolve_tier(tier: str) -> str:
-        from . import backend as _backend
-
         if tier == "auto":
-            kind, _ = _backend.native_toolchain()
+            kind, _ = native_toolchain()
             return "native" if kind else "vectorized"
-        if tier in _backend.available_backends():
+        if tier in _TIERS:
             return tier
-        raise ValueError(
-            f"unknown tier {tier!r} (expected 'auto' or one of "
-            f"{_backend.available_backends()})"
-        )
+        raise ValueError(f"unknown tier {tier!r} (expected 'auto' or one of {_TIERS})")
 
     # -- single functions ---------------------------------------------------
     def run(
@@ -210,12 +129,8 @@ class Executor:
     ) -> np.ndarray:
         """Execute ``func`` over ``buffers``; same contract as
         ``Interpreter.run`` (the output buffer is mutated in place)."""
-        from . import backend as _backend
-
         check = self.validation is ValidationPolicy.FULL
         if self.validation is ValidationPolicy.SPOT:
-            from .plan import func_signature, func_structural_hash
-
             key = (func_structural_hash(func), func_signature(func))
             if key not in self._spot_checked:
                 self._spot_checked.add(key)
@@ -225,13 +140,21 @@ class Executor:
             reference = Interpreter(func).run(
                 {t: np.array(a, copy=True) for t, a in buffers.items()}
             )
-        result = _backend.get_backend(self.tier).run(
-            func,
-            buffers,
-            stats=stats if stats is not None else self.stats,
-            strict=self.strict,
-            promote_after=self.promote_after,
-        )
+        stats = stats if stats is not None else self.stats
+        if self.tier == "interpreter":
+            result = Interpreter(func).run(buffers)
+        else:
+            # A strict plan raises on fallback, so it never enters the shared cache.
+            if self.strict:
+                plan = compile_plan(func, strict=True)
+            else:
+                plan = plan_cache().get_or_compile(func)
+            if self.tier == "vectorized":
+                result = plan.run(buffers, stats=stats, func=func)
+            else:
+                result = run_tiered(
+                    plan, buffers, stats=stats, func=func, promote_after=self.promote_after
+                )
         if reference is not None and not np.array_equal(reference, result):
             raise ValidationError(
                 f"{self.tier} tier result for {func.name!r} differs from the "

@@ -21,8 +21,8 @@ convolution layers would otherwise repeat fifty times.  The
 * entries are LRU-bounded; eviction only drops the cache reference — plans
   already handed out keep working.
 
-The cache is consulted by :class:`~repro.tir.engine.VectorizedEngine` (and
-therefore by ``repro.tir.execute``, the repository-wide oracle entry point),
+The cache is consulted by :class:`~repro.tir.executor.Executor` (the
+repository-wide execution entry point) on its vectorized and native tiers,
 which is what makes warm-plan execution the default everywhere.
 """
 
@@ -31,9 +31,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from ..dsl import expr as E
 from ..telemetry import metrics as _metrics
@@ -55,7 +53,6 @@ __all__ = [
     "PlanCache",
     "PlanCacheStats",
     "plan_cache",
-    "cached_execute",
     "func_signature",
     "func_structural_hash",
     "func_structural_equal",
@@ -394,7 +391,7 @@ class PlanCache:
         The returned plan may have been compiled from a *different* (but
         structurally identical) function: run it with
         ``plan.run(buffers, func=func)`` so parameter buffers rebind
-        positionally (:class:`~repro.tir.engine.VectorizedEngine` does this
+        positionally (:class:`~repro.tir.executor.Executor` does this
         automatically).
         """
         key = (func_structural_hash(func), func_signature(func))
@@ -434,9 +431,3 @@ _GLOBAL_CACHE = PlanCache()
 def plan_cache() -> PlanCache:
     """The process-wide plan cache used by the default execution path."""
     return _GLOBAL_CACHE
-
-
-def cached_execute(func: PrimFunc, buffers: Dict, stats=None) -> np.ndarray:
-    """Execute ``func`` through its (possibly shared) cached plan."""
-    plan = _GLOBAL_CACHE.get_or_compile(func)
-    return plan.run(buffers, stats=stats, func=func)

@@ -35,6 +35,7 @@ Knobs (environment):
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import shutil
@@ -159,15 +160,6 @@ def _apply_rlimits(memory_mb: int, cpu_s: float) -> None:
 def _materialise(payload: Dict[str, object]):
     """Compile the shipped source inside the child; returns a callable."""
     faults.fire("backend.compile", func_name=payload["func_name"], where="sandbox")
-    if payload["kind"] == "numba":
-        import numba  # type: ignore
-
-        namespace: Dict[str, object] = {}
-        code = compile(payload["source"], f"<sandbox:{payload['func_name']}>", "exec")
-        exec(code, namespace)
-        return numba.njit(cache=False)(namespace[payload["entry"]])
-    import ctypes
-
     workdir = str(payload["workdir"])
     c_path = os.path.join(workdir, f"{payload['func_name']}.c")
     so_path = os.path.join(workdir, f"{payload['func_name']}.so")
@@ -188,15 +180,6 @@ def _materialise(payload: Dict[str, object]):
     entry.restype = None
     entry._library = library  # keep the handle alive alongside the callable
     return entry
-
-
-def _invoke(kind: str, entry, arrays: List[np.ndarray]) -> None:
-    if kind == "cc":
-        import ctypes
-
-        entry(*[array.ctypes.data_as(ctypes.c_void_p) for array in arrays])
-    else:
-        entry(*arrays)
 
 
 def _sandbox_child(conn, payload: Dict[str, object]) -> None:
@@ -233,7 +216,7 @@ def _sandbox_child(conn, payload: Dict[str, object]) -> None:
             send(False, "compile_error", str(exc))
             return
         faults.fire("backend.qualify", func_name=payload["func_name"], where="sandbox")
-        _invoke(str(payload["kind"]), entry, arrays)
+        entry(*[array.ctypes.data_as(ctypes.c_void_p) for array in arrays])
         if np.array_equal(arrays[-1], expected):
             send(True, "qualified", "bit-identical to the vectorized tier")
         else:
@@ -319,10 +302,7 @@ def qualify(
     if kind is None:
         return SandboxVerdict(False, "unavailable", str(toolchain))
     try:
-        if kind == "numba":
-            source = lowlevel.generate_numba_source(func)
-        else:
-            source = lowlevel.generate_c(func)
+        source = lowlevel.generate_c(func)
     except lowlevel.LoweringError as exc:
         return SandboxVerdict(False, "compile_error", str(exc))
 
@@ -332,8 +312,7 @@ def qualify(
         compile_timeout_s = min(_compile_timeout_s(), timeout_s)
     workdir = tempfile.mkdtemp(prefix="repro_sandbox_")
     payload: Dict[str, object] = {
-        "kind": kind,
-        "compiler": str(toolchain) if kind == "cc" else None,
+        "compiler": str(toolchain),
         "cc_flags": list(_CC_FLAGS),
         "source": source.source,
         "entry": source.entry,

@@ -1,13 +1,11 @@
 """Tests for the virtual-ISA code generator."""
 
-import numpy as np
 import pytest
 
 from repro.codegen import generate
 from repro.codegen.lowlevel import (
     Instruction,
     generate_c,
-    generate_numba_source,
     native_support_reason,
 )
 from repro.core import tensorize
@@ -95,7 +93,6 @@ class TestDeterminism:
     def test_native_sources_round_trip_identical(self):
         func = lower(small_conv_hwc())
         assert generate_c(func).source == generate_c(func).source
-        assert generate_numba_source(func).source == generate_numba_source(func).source
 
 
 class TestHwsimCrossCheck:
@@ -141,19 +138,3 @@ class TestNativeSupport:
         wmma = tensorize(small_matmul_fp16(32, 32, 32), target="cuda")
         reason = native_support_reason(wmma.func)
         assert reason is not None and "float16" in reason
-
-    def test_generated_python_source_matches_interpreter(self):
-        from repro.tir import alloc_buffers, run
-
-        func = lower(small_conv_hwc())
-        source = generate_numba_source(func)
-        namespace = {}
-        exec(compile(source.source, "<test-native>", "exec"), namespace)
-        kernel = namespace[source.entry]
-
-        rng = np.random.default_rng(7)
-        buffers = alloc_buffers(func, rng)
-        expected = run(func, {t: a.copy() for t, a in buffers.items()})
-        arrays = [np.array(buffers[p], copy=True) for p in func.params]
-        kernel(*arrays)
-        np.testing.assert_array_equal(arrays[-1], expected)

@@ -100,7 +100,7 @@ class TestTrialValidation:
         from repro.core.pipeline import UnitCpuRunner
         from repro.workloads import Conv2DParams
 
-        runner = UnitCpuRunner(tuning="first_pair", validate=True)
+        runner = UnitCpuRunner(tuning="first_pair", validation="spot")
         params = Conv2DParams(
             in_channels=8, in_height=6, in_width=6, out_channels=16, kernel=3, name="v"
         )
@@ -125,7 +125,7 @@ class TestTrialValidation:
 
                 return check
 
-        runner = BrokenValidation(tuning="first_pair", validate=True)
+        runner = BrokenValidation(tuning="first_pair", validation="spot")
         params = Conv2DParams(
             in_channels=8, in_height=6, in_width=6, out_channels=16, kernel=3, name="b"
         )
@@ -138,7 +138,7 @@ class TestTrialValidation:
         from repro.core.pipeline import UnitGpuRunner
         from repro.workloads import DenseParams
 
-        runner = UnitGpuRunner(mode="generic", validate=True)
+        runner = UnitGpuRunner(mode="generic", validation="spot")
         cost = runner.dense_latency(
             DenseParams(batch=1, in_features=32, out_features=32, name="gd")
         )
@@ -153,7 +153,7 @@ class TestTrialValidation:
         from repro.workloads import DenseParams
 
         runner = UnitCpuRunner(
-            GRAVITON2, "arm.neon.sdot", tuning="first_pair", validate=True
+            GRAVITON2, "arm.neon.sdot", tuning="first_pair", validation="spot"
         )
         cost = runner.dense_latency(
             DenseParams(batch=1, in_features=32, out_features=8, name="ad")
@@ -245,14 +245,14 @@ class TestStaticPrecheck:
         )
         plain = UnitCpuRunner(tuning="first_pair")
         assert plain._precheck("conv2d", params) is None
-        checking = UnitCpuRunner(tuning="first_pair", validate=True)
+        checking = UnitCpuRunner(tuning="first_pair", validation="spot")
         assert checking._precheck("conv2d", params) is not None
 
     def test_sound_candidates_survive_the_precheck(self):
         from repro.core.pipeline import UnitCpuRunner
         from repro.workloads import Conv2DParams
 
-        runner = UnitCpuRunner(tuning="full", validate=True)
+        runner = UnitCpuRunner(tuning="full", validation="spot")
         params = Conv2DParams(
             in_channels=8, in_height=6, in_width=6, out_channels=16, kernel=3, name="ok"
         )
@@ -282,7 +282,7 @@ class TestStaticPrecheck:
 
                 return check
 
-        runner = RejectFirst(tuning="full", validate=True)
+        runner = RejectFirst(tuning="full", validation="spot")
         params = Conv2DParams(
             in_channels=8, in_height=6, in_width=6, out_channels=16, kernel=3, name="rj"
         )

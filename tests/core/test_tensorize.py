@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import tensorize
 from repro.rewriter import CpuTuningConfig, GpuTuningConfig, TensorizeError
-from repro.tir import IntrinsicCall, alloc_buffers, collect, execute
+from repro.tir import Executor, IntrinsicCall, alloc_buffers, collect
 from repro.workloads import (
     Conv2DParams,
     conv2d_hwc,
@@ -31,7 +31,7 @@ def _run_and_count_calls(result, rng):
     # tests/tir/test_engine.py asserts the engine is bit-identical to the
     # scalar interpreter on these same workload shapes.
     buffers = alloc_buffers(result.func, rng)
-    out = execute(result.func, buffers)
+    out = Executor(tier="vectorized").run(result.func, buffers)
     calls = collect(result.func.body, lambda s: isinstance(s, IntrinsicCall))
     return out, buffers, calls
 

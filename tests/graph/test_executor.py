@@ -109,11 +109,14 @@ class TestFunctionalExecution:
         import numpy as np
 
         from repro.graph import execute_graph
+        from repro.tir import Executor
 
         g = self._graph()
         x = np.random.default_rng(0).standard_normal((3, 12, 12)).astype(np.float32)
-        outs_v = execute_graph(g, {"in": x}, rng=np.random.default_rng(7), engine="vector")
-        outs_s = execute_graph(g, {"in": x}, rng=np.random.default_rng(7), engine="scalar")
+        outs_v = execute_graph(g, {"in": x}, rng=np.random.default_rng(7))
+        outs_s = execute_graph(
+            g, {"in": x}, rng=np.random.default_rng(7), executor=Executor(tier="interpreter")
+        )
         assert set(outs_v) == {n.name for n in g.nodes}
         for name in outs_v:
             assert np.array_equal(outs_v[name], outs_s[name]), name

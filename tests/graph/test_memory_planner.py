@@ -26,6 +26,7 @@ from repro.graph import (
     rescale_input,
     run_model,
 )
+from repro.tir import Executor
 
 
 def _mixed_graph() -> Graph:
@@ -134,7 +135,9 @@ class TestRunModel:
         g = _chain_graph(2)
         x = rng.standard_normal((8, 10, 10)).astype(np.float32)
         vec = run_model(g, {"in": x}, rng=np.random.default_rng(5))
-        sca = run_model(g, {"in": x}, rng=np.random.default_rng(5), engine="scalar")
+        sca = run_model(
+            g, {"in": x}, rng=np.random.default_rng(5), executor=Executor(tier="interpreter")
+        )
         np.testing.assert_array_equal(vec.output, sca.output)
 
     def test_explicit_weights(self, rng):
@@ -184,3 +187,15 @@ class TestRescaleInput:
         graph.infer_shapes()
         assert graph.output_shape(graph.nodes[-1].name) == before
         assert small.nodes[0].shape.height == 32
+
+    def test_rescaling_below_a_models_strides_raises_at_inference(self):
+        """inception-v3 at 32x32 collapses to 1x1 before its last valid-padded
+        3x3 conv; that must fail in ``infer_shapes`` naming the node, not as a
+        ZeroDivisionError deep inside the cost model."""
+        from repro.core import compile_model
+        from repro.models.zoo import get_model
+
+        with pytest.raises(ValueError, match=r"conv_87.*height=1, width=1"):
+            rescale_input(get_model("inception-v3", fresh=True), 32)
+        compiled = compile_model(rescale_input(get_model("resnet-18", fresh=True), 32))
+        assert compiled.latency_ms > 0

@@ -5,6 +5,8 @@ instruction must agree exactly with interpreting the instruction's own
 tensor-DSL description (Figure 4) — i.e. the description *is* the semantics.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,16 @@ class TestSemantics:
                 np.testing.assert_allclose(hw, ref, rtol=1e-3, atol=1e-3)
             else:
                 assert np.array_equal(hw, ref)
+
+    def test_reference_semantics_raise_no_warnings(self):
+        """The library must not route through deprecated spellings of its own
+        API (``reference`` once called the ``tir.execute`` shim)."""
+        vnni = get_intrinsic("x86.avx512.vpdpbusd")
+        zeros = {t.name: np.zeros(t.shape, t.dtype.np_dtype) for t in vnni.input_tensors}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = vnni.reference(zeros)
+        assert not out.any()
 
     def test_vpdpbusd_known_value(self):
         vnni = get_intrinsic("x86.avx512.vpdpbusd")

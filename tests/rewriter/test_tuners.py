@@ -57,7 +57,7 @@ class TestCpuSchedule:
 
     def test_correctness_after_cpu_schedule(self, rng):
         from repro.rewriter import replace_tensorize
-        from repro.tir import alloc_buffers, execute, lower
+        from repro.tir import Executor, alloc_buffers, lower
 
         from tests.conftest import conv2d_hwc_reference
 
@@ -65,7 +65,7 @@ class TestCpuSchedule:
         apply_cpu_schedule(spec, CpuTuningConfig(parallel_extent=100, unroll_limit=4))
         func = replace_tensorize(lower(spec.schedule), spec)
         buffers = alloc_buffers(func, rng)
-        result = execute(func, buffers)
+        result = Executor(tier="vectorized").run(func, buffers)
         data, weight = (buffers[t] for t in func.inputs)
         assert np.array_equal(result, conv2d_hwc_reference(data, weight))
 

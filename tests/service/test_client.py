@@ -264,14 +264,6 @@ class TestAddressesAndPolicy:
         with pytest.raises(ValueError):
             normalize_addresses("no-port-here")
 
-    def test_retry_backoff_s_kwarg_is_a_deprecated_alias(self, service):
-        with pytest.warns(DeprecationWarning, match="retry_backoff_s"):
-            client = ServiceClient(service.address, retries=1, retry_backoff_s=0.01)
-        assert client.retry.base_delay_s == 0.01  # still honoured
-        assert client.retries == 1
-        assert client.retry_backoff_s == 0.01  # read-only compat property
-        client.close()
-
     def test_explicit_retry_policy_drives_the_transport(self, service):
         from repro.retry import RetryPolicy
 

@@ -13,26 +13,24 @@ import pytest
 from repro.codegen.lowlevel import LoweringError
 from repro.tir import (
     EngineStats,
+    Executor,
     alloc_buffers,
     compile_plan,
     compile_native,
     lower,
     native_eligibility_reason,
     native_toolchain,
+    plan_cache,
     run,
     tier_state,
 )
-from repro.tir.backend import (
-    default_promote_after,
-    run_tiered,
-    set_default_promote_after,
-)
+from repro.tir.backend import run_tiered
 from repro.workloads.dense import matmul_fp32
 from tests.conftest import small_conv_hwc
 
 TOOLCHAIN_KIND = native_toolchain()[0]
 needs_toolchain = pytest.mark.skipif(
-    TOOLCHAIN_KIND is None, reason="no native toolchain (numba or C compiler)"
+    TOOLCHAIN_KIND is None, reason="no native toolchain (C compiler)"
 )
 
 
@@ -82,7 +80,6 @@ class TestPromotion:
         assert state.tier == "native"
         assert state.kernel is not None
         assert stats.native_promotions == 1
-        assert plan.stats.native_promotions == 1
         assert not state.demoted
 
     @needs_toolchain
@@ -97,7 +94,7 @@ class TestPromotion:
         got = run_tiered(plan, buffers, stats=stats, promote_after=2)
         np.testing.assert_array_equal(got, expected)
         assert stats.native_runs == 1
-        assert plan.stats.native_runs == 1
+        assert tier_state(plan).tier == "native"  # the native run did not demote
 
     @needs_toolchain
     def test_spot_check_runs_at_promotion(self, monkeypatch):
@@ -188,30 +185,25 @@ class TestDemotion:
 
 
 class TestPromoteAfterKnobs:
+    def _runs_until_promotion_attempt(self, executor):
+        """Runs before the tier tries to promote (with no toolchain the attempt
+        demotes instead, which is still the threshold being crossed)."""
+        plan_cache().clear()
+        func = lower(small_conv_hwc())
+        state = tier_state(plan_cache().get_or_compile(func))
+        for n in range(1, 6):
+            executor.run(func, alloc_buffers(func, np.random.default_rng(n)))
+            if state.demoted or state.tier == "native":
+                return n
+        return None
+
     def test_default_is_configurable(self):
-        original = default_promote_after()
-        try:
-            set_default_promote_after(7)
-            assert default_promote_after() == 7
-        finally:
-            set_default_promote_after(original)
-
-    def test_env_var_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_PROMOTE_AFTER", "5")
-        assert default_promote_after() == 5
-
-    def test_invalid_env_var_warns_and_falls_back(self, monkeypatch):
-        """A bad REPRO_NATIVE_PROMOTE_AFTER must not be swallowed silently:
-        the warning names the offending value, then the default applies."""
-        monkeypatch.setenv("REPRO_NATIVE_PROMOTE_AFTER", "not-a-number")
-        with pytest.warns(RuntimeWarning, match="not-a-number"):
-            value = default_promote_after()
-        monkeypatch.delenv("REPRO_NATIVE_PROMOTE_AFTER")
-        assert value == default_promote_after()
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            set_default_promote_after(0)
+        """The default threshold is 3; ``Executor(promote_after=)`` is the
+        one override."""
+        assert self._runs_until_promotion_attempt(Executor(tier="native")) == 3
+        assert (
+            self._runs_until_promotion_attempt(Executor(tier="native", promote_after=1)) == 1
+        )
 
 
 class TestCompileTimeout:

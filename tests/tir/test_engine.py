@@ -22,13 +22,12 @@ from repro.rewriter import CpuTuningConfig, GpuTuningConfig
 from repro.schedule import create_schedule
 from repro.tir import (
     Allocate,
+    Executor,
     For,
     Interpreter,
     PrimFunc,
     Store,
-    VectorizedEngine,
     alloc_buffers,
-    execute,
     lower,
     run,
     seq,
@@ -51,8 +50,8 @@ def assert_engine_matches_interpreter(func, rng=None, strict=True):
     """Run ``func`` through both executors and require bit-identical output."""
     buffers = alloc_buffers(func, rng or np.random.default_rng(0))
     ref = run(func, {t: a.copy() for t, a in buffers.items()})
-    engine = VectorizedEngine(func, strict=strict)
-    got = engine.run({t: a.copy() for t, a in buffers.items()})
+    engine = Executor(tier="vectorized", strict=strict)
+    got = engine.run(func, {t: a.copy() for t, a in buffers.items()})
     assert got.dtype == ref.dtype
     np.testing.assert_array_equal(got, ref)
     return engine.stats
@@ -157,8 +156,8 @@ class TestFallback:
         func = PrimFunc("branchy", [a, out_t], body, op=None)
         buffers = alloc_buffers(func, rng)
         ref = run(func, {t: b.copy() for t, b in buffers.items()})
-        engine = VectorizedEngine(func)
-        got = engine.run({t: b.copy() for t, b in buffers.items()})
+        engine = Executor(tier="vectorized")
+        got = engine.run(func, {t: b.copy() for t, b in buffers.items()})
         np.testing.assert_array_equal(got, ref)
         assert engine.stats.fallback_nests == 1
         assert engine.stats.fallback_reasons
@@ -181,7 +180,7 @@ class TestFallback:
         func = PrimFunc("scratchy", [a, out_t], body, op=None)
         buffers = alloc_buffers(func, rng)
         ref = run(func, {t: b.copy() for t, b in buffers.items()})
-        got = VectorizedEngine(func).run({t: b.copy() for t, b in buffers.items()})
+        got = Executor(tier="vectorized").run(func, {t: b.copy() for t, b in buffers.items()})
         np.testing.assert_array_equal(got, ref)
 
     def test_strict_mode_raises(self):
@@ -203,12 +202,11 @@ class TestFallback:
         func = PrimFunc("strictly", [a, out_t], body, op=None)
         buffers = alloc_buffers(func, np.random.default_rng(0))
         with pytest.raises(Unvectorizable):
-            VectorizedEngine(func, strict=True).run(buffers)
+            Executor(tier="vectorized", strict=True).run(func, buffers)
 
     def test_unknown_engine_rejected(self):
-        func = lower(small_matmul_int8(2, 4, 4))
         with pytest.raises(ValueError):
-            execute(func, alloc_buffers(func), engine="quantum")
+            Executor(tier="quantum")
 
 
 class TestVectorExprs:
@@ -237,8 +235,8 @@ class TestVectorExprs:
         func = self._vector_store_func(builder)
         buffers = alloc_buffers(func, rng)
         ref = run(func, {t: b.copy() for t, b in buffers.items()})
-        engine = VectorizedEngine(func, strict=True)
-        got = engine.run({t: b.copy() for t, b in buffers.items()})
+        engine = Executor(tier="vectorized", strict=True)
+        got = engine.run(func, {t: b.copy() for t, b in buffers.items()})
         np.testing.assert_array_equal(got, ref)
         assert engine.stats.fallback_nests == 0
 
@@ -351,8 +349,8 @@ def test_property_random_matmul_shapes(m, n, k):
     func = lower(small_matmul_int8(m, n, k))
     buffers = alloc_buffers(func, np.random.default_rng(m * 100 + n * 10 + k))
     ref = run(func, {t: a.copy() for t, a in buffers.items()})
-    got = VectorizedEngine(func, strict=True).run(
-        {t: a.copy() for t, a in buffers.items()}
+    got = Executor(tier="vectorized", strict=True).run(
+        func, {t: a.copy() for t, a in buffers.items()}
     )
     np.testing.assert_array_equal(got, ref)
 

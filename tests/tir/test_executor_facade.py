@@ -1,11 +1,9 @@
 """The unified Executor facade and the ValidationPolicy kwarg unification.
 
-One front door for execution (``Executor``), one policy vocabulary for
-validation everywhere (``off``/``spot``/``full``), and every legacy
-entrypoint/kwarg surviving as a warn-once deprecation shim.
+One front door for execution (``Executor``) and one policy vocabulary for
+validation everywhere (``off``/``spot``/``full``); the legacy entrypoints and
+kwarg spellings are gone and must stay rejected.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -15,18 +13,14 @@ from repro.hwsim.cost import CostBreakdown
 from repro.rewriter.records import TuningKey
 from repro.rewriter.session import TuningSession
 from repro.tir import (
+    ExecutablePlan,
     Executor,
-    Interpreter,
     ValidationError,
     ValidationPolicy,
     alloc_buffers,
-    execute,
     lower,
-    reset_deprecation_warnings,
     run,
-    vector_run,
 )
-from repro.tir.backend import _BACKENDS, ExecutionBackend, register_backend
 from tests.conftest import small_conv_hwc
 
 
@@ -38,19 +32,9 @@ def _buffers(func, seed=0):
     return alloc_buffers(func, np.random.default_rng(seed))
 
 
-def _no_deprecation(record):
-    return [w for w in record if issubclass(w.category, DeprecationWarning)]
-
-
 class TestValidationPolicy:
-    def _coerce(self, value, **overrides):
-        kwargs = dict(
-            default=ValidationPolicy.SPOT,
-            bool_true=ValidationPolicy.FULL,
-            owner="test",
-        )
-        kwargs.update(overrides)
-        return ValidationPolicy.coerce(value, **kwargs)
+    def _coerce(self, value):
+        return ValidationPolicy.coerce(value, default=ValidationPolicy.SPOT)
 
     def test_none_takes_default(self):
         assert self._coerce(None) is ValidationPolicy.SPOT
@@ -63,18 +47,10 @@ class TestValidationPolicy:
         assert self._coerce("SPOT") is ValidationPolicy.SPOT
         assert self._coerce("Full") is ValidationPolicy.FULL
 
-    def test_bool_maps_with_one_deprecation_warning(self):
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="boolean validate"):
-            assert self._coerce(True) is ValidationPolicy.FULL
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            assert self._coerce(False) is ValidationPolicy.OFF
-        assert not _no_deprecation(record)  # warn-once: second bool is silent
-
     def test_garbage_raises(self):
-        with pytest.raises(TypeError):
-            self._coerce(3.5)
+        for garbage in (3.5, True, False):  # the boolean spelling is gone too
+            with pytest.raises(TypeError):
+                self._coerce(garbage)
 
 
 class TestExecutor:
@@ -92,15 +68,11 @@ class TestExecutor:
         got = Executor(tier="interpreter").run(func, buffers)
         np.testing.assert_array_equal(got, expected)
 
-    def test_deprecated_validate_bool_maps_to_full(self):
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            executor = Executor(tier="vectorized", validate=True)
-        assert executor.validation is ValidationPolicy.FULL
-
     def test_validate_and_validation_together_raise(self):
-        with pytest.raises(TypeError, match="either validation"):
+        with pytest.raises(TypeError):
             Executor(validation="spot", validate=True)
+        with pytest.raises(TypeError):  # alone, too: validation= is the one spelling
+            Executor(validate=True)
 
     def test_spot_checks_each_distinct_function_once(self, monkeypatch):
         calls = []
@@ -134,62 +106,25 @@ class TestExecutor:
             executor.run(func, _buffers(func, seed=seed))
         assert len(calls) == 3
 
-    def test_validation_catches_a_lying_backend(self):
-        class OffByOneBackend(ExecutionBackend):
-            name = "off-by-one"
+    def test_validation_catches_a_lying_backend(self, monkeypatch):
+        honest_run = ExecutablePlan.run
 
-            def run(self, func, buffers, stats=None, strict=False, promote_after=None):
-                out = Interpreter(func).run(buffers)
-                out += 1
-                return out
+        def off_by_one(self, buffers, stats=None, func=None):
+            out = honest_run(self, buffers, stats=stats, func=func)
+            out += 1
+            return out
 
-        register_backend(OffByOneBackend())
-        try:
-            executor = Executor(tier="off-by-one", validation="full")
-            func = _func()
-            with pytest.raises(ValidationError, match="differs"):
-                executor.run(func, _buffers(func))
-        finally:
-            del _BACKENDS["off-by-one"]
+        monkeypatch.setattr(ExecutablePlan, "run", off_by_one)
+        executor = Executor(tier="vectorized", validation="full")
+        func = _func()
+        with pytest.raises(ValidationError, match="differs"):
+            executor.run(func, _buffers(func))
 
     def test_runs_accumulate_into_executor_stats(self):
         executor = Executor(tier="vectorized")
         func = _func()
         executor.run(func, _buffers(func))
         assert executor.stats.vector_nests > 0
-
-
-class TestDeprecatedShims:
-    def test_execute_warns_exactly_once_and_delegates(self):
-        reset_deprecation_warnings()
-        func = _func()
-        buffers = _buffers(func)
-        expected = run(func, {t: a.copy() for t, a in buffers.items()})
-        with pytest.warns(DeprecationWarning, match="repro.tir.execute is deprecated"):
-            got = execute(func, {t: a.copy() for t, a in buffers.items()})
-        np.testing.assert_array_equal(got, expected)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            execute(func, {t: a.copy() for t, a in buffers.items()})
-        assert not _no_deprecation(record)
-
-    def test_vector_run_warns_exactly_once_and_delegates(self):
-        reset_deprecation_warnings()
-        func = _func()
-        buffers = _buffers(func)
-        expected = run(func, {t: a.copy() for t, a in buffers.items()})
-        with pytest.warns(DeprecationWarning, match="vector_run is deprecated"):
-            got = vector_run(func, {t: a.copy() for t, a in buffers.items()})
-        np.testing.assert_array_equal(got, expected)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            vector_run(func, {t: a.copy() for t, a in buffers.items()})
-        assert not _no_deprecation(record)
-
-    def test_execute_rejects_unknown_engine(self):
-        func = _func()
-        with pytest.raises(ValueError, match="unknown engine"):
-            execute(func, _buffers(func), engine="tpu")
 
 
 # ---------------------------------------------------------------------------
@@ -240,42 +175,25 @@ class TestTuneValidationPolicy:
         assert record.best_config == 2  # the cheapest *validated* candidate
         assert record.result.rejected == 1
 
-    def test_deprecated_validate_kwarg_warns_once(self):
-        reset_deprecation_warnings()
-        calls = []
-        with pytest.warns(DeprecationWarning, match="validate=...\\) is deprecated"):
-            TuningSession().tune(_key("a"), CANDIDATES, _breakdown, validate=calls.append)
-        assert calls == [1]
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            TuningSession().tune(_key("b"), CANDIDATES, _breakdown, validate=calls.append)
-        assert not _no_deprecation(record)
-
     def test_validate_and_oracle_together_raise(self):
-        with pytest.raises(TypeError, match="either oracle"):
+        with pytest.raises(TypeError):
             TuningSession().tune(
                 _key(), CANDIDATES, _breakdown, validate=lambda c: None, oracle=lambda c: None
             )
+        with pytest.raises(TypeError):  # alone, too: oracle= is the one spelling
+            TuningSession().tune(_key(), CANDIDATES, _breakdown, validate=lambda c: None)
 
 
 class TestRunnerValidationResolution:
-    """The operator runners resolve validate=/validation= through one helper."""
+    """The operator runners take validation= (a policy or its string) only."""
 
-    def _resolve(self, validate=None, validation=None):
-        from repro.core.pipeline import _SessionTunedRunner
+    def _resolve(self, **kwargs):
+        from repro.core import UnitCpuRunner
 
-        return _SessionTunedRunner._resolve_validation(validate, validation, "TestRunner")
+        return UnitCpuRunner(tuning="first_pair", **kwargs).validation
 
     def test_default_is_off(self):
         assert self._resolve() is ValidationPolicy.OFF
 
     def test_validation_string_wins(self):
         assert self._resolve(validation="full") is ValidationPolicy.FULL
-
-    def test_legacy_bool_maps_to_spot_with_warning(self):
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            assert self._resolve(validate=True) is ValidationPolicy.SPOT
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            assert self._resolve(validate=False) is ValidationPolicy.OFF

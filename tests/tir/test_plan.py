@@ -131,20 +131,19 @@ class TestPlanSharing:
         assert cache.stats.misses == 4
 
     def test_global_cache_serves_engine_runs(self, rng):
-        from repro.tir import VectorizedEngine
+        from repro.tir import Executor
 
         func = _matmul_func(m=3, n=6, k=4)
         twin = _matmul_func(m=3, n=6, k=4)
         cache = plan_cache()
         hits0 = cache.stats.hits
-        e1 = VectorizedEngine(func)
-        e2 = VectorizedEngine(twin)
+        executor = Executor(tier="vectorized")
         b1 = alloc_buffers(func, rng)
         ref = run(func, {t: a.copy() for t, a in b1.items()})
         np.testing.assert_array_equal(
-            e1.run({t: a.copy() for t, a in b1.items()}), ref
+            executor.run(func, {t: a.copy() for t, a in b1.items()}), ref
         )
-        e2.run(alloc_buffers(twin, np.random.default_rng(9)))
+        executor.run(twin, alloc_buffers(twin, np.random.default_rng(9)))
         assert cache.stats.hits > hits0  # the twin rode the first compile
 
 

@@ -13,7 +13,16 @@ import pytest
 from repro.core import tensorize
 from repro.rewriter import CpuTuningConfig
 from repro.schedule import create_schedule
-from repro.tir import IfThenElse, VectorizedEngine, alloc_buffers, collect, compile_plan, lower, run
+from repro.tir import (
+    Executor,
+    IfThenElse,
+    alloc_buffers,
+    collect,
+    compile_plan,
+    lower,
+    plan_cache,
+    run,
+)
 from repro.workloads import Conv2DParams, conv2d_nchwc
 from tests.conftest import small_conv_hwc
 
@@ -21,10 +30,9 @@ from tests.conftest import small_conv_hwc
 def _assert_bit_identical(func, rng):
     buffers = alloc_buffers(func, rng)
     ref = run(func, {t: b.copy() for t, b in buffers.items()})
-    engine = VectorizedEngine(func)
-    got = engine.run({t: b.copy() for t, b in buffers.items()})
+    got = Executor(tier="vectorized").run(func, {t: b.copy() for t, b in buffers.items()})
     np.testing.assert_array_equal(got, ref)
-    return engine.plan.stats  # compile-time PlanStats (proofs live there)
+    return plan_cache().get_or_compile(func).stats  # compile-time PlanStats (proofs live there)
 
 
 class TestProvedNests:

@@ -29,7 +29,7 @@ from tests.conftest import small_conv_hwc
 
 TOOLCHAIN_KIND = native_toolchain()[0]
 needs_toolchain = pytest.mark.skipif(
-    TOOLCHAIN_KIND is None, reason="no native toolchain (numba or C compiler)"
+    TOOLCHAIN_KIND is None, reason="no native toolchain (C compiler)"
 )
 
 
@@ -124,7 +124,6 @@ class TestPromotionIntegration:
         assert "sandbox rejected" in state.demotion_reason
         assert stats.sandbox_qualifications == 1
         assert stats.sandbox_rejections == 1
-        assert plan.stats.sandbox_rejections == 1
         # The vectorized result is still correct — the failure was absorbed.
         fresh = alloc_buffers(plan.func, np.random.default_rng(0))
         assert np.array_equal(result, run(plan.func, fresh))
