@@ -43,8 +43,9 @@ uploads it as an artifact)::
 must be ≥5x faster than cold on the repeated-layer workload and every
 Table I layer must compile to a fully vectorized plan (zero fallbacks).
 ``--native-smoke`` runs the CI native-tier gate: layer 1 must promote, run
-≥2x faster than the vectorized tier and stay bit-identical (skips cleanly
-when no C compiler is installed).
+≥2x faster than the vectorized tier (≥20x where ``/proc/cpuinfo`` lists
+``avx512_vnni``) and stay bit-identical (skips cleanly when no C compiler is
+installed).
 
 Or run under pytest-benchmark along with the figure benchmarks::
 
@@ -247,11 +248,22 @@ def bench_native_tier(limit: int) -> dict:
     return report
 
 
+def _host_has_vnni() -> bool:
+    """Whether this CPU has the instruction layer 1 is tensorized for."""
+    try:
+        with open("/proc/cpuinfo") as handle:
+            return "avx512_vnni" in handle.read()
+    except OSError:
+        return False
+
+
 def native_smoke() -> None:
     """The CI native-tier gate (``--native-smoke``).
 
     Skips (exit 0) when no native toolchain exists; otherwise layer 1 must
-    promote, run ≥2x faster than the vectorized tier, and stay bit-identical.
+    promote, stay bit-identical, and run ≥2x faster than the vectorized tier
+    — ≥20x on an AVX512-VNNI host, where the kernel is ``vpdpbusd`` itself
+    (two orders of magnitude) rather than its scalar expansion (~4.5x).
     """
     report = bench_native_tier(1)
     if not report["available"]:
@@ -268,8 +280,11 @@ def native_smoke() -> None:
         f"layer 1 failed to promote: {row['demotion_reason'] or 'unknown reason'}"
     )
     assert row["bit_identical"], "native kernel diverged from the vectorized tier"
-    assert row["native_speedup"] >= 2.0, (
-        f"native speedup {row['native_speedup']:.2f}x below the 2x floor"
+    floor = 20.0 if _host_has_vnni() else 2.0
+    if floor == 2.0:
+        print("scalar fallback host: native speedup held to the 2x floor")
+    assert row["native_speedup"] >= floor, (
+        f"native speedup {row['native_speedup']:.2f}x below the {floor:g}x floor"
     )
     print("native-tier smoke ok")
 

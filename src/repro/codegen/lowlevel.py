@@ -21,6 +21,7 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..analysis.interval import Interval, atom_root, linearize, loop_env
 from ..dsl import expr as E
 from ..dsl.dtype import DType, from_string
 from ..dsl.printer import expr_to_str
@@ -291,7 +292,14 @@ def generate(func: PrimFunc, target: str = "generic") -> CodegenResult:
 #   results are bit-identical (compile with ``-ffp-contract=off``; no FMA
 #   contraction, no reassociation).
 # * intrinsic calls expand to the interpreter's gather → execute → scatter
-#   register dance, with fixed-size stack arrays for the registers.
+#   register dance, with fixed-size stack arrays for the registers.  An
+#   instruction that carries a ``NativeLowering`` is emitted as the hardware
+#   instruction itself under ``#if defined(<its feature macro>)`` — the
+#   compiler's predefined macros are the CPU probe — with the scalar dance as
+#   the ``#else`` branch.  Only order-free integer dot products are natively
+#   expanded at all (``_intrinsic_native_reason``), so both branches agree
+#   with the interpreter bit for bit.
+# * loops are emitted serially: ``parallel`` nests run on one thread.
 # ---------------------------------------------------------------------------
 
 
@@ -305,13 +313,16 @@ class NativeSource:
     through ctypes).
 
     ``params`` records the buffer order of the entry point — identical to
-    ``func.params``.
+    ``func.params``.  ``instructions`` names the hardware instructions the
+    source reaches when the compiler defines their feature macro (e.g.
+    ``("vpdpbusd",)``; ``()`` for a purely scalar source).
     """
 
     func_name: str
     source: str
     entry: str
     params: Tuple = ()
+    instructions: Tuple[str, ...] = ()
 
 
 _C_TYPES = {
@@ -565,14 +576,88 @@ class _NameTable:
         return candidate
 
 
+# The lane-broadcast spelling of a ``NativeLowering`` replicates one 4-byte
+# group (an ``int32_t``) across the register.
+_BROADCAST_BYTES = 4
+
+
+def _axis_strides(indices, shape, env, axis_vars):
+    """Row-major flat ``(strides, offset)`` of ``indices`` over ``axis_vars``.
+
+    ``strides`` maps every member of ``axis_vars`` to its flat element
+    stride; ``offset`` is the constant term.  Every other variable of ``env``
+    (and its div/mod atoms) is a symbolic parameter and contributes to
+    neither.  ``None`` when an index is not quasi-affine or an axis sits
+    under a div/mod — the address is then not a stride pattern at all.
+    """
+    strides = dict.fromkeys(axis_vars, 0)
+    offset = 0
+    for idx, stride in zip(indices, _row_major_strides(shape)):
+        lin = linearize(idx, env)
+        if lin is None:
+            return None
+        coeffs, const, _ = lin
+        offset += const * stride
+        for atom, coeff in coeffs.items():
+            root = atom_root(atom)
+            if root in strides:
+                if atom is not root:
+                    return None
+                strides[root] += coeff * stride
+    return strides, offset
+
+
+def _operand_access(call: IntrinsicCall, binding, env) -> str:
+    """How the instruction path reaches one operand register's memory.
+
+    ``"contiguous"``: lane ``l`` of the register is program element
+    ``base + l`` — one unaligned vector load/store.  ``"broadcast"``: every
+    4-byte group of lanes is the same contiguous program group — one scalar
+    read plus a lane broadcast.  ``"staged"``: anything else; the operand is
+    filled lane by lane through the scalar path's stack array.
+    """
+    reg, prog = binding.intrin_tensor, binding.program_tensor
+    if reg.dtype != prog.dtype:
+        return "staged"
+    axis_env = loop_env((ax.var, ax.extent) for ax in call.axes)
+    extents = {ax.var: int(ax.extent) for ax in call.axes if int(ax.extent) > 1}
+    lane = _axis_strides(binding.intrin_indices, reg.shape, axis_env, extents)
+    addr = _axis_strides(binding.program_indices, prog.shape, {**env, **axis_env}, extents)
+    if lane is None or addr is None or lane[1] != 0:
+        return "staged"
+    lane, addr = lane[0], addr[0]
+    # The register index must enumerate every lane exactly once (a mixed
+    # radix over the axes it mentions), and no other axis may move the address.
+    order = sorted((v for v in extents if lane[v]), key=lane.get)
+    lanes = 1
+    for var in order:
+        if lane[var] != lanes:
+            return "staged"
+        lanes *= extents[var]
+    if lanes != reg.num_elements or any(addr[v] for v in extents if not lane[v]):
+        return "staged"
+    if all(addr[v] == lane[v] for v in order):
+        return "contiguous"
+    group = 1
+    while order and group * reg.dtype.bytes < _BROADCAST_BYTES and addr[order[0]] == lane[order[0]]:
+        group *= extents[order.pop(0)]
+    if group * reg.dtype.bytes == _BROADCAST_BYTES and not any(addr[v] for v in order):
+        return "broadcast"
+    return "staged"
+
+
 class _CEmitter:
-    def __init__(self, func: PrimFunc, parallel: bool = True) -> None:
+    def __init__(self, func: PrimFunc) -> None:
         self.func = func
-        self.parallel = parallel
         self.lines: List[str] = []
         self.depth = 1
         self.names = _NameTable()
         self._tmp = 0
+        # Static range of every enclosing loop variable: the symbolic
+        # parameters of the intrinsic operands' address analysis.
+        self.env: Dict[E.Var, Interval] = {}
+        # Native lowerings the source uses, in first-use order.
+        self.lowerings: List = []
 
     # -- plumbing ----------------------------------------------------------
     def line(self, text: str) -> None:
@@ -745,14 +830,11 @@ class _CEmitter:
                 self.visit(s)
         elif isinstance(stmt, For):
             name = self.var_name(stmt.var)
-            if stmt.kind is ForKind.PARALLEL and self.parallel:
-                # Iterations of a parallel nest write disjoint locations
-                # (verified by the engine's planner), so a static schedule is
-                # bit-exact; without -fopenmp the pragma is ignored.
-                self.line("#pragma omp parallel for schedule(static)")
             self.line(f"for (int64_t {name} = 0; {name} < {stmt.extent}; ++{name}) {{")
             self.depth += 1
+            self.env[stmt.var] = Interval(0, max(0, int(stmt.extent) - 1))
             self.visit(stmt.body)
+            del self.env[stmt.var]
             self.depth -= 1
             self.line("}")
         elif isinstance(stmt, IfThenElse):
@@ -805,20 +887,29 @@ class _CEmitter:
         reason = _intrinsic_native_reason(call.intrin)
         if reason:
             raise LoweringError(reason)
-        op = call.intrin.op
+        lowering = call.intrin.native_lowering
         self.line("{")
         self.depth += 1
-        # Materialise the intrinsic's register operands as stack arrays,
-        # zero-filled like the interpreter's np.zeros registers.
-        for binding in list(call.inputs) + [call.output]:
-            reg = binding.intrin_tensor
-            name = self.tensor_name(reg)
-            ctype = _c_type_for(reg.dtype)
-            self.line(f"{ctype} {name}[{reg.num_elements}] = {{0}};")
-        # Gather: lane-by-lane over the call's axes, in order (last write
-        # wins, matching the interpreter's itertools.product walk).
+        if lowering is not None:
+            self.line(f"#if defined({lowering.feature_macro})")
+            self._intrinsic_instruction(call, lowering)
+            self.line("#else")
+        self._intrinsic_scalar(call)
+        if lowering is not None:
+            self.line("#endif")
+        self.depth -= 1
+        self.line("}")
+
+    def _declare_register(self, binding) -> None:
+        # A stack array, zero-filled like the interpreter's np.zeros registers.
+        reg = binding.intrin_tensor
+        self.line(f"{_c_type_for(reg.dtype)} {self.tensor_name(reg)}[{reg.num_elements}] = {{0}};")
+
+    def _gather(self, call: IntrinsicCall, bindings) -> None:
+        # Lane by lane over the call's axes, in order (last write wins,
+        # matching the interpreter's itertools.product walk).
         self._open_reduce_loops(call.axes)
-        for binding in call.inputs:
+        for binding in bindings:
             reg = binding.intrin_tensor
             src = self.tensor_name(binding.program_tensor)
             dst = self.tensor_name(reg)
@@ -826,6 +917,24 @@ class _CEmitter:
             dst_flat = self.flat_index(binding.intrin_indices, reg.shape)
             self.line(f"{dst}[{dst_flat}] = ({_c_type_for(reg.dtype)})({src}[{src_flat}]);")
         self._close_reduce_loops(call.axes)
+
+    def _scatter(self, call: IntrinsicCall) -> None:
+        # The output register back to the program tensor.
+        out_binding = call.output
+        src = self.tensor_name(out_binding.intrin_tensor)
+        dst = self.tensor_name(out_binding.program_tensor)
+        self._open_reduce_loops(call.axes)
+        dst_flat = self.flat_index(out_binding.program_indices, out_binding.program_tensor.shape)
+        src_flat = self.flat_index(out_binding.intrin_indices, out_binding.intrin_tensor.shape)
+        cast = _c_type_for(out_binding.program_tensor.dtype)
+        self.line(f"{dst}[{dst_flat}] = ({cast})({src}[{src_flat}]);")
+        self._close_reduce_loops(call.axes)
+
+    def _intrinsic_scalar(self, call: IntrinsicCall) -> None:
+        op = call.intrin.op
+        for binding in list(call.inputs) + [call.output]:
+            self._declare_register(binding)
+        self._gather(call, call.inputs)
         # Execute: evaluate the intrinsic's DSL body point by point.
         out_reg = op.output
         out_name = self.tensor_name(call.output.intrin_tensor)
@@ -836,31 +945,79 @@ class _CEmitter:
         out_flat = self.flat_index([ax.var for ax in op.axes], out_reg.shape)
         self.line(f"{out_name}[{out_flat}] = ({_c_type_for(out_reg.dtype)})({code});")
         self._close_reduce_loops(op.axes)
-        # Scatter the output register back to the program tensor.
-        out_binding = call.output
-        dst = self.tensor_name(out_binding.program_tensor)
-        self._open_reduce_loops(call.axes)
-        dst_flat = self.flat_index(out_binding.program_indices, out_binding.program_tensor.shape)
-        src_flat = self.flat_index(out_binding.intrin_indices, out_binding.intrin_tensor.shape)
-        cast = _c_type_for(out_binding.program_tensor.dtype)
-        self.line(f"{dst}[{dst_flat}] = ({cast})({out_name}[{src_flat}]);")
-        self._close_reduce_loops(call.axes)
-        self.depth -= 1
-        self.line("}")
+        self._scatter(call)
+
+    def _intrinsic_instruction(self, call: IntrinsicCall, lowering) -> None:
+        """The hardware instruction itself: one vector value per operand
+        register, the instruction, one store.  Only a ``staged`` operand's
+        *fill* degrades to the scalar path's stack array."""
+        if lowering not in self.lowerings:
+            self.lowerings.append(lowering)
+        origin = {ax.var: E.Const(0) for ax in call.axes}
+
+        def base(binding) -> str:
+            indices = [E.substitute(idx, origin) for idx in binding.program_indices]
+            name = self.tensor_name(binding.program_tensor)
+            return f"{name} + {self.flat_index(indices, binding.program_tensor.shape)}"
+
+        def fields(reg) -> Dict[str, object]:
+            sign = "s" if reg.dtype.is_signed else "u"
+            return {
+                "elem": reg.dtype.name,
+                "sfx": f"{sign}{reg.dtype.bytes * 8}",
+                "lanes": reg.num_elements,
+            }
+
+        operands: Dict[str, str] = {}
+        for binding in call.inputs:
+            reg = binding.intrin_tensor
+            names = fields(reg)
+            access = _operand_access(call, binding, self.env)
+            if access == "contiguous":
+                value = lowering.load.format(ptr=base(binding), **names)
+            elif access == "broadcast":
+                group = self.fresh("grp")
+                self.line(f"int32_t {group};")
+                self.line(f"memcpy(&{group}, {base(binding)}, {_BROADCAST_BYTES});")
+                value = lowering.broadcast.format(scalar=group, **names)
+            else:
+                self._declare_register(binding)
+                self._gather(call, [binding])
+                value = lowering.load.format(ptr=self.tensor_name(reg), **names)
+            vector = self.fresh("vec")
+            self.line(f"{lowering.vector_type.format(**names)} {vector} = {value};")
+            operands[reg.name] = vector
+        try:
+            result = lowering.op.format(**operands)
+        except KeyError as exc:
+            raise LoweringError(
+                f"native lowering of {call.intrin.name} names unknown operand {exc}"
+            ) from None
+        out = call.output
+        staged = _operand_access(call, out, self.env) != "contiguous"
+        if staged:
+            self._declare_register(out)
+        target = self.tensor_name(out.intrin_tensor) if staged else base(out)
+        names = fields(out.intrin_tensor)
+        self.line(lowering.store.format(ptr=target, value=result, **names) + ";")
+        if staged:
+            self._scatter(call)
 
 
-def generate_c(func: PrimFunc, parallel: bool = True) -> NativeSource:
+def generate_c(func: PrimFunc) -> NativeSource:
     """Lower ``func`` to a self-contained C translation unit.
 
     The entry point takes one pointer per ``func.params`` tensor (row-major,
     C-contiguous) and mirrors the scalar interpreter bit for bit; compile
-    with ``-O3 -fwrapv -ffp-contract=off`` (plus ``-fopenmp`` to honour
-    parallel nests).
+    with ``-O3 -fwrapv -ffp-contract=off``.  Add ``-march=native`` (or any
+    flag that defines an instruction's feature macro) and the tensorized
+    regions compile to the hardware instruction; without it the same source
+    compiles to the scalar expansion.
     """
     reason = native_support_reason(func)
     if reason:
         raise LoweringError(reason)
-    emitter = _CEmitter(func, parallel=parallel)
+    emitter = _CEmitter(func)
     # Reserve parameter names before the body references them.
     params = []
     for tensor in func.params:
@@ -869,6 +1026,10 @@ def generate_c(func: PrimFunc, parallel: bool = True) -> NativeSource:
     entry = "repro_kernel"
     sig = ", ".join(f"{ctype}* restrict {name}" for name, ctype in params)
     lines = [_C_PRELUDE]
+    # Vendor headers are slow to parse (immintrin.h: 50-70 ms per cc), so
+    # only a source that uses an instruction includes its header.
+    for macro, header in dict.fromkeys((lw.feature_macro, lw.header) for lw in emitter.lowerings):
+        lines.append(f"#if defined({macro})\n#include <string.h>\n#include <{header}>\n#endif")
     lines.append(f"void {entry}({sig}) {{")
     lines.extend(emitter.lines)
     lines.append("}")
@@ -877,4 +1038,5 @@ def generate_c(func: PrimFunc, parallel: bool = True) -> NativeSource:
         source="\n".join(lines) + "\n",
         entry=entry,
         params=tuple(func.params),
+        instructions=tuple(lw.instruction for lw in emitter.lowerings),
     )

@@ -7,7 +7,7 @@ performance characteristics the machine simulators consume.
 """
 
 from .arm_dot import DOT_LANES, DOT_REDUCTION, make_sdot, make_udot
-from .intrinsic import IntrinsicPerf, TensorIntrinsic
+from .intrinsic import IntrinsicPerf, NativeLowering, TensorIntrinsic
 from .registry import (
     default_intrinsic_for_target,
     get_intrinsic,
@@ -26,6 +26,7 @@ from .vnni import VNNI_LANES, VNNI_REDUCTION, make_vpdpbusd, make_vpdpwssd
 __all__ = [
     "TensorIntrinsic",
     "IntrinsicPerf",
+    "NativeLowering",
     "register_intrinsic",
     "get_intrinsic",
     "list_intrinsics",

@@ -12,7 +12,7 @@ from typing import Dict
 import numpy as np
 
 from ..dsl import cast, compute, placeholder, reduce_axis, sum_reduce
-from .intrinsic import IntrinsicPerf, TensorIntrinsic, dot_product_grid
+from .intrinsic import IntrinsicPerf, NativeLowering, TensorIntrinsic, dot_product_grid
 
 __all__ = ["make_sdot", "make_udot", "DOT_LANES", "DOT_REDUCTION"]
 
@@ -41,7 +41,9 @@ def _dot_hw(prefix: str):
     return impl
 
 
-def _make_dot(name: str, prefix: str, a_dtype: str, b_dtype: str, llvm: str) -> TensorIntrinsic:
+def _make_dot(
+    name: str, prefix: str, a_dtype: str, b_dtype: str, llvm: str, op: str
+) -> TensorIntrinsic:
     a = placeholder((DOT_LANES * DOT_REDUCTION,), a_dtype, f"{prefix}_a")
     b = placeholder((DOT_LANES * DOT_REDUCTION,), b_dtype, f"{prefix}_b")
     c = placeholder((DOT_LANES,), "int32", f"{prefix}_c")
@@ -61,6 +63,16 @@ def _make_dot(name: str, prefix: str, a_dtype: str, b_dtype: str, llvm: str) -> 
         op=d.op,
         target="arm",
         llvm_intrinsic=llvm,
+        native_lowering=NativeLowering(
+            instruction=prefix,
+            header="arm_neon.h",
+            feature_macro="__ARM_FEATURE_DOTPROD",
+            vector_type="{elem}x{lanes}_t",
+            load="vld1q_{sfx}({ptr})",
+            broadcast="vreinterpretq_{sfx}_s32(vdupq_n_s32({scalar}))",
+            op=op,
+            store="vst1q_{sfx}({ptr}, {value})",
+        ),
         perf=IntrinsicPerf(latency_cycles=3.0, throughput_per_cycle=2.0, issue_ports=2),
         hardware_impl=_dot_hw(prefix),
         grid_impl=dot_product_grid(f"{prefix}_a", f"{prefix}_b"),
@@ -72,12 +84,16 @@ def _make_dot(name: str, prefix: str, a_dtype: str, b_dtype: str, llvm: str) -> 
 def make_sdot() -> TensorIntrinsic:
     """Signed int8 dot product (``sdot``)."""
     return _make_dot(
-        "arm.neon.sdot", "sdot", "int8", "int8", "llvm.aarch64.neon.sdot.v4i32.v16i8"
+        "arm.neon.sdot", "sdot", "int8", "int8", "llvm.aarch64.neon.sdot.v4i32.v16i8",
+        "vdotq_s32({sdot_c}, {sdot_a}, {sdot_b})",
     )
 
 
 def make_udot() -> TensorIntrinsic:
     """Unsigned/signed mixed dot product (``udot``)."""
+    # The description accumulates in int32; the instruction's registers are
+    # uint32 — the same bits under wraparound addition.
     return _make_dot(
-        "arm.neon.udot", "udot", "uint8", "uint8", "llvm.aarch64.neon.udot.v4i32.v16i8"
+        "arm.neon.udot", "udot", "uint8", "uint8", "llvm.aarch64.neon.udot.v4i32.v16i8",
+        "vreinterpretq_s32_u32(vdotq_u32(vreinterpretq_u32_s32({udot_c}), {udot_a}, {udot_b}))",
     )

@@ -26,7 +26,7 @@ from ..dsl.dtype import DType
 from ..dsl.tensor import Tensor
 from ..tir import Executor, lower
 
-__all__ = ["TensorIntrinsic", "IntrinsicPerf", "dot_product_grid"]
+__all__ = ["TensorIntrinsic", "IntrinsicPerf", "NativeLowering", "dot_product_grid"]
 
 
 def dot_product_grid(a_name: str, b_name: str):
@@ -76,6 +76,36 @@ class IntrinsicPerf:
     issue_ports: int = 1
 
 
+@dataclass(frozen=True)
+class NativeLowering:
+    """How the C emitter spells the real instruction (``generate_c``).
+
+    The codegen half of the paper's "moderate effort" story: next to the LLVM
+    intrinsic name, an instruction that a C compiler can reach carries the
+    spellings of its vendor intrinsic.  The emitter wraps them in
+    ``#if defined(feature_macro)`` (the compiler's own predefined macro is the
+    CPU probe) and keeps the scalar expansion as the ``#else`` branch.
+
+    Every spelling is a ``str.format`` template.  ``vector_type``, ``load``,
+    ``broadcast`` and ``store`` are formatted per operand register with
+    ``elem`` (``int8``/``uint8``/``int32`` ...), ``sfx`` (``s8``/``u8``/
+    ``s32`` ...) and ``lanes``; ``load`` and ``store`` also get ``ptr`` (an
+    element pointer), ``store`` gets ``value``, and ``broadcast`` gets
+    ``scalar`` — an ``int32_t`` holding one contiguous 4-byte reduction group
+    to replicate across the register.  ``op`` is formatted with one field per
+    operand register, named after the DSL description's tensors.
+    """
+
+    instruction: str
+    header: str
+    feature_macro: str
+    vector_type: str
+    load: str
+    broadcast: str
+    op: str
+    store: str
+
+
 class TensorIntrinsic:
     """A tensorized (or vector) instruction described in the tensor DSL."""
 
@@ -85,6 +115,7 @@ class TensorIntrinsic:
         op: ComputeOp,
         target: str,
         llvm_intrinsic: str = "",
+        native_lowering: Optional[NativeLowering] = None,
         perf: Optional[IntrinsicPerf] = None,
         hardware_impl: Optional[Callable[[Dict[str, np.ndarray]], np.ndarray]] = None,
         description: str = "",
@@ -95,6 +126,7 @@ class TensorIntrinsic:
         self.op = op
         self.target = target
         self.llvm_intrinsic = llvm_intrinsic or name
+        self.native_lowering = native_lowering
         self.perf = perf or IntrinsicPerf()
         self.hardware_impl = hardware_impl
         self.description = description

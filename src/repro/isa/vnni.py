@@ -17,12 +17,26 @@ from typing import Dict
 import numpy as np
 
 from ..dsl import cast, compute, placeholder, reduce_axis, sum_reduce
-from .intrinsic import IntrinsicPerf, TensorIntrinsic, dot_product_grid
+from .intrinsic import IntrinsicPerf, NativeLowering, TensorIntrinsic, dot_product_grid
 
 __all__ = ["make_vpdpbusd", "make_vpdpwssd", "VNNI_LANES", "VNNI_REDUCTION"]
 
 VNNI_LANES = 16
 VNNI_REDUCTION = 4
+
+
+def _avx512_lowering(instruction: str, op: str) -> NativeLowering:
+    """The 512-bit integer register spellings both VNNI instructions share."""
+    return NativeLowering(
+        instruction=instruction,
+        header="immintrin.h",
+        feature_macro="__AVX512VNNI__",
+        vector_type="__m512i",
+        load="_mm512_loadu_si512((const void*)({ptr}))",
+        broadcast="_mm512_set1_epi32({scalar})",
+        op=op,
+        store="_mm512_storeu_si512((void*)({ptr}), {value})",
+    )
 
 
 def _vpdpbusd_hw(operands: Dict[str, np.ndarray]) -> np.ndarray:
@@ -68,6 +82,9 @@ def make_vpdpbusd() -> TensorIntrinsic:
         op=d.op,
         target="x86",
         llvm_intrinsic="llvm.x86.avx512.vpdpbusd.512",
+        native_lowering=_avx512_lowering(
+            "vpdpbusd", "_mm512_dpbusd_epi32({vnni_c}, {vnni_a}, {vnni_b})"
+        ),
         perf=IntrinsicPerf(latency_cycles=5.0, throughput_per_cycle=1.0, issue_ports=2),
         hardware_impl=_vpdpbusd_hw,
         grid_impl=dot_product_grid("vnni_a", "vnni_b"),
@@ -103,6 +120,9 @@ def make_vpdpwssd() -> TensorIntrinsic:
         op=d.op,
         target="x86",
         llvm_intrinsic="llvm.x86.avx512.vpdpwssd.512",
+        native_lowering=_avx512_lowering(
+            "vpdpwssd", "_mm512_dpwssd_epi32({vnni16_c}, {vnni16_a}, {vnni16_b})"
+        ),
         perf=IntrinsicPerf(latency_cycles=5.0, throughput_per_cycle=1.0, issue_ports=2),
         hardware_impl=_vpdpwssd_hw,
         grid_impl=dot_product_grid("vnni16_a", "vnni16_b"),

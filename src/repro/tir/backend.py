@@ -10,8 +10,9 @@ dispatches over three tiers:
 * ``native`` — the vectorized tier plus *tiered promotion*
   (:func:`run_tiered`): once a plan has run warm ``promote_after`` times, its
   function is lowered through :func:`repro.codegen.lowlevel.generate_c`,
-  compiled by the host C toolchain, loaded through ctypes, and subsequent
-  runs dispatch to the compiled kernel.
+  compiled by the host C toolchain with ``-march=native`` (tensorized regions
+  become the hardware instruction where the host has it), loaded through
+  ctypes, and subsequent runs dispatch to the compiled kernel.
 
 Promotion is conservative by construction:
 
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import atexit
 import ctypes
+import itertools
 import os
 import shutil
 import subprocess
@@ -84,18 +86,52 @@ class NativeUnavailable(RuntimeError):
     """No C compiler is installed (or the native tier is disabled)."""
 
 
+# Kernels are built for the host that runs them: ``-march=native`` is what
+# defines the feature macros the generated source keys its instruction paths
+# on.  A kernel built elsewhere never reaches this process (no on-disk cache),
+# and a wrong guess dies as a sandbox-classified SIGILL, not in the host.
+_HOST_FLAG = "-march=native"
+_CC_FLAGS = ["-O3", _HOST_FLAG, "-fwrapv", "-ffp-contract=off", "-fPIC", "-shared"]
+
 _TOOLCHAIN_LOCK = threading.Lock()
-_TOOLCHAIN: Optional[Tuple[Optional[str], object]] = None
+# (kind, compiler path or reason, the flags that compiler accepts)
+_TOOLCHAIN: Optional[Tuple[Optional[str], object, List[str]]] = None
 
 
-def _discover_toolchain() -> Tuple[Optional[str], object]:
+def _accepted_flags(compiler: str) -> List[str]:
+    """``_CC_FLAGS``, minus ``-march=native`` where the compiler rejects it
+    (one trivial translation unit, once per probe) — losing the flag costs
+    the instruction paths, rejecting it per kernel would cost the tier."""
+    try:
+        proc = subprocess.run(
+            [compiler, _HOST_FLAG, "-fsyntax-only", "-x", "c", "-"],
+            input="int repro_probe;\n",
+            capture_output=True,
+            text=True,
+            timeout=_compile_timeout_s(),
+        )
+        accepted = proc.returncode == 0
+    except (OSError, subprocess.TimeoutExpired):
+        accepted = False
+    return [flag for flag in _CC_FLAGS if accepted or flag != _HOST_FLAG]
+
+
+def _discover_toolchain() -> Tuple[Optional[str], object, List[str]]:
     if os.environ.get("REPRO_DISABLE_NATIVE"):
-        return None, "native tier disabled via REPRO_DISABLE_NATIVE"
+        return None, "native tier disabled via REPRO_DISABLE_NATIVE", []
     for name in ("cc", "gcc", "clang"):
         path = shutil.which(name)
         if path:
-            return "cc", path
-    return None, "no C compiler (cc/gcc/clang) is available"
+            return "cc", path, _accepted_flags(path)
+    return None, "no C compiler (cc/gcc/clang) is available", []
+
+
+def _toolchain(refresh: bool = False) -> Tuple[Optional[str], object, List[str]]:
+    global _TOOLCHAIN
+    with _TOOLCHAIN_LOCK:
+        if _TOOLCHAIN is None or refresh:
+            _TOOLCHAIN = _discover_toolchain()
+        return _TOOLCHAIN
 
 
 def native_toolchain(refresh: bool = False) -> Tuple[Optional[str], object]:
@@ -105,11 +141,13 @@ def native_toolchain(refresh: bool = False) -> Tuple[Optional[str], object]:
     Cached after the first probe; pass ``refresh=True`` to re-probe (tests
     monkeypatching the environment).
     """
-    global _TOOLCHAIN
-    with _TOOLCHAIN_LOCK:
-        if _TOOLCHAIN is None or refresh:
-            _TOOLCHAIN = _discover_toolchain()
-        return _TOOLCHAIN
+    return _toolchain(refresh)[:2]
+
+
+def cc_flags() -> List[str]:
+    """The flags every kernel is built with: ``_CC_FLAGS`` as the probed
+    compiler accepts them."""
+    return list(_toolchain()[2])
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +155,10 @@ def native_toolchain(refresh: bool = False) -> Tuple[Optional[str], object]:
 # ---------------------------------------------------------------------------
 
 _BUILD_DIR: Optional[str] = None
-_CC_FLAGS = ["-O3", "-fwrapv", "-ffp-contract=off", "-fPIC", "-shared"]
-_SO_SERIAL = 0
+# One counter names every build artefact (host compiles and adopted sandbox
+# libraries alike); ``next`` on it is atomic, so plans promoting on different
+# threads — each holding only its own ``TierState.lock`` — never share a name.
+_ARTEFACT_SERIAL = itertools.count(1)
 
 
 def _build_dir() -> str:
@@ -127,6 +167,11 @@ def _build_dir() -> str:
         _BUILD_DIR = tempfile.mkdtemp(prefix="repro_native_")
         atexit.register(shutil.rmtree, _BUILD_DIR, ignore_errors=True)
     return _BUILD_DIR
+
+
+def artefact_stem(func_name: str) -> str:
+    """A fresh path stem (no extension) in the process's build directory."""
+    return os.path.join(_build_dir(), f"{func_name}_{next(_ARTEFACT_SERIAL)}")
 
 
 class NativeKernel:
@@ -194,17 +239,27 @@ def _compile_timeout_s() -> float:
     return _DEFAULT_COMPILE_TIMEOUT_S
 
 
+def load_kernel(source: NativeSource, so_path: str) -> NativeKernel:
+    """Load a built shared object as the kernel of ``source`` — the one place
+    a library becomes a :class:`NativeKernel`, whether this process compiled
+    it or the sandbox child did."""
+    library = ctypes.CDLL(so_path)
+    entry = getattr(library, source.entry)
+    entry.restype = None
+    entry.argtypes = [ctypes.c_void_p] * len(source.params)
+    kernel = NativeKernel(source, entry)
+    kernel._library = library  # keep the handle alive with the kernel
+    return kernel
+
+
 def _compile_c(source: NativeSource, compiler: str) -> NativeKernel:
-    global _SO_SERIAL
-    _SO_SERIAL += 1
-    directory = _build_dir()
-    stem = os.path.join(directory, f"{source.func_name}_{_SO_SERIAL}")
+    stem = artefact_stem(source.func_name)
     c_path, so_path = stem + ".c", stem + ".so"
     with open(c_path, "w") as handle:
         handle.write(source.source)
     try:
         proc = subprocess.run(
-            [compiler, *_CC_FLAGS, "-o", so_path, c_path],
+            [compiler, *cc_flags(), "-o", so_path, c_path],
             capture_output=True,
             text=True,
             timeout=_compile_timeout_s(),
@@ -218,12 +273,7 @@ def _compile_c(source: NativeSource, compiler: str) -> NativeKernel:
         raise _lowlevel().LoweringError(
             f"C compilation of {source.func_name!r} failed:\n{proc.stderr.strip()}"
         )
-    library = ctypes.CDLL(so_path)
-    entry = getattr(library, source.entry)
-    entry.restype = None
-    kernel = NativeKernel(source, entry)
-    kernel._library = library  # keep the handle alive with the kernel
-    return kernel
+    return load_kernel(source, so_path)
 
 
 def compile_native(func: PrimFunc) -> NativeKernel:
@@ -344,13 +394,15 @@ def _try_promote(
     first compiled and bit-checked in a disposable subprocess
     (:func:`repro.tir.sandbox.qualify`): a kernel that segfaults, OOMs, or
     hangs kills only that child, and the classified verdict becomes the
-    demotion reason.  Only a ``qualified`` candidate is compiled and
-    ``CDLL``-loaded in the host process.
+    demotion reason.  Qualify once, load what was qualified: the host
+    ``CDLL``-loads the very library the child built and checked (one ``cc``
+    per promotion); only with the sandbox off does it compile for itself.
     """
     from . import sandbox
 
     state = tier_state(plan)
     toolchain_kind, _ = native_toolchain()
+    qualified = None
     with _trace.span("tir.native_promote", func=plan.func.name) as promote_span:
         if toolchain_kind is not None and sandbox.sandbox_enabled():
             check = [np.array(a, copy=True) for a in inputs_before]
@@ -373,13 +425,20 @@ def _try_promote(
                     stats,
                 )
                 return
+            qualified = verdict
         try:
-            with _trace.span("tir.native_compile", func=plan.func.name):
-                kernel = compile_native(plan.func)
-        except Exception as exc:  # NativeUnavailable, LoweringError, injected
+            with _trace.span("tir.native_load", func=plan.func.name) as load_span:
+                if qualified is not None:
+                    load_span.set(origin="loaded_qualified")
+                    kernel = load_kernel(qualified.source, qualified.library)
+                else:
+                    load_span.set(origin="compiled")
+                    kernel = compile_native(plan.func)
+        except Exception as exc:  # NativeUnavailable, LoweringError, OSError, injected
             promote_span.set(outcome="compile_failed")
             _demote(plan, f"native compile failed: {exc}", stats)
             return
+        promote_span.set(instructions=",".join(kernel.source.instructions))
         check = [np.array(a, copy=True) for a in inputs_before]
         check.append(np.array(output_before, copy=True))
         try:

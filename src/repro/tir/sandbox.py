@@ -10,7 +10,7 @@ the serving daemon outright.  This module moves that first contact into a
 * the host generates the low-level source (pure Python — it cannot crash the
   process) and forks a child;
 * the child applies ``RLIMIT_AS``/``RLIMIT_CPU``, compiles the source with
-  the same toolchain the host would use, runs the kernel once over pickled
+  the toolchain and flags every kernel is built with, runs it once over pickled
   copies of the caller's real buffers, compares the output bit-for-bit
   against the vectorized tier's result, and ships a verdict dict back over a
   pipe;
@@ -19,7 +19,9 @@ the serving daemon outright.  This module moves that first contact into a
   (``segfault`` / ``oom`` / ``hang``) instead of a dead host.
 
 Only after a ``qualified`` verdict does :func:`repro.tir.backend._try_promote`
-load the kernel in-process.  The child is a fresh interpreter state with
+load the kernel in-process — the very library the child built and checked,
+moved out of the sandbox work directory (``SandboxVerdict.library``), not a
+second compile of the same source.  The child is a fresh interpreter state with
 nothing to corrupt and nothing to leak: whatever the candidate kernel does —
 scribble over the heap, exhaust memory, spin forever — dies with it.
 
@@ -43,12 +45,15 @@ import signal
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..testing import faults
+
+if TYPE_CHECKING:
+    from ..codegen.lowlevel import NativeSource
 
 __all__ = [
     "SandboxVerdict",
@@ -97,7 +102,10 @@ class SandboxVerdict:
     ``segfault``, ``oom``, ``hang``, ``crash`` (died some other way),
     ``error`` (sandbox infrastructure failed), or ``unavailable`` (no
     toolchain / platform cannot sandbox).  Only ``qualified`` has
-    ``ok=True``; every other outcome is a demotion reason.
+    ``ok=True``; every other outcome is a demotion reason.  A qualified
+    verdict carries what was qualified: the generated ``source`` and the path
+    of the shared ``library`` the child built from it, kept in the process's
+    build directory for :func:`repro.tir.backend.load_kernel`.
     """
 
     ok: bool
@@ -105,6 +113,8 @@ class SandboxVerdict:
     reason: str
     elapsed_s: float = 0.0
     exitcode: Optional[int] = None
+    source: Optional["NativeSource"] = field(default=None, repr=False)
+    library: Optional[str] = None
 
     def describe(self) -> str:
         return f"{self.outcome}: {self.reason}"
@@ -162,7 +172,7 @@ def _materialise(payload: Dict[str, object]):
     faults.fire("backend.compile", func_name=payload["func_name"], where="sandbox")
     workdir = str(payload["workdir"])
     c_path = os.path.join(workdir, f"{payload['func_name']}.c")
-    so_path = os.path.join(workdir, f"{payload['func_name']}.so")
+    so_path = str(payload["library"])
     with open(c_path, "w") as handle:
         handle.write(str(payload["source"]))
     proc = subprocess.run(
@@ -296,7 +306,7 @@ def qualify(
     every failure mode comes back as a :class:`SandboxVerdict`.
     """
     from ..codegen import lowlevel  # lazy: codegen imports repro.tir
-    from .backend import _CC_FLAGS, _compile_timeout_s, native_toolchain
+    from .backend import _compile_timeout_s, artefact_stem, cc_flags, native_toolchain
 
     kind, toolchain = native_toolchain()
     if kind is None:
@@ -313,11 +323,12 @@ def qualify(
     workdir = tempfile.mkdtemp(prefix="repro_sandbox_")
     payload: Dict[str, object] = {
         "compiler": str(toolchain),
-        "cc_flags": list(_CC_FLAGS),
+        "cc_flags": cc_flags(),
         "source": source.source,
         "entry": source.entry,
         "func_name": source.func_name,
         "workdir": workdir,
+        "library": os.path.join(workdir, f"{source.func_name}.so"),
         "arrays": [np.ascontiguousarray(array) for array in arrays],
         "expected": np.asarray(expected),
         "memory_mb": memory_mb,
@@ -369,15 +380,28 @@ def qualify(
             child.kill()
             child.join(timeout=5.0)
         elapsed = time.perf_counter() - start
-        if verdict_data is not None:
+        if verdict_data is None:
+            return _classify_exit(child.exitcode, elapsed)
+        verdict = SandboxVerdict(
+            bool(verdict_data.get("ok")),
+            str(verdict_data.get("outcome", "error")),
+            str(verdict_data.get("reason", "")),
+            elapsed,
+            child.exitcode,
+        )
+        if not verdict.ok:
+            return verdict
+        # Keep what was qualified: the workdir dies below, the library moves
+        # to the build directory under a name no other artefact has.
+        library = artefact_stem(source.func_name) + ".so"
+        try:
+            shutil.move(str(payload["library"]), library)
+        except OSError as exc:
             return SandboxVerdict(
-                bool(verdict_data.get("ok")),
-                str(verdict_data.get("outcome", "error")),
-                str(verdict_data.get("reason", "")),
-                elapsed,
-                child.exitcode,
+                False, "error", f"could not keep the qualified library: {exc}",
+                elapsed, child.exitcode,
             )
-        return _classify_exit(child.exitcode, elapsed)
+        return replace(verdict, source=source, library=library)
     finally:
         recv_conn.close()
         shutil.rmtree(workdir, ignore_errors=True)

@@ -65,6 +65,27 @@ def matmul_reference(a: np.ndarray, b: np.ndarray, transpose_b: bool = False) ->
 # DSL workload builders (small shapes, used across many test modules)
 # ---------------------------------------------------------------------------
 
+def scaled_table1(params: Conv2DParams, spatial: int = 6) -> Conv2DParams:
+    """A Table I layer with shrunk channel/spatial extents.
+
+    The layer keeps its structural features (kernel size, stride, the blocked
+    layout's padding behaviour) so the engine sees the same loop shapes, but
+    becomes small enough that the *scalar* reference finishes in milliseconds
+    — the full-size layers are exercised engine-only in the benchmarks.
+    """
+    ih = min(params.in_height, spatial + params.kernel - 1)
+    return Conv2DParams(
+        in_channels=min(params.in_channels, 8),
+        in_height=ih,
+        in_width=ih,
+        out_channels=min(params.out_channels, 16),
+        kernel=params.kernel,
+        stride=params.stride,
+        padding=params.padding,
+        name=params.name,
+    )
+
+
 def small_conv_hwc(h=8, w=8, c=8, k=16, r=3):
     """The Figure 5 convolution with small shapes (VNNI-compatible)."""
     a = placeholder((h, w, c), "uint8", "data")

@@ -124,13 +124,17 @@ class TestPromotion:
 
 
 class TestDemotion:
-    def test_demotes_on_compile_failure(self, monkeypatch):
+    """Both promotion paths end in ``backend.load_kernel`` — the sandboxed one
+    loads the library the child qualified, the direct one (sandbox off) the
+    library ``compile_native`` just built — so breaking it breaks either."""
+
+    def _demotes_on_compile_failure(self, monkeypatch):
         import repro.tir.backend as backend
 
-        def broken_compile(func):
+        def broken_load(source, so_path):
             raise LoweringError("simulated compile failure")
 
-        monkeypatch.setattr(backend, "compile_native", broken_compile)
+        monkeypatch.setattr(backend, "load_kernel", broken_load)
         plan = _proved_plan()
         stats = EngineStats()
         for i in range(3):
@@ -143,17 +147,21 @@ class TestDemotion:
         assert "compile failed" in state.demotion_reason
         assert stats.native_demotions == 1  # failure is permanent: no retries
         assert stats.native_promotions == 0
+        return state
 
-    def test_demotes_on_bit_mismatch(self, monkeypatch):
+    def _demotes_on_bit_mismatch(self, monkeypatch):
         import repro.tir.backend as backend
 
         class WrongKernel:
+            def __init__(self, source):
+                self.source = source
+
             def run(self, arrays):
                 out = np.array(arrays[-1], copy=True)
                 out += 1
                 return out
 
-        monkeypatch.setattr(backend, "compile_native", lambda func: WrongKernel())
+        monkeypatch.setattr(backend, "load_kernel", lambda source, so_path: WrongKernel(source))
         plan = _proved_plan()
         stats = EngineStats()
         buffers = _fresh_buffers(plan)
@@ -165,6 +173,29 @@ class TestDemotion:
         assert "bit-identical" in state.demotion_reason
         assert state.tier == "vectorized" and state.kernel is None
         assert stats.native_demotions == 1
+        return state
+
+    def test_demotes_on_compile_failure(self, monkeypatch):
+        state = self._demotes_on_compile_failure(monkeypatch)
+        if TOOLCHAIN_KIND is not None:  # the library that failed to load was qualified
+            assert state.sandbox_outcome == "qualified"
+
+    @needs_toolchain
+    def test_demotes_on_bit_mismatch(self, monkeypatch):
+        state = self._demotes_on_bit_mismatch(monkeypatch)
+        assert state.sandbox_outcome == "qualified"
+
+    def test_demotes_on_compile_failure_without_sandbox(self, monkeypatch):
+        """The direct path: ``compile_native`` builds in-process."""
+        monkeypatch.setenv("REPRO_DISABLE_SANDBOX", "1")
+        state = self._demotes_on_compile_failure(monkeypatch)
+        assert state.sandbox_outcome is None
+
+    @needs_toolchain
+    def test_demotes_on_bit_mismatch_without_sandbox(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DISABLE_SANDBOX", "1")
+        state = self._demotes_on_bit_mismatch(monkeypatch)
+        assert state.sandbox_outcome is None
 
     def test_demotes_when_no_toolchain(self, monkeypatch):
         """The automatic-fallback guarantee: without any toolchain the tier
@@ -182,6 +213,83 @@ class TestDemotion:
         finally:
             monkeypatch.delenv("REPRO_DISABLE_NATIVE")
             native_toolchain(refresh=True)
+
+
+@needs_toolchain
+class TestPromotionLifecycle:
+    """One ``cc`` per promotion: qualify once, load what was qualified."""
+
+    def _promotion_spans(self):
+        from repro.telemetry import trace
+
+        plan = compile_plan(lower(small_conv_hwc()))
+        with trace.tracing() as tracer:
+            run_tiered(plan, _fresh_buffers(plan), stats=EngineStats(), promote_after=1)
+        assert tier_state(plan).tier == "native"
+        spans = {record.name: record for record in tracer.finished()}
+        assert spans["tir.native_load"].parent_id == spans["tir.native_promote"].span_id
+        return plan, spans
+
+    def test_host_loads_the_library_the_sandbox_built(self, monkeypatch):
+        import repro.tir.backend as backend
+
+        def no_second_compile(func):
+            raise AssertionError("a sandbox-qualified promotion compiled a second time")
+
+        monkeypatch.setattr(backend, "compile_native", no_second_compile)
+        plan, spans = self._promotion_spans()
+        assert spans["tir.sandbox_qualify"].attrs["outcome"] == "qualified"
+        assert spans["tir.native_load"].attrs["origin"] == "loaded_qualified"
+        assert spans["tir.native_promote"].attrs["outcome"] == "promoted"
+        assert spans["tir.native_promote"].attrs["instructions"] == ""  # untensorized conv
+        assert tier_state(plan).kernel.source.instructions == ()
+
+    def test_without_sandbox_the_host_compiles(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DISABLE_SANDBOX", "1")
+        _, spans = self._promotion_spans()
+        assert "tir.sandbox_qualify" not in spans
+        assert spans["tir.native_load"].attrs["origin"] == "compiled"
+
+    def test_span_names_the_instruction_a_tensorized_kernel_uses(self):
+        from repro.core import tensorize
+        from repro.telemetry import trace
+        from repro.workloads import Conv2DParams, conv2d_nchwc
+
+        params = Conv2DParams(in_channels=8, in_height=6, in_width=6, out_channels=16, kernel=3)
+        func = tensorize(conv2d_nchwc(params), "x86.avx512.vpdpbusd").func
+        plan = compile_plan(func)
+        with trace.tracing() as tracer:
+            run_tiered(plan, _fresh_buffers(plan), stats=EngineStats(), promote_after=1)
+        (promote,) = [r for r in tracer.finished() if r.name == "tir.native_promote"]
+        assert promote.attrs["outcome"] == "promoted"
+        assert promote.attrs["instructions"] == "vpdpbusd"
+
+    def test_artefact_names_are_unique_across_threads(self):
+        """Plans promoting on different threads hold different locks; the
+        artefact counter alone keeps their file names apart."""
+        import sys
+        import threading
+
+        import repro.tir.backend as backend
+
+        stems, workers = [], 8
+
+        def claim():
+            mine = [backend.artefact_stem("kernel") for _ in range(500)]
+            stems.extend(mine)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=claim) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(stems) == len(set(stems)) == workers * 500
 
 
 class TestPromoteAfterKnobs:

@@ -43,7 +43,7 @@ from repro.workloads import (
     matmul_fp16,
 )
 from repro.workloads.table1 import TABLE1_LAYERS
-from tests.conftest import small_conv_hwc, small_matmul_fp16, small_matmul_int8
+from tests.conftest import scaled_table1, small_conv_hwc, small_matmul_fp16, small_matmul_int8
 
 
 def assert_engine_matches_interpreter(func, rng=None, strict=True):
@@ -55,27 +55,6 @@ def assert_engine_matches_interpreter(func, rng=None, strict=True):
     assert got.dtype == ref.dtype
     np.testing.assert_array_equal(got, ref)
     return engine.stats
-
-
-def _scaled_table1(params: Conv2DParams) -> Conv2DParams:
-    """A Table I layer with shrunk channel/spatial extents.
-
-    The layer keeps its structural features (kernel size, stride, the blocked
-    layout's padding behaviour) so the engine sees the same loop shapes, but
-    becomes small enough that the *scalar* reference finishes in milliseconds
-    — the full-size layers are exercised engine-only in the benchmarks.
-    """
-    ih = min(params.in_height, 6 + params.kernel - 1)
-    return Conv2DParams(
-        in_channels=min(params.in_channels, 8),
-        in_height=ih,
-        in_width=ih,
-        out_channels=min(params.out_channels, 16),
-        kernel=params.kernel,
-        stride=params.stride,
-        padding=params.padding,
-        name=params.name,
-    )
 
 
 class TestPlainNests:
@@ -313,7 +292,7 @@ class TestTable1Workloads:
         "index", range(1, len(TABLE1_LAYERS) + 1), ids=lambda i: f"layer{i}"
     )
     def test_layer_plain_lowering(self, index):
-        params = _scaled_table1(TABLE1_LAYERS[index - 1])
+        params = scaled_table1(TABLE1_LAYERS[index - 1])
         func = lower(conv2d_nchwc(params))
         rng = np.random.default_rng(index)
         assert_engine_matches_interpreter(func, rng)
@@ -321,7 +300,7 @@ class TestTable1Workloads:
     @pytest.mark.parametrize("index", [1, 4, 15], ids=lambda i: f"layer{i}")
     def test_layer_tensorized(self, index):
         """Strided / large-kernel / pointwise representatives, tensorized."""
-        params = _scaled_table1(TABLE1_LAYERS[index - 1])
+        params = scaled_table1(TABLE1_LAYERS[index - 1])
         result = tensorize(conv2d_nchwc(params), "x86.avx512.vpdpbusd")
         assert_engine_matches_interpreter(result.func, np.random.default_rng(index))
 
