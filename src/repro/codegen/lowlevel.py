@@ -16,6 +16,8 @@ exists for three reasons:
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from dataclasses import dataclass, field
@@ -291,6 +293,13 @@ def generate(func: PrimFunc, target: str = "generic") -> CodegenResult:
 #   exact fold order the interpreter's ``sum(values)`` performs — so float
 #   results are bit-identical (compile with ``-ffp-contract=off``; no FMA
 #   contraction, no reassociation).
+# * a reduction-update nest (``out[i] = out[i] ⊕ e`` under reduction loops
+#   under data-parallel loops) keeps that order *per output element* but folds
+#   a small tile of elements side by side: the tile is loaded into a local
+#   accumulator array, the reduction loops run in their original order with
+#   the tile innermost, and the tile is stored back.  The accumulators are
+#   independent chains, so the compiler can unroll and vectorise across them
+#   without reassociating anything.
 # * intrinsic calls expand to the interpreter's gather → execute → scatter
 #   register dance, with fixed-size stack arrays for the registers.  An
 #   instruction that carries a ``NativeLowering`` is emitted as the hardware
@@ -315,7 +324,10 @@ class NativeSource:
     ``params`` records the buffer order of the entry point — identical to
     ``func.params``.  ``instructions`` names the hardware instructions the
     source reaches when the compiler defines their feature macro (e.g.
-    ``("vpdpbusd",)``; ``()`` for a purely scalar source).
+    ``("vpdpbusd",)``; ``()`` for a purely scalar source).  ``tiled_nests``
+    counts the reduction-update nests emitted over a register tile of
+    accumulators (``_CEmitter._reduction_nest``); 0 means every fold is one
+    serial chain per output element.
     """
 
     func_name: str
@@ -323,6 +335,7 @@ class NativeSource:
     entry: str
     params: Tuple = ()
     instructions: Tuple[str, ...] = ()
+    tiled_nests: int = 0
 
 
 _C_TYPES = {
@@ -646,6 +659,27 @@ def _operand_access(call: IntrinsicCall, binding, env) -> str:
     return "staged"
 
 
+# The accumulator tile of a reduction-update nest: the inner data-parallel
+# loops supply up to _TILE_LANES elements, innermost first (the lanes of one
+# vector of accumulators — a whole row of a wide map, a few rows of a narrow
+# one), and the outermost supplies up to _TILE_CHAINS of those vectors:
+# independent chains that share every operand the lanes load.  8 x 16 float32
+# accumulators fill half of a 32-register vector file and leave the rest to
+# the operands.
+_TILE_LANES = 16
+_TILE_CHAINS = 8
+
+
+def _tile_shape(extents: List[int]) -> List[int]:
+    tile = [1] * len(extents)
+    lanes = 1
+    for axis in range(len(extents) - 1, 0, -1):
+        tile[axis] = min(extents[axis], _TILE_LANES // lanes)
+        lanes *= tile[axis]
+    tile[0] = min(extents[0], _TILE_CHAINS)
+    return tile
+
+
 class _CEmitter:
     def __init__(self, func: PrimFunc) -> None:
         self.func = func
@@ -654,10 +688,12 @@ class _CEmitter:
         self.names = _NameTable()
         self._tmp = 0
         # Static range of every enclosing loop variable: the symbolic
-        # parameters of the intrinsic operands' address analysis.
+        # parameters of the address analyses (intrinsic operands, tiles).
         self.env: Dict[E.Var, Interval] = {}
         # Native lowerings the source uses, in first-use order.
         self.lowerings: List = []
+        # Reduction-update nests emitted over an accumulator tile.
+        self.tiled_nests = 0
 
     # -- plumbing ----------------------------------------------------------
     def line(self, text: str) -> None:
@@ -829,6 +865,10 @@ class _CEmitter:
             for s in stmt.stmts:
                 self.visit(s)
         elif isinstance(stmt, For):
+            nest = self._reduction_nest(stmt)
+            if nest is not None:
+                self._accumulator_tiles(*nest)
+                return
             name = self.var_name(stmt.var)
             self.line(f"for (int64_t {name} = 0; {name} < {stmt.extent}; ++{name}) {{")
             self.depth += 1
@@ -869,19 +909,128 @@ class _CEmitter:
             subs = {}
             self.hoist_reduces(stmt.value, subs)
             code, _ = self.value(stmt.value, subs)
-            name = self.tensor_name(stmt.tensor)
-            flat = self.flat_index(stmt.indices, stmt.tensor.shape)
-            dtype = stmt.tensor.dtype
-            if dtype.name == "bool":
-                self.line(f"{name}[{flat}] = (uint8_t)(({code}) != 0);")
-            else:
-                self.line(f"{name}[{flat}] = ({_c_type_for(dtype)})({code});")
+            self.line(f"{self._element(stmt.tensor, stmt.indices)} = {self._stored(stmt.tensor, code)};")
         elif isinstance(stmt, Evaluate):
             pass  # pure expression; no effect
         elif isinstance(stmt, IntrinsicCall):
             self._intrinsic(stmt)
         else:
             raise LoweringError(f"cannot lower {type(stmt).__name__} to C")
+
+    def _element(self, tensor, indices) -> str:
+        return f"{self.tensor_name(tensor)}[{self.flat_index(indices, tensor.shape)}]"
+
+    def _stored(self, tensor, code: str) -> str:
+        """``code`` converted the way a store into ``tensor`` converts it."""
+        if tensor.dtype.name == "bool":
+            return f"(uint8_t)(({code}) != 0)"
+        return f"({_c_type_for(tensor.dtype)})({code})"
+
+    # -- reduction-update nests: a register tile of accumulators -----------
+    def _reduction_nest(self, stmt: For):
+        """``(parallel, reduction, store)`` when ``stmt`` heads a perfect band
+        ``parallel loops > reduction loops > t[idx] = t[idx] (op) e`` whose
+        iterations may be regrouped into tiles, else ``None``.
+
+        Regrouping runs the data-parallel points in another order, which is
+        only invisible when no two of them touch the same element: ``e`` must
+        not read ``t`` and ``idx`` must be injective over the whole parallel
+        band (its flat strides a mixed radix — every stride clears the reach
+        of all smaller ones).  Each element then still folds its own operands
+        in reduction-loop order, whatever its neighbours do.
+        """
+        band: List[For] = []
+        node: Stmt = stmt
+        while isinstance(node, For):
+            band.append(node)
+            node = node.body
+        if not isinstance(node, Store):
+            return None
+        tensor, value = node.tensor, node.value
+        if not (isinstance(value, E.BinaryOp) and isinstance(value.a, E.TensorLoad)):
+            return None
+        if value.a.tensor is not tensor or not all(
+            E.structural_equal(read, written)
+            for read, written in zip(value.a.indices, node.indices)
+        ):
+            return None
+        for sub in E.post_order(value.b):
+            if isinstance(sub, E.Reduce) or (isinstance(sub, E.TensorLoad) and sub.tensor is tensor):
+                return None
+        indexed = {var for idx in node.indices for var in E.free_vars(idx)}
+        depth = next((i for i, loop in enumerate(band) if loop.var not in indexed), len(band))
+        parallel, reduction = band[:depth], band[depth:]
+        if not parallel or not reduction or any(loop.var in indexed for loop in reduction):
+            return None
+        extents = {loop.var: loop.extent for loop in parallel if loop.extent > 1}
+        env = {**self.env, **loop_env((loop.var, loop.extent) for loop in parallel)}
+        address = _axis_strides(node.indices, tensor.shape, env, extents)
+        if address is None:
+            return None
+        steps = sorted((abs(address[0][var]), extent) for var, extent in extents.items())
+        reach = 0
+        for step, extent in steps:
+            if step <= reach:
+                return None
+            reach += step * (extent - 1)
+        return parallel, reduction, node
+
+    def _accumulator_tiles(self, parallel: List[For], reduction: List[For], store: Store) -> None:
+        """Emit a recognised reduction-update nest tile by tile.  A loop its
+        tile width does not divide runs its full tiles first and then one
+        narrower tile over the remainder, so every combination of (full,
+        remainder) per loop is its own copy of the tile body."""
+        self.tiled_nests += 1
+        spans = []
+        for loop, width in zip(parallel, _tile_shape([loop.extent for loop in parallel])):
+            covered = loop.extent - loop.extent % width
+            spans.append([(0, covered, width)])
+            if covered < loop.extent:
+                spans[-1].append((covered, loop.extent, loop.extent - covered))
+        for combo in itertools.product(*spans):
+            self._accumulator_tile(parallel, reduction, store, combo)
+
+    def _accumulator_tile(self, parallel, reduction, store: Store, combo) -> None:
+        """One tile body: ``combo`` gives ``(first iteration, end, tile
+        width)`` for every data-parallel loop."""
+        wide = []
+        lanes = 1
+        for loop, (first, end, width) in zip(parallel, combo):
+            if width == 1:
+                origin = self.var_name(loop.var)
+            else:
+                origin = self.fresh("tile")
+                wide.append((loop, origin, width))
+                lanes *= width
+            self.line(f"for (int64_t {origin} = {first}; {origin} < {end}; {origin} += {width}) {{")
+            self.depth += 1
+        acc = self.fresh("acc")
+        self.line(f"{_c_type_for(store.tensor.dtype)} {acc}[{lanes}];")
+
+        def over_lanes(statement) -> None:
+            # The tile's loops, innermost: constant trip counts, one
+            # accumulator per iteration, no dependence between iterations.
+            slot = ""
+            for loop, origin, width in wide:
+                lane = self.fresh("lane")
+                self.line(f"for (int64_t {lane} = 0; {lane} < {width}; ++{lane}) {{")
+                self.depth += 1
+                self.line(f"const int64_t {self.var_name(loop.var)} = {origin} + {lane};")
+                slot = f"({slot}) * {width} + {lane}" if slot else lane
+            self.line(statement(f"{acc}[{slot or 0}]"))
+            self._close_reduce_loops(wide)
+
+        def update(slot: str) -> str:
+            code, _ = self.value(store.value, {id(store.value.a): (slot, store.tensor.dtype)})
+            return f"{slot} = {self._stored(store.tensor, code)};"
+
+        element = self._element(store.tensor, store.indices)
+        over_lanes(lambda slot: f"{slot} = {element};")
+        self._open_reduce_loops(reduction)
+        over_lanes(update)
+        self._close_reduce_loops(reduction)
+        over_lanes(lambda slot: f"{element} = {slot};")
+        self._close_reduce_loops(parallel)
 
     def _intrinsic(self, call: IntrinsicCall) -> None:
         reason = _intrinsic_native_reason(call.intrin)
@@ -1039,4 +1188,5 @@ def generate_c(func: PrimFunc) -> NativeSource:
         entry=entry,
         params=tuple(func.params),
         instructions=tuple(lw.instruction for lw in emitter.lowerings),
+        tiled_nests=emitter.tiled_nests,
     )

@@ -24,9 +24,11 @@ layers compile once and run warm.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -183,27 +185,6 @@ def _execute_node(node, ins, inputs, weights, rng, executor, out_buf=None) -> np
     """Execute one node; when ``out_buf`` is given, compute-intensive
     operators write straight into it (an arena slot view under
     :func:`run_model`) and it is returned."""
-    from ..dsl import compute, placeholder, reduce_axis, sum_reduce
-    from ..tir import lower
-
-    def dsl_run(out_tensor, bindings, out_array=None):
-        func = lower(out_tensor)
-        buffers = {}
-        for param, array in bindings.items():
-            buffers[param] = np.ascontiguousarray(array, dtype=np.float32)
-        if out_array is not None:
-            # Execute straight into the caller's (arena) storage: both
-            # engines scatter into the bound output buffer in place, so no
-            # per-op output allocation happens.
-            out_array = out_array.reshape(func.output.shape)
-            out_array[...] = 0.0
-            buffers[func.output] = out_array
-        else:
-            buffers[func.output] = np.zeros(
-                func.output.shape, dtype=func.output.dtype.np_dtype
-            )
-        return executor.run(func, buffers)
-
     if isinstance(node, InputNode):
         try:
             array = inputs[node.name]
@@ -225,12 +206,13 @@ def _execute_node(node, ins, inputs, weights, rng, executor, out_buf=None) -> np
         if node.padding:
             x = np.pad(x, ((0, 0), (node.padding,) * 2, (node.padding,) * 2))
         if node.groups == 1:
-            return _conv2d_dsl(dsl_run, x, w, node.stride, node.name, out_buf)
+            return _run_lowered(executor, "conv2d", x, w, node.stride, node.name, out_buf)
         group_c = c_in // node.groups
         group_k = node.out_channels // node.groups
         parts = [
-            _conv2d_dsl(
-                dsl_run,
+            _run_lowered(
+                executor,
+                "conv2d",
                 x[g * group_c : (g + 1) * group_c],
                 w[g * group_k : (g + 1) * group_k],
                 node.stride,
@@ -249,35 +231,13 @@ def _execute_node(node, ins, inputs, weights, rng, executor, out_buf=None) -> np
         w = _param(weights, node.name, (c, node.kernel, node.kernel), rng)
         if node.padding:
             x = np.pad(x, ((0, 0), (node.padding,) * 2, (node.padding,) * 2))
-        _, h, wd = x.shape
-        oh = (h - node.kernel) // node.stride + 1
-        ow = (wd - node.kernel) // node.stride + 1
-        data = placeholder(x.shape, "float32", "data")
-        wt = placeholder(w.shape, "float32", "weight")
-        rr = reduce_axis(0, node.kernel, "r")
-        rs = reduce_axis(0, node.kernel, "s")
-        out = compute(
-            (c, oh, ow),
-            lambda cc, y, xx: sum_reduce(
-                data[cc, y * node.stride + rr, xx * node.stride + rs] * wt[cc, rr, rs],
-                [rr, rs],
-            ),
-            name=node.name,
-        )
-        return dsl_run(out, {data: x, wt: w}, out_buf)
+        return _run_lowered(executor, "depthwise", x, w, node.stride, node.name, out_buf)
 
     if isinstance(node, DenseNode):
         x = ins[0].reshape(-1)
         w = _param(weights, node.name, (node.out_features, x.size), rng)
-        data = placeholder(x.shape, "float32", "data")
-        wt = placeholder(w.shape, "float32", "weight")
-        rk = reduce_axis(0, x.size, "rk")
-        out = compute(
-            (node.out_features,),
-            lambda j: sum_reduce(data[rk] * wt[j, rk], rk),
-            name=node.name,
-        )
-        return dsl_run(out, {data: x, wt: w}, out_buf).reshape(node.out_features, 1, 1)
+        out = _run_lowered(executor, "dense", x, w, 1, node.name, out_buf)
+        return out.reshape(node.out_features, 1, 1)
 
     if isinstance(node, PoolNode):
         x = ins[0]
@@ -323,27 +283,110 @@ def _execute_node(node, ins, inputs, weights, rng, executor, out_buf=None) -> np
     raise TypeError(f"cannot execute graph node type {type(node).__name__}")
 
 
-def _conv2d_dsl(dsl_run, x, w, stride, name, out_buf=None):
+def _lower_operator(kind: str, data_shape, weight_shape, stride: int, name: str):
+    """Describe one compute-intensive operator in the tensor DSL and lower
+    it; returns ``(func, data placeholder, weight placeholder)``."""
     from ..dsl import compute, placeholder, reduce_axis, sum_reduce
+    from ..tir import lower
 
-    c_in, h, wd = x.shape
-    k, _, kernel, _ = w.shape
+    data = placeholder(data_shape, "float32", "data")
+    wt = placeholder(weight_shape, "float32", "weight")
+    if kind == "dense":
+        rk = reduce_axis(0, data_shape[0], "rk")
+        out = compute(
+            (weight_shape[0],),
+            lambda j: sum_reduce(data[rk] * wt[j, rk], rk),
+            name=name,
+        )
+        return lower(out), data, wt
+    channels, h, wd = data_shape
+    kernel = weight_shape[-1]
     oh = (h - kernel) // stride + 1
     ow = (wd - kernel) // stride + 1
-    data = placeholder(x.shape, "float32", "data")
-    wt = placeholder(w.shape, "float32", "weight")
-    rc = reduce_axis(0, c_in, "rc")
+    rc = reduce_axis(0, channels, "rc") if kind == "conv2d" else None
     rr = reduce_axis(0, kernel, "r")
     rs = reduce_axis(0, kernel, "s")
-    out = compute(
-        (k, oh, ow),
-        lambda kk, y, xx: sum_reduce(
-            data[rc, y * stride + rr, xx * stride + rs] * wt[kk, rc, rr, rs],
-            [rc, rr, rs],
-        ),
-        name=name,
-    )
-    return dsl_run(out, {data: x, wt: w}, out_buf)
+    if kind == "depthwise":
+        out = compute(
+            (channels, oh, ow),
+            lambda cc, y, xx: sum_reduce(
+                data[cc, y * stride + rr, xx * stride + rs] * wt[cc, rr, rs],
+                [rr, rs],
+            ),
+            name=name,
+        )
+    else:
+        out = compute(
+            (weight_shape[0], oh, ow),
+            lambda kk, y, xx: sum_reduce(
+                data[rc, y * stride + rr, xx * stride + rs] * wt[kk, rc, rr, rs],
+                [rc, rr, rs],
+            ),
+            name=name,
+        )
+    return lower(out), data, wt
+
+
+class _LoweringCache:
+    """Lowered operator functions by ``(kind, operand shapes, stride)``.
+
+    A steady model run repeats the same layers call after call; handing back
+    the *same* ``PrimFunc`` object saves rebuilding and re-lowering the DSL
+    tree and lets the plan cache answer by identity (its per-function hash
+    memo hits, no structural-equality walk).  The function keeps the name of
+    the first layer that asked.  Entries bake in interned expressions, so —
+    like :class:`~repro.tir.plan.PlanCache` — everything is dropped when
+    ``clear_expr_caches`` moves the epoch.
+    """
+
+    CAPACITY = 256  # distinct layer shapes kept, least recently used out first
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[Tuple, Tuple]" = OrderedDict()
+        self._epoch = -1
+
+    def get(self, kind: str, data_shape, weight_shape, stride: int, name: str):
+        from ..dsl.expr import expr_cache_epoch
+
+        key = (kind, tuple(data_shape), tuple(weight_shape), stride)
+        with self._lock:
+            epoch = expr_cache_epoch()
+            if epoch != self._epoch:
+                self._entries.clear()
+                self._epoch = epoch
+            entry = self._entries.get(key)
+            if entry is None:
+                entry = _lower_operator(*key, name)
+                self._entries[key] = entry
+                if len(self._entries) > self.CAPACITY:
+                    self._entries.popitem(last=False)
+            else:
+                self._entries.move_to_end(key)
+            return entry
+
+
+_LOWERINGS = _LoweringCache()
+
+
+def _run_lowered(executor, kind, x, w, stride, name, out_array=None) -> np.ndarray:
+    """Run one compute-intensive operator (``conv2d``, ``depthwise`` or
+    ``dense``) through ``executor``."""
+    func, data, wt = _LOWERINGS.get(kind, x.shape, w.shape, stride, name)
+    buffers = {
+        data: np.ascontiguousarray(x, dtype=np.float32),
+        wt: np.ascontiguousarray(w, dtype=np.float32),
+    }
+    if out_array is not None:
+        # Execute straight into the caller's (arena) storage: both engines
+        # scatter into the bound output buffer in place, so no per-op output
+        # allocation happens.
+        out_array = out_array.reshape(func.output.shape)
+        out_array[...] = 0.0
+        buffers[func.output] = out_array
+    else:
+        buffers[func.output] = np.zeros(func.output.shape, dtype=func.output.dtype.np_dtype)
+    return executor.run(func, buffers)
 
 
 def _param(weights: Dict[str, np.ndarray], name: str, shape, rng) -> np.ndarray:

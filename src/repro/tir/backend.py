@@ -194,8 +194,7 @@ class NativeKernel:
                 f"got {len(arrays)}"
             )
         prepared: List[np.ndarray] = []
-        writeback: List[Tuple[int, np.ndarray]] = []
-        for pos, (tensor, array) in enumerate(zip(self.params, arrays)):
+        for tensor, array in zip(self.params, arrays):
             if tuple(array.shape) != tensor.shape:
                 raise ValueError(
                     f"buffer {tensor.name!r}: expected shape {tensor.shape}, "
@@ -206,15 +205,13 @@ class NativeKernel:
                     f"buffer {tensor.name!r}: expected dtype {tensor.dtype.name}, "
                     f"got {array.dtype}"
                 )
-            if not array.flags["C_CONTIGUOUS"]:
-                contiguous = np.ascontiguousarray(array)
-                prepared.append(contiguous)
-                writeback.append((pos, contiguous))
-            else:
-                prepared.append(array)
+            prepared.append(np.ascontiguousarray(array))
         self._entry(*[a.ctypes.data_as(ctypes.c_void_p) for a in prepared])
-        for pos, contiguous in writeback:
-            arrays[pos][...] = contiguous
+        # The kernel writes only its output parameter: a staged copy of an
+        # input is dropped (the caller's input may be read-only), a staged
+        # output is copied back.
+        if prepared[-1] is not arrays[-1]:
+            arrays[-1][...] = prepared[-1]
         return arrays[-1]
 
 
@@ -438,7 +435,10 @@ def _try_promote(
             promote_span.set(outcome="compile_failed")
             _demote(plan, f"native compile failed: {exc}", stats)
             return
-        promote_span.set(instructions=",".join(kernel.source.instructions))
+        promote_span.set(
+            instructions=",".join(kernel.source.instructions),
+            tiled_nests=kernel.source.tiled_nests,
+        )
         check = [np.array(a, copy=True) for a in inputs_before]
         check.append(np.array(output_before, copy=True))
         try:

@@ -24,7 +24,7 @@ from repro.tir.stmt import IfThenElse, IntrinsicCall
 from repro.tir.visitor import collect
 from repro.workloads import Conv2DParams, conv2d_nchwc
 from repro.workloads.table1 import TABLE1_LAYERS
-from tests.conftest import scaled_table1, small_conv_hwc
+from tests.conftest import build_kernel, scaled_table1, small_conv_hwc
 
 TOOLCHAIN_KIND, COMPILER = native_toolchain()
 needs_toolchain = pytest.mark.skipif(
@@ -63,23 +63,12 @@ def _tensorized(params: Conv2DParams, name: str, table=X86, **kwargs):
     return tensorize(conv2d_nchwc(params, **table[name][0]), name, **kwargs).func
 
 
-def _build(source, flags, tmp_path, tag):
-    stem = tmp_path / f"{source.func_name}_{tag}"
-    stem.with_suffix(".c").write_text(source.source)
-    library = str(stem.with_suffix(".so"))
-    subprocess.run(
-        [str(COMPILER), *flags, "-o", library, str(stem.with_suffix(".c"))],
-        check=True, capture_output=True, text=True,
-    )
-    return backend.load_kernel(source, library)
-
-
 def _assert_both_builds_match_interpreter(func, tmp_path, seed=0):
     source = generate_c(func)
     buffers = alloc_buffers(func, np.random.default_rng(seed))
     expected = run(func, {t: a.copy() for t, a in buffers.items()})
     for tag, flags in (("host", backend.cc_flags()), ("scalar", SCALAR_FLAGS)):
-        kernel = _build(source, flags, tmp_path, tag)
+        kernel = build_kernel(source, flags, tmp_path, tag)
         got = kernel.run([buffers[p].copy() for p in func.params])
         np.testing.assert_array_equal(got, expected, err_msg=f"{tag} build of {func.name}")
     return source

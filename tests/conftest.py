@@ -86,6 +86,22 @@ def scaled_table1(params: Conv2DParams, spatial: int = 6) -> Conv2DParams:
     )
 
 
+def build_kernel(source, flags, tmp_path, tag):
+    """Compile a ``NativeSource`` with ``flags`` under ``tmp_path`` and load it."""
+    import subprocess
+
+    from repro.tir import backend, native_toolchain
+
+    stem = tmp_path / f"{source.func_name}_{tag}"
+    stem.with_suffix(".c").write_text(source.source)
+    library = str(stem.with_suffix(".so"))
+    subprocess.run(
+        [str(native_toolchain()[1]), *flags, "-o", library, str(stem.with_suffix(".c"))],
+        check=True, capture_output=True, text=True,
+    )
+    return backend.load_kernel(source, library)
+
+
 def small_conv_hwc(h=8, w=8, c=8, k=16, r=3):
     """The Figure 5 convolution with small shapes (VNNI-compatible)."""
     a = placeholder((h, w, c), "uint8", "data")

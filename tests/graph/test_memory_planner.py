@@ -131,6 +131,68 @@ class TestRunModel:
         assert warm.plan_hit_rate == 1.0
         np.testing.assert_array_equal(cold.output, warm.output)
 
+    def test_steady_runs_reuse_the_lowered_functions(self):
+        """Same (operator, shapes, stride) -> the same ``PrimFunc`` object on
+        every call, still through the plan cache (hits counted as before);
+        ``clear_expr_caches`` drops the memo along with the plans."""
+        from repro.dsl.expr import clear_expr_caches
+        from repro.tir import plan_cache
+
+        class Recording(Executor):
+            def __init__(self):
+                super().__init__(tier="vectorized")
+                self.funcs = []
+
+            def run(self, func, buffers, stats=None):
+                self.funcs.append(func)
+                return super().run(func, buffers, stats=stats)
+
+        plan_cache().clear()
+        g = _mixed_graph()
+        x = np.random.default_rng(0).standard_normal((3, 12, 12)).astype(np.float32)
+        first, second = Recording(), Recording()
+        cold = run_model(g, {"in": x}, rng=np.random.default_rng(1), executor=first)
+        warm = run_model(g, {"in": x}, rng=np.random.default_rng(1), executor=second)
+        assert len(first.funcs) == 5  # c1, dw, c2 (two groups), fc
+        assert all(a is b for a, b in zip(first.funcs, second.funcs))
+        assert first.funcs[2] is first.funcs[3]  # both groups of c2: one lowering
+        assert (cold.plan_misses, cold.plan_hits) == (4, 1)
+        assert (warm.plan_misses, warm.plan_hits) == (0, 5)
+        np.testing.assert_array_equal(cold.output, warm.output)
+
+        clear_expr_caches()
+        third = Recording()
+        again = run_model(g, {"in": x}, rng=np.random.default_rng(1), executor=third)
+        assert not any(a is b for a, b in zip(first.funcs, third.funcs))
+        assert again.plan_misses == 4
+        np.testing.assert_array_equal(again.output, cold.output)
+
+    def test_racing_threads_share_one_lowering(self):
+        import sys
+        import threading
+
+        from repro.graph import executor as graph_executor
+
+        cache = graph_executor._LoweringCache()
+        got, workers = [], 8
+
+        def ask():
+            for _ in range(50):
+                got.append(cache.get("dense", (6,), (4, 6), 1, "fc")[0])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(got) == workers * 50 and all(func is got[0] for func in got)
+
     def test_scalar_engine_agrees(self, rng):
         g = _chain_graph(2)
         x = rng.standard_normal((8, 10, 10)).astype(np.float32)

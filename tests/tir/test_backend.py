@@ -243,6 +243,9 @@ class TestPromotionLifecycle:
         assert spans["tir.native_promote"].attrs["outcome"] == "promoted"
         assert spans["tir.native_promote"].attrs["instructions"] == ""  # untensorized conv
         assert tier_state(plan).kernel.source.instructions == ()
+        # ... whose one reduction-update nest folds over an accumulator tile.
+        assert spans["tir.native_promote"].attrs["tiled_nests"] == 1
+        assert tier_state(plan).kernel.source.tiled_nests == 1
 
     def test_without_sandbox_the_host_compiles(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_SANDBOX", "1")
@@ -263,6 +266,7 @@ class TestPromotionLifecycle:
         (promote,) = [r for r in tracer.finished() if r.name == "tir.native_promote"]
         assert promote.attrs["outcome"] == "promoted"
         assert promote.attrs["instructions"] == "vpdpbusd"
+        assert promote.attrs["tiled_nests"] == 0  # IntrinsicCall regions are not tiled
 
     def test_artefact_names_are_unique_across_threads(self):
         """Plans promoting on different threads hold different locks; the
@@ -361,6 +365,44 @@ class TestNativeKernel:
         expected = run(func, {t: a.copy() for t, a in buffers.items()})
         arrays = [np.array(buffers[p], copy=True) for p in func.params]
         got = kernel.run(arrays)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_read_only_strided_input_keeps_the_plan_native(self):
+        """A non-contiguous input is staged, never written back: the copy-back
+        used to raise on a read-only one *after* a correct kernel run, and
+        ``run_tiered`` demoted the plan for every caller sharing it."""
+        plan = _proved_plan()
+        stats = EngineStats()
+        run_tiered(plan, _fresh_buffers(plan), stats=stats, promote_after=1)
+        assert tier_state(plan).tier == "native"
+        buffers = _fresh_buffers(plan, seed=5)
+        expected = _reference(plan, buffers)
+        for tensor in plan.func.inputs:
+            strided = np.asfortranarray(buffers[tensor])
+            assert not strided.flags["C_CONTIGUOUS"]
+            strided.flags.writeable = False
+            buffers[tensor] = strided
+        before = {t: buffers[t].copy() for t in plan.func.inputs}
+        for _ in range(3):
+            buffers[plan.func.output][...] = 0
+            got = run_tiered(plan, buffers, stats=stats, promote_after=1)
+            np.testing.assert_array_equal(got, expected)
+        state = tier_state(plan)
+        assert state.tier == "native" and not state.demoted, state.demotion_reason
+        assert stats.native_runs == 3 and stats.native_demotions == 0
+        for tensor, array in before.items():
+            np.testing.assert_array_equal(buffers[tensor], array)
+
+    def test_strided_output_is_written_back(self):
+        func = lower(small_conv_hwc())
+        kernel = compile_native(func)
+        buffers = alloc_buffers(func, np.random.default_rng(6))
+        expected = run(func, {t: a.copy() for t, a in buffers.items()})
+        arrays = [np.array(buffers[p], copy=True) for p in func.params]
+        arrays[-1] = np.asfortranarray(arrays[-1])
+        assert not arrays[-1].flags["C_CONTIGUOUS"]
+        got = kernel.run(arrays)
+        assert got is arrays[-1]
         np.testing.assert_array_equal(got, expected)
 
     def test_rejects_wrong_shape(self):
