@@ -7,6 +7,7 @@ per-operator latencies into the end-to-end inference latency.
 
 from .executor import (
     GraphLatencyReport,
+    GraphProgram,
     MemoryPlan,
     ModelRun,
     estimate_graph_latency,
@@ -60,6 +61,7 @@ __all__ = [
     "MemoryPlan",
     "plan_memory",
     "ModelRun",
+    "GraphProgram",
     "run_model",
     "rescale_input",
 ]

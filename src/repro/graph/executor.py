@@ -19,7 +19,11 @@ arena — a node's output buffer is reused as soon as its last consumer has
 run, instead of every operator allocating fresh storage — and every
 compute-intensive node executes through the process-wide executable-plan
 cache (:mod:`repro.tir.plan`), so a model's many structurally identical
-layers compile once and run warm.
+layers compile once and run warm.  What a run does not need to recompute
+(shapes, the memory plan, the arena and its views, padded staging buffers,
+lowered functions and their buffer dicts) is built once per graph into a
+:class:`GraphProgram`; :func:`execute_graph` stays the naive
+allocate-per-node oracle the program must match bit for bit.
 """
 
 from __future__ import annotations
@@ -28,11 +32,15 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from ..dsl.expr import expr_cache_epoch
 from ..hwsim.cost import CostBreakdown
+from ..telemetry import metrics as _metrics, trace as _trace
 from .ir import (
     ConcatNode,
     Conv2DNode,
@@ -55,6 +63,7 @@ __all__ = [
     "MemoryPlan",
     "plan_memory",
     "ModelRun",
+    "GraphProgram",
     "run_model",
 ]
 
@@ -181,10 +190,8 @@ def _resolve_executor(executor):
     return Executor(tier="vectorized")
 
 
-def _execute_node(node, ins, inputs, weights, rng, executor, out_buf=None) -> np.ndarray:
-    """Execute one node; when ``out_buf`` is given, compute-intensive
-    operators write straight into it (an arena slot view under
-    :func:`run_model`) and it is returned."""
+def _execute_node(node, ins, inputs, weights, rng, executor) -> np.ndarray:
+    """One node of :func:`execute_graph`: fresh arrays in, a fresh array out."""
     if isinstance(node, InputNode):
         try:
             array = inputs[node.name]
@@ -206,7 +213,7 @@ def _execute_node(node, ins, inputs, weights, rng, executor, out_buf=None) -> np
         if node.padding:
             x = np.pad(x, ((0, 0), (node.padding,) * 2, (node.padding,) * 2))
         if node.groups == 1:
-            return _run_lowered(executor, "conv2d", x, w, node.stride, node.name, out_buf)
+            return _run_lowered(executor, "conv2d", x, w, node.stride, node.name)
         group_c = c_in // node.groups
         group_k = node.out_channels // node.groups
         parts = [
@@ -217,12 +224,9 @@ def _execute_node(node, ins, inputs, weights, rng, executor, out_buf=None) -> np
                 w[g * group_k : (g + 1) * group_k],
                 node.stride,
                 f"{node.name}_g{g}",
-                None if out_buf is None else out_buf[g * group_k : (g + 1) * group_k],
             )
             for g in range(node.groups)
         ]
-        if out_buf is not None:
-            return out_buf
         return np.concatenate(parts, axis=0)
 
     if isinstance(node, DepthwiseConv2DNode):
@@ -231,12 +235,12 @@ def _execute_node(node, ins, inputs, weights, rng, executor, out_buf=None) -> np
         w = _param(weights, node.name, (c, node.kernel, node.kernel), rng)
         if node.padding:
             x = np.pad(x, ((0, 0), (node.padding,) * 2, (node.padding,) * 2))
-        return _run_lowered(executor, "depthwise", x, w, node.stride, node.name, out_buf)
+        return _run_lowered(executor, "depthwise", x, w, node.stride, node.name)
 
     if isinstance(node, DenseNode):
         x = ins[0].reshape(-1)
         w = _param(weights, node.name, (node.out_features, x.size), rng)
-        out = _run_lowered(executor, "dense", x, w, 1, node.name, out_buf)
+        out = _run_lowered(executor, "dense", x, w, 1, node.name)
         return out.reshape(node.out_features, 1, 1)
 
     if isinstance(node, PoolNode):
@@ -347,8 +351,6 @@ class _LoweringCache:
         self._epoch = -1
 
     def get(self, kind: str, data_shape, weight_shape, stride: int, name: str):
-        from ..dsl.expr import expr_cache_epoch
-
         key = (kind, tuple(data_shape), tuple(weight_shape), stride)
         with self._lock:
             epoch = expr_cache_epoch()
@@ -369,23 +371,15 @@ class _LoweringCache:
 _LOWERINGS = _LoweringCache()
 
 
-def _run_lowered(executor, kind, x, w, stride, name, out_array=None) -> np.ndarray:
+def _run_lowered(executor, kind, x, w, stride, name) -> np.ndarray:
     """Run one compute-intensive operator (``conv2d``, ``depthwise`` or
-    ``dense``) through ``executor``."""
+    ``dense``) through ``executor`` into a fresh output array."""
     func, data, wt = _LOWERINGS.get(kind, x.shape, w.shape, stride, name)
     buffers = {
         data: np.ascontiguousarray(x, dtype=np.float32),
         wt: np.ascontiguousarray(w, dtype=np.float32),
+        func.output: np.zeros(func.output.shape, dtype=func.output.dtype.np_dtype),
     }
-    if out_array is not None:
-        # Execute straight into the caller's (arena) storage: both engines
-        # scatter into the bound output buffer in place, so no per-op output
-        # allocation happens.
-        out_array = out_array.reshape(func.output.shape)
-        out_array[...] = 0.0
-        buffers[func.output] = out_array
-    else:
-        buffers[func.output] = np.zeros(func.output.shape, dtype=func.output.dtype.np_dtype)
     return executor.run(func, buffers)
 
 
@@ -462,13 +456,17 @@ def plan_memory(graph: Graph, keep: Sequence[str] = ()) -> MemoryPlan:
     """Assign every activation an arena slot via liveness analysis.
 
     Nodes in ``keep`` (plus the graph output — the last node) are pinned:
-    their slots are never recycled, so their contents survive the whole run.
+    their slots are never recycled, so their contents survive the whole run;
+    a ``keep`` name the graph does not have raises :class:`ValueError`.
     Slot assignment is greedy best-fit: a released slot is reused by the next
     node it can hold (growing the smallest-fitting slot when none is large
     enough), which keeps the arena close to the live-set peak.
     """
     graph.infer_shapes()
     pinned = set(keep)
+    for name in keep:
+        if name not in graph:
+            raise ValueError(f"keep names {name!r}, which is not a node of graph {graph.name!r}")
     if graph.nodes:
         pinned.add(graph.nodes[-1].name)
     last_use: Dict[str, int] = {}
@@ -533,6 +531,276 @@ class ModelRun:
         return self.plan_hits / total if total else 0.0
 
 
+class GraphProgram:
+    """Everything about running one graph that no run changes, built once.
+
+    Inferred shapes, the :class:`MemoryPlan` and (inside each
+    :class:`_Frame`) the arena with its per-node slot views, the padded
+    staging buffers, the lowered function and buffer dict of every compute
+    node.  :func:`run_model` fetches the program of its ``(graph, keep)``
+    with :meth:`for_graph` and calls :meth:`run`; a program whose graph has
+    been edited since, or whose lowerings predate ``clear_expr_caches``, is
+    rebuilt there.
+
+    What a run writes lives in a frame that one run owns at a time: the idle
+    one is reused, and a run that finds none (another thread is mid-run on
+    this graph) builds its own.
+    """
+
+    _lock = threading.Lock()
+    _programs: "WeakKeyDictionary[Graph, Dict[Tuple[str, ...], GraphProgram]]" = (
+        WeakKeyDictionary()
+    )
+
+    def __init__(self, graph: Graph, keep: Tuple[str, ...] = ()) -> None:
+        with _trace.span("graph.program_build", graph=graph.name, nodes=len(graph)) as span:
+            self.memory = plan_memory(graph, keep=keep)
+            self.graph_name = graph.name
+            self.epoch = expr_cache_epoch()
+            # Nodes are mutable, and so are their lists: a copy of every
+            # node's fields tells an edited graph from the one built.
+            self.nodes = list(graph.nodes)
+            self._fields = [
+                {k: list(v) if isinstance(v, list) else v for k, v in vars(node).items()}
+                for node in graph.nodes
+            ]
+            self.shapes = {node.name: graph.output_shape(node.name) for node in graph.nodes}
+            self.kept = (*keep, graph.nodes[-1].name)
+            self._frames_lock = threading.Lock()
+            self._idle = [_Frame(self)]
+            span.set(
+                arena_bytes=self.memory.arena_bytes,
+                staging_bytes=sum(a.nbytes for a in self._idle[0].staging.values()),
+            )
+        _metrics.count("graph.program_builds")
+
+    @classmethod
+    def for_graph(cls, graph: Graph, keep: Sequence[str] = ()) -> "GraphProgram":
+        """The program of ``(graph, keep)``: the one built by an earlier call
+        while it still describes ``graph``, else a new one."""
+        keep = tuple(keep)
+        with cls._lock:
+            programs = cls._programs.setdefault(graph, {})
+            program = programs.get(keep)
+            if program is not None and program.describes(graph):
+                _metrics.count("graph.program_reuses")
+            else:
+                program = programs[keep] = cls(graph, keep)
+        return program
+
+    def describes(self, graph: Graph) -> bool:
+        """Whether ``graph`` is still, node for node and field for field, the
+        graph this program was built from, under the same interned
+        expressions."""
+        return (
+            self.epoch == expr_cache_epoch()
+            and self.graph_name == graph.name
+            and self.nodes == graph.nodes
+            and self._fields == [vars(node) for node in graph.nodes]
+        )
+
+    def run(self, inputs, weights, rng, executor) -> ModelRun:
+        """One model execution through ``executor``.
+
+        ``weights`` are bound by array identity (a replaced array is rebound,
+        one mutated in place is simply read again — nothing is copied);
+        parameters it lacks are drawn from ``rng`` in node order and added to
+        it.
+        """
+        from ..tir.plan import plan_cache
+
+        cache_stats = plan_cache().stats
+        hits0, misses0 = cache_stats.hits, cache_stats.misses
+        started = time.perf_counter()
+        with self._frames_lock:
+            frame = self._idle.pop() if self._idle else None
+        if frame is None:
+            frame = _Frame(self)
+        try:
+            frame.inputs, frame.weights, frame.rng, frame.executor = inputs, weights, rng, executor
+            for step in frame.steps:
+                step()
+            kept = {name: frame.values[name].copy() for name in self.kept}
+        finally:
+            frame.inputs = frame.weights = frame.rng = frame.executor = None
+            with self._frames_lock:
+                self._idle.append(frame)
+        return ModelRun(
+            graph_name=self.graph_name,
+            output=kept[self.kept[-1]],
+            outputs=kept,
+            memory=self.memory,
+            plan_hits=cache_stats.hits - hits0,
+            plan_misses=cache_stats.misses - misses0,
+            seconds=time.perf_counter() - started,
+        )
+
+
+class _Frame:
+    """The storage one run of a :class:`GraphProgram` writes, and the steps
+    bound to it.
+
+    ``steps`` is the whole model as a flat list of argument-less callables
+    over preallocated arrays: ``values`` holds every node's output (a view of
+    ``arena`` at its planned slot; inputs get their own buffer), ``staging``
+    the padded copies operators read.  Nothing is zeroed between runs or
+    between the occupants of a slot — every step overwrites all of its
+    output.  The caller's ``inputs``, ``weights``, ``rng`` and ``executor``
+    are attributes set for the duration of a run.
+    """
+
+    def __init__(self, program: GraphProgram) -> None:
+        memory = program.memory
+        self.arena = np.empty(memory.arena_elements, dtype=np.float32)
+        self.staging: Dict[Tuple, np.ndarray] = {}
+        self.values: Dict[str, np.ndarray] = {}
+        self.steps: List[Callable[[], object]] = []
+        self.inputs = self.weights = self.rng = self.executor = None
+        offsets = [0]
+        for elements in memory.slot_elements:
+            offsets.append(offsets[-1] + elements)
+        for node in program.nodes:
+            shape = program.shapes[node.name]
+            if isinstance(node, InputNode):
+                out = np.empty(shape.elements, dtype=np.float32)
+            else:
+                start = offsets[memory.slot_of[node.name]]
+                out = self.arena[start : start + shape.elements]
+            out = out.reshape(shape.channels, shape.height, shape.width)
+            self._bind(node, [self.values[name] for name in node.inputs], out)
+            for activation in node.fused_activations:
+                self._elementwise(activation, [out], out)
+            self.values[node.name] = out
+
+    def _bind(self, node: GraphNode, ins: List[np.ndarray], out: np.ndarray) -> None:
+        """Append the steps that compute ``node`` from ``ins`` into ``out``,
+        with :func:`_execute_node`'s arithmetic."""
+        steps = self.steps
+        if isinstance(node, InputNode):
+            steps.append(partial(self._load_input, node.name, out))
+        elif isinstance(node, Conv2DNode):
+            c_in = ins[0].shape[0]
+            weight_shape = (node.out_channels, c_in // node.groups, node.kernel, node.kernel)
+            x = self._padded(ins[0], node.padding)
+            self._lowered(node, "conv2d", x, out, weight_shape, node.stride, node.groups)
+        elif isinstance(node, DepthwiseConv2DNode):
+            weight_shape = (ins[0].shape[0], node.kernel, node.kernel)
+            x = self._padded(ins[0], node.padding)
+            self._lowered(node, "depthwise", x, out, weight_shape, node.stride)
+        elif isinstance(node, DenseNode):
+            x = ins[0].reshape(-1)
+            self._lowered(node, "dense", x, out, (node.out_features, x.size), 1)
+        elif isinstance(node, PoolNode):
+            k, s = node.kernel, node.stride
+            x = self._padded(ins[0], node.padding, -np.inf if node.kind == "max" else 0.0)
+            _, oh, ow = out.shape
+            first, *rest = [
+                x[:, r : r + oh * s : s, c : c + ow * s : s] for r in range(k) for c in range(k)
+            ]
+            fold = np.maximum if node.kind == "max" else np.add
+            steps.append(partial(np.copyto, out, first))
+            steps.extend(partial(fold, out, window, out=out) for window in rest)
+            if node.kind != "max":
+                steps.append(partial(np.divide, out, float(k * k), out=out))
+        elif isinstance(node, GlobalPoolNode):
+            steps.append(partial(np.mean, ins[0], axis=(1, 2), keepdims=True, out=out))
+        elif isinstance(node, ElementwiseNode):
+            self._elementwise(node.kind, ins, out)
+        elif isinstance(node, ConcatNode):
+            steps.append(partial(np.concatenate, ins, axis=0, out=out))
+        elif isinstance(node, FlattenNode):
+            steps.append(partial(np.copyto, out, ins[0].reshape(out.shape)))
+        elif isinstance(node, SoftmaxNode):
+            x = ins[0]
+
+            def softmax() -> None:
+                np.subtract(x, x.max(axis=0, keepdims=True), out=out)
+                np.exp(out, out=out)
+                np.divide(out, out.sum(axis=0, keepdims=True), out=out)
+
+            steps.append(softmax)
+        else:
+            raise TypeError(f"cannot execute graph node type {type(node).__name__}")
+
+    def _load_input(self, name: str, out: np.ndarray) -> None:
+        try:
+            array = self.inputs[name]
+        except KeyError as exc:
+            raise KeyError(f"missing input array for node {name!r}") from exc
+        if tuple(array.shape) != out.shape:
+            raise ValueError(f"input {name!r} has shape {array.shape}, expected {out.shape}")
+        out[...] = array
+
+    def _padded(self, x: np.ndarray, padding: int, fill: float = 0.0) -> np.ndarray:
+        """``x`` as an operator with ``padding`` reads it: ``x`` itself, or a
+        staging buffer whose border was filled once and whose interior a step
+        overwrites on every run.  Nodes run one after another, so all with
+        the same input shape, padding and fill share one buffer."""
+        if not padding:
+            return x
+        key = (x.shape, padding, fill)
+        staged = self.staging.get(key)
+        if staged is None:
+            channels, height, width = x.shape
+            staged = self.staging[key] = np.full(
+                (channels, height + 2 * padding, width + 2 * padding), fill, dtype=np.float32
+            )
+        interior = staged[:, padding:-padding, padding:-padding]
+        self.steps.append(partial(np.copyto, interior, x))
+        return staged
+
+    def _lowered(self, node, kind, x, out, weight_shape, stride, groups=1) -> None:
+        """One ``executor.run`` per group over buffer dicts built here; only
+        the weight entry can change from run to run."""
+        group_c, group_k = x.shape[0] // groups, weight_shape[0] // groups
+        func, data, wt = _LOWERINGS.get(
+            kind,
+            (group_c, *x.shape[1:]),
+            (group_k, *weight_shape[1:]),
+            stride,
+            node.name if groups == 1 else f"{node.name}_g0",
+        )
+        calls = [
+            {
+                data: x[g * group_c : (g + 1) * group_c],
+                func.output: out[g * group_k : (g + 1) * group_k].reshape(func.output.shape),
+            }
+            for g in range(groups)
+        ]
+        bound = None  # the caller's array the dicts hold, when they hold it uncopied
+
+        def run() -> None:
+            nonlocal bound
+            given = self.weights.get(node.name)
+            if given is None or given is not bound:
+                w = np.ascontiguousarray(_param(self.weights, node.name, weight_shape, self.rng))
+                bound = given if w is given else None
+                for g, buffers in enumerate(calls):
+                    buffers[wt] = w[g * group_k : (g + 1) * group_k]
+            for buffers in calls:
+                self.executor.run(func, buffers)
+
+        self.steps.append(run)
+
+    def _elementwise(self, kind: str, ins: List[np.ndarray], out: np.ndarray) -> None:
+        """:func:`_apply_elementwise` into ``out``, which may be ``ins[0]``
+        (a fused activation)."""
+        steps = self.steps
+        if kind == "relu":
+            steps.append(partial(np.maximum, ins[0], 0.0, out=out))
+        elif kind == "clip":
+            steps.append(partial(np.clip, ins[0], 0.0, 6.0, out=out))
+        elif kind == "sigmoid":
+            steps.append(lambda: np.copyto(out, _apply_elementwise(kind, ins)))
+        else:  # "add", and the parameterless stand-ins that pass ins[0] through
+            total = ins[0]
+            for other in ins[1:] if kind == "add" else ():
+                steps.append(partial(np.add, total, other, out=out))
+                total = out
+            if total is not out:
+                steps.append(partial(np.copyto, out, total))
+
+
 def run_model(
     graph: Graph,
     inputs: Dict[str, np.ndarray],
@@ -545,72 +813,21 @@ def run_model(
 
     The engine-backed counterpart of :func:`execute_graph` for end-to-end
     runs: numerically identical (same DSL lowerings, same engines, same
-    parameter generation), but activations live in arena slots assigned by
-    :func:`plan_memory` — recycled buffer space instead of one fresh array
-    per operator — and every lowered operator executes through the
-    process-wide :class:`~repro.tir.plan.PlanCache`, so a model's repeated
-    layer shapes pay the loop-nest analysis once.
+    parameter generation), but the graph is compiled once into a
+    :class:`GraphProgram` that every later call on it reuses — activations
+    live in arena slots assigned by :func:`plan_memory`, recycled buffer
+    space instead of one fresh array per operator — and every lowered
+    operator executes through ``executor`` and so through the process-wide
+    :class:`~repro.tir.plan.PlanCache`: a model's repeated layer shapes pay
+    the loop-nest analysis once.
 
     Returns a :class:`ModelRun` with the graph output (the last node), the
-    outputs of ``keep`` nodes, the memory plan, and the plan-cache hit/miss
-    delta of this call.  Buffers of nodes not in ``keep`` are reused during
-    the run and must not be read afterwards.
+    outputs of ``keep`` nodes (copies), the memory plan, and the plan-cache
+    hit/miss delta of this call.
     """
-    from ..tir.plan import plan_cache
-
-    graph.infer_shapes()
-    memory = plan_memory(graph, keep=keep)
-    weights = dict(weights or {})
-    rng = rng or np.random.default_rng(0)
-    executor = _resolve_executor(executor)
-
-    cache_stats = plan_cache().stats
-    hits0, misses0 = cache_stats.hits, cache_stats.misses
-    started = time.perf_counter()
-
-    arena = np.empty(memory.arena_elements, dtype=np.float32)
-    offsets: List[int] = []
-    cursor = 0
-    for elements in memory.slot_elements:
-        offsets.append(cursor)
-        cursor += elements
-
-    def slot_view(name: str) -> np.ndarray:
-        shape = graph.output_shape(name)
-        start = offsets[memory.slot_of[name]]
-        return arena[start : start + shape.elements].reshape(
-            shape.channels, shape.height, shape.width
-        )
-
-    outputs: Dict[str, np.ndarray] = {}
-    for node in graph.nodes:
-        ins = [outputs[name] for name in node.inputs]
-        if isinstance(node, InputNode):
-            outputs[node.name] = np.ascontiguousarray(
-                _execute_node(node, ins, inputs, weights, rng, executor),
-                dtype=np.float32,
-            )
-            continue
-        view = slot_view(node.name)
-        result = _execute_node(node, ins, inputs, weights, rng, executor, out_buf=view)
-        for activation in node.fused_activations:
-            result = _apply_elementwise(activation, [result])
-        result = np.asarray(result, dtype=np.float32).reshape(view.shape)
-        # ``result`` is either a reshape of ``view`` itself (the in-place DSL
-        # paths — same memory, same layout, so the copy is a safe no-op) or a
-        # fresh array from a structural operator / fused activation.
-        np.copyto(view, result)
-        outputs[node.name] = view
-
-    final = graph.nodes[-1].name
-    kept = {name: outputs[name].copy() for name in keep}
-    kept[final] = outputs[final].copy()
-    return ModelRun(
-        graph_name=graph.name,
-        output=kept[final],
-        outputs=kept,
-        memory=memory,
-        plan_hits=cache_stats.hits - hits0,
-        plan_misses=cache_stats.misses - misses0,
-        seconds=time.perf_counter() - started,
+    return GraphProgram.for_graph(graph, keep).run(
+        inputs,
+        dict(weights or {}),
+        rng or np.random.default_rng(0),
+        _resolve_executor(executor),
     )

@@ -205,8 +205,8 @@ class NativeKernel:
                     f"buffer {tensor.name!r}: expected dtype {tensor.dtype.name}, "
                     f"got {array.dtype}"
                 )
-            prepared.append(np.ascontiguousarray(array))
-        self._entry(*[a.ctypes.data_as(ctypes.c_void_p) for a in prepared])
+            prepared.append(array if array.flags.c_contiguous else np.ascontiguousarray(array))
+        self._entry(*[a.ctypes.data for a in prepared])
         # The kernel writes only its output parameter: a staged copy of an
         # input is dropped (the caller's input may be read-only), a staged
         # output is copied back.

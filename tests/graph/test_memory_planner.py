@@ -106,6 +106,21 @@ class TestPlanMemory:
         free_running = plan_memory(g)
         assert pinned.arena_elements > free_running.arena_elements
 
+    def test_keep_must_name_nodes_of_the_graph(self, rng):
+        """An unknown ``keep`` name used to be pinned silently and surface as
+        a bare ``KeyError`` once the whole model had run."""
+        g = _chain_graph(2)
+        with pytest.raises(ValueError, match=r"'conv9'.*'chain'"):
+            plan_memory(g, keep=["conv0", "conv9"])
+
+        class Untouched(Executor):
+            def run(self, func, buffers, stats=None):
+                raise AssertionError("a node ran before keep was validated")
+
+        x = rng.standard_normal((8, 10, 10)).astype(np.float32)
+        with pytest.raises(ValueError, match=r"'conv9'.*'chain'"):
+            run_model(g, {"in": x}, keep=["conv9"], executor=Untouched())
+
 
 class TestRunModel:
     def test_matches_execute_graph_exactly(self, rng):
