@@ -10,8 +10,9 @@ example:
 2. reloads the store in a fresh store-backed ``TuningSession`` and shows the
    warm pass performing *zero* tuning trials while reproducing the
    single-process results bit-identically;
-3. compiles a whole model through ``compile_model_batch(store=, workers=)``,
-   which pre-tunes every distinct layer across processes before the serial
+3. compiles a whole model through
+   ``compile_model_batch(session=TuningSession(store=...), workers=)``, which
+   pre-tunes every distinct layer across processes before the serial
    compile walks the graph against warm records;
 4. compacts the store: append-only duplicate lines fold down to one line per
    key, atomically.
@@ -68,9 +69,12 @@ def main() -> None:
     # 3. Whole-model compilation with distributed pre-tuning.
     batch_store = ShardedTuningStore(root + "-batch", shards=8)
     batch = compile_model_batch(
-        ["resnet-18"], targets=("x86",), store=batch_store, workers=WORKERS
+        ["resnet-18"],
+        targets=("x86",),
+        session=TuningSession(store=batch_store),
+        workers=WORKERS,
     )
-    print("\n== compile_model_batch(store=, workers=) ==")
+    print("\n== compile_model_batch(session=TuningSession(store=), workers=) ==")
     for compiled in batch:
         print(f"  {compiled.name:<14} {compiled.target:<5} {compiled.latency_ms:.3f} ms")
 

@@ -15,8 +15,8 @@ client machines share one warm corpus.  This example:
 3. lets one request's ``speculate=`` sweep hint pre-tune the remaining
    layers during idle time, so a third client's full sweep is pure warm
    hits;
-4. compiles a whole model with ``compile_model(remote=...)`` — the drop-in
-   path every figure driver shares;
+4. compiles a whole model with ``compile_model(session=RemoteSession(...))``
+   — the drop-in path every figure driver shares;
 5. garbage-collects the store over the wire (LRU by last-served) and prints
    the daemon's stats endpoint.
 
@@ -99,8 +99,10 @@ def main() -> None:
         assert follower.searches_run == 0
 
         # 3. Whole-model compilation against the daemon.
-        compiled = compile_model(get_model("resnet-18", fresh=True), remote=(host, port))
-        print("\n== compile_model(remote=) ==")
+        compiled = compile_model(
+            get_model("resnet-18", fresh=True), session=RemoteSession((host, port))
+        )
+        print("\n== compile_model(session=RemoteSession(...)) ==")
         print(f"  resnet-18 x86           : {compiled.latency_ms:.3f} ms")
 
         # 4. Store GC + stats over the wire.

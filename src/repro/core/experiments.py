@@ -30,7 +30,7 @@ from ..rewriter.tuner import exhaustive_search
 from ..workloads.conv2d import Conv2DParams
 from ..workloads.conv3d import conv3d_from_conv2d
 from ..workloads.table1 import TABLE1_LAYERS, table1_as_rows
-from .pipeline import UnitCpuRunner, UnitGpuRunner, _resolve_session, compile_model
+from .pipeline import UnitCpuRunner, UnitGpuRunner, compile_model
 
 __all__ = [
     "figure1_fp16_without_tensor_core",
@@ -76,25 +76,6 @@ def _add_geomean(
     for key in keys:
         geo[key] = geometric_mean(r[key] for r in rows)
     return geo
-
-
-def _session(
-    session: Optional[TuningSession], store=None, remote=None
-) -> TuningSession:
-    """The session a figure driver tunes through.
-
-    Resolution follows the one pipeline-wide rule
-    (:func:`repro.core.pipeline._resolve_session`): an explicit ``session``
-    wins (conflicting ``session``/``store`` pairs raise rather than silently
-    dropping the store); ``remote`` — a tuning-daemon address — yields a
-    :class:`~repro.service.client.RemoteSession` so the figure tunes against
-    the shared fleet corpus (``store`` then being its offline fallback);
-    otherwise ``store`` (typically pre-warmed by a
-    :class:`~repro.rewriter.workers.DistributedTuner` pass) backs a fresh
-    read-through session, and with none of them the figure tunes privately.
-    """
-    resolved = _resolve_session(session, store, remote)
-    return resolved if resolved is not None else TuningSession()
 
 
 def resnet18_unique_convs(limit: int = 11) -> List[Conv2DParams]:
@@ -152,8 +133,6 @@ def figure1_fp16_without_tensor_core(models: Optional[List[str]] = None) -> List
 def figure8_cpu_end_to_end(
     models: Optional[List[str]] = None,
     session: Optional[TuningSession] = None,
-    store=None,
-    remote=None,
 ) -> List[Dict]:
     """MXNet+oneDNN vs hand-written TVM VNNI schedules vs UNIT (bs = 1).
 
@@ -162,7 +141,7 @@ def figure8_cpu_end_to_end(
     tuning trials.
     """
     models = models or EVALUATED_MODELS
-    session = _session(session, store, remote)
+    session = session if session is not None else TuningSession()
     mxnet = MxnetOneDnnRunner(session=session)
     tvm_manual = TvmManualModel.for_x86()
     rows = []
@@ -196,12 +175,10 @@ def figure8_cpu_end_to_end(
 def figure9_gpu_end_to_end(
     models: Optional[List[str]] = None,
     session: Optional[TuningSession] = None,
-    store=None,
-    remote=None,
 ) -> List[Dict]:
     """cuDNN fp16 Tensor Core (via TVM offloading) vs UNIT (bs = 1)."""
     models = models or EVALUATED_MODELS
-    session = _session(session, store, remote)
+    session = session if session is not None else TuningSession()
     cudnn = TvmCudnnRunner(mode="tensor_core", session=session)
     rows = []
     for name in models:
@@ -228,12 +205,10 @@ def figure9_gpu_end_to_end(
 def figure10_cpu_ablation(
     layers: Optional[List[Conv2DParams]] = None,
     session: Optional[TuningSession] = None,
-    store=None,
-    remote=None,
 ) -> List[Dict]:
     """oneDNN vs Parallel vs +Unroll vs +Tune, per Table I layer."""
     layers = layers or TABLE1_LAYERS
-    session = _session(session, store, remote)
+    session = session if session is not None else TuningSession()
     onednn = OneDnnModel(CASCADE_LAKE)
     rows = []
     for index, params in enumerate(layers, start=1):
@@ -266,12 +241,10 @@ def figure10_cpu_ablation(
 def figure11_gpu_ablation(
     layers: Optional[List[Conv2DParams]] = None,
     session: Optional[TuningSession] = None,
-    store=None,
-    remote=None,
 ) -> List[Dict]:
     """cuDNN vs Generic vs +FuseDim vs +SplitK vs +Tune, per Table I layer."""
     layers = layers or TABLE1_LAYERS
-    session = _session(session, store, remote)
+    session = session if session is not None else TuningSession()
     cudnn = CuDnnModel(V100)
     rows = []
     for index, params in enumerate(layers, start=1):
@@ -309,12 +282,10 @@ def figure11_gpu_ablation(
 def figure12_arm_end_to_end(
     models: Optional[List[str]] = None,
     session: Optional[TuningSession] = None,
-    store=None,
-    remote=None,
 ) -> List[Dict]:
     """TVM-NEON vs TVM-Manual (hand-written DOT) vs UNIT on the Graviton2."""
     models = models or EVALUATED_MODELS
-    session = _session(session, store, remote)
+    session = session if session is not None else TuningSession()
     neon = TvmNeonModel(GRAVITON2)
     manual = TvmManualModel.for_arm()
     rows = []
@@ -343,11 +314,9 @@ def figure12_arm_end_to_end(
 # Figure 13: 3-D convolution extensibility
 # ---------------------------------------------------------------------------
 
-def figure13_conv3d(
-    depth: int = 8, session: Optional[TuningSession] = None, store=None, remote=None
-) -> List[Dict]:
+def figure13_conv3d(depth: int = 8, session: Optional[TuningSession] = None) -> List[Dict]:
     """oneDNN vs UNIT on the 3-D versions of ResNet-18's convolutions."""
-    session = _session(session, store, remote)
+    session = session if session is not None else TuningSession()
     onednn = OneDnnModel(CASCADE_LAKE)
     runner = UnitCpuRunner(CASCADE_LAKE, "x86.avx512.vpdpbusd", tuning="full", session=session)
     rows = []

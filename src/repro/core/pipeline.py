@@ -10,13 +10,15 @@ end-to-end inference latency of Figures 8, 9 and 12.
 All runners tune through a :class:`~repro.rewriter.session.TuningSession`:
 pass one session to many runners (or to ``compile_model_batch``) and
 identical (workload, instruction, machine, search-space) problems are tuned
-exactly once, with results optionally persisted to disk between processes.
+exactly once; a store-backed session (``TuningSession(store=...)``) shares
+the records between processes, a
+:class:`~repro.service.client.RemoteSession` between machines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
 from ..baselines.frameworks import MxnetOneDnnRunner, TvmCudnnRunner
 from ..graph.executor import GraphLatencyReport, estimate_graph_latency
@@ -27,13 +29,12 @@ from ..graph.quantize import quantize_graph
 from ..hwsim.cost import CostBreakdown
 from ..hwsim.cpu import CpuKernelModel
 from ..hwsim.gpu import GpuKernelModel
-from ..hwsim.machine import CASCADE_LAKE, GRAVITON2, V100, CpuSpec, GpuSpec
+from ..hwsim.machine import CASCADE_LAKE, V100, CpuSpec, GpuSpec, machine_by_name
 from ..isa.registry import get_intrinsic
 from ..rewriter.cpu_tuner import CpuTuningConfig, cpu_tuning_candidates
 from ..rewriter.gpu_tuner import GpuTuningConfig, gpu_tuning_candidates
 from ..rewriter.records import TuningKey, params_fingerprint, space_fingerprint
 from ..rewriter.session import TuningSession
-from ..rewriter.store import ShardedTuningStore
 from ..rewriter.tuner import TuningResult
 from ..tir.executor import ValidationPolicy
 from ..workloads.conv2d import Conv2DParams
@@ -44,9 +45,32 @@ __all__ = [
     "UnitCpuRunner",
     "UnitGpuRunner",
     "CompiledModel",
+    "Target",
+    "TARGETS",
+    "unit_runner",
+    "prepare_graph",
     "compile_model",
     "compile_model_batch",
 ]
+
+class Target(NamedTuple):
+    """What a ``compile_model`` target name stands for."""
+
+    runner: str  # "cpu" | "gpu": which UNIT runner class tunes it
+    machine: str  # a repro.hwsim.machine_by_name() name
+    intrinsic: str  # the tensorized instruction
+    tuning: str  # the CPU runner's tuning= / the GPU runner's mode=
+    dtype: str  # the quantize_graph() dtype
+
+
+# The one target table: ``compile_model``'s default runner and graph passes,
+# ``tasks_from_graph`` and the tuning daemon's ``expand_sweep`` all derive
+# from these rows.
+TARGETS = {
+    "x86": Target("cpu", "cascade-lake", "x86.avx512.vpdpbusd", "full", "int8"),
+    "arm": Target("cpu", "graviton2", "arm.neon.sdot", "full", "int8"),
+    "cuda": Target("gpu", "v100", "nvvm.wmma.m16n16k16.mma.row.row.f32.f32", "tune", "float16"),
+}
 
 
 @dataclass
@@ -140,16 +164,19 @@ class _SessionTunedRunner:
 
         return check
 
-    def _tuned(self, kind: str, params, evaluate) -> CostBreakdown:
-        key = TuningKey(
+    def tuning_key(self, kind: str, params) -> TuningKey:
+        """The identity this runner tunes ``(kind, params)`` under."""
+        return TuningKey(
             kind=kind,
             params=params_fingerprint(params),
             intrinsic=self.intrin.name,
             machine=self.machine.name,
             space=self._space,
         )
+
+    def _tuned(self, kind: str, params, evaluate) -> CostBreakdown:
         record = self.session.tune(
-            key,
+            self.tuning_key(kind, params),
             self._configs(),
             evaluate,
             oracle=self._validator(kind, params),
@@ -349,6 +376,30 @@ class UnitGpuRunner(_SessionTunedRunner):
         return CostBreakdown(seconds=0.5e-6, overhead_seconds=0.5e-6)
 
 
+def unit_runner(runner: str, machine: str, intrinsic: str, tuning: str, session=None):
+    """The UNIT operator runner a (runner kind, machine name, intrinsic,
+    tuning mode) quadruple names — the fields a :class:`Target` row and a
+    :class:`~repro.rewriter.workers.TuningTask` share."""
+    spec = machine_by_name(machine)
+    if runner == "cpu":
+        return UnitCpuRunner(spec, intrinsic, tuning=tuning, session=session)
+    if runner == "gpu":
+        return UnitGpuRunner(spec, intrinsic, mode=tuning, session=session)
+    raise ValueError(f"unknown runner kind {runner!r}")
+
+
+def prepare_graph(graph: Graph, target: str, quantize: bool = True, fuse: bool = True) -> Graph:
+    """The graph passes every compile for ``target`` starts with: quantize
+    to the target's dtype, then fuse elementwise operators."""
+    if target not in TARGETS:
+        raise ValueError(f"unknown target {target!r}")
+    if quantize:
+        graph = quantize_graph(graph, TARGETS[target].dtype)
+    if fuse:
+        graph = fuse_elementwise(graph)
+    return graph
+
+
 def compile_model(
     graph: Graph,
     target: str = "x86",
@@ -356,98 +407,39 @@ def compile_model(
     quantize: bool = True,
     fuse: bool = True,
     session: Optional[TuningSession] = None,
-    store=None,
-    remote=None,
 ) -> CompiledModel:
     """Compile a model end to end for ``target`` and estimate its latency.
 
-    ``target`` is one of ``"x86"``, ``"arm"``, ``"cuda"``; ``runner`` may be
-    supplied to estimate latency under a baseline library instead of UNIT
-    (e.g. :class:`~repro.baselines.frameworks.MxnetOneDnnRunner`).
+    ``target`` is one of :data:`TARGETS` (``"x86"``, ``"arm"``, ``"cuda"``);
+    ``runner`` may be supplied to estimate latency under a baseline library
+    instead of UNIT (e.g.
+    :class:`~repro.baselines.frameworks.MxnetOneDnnRunner`).
 
-    ``session`` is forwarded to the default UNIT runner so repeated
-    compilations share one tuning cache; it is ignored when an explicit
+    ``session`` says where tuning happens and where its records live; it is
+    forwarded to the default UNIT runner and ignored when an explicit
     ``runner`` is supplied (construct that runner with the session instead).
-
-    ``store`` backs the default session with a
-    :class:`~repro.rewriter.store.ShardedTuningStore`, so this compile reads
-    records other processes published (e.g. a distributed pre-tuning pass)
-    and publishes its own fresh searches for them.
-
-    ``remote`` points the compile at a tuning daemon instead: a
-    ``(host, port)`` pair or ``"host:port"`` string naming a
-    :class:`~repro.service.server.TuningService`.  Tuning then reads through
-    memory -> server -> miss (searches are run server-side, coalesced with
-    every other client), and a ``store`` given alongside serves as the local
-    fallback while the daemon is unreachable.
+    A plain ``TuningSession()`` shares one in-memory cache across compiles;
+    ``TuningSession(store=path)`` additionally reads records other processes
+    published (e.g. a distributed pre-tuning pass) and publishes its own
+    fresh searches for them;
+    ``RemoteSession(address, fallback_store=path)`` tunes against a
+    :class:`~repro.service.server.TuningService` daemon (memory -> server ->
+    miss, searches run server-side and coalesced with every other client).
     """
-    if target not in ("x86", "arm", "cuda"):
-        raise ValueError(f"unknown target {target!r}")
-    if runner is not None and store is not None:
-        raise ValueError(
-            "store= only applies to the default UNIT runner; construct the "
-            "explicit runner with a store-backed session instead"
-        )
-    session = _resolve_session(session, store, remote)
-    work = graph
-    if quantize:
-        work = quantize_graph(work, "float16" if target == "cuda" else "int8")
-    if fuse:
-        work = fuse_elementwise(work)
+    work = prepare_graph(graph, target, quantize, fuse)
+    row = TARGETS[target]
     if runner is None:
-        if target == "x86":
-            runner = UnitCpuRunner(CASCADE_LAKE, "x86.avx512.vpdpbusd", session=session)
-        elif target == "arm":
-            runner = UnitCpuRunner(GRAVITON2, "arm.neon.sdot", session=session)
-        else:
-            runner = UnitGpuRunner(V100, session=session)
-    lanes = 4 if target == "arm" else 16
-    layout = plan_layout(work, lanes=lanes, reduction=4) if target != "cuda" else {}
+        runner = unit_runner(row.runner, row.machine, row.intrinsic, row.tuning, session)
+    if row.runner == "cpu":
+        # The blocked NCHW[x]c layout follows the instruction's register shape.
+        intrin = get_intrinsic(row.intrinsic)
+        layout = plan_layout(work, lanes=intrin.output_lanes, reduction=intrin.reduction_width)
+    else:
+        layout = {}
     report = estimate_graph_latency(work, runner)
     return CompiledModel(
         name=graph.name, target=target, graph=work, report=report, layout_decisions=layout
     )
-
-
-def _resolve_session(
-    session: Optional[TuningSession], store, remote=None
-) -> Optional[TuningSession]:
-    """Combine the ``session=``, ``store=`` and ``remote=`` conveniences.
-
-    ``store`` may be a :class:`ShardedTuningStore` or a path to one (the same
-    coercion :class:`~repro.rewriter.workers.DistributedTuner` applies), so
-    the mistake surfaces at the API boundary rather than mid-compile.
-
-    ``remote`` is a tuning-daemon address — ``(host, port)`` or
-    ``"host:port"`` — and yields a
-    :class:`~repro.service.client.RemoteSession`; a ``store`` given
-    alongside becomes its offline fallback.  ``remote`` and ``session`` are
-    mutually exclusive (a session already encodes where tuning happens).
-    """
-    if remote is not None:
-        if session is not None:
-            raise ValueError(
-                "pass either remote= or session= (construct a RemoteSession "
-                "yourself to customise it), not both"
-            )
-        from ..service.client import RemoteSession
-
-        if isinstance(remote, str):
-            host, _, port = remote.rpartition(":")
-            remote = (host or "127.0.0.1", int(port))
-        return RemoteSession(remote, fallback_store=store)
-    if store is not None and not isinstance(store, ShardedTuningStore):
-        store = ShardedTuningStore(store)
-    if session is not None:
-        if store is not None and session.store is not store:
-            raise ValueError(
-                "pass either store= or a session constructed with that store, "
-                "not a session bound elsewhere"
-            )
-        return session
-    if store is not None:
-        return TuningSession(store=store)
-    return None
 
 
 def compile_model_batch(
@@ -456,9 +448,7 @@ def compile_model_batch(
     session: Optional[TuningSession] = None,
     quantize: bool = True,
     fuse: bool = True,
-    store=None,
     workers: Optional[int] = None,
-    remote=None,
 ) -> List[CompiledModel]:
     """Compile many models for many targets through one shared tuning session.
 
@@ -469,27 +459,17 @@ def compile_model_batch(
     re-tuning, which is what makes sweeping the model zoo cheap.  Returns one
     :class:`CompiledModel` per (model, target) pair, model-major.
 
-    ``store`` backs the batch's session with a sharded on-disk store, and
-    ``workers > 1`` additionally *pre-tunes* through it in parallel: every
+    ``workers > 1`` *pre-tunes* through ``session.store`` in parallel: every
     distinct tunable operator across the whole (model x target) sweep is
     collected, fanned out over that many worker processes
     (:class:`~repro.rewriter.workers.DistributedTuner`), and published into
     the store; the subsequent per-model compiles then run entirely against
-    warm records.  Results are bit-identical to the single-process path —
-    workers search with the result-deterministic parallel driver.
-
-    ``remote`` points the whole batch at a tuning daemon instead (see
-    :func:`compile_model`); the daemon replaces local pre-tuning, so it is
-    mutually exclusive with ``workers > 1`` — server-side coalescing already
-    ensures each distinct operator is searched once for the whole fleet.
+    warm records.  Results are bit-identical to the single-process path.
+    It therefore needs a store-backed session (``TuningSession(store=...)``)
+    — a tuning daemon already coalesces and pre-tunes for its whole fleet, so
+    a :class:`~repro.service.client.RemoteSession` has no ``store`` to fan
+    out into.
     """
-    if remote is not None and workers is not None and workers > 1:
-        raise ValueError(
-            "workers > 1 spawns local pre-tuning processes, which is "
-            "redundant against remote=: the daemon already coalesces and "
-            "speculatively pre-tunes; drop workers= or remote="
-        )
-    session = _resolve_session(session, store, remote)
     if session is None:
         session = TuningSession()
     from ..models.zoo import get_model
@@ -501,40 +481,21 @@ def compile_model_batch(
     if workers is not None and workers > 1:
         if session.store is None:
             raise ValueError(
-                "workers > 1 requires a sharded store (pass store= or a "
-                "store-backed session) so worker processes can share records"
+                "workers > 1 pre-tunes through session.store so worker "
+                "processes can share records: pass "
+                "session=TuningSession(store=...)"
             )
-        from ..rewriter.records import params_fingerprint
         from ..rewriter.workers import DistributedTuner, tasks_from_graph
 
-        tasks, seen = [], set()
+        tasks = {}
         for graph in graphs:
             for target in targets:
                 for task in tasks_from_graph(
                     graph, target=target, quantize=quantize, fuse=fuse
                 ):
-                    identity = (
-                        task.kind,
-                        params_fingerprint(task.params),
-                        task.runner,
-                        task.machine,
-                        task.intrinsic,
-                        task.tuning,
-                    )
-                    if identity not in seen:
-                        seen.add(identity)
-                        tasks.append(task)
+                    tasks.setdefault(task.identity, task)
         if tasks:
-            # The workers must search exactly as this session would: a
-            # strategy mismatch would publish records under keys the
-            # session's lookups (see TuningSession._record_key) never hit.
-            DistributedTuner(
-                session.store,
-                workers=workers,
-                strategy=session.strategy,
-                max_workers=session.max_workers,
-                early_exit_k=session.early_exit_k,
-            ).run(tasks)
+            DistributedTuner(session.store, workers=workers).run(list(tasks.values()))
 
     compiled: List[CompiledModel] = []
     for graph in graphs:

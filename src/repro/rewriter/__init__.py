@@ -10,37 +10,37 @@ driver profiles candidate configurations on the machine models.
 Tuning cache
 ------------
 
-Tuning outcomes are memoised in a persistent record store so that identical
-(workload, instruction, machine, search-space) problems are searched once.
-Create one :class:`TuningSession` and hand it to every runner (or experiment
-driver) that should share records::
+Tuning outcomes are memoised so that identical (workload, instruction,
+machine, search-space) problems are searched once.  Create one
+:class:`TuningSession` and hand it to every runner (or experiment driver)
+that should share records; ``session=`` is the one way to say where tuning
+happens and where its records live::
 
     from repro.core import UnitCpuRunner, compile_model_batch
     from repro.rewriter import TuningSession
 
-    session = TuningSession()                  # strategy="exhaustive" default
+    session = TuningSession()                  # in-memory: shared per process
     runner = UnitCpuRunner(session=session)    # tunes through the session
     compile_model_batch(["resnet-18", "resnet-50"], session=session)
 
-    session.save("tuning.jsonl")               # persist the records...
-    warm = TuningSession()
-    warm.load("tuning.jsonl")                  # ...and reload them later:
-    # every lookup now hits; zero tuning trials are performed.
+    session = TuningSession(store="tuning_store")   # ...and persistent:
+    compile_model_batch(["resnet-18"], session=session)
+    warm = TuningSession(store="tuning_store")      # later, or elsewhere
+    # every lookup now hits a shard; zero tuning trials are performed.
 
-``TuningSession(strategy="parallel")`` evaluates candidates on a thread pool
-(identical results, deterministic tie-breaking) and ``strategy="early_exit"``
-stops a search after ``early_exit_k`` non-improving candidates.  Hit/miss
-counters live on ``session.stats``; ``session.trials_run`` counts every
-profiled candidate, which is how tests assert that a warm cache does no work.
+A cache miss profiles every candidate (:func:`exhaustive_search`, the paper's
+one loop) and keeps the best.  Hit/miss counters live on ``session.stats``;
+``session.trials_run`` counts every profiled candidate, which is how tests
+assert that a warm cache does no work.
 
 Sharded store and distributed workers
 -------------------------------------
 
-For *concurrent* writers — several processes tuning into one cache — back the
-session with a :class:`ShardedTuningStore` (records partitioned across
-lock-protected append-only JSONL shards, versioned by schema and cost-model
-fingerprint) and optionally fan the tuning problems out across worker
-processes with :class:`DistributedTuner`::
+Records persist in exactly one format, a :class:`ShardedTuningStore`
+(records partitioned across lock-protected append-only JSONL shards,
+versioned by schema and cost-model fingerprint, safe for *concurrent*
+writers); :class:`TuningCache` is only the in-memory tier above it.  Fan the
+tuning problems out across worker processes with :class:`DistributedTuner`::
 
     from repro.rewriter import DistributedTuner, ShardedTuningStore, TuningSession
     from repro.rewriter.workers import tasks_from_layers
@@ -51,6 +51,10 @@ processes with :class:`DistributedTuner`::
 
     session = TuningSession(store=store)   # reads through: memory -> shard
     # ... every Table-1 record now hits without a single tuning trial.
+
+A :class:`TuningTask` names one tuning problem portably; it owns the
+derivation of its :class:`TuningKey` (``task.key()``) and of its dedup
+identity (``task.identity``), and :func:`task_from_key` inverts the former.
 """
 
 from .cpu_tuner import (
@@ -75,6 +79,7 @@ from .records import (
     TuningKey,
     TuningRecord,
     cost_model_fingerprint,
+    decode_record,
     decode_record_line,
     params_fingerprint,
     record_staleness,
@@ -93,14 +98,7 @@ from .workers import (
     tasks_from_graph,
     tasks_from_layers,
 )
-from .tuner import (
-    TuningResult,
-    TuningTrial,
-    early_exit_search,
-    exhaustive_search,
-    first_k_search,
-    parallel_search,
-)
+from .tuner import TuningResult, TuningTrial, exhaustive_search
 
 __all__ = [
     "TensorizeError",
@@ -122,9 +120,6 @@ __all__ = [
     "TuningResult",
     "TuningTrial",
     "exhaustive_search",
-    "first_k_search",
-    "parallel_search",
-    "early_exit_search",
     "TuningKey",
     "TuningRecord",
     "TuningCache",
@@ -135,6 +130,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "cost_model_fingerprint",
     "record_staleness",
+    "decode_record",
     "decode_record_line",
     "FileLock",
     "LockTimeout",

@@ -9,11 +9,14 @@ every runner, experiment and benchmark share one warm store:
 * :class:`TuningKey` — the identity of one tuning problem;
 * :class:`TuningRecord` — the outcome of solving it (best config, best cost,
   the full cost breakdown, and how many candidates were profiled);
-* :class:`TuningCache` — an in-memory index with JSON-lines persistence and
-  hit/miss accounting.
+* :class:`TuningCache` — the in-memory index with hit/miss accounting;
+* :func:`decode_record` / :func:`decode_record_line` — the one gate every
+  record passes on its way in from disk or the wire.
 
-:class:`~repro.rewriter.session.TuningSession` builds the search driver on
-top of this store.
+Records persist only through
+:class:`~repro.rewriter.store.ShardedTuningStore`;
+:class:`~repro.rewriter.session.TuningSession` puts the search driver on top
+of both tiers.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "cost_model_fingerprint",
     "record_staleness",
+    "decode_record",
     "decode_record_line",
 ]
 
@@ -82,8 +86,7 @@ def record_staleness(data: Dict) -> Optional[str]:
 
     A line is stale when it predates record versioning entirely, was written
     under a different schema version, or was tuned under a different cost
-    model.  The reason string feeds the loader's :class:`CacheStats`
-    accounting and error messages.
+    model.  The reason string is for error messages.
     """
     schema = data.get("schema")
     if schema != SCHEMA_VERSION:
@@ -94,17 +97,18 @@ def record_staleness(data: Dict) -> Optional[str]:
     return None
 
 
-def decode_record_line(line: str):
-    """Decode one persisted JSONL line: ``(record, None)`` on success,
-    ``(None, "corrupt")`` for undecodable bytes (torn tails, interleaved
-    writes, JSON-valid non-objects), ``(None, "stale")`` for well-formed
-    records from another schema version or cost model.
+def decode_record(data):
+    """Decode one parsed record: ``(record, None)`` on success,
+    ``(None, "corrupt")`` for anything that is not a well-formed record
+    object (JSON-valid non-objects included), ``(None, "stale")`` for
+    well-formed records from another schema version or cost model.
 
-    The single definition of "valid line" shared by :meth:`TuningCache.load`
-    and the sharded store, so both loaders always agree on what is servable.
+    The single definition of "servable record", shared by the shard files
+    (:func:`decode_record_line`) and everything that takes records off the
+    wire (the daemon's ``put`` and replication feed, the client), so disk
+    and TCP always agree on what may be served.
     """
     try:
-        data = json.loads(line)
         if not isinstance(data, dict):
             return None, "corrupt"
         if record_staleness(data) is not None:
@@ -112,6 +116,16 @@ def decode_record_line(line: str):
         return TuningRecord.from_json(data), None
     except (ValueError, KeyError, TypeError):
         return None, "corrupt"
+
+
+def decode_record_line(line: str):
+    """:func:`decode_record` for one persisted JSONL line; undecodable bytes
+    (torn tails, interleaved writes) are ``(None, "corrupt")`` too."""
+    try:
+        data = json.loads(line)
+    except ValueError:
+        return None, "corrupt"
+    return decode_record(data)
 
 
 def params_fingerprint(params) -> Tuple[Tuple[str, object], ...]:
@@ -253,18 +267,11 @@ class TuningRecord:
 
 @dataclass
 class CacheStats:
-    """Hit/miss accounting for one :class:`TuningCache`.
-
-    ``corrupt`` counts persisted lines that could not be decoded at all
-    (truncated tails, interleaved writes); ``stale`` counts well-formed lines
-    dropped by version/cost-model checks (:func:`record_staleness`).
-    """
+    """Hit/miss accounting for one :class:`TuningCache`."""
 
     hits: int = 0
     misses: int = 0
     size: int = 0
-    corrupt: int = 0
-    stale: int = 0
 
     @property
     def lookups(self) -> int:
@@ -276,7 +283,7 @@ class CacheStats:
 
 
 class TuningCache:
-    """An in-memory index of tuning records with JSON-lines persistence.
+    """The in-memory tier: an index of tuning records.
 
     Lookups count hits and misses; repeated lookups of the same key return the
     *same* record object, so downstream consumers keep the cheap identity
@@ -287,8 +294,6 @@ class TuningCache:
         self._records: Dict[TuningKey, TuningRecord] = {}
         self._hits = 0
         self._misses = 0
-        self._corrupt = 0
-        self._stale = 0
 
     def __len__(self) -> int:
         return len(self._records)
@@ -326,63 +331,7 @@ class TuningCache:
     def reset_stats(self) -> None:
         self._hits = 0
         self._misses = 0
-        self._corrupt = 0
-        self._stale = 0
 
     @property
     def stats(self) -> CacheStats:
-        return CacheStats(
-            hits=self._hits,
-            misses=self._misses,
-            size=len(self._records),
-            corrupt=self._corrupt,
-            stale=self._stale,
-        )
-
-    # -- persistence ----------------------------------------------------------
-    def save(self, path) -> int:
-        """Write every record to ``path`` as JSON lines; returns the count."""
-        records = self.records()
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
-        return len(records)
-
-    def load(self, path, strict: bool = False) -> int:
-        """Merge records from ``path`` into this cache; returns the count read.
-
-        Loaded records overwrite in-memory records with the same key, so a
-        cache file is authoritative over whatever was tuned before the load.
-
-        A reader may race a writer that has appended only part of a line, or
-        inherit a file truncated by a crash; such undecodable lines are
-        skipped and counted (``stats.corrupt``) rather than raised, so the
-        valid prefix of the file is always usable.  Well-formed records
-        written under a different schema version or cost-model fingerprint
-        are likewise skipped and counted (``stats.stale``).  Pass
-        ``strict=True`` to raise on the first corrupt line instead.
-        """
-        count = 0
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record, problem = decode_record_line(line)
-                if record is None:
-                    if problem == "stale":
-                        self._stale += 1
-                    elif strict:
-                        raise ValueError(f"corrupt tuning-record line: {line[:80]!r}")
-                    else:
-                        self._corrupt += 1
-                    continue
-                self.insert(record)
-                count += 1
-        return count
-
-    @classmethod
-    def from_file(cls, path) -> "TuningCache":
-        cache = cls()
-        cache.load(path)
-        return cache
+        return CacheStats(hits=self._hits, misses=self._misses, size=len(self._records))

@@ -1,40 +1,26 @@
-"""The shared tuning session: one cache, one search policy, many runners.
+"""The shared tuning session: one cache, one search, many runners.
 
 A :class:`TuningSession` is what the operator runners (``UnitCpuRunner``,
 ``UnitGpuRunner``) and the baseline library runners share so that identical
 (workload, instruction, machine, search-space) problems are tuned exactly
-once per process — and, via :meth:`TuningSession.save` / :meth:`load`, once
-per *machine*.  The session also selects the search driver (exhaustive,
-thread-parallel or early-exit) and accounts for every profiling trial it
-performs, which is how the experiment suite verifies that a warm cache does
-zero tuning work.
+once per process — and, when the session is backed by a
+:class:`~repro.rewriter.store.ShardedTuningStore`, once per *machine*.  The
+session accounts for every profiling trial it performs, which is how the
+experiment suite verifies that a warm cache does zero tuning work.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import os
 from typing import Callable, Optional, Sequence
 
 from ..hwsim.cost import CostBreakdown
 from ..telemetry import metrics as _metrics, trace as _trace
 from .records import TuningCache, TuningKey, TuningRecord
-from .tuner import (
-    TuningResult,
-    early_exit_search,
-    exhaustive_search,
-    parallel_search,
-)
+from .store import ShardedTuningStore
+from .tuner import exhaustive_search
 
-__all__ = ["TuningSession", "SEARCH_STRATEGIES"]
-
-SEARCH_STRATEGIES = ("exhaustive", "parallel", "early_exit")
-
-# Strategies that may return a different (approximate) result than profiling
-# every candidate.  Their records must not be served to — or persisted for —
-# sessions expecting the exhaustive optimum, so they tune under their own key
-# namespace.  "parallel" is absent on purpose: it profiles every candidate
-# with deterministic tie-breaking and is result-identical to "exhaustive".
-_APPROXIMATE_STRATEGIES = ("early_exit",)
+__all__ = ["TuningSession"]
 
 
 def _apply_validation_policy(oracle, precheck, validation):
@@ -63,63 +49,29 @@ def _apply_validation_policy(oracle, precheck, validation):
 
 
 class TuningSession:
-    """Shared tuning state: a record cache plus a search strategy.
+    """Shared tuning state: an in-memory record cache over an optional store.
 
-    ``strategy`` selects the driver used on a cache miss: ``"exhaustive"``
-    profiles every candidate, ``"parallel"`` profiles them on a thread pool
-    (same result, deterministic tie-breaking), ``"early_exit"`` stops after
-    ``early_exit_k`` consecutive candidates fail to improve the best cost.
+    A cache miss profiles every candidate
+    (:func:`~repro.rewriter.tuner.exhaustive_search`) and keeps the best.
 
     ``store`` optionally backs the session with a
-    :class:`~repro.rewriter.store.ShardedTuningStore`: lookups read through
-    (memory -> shard -> miss) and every fresh search's record is written
-    through to the store, so concurrent sessions in other processes — e.g.
+    :class:`~repro.rewriter.store.ShardedTuningStore` (or the path of one —
+    the only way records persist): lookups read through (memory -> shard ->
+    miss) and every fresh search's record is written through to the store,
+    so later sessions and concurrent sessions in other processes — e.g.
     :class:`~repro.rewriter.workers.DistributedTuner` workers — see each
     other's winners.
     """
 
-    def __init__(
-        self,
-        cache: Optional[TuningCache] = None,
-        strategy: str = "exhaustive",
-        max_workers: Optional[int] = None,
-        early_exit_k: int = 8,
-        store=None,
-    ) -> None:
-        if strategy not in SEARCH_STRATEGIES:
-            raise ValueError(f"strategy must be one of {SEARCH_STRATEGIES}")
-        self.cache = cache if cache is not None else TuningCache()
-        self.strategy = strategy
-        self.max_workers = max_workers
-        self.early_exit_k = early_exit_k
+    def __init__(self, store=None) -> None:
+        if isinstance(store, (str, os.PathLike)):
+            store = ShardedTuningStore(store)
+        self.cache = TuningCache()
         self.store = store
         self.store_hits = 0
         self.trials_run = 0
         self.searches_run = 0
         self.candidates_rejected = 0
-
-    # -- search dispatch ------------------------------------------------------
-    def _record_key(self, key: TuningKey) -> TuningKey:
-        if self.strategy in _APPROXIMATE_STRATEGIES:
-            space = f"{key.space}!{self.strategy}:{self.early_exit_k}"
-            return dataclasses.replace(key, space=space)
-        return key
-
-    def _search(
-        self,
-        candidates: Sequence,
-        evaluate_cost: Callable[[object], float],
-        precheck: Optional[Callable[[object], None]] = None,
-    ) -> TuningResult:
-        if self.strategy == "parallel":
-            return parallel_search(
-                candidates, evaluate_cost, max_workers=self.max_workers, precheck=precheck
-            )
-        if self.strategy == "early_exit":
-            return early_exit_search(
-                candidates, evaluate_cost, k=self.early_exit_k, precheck=precheck
-            )
-        return exhaustive_search(candidates, evaluate_cost, precheck=precheck)
 
     # -- the two entry points -------------------------------------------------
     def tune(
@@ -162,7 +114,6 @@ class TuningSession:
         ``candidates_rejected``.
         """
         oracle, precheck = _apply_validation_policy(oracle, precheck, validation)
-        key = self._record_key(key)
         record = self._lookup(key)
         if record is not None:
             return record
@@ -183,7 +134,7 @@ class TuningSession:
         the lookup and the local search without duplicating this body.
         """
         with _trace.span("tuner.search", kind=key.kind) as sp:
-            result = self._search(
+            result = exhaustive_search(
                 candidates, lambda cfg: evaluate(cfg).seconds, precheck
             )
             sp.set(trials=result.num_trials, rejected=result.rejected)
@@ -245,13 +196,7 @@ class TuningSession:
         if self.store is not None:
             self.store.put(record)
 
-    # -- persistence + accounting --------------------------------------------
-    def save(self, path) -> int:
-        return self.cache.save(path)
-
-    def load(self, path) -> int:
-        return self.cache.load(path)
-
+    # -- accounting ---------------------------------------------------------
     @property
     def stats(self):
         return self.cache.stats
@@ -263,7 +208,7 @@ class TuningSession:
             f", {self.candidates_rejected} rejected" if self.candidates_rejected else ""
         )
         return (
-            f"TuningSession[{self.strategy}]: {s.size} records, "
+            f"TuningSession: {s.size} records, "
             f"{s.hits} hits / {s.misses} misses ({s.hit_rate:.0%}){store}, "
             f"{self.trials_run} trials in {self.searches_run} searches{rejected}"
         )

@@ -1,9 +1,9 @@
 """Sharded on-disk tuning store: many concurrent writers, one warm cache.
 
-:class:`~repro.rewriter.records.TuningCache` persists as a single JSONL file
-written wholesale, which is perfect for one process and fatal for two — the
-second ``save`` silently clobbers the first.  This module is the multi-writer
-storage layer underneath it:
+The one persistent home of tuning records.  A single JSONL file written
+wholesale is perfect for one process and fatal for two — the second writer
+silently clobbers the first — so records live in a store built for
+concurrent writers from the start:
 
 * records are partitioned across N JSONL *shard* files by a stable hash of
   their :class:`~repro.rewriter.records.TuningKey`, so concurrent writers of

@@ -8,18 +8,10 @@ the target platform, which plays the role of the physical machine.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Generic, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Generic, List, Optional, Sequence, Tuple, TypeVar
 
-__all__ = [
-    "TuningTrial",
-    "TuningResult",
-    "exhaustive_search",
-    "first_k_search",
-    "parallel_search",
-    "early_exit_search",
-]
+__all__ = ["TuningTrial", "TuningResult", "exhaustive_search"]
 
 ConfigT = TypeVar("ConfigT")
 
@@ -128,96 +120,6 @@ def exhaustive_search(
         if best is None or cost < best.cost:
             best = trial
     assert best is not None
-    return TuningResult(
-        best_config=best.config, best_cost=best.cost, trials=trials, rejected=rejected
-    )
-
-
-def first_k_search(
-    candidates: Sequence[ConfigT],
-    evaluate: Callable[[ConfigT], float],
-    k: int,
-    precheck: Optional[PrecheckT] = None,
-) -> TuningResult:
-    """Profile only the first ``k`` candidates (budgeted tuning)."""
-    return exhaustive_search(list(candidates)[: max(1, k)], evaluate, precheck=precheck)
-
-
-def parallel_search(
-    candidates: Sequence[ConfigT],
-    evaluate: Callable[[ConfigT], float],
-    max_workers: Optional[int] = None,
-    precheck: Optional[PrecheckT] = None,
-) -> TuningResult:
-    """Profile every candidate on a thread pool.
-
-    Candidate evaluation order is nondeterministic but the outcome is not:
-    trials are re-assembled in candidate order and ties break toward the
-    lowest index, so the returned :class:`TuningResult` is identical to what
-    :func:`exhaustive_search` produces on the same inputs.  The precheck runs
-    serially up front (it is a cheap static pass) so rejection is
-    deterministic too.
-    """
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("tuning requires at least one candidate configuration")
-    kept, rejected = _prefilter(candidates, precheck)
-    if not kept:
-        raise ValueError("the precheck rejected every candidate configuration")
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        costs = list(pool.map(lambda pair: float(evaluate(pair[1])), kept))
-    trials = [
-        TuningTrial(config=config, cost=cost, index=index)
-        for (index, config), cost in zip(kept, costs)
-    ]
-    best = min(trials, key=lambda t: (t.cost, t.index))
-    return TuningResult(
-        best_config=best.config, best_cost=best.cost, trials=trials, rejected=rejected
-    )
-
-
-def early_exit_search(
-    candidates: Sequence[ConfigT],
-    evaluate: Callable[[ConfigT], float],
-    k: int = 8,
-    precheck: Optional[PrecheckT] = None,
-) -> TuningResult:
-    """Profile candidates in order, stopping after ``k`` consecutive
-    non-improving trials.
-
-    The candidate orderings in this repo place likely-best configurations
-    first (the paper's ">95% optimal within the first eight pairs"
-    observation), so a small ``k`` recovers nearly all of the exhaustive
-    result at a fraction of the trials.  Rejected candidates (``precheck``
-    raised) produce no trial and do not count toward the exit window.
-    """
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("tuning requires at least one candidate configuration")
-    k = max(1, k)
-    trials: List[TuningTrial] = []
-    best: Optional[TuningTrial] = None
-    rejected = 0
-    since_improvement = 0
-    for index, config in enumerate(candidates):
-        if precheck is not None:
-            try:
-                precheck(config)
-            except Exception:
-                rejected += 1
-                continue
-        cost = float(evaluate(config))
-        trial = TuningTrial(config=config, cost=cost, index=index)
-        trials.append(trial)
-        if best is None or cost < best.cost:
-            best = trial
-            since_improvement = 0
-        else:
-            since_improvement += 1
-            if since_improvement >= k:
-                break
-    if best is None:
-        raise ValueError("the precheck rejected every candidate configuration")
     return TuningResult(
         best_config=best.config, best_cost=best.cost, trials=trials, rejected=rejected
     )

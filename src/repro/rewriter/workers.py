@@ -1,11 +1,9 @@
 """Distributed tuning workers: many processes, one sharded record store.
 
 The paper's tuning loop is embarrassingly parallel across *tuning problems*
-(one per distinct workload x instruction x machine x space), and PR 1 already
-parallelised the candidate evaluations of a single problem across threads.
-This module adds the missing axis: a pool of **processes** that split the
-problem space and publish their winners into one
-:class:`~repro.rewriter.store.ShardedTuningStore`.
+(one per distinct workload x instruction x machine x space).  This module is
+that axis: a pool of **processes** that split the problem space and publish
+their winners into one :class:`~repro.rewriter.store.ShardedTuningStore`.
 
 * a :class:`TuningTask` names one tuning problem in picklable, process-
   portable terms (workload params + runner/machine/intrinsic/space names);
@@ -15,11 +13,10 @@ problem space and publish their winners into one
 * :class:`DistributedTuner` spawns N worker processes; each builds its own
   runner and a :class:`~repro.rewriter.session.TuningSession` backed by the
   shared store, claims slices until the lease is exhausted, and runs the
-  in-process search (``parallel_search`` / ``early_exit_search`` — the
-  session's strategy) for each claimed task.
+  in-process search for each claimed task.
 
-Because every task is searched whole by exactly one worker with a
-result-deterministic strategy, reloading the store afterwards yields
+Because every task is searched whole by exactly one worker with the one
+deterministic search driver, reloading the store afterwards yields
 bit-identical best configs to a single-process
 :meth:`TuningSession.tune <repro.rewriter.session.TuningSession.tune>` sweep
 — asserted by the test suite and the CI ``tuning-stress`` job.
@@ -60,6 +57,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set
 from ..retry import RetryPolicy
 from ..telemetry import metrics as _metrics, trace as _trace
 from ..testing import faults
+from .records import TuningKey, params_fingerprint
 from .session import TuningSession
 from .store import FileLock, LockTimeout, ShardedTuningStore, StoreStats
 
@@ -86,13 +84,6 @@ _TASK_METHODS = {
     "dense": "dense_latency",
 }
 
-# Per-target runner construction defaults, mirroring ``compile_model``.
-_TARGET_RUNNERS = {
-    "x86": ("cpu", "cascade-lake", "x86.avx512.vpdpbusd", "full"),
-    "arm": ("cpu", "graviton2", "arm.neon.sdot", "full"),
-    "cuda": ("gpu", "v100", "nvvm.wmma.m16n16k16.mma.row.row.f32.f32", "tune"),
-}
-
 
 @dataclass(frozen=True)
 class TuningTask:
@@ -115,18 +106,30 @@ class TuningTask:
         name = getattr(self.params, "describe", lambda: repr(self.params))()
         return f"{self.kind}[{name}] on {self.machine}/{self.intrinsic} ({self.tuning})"
 
+    @property
+    def identity(self):
+        """The hashable dedup identity: equal exactly when two tasks tune the
+        same problem (the layer ``name`` is excluded, as in the record key)."""
+        return (
+            self.kind,
+            params_fingerprint(self.params),
+            self.runner,
+            self.machine,
+            self.intrinsic,
+            self.tuning,
+        )
 
-def build_runner(task: TuningTask, session: TuningSession):
+    def key(self) -> TuningKey:
+        """The :class:`TuningKey` this task tunes under, derived without
+        running any search (build the runner, ask it)."""
+        return build_runner(self, None).tuning_key(self.kind, self.params)
+
+
+def build_runner(task: TuningTask, session: Optional[TuningSession]):
     """Construct the operator runner a task tunes through."""
-    from ..core.pipeline import UnitCpuRunner, UnitGpuRunner
-    from ..hwsim.machine import machine_by_name
+    from ..core.pipeline import unit_runner
 
-    machine = machine_by_name(task.machine)
-    if task.runner == "cpu":
-        return UnitCpuRunner(machine, task.intrinsic, tuning=task.tuning, session=session)
-    if task.runner == "gpu":
-        return UnitGpuRunner(machine, task.intrinsic, mode=task.tuning, session=session)
-    raise ValueError(f"unknown runner kind {task.runner!r}")
+    return unit_runner(task.runner, task.machine, task.intrinsic, task.tuning, session)
 
 
 def run_task(task: TuningTask, session: TuningSession):
@@ -168,28 +171,19 @@ def tasks_from_graph(
 ) -> List[TuningTask]:
     """The tuning problems ``compile_model(graph, target)`` would hit.
 
-    Applies the same graph passes as ``compile_model`` and collects one task
-    per *distinct* tunable operator (convolutions and dense layers — the
-    nodes the default UNIT runners search a schedule space for), so a
+    Applies ``compile_model``'s own graph passes and target row, and collects
+    one task per *distinct* tunable operator (convolutions and dense layers —
+    the nodes the default UNIT runners search a schedule space for), so a
     distributed pre-tuning pass warms exactly the records the subsequent
     compile will look up.
     """
-    if target not in _TARGET_RUNNERS:
-        raise ValueError(f"unknown target {target!r}")
-    from ..graph.fuse import fuse_elementwise
+    from ..core.pipeline import TARGETS, prepare_graph
     from ..graph.ir import Conv2DNode, DenseNode
-    from ..graph.quantize import quantize_graph
-    from .records import params_fingerprint
 
-    runner, machine, intrinsic, tuning = _TARGET_RUNNERS[target]
-    work = graph
-    if quantize:
-        work = quantize_graph(work, "float16" if target == "cuda" else "int8")
-    if fuse:
-        work = fuse_elementwise(work)
+    work = prepare_graph(graph, target, quantize, fuse)
+    row = TARGETS[target]
     work.infer_shapes()
-    tasks: List[TuningTask] = []
-    seen = set()
+    tasks: Dict[object, TuningTask] = {}
     for node in work.nodes:
         if isinstance(node, Conv2DNode):
             kind, params = "conv2d", node.conv_params()
@@ -197,21 +191,16 @@ def tasks_from_graph(
             kind, params = "dense", node.dense_params()
         else:
             continue
-        identity = (kind, params_fingerprint(params))
-        if identity in seen:
-            continue
-        seen.add(identity)
-        tasks.append(
-            TuningTask(
-                kind=kind,
-                params=params,
-                runner=runner,
-                machine=machine,
-                intrinsic=intrinsic,
-                tuning=tuning,
-            )
+        task = TuningTask(
+            kind=kind,
+            params=params,
+            runner=row.runner,
+            machine=row.machine,
+            intrinsic=row.intrinsic,
+            tuning=row.tuning,
         )
-    return tasks
+        tasks.setdefault(task.identity, task)
+    return list(tasks.values())
 
 
 _CPU_MODES = ("parallel", "first_pair", "full")
@@ -230,11 +219,10 @@ def task_from_key(key) -> Optional[TuningTask]:
     request — can run the search itself.
 
     Returns ``None`` for keys that cannot round-trip: library-baseline
-    spaces, approximate-strategy namespaces (``...!early_exit:k``), custom
-    candidate lists (their space digest will not match the rebuilt runner's
-    — the caller must verify, see :func:`repro.service.server`), unknown
-    machines, or parameter tuples that do not rebuild the workload
-    dataclass.
+    spaces, custom candidate lists (their space digest will not match the
+    rebuilt runner's — the caller must verify, see
+    :func:`repro.service.server`), unknown machines, or parameter tuples
+    that do not rebuild the workload dataclass.
     """
     from ..hwsim.machine import GpuSpec, machine_by_name
     from ..workloads.conv2d import Conv2DParams
@@ -243,7 +231,7 @@ def task_from_key(key) -> Optional[TuningTask]:
 
     param_types = {"conv2d": Conv2DParams, "conv3d": Conv3DParams, "dense": DenseParams}
     cls = param_types.get(key.kind)
-    if cls is None or "@" not in key.space or "!" in key.space:
+    if cls is None or "@" not in key.space:
         return None
     label = key.space.split("@", 1)[0]
     try:
@@ -257,8 +245,6 @@ def task_from_key(key) -> Optional[TuningTask]:
         params = cls(**dict(key.params))
     except TypeError:
         return None
-    from .records import params_fingerprint
-
     if params_fingerprint(params) != tuple(key.params):
         return None
     return TuningTask(
@@ -575,9 +561,6 @@ def _worker_main(
     shards: int,
     tasks: Sequence[TuningTask],
     lease_path: str,
-    strategy: str,
-    max_workers: Optional[int],
-    early_exit_k: int,
     batch: int,
     lock_timeout: float,
     queue,
@@ -586,12 +569,7 @@ def _worker_main(
     """Worker entry point (module-level so ``spawn`` contexts can pickle it)."""
     start = time.perf_counter()
     store = ShardedTuningStore(store_root, shards=shards, lock_timeout=lock_timeout)
-    session = TuningSession(
-        store=store,
-        strategy=strategy,
-        max_workers=max_workers,
-        early_exit_k=early_exit_k,
-    )
+    session = TuningSession(store=store)
     lease = LeaseFile(lease_path, timeout=lock_timeout)
     heartbeat = Heartbeat(
         heartbeat_path(lease_path, worker_id), worker_id, interval=heartbeat_interval
@@ -695,9 +673,6 @@ class _Supervisor:
                 tuner.store.num_shards,
                 self.tasks,
                 self.lease.path,
-                tuner.strategy,
-                tuner.max_workers,
-                tuner.early_exit_k,
                 tuner.batch,
                 tuner.store.lock_timeout,
                 self.queue,
@@ -942,12 +917,10 @@ class _Supervisor:
 class DistributedTuner:
     """A pool of tuning worker processes feeding one sharded store.
 
-    ``strategy``/``max_workers``/``early_exit_k`` configure each worker's
-    in-process search (see :class:`TuningSession`); the default ``"parallel"``
-    strategy is result-identical to exhaustive search, preserving the
-    bit-identical-to-single-process guarantee.  ``batch`` is how many tasks a
-    worker leases at a time: 1 maximises balance, larger batches reduce lease
-    traffic.
+    Each worker searches through its own store-backed
+    :class:`TuningSession`, so winners are bit-identical to a single-process
+    sweep.  ``batch`` is how many tasks a worker leases at a time: 1
+    maximises balance, larger batches reduce lease traffic.
 
     ``start_method`` picks the :mod:`multiprocessing` context (``"fork"`` on
     POSIX by default, ``"spawn"`` elsewhere — both are supported since the
@@ -965,9 +938,6 @@ class DistributedTuner:
         self,
         store: ShardedTuningStore,
         workers: int = 4,
-        strategy: str = "parallel",
-        max_workers: Optional[int] = None,
-        early_exit_k: int = 8,
         batch: int = 1,
         start_method: Optional[str] = None,
         join_timeout: float = 300.0,
@@ -987,9 +957,6 @@ class DistributedTuner:
             raise ValueError("poison_threshold must be at least 1")
         self.store = store
         self.workers = workers
-        self.strategy = strategy
-        self.max_workers = max_workers
-        self.early_exit_k = early_exit_k
         self.batch = batch
         self.start_method = start_method
         self.join_timeout = join_timeout

@@ -7,8 +7,9 @@ serve      run the daemon in the foreground over a store directory; with
 status     print the daemon's stats (requests, coalescing, store, caches)
 health     print the daemon's failover probe (role, replication lag, load)
 gc         run LRU store eviction on the daemon (``--max-records/--max-idle``)
-warm       pre-tune a named sweep into the daemon's store (``table1[:k]`` or
-           a model-zoo name such as ``resnet-18``)
+warm       pre-tune a named sweep into the daemon's store (``table1``,
+           ``table1:K`` for its first K layers, or a model-zoo name such as
+           ``resnet-18``)
 ping       liveness probe
 fsck       audit a store directory *offline* (no daemon): quarantine torn
            shard lines, sweep leftover compaction temp files
@@ -64,15 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=8, help="shard count on creation")
     serve.add_argument(
         "--strategy",
-        choices=("parallel", "exhaustive"),
-        default="parallel",
-        help="search driver (both are result-deterministic)",
-    )
-    serve.add_argument(
-        "--search-workers",
-        type=int,
-        default=None,
-        help="thread-pool width of each parallel search",
+        choices=("exhaustive",),
+        default="exhaustive",
+        help="fixed: exhaustive search is the only driver (still parsed "
+        "because existing launch lines pass it)",
     )
     serve.add_argument(
         "--no-speculate",
@@ -156,8 +152,6 @@ def main(argv=None) -> int:
             host=args.host,
             port=args.port,
             shards=args.shards,
-            strategy=args.strategy,
-            max_workers=args.search_workers,
             speculative=not args.no_speculate,
             replicate_from=args.replicate_from,
             sync_interval_s=args.sync_interval,

@@ -20,7 +20,7 @@ machine-readable ``code`` (e.g. ``"version_mismatch"``, ``"untunable"``).
 and every figure driver in :mod:`repro.core.experiments` tune against the
 daemon transparently.  On a miss it first asks the server to run the search
 (coalesced fleet-wide — see :mod:`repro.service.server`); only if the server
-declines (custom candidate lists, approximate strategies) or is unreachable
+declines (custom candidate lists, library baselines) or is unreachable
 does it search locally.  Degradation is governed by a
 :class:`~repro.retry.CircuitBreaker`: classified-fatal outages open it for
 an escalating cooldown, half-open probes test recovery, and a protocol
@@ -43,7 +43,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..hwsim.cost import CostBreakdown
 from ..retry import CircuitBreaker, RetryPolicy
 from ..telemetry import metrics as _metrics
-from ..rewriter.records import TuningCache, TuningKey, TuningRecord, record_staleness
+from ..rewriter.records import TuningKey, TuningRecord, decode_record
 from ..rewriter.session import TuningSession
 from ..rewriter.store import ShardedTuningStore
 from . import protocol
@@ -295,15 +295,16 @@ class ServiceClient:
         return self.request("health")
 
     @staticmethod
-    def _decode_record(data: dict) -> TuningRecord:
-        """Decode a record off the wire with the same staleness gate the
-        shard files apply: a winner tuned under a *different cost model*
-        than this client's (the schema version is already envelope-checked)
-        is as unservable over TCP as it is from disk."""
-        staleness = record_staleness(data)
-        if staleness is not None:
-            raise ServiceError(f"record rejected: {staleness}", "stale_record")
-        return TuningRecord.from_json(data)
+    def _decode_record(data) -> TuningRecord:
+        """Decode a record off the wire through the same gate the shard
+        files apply: a winner tuned under a *different cost model* than this
+        client's (the schema version is already envelope-checked) is as
+        unservable over TCP as it is from disk."""
+        record, problem = decode_record(data)
+        if record is None:
+            code = "stale_record" if problem == "stale" else "corrupt"
+            raise ServiceError(f"record rejected: {problem}", code)
+        return record
 
     def get(self, key: TuningKey) -> Optional[TuningRecord]:
         response = self.request("get", key=key.to_json())
@@ -445,19 +446,12 @@ class RemoteSession(TuningSession):
     half-open probe then tests recovery.  While open, lookups and publishes
     fall back to ``fallback_store`` (a local :class:`ShardedTuningStore` or
     path, optional).  A protocol version mismatch trips the breaker
-    permanently.  ``strategy`` must stay result-deterministic for
-    server-tuned records to be interchangeable with local ones; the
-    approximate ``early_exit`` namespace is never sent to the server (its
-    keys are declined there by construction).
+    permanently.
     """
 
     def __init__(
         self,
         address,
-        cache: Optional[TuningCache] = None,
-        strategy: str = "exhaustive",
-        max_workers: Optional[int] = None,
-        early_exit_k: int = 8,
         fallback_store=None,
         timeout: float = 10.0,
         tune_timeout: float = 300.0,
@@ -468,13 +462,7 @@ class RemoteSession(TuningSession):
         speculate: Optional[str] = None,
         server_tune: bool = True,
     ) -> None:
-        super().__init__(
-            cache=cache,
-            strategy=strategy,
-            max_workers=max_workers,
-            early_exit_k=early_exit_k,
-            store=None,
-        )
+        super().__init__()
         self.client = ServiceClient(
             address,
             timeout=timeout,
@@ -606,11 +594,10 @@ class RemoteSession(TuningSession):
         from ..rewriter.session import _apply_validation_policy
 
         oracle, precheck = _apply_validation_policy(oracle, precheck, validation)
-        key = self._record_key(key)
         record = self._lookup(key)
         if record is not None:
             return record
-        if self.server_tune and self.online and "!" not in key.space:
+        if self.server_tune and self.online:
             try:
                 record = self.client.tune(key, sweep=self.speculate)
             except ServiceUnavailable:

@@ -15,20 +15,20 @@ keys, while three mechanisms keep the fleet from duplicating work:
   requester leads it, the rest park on an event and receive the *same*
   record, so each unique key is searched at most once fleet-wide;
 * **speculative tuning** — a ``tune`` request may name the sweep its key
-  belongs to (a model-zoo model or ``"table1"``); the remaining layers of
-  that sweep are queued and pre-tuned by a background thread whenever no
-  foreground request is in flight, so a client compiling a model layer by
-  layer finds layers N+1.. already warm.
+  belongs to (a model-zoo model, ``"table1"`` or ``"table1:K"``); the
+  remaining layers of that sweep are queued and pre-tuned by a background
+  thread whenever no foreground request is in flight, so a client compiling
+  a model layer by layer finds layers N+1.. already warm.
 
 Server-side searches reuse the :mod:`repro.rewriter.workers` machinery:
 the requested key is inverted back into a
 :class:`~repro.rewriter.workers.TuningTask` (:func:`task_from_key`) and run
-through :func:`~repro.rewriter.workers.run_task` with a result-deterministic
-strategy, so winners are bit-identical to a single-process local sweep.
-Keys that cannot round-trip (custom candidate lists, approximate-strategy
-namespaces, library baselines) are declined with ``code="untunable"`` and
-the client searches locally instead — correctness never depends on the
-server being able to rebuild the search.
+through :func:`~repro.rewriter.workers.run_task` — the same search every
+local session runs — so winners are bit-identical to a single-process local
+sweep.  Keys that cannot round-trip (custom candidate lists, library
+baselines) are declined with ``code="untunable"`` and the client searches
+locally instead — correctness never depends on the server being able to
+rebuild the search.
 
 A daemon started with ``replicate_from=`` (CLI ``--replicate-from``) runs
 as a **replica**: a background thread pulls newly appended shard lines from
@@ -54,10 +54,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..dsl.expr import expr_cache_stats
-from ..rewriter.records import TuningKey, TuningRecord, decode_record_line
+from ..core.pipeline import TARGETS
+from ..hwsim.machine import machine_by_name
+from ..rewriter.records import TuningKey, TuningRecord, decode_record
 from ..rewriter.session import TuningSession
 from ..rewriter.store import ShardedTuningStore
-from ..rewriter.workers import TuningTask, run_task, task_from_key, tasks_from_layers
+from ..rewriter.workers import TuningTask, run_task, task_from_key, tasks_from_graph
 from ..telemetry import metrics as _metrics, trace as _trace
 from ..testing import faults
 from . import protocol
@@ -150,61 +152,66 @@ class _Inflight:
         self.waiters = 0
 
 
-_SWEEP_TARGETS = {
-    # machine short/long name fragments -> compile_model target
-    "cascade": "x86",
-    "graviton": "arm",
-    "v100": "cuda",
-}
-
-
 def expand_sweep(name: str, like: Optional[TuningTask]) -> List[TuningTask]:
     """The task list a sweep name stands for.
 
-    ``"table1"`` (optionally ``"table1[:k]"``) is the Table I layer set;
-    any other name is resolved through the model zoo and expanded to the
-    distinct tunable operators ``compile_model`` would hit.  ``like`` (the
-    task of the request that named the sweep) supplies the machine,
-    intrinsic and tuning mode so speculation warms exactly the records the
-    requester's siblings will look up; without it the target defaults.
+    ``"table1"`` is the Table I layer set and ``"table1:K"`` (``K`` a
+    positive integer) its first ``K`` layers; any other name is resolved
+    through the model zoo and expanded to the distinct tunable operators
+    ``compile_model`` would hit.  ``like`` (the task of the request that
+    named the sweep) supplies the runner, machine, intrinsic and tuning mode
+    for either kind of sweep, so speculation warms exactly the records the
+    requester's siblings will look up; without it the sweep is expanded for
+    the ``"x86"`` target.  Anything else raises :class:`ValueError` naming
+    the sweep.
     """
-    from ..rewriter.workers import tasks_from_graph
-
-    if name.startswith("table1"):
+    # A target row names the same four fields a task does.
+    named = like if like is not None else TARGETS["x86"]
+    head, colon, count = name.partition(":")
+    if head == "table1":
         from ..workloads.table1 import TABLE1_LAYERS
 
-        layers = TABLE1_LAYERS
-        if ":" in name:
-            layers = layers[: max(1, int(name.split(":", 1)[1]))]
-        if like is not None:
-            return tasks_from_layers(
-                layers,
-                runner=like.runner,
-                machine=like.machine,
-                intrinsic=like.intrinsic,
-                tuning=like.tuning,
-            )
-        return tasks_from_layers(layers)
-    from ..models.zoo import get_model
+        workloads = [("conv2d", params) for params in TABLE1_LAYERS]
+        if colon:
+            try:
+                k = int(count)
+            except ValueError:
+                k = 0
+            if k < 1:
+                raise ValueError(
+                    f"bad sweep {name!r}: K in 'table1:K' must be a positive integer"
+                )
+            workloads = workloads[:k]
+    else:
+        from ..models.zoo import MODEL_ZOO, get_model
 
-    target = "x86"
-    if like is not None:
-        lowered = like.machine.lower()
-        for fragment, mapped in _SWEEP_TARGETS.items():
-            if fragment in lowered:
-                target = mapped
-                break
-    return tasks_from_graph(get_model(name, fresh=True), target=target)
+        if name not in MODEL_ZOO:
+            raise ValueError(
+                f"bad sweep {name!r}: expected 'table1', 'table1:K' or a "
+                f"model-zoo name ({', '.join(sorted(MODEL_ZOO))})"
+            )
+        # The requester's machine names the target, hence the graph passes.
+        spec = machine_by_name(named.machine)
+        target = next(t for t, row in TARGETS.items() if machine_by_name(row.machine) is spec)
+        workloads = [
+            (task.kind, task.params)
+            for task in tasks_from_graph(get_model(name, fresh=True), target=target)
+        ]
+    return [
+        TuningTask(
+            kind=kind,
+            params=params,
+            runner=named.runner,
+            machine=named.machine,
+            intrinsic=named.intrinsic,
+            tuning=named.tuning,
+        )
+        for kind, params in workloads
+    ]
 
 
 class TuningService:
     """A long-running tune/compile daemon over one sharded tuning store.
-
-    ``strategy`` must be result-deterministic (``"exhaustive"`` or
-    ``"parallel"``) so that server-side winners are bit-identical to local
-    sweeps; the approximate ``"early_exit"`` strategy is rejected because
-    coalesced clients would receive records a strict client could not
-    reproduce.
 
     Use as a context manager, or call :meth:`start` / :meth:`stop`.
     ``port=0`` binds an ephemeral port (see :attr:`address` after start).
@@ -223,21 +230,14 @@ class TuningService:
         host: str = "127.0.0.1",
         port: int = 0,
         shards: int = 8,
-        strategy: str = "parallel",
-        max_workers: Optional[int] = None,
         speculative: bool = True,
         speculative_idle_s: float = 0.02,
         tune_timeout: float = 300.0,
         replicate_from=None,
         sync_interval_s: float = 0.25,
     ) -> None:
-        if strategy not in ("exhaustive", "parallel"):
-            raise ValueError(
-                "the tuning service requires a result-deterministic strategy "
-                "('exhaustive' or 'parallel'); got " + repr(strategy)
-            )
         self.store = _LockedStore(ShardedTuningStore(store_root, shards=shards))
-        self.session = TuningSession(strategy=strategy, max_workers=max_workers, store=self.store)
+        self.session = TuningSession(store=self.store)
         self.host = host
         self.port = port
         self.stats = ServiceStats()
@@ -485,11 +485,9 @@ class TuningService:
         )
 
     def _op_put(self, message: Dict) -> Dict:
-        # Validate through the same decoder the shard files use, so a stale
+        # Validate through the same gate the shard files use, so a stale
         # or malformed record is rejected at the door, not persisted.
-        import json as _json
-
-        record, problem = decode_record_line(_json.dumps(message["record"]))
+        record, problem = decode_record(message["record"])
         if record is None:
             return protocol.error_response(
                 f"record rejected: {problem}", problem or "corrupt"
@@ -508,10 +506,18 @@ class TuningService:
             return protocol.error_response(
                 how or f"cannot reconstruct a search for {key}", "untunable"
             )
+        extra = {}
         sweep = message.get("sweep")
         if sweep:
-            self._enqueue_sweep(str(sweep), task_from_key(key))
-        return protocol.ok_response(record=record.to_json(), how=how)
+            # A bad hint must not fail the tune request, only be reported.
+            try:
+                tasks = expand_sweep(str(sweep), task_from_key(key))
+            except ValueError as exc:
+                extra["sweep_error"] = str(exc)
+            else:
+                for task in tasks:
+                    self._enqueue_task(task)
+        return protocol.ok_response(record=record.to_json(), how=how, **extra)
 
     def _op_stats(self, message: Dict) -> Dict:
         return protocol.ok_response(**self._snapshot())
@@ -528,7 +534,10 @@ class TuningService:
         return protocol.ok_response(**report)
 
     def _op_warm(self, message: Dict) -> Dict:
-        tasks = expand_sweep(str(message["sweep"]), like=None)
+        try:
+            tasks = expand_sweep(str(message["sweep"]), like=None)
+        except ValueError as exc:
+            return protocol.error_response(str(exc), "bad_sweep")
         if message.get("background"):
             queued = sum(1 for task in tasks if self._enqueue_task(task))
             return protocol.ok_response(queued=queued, tasks=len(tasks))
@@ -606,7 +615,6 @@ class TuningService:
                 "store_hits": self.session.store_hits,
                 "trials_run": self.session.trials_run,
                 "searches_run": self.session.searches_run,
-                "strategy": self.session.strategy,
             },
             "store": store_stats,
             "expr_cache": {
@@ -655,8 +663,6 @@ class TuningService:
             client.close()
 
     def _sync_once(self, client: ServiceClient) -> None:
-        import json as _json
-
         offsets = {str(index): offset for index, offset in self._sync_offsets.items()}
         response = client.request("sync", offsets=offsets)
         applied = stale = corrupt = resets = 0
@@ -665,7 +671,7 @@ class TuningService:
                 # The same gate the shard files and `put` use: schema +
                 # cost-model fingerprint.  A mismatched primary is counted,
                 # not ingested.
-                record, problem = decode_record_line(_json.dumps(data))
+                record, problem = decode_record(data)
                 if record is None:
                     if problem == "stale":
                         stale += 1
@@ -756,54 +762,17 @@ class TuningService:
             entry.done.set()
 
     def _tune_task(self, task: TuningTask) -> Tuple[Optional[TuningRecord], Optional[str]]:
-        """Tune a task we already hold (warm/speculative paths), coalescing
-        with any in-flight foreground search for the same key."""
+        """Tune a task we already hold (the warm path), coalescing with any
+        in-flight foreground search for the same key."""
         try:
-            key = self._key_of(task)
+            key = task.key()
         except Exception as exc:
             return None, f"{type(exc).__name__}: {exc}"
-        if key is not None:
-            return self._tune_key(key)
-        # No cheap key derivation — run it directly through the shared session.
-        try:
-            run_task(task, self.session)
-            return None, "task ran but its key could not be derived"
-        except Exception as exc:
-            return None, f"{type(exc).__name__}: {exc}"
-
-    @staticmethod
-    def _key_of(task: TuningTask) -> Optional[TuningKey]:
-        """The :class:`TuningKey` ``task`` will tune under, derived without
-        running any search (build the runner, fingerprint its space)."""
-        from ..rewriter.records import TuningKey as Key
-        from ..rewriter.records import params_fingerprint
-        from ..rewriter.workers import build_runner
-
-        probe = TuningSession()
-        runner = build_runner(task, probe)
-        return Key(
-            kind=task.kind,
-            params=params_fingerprint(task.params),
-            intrinsic=runner.intrin.name,
-            machine=runner.machine.name,
-            space=runner._space,
-        )
+        return self._tune_key(key)
 
     # -- speculation ----------------------------------------------------------
-    def _task_identity(self, task: TuningTask):
-        from ..rewriter.records import params_fingerprint
-
-        return (
-            task.kind,
-            params_fingerprint(task.params),
-            task.runner,
-            task.machine,
-            task.intrinsic,
-            task.tuning,
-        )
-
     def _enqueue_task(self, task: TuningTask) -> bool:
-        identity = self._task_identity(task)
+        identity = task.identity
         with self._gate:
             if identity in self._spec_queued_ids:
                 return False
@@ -812,13 +781,6 @@ class TuningService:
             self.stats.speculative_queued += 1
         self._spec_wake.set()
         return True
-
-    def _enqueue_sweep(self, sweep: str, like: Optional[TuningTask]) -> int:
-        try:
-            tasks = expand_sweep(sweep, like)
-        except Exception:
-            return 0  # an unknown sweep name must not fail the tune request
-        return sum(1 for task in tasks if self._enqueue_task(task))
 
     def _speculate_forever(self) -> None:
         """Drain the speculative queue whenever the foreground is idle.
@@ -840,25 +802,23 @@ class TuningService:
                     # the queue itself, so a sweep re-warmed after GC (or a
                     # repeated `warm --background`) enqueues again instead
                     # of no-opping forever.
-                    self._spec_queued_ids.discard(self._task_identity(task))
+                    self._spec_queued_ids.discard(task.identity)
                 if not self._spec_queue and task is None:
                     self._spec_wake.clear()
             if task is None:
                 if busy:
                     time.sleep(self._spec_idle)
                 continue
-            key = None
             try:
-                key = self._key_of(task)
-            except Exception:
-                pass
-            if key is not None and self.session.cache.lookup(key) is not None:
+                key = task.key()
+            except Exception:  # the speculation thread must outlive a bad task
+                self.stats.speculative_skipped += 1
+                continue
+            if self.session.cache.lookup(key) is not None:
                 self.stats.speculative_skipped += 1
                 continue
             before = self.session.searches_run
-            record, _ = (
-                self._tune_key(key) if key is not None else (None, None)
-            )
+            record, _ = self._tune_key(key)
             if record is not None and self.session.searches_run > before:
                 self.stats.speculative_tuned += 1
             else:
@@ -867,8 +827,7 @@ class TuningService:
     def summary(self) -> str:
         s = self.stats
         return (
-            f"TuningService[{self.session.strategy}]: "
-            f"{sum(s.requests.values())} requests, {s.searches_led} searches led, "
+            f"TuningService: {sum(s.requests.values())} requests, {s.searches_led} searches led, "
             f"{s.coalesced_waiters} coalesced waiters, "
             f"{s.speculative_tuned} speculative tunes "
             f"({s.speculative_skipped} skipped)"

@@ -18,7 +18,7 @@ truth the engine is tested against.
 The interpreter is reentrant: all execution state (buffer bindings, the loop
 variable environment) lives in a per-call :class:`Frame`, so one
 ``Interpreter`` instance may be shared across threads (e.g. the tuning
-drivers' ``parallel_search``) and may be invoked recursively.
+daemon's handler threads) and may be invoked recursively.
 """
 
 from __future__ import annotations

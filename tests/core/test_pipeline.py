@@ -78,6 +78,23 @@ class TestCompileModel:
         with pytest.raises(ValueError):
             compile_model(_toy_model(), target="fpga")
 
+    def test_layout_blocking_is_the_target_instructions_register_shape(self):
+        """``lanes`` / ``reduction`` are read off the target's intrinsic, for
+        the default runner and an injected baseline runner alike."""
+        from repro.baselines import MxnetOneDnnRunner
+        from repro.core.pipeline import TARGETS
+        from repro.isa import get_intrinsic
+
+        for target, expected in (("x86", (16, 4)), ("arm", (4, 4))):
+            intrin = get_intrinsic(TARGETS[target].intrinsic)
+            assert (intrin.output_lanes, intrin.reduction_width) == expected
+            for runner in (None, MxnetOneDnnRunner()):
+                decisions = compile_model(_toy_model(), target=target, runner=runner)
+                assert decisions.layout_decisions
+                for decision in decisions.layout_decisions.values():
+                    assert (decision.lanes, decision.reduction) == expected
+        assert compile_model(_toy_model(), target="cuda").layout_decisions == {}
+
     def test_resnet18_end_to_end_plausible(self):
         compiled = compile_model(get_model("resnet-18", fresh=True), target="x86")
         # Latency should be sub-100ms and more than a few hundred microseconds.
@@ -166,7 +183,7 @@ class TestStoreBackedCompilation:
         from repro.rewriter import ShardedTuningStore, TuningSession
 
         store = ShardedTuningStore(tmp_path / "s", shards=4)
-        cold = compile_model(_toy_model(), target="x86", store=store)
+        cold = compile_model(_toy_model(), target="x86", session=TuningSession(store=store))
         assert len(store.load()) > 0  # fresh searches were published
 
         warm_session = TuningSession(store=store)
@@ -174,63 +191,59 @@ class TestStoreBackedCompilation:
         assert warm_session.trials_run == 0
         assert warm.latency_ms == cold.latency_ms
 
-    def test_compile_model_rejects_conflicting_session_and_store(self, tmp_path):
-        from repro.rewriter import ShardedTuningStore, TuningSession
+    def test_session_is_the_only_spelling(self):
+        """Where tuning happens is said once, as ``session=``."""
+        import inspect
 
-        store = ShardedTuningStore(tmp_path / "s", shards=2)
-        other = TuningSession()  # bound to no store
-        with pytest.raises(ValueError):
-            compile_model(_toy_model(), target="x86", session=other, store=store)
-        # A session constructed with the store passes through untouched.
-        bound = TuningSession(store=store)
-        compiled = compile_model(_toy_model(), target="x86", session=bound, store=store)
-        assert compiled.latency_ms > 0
+        from repro.core import compile_model_batch, experiments
+
+        entry_points = [compile_model, compile_model_batch] + [
+            getattr(experiments, name)
+            for name in experiments.__all__
+            if name.startswith("figure") and not name.startswith("figure1_")
+        ]
+        assert len(entry_points) == 8  # the two compiles + figures 8..13
+        for function in entry_points:
+            parameters = inspect.signature(function).parameters
+            assert "session" in parameters, function.__name__
+            assert not {"store", "remote"} & set(parameters), function.__name__
 
     def test_compile_model_batch_workers_matches_serial(self, tmp_path):
         from repro.core import compile_model_batch
-        from repro.rewriter import ShardedTuningStore
+        from repro.rewriter import ShardedTuningStore, TuningSession
 
-        store = ShardedTuningStore(tmp_path / "s", shards=8)
+        session = TuningSession(store=ShardedTuningStore(tmp_path / "s", shards=8))
         distributed = compile_model_batch(
-            [_toy_model()], targets=("x86",), store=store, workers=2
+            [_toy_model()], targets=("x86",), session=session, workers=2
         )
+        # The workers published under exactly the keys the compiles look up.
+        assert session.trials_run == 0 and session.store_hits > 0
         serial = compile_model_batch([_toy_model()], targets=("x86",))
         assert [c.latency_ms for c in distributed] == [c.latency_ms for c in serial]
 
     def test_compile_model_batch_workers_requires_store(self):
         from repro.core import compile_model_batch
+        from repro.rewriter import TuningSession
 
-        with pytest.raises(ValueError):
-            compile_model_batch([_toy_model()], targets=("x86",), workers=2)
+        for session in (None, TuningSession()):
+            with pytest.raises(ValueError, match=r"session\.store"):
+                compile_model_batch(
+                    [_toy_model()], targets=("x86",), session=session, workers=2
+                )
 
 
 class TestStoreConveniences:
     def test_store_accepts_a_path(self, tmp_path):
         """A path coerces to a ShardedTuningStore at the API boundary."""
-        root = str(tmp_path / "s")
-        cold = compile_model(_toy_model(), target="x86", store=root)
-        from repro.rewriter import ShardedTuningStore
-
-        assert len(ShardedTuningStore(root).load()) > 0
-        warm = compile_model(_toy_model(), target="x86", store=root)
-        assert warm.latency_ms == cold.latency_ms
-
-    def test_store_with_explicit_runner_rejected(self, tmp_path):
-        runner = UnitCpuRunner(tuning="full")
-        with pytest.raises(ValueError):
-            compile_model(_toy_model(), target="x86", runner=runner, store=str(tmp_path / "s"))
-
-    def test_batch_pretune_matches_session_strategy(self, tmp_path):
-        """Workers must publish under the keys the session will look up —
-        including an approximate strategy's namespaced keys."""
-        from repro.core import compile_model_batch
         from repro.rewriter import ShardedTuningStore, TuningSession
 
-        store = ShardedTuningStore(tmp_path / "s", shards=4)
-        session = TuningSession(store=store, strategy="early_exit", early_exit_k=4)
-        compile_model_batch([_toy_model()], targets=("x86",), session=session, workers=2)
-        assert session.trials_run == 0  # every compile lookup hit the store
-        assert session.store_hits > 0
+        root = str(tmp_path / "s")
+        cold = compile_model(_toy_model(), target="x86", session=TuningSession(store=root))
+        assert len(ShardedTuningStore(root).load()) > 0
+        warm_session = TuningSession(store=root)
+        warm = compile_model(_toy_model(), target="x86", session=warm_session)
+        assert warm_session.trials_run == 0
+        assert warm.latency_ms == cold.latency_ms
 
 
 class TestStaticPrecheck:

@@ -1,6 +1,6 @@
 """The precheck oracle: raise-to-reject screening before the cost model.
 
-Every search driver accepts a ``precheck`` callable; rejected candidates
+The search driver accepts a ``precheck`` callable; rejected candidates
 must never be costed, must be counted in ``TuningResult.rejected``, and
 survivors must keep their original candidate indices so ``best_rank``
 still speaks the advertised ordering.  The session threads the oracle
@@ -12,12 +12,7 @@ import pytest
 from repro.hwsim.cost import CostBreakdown
 from repro.rewriter.records import TuningKey
 from repro.rewriter.session import TuningSession
-from repro.rewriter.tuner import (
-    early_exit_search,
-    exhaustive_search,
-    first_k_search,
-    parallel_search,
-)
+from repro.rewriter.tuner import exhaustive_search
 
 CANDIDATES = [4, 1, 3, 0, 2]  # cost == value; best overall 0, best even 0
 
@@ -32,24 +27,14 @@ def _cost(config):
 
 
 class TestDrivers:
-    @pytest.mark.parametrize(
-        "search",
-        [
-            exhaustive_search,
-            parallel_search,
-            early_exit_search,
-            lambda c, e, precheck=None: first_k_search(c, e, k=5, precheck=precheck),
-        ],
-        ids=["exhaustive", "parallel", "early_exit", "first_k"],
-    )
-    def test_rejected_candidates_never_costed(self, search):
+    def test_rejected_candidates_never_costed(self):
         costed = []
 
         def evaluate(config):
             costed.append(config)
             return _cost(config)
 
-        result = search(CANDIDATES, evaluate, precheck=_reject_odd)
+        result = exhaustive_search(CANDIDATES, evaluate, precheck=_reject_odd)
         assert result.rejected == 2
         assert result.best_config == 0
         assert all(c % 2 == 0 for c in costed)
@@ -57,41 +42,17 @@ class TestDrivers:
         assert [t.index for t in result.trials] == [0, 3, 4]
         assert [t.config for t in result.trials] == [4, 0, 2]
 
-    @pytest.mark.parametrize(
-        "search",
-        [exhaustive_search, parallel_search, early_exit_search],
-        ids=["exhaustive", "parallel", "early_exit"],
-    )
-    def test_all_rejected_raises(self, search):
+    def test_all_rejected_raises(self):
         def reject_all(config):
             raise RuntimeError("nope")
 
         with pytest.raises(ValueError, match="rejected every candidate"):
-            search(CANDIDATES, _cost, precheck=reject_all)
+            exhaustive_search(CANDIDATES, _cost, precheck=reject_all)
 
     def test_no_precheck_unchanged(self):
         result = exhaustive_search(CANDIDATES, _cost)
         assert result.rejected == 0
         assert result.num_trials == len(CANDIDATES)
-
-    def test_parallel_matches_exhaustive_with_precheck(self):
-        a = exhaustive_search(CANDIDATES, _cost, precheck=_reject_odd)
-        b = parallel_search(CANDIDATES, _cost, precheck=_reject_odd)
-        assert a.best_config == b.best_config
-        assert a.rejected == b.rejected
-        assert [(t.index, t.cost) for t in a.trials] == [
-            (t.index, t.cost) for t in b.trials
-        ]
-
-    def test_early_exit_rejections_do_not_burn_the_window(self):
-        """Rejected candidates produce no trial and must not count toward
-        the k-consecutive-non-improving exit: without the precheck this run
-        would exit on the three 1s and never reach the winning 4."""
-        candidates = [5, 1, 1, 1, 4, 3]
-        result = early_exit_search(candidates, _cost, k=2, precheck=_reject_odd)
-        assert result.rejected == 5
-        assert [t.config for t in result.trials] == [4]
-        assert result.best_config == 4
 
 
 def _key(space="s"):

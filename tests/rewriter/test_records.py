@@ -1,4 +1,4 @@
-"""Tests for the persistent tuning-record cache and the shared tuning session."""
+"""Tests for tuning records, the in-memory cache and the shared tuning session."""
 
 import pytest
 
@@ -10,6 +10,7 @@ from repro.rewriter import (
     SCHEMA_VERSION,
     CpuTuningConfig,
     GpuTuningConfig,
+    ShardedTuningStore,
     TuningCache,
     TuningKey,
     TuningRecord,
@@ -71,7 +72,6 @@ class TestTuningCache:
         assert stats.hit_rate == pytest.approx(0.5)
 
     def test_roundtrip_identical_configs_and_costs(self, tmp_path):
-        cache = TuningCache()
         records = [
             TuningRecord(
                 key=_key("full@aa"),
@@ -97,12 +97,11 @@ class TestTuningCache:
                 breakdown=CostBreakdown(seconds=4e-5),
             ),
         ]
+        store = ShardedTuningStore(tmp_path / "tuning", shards=1)
         for record in records:
-            cache.insert(record)
-        path = tmp_path / "tuning.jsonl"
-        assert cache.save(path) == 3
+            store.put(record)
 
-        loaded = TuningCache.from_file(path)
+        loaded = ShardedTuningStore(tmp_path / "tuning").load()
         assert len(loaded) == 3
         for record in records:
             got = loaded.lookup(record.key)
@@ -128,95 +127,19 @@ class TestTuningCache:
             num_trials=16,
             breakdown=CostBreakdown(seconds=1.0),
         )
-        on_disk = TuningCache()
-        on_disk.insert(fresh)
-        path = tmp_path / "cache.jsonl"
-        on_disk.save(path)
+        on_disk = ShardedTuningStore(tmp_path / "store", shards=1)
+        on_disk.put(fresh)
 
         cache = TuningCache()
         cache.insert(stale)
-        assert cache.load(path) == 1
+        assert on_disk.load_into(cache) == 1
         assert cache.lookup(key).best_cost == 1.0
 
 
 class TestCorruptAndStaleLines:
-    def _saved_cache(self, tmp_path, count=2):
-        cache = TuningCache()
-        for index in range(count):
-            cache.insert(
-                TuningRecord(
-                    key=_key(f"full@{index:02d}"),
-                    best_config=CpuTuningConfig(),
-                    best_cost=1e-5 * (index + 1),
-                    num_trials=4,
-                    breakdown=CostBreakdown(seconds=1e-5 * (index + 1)),
-                )
-            )
-        path = tmp_path / "cache.jsonl"
-        cache.save(path)
-        return path
-
-    def test_truncated_tail_skipped_and_counted(self, tmp_path):
-        """A reader must tolerate a concurrent writer's partial last line."""
-        path = self._saved_cache(tmp_path)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"schema": 2, "key": {"kind": "conv2')
-        cache = TuningCache()
-        assert cache.load(path) == 2
-        assert cache.stats.corrupt == 1
-        assert cache.stats.stale == 0
-
-    def test_garbage_line_mid_file_skipped(self, tmp_path):
-        path = self._saved_cache(tmp_path)
-        lines = open(path, encoding="utf-8").read().splitlines()
-        lines.insert(1, "@@@ not json @@@")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-        cache = TuningCache()
-        assert cache.load(path) == 2
-        assert cache.stats.corrupt == 1
-
-    def test_strict_load_raises_on_corruption(self, tmp_path):
-        path = self._saved_cache(tmp_path)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write("{broken\n")
-        with pytest.raises(ValueError):
-            TuningCache().load(path, strict=True)
-
-    def test_stale_schema_version_skipped(self, tmp_path):
-        path = self._saved_cache(tmp_path, count=1)
-        data = TuningRecord(
-            key=_key("full@ff"),
-            best_config=None,
-            best_cost=1.0,
-            num_trials=0,
-            breakdown=CostBreakdown(seconds=1.0),
-        ).to_json()
-        data["schema"] = SCHEMA_VERSION - 1
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(data) + "\n")
-        cache = TuningCache()
-        assert cache.load(path) == 1
-        assert cache.stats.stale == 1
-        assert cache.lookup(_key("full@ff")) is None
-
-    def test_unversioned_legacy_line_is_stale(self, tmp_path):
-        """Pre-versioning records carry no fingerprint: never serve them."""
-        path = self._saved_cache(tmp_path, count=1)
-        data = TuningRecord(
-            key=_key("full@ff"),
-            best_config=None,
-            best_cost=1.0,
-            num_trials=0,
-            breakdown=CostBreakdown(seconds=1.0),
-        ).to_json()
-        del data["schema"]
-        del data["cost_model"]
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(data) + "\n")
-        cache = TuningCache()
-        assert cache.load(path) == 1
-        assert cache.stats.stale == 1
+    """Line triage itself (torn, garbage, stale, non-object) is tested where
+    lines are read: ``tests/rewriter/test_store.py`` and
+    ``test_decode_record_line_triage`` below."""
 
     def test_record_staleness_reasons(self):
         record = TuningRecord(
@@ -236,8 +159,17 @@ class TestCorruptAndStaleLines:
         assert len(cost_model_fingerprint()) == 12
 
     def test_persisted_lines_carry_version(self, tmp_path):
-        path = self._saved_cache(tmp_path, count=1)
-        data = json.loads(open(path, encoding="utf-8").readline())
+        store = ShardedTuningStore(tmp_path / "store", shards=1)
+        store.put(
+            TuningRecord(
+                key=_key(),
+                best_config=CpuTuningConfig(),
+                best_cost=1e-5,
+                num_trials=4,
+                breakdown=CostBreakdown(seconds=1e-5),
+            )
+        )
+        data = json.loads(open(store.shard_path(0), encoding="utf-8").readline())
         assert data["schema"] == SCHEMA_VERSION
         assert data["cost_model"] == cost_model_fingerprint()
 
@@ -262,10 +194,6 @@ class TestTuningSession:
         assert session.trials_run == 3
         assert session.stats.hits == 1
 
-    def test_invalid_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            TuningSession(strategy="annealing")
-
     def test_runners_share_one_session(self):
         session = TuningSession()
         layer = table1_layer(5)
@@ -285,64 +213,29 @@ class TestTuningSession:
         assert t_full.seconds <= t_parallel.seconds
         assert len(session.cache) == 2
 
-    def test_parallel_strategy_matches_exhaustive(self):
-        layer = table1_layer(3)
-        serial = UnitCpuRunner(tuning="full", session=TuningSession())
-        threaded = UnitCpuRunner(
-            tuning="full", session=TuningSession(strategy="parallel", max_workers=4)
-        )
-        assert serial.conv2d_latency(layer).seconds == threaded.conv2d_latency(layer).seconds
-        key = ("conv2d", layer)
-        assert serial.tuning_results[key].best_config == threaded.tuning_results[key].best_config
-
-    def test_early_exit_records_do_not_leak_into_exhaustive(self, tmp_path):
-        """Approximate-strategy records must not be served as exhaustive ones."""
-        costs = {2: 5.0, 4: 1.0, 8: 2.0, 12: 3.0, 16: 0.5}
-        candidates = [CpuTuningConfig(unroll_limit=u) for u in (2, 4, 8, 12, 16)]
-
-        def evaluate(cfg):
-            return CostBreakdown(seconds=costs[cfg.unroll_limit])
-
-        key = _key()
-        approx = TuningSession(strategy="early_exit", early_exit_k=2)
-        best_approx = approx.tune(key, candidates, evaluate)
-        assert best_approx.best_cost == 1.0  # stopped before reaching 0.5
-
-        path = tmp_path / "approx.jsonl"
-        approx.save(path)
-        exact = TuningSession()
-        exact.load(path)
-        best_exact = exact.tune(key, candidates, evaluate)
-        assert best_exact.best_cost == 0.5  # re-tuned: the approximate record
-        assert exact.trials_run == 5  # was not served under the exhaustive key
-
-    def test_parallel_and_exhaustive_share_records(self):
-        session = TuningSession(strategy="parallel")
-        layer = table1_layer(5)
-        UnitCpuRunner(tuning="full", session=session).conv2d_latency(layer)
-        trials = session.trials_run
-        # Same cache handed to an exhaustive session: result-identical
-        # strategies share records, so nothing re-tunes.
-        serial = TuningSession(cache=session.cache)
-        UnitCpuRunner(tuning="full", session=serial).conv2d_latency(layer)
-        assert serial.trials_run == 0
-        assert session.trials_run == trials
-
     def test_session_save_load_roundtrip(self, tmp_path):
-        session = TuningSession()
+        root = tmp_path / "gpu"
+        session = TuningSession(store=root)
         runner = UnitGpuRunner(mode="tune", session=session)
         layer = table1_layer(8)
         cold = runner.conv2d_latency(layer)
-        path = tmp_path / "gpu.jsonl"
-        session.save(path)
 
-        warm_session = TuningSession()
-        warm_session.load(path)
+        warm_session = TuningSession(store=root)
         warm_runner = UnitGpuRunner(mode="tune", session=warm_session)
         warm = warm_runner.conv2d_latency(layer)
         assert warm_session.trials_run == 0
         assert warm.seconds == cold.seconds
         assert warm == cold
+
+    def test_store_path_is_coerced(self, tmp_path):
+        """``store=`` takes a store or the path of one (str or PathLike)."""
+        store = ShardedTuningStore(tmp_path / "s")
+        assert TuningSession(store=store).store is store
+        for path in (tmp_path / "s", str(tmp_path / "s")):
+            session = TuningSession(store=path)
+            assert isinstance(session.store, ShardedTuningStore)
+            assert session.store.root == str(tmp_path / "s")
+        assert TuningSession().store is None
 
 
 class TestExperimentSessionSharing:
@@ -358,13 +251,12 @@ class TestExperimentSessionSharing:
             assert before == after
 
     def test_saved_cache_reproduces_figure8(self, tmp_path):
-        session = TuningSession()
+        root = tmp_path / "fig8"
+        session = TuningSession(store=root)
         rows = experiments.figure8_cpu_end_to_end(["resnet-18"], session=session)
-        path = tmp_path / "fig8.jsonl"
-        session.save(path)
+        assert session.trials_run > 0
 
-        warm = TuningSession()
-        warm.load(path)
+        warm = TuningSession(store=root)
         warm_rows = experiments.figure8_cpu_end_to_end(["resnet-18"], session=warm)
         assert warm.trials_run == 0
         for before, after in zip(rows, warm_rows):
@@ -383,27 +275,6 @@ class TestExperimentSessionSharing:
 
 
 class TestNonObjectLines:
-    def test_json_valid_non_object_lines_counted_corrupt(self, tmp_path):
-        """'null' / numbers / arrays are decodable JSON but not records; the
-        tolerant loader must count them corrupt, not crash."""
-        cache = TuningCache()
-        cache.insert(
-            TuningRecord(
-                key=_key(),
-                best_config=CpuTuningConfig(),
-                best_cost=1e-5,
-                num_trials=4,
-                breakdown=CostBreakdown(seconds=1e-5),
-            )
-        )
-        path = tmp_path / "cache.jsonl"
-        cache.save(path)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('null\n"a string"\n[]\n')
-        loaded = TuningCache()
-        assert loaded.load(path) == 1
-        assert loaded.stats.corrupt == 3
-
     def test_decode_record_line_triage(self):
         from repro.rewriter import decode_record_line
 
@@ -417,6 +288,32 @@ class TestNonObjectLines:
         good, problem = decode_record_line(json.dumps(record.to_json()))
         assert good is not None and problem is None
         assert decode_record_line("{torn")[1] == "corrupt"
-        assert decode_record_line("null")[1] == "corrupt"
+        assert decode_record_line("@@@ not json @@@")[1] == "corrupt"
+        for non_object in ("null", '"a string"', "[]", "42"):
+            assert decode_record_line(non_object)[1] == "corrupt"
+        assert decode_record_line('{"schema": %d}' % SCHEMA_VERSION)[1] == "stale"
         stale = dict(record.to_json(), schema=0)
         assert decode_record_line(json.dumps(stale))[1] == "stale"
+        # Pre-versioning records carry no fingerprint: never serve them.
+        legacy = record.to_json()
+        del legacy["schema"], legacy["cost_model"]
+        assert decode_record_line(json.dumps(legacy))[1] == "stale"
+
+    def test_decode_record_is_the_gate_behind_the_line_decoder(self):
+        from repro.rewriter import decode_record
+
+        data = TuningRecord(
+            key=_key(),
+            best_config=GpuTuningConfig(outer_product_p=2),
+            best_cost=1.0,
+            num_trials=2,
+            breakdown=CostBreakdown(seconds=1.0),
+        ).to_json()
+        record, problem = decode_record(data)
+        assert problem is None and record.to_json() == data
+        for non_object in (None, "a string", [], 42):
+            assert decode_record(non_object) == (None, "corrupt")
+        assert decode_record({**data, "cost_model": "x" * 12}) == (None, "stale")
+        # Current envelope, broken body: corrupt, not an exception.
+        assert decode_record({k: v for k, v in data.items() if k != "key"}) == (None, "corrupt")
+        assert decode_record({**data, "config": {"type": "tpu"}}) == (None, "corrupt")

@@ -4,12 +4,14 @@ import pytest
 
 from repro.core import UnitCpuRunner
 from repro.models import get_model
+from repro.models.zoo import EVALUATED_MODELS
 from repro.rewriter import (
     DistributedTuner,
     LeaseFile,
     ShardedTuningStore,
     TuningSession,
     TuningTask,
+    task_from_key,
     tasks_from_graph,
     tasks_from_layers,
 )
@@ -71,7 +73,7 @@ class TestTasks:
 
         store = ShardedTuningStore(tmp_path / "s", shards=4)
         graph = get_model("mobilenet-v2", fresh=True)
-        pre_session = TuningSession(store=store, strategy="parallel")
+        pre_session = TuningSession(store=store)
         for task in tasks_from_graph(graph, target="x86"):
             run_task(task, pre_session)
         assert pre_session.searches_run > 0
@@ -79,6 +81,40 @@ class TestTasks:
         warm = TuningSession(store=store)
         compile_model(get_model("mobilenet-v2", fresh=True), target="x86", session=warm)
         assert warm.trials_run == 0  # every lookup hit memory or a shard
+
+    @pytest.mark.parametrize("target", ["x86", "arm", "cuda"])
+    @pytest.mark.parametrize("model", EVALUATED_MODELS)
+    def test_one_task_identity_with_compile_model(self, model, target):
+        """The unification pin: ``compile_model``, ``tasks_from_graph``,
+        ``TuningTask.key`` and ``task_from_key`` agree on every key of every
+        (model, target) pair, because they derive from one target table."""
+        from repro.core import compile_model
+
+        session = TuningSession()
+        compile_model(get_model(model, fresh=True), target=target, session=session)
+        looked_up = {record.key for record in session.cache.records()}
+        tasks = tasks_from_graph(get_model(model, fresh=True), target=target)
+        assert {task.key() for task in tasks} == looked_up
+        assert len(tasks) == len(looked_up)  # one task per distinct key
+        for key in looked_up:
+            task = task_from_key(key)
+            assert task is not None and task.key() == key
+
+    def test_identity_ignores_the_layer_name_only(self):
+        import dataclasses
+
+        layer = TABLE1_LAYERS[0]
+        task = TuningTask(kind="conv2d", params=layer)
+        renamed = TuningTask(kind="conv2d", params=dataclasses.replace(layer, name="other"))
+        assert renamed.identity == task.identity and renamed.key() == task.key()
+        for change in (
+            {"params": TABLE1_LAYERS[1]},
+            {"kind": "conv3d"},
+            {"tuning": "first_pair"},
+            {"intrinsic": "x86.avx512.vpdpwssd"},
+            {"machine": "graviton2"},
+        ):
+            assert dataclasses.replace(task, **change).identity != task.identity
 
     def test_unknown_task_kind_rejected(self):
         task = TuningTask(kind="pool", params=TABLE1_LAYERS[0])

@@ -81,16 +81,20 @@ class TestReadThrough:
         assert served.seconds == 3.25  # computed once fleet-wide
         assert second.server_hits == 1
 
-    def test_early_exit_strategy_never_asks_the_server_to_tune(self, service):
-        session = RemoteSession(service.address, strategy="early_exit")
-        _tune_layers(session, TABLE1_LAYERS[:2])
-        assert session.searches_run == 2  # searched locally (approximate keys)
-        assert session.server_tunes == 0
-        assert service.session.searches_run == 0
-        # ...but the approximate records are still published for siblings
-        sibling = RemoteSession(service.address, strategy="early_exit")
-        _tune_layers(sibling, TABLE1_LAYERS[:2])
-        assert sibling.server_hits == 2 and sibling.searches_run == 0
+    def test_declined_key_is_searched_locally_and_published(self, service):
+        """A custom candidate list changes the space digest, so the server
+        cannot rebuild the search: it declines, the client searches locally
+        and still publishes the record for its siblings."""
+        from repro.rewriter import cpu_tuning_candidates
+
+        custom = cpu_tuning_candidates(max_pairs=4)
+        session = RemoteSession(service.address)
+        UnitCpuRunner(candidates=custom, session=session).conv2d_latency(TABLE1_LAYERS[0])
+        assert session.server_declines == 1 and session.server_tunes == 0
+        assert session.searches_run == 1
+        sibling = RemoteSession(service.address)
+        UnitCpuRunner(candidates=custom, session=sibling).conv2d_latency(TABLE1_LAYERS[0])
+        assert sibling.server_hits == 1 and sibling.searches_run == 0
 
 
 class TestDropIn:
@@ -102,27 +106,18 @@ class TestDropIn:
         assert remote.latency_ms == local.latency_ms
         assert service.session.searches_run > 0
 
-    def test_compile_model_remote_address_convenience(self, service):
-        host, port = service.address
-        compiled = compile_model(get_model("resnet-18", fresh=True), remote=f"{host}:{port}")
-        assert compiled.latency_ms > 0
-
-    def test_remote_and_session_are_mutually_exclusive(self, service):
-        with pytest.raises(ValueError, match="remote="):
-            compile_model(
-                get_model("resnet-18", fresh=True),
-                session=TuningSession(),
-                remote=service.address,
-            )
-
     def test_compile_model_batch_rejects_remote_plus_workers(self, service):
-        with pytest.raises(ValueError, match="redundant"):
-            compile_model_batch(["resnet-18"], remote=service.address, workers=2)
+        """A daemon already pre-tunes for its fleet: a RemoteSession has no
+        ``store`` for local worker processes to fan out into."""
+        with pytest.raises(ValueError, match=r"session\.store"):
+            compile_model_batch(
+                ["resnet-18"], session=RemoteSession(service.address), workers=2
+            )
 
     def test_figure_driver_against_the_daemon(self, service):
         local_rows = figure10_cpu_ablation(layers=TABLE1_LAYERS[:2])
         remote_rows = figure10_cpu_ablation(
-            layers=TABLE1_LAYERS[:2], remote=service.address
+            layers=TABLE1_LAYERS[:2], session=RemoteSession(service.address)
         )
         assert remote_rows == local_rows
 

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.core.pipeline import UnitCpuRunner
-from repro.rewriter import ShardedTuningStore, TuningKey, TuningSession
+from repro.rewriter import ShardedTuningStore, TuningKey, TuningSession, TuningTask
 from repro.service import (
     ServiceClient,
     ServiceError,
@@ -100,18 +100,41 @@ class TestBasicOps:
             client.tune(bogus)
         assert excinfo.value.code == "untunable"
 
-    def test_tune_declines_library_and_approximate_spaces(self, client):
-        for space in ("library:onednn", "full@0000!early_exit:8"):
-            key = TuningKey(
-                kind="conv2d",
-                params=(("in_channels", 8),),
-                intrinsic="",
-                machine="cascade-lake",
-                space=space,
-            )
+    def test_tune_declines_library_spaces(self, client):
+        key = TuningKey(
+            kind="conv2d",
+            params=(("in_channels", 8),),
+            intrinsic="",
+            machine="cascade-lake",
+            space="library:onednn",
+        )
+        with pytest.raises(ServiceError) as excinfo:
+            client.tune(key)
+        assert excinfo.value.code == "untunable"
+
+    def test_put_rejects_unservable_records_with_a_code(self, client, service):
+        """``put`` runs the one servable-record gate on the parsed payload:
+        stale, malformed and JSON-valid non-object records are refused with
+        their code and nothing reaches the store."""
+        (key,) = _keys_for(TABLE1_LAYERS[:1])
+        good = _reference_records(TABLE1_LAYERS[:1])[key].to_json()
+        rejected = [
+            ({**good, "cost_model": "0" * 12}, "stale"),
+            ({**good, "schema": 0}, "stale"),
+            ({k: v for k, v in good.items() if k != "key"}, "corrupt"),
+            ([1, 2], "corrupt"),
+            ("a string", "corrupt"),
+            (None, "corrupt"),
+            (42, "corrupt"),
+        ]
+        for payload, code in rejected:
             with pytest.raises(ServiceError) as excinfo:
-                client.tune(key)
-            assert excinfo.value.code == "untunable"
+                client.request("put", record=payload)
+            assert excinfo.value.code == code, payload
+        assert client.get(key) is None
+        assert service.store.stats.appends == 0
+        client.request("put", record=good)  # the daemon is still serving
+        assert client.get(key).to_json() == good
 
     def test_stats_endpoint_shape(self, client, service):
         client.ping()
@@ -121,7 +144,7 @@ class TestBasicOps:
         assert stats["service"]["requests"]["tune"] == 1
         assert stats["service"]["searches_led"] == 1
         assert stats["session"]["searches_run"] == 1
-        assert stats["session"]["strategy"] == "parallel"
+        assert "strategy" not in stats["session"]  # there is one search driver
         assert stats["store"]["appends"] == 1
         assert "simplify_hits" in stats["expr_cache"]
         assert stats["inflight"] == 0
@@ -288,13 +311,67 @@ class TestWarmAndSpeculation:
         assert response["tasks"] > 0
         assert response["tuned"] == response["tasks"]
 
-    def test_warm_unknown_sweep_is_clean_error(self, client):
-        with pytest.raises(ServiceError):
-            client.warm("no-such-model-zoo-entry")
+    @pytest.mark.parametrize("sweep", ["table1[:3]", "table1:x", "table1:0", "no-such-model"])
+    def test_bad_sweep_names_are_reported_on_both_ops(self, tmp_path, sweep):
+        with pytest.raises(ValueError, match="bad sweep") as excinfo:
+            expand_sweep(sweep, like=None)
+        assert repr(sweep) in str(excinfo.value)
+        with TuningService(tmp_path / "store", speculative=True) as svc:
+            with ServiceClient(svc.address) as client:
+                for background in (False, True):
+                    with pytest.raises(ServiceError) as warm_error:
+                        client.warm(sweep, background=background)
+                    assert warm_error.value.code == "bad_sweep"
+                    assert repr(sweep) in str(warm_error.value)
+                # On a tune request the sweep is only a hint: the record is
+                # served, the bad hint is reported, nothing is queued.
+                (key,) = _keys_for(TABLE1_LAYERS[:1])
+                response = client.request("tune", key=key.to_json(), sweep=sweep)
+                assert response["record"]["key"] == key.to_json()
+                assert repr(sweep) in response["sweep_error"]
+                assert svc.stats.speculative_queued == 0
 
     def test_expand_sweep_table1_slice_matches_layers(self):
         tasks = expand_sweep("table1:3", like=None)
         assert [t.params.name for t in tasks] == [p.name for p in TABLE1_LAYERS[:3]]
+        assert len(expand_sweep("table1", like=None)) == len(TABLE1_LAYERS)
+        assert len(expand_sweep("table1:99", like=None)) == len(TABLE1_LAYERS)
+
+    @pytest.mark.parametrize("sweep", ["table1:2", "resnet-18"])
+    def test_expand_sweep_honours_the_requesters_intrinsic_and_mode(self, sweep):
+        """Regression: a model-zoo sweep used to recover only the target from
+        ``like`` and expand to vpdpbusd / full tasks nobody would ask for."""
+        from repro.rewriter import task_from_key
+
+        like = TuningTask(
+            "conv2d", TABLE1_LAYERS[0], intrinsic="x86.avx512.vpdpwssd", tuning="first_pair"
+        )
+        # `like` arrives as the server rebuilds it from the requested key.
+        like = task_from_key(like.key())
+        assert (like.intrinsic, like.tuning) == ("x86.avx512.vpdpwssd", "first_pair")
+        tasks = expand_sweep(sweep, like)
+        assert tasks
+        for task in tasks:
+            assert (task.runner, task.machine, task.intrinsic, task.tuning) == (
+                like.runner,
+                like.machine,
+                like.intrinsic,
+                like.tuning,
+            )
+        plain = expand_sweep(sweep, like=None)
+        assert [(t.kind, t.params) for t in tasks] == [(t.kind, t.params) for t in plain]
+
+    def test_expand_sweep_model_uses_the_requesters_target_passes(self):
+        """The requester's machine picks the target, hence the graph passes:
+        a V100 client's zoo sweep is ``tasks_from_graph(target="cuda")``."""
+        from repro.models.zoo import get_model
+        from repro.rewriter import task_from_key, tasks_from_graph
+
+        for target in ("x86", "arm", "cuda"):
+            expected = tasks_from_graph(get_model("mobilenet-v2", fresh=True), target=target)
+            like = task_from_key(expected[0].key())
+            swept = expand_sweep("mobilenet-v2", like)
+            assert [t.key() for t in swept] == [t.key() for t in expected]
 
     def test_speculative_queue_pre_tunes_sweep_during_idle(self, tmp_path):
         with TuningService(tmp_path / "store", speculative=True) as svc:
@@ -325,10 +402,6 @@ class TestLifecycle:
         while time.time() < deadline and svc._server is not None:
             time.sleep(0.02)
         assert svc._server is None
-
-    def test_rejects_approximate_strategy(self, tmp_path):
-        with pytest.raises(ValueError, match="result-deterministic"):
-            TuningService(tmp_path / "store", strategy="early_exit")
 
     def test_shutdown_wakes_coalesced_tune_waiters(self, tmp_path):
         """The satellite scenario: clients parked on an in-flight search
@@ -423,10 +496,10 @@ class TestReviewHardening:
         (key,) = _keys_for(TABLE1_LAYERS[:1])
         with ServiceClient(service.address, tune_timeout=30.0) as client:
             client.tune(key)
-            import repro.service.client as client_module
+            import repro.rewriter.records as records_module
 
             monkeypatch.setattr(
-                client_module, "record_staleness", lambda data: "cost model differs"
+                records_module, "record_staleness", lambda data: "cost model differs"
             )
             with pytest.raises(ServiceError) as excinfo:
                 client.get(key)
