@@ -2,15 +2,14 @@
 
 For each nest, every loop variable contributes ``[0, extent)`` to the
 interval environment; every ``TensorLoad``/``Store`` index (including those
-inside ``Reduce`` bodies and intrinsic operand bindings, which additionally
-bind the reduce/intrinsic axes) must then evaluate to an interval inside the
-addressed dimension.  ``likely``-guarded residues are handled by affine
-guard composition (:func:`repro.analysis.interval.refine_with_guards`): an
-index that exceeds its dimension over the raw grid may still be *proved
-in-bounds inside the guarded region*, which is exactly the imperfect-split
-situation — the proof is then recorded as *conditional*, and the engine
-keeps its masked-gather clamps for that access while eliding them for
-unconditionally proved ones.
+of intrinsic operand bindings, which additionally bind the intrinsic axes)
+must then evaluate to an interval inside the addressed dimension.
+``likely``-guarded residues are handled by affine guard composition
+(:func:`repro.analysis.interval.refine_with_guards`): an index that exceeds
+its dimension over the raw grid may still be *proved in-bounds inside the
+guarded region*, which is exactly the imperfect-split situation — the proof
+is then recorded as *conditional*, and the engine keeps its masked-gather
+clamps for that access while eliding them for unconditionally proved ones.
 
 A failed proof yields a diagnostic naming the nest, the exact index
 expression and the violating interval.  An index the interval domain cannot
@@ -126,19 +125,13 @@ class _AccessChecker:
         )
 
     def check_value(self, expr: E.Expr, env: Env) -> None:
-        """Check every load reachable from a store value (Reduce binds axes)."""
+        """Check every load reachable from a store value."""
         if isinstance(expr, E.TensorLoad):
             for dim, idx in enumerate(expr.indices):
                 self.check_index(expr.tensor, dim, idx, env, "load")
                 # Indirect addressing: the index itself may read tensors.
                 for child in idx.children:
                     self.check_value(child, env)
-            return
-        if isinstance(expr, E.Reduce):
-            sub = dict(env)
-            for ax in expr.axes:
-                sub[ax.var] = Interval(0, int(ax.extent) - 1)
-            self.check_value(expr.source, sub)
             return
         for child in expr.children:
             self.check_value(child, env)

@@ -25,7 +25,6 @@ from ..dsl.tensor import Tensor
 from ..tir.stmt import (
     Allocate,
     AttrStmt,
-    Evaluate,
     For,
     IfThenElse,
     IntrinsicCall,
@@ -201,8 +200,6 @@ def iter_nests(func) -> Iterator[Nest]:
             yield from walk(stmt.body, allocated | {stmt.tensor})
         elif isinstance(stmt, (For, Store, IfThenElse, IntrinsicCall)):
             yield decompose(stmt, allocated)
-        elif isinstance(stmt, Evaluate):
-            pass  # opaque side effect; the structural pass checks it
         # Unknown statements are the structural pass's concern.
 
     def decompose(root: Stmt, allocated: Set[Tensor]) -> Nest:

@@ -8,8 +8,8 @@ cooperate:
 
 * :func:`expr_interval` — a sound recursive evaluator covering the whole
   expression language (including ``//``/``%``, ``min``/``max``, ``Select``,
-  the vector constructors and ``Reduce``); unknown leaves yield ``None``
-  ("cannot bound"), never a wrong interval;
+  and the ``Reduce`` of an instruction description); unknown leaves yield
+  ``None`` ("cannot bound"), never a wrong interval;
 * :func:`refine_with_guards` — affine composition with ``likely`` guards: a
   residue guard ``g < b`` tightens the interval of any index that is an
   affine multiple of ``g`` (``idx = s*g + rest``), which is exactly the shape
@@ -194,22 +194,6 @@ def expr_interval(expr: E.Expr, env: Env, load_range=None) -> Optional[Interval]
         if t is None or f is None:
             return None
         return t.hull(f)
-    if isinstance(expr, E.Ramp):
-        base = expr_interval(expr.base, env, load_range)
-        if base is None:
-            return None
-        span = expr.stride * (expr.lanes - 1)
-        return base + Interval(min(0, span), max(0, span))
-    if isinstance(expr, E.Broadcast):
-        return expr_interval(expr.value, env, load_range)
-    if isinstance(expr, E.Shuffle):
-        total: Optional[Interval] = None
-        for v in expr.vectors:
-            iv = expr_interval(v, env, load_range)
-            if iv is None:
-                return None
-            total = iv if total is None else total.hull(iv)
-        return total
     if isinstance(expr, E.Reduce):
         sub = dict(env)
         n = 1

@@ -1,22 +1,26 @@
-"""Structural verification of tensor-IR programs (the folded ``tir.verify``).
+"""Structural verification of tensor-IR programs (``repro.tir.verify``).
 
-Checks the invariants the paper relies on (Section II-C.3): canonical loops,
-no variable shadowing, all loads/stores referring to buffers that are either
-parameters or allocated in scope, and every intrinsic operand bound to
-visible buffers over bound variables.  This is the old ``repro.tir.verify``
-pass folded into the analysis framework, with its two known gaps closed:
+Declares what a tensor-IR program may contain and checks the invariants the
+paper relies on (Section II-C.3): canonical loops, no variable shadowing,
+all loads/stores referring to buffers that are either parameters or
+allocated in scope, and every intrinsic operand bound to visible buffers
+over bound variables — including the tensors an operand *index expression*
+itself reads (indirect addressing), which must be visible in the
+``Allocate`` scope of the call.
 
-* **vector expressions** — ``Ramp``/``Broadcast``/``Shuffle`` lanes must be
-  positive and lanes must not nest (a vector of vectors has no scalar-loop
-  semantics; the engine would only discover this at run time);
-* **intrinsic region reads** — operand *index expressions* may themselves
-  read tensors (indirect addressing); those tensors must be visible in the
-  ``Allocate`` scope of the call, which the old pass never checked.
+**The language.**  Statements are ``For``, ``SeqStmt``, ``IfThenElse``,
+``AttrStmt``, ``Allocate``, ``Store`` and ``IntrinsicCall``; expressions —
+store values and indices, guards, and both index tuples of an operand
+binding — are built from :data:`TIR_EXPR_KINDS` only.  ``Reduce`` is a
+*DSL* node: it is legal in a compute definition and in an instruction's
+description, never in a ``PrimFunc`` body (``lower`` splits a reduction
+into an init store and an update store).  Every tier downstream — the
+interpreter, the vectorized engine, the native emitter — implements exactly
+this set, so a producer that emits anything else is rejected here, by name.
 
 ``verify_structure`` raises :class:`VerificationError` on the first
-violation (the historical contract, re-exported as ``repro.tir.verify``);
-``structure_diagnostics`` collects every violation as diagnostics for the
-combined report.
+violation (re-exported as ``repro.tir.verify``); ``structure_diagnostics``
+collects it as a diagnostic for the combined report.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from ..dsl.tensor import Tensor
 from ..tir.stmt import (
     Allocate,
     AttrStmt,
-    Evaluate,
     For,
     IfThenElse,
     IntrinsicCall,
@@ -38,7 +41,31 @@ from ..tir.stmt import (
 )
 from .framework import Diagnostic
 
-__all__ = ["VerificationError", "verify_structure", "structure_diagnostics"]
+__all__ = [
+    "TIR_EXPR_KINDS",
+    "VerificationError",
+    "verify_structure",
+    "structure_diagnostics",
+]
+
+# The tensor-IR expression language (exact classes, not subclasses).
+TIR_EXPR_KINDS = frozenset(
+    {
+        E.Const,
+        E.Var,
+        E.Cast,
+        E.Add,
+        E.Sub,
+        E.Mul,
+        E.FloorDiv,
+        E.Mod,
+        E.Min,
+        E.Max,
+        E.Compare,
+        E.Select,
+        E.TensorLoad,
+    }
+)
 
 
 class VerificationError(Exception):
@@ -86,8 +113,6 @@ def _check(stmt: Stmt, visible: Set[Tensor], bound: Set[E.Var]) -> None:
         for idx in stmt.indices:
             _check_expr(idx, visible, bound)
         _check_expr(stmt.value, visible, bound)
-    elif isinstance(stmt, Evaluate):
-        _check_expr(stmt.expr, visible, bound)
     elif isinstance(stmt, IntrinsicCall):
         intrin_axis_vars = {ax.var for ax in stmt.axes}
         for binding in list(stmt.inputs) + [stmt.output]:
@@ -105,57 +130,36 @@ def _check(stmt: Stmt, visible: Set[Tensor], bound: Set[E.Var]) -> None:
                 # Indirect addressing: region reads inside the operand index
                 # must be visible in the Allocate scope of the call.
                 for node in E.post_order(idx):
+                    if node.__class__ not in TIR_EXPR_KINDS:
+                        raise _foreign(node, "an intrinsic operand index")
                     if isinstance(node, E.TensorLoad) and node.tensor not in visible:
                         raise VerificationError(
                             f"intrinsic operand index reads unknown buffer "
                             f"{node.tensor.name!r}"
                         )
-                _check_vector(idx)
+            for idx in binding.intrin_indices:
+                for node in E.post_order(idx):
+                    if node.__class__ not in TIR_EXPR_KINDS:
+                        raise _foreign(node, "an intrinsic register index")
     else:
         raise VerificationError(f"unknown statement type {type(stmt).__name__}")
 
 
+def _foreign(node: E.Expr, where: str) -> VerificationError:
+    return VerificationError(
+        f"{type(node).__name__} is not a tensor-IR expression kind (found in {where})"
+    )
+
+
 def _check_expr(expr: E.Expr, visible: Set[Tensor], bound: Set[E.Var]) -> None:
-    if isinstance(expr, E.Var):
+    cls = expr.__class__
+    if cls not in TIR_EXPR_KINDS:
+        raise _foreign(expr, "a store or guard expression")
+    if cls is E.Var:
         if expr not in bound:
             raise VerificationError(f"use of unbound variable {expr.name!r}")
         return
-    if isinstance(expr, E.Reduce):
-        # Reduce axes bind their own variables inside the source.
-        _check_expr(expr.source, visible, bound | {ax.var for ax in expr.axes})
-        return
-    if isinstance(expr, E.TensorLoad):
-        if expr.tensor not in visible:
-            raise VerificationError(f"load from unknown buffer {expr.tensor.name!r}")
-    if isinstance(expr, (E.Ramp, E.Broadcast, E.Shuffle)):
-        _check_vector(expr)
+    if cls is E.TensorLoad and expr.tensor not in visible:
+        raise VerificationError(f"load from unknown buffer {expr.tensor.name!r}")
     for child in expr.children:
         _check_expr(child, visible, bound)
-
-
-def _check_vector(expr: E.Expr, inside_vector: bool = False) -> None:
-    """Vector well-formedness: positive lane counts, no nested lanes."""
-    if isinstance(expr, (E.Ramp, E.Broadcast)):
-        if expr.lanes <= 0:
-            raise VerificationError(
-                f"{type(expr).__name__} with non-positive lane count {expr.lanes}"
-            )
-        if inside_vector:
-            raise VerificationError(
-                f"nested vector lanes ({type(expr).__name__} inside a vector expression)"
-            )
-        for child in expr.children:
-            _check_vector(child, inside_vector=True)
-        return
-    if isinstance(expr, E.Shuffle):
-        if inside_vector:
-            raise VerificationError(
-                "nested vector lanes (Shuffle inside a vector expression)"
-            )
-        for child in expr.children:
-            # Shuffle concatenates vectors; its parts may be vectors but
-            # must not nest further.
-            _check_vector(child, inside_vector=False)
-        return
-    for child in expr.children:
-        _check_vector(child, inside_vector)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.interval import Interval, atom_root, linearize, loop_env
+from ..analysis.structure import TIR_EXPR_KINDS
 from ..dsl import expr as E
 from ..dsl.dtype import DType, from_string
 from ..dsl.printer import expr_to_str
@@ -31,7 +32,6 @@ from ..tir.lower import PrimFunc
 from ..tir.stmt import (
     Allocate,
     AttrStmt,
-    Evaluate,
     For,
     ForKind,
     IfThenElse,
@@ -225,8 +225,6 @@ class _Emitter:
             value = self._scalar(stmt.value)
             address = self._address(stmt.tensor.name, stmt.indices)
             self.emit("store", [address, value], comment=f"{stmt.tensor.dtype.name}")
-        elif isinstance(stmt, Evaluate):
-            self.emit("eval", [expr_to_str(stmt.expr)])
         elif isinstance(stmt, IntrinsicCall):
             self._emit_intrinsic(stmt)
         else:
@@ -421,9 +419,6 @@ def _row_major_strides(shape) -> List[int]:
 
 # -- native eligibility -------------------------------------------------------
 
-_UNSUPPORTED_EXPRS = (E.Ramp, E.Broadcast, E.Shuffle, E.Call)
-
-
 def _intrinsic_native_reason(intrin) -> Optional[str]:
     """Why an intrinsic cannot be natively expanded, or None if it can.
 
@@ -459,8 +454,6 @@ def _intrinsic_native_reason(intrin) -> Optional[str]:
                 reads_forbidden = True
             if isinstance(node, E.TensorLoad) and not node.tensor.dtype.is_integer:
                 reads_forbidden = True
-            if isinstance(node, _UNSUPPORTED_EXPRS):
-                reads_forbidden = True
         if reads_forbidden:
             return f"intrinsic {intrin.name}: reduction reads accumulator/output or non-integer lanes"
         return None
@@ -469,7 +462,7 @@ def _intrinsic_native_reason(intrin) -> Optional[str]:
 
 def _expr_native_reason(expr: E.Expr) -> Optional[str]:
     for node in E.post_order(expr):
-        if isinstance(node, _UNSUPPORTED_EXPRS):
+        if node.__class__ not in TIR_EXPR_KINDS:
             return f"{type(node).__name__} expressions have no native lowering"
         if node.dtype is not None and node.dtype.name not in _C_TYPES:
             return f"dtype {node.dtype.name} has no native lowering"
@@ -513,8 +506,6 @@ def native_support_reason(func: PrimFunc) -> Optional[str]:
                 reason = _expr_native_reason(idx)
                 if reason:
                     return reason
-            return None
-        if isinstance(stmt, Evaluate):
             return None
         if isinstance(stmt, IntrinsicCall):
             reason = _intrinsic_native_reason(stmt.intrin)
@@ -878,9 +869,7 @@ class _CEmitter:
             self.depth -= 1
             self.line("}")
         elif isinstance(stmt, IfThenElse):
-            subs: Dict[int, Tuple[str, object]] = {}
-            self.hoist_reduces(stmt.condition, subs)
-            cond, _ = self.value(stmt.condition, subs)
+            cond, _ = self.value(stmt.condition, {})
             self.line(f"if ({cond}) {{")
             self.depth += 1
             self.visit(stmt.then_case)
@@ -906,12 +895,8 @@ class _CEmitter:
             self.depth -= 1
             self.line("}")
         elif isinstance(stmt, Store):
-            subs = {}
-            self.hoist_reduces(stmt.value, subs)
-            code, _ = self.value(stmt.value, subs)
+            code, _ = self.value(stmt.value, {})
             self.line(f"{self._element(stmt.tensor, stmt.indices)} = {self._stored(stmt.tensor, code)};")
-        elif isinstance(stmt, Evaluate):
-            pass  # pure expression; no effect
         elif isinstance(stmt, IntrinsicCall):
             self._intrinsic(stmt)
         else:
@@ -955,7 +940,7 @@ class _CEmitter:
         ):
             return None
         for sub in E.post_order(value.b):
-            if isinstance(sub, E.Reduce) or (isinstance(sub, E.TensorLoad) and sub.tensor is tensor):
+            if isinstance(sub, E.TensorLoad) and sub.tensor is tensor:
                 return None
         indexed = {var for idx in node.indices for var in E.free_vars(idx)}
         depth = next((i for i, loop in enumerate(band) if loop.var not in indexed), len(band))

@@ -4,6 +4,11 @@ This subpackage is the stand-in for TVM's tensor expression DSL: declare
 placeholder tensors, loop and reduce axes, and computed tensors whose bodies
 are expression trees.  The Inspector and Rewriter of UNIT operate on the
 :class:`~repro.dsl.compute.ComputeOp` data structure produced here.
+
+The expression node set is closed: ``Const``, ``Var``, ``Cast``, the seven
+``BinaryOp``s, ``Compare``, ``Select``, ``TensorLoad`` and ``Reduce``.  All
+but ``Reduce`` are also the expression language of lowered tensor IR
+(:data:`repro.analysis.structure.TIR_EXPR_KINDS`).
 """
 
 from .axis import AxisKind, IterAxis, loop_axis, reduce_axis
@@ -25,8 +30,6 @@ from .dtype import (
 from .expr import (
     Add,
     BinaryOp,
-    Broadcast,
-    Call,
     Cast,
     Compare,
     Const,
@@ -36,10 +39,8 @@ from .expr import (
     Min,
     Mod,
     Mul,
-    Ramp,
     Reduce,
     Select,
-    Shuffle,
     Sub,
     TensorLoad,
     Var,
@@ -98,10 +99,6 @@ __all__ = [
     "Select",
     "TensorLoad",
     "Reduce",
-    "Ramp",
-    "Broadcast",
-    "Shuffle",
-    "Call",
     "const",
     "as_expr",
     "cast",

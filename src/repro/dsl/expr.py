@@ -34,10 +34,6 @@ __all__ = [
     "Select",
     "TensorLoad",
     "Reduce",
-    "Ramp",
-    "Broadcast",
-    "Shuffle",
-    "Call",
     "const",
     "as_expr",
     "cast",
@@ -298,60 +294,6 @@ class Reduce(Expr):
         return (self.source,)
 
 
-class Ramp(Expr):
-    """A vector of ``lanes`` consecutive values ``base + i*stride`` (codegen)."""
-
-    def __init__(self, base: Expr, stride: int, lanes: int) -> None:
-        self.base = base
-        self.stride = int(stride)
-        self.lanes = int(lanes)
-        self.dtype = base.dtype
-
-    @property
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.base,)
-
-
-class Broadcast(Expr):
-    """A scalar value replicated across ``lanes`` vector lanes (codegen)."""
-
-    def __init__(self, value: Expr, lanes: int) -> None:
-        self.value = value
-        self.lanes = int(lanes)
-        self.dtype = value.dtype
-
-    @property
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.value,)
-
-
-class Shuffle(Expr):
-    """Concatenation of vectors — models the unroll-and-concatenate operand rule."""
-
-    def __init__(self, vectors: Sequence[Expr]) -> None:
-        self.vectors = tuple(vectors)
-        if not self.vectors:
-            raise ValueError("Shuffle requires at least one vector")
-        self.dtype = self.vectors[0].dtype
-
-    @property
-    def children(self) -> Tuple[Expr, ...]:
-        return self.vectors
-
-
-class Call(Expr):
-    """A call to a named intrinsic, e.g. ``x86.avx512.vpdpbusd``."""
-
-    def __init__(self, name: str, args: Sequence[Expr], dtype) -> None:
-        self.name = name
-        self.args = tuple(args)
-        self.dtype = from_string(dtype)
-
-    @property
-    def children(self) -> Tuple[Expr, ...]:
-        return self.args
-
-
 # ---------------------------------------------------------------------------
 # Construction helpers
 # ---------------------------------------------------------------------------
@@ -553,16 +495,6 @@ def _structural_hash_impl(e: Expr) -> int:
         )
     if isinstance(e, Reduce):
         return hash(("reduce", e.combiner, len(e.axes), structural_hash(e.source)))
-    if isinstance(e, Ramp):
-        return hash(("ramp", e.stride, e.lanes, structural_hash(e.base)))
-    if isinstance(e, Broadcast):
-        return hash(("bcast", e.lanes, structural_hash(e.value)))
-    if isinstance(e, Shuffle):
-        return hash(("shuffle",) + tuple(structural_hash(v) for v in e.vectors))
-    if isinstance(e, Call):
-        return hash(
-            ("call", e.name, e.dtype.name) + tuple(structural_hash(a) for a in e.args)
-        )
     raise TypeError(f"unhandled node type {type(e).__name__}")
 
 
@@ -621,34 +553,6 @@ def canonical_hash(expr: Expr, var_ids: dict, tensor_ids: dict) -> int:
         return hash(
             ("cload", tkey)
             + tuple(canonical_hash(i, var_ids, tensor_ids) for i in expr.indices)
-        )
-    if isinstance(expr, Reduce):
-        inner = dict(var_ids)
-        for ax in expr.axes:
-            inner[ax.var] = len(inner)
-        return hash(
-            (
-                "creduce",
-                expr.combiner,
-                tuple(ax.extent for ax in expr.axes),
-                canonical_hash(expr.source, inner, tensor_ids),
-            )
-        )
-    if isinstance(expr, Ramp):
-        return hash(
-            ("cramp", expr.stride, expr.lanes, canonical_hash(expr.base, var_ids, tensor_ids))
-        )
-    if isinstance(expr, Broadcast):
-        return hash(("cbcast", expr.lanes, canonical_hash(expr.value, var_ids, tensor_ids)))
-    if isinstance(expr, Shuffle):
-        return hash(
-            ("cshuffle",)
-            + tuple(canonical_hash(v, var_ids, tensor_ids) for v in expr.vectors)
-        )
-    if isinstance(expr, Call):
-        return hash(
-            ("ccall", expr.name, expr.dtype.name)
-            + tuple(canonical_hash(a, var_ids, tensor_ids) for a in expr.args)
         )
     raise TypeError(f"unhandled node type {type(expr).__name__}")
 
@@ -810,18 +714,6 @@ def _structural_equal_impl(a: Expr, b: Expr, var_map: dict) -> bool:
         for ax_a, ax_b in zip(a.axes, b.axes):
             extended[ax_a.var] = ax_b.var
         return structural_equal(a.source, b.source, extended)
-    if isinstance(a, (Ramp, Broadcast, Shuffle, Call)):
-        if isinstance(a, Ramp) and (a.stride != b.stride or a.lanes != b.lanes):
-            return False
-        if isinstance(a, Broadcast) and a.lanes != b.lanes:
-            return False
-        if isinstance(a, Call) and (a.name != b.name or a.dtype != b.dtype):
-            return False
-        if len(a.children) != len(b.children):
-            return False
-        return all(
-            structural_equal(x, y, var_map) for x, y in zip(a.children, b.children)
-        )
     raise TypeError(f"unhandled node type {type(a).__name__}")
 
 
@@ -848,14 +740,6 @@ def substitute(expr: Expr, mapping: dict) -> Expr:
         return TensorLoad(expr.tensor, [substitute(i, mapping) for i in expr.indices])
     if isinstance(expr, Reduce):
         return Reduce(expr.combiner, substitute(expr.source, mapping), expr.axes)
-    if isinstance(expr, Ramp):
-        return Ramp(substitute(expr.base, mapping), expr.stride, expr.lanes)
-    if isinstance(expr, Broadcast):
-        return Broadcast(substitute(expr.value, mapping), expr.lanes)
-    if isinstance(expr, Shuffle):
-        return Shuffle([substitute(v, mapping) for v in expr.vectors])
-    if isinstance(expr, Call):
-        return Call(expr.name, [substitute(a, mapping) for a in expr.args], expr.dtype)
     raise TypeError(f"unhandled node type {type(expr).__name__}")
 
 
@@ -938,14 +822,6 @@ def _simplify_impl(expr: Expr) -> Expr:
         return TensorLoad(expr.tensor, [simplify(i) for i in expr.indices])
     if isinstance(expr, Reduce):
         return Reduce(expr.combiner, simplify(expr.source), expr.axes)
-    if isinstance(expr, Ramp):
-        return Ramp(simplify(expr.base), expr.stride, expr.lanes)
-    if isinstance(expr, Broadcast):
-        return Broadcast(simplify(expr.value), expr.lanes)
-    if isinstance(expr, Shuffle):
-        return Shuffle([simplify(v) for v in expr.vectors])
-    if isinstance(expr, Call):
-        return Call(expr.name, [simplify(a) for a in expr.args], expr.dtype)
     return expr
 
 

@@ -54,15 +54,6 @@ def expr_to_str(expr: "E.Expr") -> str:
     if isinstance(expr, E.Reduce):
         axes = ", ".join(ax.name for ax in expr.axes)
         return f"{expr.combiner}({expr_to_str(expr.source)}, [{axes}])"
-    if isinstance(expr, E.Ramp):
-        return f"ramp({expr_to_str(expr.base)}, {expr.stride}, {expr.lanes})"
-    if isinstance(expr, E.Broadcast):
-        return f"bcast({expr_to_str(expr.value)}, {expr.lanes})"
-    if isinstance(expr, E.Shuffle):
-        return "concat(" + ", ".join(expr_to_str(v) for v in expr.vectors) + ")"
-    if isinstance(expr, E.Call):
-        args = ", ".join(expr_to_str(a) for a in expr.args)
-        return f"{expr.name}({args})"
     return object.__repr__(expr)
 
 

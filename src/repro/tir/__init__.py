@@ -5,8 +5,16 @@ Lowering (:func:`lower`) turns a ComputeOp plus a schedule into a
 through one front door — :class:`Executor`, which runs one of three tiers
 (``interpreter`` / ``vectorized`` / ``native``) and applies a
 :class:`ValidationPolicy`.  The scalar :class:`Interpreter` is the reference
-semantics every tier is tested against.  The verifier checks structural
-invariants, and the printer renders C-like listings.
+semantics every tier is tested against.  The printer renders C-like
+listings.
+
+A ``PrimFunc`` body is written in one small language — statements ``For``,
+``SeqStmt``, ``IfThenElse``, ``AttrStmt``, ``Allocate``, ``Store``,
+``IntrinsicCall``; expressions from
+:data:`repro.analysis.structure.TIR_EXPR_KINDS` — which :func:`verify`
+(``repro.analysis.structure.verify_structure``) enforces and every tier
+implements exactly.  ``Reduce`` belongs to the DSL and to instruction
+descriptions; :func:`lower` never leaves one in a function body.
 """
 
 from .lower import PrimFunc, decompose_reduction, lower
@@ -41,7 +49,6 @@ from .printer import func_to_str, stmt_to_str
 from .stmt import (
     Allocate,
     AttrStmt,
-    Evaluate,
     For,
     ForKind,
     IfThenElse,
@@ -52,8 +59,8 @@ from .stmt import (
     Store,
     seq,
 )
-from .verify import VerificationError, verify
-from .visitor import StmtMutator, StmtVisitor, collect, count_nodes, walk
+from .visitor import StmtMutator, collect, count_nodes, walk
+from ..analysis.structure import VerificationError, verify_structure as verify
 
 __all__ = [
     "PrimFunc",
@@ -97,13 +104,11 @@ __all__ = [
     "IfThenElse",
     "AttrStmt",
     "Allocate",
-    "Evaluate",
     "OperandBinding",
     "IntrinsicCall",
     "seq",
     "VerificationError",
     "verify",
-    "StmtVisitor",
     "StmtMutator",
     "walk",
     "collect",

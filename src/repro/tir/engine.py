@@ -20,17 +20,23 @@ plan with **zero re-analysis**:
   vectorized left-folds where evaluation order is observable, e.g. float
   sums), masked scatters, and bulk intrinsic dispatch.
 
-``IntrinsicCall`` regions execute in rounds: outer loops the destination
-tile does *not* depend on (reduction revisits) are, by default, sequential
-rounds.  When every operand address is **affine in those sequential loop
-variables** — successive rounds differ only by constant input offsets — and
-the instruction is an integer accumulator-style dot product, the plan
-*stacks* rounds: operands for whole slabs of rounds are gathered at once,
-pushed through the (rank-polymorphic) hardware model in one call with a zero
-accumulator, and the per-round contributions are folded with exact wraparound
-integer addition before a single accumulate-and-scatter.  This turns the
-36–648 Python round-trips of a convolution's reduction loops into a handful
-of ``execute`` calls.
+``IntrinsicCall`` regions dispatch along one of two paths, chosen by what
+the compiler observes.  Outer loops the destination tile does *not* depend
+on (reduction revisits) are, by default, **sequential rounds**: one gather,
+one ``execute_batch`` and one scatter per round, in loop order.  When the
+instruction is an integer accumulator-style dot product (``d = c + sum(...)``
+with wraparound addition) that ships a ``grid_impl``, and every input
+address is affine in those sequential loop variables, the plan takes the
+**grid form** instead: every operand is gathered once over the whole
+iteration space, the model folds the sequential axes into its own exact
+accumulation, and the nest ends in a single accumulate-and-scatter.  This
+turns the 36–648 Python round-trips of a convolution's reduction loops into
+one model call.
+
+The expression language compiled here is exactly
+:data:`repro.analysis.structure.TIR_EXPR_KINDS` — what ``lower`` and the
+tensorize replacement emit and ``repro.tir.verify`` enforces; any other
+node is :class:`Unvectorizable`.
 
 Plans are cached process-wide (:mod:`repro.tir.plan`) keyed by the canonical
 structural hash of the function plus its dtype/shape signature, so the many
@@ -45,8 +51,9 @@ vectorized and why fallbacks happened.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,7 +64,6 @@ from .lower import PrimFunc
 from .stmt import (
     Allocate,
     AttrStmt,
-    Evaluate,
     For,
     IfThenElse,
     IntrinsicCall,
@@ -74,11 +80,6 @@ __all__ = [
     "compile_plan",
 ]
 
-# Element budget for one stacked intrinsic-round slab: bounds the transient
-# operand arrays of the register-form batched dispatch (elements, not bytes).
-# Kept small enough that a slab's widened temporaries stay cache-resident.
-_ROUND_BATCH_BUDGET = 1 << 22
-
 # Element budget for the materialised gathers of the grid-form dispatch (its
 # broadcast operand views cost nothing; only the raw gathers allocate).
 _GRID_GATHER_BUDGET = 1 << 27
@@ -88,9 +89,9 @@ class Unvectorizable(Exception):
     """A statement could not be proven safe to vectorize.
 
     Raised at compile time for structural reasons (and surfaced only in
-    ``strict`` mode) and — rarely — at run time for value-shape reasons
-    (vector lanes appearing where the plan proved none); the engine's normal
-    response is to execute the offending nest through the scalar interpreter.
+    ``strict`` mode) and — rarely — at run time (a grid-form hardware model
+    returning the wrong number of elements); the engine's normal response is
+    to execute the offending nest through the scalar interpreter.
     """
 
 
@@ -115,11 +116,6 @@ class EngineStats:
     sandbox_rejections: int = 0
     fallback_reasons: List[str] = field(default_factory=list)
 
-    @property
-    def vectorized_fraction(self) -> float:
-        total = self.vector_nests + self.fallback_nests
-        return self.vector_nests / total if total else 1.0
-
 
 @dataclass
 class PlanStats:
@@ -127,9 +123,8 @@ class PlanStats:
 
     ``proved_nests`` counts nests whose every access the static bounds
     analysis (:mod:`repro.analysis`) proved in-range; ``elided_checks``
-    counts the runtime guards (masked-gather/scatter clamps, accumulation
-    lane checks) the compiler skipped because a proof made them identity
-    operations.
+    counts the runtime guards (masked-gather/scatter clamps) the compiler
+    skipped because a proof made them identity operations.
     """
 
     vector_nests: int = 0
@@ -138,32 +133,45 @@ class PlanStats:
     elided_checks: int = 0
     fallback_reasons: List[str] = field(default_factory=list)
 
-    @property
-    def vectorized_fraction(self) -> float:
-        total = self.vector_nests + self.fallback_nests
-        return self.vector_nests / total if total else 1.0
+
+def _minimum(a, b):
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        return min(a, b)
+    return np.minimum(a, b)
+
+
+def _maximum(a, b):
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        return max(a, b)
+    return np.maximum(a, b)
+
+
+# The arithmetic of the static evaluator (``_seval``) and of the closures
+# ``_compile_value`` builds: one table each, keyed by exact node class / op.
+_BINARY_OPS = {
+    E.Add: operator.add,
+    E.Sub: operator.sub,
+    E.Mul: operator.mul,
+    E.FloorDiv: operator.floordiv,
+    E.Mod: operator.mod,
+    E.Min: _minimum,
+    E.Max: _maximum,
+}
+
+_COMPARE_OPS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 def _axis_array(pos: int, extent: int, rank: int) -> np.ndarray:
     shape = [1] * rank
     shape[pos] = extent
     return np.arange(extent, dtype=np.int64).reshape(shape)
-
-
-def _align(values: Sequence, rank: int) -> List:
-    """Insert a trailing lane axis on grid-rank arrays when mixed with
-    lane-rank (rank+1) arrays, so numpy broadcasting lines up positionally."""
-    target = max((np.ndim(v) for v in values), default=0)
-    if target <= rank:
-        return list(values)
-    out = []
-    for v in values:
-        nd = np.ndim(v)
-        if 0 < nd < target:
-            out.append(np.asarray(v)[..., None])
-        else:
-            out.append(v)
-    return out
 
 
 def _affine_in(expr: E.Expr, variables: set) -> bool:
@@ -198,7 +206,7 @@ class _CompileCtx:
 
     ``rank`` is the number of grid axes; every bound array has exactly
     ``rank`` dimensions (size-1 where it does not vary), so results broadcast
-    positionally.  Vector expressions add one trailing *lane* axis (rank+1).
+    positionally.
     ``order`` is the binding order of the variables — the memo key for the
     affine decomposition.  ``clip`` clamps gather indices into range —
     enabled when a mask is active, because masked-out grid points may carry
@@ -210,7 +218,7 @@ class _CompileCtx:
 
     __slots__ = ("rank", "vars", "order", "clip", "env")
 
-    def __init__(self, rank, vars, order, clip=False, env=None):
+    def __init__(self, rank, vars, order, clip, env):
         self.rank = rank
         self.vars = vars
         self.order = order
@@ -248,37 +256,34 @@ class _DeadStep:
 
 
 class _FallbackStep:
-    __slots__ = ("stmt", "reason", "counted")
+    __slots__ = ("stmt", "reason")
 
-    def __init__(self, stmt: Stmt, reason: str, counted: bool = True) -> None:
+    def __init__(self, stmt: Stmt, reason: str) -> None:
         self.stmt = stmt
         self.reason = reason
-        self.counted = counted
 
 
 class _PlainStoreStep:
-    __slots__ = ("stmt", "tensor", "idx", "value_fn", "mask", "rank", "out_np")
+    __slots__ = ("stmt", "tensor", "idx", "value_fn", "mask", "out_np")
 
-    def __init__(self, stmt, tensor, idx, value_fn, mask, rank, out_np) -> None:
+    def __init__(self, stmt, tensor, idx, value_fn, mask, out_np) -> None:
         self.stmt = stmt
         self.tensor = tensor
         self.idx = idx
         self.value_fn = value_fn
         self.mask = mask
-        self.rank = rank
         self.out_np = out_np
 
     def run(self, bufs, stats) -> None:
         buf = _get_buf(bufs, self.tensor)
-        value = self.value_fn(bufs)
-        arrs = _align(list(self.idx) + [value], self.rank)
-        *idx_a, val = arrs
-        shapes = [np.shape(a) for a in arrs]
+        val = self.value_fn(bufs)
+        shapes = [np.shape(a) for a in self.idx]
+        shapes.append(np.shape(val))
         if self.mask is not None:
             shapes.append(np.shape(self.mask))
         bshape = np.broadcast_shapes(*shapes)
         val = np.broadcast_to(np.asarray(val).astype(self.out_np), bshape)
-        idx_b = tuple(np.broadcast_to(np.asarray(a), bshape) for a in idx_a)
+        idx_b = tuple(np.broadcast_to(np.asarray(a), bshape) for a in self.idx)
         if self.mask is None:
             # Duplicate target indices (loop axes the store does not depend
             # on) resolve in C order = loop order: the last write wins,
@@ -305,16 +310,14 @@ class _AccumStoreStep:
         "dp_shape",
         "mask_m",
         "sel",
-        "rank",
         "out_np",
         "out_bits",
         "is_int_out",
-        "check_lanes",
     )
 
     def __init__(
         self, stmt, tensor, value_fn, combiner, idx_dp, grid, perm, dp_shape,
-        mask_m, sel, rank, out_np, out_bits, is_int_out, check_lanes=True,
+        mask_m, sel, out_np, out_bits, is_int_out,
     ) -> None:
         self.stmt = stmt
         self.tensor = tensor
@@ -326,11 +329,9 @@ class _AccumStoreStep:
         self.dp_shape = dp_shape
         self.mask_m = mask_m
         self.sel = sel
-        self.rank = rank
         self.out_np = out_np
         self.out_bits = out_bits
         self.is_int_out = is_int_out
-        self.check_lanes = check_lanes
 
     def _to_folded(self, a):
         """Reshape a grid-broadcastable array to (dp..., K) in loop order."""
@@ -340,10 +341,7 @@ class _AccumStoreStep:
 
     def run(self, bufs, stats) -> None:
         buf = _get_buf(bufs, self.tensor)
-        vals = self.value_fn(bufs)
-        if self.check_lanes and np.ndim(vals) > self.rank:
-            raise Unvectorizable("accumulating store over vector lanes")
-        vals_m = self._to_folded(vals)
+        vals_m = self._to_folded(self.value_fn(bufs))
         mask_m = self.mask_m
         acc0 = buf[self.idx_dp]  # data-parallel gather of the current accumulator
 
@@ -499,126 +497,10 @@ class _IntrinsicStep:
                 stats.intrinsic_points += bn_total
 
 
-class _BatchedIntrinsicStep:
-    """Rounds stacked into slabs via affine-offset round slicing.
-
-    Applies when every input address is affine in the sequential loop
-    variables and the instruction is an integer accumulator dot product
-    (``d = c + sum(...)`` with wraparound accumulation): contributions are
-    computed for whole slabs of rounds with a zero accumulator, folded with
-    exact modular integer addition, and accumulated + scattered once.
-    """
-
-    __slots__ = (
-        "stmt",
-        "call",
-        "inputs",
-        "acc_bi",
-        "zero_acc",
-        "acc_name",
-        "out_tensor",
-        "out_np",
-        "rank",
-        "bn_total",
-        "n_rounds",
-        "batch_part",
-        "slabs",
-        "sum_axes",
-        "eff",
-        "bview",
-        "identity_fill",
-        "out_i",
-        "out_reg_shape",
-        "acc_idx",
-        "eff_acc",
-        "pidx_o",
-        "scat_ext",
-        "out_slicer",
-        "sel",
-        "sel_rows",
-    )
-
-    def __init__(self, **kw) -> None:
-        for k, v in kw.items():
-            setattr(self, k, v)
-
-    def run(self, bufs, stats) -> None:
-        call = self.call
-        intrin = call.intrin
-        out_buf = _get_buf(bufs, self.out_tensor)
-        rank = self.rank
-        lead_slices = (slice(None),) * rank
-
-        total = None
-        for slab_shape, slab_idx in self.slabs:
-            slab_n = int(np.prod(slab_shape))
-            operands: Dict[str, np.ndarray] = {}
-            for bi, b in enumerate(self.inputs):
-                if bi == self.acc_bi:
-                    continue
-                src = _get_buf(bufs, b.program_tensor)
-                vals = np.broadcast_to(src[slab_idx[bi]], slab_shape + self.eff[bi])
-                reg_np = b.intrin_tensor.dtype.np_dtype
-                if self.identity_fill[bi]:
-                    reg = vals.reshape(slab_shape + b.intrin_tensor.shape)
-                    if reg.dtype != reg_np:
-                        reg = reg.astype(reg_np)
-                else:
-                    reg = np.zeros(slab_shape + b.intrin_tensor.shape, dtype=reg_np)
-                    reg[lead_slices + self.bview[bi]] = vals
-                # The register arrays are contiguous; flattening the leading
-                # grid axes is free and keeps the hardware model on dense 2-D
-                # iteration (numpy slows down markedly on high-rank arrays).
-                operands[b.intrin_tensor.name] = np.ascontiguousarray(reg).reshape(
-                    (slab_n,) + b.intrin_tensor.shape
-                )
-            # The accumulator register is fed zeros, so the model returns the
-            # pure per-round contribution (broadcast over the leading axes).
-            operands[self.acc_name] = self.zero_acc
-
-            result = np.asarray(intrin.hardware_impl(operands))
-            if result.shape != (slab_n,) + self.out_reg_shape:
-                raise Unvectorizable(
-                    "batched hardware model returned shape "
-                    f"{result.shape}, expected {(slab_n,) + self.out_reg_shape}"
-                )
-            result = result.reshape(slab_shape + self.out_reg_shape)
-            if self.identity_fill[self.out_i]:
-                out_vals = result.reshape(slab_shape + self.eff[self.out_i])
-            else:
-                out_vals = result[lead_slices + self.bview[self.out_i]].reshape(
-                    slab_shape + self.eff[self.out_i]
-                )
-            # Fold this slab's rounds: wraparound integer addition is
-            # associative/commutative mod 2^n, bit-identical to the scalar
-            # loop's per-round read-modify-write.
-            partial = np.add.reduce(
-                out_vals, axis=self.sum_axes, keepdims=True, dtype=out_vals.dtype
-            )
-            total = partial if total is None else total + partial
-
-        # One accumulate + one scatter for the whole nest.
-        acc_src = _get_buf(bufs, self.out_tensor)
-        acc_vals = np.broadcast_to(
-            acc_src[tuple(self.acc_idx)], self.batch_part + self.eff_acc
-        )
-        val = (acc_vals + total).astype(self.out_np)
-        if self.sel is None:
-            out_buf[tuple(self.pidx_o)] = val[self.out_slicer]
-        else:
-            out_buf[tuple(self.sel_rows)] = np.broadcast_to(
-                val, self.batch_part + self.scat_ext
-            ).reshape((self.bn_total,) + self.scat_ext)[self.sel]
-        if stats:
-            stats.intrinsic_rounds += self.n_rounds
-            stats.intrinsic_points += self.n_rounds * self.bn_total
-            stats.intrinsic_round_batches += len(self.slabs)
-
-
 class _GridIntrinsicStep:
     """All rounds of an accumulator intrinsic in one grid-form dispatch.
 
-    The fastest stacked path: non-accumulator operands are handed to the
+    Non-accumulator operands are handed to the
     instruction's :attr:`~repro.isa.intrinsic.TensorIntrinsic.grid_impl` as
     zero-stride broadcast *views* over the full ``grid + intrinsic-axes``
     iteration space — nothing is materialised — and the model folds the
@@ -703,7 +585,6 @@ _VECTOR_STEPS = (
     _PlainStoreStep,
     _AccumStoreStep,
     _IntrinsicStep,
-    _BatchedIntrinsicStep,
     _GridIntrinsicStep,
 )
 
@@ -758,7 +639,7 @@ class ExecutablePlan:
         for step in self.steps:
             if isinstance(step, _FallbackStep):
                 self._interp.run_stmt(step.stmt, bufs)
-                if stats and step.counted:
+                if stats:
                     stats.fallback_nests += 1
                     if len(stats.fallback_reasons) < 32:
                         stats.fallback_reasons.append(step.reason)
@@ -831,8 +712,6 @@ class _PlanCompiler:
             self._walk(stmt.body)
         elif isinstance(stmt, (For, Store, IfThenElse, IntrinsicCall)):
             self._nest(stmt)
-        elif isinstance(stmt, Evaluate):
-            self.steps.append(_FallbackStep(stmt, "Evaluate statement", counted=False))
         else:
             raise TypeError(f"cannot compile statement {type(stmt).__name__}")
 
@@ -894,8 +773,6 @@ class _PlanCompiler:
         """Whether the protective clamp on this index dimension is provably
         the identity: the static interval of the index stays inside
         ``[0, extent)`` at every grid point, masked ones included."""
-        if ctx.env is None:
-            return False
         iv = _expr_interval(i_expr, ctx.env)
         if iv is not None and iv.within(0, extent - 1):
             self.stats.elided_checks += 1
@@ -925,8 +802,8 @@ class _PlanCompiler:
         return self._seval(expr, ctx)
 
     def _seval(self, expr: E.Expr, ctx: _CompileCtx):
-        """Static grid evaluation — the compile-time twin of the old
-        ``_veval``, with buffer reads surfacing as :class:`_Dynamic`."""
+        """Static grid evaluation, with buffer reads surfacing as
+        :class:`_Dynamic`."""
         if isinstance(expr, E.Const):
             return expr.value
         if isinstance(expr, E.Var):
@@ -942,122 +819,22 @@ class _PlanCompiler:
             return np_dtype.type(v)
         if isinstance(expr, E.TensorLoad):
             raise _Dynamic(expr.tensor.name)
-        if isinstance(expr, E.BinaryOp):
-            a = self._static_index(expr.a, ctx)
-            b = self._static_index(expr.b, ctx)
-            a, b = _align([a, b], ctx.rank)
-            if isinstance(expr, E.Add):
-                return a + b
-            if isinstance(expr, E.Sub):
-                return a - b
-            if isinstance(expr, E.Mul):
-                return a * b
-            if isinstance(expr, E.FloorDiv):
-                return a // b
-            if isinstance(expr, E.Mod):
-                return a % b
-            if isinstance(expr, E.Min):
-                if np.ndim(a) == 0 and np.ndim(b) == 0:
-                    return min(a, b)
-                return np.minimum(a, b)
-            if np.ndim(a) == 0 and np.ndim(b) == 0:
-                return max(a, b)
-            return np.maximum(a, b)
+        op = _BINARY_OPS.get(expr.__class__)
+        if op is not None:
+            return op(self._static_index(expr.a, ctx), self._static_index(expr.b, ctx))
         if isinstance(expr, E.Compare):
-            a = self._static_index(expr.a, ctx)
-            b = self._static_index(expr.b, ctx)
-            a, b = _align([a, b], ctx.rank)
-            return {
-                "==": lambda: a == b,
-                "!=": lambda: a != b,
-                "<": lambda: a < b,
-                "<=": lambda: a <= b,
-                ">": lambda: a > b,
-                ">=": lambda: a >= b,
-            }[expr.op]()
+            return _COMPARE_OPS[expr.op](
+                self._static_index(expr.a, ctx), self._static_index(expr.b, ctx)
+            )
         if isinstance(expr, E.Select):
             cond = self._seval(expr.cond, ctx)
             if np.ndim(cond) == 0:
                 branch = expr.true_value if bool(cond) else expr.false_value
                 return self._seval(branch, ctx)
-            t = self._seval(expr.true_value, ctx)
-            f = self._seval(expr.false_value, ctx)
-            cond, t, f = _align([cond, t, f], ctx.rank)
-            return np.where(cond, t, f)
-        if isinstance(expr, E.Ramp):
-            base = self._seval(expr.base, ctx)
-            if np.ndim(base) > ctx.rank:
-                raise Unvectorizable("nested vector lanes (Ramp of a vector)")
-            barr = np.broadcast_to(
-                np.asarray(base), (1,) * (ctx.rank - np.ndim(base)) + np.shape(base)
+            return np.where(
+                cond, self._seval(expr.true_value, ctx), self._seval(expr.false_value, ctx)
             )
-            return barr[..., None] + np.arange(expr.lanes, dtype=np.int64) * expr.stride
-        if isinstance(expr, E.Broadcast):
-            v = self._seval(expr.value, ctx)
-            if np.ndim(v) > ctx.rank:
-                raise Unvectorizable("nested vector lanes (Broadcast of a vector)")
-            varr = np.broadcast_to(
-                np.asarray(v), (1,) * (ctx.rank - np.ndim(v)) + np.shape(v)
-            )
-            return np.broadcast_to(varr[..., None], varr.shape + (expr.lanes,))
-        if isinstance(expr, E.Shuffle):
-            parts = []
-            for v in expr.vectors:
-                p = self._seval(v, ctx)
-                if np.ndim(p) <= ctx.rank:
-                    p = np.broadcast_to(
-                        np.asarray(p), (1,) * (ctx.rank - np.ndim(p)) + np.shape(p)
-                    )[..., None]
-                parts.append(np.asarray(p))
-            lead = np.broadcast_shapes(*(p.shape[:-1] for p in parts))
-            parts = [np.broadcast_to(p, lead + (p.shape[-1],)) for p in parts]
-            return np.concatenate(parts, axis=-1)
-        if isinstance(expr, E.Reduce):
-            return self._seval_reduce(expr, ctx)
         raise Unvectorizable(f"cannot vectorize expression {type(expr).__name__}")
-
-    def _seval_reduce(self, expr: E.Reduce, ctx: _CompileCtx):
-        sub = self._reduce_ctx(expr, ctx)
-        src = self._seval(expr.source, sub)
-        return self._fold_reduce(expr, src, ctx.rank, sub.rank)
-
-    def _reduce_ctx(self, expr: E.Reduce, ctx: _CompileCtx) -> _CompileCtx:
-        k = len(expr.axes)
-        sub_rank = ctx.rank + k
-        sub_vars = {}
-        for v, a in ctx.vars.items():
-            sub_vars[v] = (
-                np.asarray(a).reshape(np.shape(a) + (1,) * k) if np.ndim(a) else a
-            )
-        for j, ax in enumerate(expr.axes):
-            sub_vars[ax.var] = _axis_array(ctx.rank + j, ax.extent, sub_rank)
-        order = ctx.order + tuple(ax.var for ax in expr.axes)
-        env = None
-        if ctx.env is not None:
-            env = dict(ctx.env)
-            for ax in expr.axes:
-                env[ax.var] = _Interval(0, ax.extent - 1)
-        return _CompileCtx(sub_rank, sub_vars, order, ctx.clip, env)
-
-    @staticmethod
-    def _fold_reduce(expr: E.Reduce, src, rank: int, sub_rank: int):
-        if np.ndim(src) > sub_rank:
-            raise Unvectorizable("vector lanes inside a reduction")
-        src = np.broadcast_to(
-            np.asarray(src), (1,) * (sub_rank - np.ndim(src)) + np.shape(src)
-        )
-        flat = src.reshape(src.shape[:rank] + (-1,))
-        if expr.combiner == "max":
-            return np.maximum.reduce(flat, axis=-1)
-        if expr.combiner == "min":
-            return np.minimum.reduce(flat, axis=-1)
-        if flat.dtype.kind in "iub":
-            return np.add.reduce(flat, axis=-1, dtype=flat.dtype)
-        # Float sums fold sequentially to mirror the interpreter's order.
-        acc = flat[..., 0]
-        for j in range(1, flat.shape[-1]):
-            acc = acc + flat[..., j]
-        return acc
 
     def _static_mask(self, guards, ctx):
         """Combine guard conditions into one boolean mask (or None/False)."""
@@ -1067,11 +844,7 @@ class _PlanCompiler:
                 m = self._seval(g, ctx)
             except _Dynamic:
                 raise Unvectorizable("guard condition reads tensor contents")
-            if mask is None:
-                mask = m
-            else:
-                a, b = _align([mask, m], ctx.rank)
-                mask = np.logical_and(a, b)
+            mask = m if mask is None else np.logical_and(mask, m)
         if mask is not None and np.ndim(mask) == 0:
             if not bool(mask):
                 return False  # statically dead nest
@@ -1102,133 +875,31 @@ class _PlanCompiler:
                 return np_dtype.type(v)
 
             return fn_cast
-        if isinstance(expr, E.BinaryOp):
+        op = _BINARY_OPS.get(expr.__class__)
+        if op is None and isinstance(expr, E.Compare):
+            op = _COMPARE_OPS[expr.op]
+        if op is not None:
             a_fn = self._compile_value(expr.a, ctx)
             b_fn = self._compile_value(expr.b, ctx)
-            rank = ctx.rank
-            cls = type(expr)
-            if cls in (E.Min, E.Max):
-                pick = min if cls is E.Min else max
-                ufunc = np.minimum if cls is E.Min else np.maximum
-
-                def fn_minmax(bufs):
-                    a, b = _align([a_fn(bufs), b_fn(bufs)], rank)
-                    if np.ndim(a) == 0 and np.ndim(b) == 0:
-                        return pick(a, b)
-                    return ufunc(a, b)
-
-                return fn_minmax
-            binop = {
-                E.Add: lambda a, b: a + b,
-                E.Sub: lambda a, b: a - b,
-                E.Mul: lambda a, b: a * b,
-                E.FloorDiv: lambda a, b: a // b,
-                E.Mod: lambda a, b: a % b,
-            }[cls]
-
-            def fn_bin(bufs):
-                a, b = _align([a_fn(bufs), b_fn(bufs)], rank)
-                return binop(a, b)
-
-            return fn_bin
-        if isinstance(expr, E.Compare):
-            a_fn = self._compile_value(expr.a, ctx)
-            b_fn = self._compile_value(expr.b, ctx)
-            rank = ctx.rank
-            import operator
-
-            cmp = {
-                "==": operator.eq,
-                "!=": operator.ne,
-                "<": operator.lt,
-                "<=": operator.le,
-                ">": operator.gt,
-                ">=": operator.ge,
-            }[expr.op]
-
-            def fn_cmp(bufs):
-                a, b = _align([a_fn(bufs), b_fn(bufs)], rank)
-                return cmp(a, b)
-
-            return fn_cmp
+            return lambda bufs: op(a_fn(bufs), b_fn(bufs))
         if isinstance(expr, E.Select):
             cond_fn = self._compile_value(expr.cond, ctx)
             t_fn = self._compile_value(expr.true_value, ctx)
             f_fn = self._compile_value(expr.false_value, ctx)
-            rank = ctx.rank
 
             def fn_select(bufs):
                 cond = cond_fn(bufs)
                 if np.ndim(cond) == 0:
                     return t_fn(bufs) if bool(cond) else f_fn(bufs)
-                cond, t, f = _align([cond, t_fn(bufs), f_fn(bufs)], rank)
-                return np.where(cond, t, f)
+                return np.where(cond, t_fn(bufs), f_fn(bufs))
 
             return fn_select
-        if isinstance(expr, E.Reduce):
-            sub = self._reduce_ctx(expr, ctx)
-            src_fn = self._compile_value(expr.source, sub)
-            rank, sub_rank = ctx.rank, sub.rank
-            fold = self._fold_reduce
-
-            def fn_reduce(bufs):
-                return fold(expr, src_fn(bufs), rank, sub_rank)
-
-            return fn_reduce
-        if isinstance(expr, E.Ramp):
-            base_fn = self._compile_value(expr.base, ctx)
-            rank = ctx.rank
-            lanes, stride = expr.lanes, expr.stride
-
-            def fn_ramp(bufs):
-                base = base_fn(bufs)
-                if np.ndim(base) > rank:
-                    raise Unvectorizable("nested vector lanes (Ramp of a vector)")
-                barr = np.broadcast_to(
-                    np.asarray(base), (1,) * (rank - np.ndim(base)) + np.shape(base)
-                )
-                return barr[..., None] + np.arange(lanes, dtype=np.int64) * stride
-
-            return fn_ramp
-        if isinstance(expr, E.Broadcast):
-            v_fn = self._compile_value(expr.value, ctx)
-            rank = ctx.rank
-            lanes = expr.lanes
-
-            def fn_bcast(bufs):
-                v = v_fn(bufs)
-                if np.ndim(v) > rank:
-                    raise Unvectorizable("nested vector lanes (Broadcast of a vector)")
-                varr = np.broadcast_to(
-                    np.asarray(v), (1,) * (rank - np.ndim(v)) + np.shape(v)
-                )
-                return np.broadcast_to(varr[..., None], varr.shape + (lanes,))
-
-            return fn_bcast
-        if isinstance(expr, E.Shuffle):
-            part_fns = [self._compile_value(v, ctx) for v in expr.vectors]
-            rank = ctx.rank
-
-            def fn_shuffle(bufs):
-                parts = []
-                for f in part_fns:
-                    p = f(bufs)
-                    if np.ndim(p) <= rank:
-                        p = np.broadcast_to(
-                            np.asarray(p), (1,) * (rank - np.ndim(p)) + np.shape(p)
-                        )[..., None]
-                    parts.append(np.asarray(p))
-                lead = np.broadcast_shapes(*(p.shape[:-1] for p in parts))
-                parts = [np.broadcast_to(p, lead + (p.shape[-1],)) for p in parts]
-                return np.concatenate(parts, axis=-1)
-
-            return fn_shuffle
         raise Unvectorizable(f"cannot vectorize expression {type(expr).__name__}")
 
     def _compile_load(self, expr: E.TensorLoad, ctx: _CompileCtx) -> Callable:
         tensor = expr.tensor
         try:
-            idx = _align([self._static_index(i, ctx) for i in expr.indices], ctx.rank)
+            idx = [self._static_index(i, ctx) for i in expr.indices]
         except _Dynamic:
             idx = None
         if idx is not None:
@@ -1245,7 +916,7 @@ class _PlanCompiler:
             return lambda bufs: _get_buf(bufs, tensor)[gather]
         # Indirect addressing: index expressions themselves read buffers.
         idx_fns = [self._compile_value(i, ctx) for i in expr.indices]
-        rank, clip = ctx.rank, ctx.clip
+        clip = ctx.clip
         elided = [
             clip and self._clip_elidable(i_expr, d, ctx)
             for i_expr, d in zip(expr.indices, tensor.shape)
@@ -1253,7 +924,7 @@ class _PlanCompiler:
 
         def fn_load(bufs):
             buf = _get_buf(bufs, tensor)
-            idx = _align([f(bufs) for f in idx_fns], rank)
+            idx = [f(bufs) for f in idx_fns]
             if all(np.ndim(i) == 0 for i in idx):
                 return buf[tuple(int(i) for i in idx)]
             arrays = []
@@ -1296,20 +967,9 @@ class _PlanCompiler:
 
         if acc is None:
             value_fn = self._compile_value(store.value, ctx)
-            return _PlainStoreStep(nest, store.tensor, idx, value_fn, mask, rank, out_np)
+            return _PlainStoreStep(nest, store.tensor, idx, value_fn, mask, out_np)
 
         rest_expr, combiner = acc
-        if any(np.ndim(i) > rank for i in idx):
-            raise Unvectorizable("accumulating store over vector lanes")
-        # Lane check: with no vector constructor anywhere in the folded
-        # value, the compiled closure can never grow a lane axis — the
-        # runtime ndim re-check is dead and the step skips it.
-        check_lanes = any(
-            isinstance(n, (E.Ramp, E.Broadcast, E.Shuffle))
-            for n in E.post_order(rest_expr)
-        )
-        if not check_lanes:
-            self.stats.elided_checks += 1
         dep: set = set()
         for i_expr in store.indices:
             dep.update(E.free_vars(i_expr))
@@ -1344,11 +1004,9 @@ class _PlanCompiler:
             dp_shape,
             mask_m,
             sel,
-            rank,
             out_np,
             store.tensor.dtype.bits,
             store.tensor.dtype.is_integer,
-            check_lanes,
         )
 
     def _match_accumulation(self, store: Store):
@@ -1403,7 +1061,6 @@ class _PlanCompiler:
             return _DeadStep(nest)
         self._count_proof(nest, axes, guards, call)
 
-        intrin = call.intrin
         iaxes = call.axes
         m = len(iaxes)
         iext = tuple(ax.extent for ax in iaxes)
@@ -1435,14 +1092,8 @@ class _PlanCompiler:
         reg_idx: Dict[int, list] = {}
         try:
             for bi, b in enumerate(bindings):
-                pidx = [self._static_index(i, fctx) for i in b.program_indices]
-                ridx = [self._static_index(i, ictx) for i in b.intrin_indices]
-                if any(np.ndim(p) > full_rank for p in pidx) or any(
-                    np.ndim(r) > m for r in ridx
-                ):
-                    raise Unvectorizable("vector lanes in intrinsic operand indices")
-                prog_idx[bi] = pidx
-                reg_idx[bi] = ridx
+                prog_idx[bi] = [self._static_index(i, fctx) for i in b.program_indices]
+                reg_idx[bi] = [self._static_index(i, ictx) for i in b.intrin_indices]
         except _Dynamic:
             raise Unvectorizable("intrinsic operand indices read tensor contents")
 
@@ -1539,7 +1190,7 @@ class _PlanCompiler:
                 ]
             gather_idx[bi] = pidx
 
-        def round_slice(arr, spt, length=1):
+        def round_slice(arr, spt):
             """Slice the sequential axes at ``spt``, keeping rank (views only).
 
             The result stays *broadcastable* (size-1 dims preserved): numpy's
@@ -1550,9 +1201,7 @@ class _PlanCompiler:
                 return a
             index = [slice(None)] * a.ndim
             for k, s in zip(seq_pos, spt):
-                if s is None:
-                    continue
-                index[k] = slice(s, s + length) if a.shape[k] > 1 else slice(0, 1)
+                index[k] = slice(s, s + 1) if a.shape[k] > 1 else slice(0, 1)
             return a[tuple(index)]
 
         # Scatter plan for the output.  The output's program indices never
@@ -1620,7 +1269,7 @@ class _PlanCompiler:
         acc_bi = self._round_stackable(
             call, bindings, eff, mask, mask_invariant, n_rounds, seq_vars, fctx
         )
-        if acc_bi is not None and intrin.grid_impl is not None:
+        if acc_bi is not None:
             raw_elems = sum(
                 int(
                     np.prod(
@@ -1631,7 +1280,6 @@ class _PlanCompiler:
                 if bi != acc_bi
             )
             if raw_elems <= _GRID_GATHER_BUDGET:
-                acc_b = call.inputs[acc_bi]
                 return _GridIntrinsicStep(
                     acc_bi=acc_bi,
                     rank=rank,
@@ -1649,48 +1297,6 @@ class _PlanCompiler:
                     sel_rows=sel_rows,
                     **common,
                 )
-        if acc_bi is not None:
-            # Slab the sequential rounds along the outermost sequential axis,
-            # bounding the stacked operand size to the element budget.
-            max_reg = max(
-                int(np.prod(b.intrin_tensor.shape)) for b in bindings
-            )
-            inner = int(np.prod(seq_ext[1:])) if len(seq_ext) > 1 else 1
-            per_outer = max(1, bn_total * inner * max_reg)
-            group = max(1, _ROUND_BATCH_BUDGET // per_outer)
-            slab_axis = seq_pos[0]
-            slabs = []
-            for s0 in range(0, seq_ext[0], group):
-                length = min(group, seq_ext[0] - s0)
-                slab_shape = tuple(
-                    length if k == slab_axis else grid[k] for k in range(rank)
-                )
-                spt = (s0,) + (None,) * (len(seq_pos) - 1)
-                slab_idx = {
-                    bi: tuple(round_slice(i, spt, length) for i in gather_idx[bi])
-                    for bi in range(len(call.inputs))
-                    if bi != acc_bi
-                }
-                slabs.append((slab_shape, slab_idx))
-            acc_b = call.inputs[acc_bi]
-            return _BatchedIntrinsicStep(
-                acc_bi=acc_bi,
-                zero_acc=np.zeros(
-                    acc_b.intrin_tensor.shape, dtype=acc_b.intrin_tensor.dtype.np_dtype
-                ),
-                acc_name=acc_b.intrin_tensor.name,
-                rank=rank,
-                n_rounds=n_rounds,
-                slabs=slabs,
-                sum_axes=tuple(seq_pos),
-                out_reg_shape=out_b.intrin_tensor.shape,
-                acc_idx=tuple(gather_idx[acc_bi]),
-                eff_acc=eff[acc_bi],
-                sel=sel,
-                sel_rows=sel_rows,
-                **common,
-            )
-
         # Sequential rounds (the general path): precompute every round's
         # sliced index views and — when a guard mentions a sequential
         # variable — its per-round selection rows.
@@ -1717,29 +1323,28 @@ class _PlanCompiler:
     def _round_stackable(
         self, call, bindings, eff, mask, mask_invariant, n_rounds, seq_vars, fctx
     ) -> Optional[int]:
-        """Whether sequential rounds may be stacked into batched slabs.
+        """Whether the sequential rounds may fold into one grid-form dispatch.
 
         Returns the index (into ``call.inputs``) of the accumulator operand
-        when stacking is sound, else ``None``.  Requirements:
+        when folding is sound, else ``None``.  Requirements:
 
         * more than one round, an invariant (or absent) guard mask;
-        * a batch-polymorphic hardware model;
+        * a batch-polymorphic hardware model that ships a ``grid_impl``;
         * integer accumulation — the instruction's DSL description must be
           ``d[...] = c[...] + sum(...)`` with exactly one operand (``c``)
           bound to the destination buffer at the destination address, so
           ``model(acc, x) = acc + f(x)`` with wraparound integer addition,
           which makes summing per-round contributions bit-exact;
-        * every input address affine in the loop variables (successive
-          rounds differ only by constant offsets — the round-slicing
-          precondition), established through the memoized
-          :func:`~repro.dsl.expr.extract_linear`.
+        * every input address affine in the sequential loop variables
+          (successive rounds differ only by constant offsets), established
+          through the memoized :func:`~repro.dsl.expr.extract_linear`.
         """
         if n_rounds <= 1:
             return None
         if mask is not None and not mask_invariant:
             return None
         intrin = call.intrin
-        if intrin.hardware_impl is None or not intrin.batchable:
+        if intrin.hardware_impl is None or not intrin.batchable or intrin.grid_impl is None:
             return None
         out_b = call.output
         out_reg = out_b.intrin_tensor
@@ -1791,10 +1396,9 @@ class _PlanCompiler:
             return None
         # Affine-offset precondition: every input address must be affine *in
         # the sequential loop variables* — successive rounds then differ only
-        # by constant offsets, so slicing whole slabs of rounds out of the
-        # precomputed index grids is sound.  (Fused batch-axis variables may
-        # carry div/mod; they are gathered over either way.)  Fully affine
-        # addresses take the memoized :func:`extract_linear` fast path.
+        # by constant offsets.  (Fused batch-axis variables may carry div/mod;
+        # they are gathered over either way.)  Fully affine addresses take the
+        # memoized :func:`extract_linear` fast path.
         for bi, b in enumerate(call.inputs):
             if bi == acc_bi:
                 continue

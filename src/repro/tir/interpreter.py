@@ -24,6 +24,7 @@ daemon's handler threads) and may be invoked recursively.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -35,7 +36,6 @@ from .lower import PrimFunc
 from .stmt import (
     Allocate,
     AttrStmt,
-    Evaluate,
     For,
     IfThenElse,
     IntrinsicCall,
@@ -45,6 +45,17 @@ from .stmt import (
 )
 
 __all__ = ["Frame", "Interpreter", "run", "alloc_buffers", "random_array"]
+
+# The reference's own comparison table: it shares no logic with the engine
+# it checks.
+_COMPARE = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 class Frame:
@@ -127,21 +138,7 @@ class Interpreter:
             buf = self._get_buffer(frame, stmt.tensor)
             idx = [self._eval(i, frame) for i in stmt.indices]
             value = self._eval(stmt.value, frame)
-            if any(isinstance(i, np.ndarray) for i in idx) or isinstance(
-                value, np.ndarray
-            ):
-                # Vectorized store (Ramp/Broadcast/Shuffle indices or value):
-                # scatter the whole lane group at once.
-                arrays = np.broadcast_arrays(
-                    *(np.asarray(i) for i in idx), np.asarray(value)
-                )
-                buf[tuple(arrays[:-1])] = arrays[-1].astype(
-                    stmt.tensor.dtype.np_dtype
-                )
-            else:
-                buf[tuple(int(i) for i in idx)] = _cast_scalar(
-                    value, stmt.tensor.dtype
-                )
+            buf[tuple(int(i) for i in idx)] = _cast_scalar(value, stmt.tensor.dtype)
         elif isinstance(stmt, IfThenElse):
             if self._eval(stmt.condition, frame):
                 self._exec(stmt.then_case, frame)
@@ -154,8 +151,6 @@ class Interpreter:
                 stmt.tensor.shape, dtype=stmt.tensor.dtype.np_dtype
             )
             self._exec(stmt.body, frame)
-        elif isinstance(stmt, Evaluate):
-            self._eval(stmt.expr, frame)
         elif isinstance(stmt, IntrinsicCall):
             self._exec_intrinsic(stmt, frame)
         else:
@@ -210,16 +205,10 @@ class Interpreter:
             except KeyError as exc:
                 raise KeyError(f"unbound variable {expr.name!r}") from exc
         if isinstance(expr, E.Cast):
-            value = self._eval(expr.value, frame)
-            if isinstance(value, np.ndarray):
-                return value.astype(expr.dtype.np_dtype)
-            return _cast_scalar(value, expr.dtype)
+            return _cast_scalar(self._eval(expr.value, frame), expr.dtype)
         if isinstance(expr, E.TensorLoad):
             buf = self._get_buffer(frame, expr.tensor)
             idx = [self._eval(i, frame) for i in expr.indices]
-            if any(isinstance(i, np.ndarray) for i in idx):
-                # Vectorized gather: Ramp/Broadcast/Shuffle lane indices.
-                return buf[tuple(np.broadcast_arrays(*(np.asarray(i) for i in idx)))]
             return buf[tuple(int(i) for i in idx)]
         if isinstance(expr, E.Add):
             return self._eval(expr.a, frame) + self._eval(expr.b, frame)
@@ -232,71 +221,18 @@ class Interpreter:
         if isinstance(expr, E.Mod):
             return self._eval(expr.a, frame) % self._eval(expr.b, frame)
         if isinstance(expr, E.Min):
-            a, b = self._eval(expr.a, frame), self._eval(expr.b, frame)
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                return np.minimum(a, b)
-            return min(a, b)
+            return min(self._eval(expr.a, frame), self._eval(expr.b, frame))
         if isinstance(expr, E.Max):
-            a, b = self._eval(expr.a, frame), self._eval(expr.b, frame)
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                return np.maximum(a, b)
-            return max(a, b)
+            return max(self._eval(expr.a, frame), self._eval(expr.b, frame))
         if isinstance(expr, E.Compare):
-            a, b = self._eval(expr.a, frame), self._eval(expr.b, frame)
-            return {
-                "==": a == b,
-                "!=": a != b,
-                "<": a < b,
-                "<=": a <= b,
-                ">": a > b,
-                ">=": a >= b,
-            }[expr.op]
+            return _COMPARE[expr.op](self._eval(expr.a, frame), self._eval(expr.b, frame))
         if isinstance(expr, E.Select):
-            cond = self._eval(expr.cond, frame)
-            if isinstance(cond, np.ndarray):
-                return np.where(
-                    cond,
-                    self._eval(expr.true_value, frame),
-                    self._eval(expr.false_value, frame),
-                )
             return (
                 self._eval(expr.true_value, frame)
-                if cond
+                if self._eval(expr.cond, frame)
                 else self._eval(expr.false_value, frame)
             )
-        if isinstance(expr, E.Reduce):
-            return self._eval_reduce(expr, frame)
-        if isinstance(expr, E.Ramp):
-            base = self._eval(expr.base, frame)
-            return np.asarray(base) + np.arange(expr.lanes, dtype=np.int64) * expr.stride
-        if isinstance(expr, E.Broadcast):
-            value = self._eval(expr.value, frame)
-            if np.ndim(value) == 0:
-                return np.full(expr.lanes, value)
-            arr = np.asarray(value)
-            return np.broadcast_to(arr[..., None], arr.shape + (expr.lanes,))
-        if isinstance(expr, E.Shuffle):
-            parts = [
-                np.atleast_1d(np.asarray(self._eval(v, frame))) for v in expr.vectors
-            ]
-            return np.concatenate(parts, axis=-1)
         raise TypeError(f"cannot evaluate expression {type(expr).__name__}")
-
-    def _eval_reduce(self, expr: E.Reduce, frame: Frame):
-        values = []
-        extents = [ax.extent for ax in expr.axes]
-        axis_vars = [ax.var for ax in expr.axes]
-        for point in itertools.product(*(range(e) for e in extents)):
-            for var, value in zip(axis_vars, point):
-                frame.env[var] = value
-            values.append(self._eval(expr.source, frame))
-        for var in axis_vars:
-            frame.env.pop(var, None)
-        if expr.combiner == "sum":
-            return sum(values)
-        if expr.combiner == "max":
-            return max(values)
-        return min(values)
 
     def _get_buffer(self, frame: Frame, tensor: Tensor) -> np.ndarray:
         try:

@@ -40,7 +40,6 @@ from .lower import PrimFunc
 from .stmt import (
     Allocate,
     AttrStmt,
-    Evaluate,
     For,
     IfThenElse,
     IntrinsicCall,
@@ -132,8 +131,6 @@ def _stmt_hash(stmt: Stmt, var_ids: dict, tensor_ids: dict) -> int:
                 _stmt_hash(stmt.body, var_ids, tensor_ids),
             )
         )
-    if isinstance(stmt, Evaluate):
-        return hash(("eval", E.canonical_hash(stmt.expr, var_ids, tensor_ids)))
     if isinstance(stmt, IntrinsicCall):
         for ax in stmt.axes:
             var_ids.setdefault(ax.var, len(var_ids))
@@ -227,8 +224,6 @@ def _stmt_equal(sa: Stmt, sb: Stmt, var_map: dict, tensor_map: dict) -> bool:
             return False
         tensor_map[sa.tensor] = sb.tensor
         return _stmt_equal(sa.body, sb.body, var_map, tensor_map)
-    if isinstance(sa, Evaluate):
-        return _expr_equal(sa.expr, sb.expr, var_map, tensor_map)
     if isinstance(sa, IntrinsicCall):
         if sa.intrin is not sb.intrin or sa.reads_output != sb.reads_output:
             return False
@@ -304,28 +299,6 @@ def _expr_equal(ea: E.Expr, eb: E.Expr, var_map: dict, tensor_map: dict) -> bool
         return all(
             _expr_equal(x, y, var_map, tensor_map)
             for x, y in zip(ea.indices, eb.indices)
-        )
-    if isinstance(ea, E.Reduce):
-        if ea.combiner != eb.combiner or len(ea.axes) != len(eb.axes):
-            return False
-        extended = dict(var_map)
-        for ax_a, ax_b in zip(ea.axes, eb.axes):
-            if ax_a.extent != ax_b.extent:
-                return False
-            extended[ax_a.var] = ax_b.var
-        return _expr_equal(ea.source, eb.source, extended, tensor_map)
-    if isinstance(ea, (E.Ramp, E.Broadcast, E.Shuffle, E.Call)):
-        if isinstance(ea, E.Ramp) and (ea.stride != eb.stride or ea.lanes != eb.lanes):
-            return False
-        if isinstance(ea, E.Broadcast) and ea.lanes != eb.lanes:
-            return False
-        if isinstance(ea, E.Call) and (ea.name != eb.name or ea.dtype != eb.dtype):
-            return False
-        if len(ea.children) != len(eb.children):
-            return False
-        return all(
-            _expr_equal(x, y, var_map, tensor_map)
-            for x, y in zip(ea.children, eb.children)
         )
     raise TypeError(f"unhandled node type {type(ea).__name__}")
 

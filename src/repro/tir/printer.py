@@ -11,7 +11,6 @@ from ..dsl.printer import expr_to_str
 from .stmt import (
     Allocate,
     AttrStmt,
-    Evaluate,
     For,
     ForKind,
     IfThenElse,
@@ -67,8 +66,6 @@ def stmt_to_str(stmt: Stmt, indent: int = 0) -> str:
             f"({stmt.tensor.dtype.name}, scope={stmt.scope});"
         )
         return head + "\n" + stmt_to_str(stmt.body, indent)
-    if isinstance(stmt, Evaluate):
-        return f"{pad}{expr_to_str(stmt.expr)};"
     if isinstance(stmt, IntrinsicCall):
         dst = stmt.output
         dst_idx = ", ".join(expr_to_str(i) for i in dst.program_indices)

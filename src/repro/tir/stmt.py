@@ -26,7 +26,6 @@ __all__ = [
     "IfThenElse",
     "AttrStmt",
     "Allocate",
-    "Evaluate",
     "OperandBinding",
     "IntrinsicCall",
     "seq",
@@ -140,13 +139,6 @@ class Allocate(Stmt):
         self.tensor = tensor
         self.body = body
         self.scope = scope
-
-
-class Evaluate(Stmt):
-    """Evaluate an expression for its side effect (an intrinsic call)."""
-
-    def __init__(self, expr: Expr) -> None:
-        self.expr = expr
 
 
 @dataclass

@@ -1,67 +1,23 @@
-"""Visitors and mutators over tensor-IR statements.
+"""Traversals and the mutator over tensor-IR statements.
 
-These are the traversal workhorses used by the verifier, the tensorize
-replacement pass, the codegen and the cost models.
+These are the traversal workhorses used by the tensorize replacement pass,
+the codegen and the cost models.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator, List, Optional
 
-from ..dsl.expr import Expr
 from .stmt import (
     Allocate,
     AttrStmt,
-    Evaluate,
     For,
     IfThenElse,
-    IntrinsicCall,
     SeqStmt,
     Stmt,
-    Store,
 )
 
-__all__ = ["StmtVisitor", "StmtMutator", "walk", "collect", "count_nodes"]
-
-
-class StmtVisitor:
-    """Read-only traversal; override ``visit_<node>`` methods as needed."""
-
-    def visit(self, stmt: Stmt) -> None:
-        method = getattr(self, f"visit_{type(stmt).__name__.lower()}", None)
-        if method is not None:
-            method(stmt)
-        else:
-            self.generic_visit(stmt)
-
-    def generic_visit(self, stmt: Stmt) -> None:
-        for child in _children(stmt):
-            self.visit(child)
-
-    # Default handlers just recurse; subclasses may override selectively.
-    def visit_for(self, stmt: For) -> None:
-        self.generic_visit(stmt)
-
-    def visit_store(self, stmt: Store) -> None:
-        self.generic_visit(stmt)
-
-    def visit_seqstmt(self, stmt: SeqStmt) -> None:
-        self.generic_visit(stmt)
-
-    def visit_ifthenelse(self, stmt: IfThenElse) -> None:
-        self.generic_visit(stmt)
-
-    def visit_attrstmt(self, stmt: AttrStmt) -> None:
-        self.generic_visit(stmt)
-
-    def visit_allocate(self, stmt: Allocate) -> None:
-        self.generic_visit(stmt)
-
-    def visit_evaluate(self, stmt: Evaluate) -> None:
-        self.generic_visit(stmt)
-
-    def visit_intrinsiccall(self, stmt: IntrinsicCall) -> None:
-        self.generic_visit(stmt)
+__all__ = ["StmtMutator", "walk", "collect", "count_nodes"]
 
 
 class StmtMutator:
@@ -100,10 +56,10 @@ class StmtMutator:
             if body is stmt.body:
                 return stmt
             return Allocate(stmt.tensor, body, stmt.scope)
-        # Leaves: Store, Evaluate, IntrinsicCall
+        # Leaves: Store, IntrinsicCall
         return stmt
 
-    # Named hooks for symmetry with the visitor.
+    # Named hooks subclasses override.
     def mutate_for(self, stmt: For) -> Stmt:
         return self.generic_mutate(stmt)
 

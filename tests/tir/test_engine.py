@@ -15,15 +15,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import tensorize, validate_tensorize
-from repro.dsl import Select, cast, compute, placeholder, reduce_axis, sum_reduce
-from repro.dsl.expr import Broadcast, Const, Ramp, Shuffle, Var
+from repro.dsl import (
+    Select,
+    cast,
+    compute,
+    max_reduce,
+    min_reduce,
+    placeholder,
+    reduce_axis,
+    sum_reduce,
+)
+from repro.dsl.expr import Cast, Compare, Const, FloorDiv, Max, Min, Mod, Var
 from repro.dsl.tensor import Tensor
 from repro.rewriter import CpuTuningConfig, GpuTuningConfig
 from repro.schedule import create_schedule
 from repro.tir import (
     Allocate,
+    AttrStmt,
     Executor,
     For,
+    IfThenElse,
     Interpreter,
     PrimFunc,
     Store,
@@ -91,6 +102,120 @@ class TestPlainNests:
         a = placeholder((8,), "float32", "a")
         out = compute((8,), lambda i: a[i] * 2.0 + 1.0, name="axpb")
         assert_engine_matches_interpreter(lower(out), rng)
+
+
+def _elementwise_func(value_builder, n=6, out_dtype="int32"):
+    """``out[i] = value(a, b, i)`` as hand-built tensor IR (no simplifier in
+    the way, so constant subtrees reach the engine unfolded)."""
+    a = placeholder((n,), "int32", "a")
+    b = placeholder((n,), "int32", "b")
+    out_t = Tensor((n,), out_dtype, "out")
+    i = Var("i")
+    body = For(i, n, Store(out_t, [i], value_builder(a, b, i)))
+    return PrimFunc("elementwise", [a, b, out_t], body, op=None)
+
+
+class TestExpressionKinds:
+    """Every expression kind of the language through both engine evaluators:
+    the static one (subtrees that read no buffer — scalar and grid-shaped)
+    and the compiled closures (subtrees that do)."""
+
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            lambda a, b, i: Max(Min(a[i], b[i]), Const(3)),
+            lambda a, b, i: a[i] + Min(Const(2), Const(5)) * Max(Const(2), Const(5)),
+            lambda a, b, i: a[i] + Max(Min(i, Const(3)), Const(1)),
+            lambda a, b, i: i,
+            lambda a, b, i: a[i] + Cast("int8", i),
+            lambda a, b, i: a[i] + Cast("int8", Const(7)),
+            lambda a, b, i: a[i] + Select(Compare("<", i, Const(3)), Const(10), Const(20)),
+            lambda a, b, i: a[i] + Select(Const(True), Const(10), Const(20)),
+            lambda a, b, i: Cast("int64", a[0]) + b[i],
+            lambda a, b, i: Select(Compare(">", a[0], Const(0)), a[i], b[i]),
+            lambda a, b, i: a[Mod(b[0], Const(6))] + b[i],
+            lambda a, b, i: FloorDiv(a[i], Const(3)) - Mod(b[i], Const(5)),
+        ],
+        ids=[
+            "min-max-loads",
+            "min-max-static-scalars",
+            "min-max-static-grid",
+            "bare-var",
+            "cast-static-grid",
+            "cast-static-scalar",
+            "select-static-grid",
+            "select-static-scalar",
+            "cast-scalar-load",
+            "select-scalar-condition",
+            "indirect-scalar-load",
+            "floordiv-mod-loads",
+        ],
+    )
+    def test_matches_interpreter(self, rng, builder):
+        stats = assert_engine_matches_interpreter(_elementwise_func(builder), rng)
+        assert stats.fallback_nests == 0
+
+    def test_statically_dead_nest_touches_nothing(self, rng):
+        func = _elementwise_func(lambda a, b, i: a[i])
+        store = func.body.body
+        dead = IfThenElse(Compare("<", Const(1), Const(0)), store, likely=True)
+        func = PrimFunc("dead", func.params, For(func.body.var, 6, dead), op=None)
+        stats = assert_engine_matches_interpreter(func, rng)
+        assert stats.vector_stores == 0 and stats.fallback_nests == 0
+
+    def test_statically_true_guard_needs_no_mask(self, rng):
+        func = _elementwise_func(lambda a, b, i: a[i] - b[i])
+        live = IfThenElse(Compare("<", Const(0), Const(1)), func.body.body, likely=True)
+        func = PrimFunc("live", func.params, For(func.body.var, 6, live), op=None)
+        stats = assert_engine_matches_interpreter(func, rng)
+        assert stats.vector_stores == 1
+
+    def test_guarded_indirect_gather_is_clamped(self, rng):
+        """Masked-out grid points of a data-dependent gather may carry any
+        address; the clamp keeps them in range and the mask discards them."""
+        func = _elementwise_func(lambda a, b, i: a[Mod(b[i] * (i + 1), Const(6))])
+        guarded = IfThenElse(Compare("<", func.body.var, Const(4)), func.body.body, likely=True)
+        func = PrimFunc("gather", func.params, For(func.body.var, 6, guarded), op=None)
+        stats = assert_engine_matches_interpreter(func, rng)
+        assert stats.fallback_nests == 0
+
+    def test_attribute_scopes_are_transparent(self, rng):
+        func = _elementwise_func(lambda a, b, i: a[i] * b[i])
+        loop = func.body
+        body = AttrStmt("outer", 1, For(loop.var, 6, AttrStmt("inner", 2, loop.body)))
+        func = PrimFunc("scoped", func.params, body, op=None)
+        stats = assert_engine_matches_interpreter(func, rng)
+        assert stats.vector_nests == 1
+
+    @pytest.mark.parametrize("dtype", ["int32", "float32"])
+    @pytest.mark.parametrize("reduce_", [max_reduce, min_reduce], ids=["max", "min"])
+    def test_guarded_order_free_reduction(self, rng, reduce_, dtype):
+        """A residue guard on the reduction axis folds the combiner's identity
+        for guarded-out iterations."""
+        a = placeholder((4, 6), dtype, "a")
+        j = reduce_axis(0, 6, "j")
+        out = compute((4,), lambda i: reduce_(a[i, j], j), name="rowfold")
+        sch = create_schedule(out)
+        st_ = sch.stage
+        st_.split(st_[j], 4)  # 6 % 4 != 0 -> guarded reduction iterations
+        stats = assert_engine_matches_interpreter(lower(sch), rng)
+        assert stats.fallback_nests == 0
+
+
+def test_affine_in_sequential_variables():
+    """The grid-form precondition: a sequential variable may be scaled by, or
+    cast around, terms free of sequential variables — never multiplied by
+    another sequential term or put under a div/mod."""
+    from repro.tir.engine import _affine_in
+
+    r, s, f = Var("r"), Var("s"), Var("f")
+    seq_vars = {r, s}
+    assert _affine_in(FloorDiv(f, Const(3)) * 8 + r * 4 + s, seq_vars)
+    assert _affine_in((f % 3) * Cast("int32", r), seq_vars)
+    assert _affine_in(Cast("int64", r * 2) - s, seq_vars)
+    assert not _affine_in(r * s, seq_vars)
+    assert not _affine_in(FloorDiv(r, Const(2)), seq_vars)
+    assert not _affine_in(Cast("int32", Mod(s, Const(2))) + f, seq_vars)
 
 
 class TestGuardsAndSchedules:
@@ -188,38 +313,6 @@ class TestFallback:
             Executor(tier="quantum")
 
 
-class TestVectorExprs:
-    """Ramp / Broadcast / Shuffle execute on whole lane groups."""
-
-    def _vector_store_func(self, value_builder):
-        a = placeholder((4, 8), "int32", "a")
-        out_t = Tensor((4, 8), "int32", "out")
-        i = Var("i")
-        lane0 = Ramp(Const(0), 1, 8)
-        body = For(i, 4, Store(out_t, [i, lane0], value_builder(a, i)))
-        return PrimFunc("vectored", [a, out_t], body, op=None)
-
-    @pytest.mark.parametrize(
-        "builder",
-        [
-            lambda a, i: a[i, Ramp(Const(0), 1, 8)] * 2,
-            lambda a, i: a[i, Ramp(Const(7), -1, 8)] + Broadcast(Const(5), 8),
-            lambda a, i: Shuffle(
-                [a[i, Ramp(Const(0), 1, 4)], a[i, Ramp(Const(4), 1, 4)]]
-            ),
-        ],
-        ids=["ramp-gather", "reverse-ramp-broadcast", "shuffle-concat"],
-    )
-    def test_vector_store_matches_interpreter(self, rng, builder):
-        func = self._vector_store_func(builder)
-        buffers = alloc_buffers(func, rng)
-        ref = run(func, {t: b.copy() for t, b in buffers.items()})
-        engine = Executor(tier="vectorized", strict=True)
-        got = engine.run(func, {t: b.copy() for t, b in buffers.items()})
-        np.testing.assert_array_equal(got, ref)
-        assert engine.stats.fallback_nests == 0
-
-
 class TestTensorizedPrograms:
     """Engine vs interpreter on programs containing IntrinsicCall."""
 
@@ -265,6 +358,83 @@ class TestTensorizedPrograms:
             config=GpuTuningConfig(outer_product_p=1),
         )
         assert_engine_matches_interpreter(result.func, rng)
+
+    @pytest.mark.parametrize(
+        "intrinsic, dtype, acc",
+        [
+            ("x86.avx512.fma.fp32", "float32", "float32"),
+            ("x86.avx512.mac.int8.widened", "int8", "int32"),
+            ("arm.neon.mla.int8.widened", "int8", "int32"),
+        ],
+    )
+    def test_elementwise_fma_instructions_run_round_by_round(self, rng, intrinsic, dtype, acc):
+        """The SIMD FMA / MLA descriptions have no reduction of their own: the
+        program's reduction loop is the sequential rounds."""
+        from repro.dsl import cast as dsl_cast
+
+        a = placeholder((4, 8), dtype, "A")
+        b = placeholder((8, 32), dtype, "B")
+        rk = reduce_axis(0, 8, "rk")
+        mm = compute(
+            (4, 32),
+            lambda i, j: sum_reduce(dsl_cast(acc, a[i, rk]) * dsl_cast(acc, b[rk, j]), rk),
+            name="mm_fma",
+        )
+        stats = assert_engine_matches_interpreter(tensorize(mm, intrinsic).func, rng)
+        assert stats.intrinsic_rounds == 8 and stats.intrinsic_round_batches == 0
+
+    def test_guard_over_reduction_rounds_masks_each_round(self, rng):
+        """A ragged split of the *reduction* loop puts a sequential variable in
+        the guard: the mask differs per round, so even a grid-form instruction
+        runs round by round and the guarded-out rounds are dropped."""
+        from repro.dsl import cast as dsl_cast
+        from repro.inspector import inspect_applicability
+        from repro.isa.registry import get_intrinsic
+        from repro.rewriter import apply_cpu_schedule, reorganize_loops, replace_tensorize
+
+        a = placeholder((4, 40), "int8", "A")
+        b = placeholder((8, 40), "int8", "B")
+        rk = reduce_axis(0, 40, "rk")
+        mm = compute(
+            (4, 8),
+            lambda i, j: sum_reduce(
+                dsl_cast("int32", a[i, rk]) * dsl_cast("int32", b[j, rk]), rk
+            ),
+            name="mm_ragged_k",
+        )
+        inspection = inspect_applicability(mm.op, get_intrinsic("arm.neon.sdot"))
+        spec = reorganize_loops(inspection, mapping=inspection.mappings[0])
+        apply_cpu_schedule(spec, CpuTuningConfig())
+        stage = spec.schedule.stage
+        (rounds,) = [loop for loop in stage.leaf_vars if loop.name == "rk.o"]
+        stage.split(rounds, 4)  # 10 % 4 != 0 -> 12 iterations, 2 guarded out
+        func = replace_tensorize(lower(spec.schedule), spec, verify=True)
+        stats = assert_engine_matches_interpreter(func, rng)
+        assert stats.intrinsic_rounds == 10 and stats.intrinsic_round_batches == 0
+
+    @pytest.mark.parametrize("never", ["constant", "per-point"])
+    def test_intrinsic_nest_whose_guard_never_holds_is_dead(self, rng, never):
+        """A guard that is false everywhere — folded statically, or only
+        once the mask over the grid is built — leaves the init store's zeros."""
+        from repro.tir import IntrinsicCall, StmtMutator, collect
+
+        func = tensorize(small_matmul_int8(4, 16, 16), "x86.avx512.vpdpbusd").func
+        rows = collect(func.body.stmts[-1], lambda s: isinstance(s, For) and s.var.name == "i")[0]
+        guard = (
+            Compare("<", Const(1), Const(0))
+            if never == "constant"
+            else Compare("<", rows.var, Const(0))
+        )
+
+        class Guard(StmtMutator):
+            def mutate(self, stmt):
+                if isinstance(stmt, IntrinsicCall):
+                    return IfThenElse(guard, stmt, likely=True)
+                return super().mutate(stmt)
+
+        dead = PrimFunc("dead_call", func.params, Guard().mutate(func.body), op=None)
+        stats = assert_engine_matches_interpreter(dead, rng)
+        assert stats.intrinsic_rounds == 0 and stats.fallback_nests == 0
 
     def test_dense_int8(self, rng):
         result = tensorize(

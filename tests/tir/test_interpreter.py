@@ -114,43 +114,6 @@ def test_property_matmul_random_shapes(m, n, k):
     assert np.array_equal(result, matmul_reference(a, b, transpose_b=True))
 
 
-class TestVectorExprs:
-    """Ramp / Broadcast / Shuffle evaluate as whole lane groups."""
-
-    def test_ramp_gather_store(self, rng):
-        from repro.dsl.expr import Const, Ramp, Var
-        from repro.dsl.tensor import Tensor
-        from repro.tir import For, PrimFunc, Store
-
-        a = placeholder((2, 6), "int32", "a")
-        out_t = Tensor((2, 6), "int32", "out")
-        i = Var("i")
-        lanes = Ramp(Const(0), 1, 6)
-        func = PrimFunc(
-            "ramped", [a, out_t], For(i, 2, Store(out_t, [i, lanes], a[i, lanes] * 2)), op=None
-        )
-        buffers = alloc_buffers(func, rng)
-        result = run(func, buffers)
-        assert np.array_equal(result, buffers[a] * 2)
-
-    def test_broadcast_and_shuffle(self, rng):
-        from repro.dsl.expr import Broadcast, Const, Ramp, Shuffle, Var
-        from repro.dsl.tensor import Tensor
-        from repro.tir import For, PrimFunc, Store
-
-        a = placeholder((8,), "int32", "a")
-        out_t = Tensor((8,), "int32", "out")
-        value = Shuffle([a[Ramp(Const(4), 1, 4)], a[Ramp(Const(0), 1, 4)]])
-        value = value + Broadcast(Const(10), 8)
-        func = PrimFunc(
-            "shuffled", [a, out_t], Store(out_t, [Ramp(Const(0), 1, 8)], value), op=None
-        )
-        buffers = alloc_buffers(func, rng)
-        result = run(func, buffers)
-        expected = np.concatenate([buffers[a][4:], buffers[a][:4]]) + 10
-        assert np.array_equal(result, expected)
-
-
 class TestEdgeCaseStatements:
     def test_if_then_else_guard_skips_stores(self, rng):
         from repro.dsl.expr import Compare, Const, Var

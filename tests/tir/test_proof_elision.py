@@ -39,7 +39,6 @@ class TestProvedNests:
     def test_plain_conv_fully_proved(self, rng):
         stats = _assert_bit_identical(lower(small_conv_hwc()), rng)
         assert stats.proved_nests == stats.vector_nests == 2
-        assert stats.elided_checks >= 1  # at least the scalar lane re-check
 
     def test_compile_plan_surfaces_the_same_stats(self):
         plan = compile_plan(lower(small_conv_hwc()))
