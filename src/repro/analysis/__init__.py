@@ -18,8 +18,12 @@ three cooperating passes, plus the structural verifier they subsume:
 :func:`verify_rewrite` is the cheap gate the Rewriter applies to every
 tensorized candidate before it reaches the cost model.  The proofs are also
 consumed by :func:`repro.tir.engine.compile_plan`, which elides the runtime
-guards (masked-gather clamps, lane checks) that a static proof makes
-redundant — see ``PlanStats.proved_nests`` / ``elided_checks``.
+guards (masked-gather clamps) that a static proof makes redundant — see
+``PlanStats.proved_nests`` / ``elided_checks``.
+
+Every pass result and the report are derived once per function body
+(:func:`repro.tir.visitor.remembered`): ``verify_rewrite``, ``analyze`` and
+``compile_plan`` read one set of proofs; ``check_nest_*`` are the raw checks.
 
 ``python -m repro.analysis --all --strict`` sweeps the 16 Table-1 layers
 plus the model zoo and emits the JSON report consumed by the
@@ -28,11 +32,12 @@ plus the model zoo and emits the JSON report consumed by the
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List
 
 from .bounds import analyze_bounds, check_nest_bounds
 from .dtypes import analyze_dtypes
-from .framework import AnalysisReport, Diagnostic, Nest, NestProof, iter_nests
+from .framework import AnalysisReport, Diagnostic, Nest, NestProof, iter_nests, remembered
 from .interval import (
     Interval,
     affine_interval,
@@ -79,8 +84,10 @@ class AnalysisError(Exception):
         super().__init__("; ".join(d.format() for d in self.diagnostics))
 
 
+@remembered("report")
 def analyze(func) -> AnalysisReport:
-    """Run every static pass over ``func`` and combine the results."""
+    """Run every static pass over ``func`` and combine the results (once
+    per function body: callers share the report, so treat it as read-only)."""
     report = AnalysisReport(func_name=func.name)
     report.diagnostics.extend(structure_diagnostics(func))
 
@@ -89,11 +96,11 @@ def analyze(func) -> AnalysisReport:
 
     disjoint, overlap_diags = analyze_overlap(func)
     report.diagnostics.extend(overlap_diags)
-    for proof, dj in zip(proofs, disjoint):
-        proof.disjoint_tiles = dj
+    report.nest_proofs = [
+        replace(proof, disjoint_tiles=dj) for proof, dj in zip(proofs, disjoint)
+    ]
 
     report.diagnostics.extend(analyze_dtypes(func))
-    report.nest_proofs = proofs
     return report
 
 

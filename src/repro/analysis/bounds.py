@@ -23,12 +23,13 @@ from typing import List, Tuple
 
 from ..dsl import expr as E
 from ..tir.stmt import IntrinsicCall, Store
-from .framework import Diagnostic, Nest, NestProof, iter_nests
-from .interval import Env, Interval, loop_env, prove_in_range
+from .framework import Diagnostic, Nest, NestProof, iter_nests, remembered
+from .interval import Env, loop_env, prove_in_range
 
 __all__ = ["analyze_bounds", "check_nest_bounds"]
 
 
+@remembered("bounds")
 def analyze_bounds(func) -> Tuple[List[NestProof], List[Diagnostic]]:
     """Prove every access of every nest of ``func`` in-bounds."""
     proofs: List[NestProof] = []
@@ -44,47 +45,37 @@ def check_nest_bounds(nest: Nest) -> Tuple[NestProof, List[Diagnostic]]:
     """The per-nest bounds proof; shared with the rewrite verifier."""
     diags: List[Diagnostic] = []
     env = loop_env(nest.axes)
+    checker = _AccessChecker(nest, diags)
     if isinstance(nest.body, Store):
-        proof = NestProof(nest.name, "store")
-        checker = _AccessChecker(nest, env, diags)
-        store = nest.body
+        kind, store = "store", nest.body
         for dim, idx in enumerate(store.indices):
             checker.check_index(store.tensor, dim, idx, env, "store")
         checker.check_value(store.value, env)
-        proof.accesses = checker.accesses
-        proof.bounds_proved = checker.all_proved
-        proof.bounds_conditional = checker.used_guard
-        return proof, diags
-    if isinstance(nest.body, IntrinsicCall):
-        proof = NestProof(nest.name, "intrinsic")
-        call = nest.body
+    elif isinstance(nest.body, IntrinsicCall):
+        kind, call = "intrinsic", nest.body
         # Operand bindings are written over the nest loops plus the
         # intrinsic's own axes.
-        ienv: Env = dict(env)
-        for ax in call.axes:
-            ienv[ax.var] = Interval(0, int(ax.extent) - 1)
-        checker = _AccessChecker(nest, ienv, diags)
+        env.update(loop_env((ax.var, ax.extent) for ax in call.axes))
         for binding in list(call.inputs) + [call.output]:
             for dim, idx in enumerate(binding.program_indices):
-                checker.check_index(binding.program_tensor, dim, idx, ienv, "operand")
+                checker.check_index(binding.program_tensor, dim, idx, env, "operand")
             for dim, idx in enumerate(binding.intrin_indices):
-                checker.check_index(binding.intrin_tensor, dim, idx, ienv, "register")
-        proof.accesses = checker.accesses
-        proof.bounds_proved = checker.all_proved
-        proof.bounds_conditional = checker.used_guard
-        return proof, diags
-    # Not a store or intrinsic nest: the engine falls back to the
-    # interpreter here; nothing to prove, nothing proved.
-    proof = NestProof(nest.name, "other")
-    return proof, diags
+                checker.check_index(binding.intrin_tensor, dim, idx, env, "register")
+    else:
+        # Not a store or intrinsic nest: the engine falls back to the
+        # interpreter here; nothing to prove, nothing proved.
+        return NestProof(nest.name, "other"), diags
+    return (
+        NestProof(nest.name, kind, checker.all_proved, checker.used_guard, accesses=checker.accesses),
+        diags,
+    )
 
 
 class _AccessChecker:
     """Walks accesses of one nest, proving each index dimension in-range."""
 
-    def __init__(self, nest: Nest, env: Env, diags: List[Diagnostic]) -> None:
+    def __init__(self, nest: Nest, diags: List[Diagnostic]) -> None:
         self.nest = nest
-        self.base_env = env
         self.diags = diags
         self.accesses = 0
         self.all_proved = True

@@ -6,9 +6,10 @@ chain* stays inside the accumulator's range.  This pass bounds every stored
 value with interval arithmetic where a ``TensorLoad`` contributes its
 tensor's full dtype range, a ``Reduce`` multiplies its source interval by
 the reduction cardinality, and an accumulating store additionally multiplies
-by the nest's own reduction extents (the sequential revisit rounds).  A
-store whose worst-case interval escapes the destination dtype is flagged,
-as is a ``Cast`` whose incoming interval does not fit the target type.
+by the nest's own reduction extents (the sequential revisit rounds — the
+shared reading's ``Nest.accumulation`` / ``Nest.reduction``).  A store whose
+worst-case interval escapes the destination dtype is flagged, as is a
+``Cast`` whose incoming interval does not fit the target type.
 
 Every finding here is a *warning*, not an error: overflow is a property of
 the program's declared semantics (the scalar reference wraps identically),
@@ -23,11 +24,12 @@ the nest performs against the accumulator register's dtype.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from ..dsl import expr as E
 from ..tir.stmt import IntrinsicCall, Store
-from .framework import Diagnostic, Nest, iter_nests
+from .framework import Diagnostic, Nest, iter_nests, remembered
 from .interval import Env, Interval, expr_interval, loop_env
 
 __all__ = ["analyze_dtypes"]
@@ -43,6 +45,7 @@ def _load_range(load: E.TensorLoad) -> Optional[Interval]:
     return _dtype_range(load.tensor.dtype)
 
 
+@remembered("dtype")
 def analyze_dtypes(func) -> List[Diagnostic]:
     """Lint every nest of ``func`` for overflow and narrowing casts."""
     diags: List[Diagnostic] = []
@@ -61,33 +64,18 @@ def _check_store(nest: Nest, store: Store, diags: List[Diagnostic]) -> None:
     env = loop_env(nest.axes)
     _flag_narrowing_casts(nest, store.value, env, diags)
 
-    acc = _accumulator_rest(store)
-    if acc is None:
-        value_iv = expr_interval(store.value, env, _load_range)
-        if value_iv is None:
-            return
-        if not _fits(value_iv, out_range):
-            diags.append(_overflow(nest, store, value_iv, out_range))
-        return
-
-    rest, combiner = acc
-    rest_iv = expr_interval(rest, env, _load_range)
+    acc = nest.accumulation
+    rest_iv = expr_interval(store.value if acc is None else acc.rest, env, _load_range)
     if rest_iv is None:
         return
-    if combiner != "sum":
-        # max/min chains never grow past their operands.
+    if acc is None or acc.combiner != "sum":
+        # A plain store; or a max/min chain, which never grows past its operands.
         if not _fits(rest_iv, out_range):
             diags.append(_overflow(nest, store, rest_iv, out_range))
         return
     # The accumulator is revisited once per point of the nest's reduction
     # domain: every loop axis the store indices do not depend on.
-    dep = set()
-    for idx in store.indices:
-        dep.update(E.free_vars(idx))
-    rounds = 1
-    for var, extent in nest.axes:
-        if var not in dep:
-            rounds *= int(extent)
+    rounds = math.prod(nest.axes[k][1] for k in nest.reduction)
     total = Interval(min(0, rest_iv.lo * rounds), max(0, rest_iv.hi * rounds))
     if not _fits(total, out_range):
         diags.append(
@@ -132,13 +120,7 @@ def _check_intrinsic(nest: Nest, call: IntrinsicCall, diags: List[Diagnostic]) -
     if contribution is None:
         return
     # Sequential rounds: nest axes the output address does not depend on.
-    dep = set()
-    for idx in out_b.program_indices:
-        dep.update(E.free_vars(idx))
-    rounds = 1
-    for var, extent in nest.axes:
-        if var not in dep:
-            rounds *= int(extent)
+    rounds = math.prod(nest.axes[k][1] for k in nest.reduction)
     total = Interval(
         min(0, contribution.lo * rounds), max(0, contribution.hi * rounds)
     )
@@ -205,22 +187,3 @@ def _narrowing(nest: Nest, cast: E.Cast, iv: Optional[Interval]) -> Diagnostic:
         nest=nest.name,
         index_expr=str(cast),
     )
-
-
-def _accumulator_rest(store: Store):
-    """``(rest, combiner)`` for ``t[i] = combine(t[i], rest)`` stores."""
-    v = store.value
-    for cls, comb in ((E.Add, "sum"), (E.Max, "max"), (E.Min, "min")):
-        if type(v) is cls:
-            for load, rest in ((v.a, v.b), (v.b, v.a)):
-                if (
-                    isinstance(load, E.TensorLoad)
-                    and load.tensor is store.tensor
-                    and len(load.indices) == len(store.indices)
-                    and all(
-                        E.structural_equal(x, y)
-                        for x, y in zip(load.indices, store.indices)
-                    )
-                ):
-                    return rest, comb
-    return None

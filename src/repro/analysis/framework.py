@@ -2,11 +2,11 @@
 
 Every pass speaks the same two vocabularies:
 
-* :class:`Nest` — one compilable loop nest, decomposed exactly the way the
-  execution engine's plan compiler decomposes it (a chain of canonical
-  ``For`` loops, ``likely`` guards and pragma scopes ending in a ``Store``
-  or an ``IntrinsicCall``), so "nest N proved safe" means the same region
-  to the analyzer and to :func:`repro.tir.engine.compile_plan`;
+* :class:`Nest` — one compilable loop nest (a chain of canonical ``For``
+  loops, ``likely`` guards and pragma scopes ending in a ``Store`` or an
+  ``IntrinsicCall``).  :func:`iter_nests` is the same function (re-exported
+  from :mod:`repro.tir.visitor`) that :func:`repro.tir.engine.compile_plan`
+  walks, so "nest N proved safe" is the same region to both;
 * :class:`Diagnostic` — a finding that names the pass, the nest, the exact
   index expression and (for bounds violations) the violating interval, so a
   rejected rewrite is debuggable without re-running anything.
@@ -18,22 +18,11 @@ serialises to the JSON consumed by the ``static-analysis`` CI job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
-from ..dsl import expr as E
-from ..dsl.tensor import Tensor
-from ..tir.stmt import (
-    Allocate,
-    AttrStmt,
-    For,
-    IfThenElse,
-    IntrinsicCall,
-    SeqStmt,
-    Stmt,
-    Store,
-)
+from ..tir.visitor import Nest, iter_nests, remembered
 
-__all__ = ["Diagnostic", "Nest", "NestProof", "AnalysisReport", "iter_nests"]
+__all__ = ["Diagnostic", "Nest", "NestProof", "AnalysisReport", "iter_nests", "remembered"]
 
 
 @dataclass
@@ -72,27 +61,6 @@ class Diagnostic:
             "index_expr": self.index_expr,
             "interval": list(self.interval) if self.interval else None,
         }
-
-
-@dataclass
-class Nest:
-    """One engine-shaped loop nest of a PrimFunc."""
-
-    stmt: Stmt  # the nest root (outermost For / guard)
-    axes: List[Tuple[E.Var, int]]
-    guards: List[E.Expr]
-    body: Stmt  # Store | IntrinsicCall | anything else (unanalyzable)
-    allocated: Set[Tensor] = field(default_factory=set)
-    index: int = 0  # position in walk order (matches the plan compiler)
-
-    @property
-    def name(self) -> str:
-        loops = ".".join(v.name for v, _ in self.axes) or "<scalar>"
-        if isinstance(self.body, Store):
-            return f"{loops}->store[{self.body.tensor.name}]"
-        if isinstance(self.body, IntrinsicCall):
-            return f"{loops}->intrinsic[{self.body.intrin.name}]"
-        return f"{loops}->{type(self.body).__name__}"
 
 
 @dataclass
@@ -178,47 +146,3 @@ class AnalysisReport:
             "nests": [p.to_json() for p in self.nest_proofs],
             "diagnostics": [d.to_json() for d in self.diagnostics],
         }
-
-
-def iter_nests(func) -> Iterator[Nest]:
-    """Yield the nests of ``func`` in plan-compiler walk order.
-
-    The decomposition matches ``_PlanCompiler._walk``/``_compile_nest``
-    exactly: sequences and pragma scopes are transparent, ``Allocate``
-    introduces a buffer for the rest of its scope, and each maximal
-    ``For``/likely-guard chain is one nest.
-    """
-    counter = [0]
-
-    def walk(stmt: Stmt, allocated: Set[Tensor]) -> Iterator[Nest]:
-        if isinstance(stmt, SeqStmt):
-            for s in stmt.stmts:
-                yield from walk(s, allocated)
-        elif isinstance(stmt, AttrStmt):
-            yield from walk(stmt.body, allocated)
-        elif isinstance(stmt, Allocate):
-            yield from walk(stmt.body, allocated | {stmt.tensor})
-        elif isinstance(stmt, (For, Store, IfThenElse, IntrinsicCall)):
-            yield decompose(stmt, allocated)
-        # Unknown statements are the structural pass's concern.
-
-    def decompose(root: Stmt, allocated: Set[Tensor]) -> Nest:
-        axes: List[Tuple[E.Var, int]] = []
-        guards: List[E.Expr] = []
-        stmt = root
-        while True:
-            if isinstance(stmt, For):
-                axes.append((stmt.var, stmt.extent))
-                stmt = stmt.body
-            elif isinstance(stmt, IfThenElse) and stmt.else_case is None:
-                guards.append(stmt.condition)
-                stmt = stmt.then_case
-            elif isinstance(stmt, AttrStmt):
-                stmt = stmt.body
-            else:
-                break
-        nest = Nest(root, axes, guards, stmt, set(allocated), counter[0])
-        counter[0] += 1
-        return nest
-
-    yield from walk(func.body, set())

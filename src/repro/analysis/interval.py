@@ -35,6 +35,9 @@ __all__ = [
     "linearize",
     "atom_root",
     "atom_interval",
+    "row_major_strides",
+    "axis_strides",
+    "mixed_radix",
     "refine_with_guards",
     "prove_in_range",
 ]
@@ -331,6 +334,50 @@ def _linearize(expr: E.Expr, env: Env, atom_env: Dict):
         atom_env.setdefault(derived, Interval(0, c - 1))
         return {derived: 1}, 0
     return None
+
+
+def row_major_strides(shape) -> List[int]:
+    strides = [1] * len(shape)
+    for i in range(len(shape) - 2, -1, -1):
+        strides[i] = strides[i + 1] * shape[i + 1]
+    return strides
+
+
+def axis_strides(indices, shape, env: Env, axis_vars):
+    """Row-major flat ``(strides, offset)`` of ``indices`` over ``axis_vars``.
+
+    ``strides`` maps every member of ``axis_vars`` to its flat element
+    stride; ``offset`` is the constant term.  Every other variable of ``env``
+    (and its div/mod atoms) is a symbolic parameter and contributes to
+    neither.  ``None`` when an index is not quasi-affine or an axis sits
+    under a div/mod — the address is then not a stride pattern at all.
+    """
+    strides = dict.fromkeys(axis_vars, 0)
+    offset = 0
+    for idx, stride in zip(indices, row_major_strides(shape)):
+        lin = linearize(idx, env)
+        if lin is None:
+            return None
+        coeffs, const, _ = lin
+        offset += const * stride
+        for atom, coeff in coeffs.items():
+            root = atom_root(atom)
+            if root in strides:
+                if atom is not root:
+                    return None
+                strides[root] += coeff * stride
+    return strides, offset
+
+
+def mixed_radix(terms, reach: int = 0) -> bool:
+    """Whether ``sum(coeff * x)``, ``x`` in ``[0, width]`` per ``(coeff, width)``
+    term, is injective: in ascending order each ``coeff`` clears the reach of
+    all smaller terms (starting from ``reach``, e.g. the width of one tile)."""
+    for coeff, width in sorted(terms):
+        if coeff <= reach:
+            return False
+        reach += coeff * width
+    return True
 
 
 def _linear_interval(coeffs: Dict, const: int, atom_env: Dict) -> Optional[Interval]:

@@ -24,6 +24,8 @@ detection over the top-level statement order: an accumulating store
 (``t[i] = combine(t[i], rest)``) into a reduction output that no earlier
 nest initialised reads garbage in the scalar semantics — the classic
 "deleted init nest" corruption, reported with the nest and index expression.
+Whether a store reads its own target is the shared reading's answer
+(``Nest.accumulation`` / ``Nest.carried``); the mixed-radix test is ``Nest.injective``'s.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from typing import List, Optional, Set, Tuple
 
 from ..dsl import expr as E
 from ..tir.stmt import IntrinsicCall, Store
-from .framework import Diagnostic, Nest, iter_nests
+from ..tir.visitor import same_index
+from .framework import Diagnostic, Nest, iter_nests, remembered
 from .interval import (
     Env,
     Interval,
@@ -43,11 +46,14 @@ from .interval import (
     atom_root,
     linearize,
     loop_env,
+    mixed_radix,
+    row_major_strides,
 )
 
 __all__ = ["analyze_overlap", "check_tiles_disjoint", "check_nest_overlap"]
 
 
+@remembered("overlap")
 def analyze_overlap(func) -> Tuple[List[Optional[bool]], List[Diagnostic]]:
     """Prove tile disjointness / hazard freedom for every nest of ``func``.
 
@@ -70,29 +76,27 @@ def analyze_overlap(func) -> Tuple[List[Optional[bool]], List[Diagnostic]]:
         diagnostics.extend(diags)
 
         # -- def-before-use over top-level statement order ---------------
-        written = _written_tensor(nest)
-        acc_read = _accumulator_read(nest)
-        if acc_read is not None and written is not None:
-            tensor, idx_expr = acc_read
-            uninitialised = (
-                tensor not in initialized
-                and not (tensor is output and accumulate_by_design)
-                and tensor not in nest.allocated  # Allocate zero-fills
-            )
-            if uninitialised:
-                diagnostics.append(
-                    Diagnostic(
-                        "overlap",
-                        "error",
-                        f"accumulating store reads {tensor.name!r} before any "
-                        f"nest initialises it (uninitialized accumulator)",
-                        nest=nest.name,
-                        index_expr=str(idx_expr),
-                    )
+        if nest.written is None:
+            continue
+        tensor = nest.written[0]
+        read_at = _accumulator_index(nest)
+        if read_at is None:
+            initialized.add(tensor)  # a non-accumulating full store initialises its target
+        elif (
+            tensor not in initialized
+            and not (tensor is output and accumulate_by_design)
+            and tensor not in nest.allocated  # Allocate zero-fills
+        ):
+            diagnostics.append(
+                Diagnostic(
+                    "overlap",
+                    "error",
+                    f"accumulating store reads {tensor.name!r} before any "
+                    f"nest initialises it (uninitialized accumulator)",
+                    nest=nest.name,
+                    index_expr=str(E.TensorLoad(tensor, read_at)),
                 )
-        if written is not None and acc_read is None:
-            # A non-accumulating full store initialises its target.
-            initialized.add(written)
+            )
     return results, diagnostics
 
 
@@ -107,13 +111,9 @@ def check_nest_overlap(nest: Nest) -> Tuple[Optional[bool], List[Diagnostic]]:
     # Read-write hazards: an operand reading the written tensor must read
     # exactly the accumulator element the call writes.
     for binding in call.inputs:
-        if binding.program_tensor is not out_b.program_tensor:
-            continue
-        same = len(binding.program_indices) == len(out_b.program_indices) and all(
-            E.structural_equal(x, y)
-            for x, y in zip(binding.program_indices, out_b.program_indices)
-        )
-        if not same:
+        if binding.program_tensor is out_b.program_tensor and not same_index(
+            binding.program_indices, out_b.program_indices
+        ):
             diags.append(
                 Diagnostic(
                     "overlap",
@@ -180,13 +180,7 @@ def check_tiles_disjoint(
     out_b = call.output
     tensor = out_b.program_tensor
 
-    # Row-major flattening of the address.
-    strides: List[int] = []
-    acc = 1
-    for extent in reversed(tensor.shape):
-        strides.append(acc)
-        acc *= int(extent)
-    strides.reverse()
+    strides = row_major_strides(tensor.shape)
 
     ienv: Env = {ax.var: Interval(0, int(ax.extent) - 1) for ax in call.axes}
     benv: Env = loop_env(axes)
@@ -245,17 +239,9 @@ def check_tiles_disjoint(
             continue
         # The group value must determine its member atoms (injective map),
         # otherwise replacing them by one term would hide a collision.
-        g_terms = sorted(
+        if not mixed_radix(
             (abs(gc), g_aenv[a].width) for a, gc in g_coeffs.items() if gc != 0
-        )
-        g_span = 0
-        injective = True
-        for coeff, w in g_terms:
-            if coeff <= g_span:
-                injective = False
-                break
-            g_span += coeff * w
-        if not injective:
+        ):
             continue
         g_iv = _linear_interval(g_coeffs, 0, g_aenv)
         if g_iv is None:
@@ -292,19 +278,10 @@ def check_tiles_disjoint(
 
     terms = [(abs(c), batch_ivs[a].width) for a, c in batch_coeffs.items()]
     terms.extend(grouped)
-    terms.sort()
-
-    span = width
-    flat_ok = True
-    for coeff, extent_span in terms:
-        if coeff <= span:
-            # The step of this batch axis does not clear the span of the
-            # smaller terms plus one tile: two batch points can address
-            # overlapping tiles (e.g. a stride smaller than the tile).
-            flat_ok = False
-            break
-        span += coeff * extent_span
-    if flat_ok:
+    # A batch step that does not clear the span of the smaller terms plus one
+    # tile lets two batch points address overlapping tiles (e.g. a stride
+    # smaller than the tile).
+    if mixed_radix(terms, width):
         return True
 
     # Per-dimension fallback.  The flattened criterion treats the tile as a
@@ -318,7 +295,6 @@ def check_tiles_disjoint(
     # disjoint.  (Guard restriction is not applied here; the full-interval
     # check is strictly more conservative.)
     dim_of: dict = {}
-    dim_terms: List[Tuple[int, List[Tuple[int, int]]]] = []
     for d, coeffs in enumerate(per_dim):
         tile_d = Interval(0, 0)
         batch_d: List[Tuple[int, int]] = []
@@ -332,41 +308,22 @@ def check_tiles_disjoint(
                 if dim_of.setdefault(atom, d) != d:
                     return False  # atom spans dimensions; no box argument
                 batch_d.append((abs(c), iv.width))
-        dim_terms.append((tile_d.width, sorted(batch_d)))
-    for w_d, terms_d in dim_terms:
-        span = w_d
-        for coeff, extent_span in terms_d:
-            if coeff <= span:
-                return False
-            span += coeff * extent_span
+        if not mixed_radix(batch_d, tile_d.width):
+            return False
     return True
 
 
 # -- def-before-use helpers -------------------------------------------------
 
 
-def _written_tensor(nest: Nest):
-    if isinstance(nest.body, Store):
-        return nest.body.tensor
-    if isinstance(nest.body, IntrinsicCall):
-        return nest.body.output.program_tensor
-    return None
-
-
-def _accumulator_read(nest: Nest):
-    """The ``(tensor, index_expr)`` a nest reads as its accumulator, if any."""
-    if isinstance(nest.body, Store):
-        store = nest.body
-        for node in E.post_order(store.value):
-            if isinstance(node, E.TensorLoad) and node.tensor is store.tensor:
-                return store.tensor, E.TensorLoad(store.tensor, store.indices)
-        return None
-    if isinstance(nest.body, IntrinsicCall):
-        call = nest.body
-        out = call.output.program_tensor
-        if call.reads_output:
-            for binding in call.inputs:
-                if binding.program_tensor is out:
-                    return out, E.TensorLoad(out, binding.program_indices)
-        return None
+def _accumulator_index(nest: Nest):
+    """The index at which a nest reads the tensor it writes (its
+    accumulator), or ``None`` when it only writes."""
+    body = nest.body
+    if isinstance(body, Store):
+        return body.indices if nest.accumulation is not None or nest.carried else None
+    if isinstance(body, IntrinsicCall) and body.reads_output:
+        for binding in body.inputs:
+            if binding.program_tensor is body.output.program_tensor:
+                return binding.program_indices
     return None

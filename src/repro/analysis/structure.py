@@ -39,7 +39,7 @@ from ..tir.stmt import (
     Stmt,
     Store,
 )
-from .framework import Diagnostic
+from .framework import Diagnostic, remembered
 
 __all__ = [
     "TIR_EXPR_KINDS",
@@ -79,6 +79,7 @@ def verify_structure(func) -> None:
     _check(func.body, visible, bound_vars)
 
 
+@remembered("structure")
 def structure_diagnostics(func) -> List[Diagnostic]:
     """All structural violations of ``func`` as diagnostics (never raises)."""
     try:

@@ -12,6 +12,10 @@ exists for three reasons:
 * it provides instruction statistics (tensorized ops, loads, loop overhead)
   that can be cross-checked against the analytical cost models;
 * it renders readable "assembly" listings for the examples and docs.
+
+:func:`generate_c`, the second half, lowers a ``PrimFunc`` to executable C;
+which nests it may emit as accumulator tiles is read off the shared
+loop-nest reading (:class:`repro.tir.visitor.Nest`), not matched here.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.interval import Interval, atom_root, linearize, loop_env
+from ..analysis.interval import Interval, axis_strides, loop_env, row_major_strides
 from ..analysis.structure import TIR_EXPR_KINDS
 from ..dsl import expr as E
 from ..dsl.dtype import DType, from_string
@@ -40,6 +44,7 @@ from ..tir.stmt import (
     Stmt,
     Store,
 )
+from ..tir.visitor import accumulation_form, read_nest, walk
 
 __all__ = [
     "Instruction",
@@ -410,13 +415,6 @@ def _c_float_literal(value: float, single: bool) -> str:
     return f"{text}f" if single else text
 
 
-def _row_major_strides(shape) -> List[int]:
-    strides = [1] * len(shape)
-    for i in range(len(shape) - 2, -1, -1):
-        strides[i] = strides[i + 1] * shape[i + 1]
-    return strides
-
-
 # -- native eligibility -------------------------------------------------------
 
 def _intrinsic_native_reason(intrin) -> Optional[str]:
@@ -437,27 +435,17 @@ def _intrinsic_native_reason(intrin) -> Optional[str]:
     body = op.body
     if not isinstance(body, E.Add):
         return f"intrinsic {intrin.name}: body is not acc + reduce"
-    axis_vars = [ax.var for ax in op.axes]
-    for load, rest in ((body.a, body.b), (body.b, body.a)):
-        if not isinstance(load, E.TensorLoad):
-            continue
-        if not isinstance(rest, E.Reduce) or rest.combiner != "sum":
-            continue
-        if len(load.indices) != len(axis_vars):
-            continue
-        if not all(idx is var for idx, var in zip(load.indices, axis_vars)):
-            continue
-        acc_tensor = load.tensor
-        reads_forbidden = False
-        for node in E.post_order(rest):
-            if isinstance(node, E.TensorLoad) and node.tensor in (acc_tensor, out):
-                reads_forbidden = True
-            if isinstance(node, E.TensorLoad) and not node.tensor.dtype.is_integer:
-                reads_forbidden = True
-        if reads_forbidden:
+    # The accumulator is whichever operand is a load at the instruction's own axes.
+    loads = [x.tensor for x in (body.a, body.b) if isinstance(x, E.TensorLoad)]
+    acc = loads and accumulation_form(body, loads[0], [ax.var for ax in op.axes])
+    if not acc or not isinstance(acc.rest, E.Reduce) or acc.rest.combiner != "sum":
+        return f"intrinsic {intrin.name}: body is not acc + sum-reduction over its axes"
+    for node in E.post_order(acc.rest):
+        if isinstance(node, E.TensorLoad) and (
+            node.tensor in (loads[0], out) or not node.tensor.dtype.is_integer
+        ):
             return f"intrinsic {intrin.name}: reduction reads accumulator/output or non-integer lanes"
-        return None
-    return f"intrinsic {intrin.name}: body is not acc + sum-reduction over its axes"
+    return None
 
 
 def _expr_native_reason(expr: E.Expr) -> Optional[str]:
@@ -475,51 +463,27 @@ def native_support_reason(func: PrimFunc) -> Optional[str]:
         if tensor.dtype.name not in _C_TYPES:
             return f"parameter {tensor.name}: dtype {tensor.dtype.name} has no native lowering"
 
-    def walk(stmt: Stmt) -> Optional[str]:
-        if isinstance(stmt, SeqStmt):
-            for s in stmt.stmts:
-                reason = walk(s)
-                if reason:
-                    return reason
-            return None
-        if isinstance(stmt, For):
-            return walk(stmt.body)
+    for stmt in walk(func.body):
+        reason = None
+        exprs: List[E.Expr] = []
         if isinstance(stmt, IfThenElse):
-            reason = _expr_native_reason(stmt.condition)
-            if reason:
-                return reason
-            reason = walk(stmt.then_case)
-            if reason:
-                return reason
-            return walk(stmt.else_case) if stmt.else_case is not None else None
-        if isinstance(stmt, AttrStmt):
-            return walk(stmt.body)
-        if isinstance(stmt, Allocate):
-            if stmt.tensor.dtype.name not in _C_TYPES:
-                return f"allocation {stmt.tensor.name}: dtype {stmt.tensor.dtype.name} has no native lowering"
-            return walk(stmt.body)
-        if isinstance(stmt, Store):
-            reason = _expr_native_reason(stmt.value)
-            if reason:
-                return reason
-            for idx in stmt.indices:
-                reason = _expr_native_reason(idx)
-                if reason:
-                    return reason
-            return None
-        if isinstance(stmt, IntrinsicCall):
+            exprs = [stmt.condition]
+        elif isinstance(stmt, Store):
+            exprs = [stmt.value, *stmt.indices]
+        elif isinstance(stmt, IntrinsicCall):
             reason = _intrinsic_native_reason(stmt.intrin)
-            if reason:
-                return reason
-            for binding in list(stmt.inputs) + [stmt.output]:
-                for idx in list(binding.program_indices) + list(binding.intrin_indices):
-                    r = _expr_native_reason(idx)
-                    if r:
-                        return r
-            return None
-        return f"statement {type(stmt).__name__} has no native lowering"
-
-    return walk(func.body)
+            for binding in [*stmt.inputs, stmt.output]:
+                exprs += [*binding.program_indices, *binding.intrin_indices]
+        elif isinstance(stmt, Allocate):
+            if stmt.tensor.dtype.name not in _C_TYPES:
+                reason = f"allocation {stmt.tensor.name}: dtype {stmt.tensor.dtype.name} has no native lowering"
+        elif not isinstance(stmt, (SeqStmt, For, AttrStmt)):
+            reason = f"statement {type(stmt).__name__} has no native lowering"
+        for expr in exprs:
+            reason = reason or _expr_native_reason(expr)
+        if reason:
+            return reason
+    return None
 
 
 # -- C emitter ----------------------------------------------------------------
@@ -585,32 +549,6 @@ class _NameTable:
 _BROADCAST_BYTES = 4
 
 
-def _axis_strides(indices, shape, env, axis_vars):
-    """Row-major flat ``(strides, offset)`` of ``indices`` over ``axis_vars``.
-
-    ``strides`` maps every member of ``axis_vars`` to its flat element
-    stride; ``offset`` is the constant term.  Every other variable of ``env``
-    (and its div/mod atoms) is a symbolic parameter and contributes to
-    neither.  ``None`` when an index is not quasi-affine or an axis sits
-    under a div/mod — the address is then not a stride pattern at all.
-    """
-    strides = dict.fromkeys(axis_vars, 0)
-    offset = 0
-    for idx, stride in zip(indices, _row_major_strides(shape)):
-        lin = linearize(idx, env)
-        if lin is None:
-            return None
-        coeffs, const, _ = lin
-        offset += const * stride
-        for atom, coeff in coeffs.items():
-            root = atom_root(atom)
-            if root in strides:
-                if atom is not root:
-                    return None
-                strides[root] += coeff * stride
-    return strides, offset
-
-
 def _operand_access(call: IntrinsicCall, binding, env) -> str:
     """How the instruction path reaches one operand register's memory.
 
@@ -625,8 +563,8 @@ def _operand_access(call: IntrinsicCall, binding, env) -> str:
         return "staged"
     axis_env = loop_env((ax.var, ax.extent) for ax in call.axes)
     extents = {ax.var: int(ax.extent) for ax in call.axes if int(ax.extent) > 1}
-    lane = _axis_strides(binding.intrin_indices, reg.shape, axis_env, extents)
-    addr = _axis_strides(binding.program_indices, prog.shape, {**env, **axis_env}, extents)
+    lane = axis_strides(binding.intrin_indices, reg.shape, axis_env, extents)
+    addr = axis_strides(binding.program_indices, prog.shape, {**env, **axis_env}, extents)
     if lane is None or addr is None or lane[1] != 0:
         return "staged"
     lane, addr = lane[0], addr[0]
@@ -734,7 +672,7 @@ class _CEmitter:
         return f"(int64_t)({code})"
 
     def flat_index(self, indices, shape) -> str:
-        strides = _row_major_strides(shape)
+        strides = row_major_strides(shape)
         terms = []
         for idx, stride in zip(indices, strides):
             code = self.index(idx)
@@ -920,9 +858,9 @@ class _CEmitter:
         Regrouping runs the data-parallel points in another order, which is
         only invisible when no two of them touch the same element: ``e`` must
         not read ``t`` and ``idx`` must be injective over the whole parallel
-        band (its flat strides a mixed radix — every stride clears the reach
-        of all smaller ones).  Each element then still folds its own operands
-        in reduction-loop order, whatever its neighbours do.
+        band.  Each element then still folds its own operands in
+        reduction-loop order, as written — only ``t[idx] (op) e`` tiles,
+        because operand order decides which NaN payload survives.
         """
         band: List[For] = []
         node: Stmt = stmt
@@ -930,35 +868,17 @@ class _CEmitter:
             band.append(node)
             node = node.body
         if not isinstance(node, Store):
+            return None  # a guard, a pragma scope or an intrinsic call under the loops
+        nest = read_nest(stmt)
+        acc = nest.accumulation
+        if acc is None or not acc.load_is_left or nest.carried:
             return None
-        tensor, value = node.tensor, node.value
-        if not (isinstance(value, E.BinaryOp) and isinstance(value.a, E.TensorLoad)):
+        depth = len(nest.parallel)
+        if not 0 < depth < len(band) or nest.parallel != tuple(range(depth)):
+            return None  # the band is not parallel loops around reduction loops
+        if not nest.injective(self.env):
             return None
-        if value.a.tensor is not tensor or not all(
-            E.structural_equal(read, written)
-            for read, written in zip(value.a.indices, node.indices)
-        ):
-            return None
-        for sub in E.post_order(value.b):
-            if isinstance(sub, E.TensorLoad) and sub.tensor is tensor:
-                return None
-        indexed = {var for idx in node.indices for var in E.free_vars(idx)}
-        depth = next((i for i, loop in enumerate(band) if loop.var not in indexed), len(band))
-        parallel, reduction = band[:depth], band[depth:]
-        if not parallel or not reduction or any(loop.var in indexed for loop in reduction):
-            return None
-        extents = {loop.var: loop.extent for loop in parallel if loop.extent > 1}
-        env = {**self.env, **loop_env((loop.var, loop.extent) for loop in parallel)}
-        address = _axis_strides(node.indices, tensor.shape, env, extents)
-        if address is None:
-            return None
-        steps = sorted((abs(address[0][var]), extent) for var, extent in extents.items())
-        reach = 0
-        for step, extent in steps:
-            if step <= reach:
-                return None
-            reach += step * (extent - 1)
-        return parallel, reduction, node
+        return band[:depth], band[depth:], nest.body
 
     def _accumulator_tiles(self, parallel: List[For], reduction: List[For], store: Store) -> None:
         """Emit a recognised reduction-update nest tile by tile.  A loop its

@@ -34,7 +34,7 @@ from ..rewriter import (
     replace_tensorize,
     reorganize_loops,
 )
-from ..tir import PrimFunc, alloc_buffers, lower, verify
+from ..tir import PrimFunc, alloc_buffers, lower
 from ..tir.executor import Executor
 
 __all__ = ["TensorizeResult", "tensorize", "select_intrinsic", "validate_tensorize"]
@@ -135,7 +135,6 @@ def tensorize(
     target: Optional[str] = None,
     config: Union[CpuTuningConfig, GpuTuningConfig, None] = None,
     mapping_index: int = 0,
-    verify_ir: bool = True,
     validate: bool = False,
 ) -> TensorizeResult:
     """Tensorize one operation with a given instruction (or the target's best).
@@ -192,12 +191,9 @@ def tensorize(
         config = gpu_config
 
     func = lower(spec.schedule)
-    # replace_tensorize runs the full static verification tier (structure,
-    # bounds, overlap, dtype) over the rewritten candidate; the structural
-    # verify() afterwards keeps the historical VerificationError surface.
-    func = replace_tensorize(func, spec, verify=verify_ir)
-    if verify_ir:
-        verify(func)
+    # replace_tensorize runs the full static verification tier; the report
+    # stays on the function for a later analyze() / compile_plan() to read.
+    func = replace_tensorize(func, spec)
     result = TensorizeResult(
         operation=op,
         intrinsic=intrin,

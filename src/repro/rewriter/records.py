@@ -133,11 +133,12 @@ def params_fingerprint(params) -> Tuple[Tuple[str, object], ...]:
 
     The ``name`` field is excluded on purpose: two layers with identical
     shapes tune identically regardless of what the model builder called them,
-    and sharing their record is the whole point of the cache.
+    and sharing their record is the whole point of the cache.  Fields are
+    read directly (ints and strings): ``asdict`` deep-copies on every lookup.
     """
     if dataclasses.is_dataclass(params) and not isinstance(params, type):
-        items = sorted(dataclasses.asdict(params).items())
-        return tuple((k, v) for k, v in items if k != "name")
+        names = sorted([f.name for f in dataclasses.fields(params) if f.name != "name"])
+        return tuple([(name, getattr(params, name)) for name in names])
     if isinstance(params, dict):
         return tuple(sorted((str(k), v) for k, v in params.items() if k != "name"))
     raise TypeError(f"cannot fingerprint workload params of type {type(params)!r}")

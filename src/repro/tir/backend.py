@@ -345,15 +345,20 @@ def native_eligibility_reason(plan: ExecutablePlan) -> Optional[str]:
     return _lowlevel().native_support_reason(plan.func)
 
 
+def _count(stats: Optional[EngineStats], field: str) -> None:
+    """One native-tier event: ``stats.<field>`` and the ``tir.<field>`` counter together."""
+    if stats is not None:
+        setattr(stats, field, getattr(stats, field) + 1)
+    _metrics.count("tir." + field)
+
+
 def _demote(plan: ExecutablePlan, reason: str, stats: Optional[EngineStats]) -> None:
     state = tier_state(plan)
     state.tier = "vectorized"
     state.kernel = None
     state.demoted = True
     state.demotion_reason = reason
-    if stats is not None:
-        stats.native_demotions += 1
-    _metrics.count("tir.native_demotions")
+    _count(stats, "native_demotions")
 
 
 def _kernel_arrays(
@@ -408,13 +413,9 @@ def _try_promote(
                 verdict = sandbox.qualify(plan.func, check, expected)
                 sq.set(outcome=verdict.outcome)
             state.sandbox_outcome = verdict.outcome
-            if stats is not None:
-                stats.sandbox_qualifications += 1
-            _metrics.count("tir.sandbox_qualifications")
+            _count(stats, "sandbox_qualifications")
             if not verdict.ok:
-                if stats is not None:
-                    stats.sandbox_rejections += 1
-                _metrics.count("tir.sandbox_rejections")
+                _count(stats, "sandbox_rejections")
                 promote_span.set(outcome="sandbox_rejected")
                 _demote(
                     plan,
@@ -458,9 +459,7 @@ def _try_promote(
         state.kernel = kernel
         state.tier = "native"
         promote_span.set(outcome="promoted")
-    if stats is not None:
-        stats.native_promotions += 1
-    _metrics.count("tir.native_promotions")
+    _count(stats, "native_promotions")
 
 
 def run_tiered(
@@ -490,9 +489,7 @@ def run_tiered(
         except Exception as exc:
             _demote(plan, f"native kernel raised: {exc}", stats)
         else:
-            if stats is not None:
-                stats.native_runs += 1
-            _metrics.count("tir.native_runs")
+            _count(stats, "native_runs")
             return result
 
     if state.demoted or state.tier != "vectorized" or state.warm_runs + 1 < threshold:

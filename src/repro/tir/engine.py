@@ -7,7 +7,9 @@ through it.  This module *compiles* a :class:`PrimFunc` into an
 :class:`ExecutablePlan` of batched numpy operations and then executes the
 plan with **zero re-analysis**:
 
-* **compile phase** (:func:`compile_plan`) — one walk over the loop nests
+* **compile phase** (:func:`compile_plan`) — one pass over the function's
+  nests (the shared :func:`~repro.tir.visitor.iter_nests` reading and the
+  bounds proofs remembered on the function; nothing is matched or proved here)
   derives everything that does not depend on buffer contents: iteration
   grids, strided (affine) gather/scatter index arrays via the memoized
   :func:`repro.dsl.expr.extract_linear` decomposition, residue masks from
@@ -57,20 +59,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..analysis.interval import expr_interval, loop_env
 from ..dsl import expr as E
 from ..dsl.tensor import Tensor
 from .interpreter import Interpreter
 from .lower import PrimFunc
-from .stmt import (
-    Allocate,
-    AttrStmt,
-    For,
-    IfThenElse,
-    IntrinsicCall,
-    SeqStmt,
-    Stmt,
-    Store,
-)
+from .stmt import Allocate, IfThenElse, IntrinsicCall, SeqStmt, Stmt, Store
+from .visitor import Nest, accumulation_form, iter_nests, same_index
 
 __all__ = [
     "EngineStats",
@@ -667,113 +662,68 @@ class ExecutablePlan:
 # ---------------------------------------------------------------------------
 
 
-# The static verification tier, bound on first plan compile.  The analysis
-# package imports repro.tir.stmt at module level, so a module-level import
-# here would make the pair unimportable from the analysis side
-# (``python -m repro.analysis`` loads repro.analysis before repro.tir).
-check_nest_bounds = None
-_AnalysisNest = None
-_Interval = None
-_expr_interval = None
-
-
-def _bind_analysis() -> None:
-    global check_nest_bounds, _AnalysisNest, _Interval, _expr_interval
-    if _Interval is not None:
-        return
-    from ..analysis.bounds import check_nest_bounds as _cnb
-    from ..analysis.framework import Nest as _nest
-    from ..analysis.interval import Interval as _iv, expr_interval as _ei
-
-    check_nest_bounds, _AnalysisNest, _Interval, _expr_interval = _cnb, _nest, _iv, _ei
-
-
 class _PlanCompiler:
     def __init__(self, func: PrimFunc, strict: bool = False) -> None:
-        _bind_analysis()
         self.func = func
         self.strict = strict
         self.steps: list = []
         self.stats = PlanStats()
 
     def compile(self) -> ExecutablePlan:
-        self._walk(self.func.body)
+        # One set of proofs per function body, shared with ``analyze``; a
+        # function nobody analysed runs the bounds pass here, nothing else.
+        from ..analysis.bounds import analyze_bounds  # mid-import if it pulled tir in
+
+        self.proofs = analyze_bounds(self.func)[0]
+        entered: Tuple[Allocate, ...] = ()
+        for nest in iter_nests(self.func):
+            self.steps += [_AllocStep(s.tensor) for s in nest.scopes if s not in entered]
+            entered = nest.scopes
+            self._nest(nest)
         return ExecutablePlan(self.func, self.steps, self.stats, self.strict)
 
-    # -- statement walk -----------------------------------------------------
-    def _walk(self, stmt: Stmt) -> None:
-        if isinstance(stmt, SeqStmt):
-            for s in stmt.stmts:
-                self._walk(s)
-        elif isinstance(stmt, AttrStmt):
-            self._walk(stmt.body)
-        elif isinstance(stmt, Allocate):
-            self.steps.append(_AllocStep(stmt.tensor))
-            self._walk(stmt.body)
-        elif isinstance(stmt, (For, Store, IfThenElse, IntrinsicCall)):
-            self._nest(stmt)
-        else:
-            raise TypeError(f"cannot compile statement {type(stmt).__name__}")
-
-    def _nest(self, stmt: Stmt) -> None:
+    # -- nest dispatch ------------------------------------------------------
+    def _nest(self, nest: Nest) -> None:
+        body = nest.body
         try:
-            step = self._compile_nest(stmt)
+            if isinstance(body, Store):
+                step = self._compile_store(nest, body)
+            elif isinstance(body, IntrinsicCall):
+                step = self._compile_intrinsic(nest, body)
+            elif isinstance(body, (SeqStmt, IfThenElse, Allocate)):
+                raise Unvectorizable(
+                    f"loop body is a {type(body).__name__}, not a store or intrinsic call"
+                )
+            else:
+                raise TypeError(f"cannot compile statement {type(body).__name__}")
         except Unvectorizable as exc:
             if self.strict:
                 raise
             self.stats.fallback_nests += 1
             if len(self.stats.fallback_reasons) < 32:
                 self.stats.fallback_reasons.append(str(exc))
-            self.steps.append(_FallbackStep(stmt, str(exc)))
+            self.steps.append(_FallbackStep(nest.stmt, str(exc)))
             return
         self.stats.vector_nests += 1
         self.steps.append(step)
-
-    def _compile_nest(self, nest: Stmt):
-        stmt = nest
-        axes: List[Tuple[E.Var, int]] = []
-        guards: List[E.Expr] = []
-        while True:
-            if isinstance(stmt, For):
-                axes.append((stmt.var, stmt.extent))
-                stmt = stmt.body
-            elif isinstance(stmt, IfThenElse) and stmt.else_case is None:
-                guards.append(stmt.condition)
-                stmt = stmt.then_case
-            elif isinstance(stmt, AttrStmt):
-                stmt = stmt.body
-            else:
-                break
-        if isinstance(stmt, Store):
-            return self._compile_store(nest, axes, guards, stmt)
-        if isinstance(stmt, IntrinsicCall):
-            return self._compile_intrinsic(nest, axes, guards, stmt)
-        raise Unvectorizable(
-            f"loop body is a {type(stmt).__name__}, not a store or intrinsic call"
-        )
 
     def _make_ctx(self, axes, clip) -> _CompileCtx:
         rank = len(axes)
         vars = {
             var: _axis_array(i, extent, rank) for i, (var, extent) in enumerate(axes)
         }
-        env = {var: _Interval(0, extent - 1) for var, extent in axes}
-        return _CompileCtx(rank, vars, tuple(var for var, _ in axes), clip, env)
+        return _CompileCtx(rank, vars, tuple(var for var, _ in axes), clip, loop_env(axes))
 
-    def _count_proof(self, nest, axes, guards, body) -> None:
-        """Record whether the static bounds analysis proves this nest safe
-        (guard-refined proofs included) — surfaced as ``PlanStats.proved_nests``."""
-        proof, _diags = check_nest_bounds(
-            _AnalysisNest(nest, list(axes), list(guards), body)
-        )
-        if proof.bounds_proved:
+    def _count_proof(self, nest: Nest) -> None:
+        """``PlanStats.proved_nests``: the bounds pass proved this nest safe."""
+        if self.proofs[nest.index].bounds_proved:
             self.stats.proved_nests += 1
 
     def _clip_elidable(self, i_expr: E.Expr, extent: int, ctx: _CompileCtx) -> bool:
         """Whether the protective clamp on this index dimension is provably
         the identity: the static interval of the index stays inside
         ``[0, extent)`` at every grid point, masked ones included."""
-        iv = _expr_interval(i_expr, ctx.env)
+        iv = expr_interval(i_expr, ctx.env)
         if iv is not None and iv.within(0, extent - 1):
             self.stats.elided_checks += 1
             return True
@@ -938,18 +888,26 @@ class _PlanCompiler:
         return fn_load
 
     # -- Store nests --------------------------------------------------------
-    def _compile_store(self, nest, axes, guards, store: Store):
-        rank = len(axes)
+    def _compile_store(self, nest: Nest, store: Store):
+        axes, guards = nest.axes, nest.guards
         grid = tuple(extent for _, extent in axes)
         ctx = self._make_ctx(axes, clip=bool(guards))
         out_np = store.tensor.dtype.np_dtype
 
         mask = self._static_mask(guards, ctx)
         if mask is False:
-            return _DeadStep(nest)
-        self._count_proof(nest, axes, guards, store)
+            return _DeadStep(nest.stmt)
+        self._count_proof(nest)
 
-        acc = self._match_accumulation(store)
+        # Any self-reference beyond the accumulator operand is a loop-carried
+        # dependence the engine cannot reorder.
+        acc = nest.accumulation
+        if nest.carried:
+            raise Unvectorizable(
+                "store value reads its target tensor (not an accumulation)"
+                if acc is None
+                else "store reads its target tensor beyond the accumulator"
+            )
         try:
             idx = [self._static_index(i, ctx) for i in store.indices]
         except _Dynamic:
@@ -967,22 +925,16 @@ class _PlanCompiler:
 
         if acc is None:
             value_fn = self._compile_value(store.value, ctx)
-            return _PlainStoreStep(nest, store.tensor, idx, value_fn, mask, out_np)
+            return _PlainStoreStep(nest.stmt, store.tensor, idx, value_fn, mask, out_np)
 
-        rest_expr, combiner = acc
-        dep: set = set()
-        for i_expr in store.indices:
-            dep.update(E.free_vars(i_expr))
-        red_pos = [k for k, (v, _) in enumerate(axes) if v not in dep]
-        dp_pos = [k for k in range(rank) if k not in red_pos]
-        perm = dp_pos + red_pos
-        dp_shape = tuple(grid[k] for k in dp_pos)
+        perm = list(nest.parallel + nest.reduction)
+        dp_shape = tuple(grid[k] for k in nest.parallel)
 
         def to_dp(a):
             """Reduce a grid-broadcastable array to data-parallel shape."""
             a = np.broadcast_to(np.asarray(a), grid)
             a = np.transpose(a, perm)
-            return a[(Ellipsis,) + (0,) * len(red_pos)]
+            return a[(Ellipsis,) + (0,) * len(nest.reduction)]
 
         idx_dp = tuple(to_dp(i) for i in idx)
         if mask is not None:
@@ -992,12 +944,12 @@ class _PlanCompiler:
         else:
             mask_m = None
             sel = None
-        value_fn = self._compile_value(rest_expr, ctx)
+        value_fn = self._compile_value(acc.rest, ctx)
         return _AccumStoreStep(
-            nest,
+            nest.stmt,
             store.tensor,
             value_fn,
-            combiner,
+            acc.combiner,
             idx_dp,
             grid,
             perm,
@@ -1009,45 +961,9 @@ class _PlanCompiler:
             store.tensor.dtype.is_integer,
         )
 
-    def _match_accumulation(self, store: Store):
-        """Recognise ``t[i] = combine(t[i], rest)`` read-modify-write stores.
-
-        Returns ``(rest, combiner)`` when the store value combines the stored
-        element itself with an expression that does not otherwise read the
-        target tensor; ``None`` for plain stores.  Any other self-reference
-        is a loop-carried dependence the engine cannot reorder.
-        """
-        v = store.value
-        for cls, comb in ((E.Add, "sum"), (E.Max, "max"), (E.Min, "min")):
-            if type(v) is cls:
-                for load, rest in ((v.a, v.b), (v.b, v.a)):
-                    if (
-                        isinstance(load, E.TensorLoad)
-                        and load.tensor is store.tensor
-                        and len(load.indices) == len(store.indices)
-                        and all(
-                            E.structural_equal(x, y)
-                            for x, y in zip(load.indices, store.indices)
-                        )
-                    ):
-                        if any(
-                            isinstance(n, E.TensorLoad) and n.tensor is store.tensor
-                            for n in E.post_order(rest)
-                        ):
-                            raise Unvectorizable(
-                                "store reads its target tensor beyond the accumulator"
-                            )
-                        return rest, comb
-                break
-        if any(
-            isinstance(n, E.TensorLoad) and n.tensor is store.tensor
-            for n in E.post_order(store.value)
-        ):
-            raise Unvectorizable("store value reads its target tensor (not an accumulation)")
-        return None
-
     # -- IntrinsicCall nests -------------------------------------------------
-    def _compile_intrinsic(self, nest, axes, guards, call: IntrinsicCall):
+    def _compile_intrinsic(self, nest: Nest, call: IntrinsicCall):
+        axes, guards = nest.axes, nest.guards
         rank = len(axes)
         grid = tuple(extent for _, extent in axes)
         outer_vars = {var for var, _ in axes}
@@ -1058,8 +974,8 @@ class _PlanCompiler:
                 raise Unvectorizable("intrinsic guard uses non-loop variables")
         mask = self._static_mask(guards, ctx)
         if mask is False:
-            return _DeadStep(nest)
-        self._count_proof(nest, axes, guards, call)
+            return _DeadStep(nest.stmt)
+        self._count_proof(nest)
 
         iaxes = call.axes
         m = len(iaxes)
@@ -1068,22 +984,20 @@ class _PlanCompiler:
         fvars = {v: a.reshape(a.shape + (1,) * m) for v, a in ctx.vars.items()}
         for j, ax in enumerate(iaxes):
             fvars[ax.var] = _axis_array(rank + j, ax.extent, full_rank)
-        fenv = dict(ctx.env)
-        for ax in iaxes:
-            fenv[ax.var] = _Interval(0, ax.extent - 1)
+        ienv = loop_env((ax.var, ax.extent) for ax in iaxes)
         fctx = _CompileCtx(
             full_rank,
             fvars,
             ctx.order + tuple(ax.var for ax in iaxes),
             clip=False,
-            env=fenv,
+            env={**ctx.env, **ienv},
         )
         ictx = _CompileCtx(
             m,
             {ax.var: _axis_array(j, ax.extent, m) for j, ax in enumerate(iaxes)},
             tuple(ax.var for ax in iaxes),
             clip=False,
-            env={ax.var: _Interval(0, ax.extent - 1) for ax in iaxes},
+            env=ienv,
         )
 
         out_b = call.output
@@ -1100,24 +1014,16 @@ class _PlanCompiler:
         # Operands reading the destination tensor must address exactly the
         # element the call writes (the accumulator pattern) — otherwise a
         # batched round could observe writes out of order.
-        for bi, b in enumerate(bindings[:-1]):
-            if b.program_tensor is out_b.program_tensor:
-                if len(b.program_indices) != len(out_b.program_indices) or not all(
-                    E.structural_equal(x, y)
-                    for x, y in zip(b.program_indices, out_b.program_indices)
-                ):
-                    raise Unvectorizable(
-                        "intrinsic reads the output tensor at a different address"
-                    )
+        for b in call.inputs:
+            if b.program_tensor is out_b.program_tensor and not same_index(
+                b.program_indices, out_b.program_indices
+            ):
+                raise Unvectorizable("intrinsic reads the output tensor at a different address")
 
         # Outer axes the destination tile depends on are batchable (tiles are
         # disjoint across them); the rest revisit tiles and run as sequential
         # rounds, preserving the accumulation order.
-        out_dep: set = set()
-        for i_expr in out_b.program_indices:
-            out_dep.update(E.free_vars(i_expr))
-        batch_pos = [k for k, (v, _) in enumerate(axes) if v in out_dep]
-        seq_pos = [k for k in range(rank) if k not in batch_pos]
+        batch_pos, seq_pos = nest.parallel, nest.reduction
         batch_ext = [grid[k] for k in batch_pos]
         seq_ext = [grid[k] for k in seq_pos]
         bn_total = int(np.prod(batch_ext)) if batch_ext else 1
@@ -1246,11 +1152,11 @@ class _PlanCompiler:
             mflat = np.broadcast_to(np.asarray(mask), batch_part[:rank]).reshape(-1)
             sel = np.nonzero(mflat)[0]
             if sel.size == 0:
-                return _DeadStep(nest)
+                return _DeadStep(nest.stmt)
             sel_rows = select_rows(sel)
 
         common = dict(
-            stmt=nest,
+            stmt=nest.stmt,
             call=call,
             inputs=list(call.inputs),
             out_tensor=out_b.program_tensor,
@@ -1363,36 +1269,17 @@ class _PlanCompiler:
         acc_b = call.inputs[acc_bi]
         if eff[acc_bi] != eff[len(bindings) - 1]:
             return None
-        if len(acc_b.intrin_indices) != len(out_b.intrin_indices) or not all(
-            E.structural_equal(x, y)
-            for x, y in zip(acc_b.intrin_indices, out_b.intrin_indices)
-        ):
+        if not same_index(acc_b.intrin_indices, out_b.intrin_indices):
             return None
         # Structural proof that the model is additive in the accumulator.
-        body = intrin.op.body
-        if not isinstance(body, E.Add):
-            return None
-        decomposed = False
-        for load, rest in ((body.a, body.b), (body.b, body.a)):
-            if (
-                isinstance(load, E.TensorLoad)
-                and load.tensor is acc_b.intrin_tensor
-                and isinstance(rest, E.Reduce)
-                and rest.combiner == "sum"
-                and len(load.indices) == len(out_b.intrin_indices)
-                and all(
-                    E.structural_equal(x, y)
-                    for x, y in zip(load.indices, out_b.intrin_indices)
-                )
-                and not any(
-                    isinstance(n, E.TensorLoad)
-                    and n.tensor in (acc_b.intrin_tensor, intrin.op.output)
-                    for n in E.post_order(rest)
-                )
-            ):
-                decomposed = True
-                break
-        if not decomposed:
+        acc = accumulation_form(intrin.op.body, acc_b.intrin_tensor, out_b.intrin_indices)
+        if (
+            acc is None
+            or acc.combiner != "sum"
+            or not isinstance(acc.rest, E.Reduce)
+            or acc.rest.combiner != "sum"
+            or {acc_b.intrin_tensor, intrin.op.output} & set(E.tensors_referenced(acc.rest))
+        ):
             return None
         # Affine-offset precondition: every input address must be affine *in
         # the sequential loop variables* — successive rounds then differ only

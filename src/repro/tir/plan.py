@@ -47,6 +47,7 @@ from .stmt import (
     Stmt,
     Store,
 )
+from .visitor import remembered
 
 __all__ = [
     "PlanCache",
@@ -72,23 +73,19 @@ def func_signature(func: PrimFunc) -> Tuple:
     return tuple((t.shape, t.dtype.name) for t in func.params)
 
 
+@remembered("plan_hash")
 def func_structural_hash(func: PrimFunc) -> int:
     """A hash stable across structurally identical functions.
 
     Variables hash by binding order (loops, intrinsic axes, reduction axes),
     tensors by parameter position / allocation order; loop annotations and
     pragmas are ignored because they do not change what a plan executes.
-    Memoized on the function object (functions are immutable once lowered),
-    so re-executing the same layer pays the tree walk once.
+    Remembered per ``func.body``: re-executing the same layer pays the tree
+    walk once, a reassigned body is hashed afresh.
     """
-    cached = func.__dict__.get("_plan_hash")
-    if cached is not None:
-        return cached
     tensor_ids: Dict[object, int] = {t: i for i, t in enumerate(func.params)}
     var_ids: Dict[E.Var, int] = {}
-    h = hash(("func", func_signature(func), _stmt_hash(func.body, var_ids, tensor_ids)))
-    func._plan_hash = h
-    return h
+    return hash(("func", func_signature(func), _stmt_hash(func.body, var_ids, tensor_ids)))
 
 
 def _stmt_hash(stmt: Stmt, var_ids: dict, tensor_ids: dict) -> int:

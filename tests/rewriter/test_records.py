@@ -45,6 +45,32 @@ class TestFingerprints:
         b = Conv2DParams(64, 14, 14, 128, 3, stride=2)
         assert params_fingerprint(a) != params_fingerprint(b)
 
+    def test_params_fingerprint_equals_the_asdict_spelling(self):
+        """``params_fingerprint`` reads fields directly; the value must stay
+        what ``dataclasses.asdict`` produced, or every persisted record
+        misses: every key of the nine-model zoo sweep on the three targets,
+        the 16 Table I layers and a 3-D convolution."""
+        import dataclasses
+
+        from repro.models.zoo import EVALUATED_MODELS, get_model
+        from repro.rewriter import tasks_from_graph
+        from repro.workloads import Conv3DParams
+        from repro.workloads.table1 import TABLE1_LAYERS
+
+        def by_asdict(params):
+            items = sorted(dataclasses.asdict(params).items())
+            return tuple((k, v) for k, v in items if k != "name")
+
+        swept = [
+            task.params
+            for model in EVALUATED_MODELS
+            for target in ("x86", "arm", "cuda")
+            for task in tasks_from_graph(get_model(model, fresh=True), target=target)
+        ]
+        assert len(swept) > 100 and {type(p) for p in swept} == {Conv2DParams, DenseParams}
+        for params in [*swept, *TABLE1_LAYERS, Conv3DParams(16, 8, 28, 28, 32, 3, name="c3d")]:
+            assert params_fingerprint(params) == by_asdict(params)
+
     def test_space_fingerprint_depends_on_candidates(self):
         full = space_fingerprint("full", [CpuTuningConfig()])
         other = space_fingerprint("full", [CpuTuningConfig(unroll_limit=4)])

@@ -160,6 +160,56 @@ class TestInvalidation:
         finally:
             reset_expr_cache_stats()
 
+    def test_reassigned_body_gets_a_new_hash_report_and_plan(self, rng):
+        """Everything remembered on a function is keyed on ``func.body``
+        identity: after a reassignment the hash, the analysis report and the
+        cached plan are the new body's, never the old one's."""
+        from repro.analysis import analyze, iter_nests
+
+        cache = PlanCache()
+        func = _matmul_func(4, 8, 8)
+        old_hash, old_report, old_plan = (
+            func_structural_hash(func),
+            analyze(func),
+            cache.get_or_compile(func),
+        )
+        assert analyze(func) is old_report and cache.get_or_compile(func) is old_plan
+
+        wider = _matmul_func(4, 8, 16)  # same parameter shapes but for the reduction
+        func.params, func.body = wider.params, wider.body
+        assert func_structural_hash(func) != old_hash
+        assert analyze(func) is not old_report
+        assert [n.axes[-1][1] for n in iter_nests(func)][-1] == 16  # re-read, not remembered
+        plan = cache.get_or_compile(func)
+        assert plan is not old_plan
+        buffers = alloc_buffers(func, rng)
+        expected = run(func, {t: a.copy() for t, a in buffers.items()})
+        np.testing.assert_array_equal(plan.run(buffers, func=func), expected)
+
+    def test_mutator_built_function_is_analysed_fresh(self):
+        """A ``StmtMutator`` result wrapped in a new ``PrimFunc`` shares no
+        remembered fact with its source (the ``tests/analysis/test_mutations``
+        construction): the defect the mutation injects is reported."""
+        from repro.analysis import analyze
+        from repro.tir import PrimFunc, StmtMutator, Store
+
+        class BumpFirstStore(StmtMutator):
+            done = False
+
+            def mutate(self, stmt):
+                if isinstance(stmt, Store) and not self.done:
+                    self.done = True
+                    return Store(stmt.tensor, [stmt.indices[0] + 1, *stmt.indices[1:]], stmt.value)
+                return super().mutate(stmt)
+
+        func = _matmul_func()
+        good = analyze(func)
+        assert good.ok()
+        mutated = PrimFunc(func.name, func.params, BumpFirstStore().mutate(func.body), func.op)
+        bad = analyze(mutated)
+        assert bad is not good and not bad.ok()
+        assert analyze(func) is good and good.ok()
+
     def test_clear_empties_cache(self):
         cache = PlanCache()
         cache.get_or_compile(_matmul_func())

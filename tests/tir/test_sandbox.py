@@ -166,6 +166,54 @@ class TestPromotionIntegration:
         got = run_tiered(plan, buffers, stats=stats, promote_after=1)
         assert np.array_equal(got, reference)
 
+    @needs_toolchain
+    def test_every_native_tier_field_equals_its_counter(self):
+        """Promote, sandbox-reject, demote: each ``EngineStats`` native-tier
+        field and the ``tir.<field>`` telemetry counter come from one
+        increment (``backend._count``), so after the drill they are equal —
+        and none of them is still zero."""
+        from repro.telemetry import metrics
+
+        fields = (
+            "native_runs",
+            "native_promotions",
+            "native_demotions",
+            "sandbox_qualifications",
+            "sandbox_rejections",
+        )
+        stats = EngineStats()
+        with metrics.collecting() as registry:
+            promoted = _fresh_plan()
+            for seed in range(3):  # promotes on the first run, then runs natively
+                buffers = alloc_buffers(promoted.func, np.random.default_rng(seed))
+                run_tiered(promoted, buffers, stats=stats, promote_after=1)
+            assert tier_state(promoted).tier == "native"
+
+            rejected = _fresh_plan()
+            with faults.FaultPlan(seed=0) as plan_f:
+                plan_f.on("backend.qualify", faults.segfault, when=_in_sandbox)
+                buffers = alloc_buffers(rejected.func, np.random.default_rng(5))
+                run_tiered(rejected, buffers, stats=stats, promote_after=1)
+            assert tier_state(rejected).sandbox_outcome == "segfault"
+
+            def raising(arrays):
+                raise RuntimeError("simulated kernel fault")
+
+            tier_state(promoted).kernel.run = raising
+            buffers = alloc_buffers(promoted.func, np.random.default_rng(6))
+            run_tiered(promoted, buffers, stats=stats, promote_after=1)
+            assert tier_state(promoted).demoted
+            counters = registry.counters()
+        observed = {name: getattr(stats, name) for name in fields}
+        assert observed == {name: counters.get(f"tir.{name}") for name in fields}
+        assert observed == {
+            "native_runs": 2,
+            "native_promotions": 1,
+            "native_demotions": 2,
+            "sandbox_qualifications": 2,
+            "sandbox_rejections": 1,
+        }
+
 
 class TestKnobs:
     def test_env_timeout_and_memory_parsing(self, monkeypatch):
