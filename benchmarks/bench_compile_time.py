@@ -19,7 +19,7 @@ Not a paper figure, but the repository's perf trajectory: it measures
   warm expression memos, and the plan-cache hit rate over a repeated-layer
   model executed end to end (``run_model``);
 * **expr_cache**: hit rates of the expression-level memo caches
-  (``simplify`` / ``extract_linear`` / ``structural_equal``);
+  (``simplify`` / ``extract_linear``);
 * **static_analysis**: the verification tier's own cost and coverage —
   wall-clock of the full pass stack (``repro.analysis.analyze``) over
   tensorized Table I layers, the fraction of nests proved, and the runtime
@@ -596,8 +596,7 @@ def main(argv=None) -> dict:
     cache = report["expr_cache"]
     print(
         f"expr caches: simplify {cache['simplify_hit_rate']:.0%} hits, "
-        f"linear {cache['linear_hit_rate']:.0%} hits, "
-        f"equal fast-path {cache['equal_fast_path_rate']:.0%}"
+        f"linear {cache['linear_hit_rate']:.0%} hits"
     )
     assert val["bit_identical"], "engine output diverged from the interpreter"
     assert val["speedup"] >= 5.0, (

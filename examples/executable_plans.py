@@ -58,10 +58,9 @@ def main() -> None:
         twin = tensorize(conv2d_nchwc(params), "x86.avx512.vpdpbusd",
                          config=CpuTuningConfig()).func
         executor.run(twin, alloc_buffers(twin, np.random.default_rng(1)))
-    print(
-        f"cache: {cache.stats.hits - hits0} hits / "
-        f"{cache.stats.misses - misses0} miss — one compile served all four"
-    )
+    hits, misses = cache.stats.hits - hits0, cache.stats.misses - misses0
+    print(f"cache: {hits} hits / {misses} miss — one compile served all four")
+    assert (hits, misses) == (3, 1)
 
     # -- 3. whole-model execution with planned memory ---------------------
     graph = Graph("repeated")

@@ -45,13 +45,13 @@ from .expr import (
     TensorLoad,
     Var,
     arith_signature,
-    canonical_hash,
     clear_expr_caches,
     expr_cache_epoch,
     as_expr,
     cast,
     const,
     expr_cache_stats,
+    expr_key,
     extract_linear,
     free_vars,
     max_reduce,
@@ -60,7 +60,6 @@ from .expr import (
     reset_expr_cache_stats,
     simplify,
     structural_equal,
-    structural_hash,
     substitute,
     sum_reduce,
     tensors_referenced,
@@ -108,8 +107,7 @@ __all__ = [
     "post_order",
     "free_vars",
     "tensors_referenced",
-    "structural_hash",
-    "canonical_hash",
+    "expr_key",
     "arith_signature",
     "structural_equal",
     "substitute",

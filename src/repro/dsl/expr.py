@@ -6,12 +6,14 @@ reductions.  The Inspector (``repro.inspector``) walks these trees to match a
 tensor operation against a tensorized instruction, so the node set is kept
 small and explicit.
 
-All nodes are immutable; construct new nodes instead of mutating.
+All nodes are immutable; construct new nodes instead of mutating.  What a
+tree *is* — the question behind ``structural_equal`` and the plan cache's
+function key — has one answer, :func:`expr_key`.
 """
 
 from __future__ import annotations
 
-import weakref
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -43,8 +45,7 @@ __all__ = [
     "post_order",
     "free_vars",
     "tensors_referenced",
-    "structural_hash",
-    "canonical_hash",
+    "expr_key",
     "arith_signature",
     "structural_equal",
     "substitute",
@@ -351,10 +352,10 @@ def _as_axis_list(axes) -> List:
 
 
 # ---------------------------------------------------------------------------
-# Interning: cached structural hashes and memoized traversals
+# Interning: cached canonical keys and memoized traversals
 #
 # Expression trees are immutable, so every derived quantity — the post-order
-# node list, the structural hash, the simplified form, the affine
+# node list, the canonical key, the simplified form, the affine
 # decomposition — can be computed once and attached to the node.  The hot
 # paths of the repository (the Inspector's isomorphism matching, the
 # Rewriter's candidate generation, the vectorized execution engine's affine
@@ -371,8 +372,6 @@ class ExprCacheStats:
     simplify_misses: int = 0
     linear_hits: int = 0
     linear_misses: int = 0
-    equal_fast_paths: int = 0
-    equal_full_walks: int = 0
 
     @staticmethod
     def _rate(hits: int, misses: int) -> float:
@@ -387,10 +386,6 @@ class ExprCacheStats:
     def linear_hit_rate(self) -> float:
         return self._rate(self.linear_hits, self.linear_misses)
 
-    @property
-    def equal_fast_path_rate(self) -> float:
-        return self._rate(self.equal_fast_paths, self.equal_full_walks)
-
     def as_dict(self) -> dict:
         return {
             "simplify_hits": self.simplify_hits,
@@ -399,16 +394,13 @@ class ExprCacheStats:
             "linear_hits": self.linear_hits,
             "linear_misses": self.linear_misses,
             "linear_hit_rate": self.linear_hit_rate,
-            "equal_fast_paths": self.equal_fast_paths,
-            "equal_full_walks": self.equal_full_walks,
-            "equal_fast_path_rate": self.equal_fast_path_rate,
         }
 
 
 _CACHE_STATS = ExprCacheStats()
 
 # Per-node memos are bounded so a long-lived node cannot accumulate entries
-# for arbitrarily many peers / variable sets (LRU-by-reset: clear when full).
+# for arbitrarily many variable sets (LRU-by-reset: clear when full).
 _MEMO_CAP = 64
 
 
@@ -420,14 +412,7 @@ def expr_cache_stats() -> ExprCacheStats:
 def reset_expr_cache_stats() -> None:
     """Zero the counters (the per-node memos themselves stay valid)."""
     global _CACHE_STATS
-    for f in (
-        "simplify_hits",
-        "simplify_misses",
-        "linear_hits",
-        "linear_misses",
-        "equal_fast_paths",
-        "equal_full_walks",
-    ):
+    for f in ("simplify_hits", "simplify_misses", "linear_hits", "linear_misses"):
         setattr(_CACHE_STATS, f, 0)
 
 
@@ -457,104 +442,48 @@ def clear_expr_caches() -> None:
     reset_expr_cache_stats()
 
 
-def structural_hash(expr: Expr) -> int:
-    """A hash consistent with :func:`structural_equal`.
+def expr_key(expr: Expr, var_ids: Optional[dict] = None, tensor_ids: Optional[dict] = None):
+    """The canonical form of ``expr``: a hashable nested tuple that is equal
+    for two trees exactly when they are the same expression.
 
-    ``structural_equal(a, b, var_map)`` (for *any* variable mapping) implies
-    ``structural_hash(a) == structural_hash(b)``; the converse need not hold.
-    Variables therefore hash uniformly — the hash captures tree topology,
-    opcodes, constants and tensor identities, which is what makes it a sound
-    O(1) reject fast-path.  Cached on the node (trees are immutable).
-    """
-    cached = expr.__dict__.get("_shash")
-    if cached is not None:
-        return cached
-    h = _structural_hash_impl(expr)
-    expr._shash = h
-    return h
+    A node contributes its class, dtype and opcode (comparison, combiner);
+    integer and boolean constants are keyed by value, float constants by bit
+    pattern, so ``0.0``, ``-0.0`` and two NaN payloads are different
+    programs.  A ``Var`` becomes ``var_ids.get(v, v)`` and a tensor
+    ``tensor_ids.get(t, t)``; no DSL class overrides ``__eq__``, so an object
+    left in the key compares by identity.  Keys hold Python objects: they are
+    process-local and must not be persisted.
 
-
-def _structural_hash_impl(e: Expr) -> int:
-    if isinstance(e, Var):
-        return hash(("var",))
-    if isinstance(e, Const):
-        return hash(("const", e.dtype.name, e.value))
-    if isinstance(e, Cast):
-        return hash(("cast", e.dtype.name, structural_hash(e.value)))
-    if isinstance(e, BinaryOp):
-        return hash(
-            ("bin", e.opcode, structural_hash(e.a), structural_hash(e.b))
-        )
-    if isinstance(e, Compare):
-        return hash(("cmp", e.op, structural_hash(e.a), structural_hash(e.b)))
-    if isinstance(e, Select):
-        return hash(("select",) + tuple(structural_hash(c) for c in e.children))
-    if isinstance(e, TensorLoad):
-        return hash(
-            ("load", id(e.tensor)) + tuple(structural_hash(i) for i in e.indices)
-        )
-    if isinstance(e, Reduce):
-        return hash(("reduce", e.combiner, len(e.axes), structural_hash(e.source)))
-    raise TypeError(f"unhandled node type {type(e).__name__}")
-
-
-def canonical_hash(expr: Expr, var_ids: dict, tensor_ids: dict) -> int:
-    """A structural hash that is stable *across* expression trees.
-
-    :func:`structural_hash` keys tensors by object identity, which is exactly
-    right inside one function but useless for recognising that two separately
-    lowered functions are the same program.  ``canonical_hash`` instead maps
-    variables and tensors through caller-provided id dictionaries (typically
-    binding order for variables and parameter position for tensors), so two
-    structurally identical functions — different ``Var``/``Tensor`` objects,
-    same program — hash identically.  This is the key of the executable-plan
-    cache (:mod:`repro.tir.plan`).
-
-    Variables or tensors absent from the dictionaries hash to a fixed bucket;
-    the plan cache always confirms a hash hit with a full structural-equality
-    walk, so collisions cost time, never correctness.
+    With no id maps the key is remembered on every interior node, so
+    comparing trees that share subtrees compares one tuple with itself.
     """
     if isinstance(expr, Var):
-        return hash(("cvar", var_ids.get(expr, -1)))
+        return expr if var_ids is None else var_ids.get(expr, expr)
     if isinstance(expr, Const):
-        return hash(("cconst", expr.dtype.name, expr.value))
-    if isinstance(expr, Cast):
-        return hash(("ccast", expr.dtype.name, canonical_hash(expr.value, var_ids, tensor_ids)))
-    if isinstance(expr, BinaryOp):
-        return hash(
-            (
-                "cbin",
-                expr.opcode,
-                canonical_hash(expr.a, var_ids, tensor_ids),
-                canonical_hash(expr.b, var_ids, tensor_ids),
-            )
-        )
-    if isinstance(expr, Compare):
-        return hash(
-            (
-                "ccmp",
-                expr.op,
-                canonical_hash(expr.a, var_ids, tensor_ids),
-                canonical_hash(expr.b, var_ids, tensor_ids),
-            )
-        )
-    if isinstance(expr, Select):
-        return hash(
-            ("cselect",)
-            + tuple(canonical_hash(c, var_ids, tensor_ids) for c in expr.children)
-        )
+        value = expr.value  # a Python float exactly when the dtype is a float
+        return (Const, expr.dtype, struct.pack("<d", value) if type(value) is float else value)
+    memo = var_ids is None and tensor_ids is None
+    if memo:
+        key = expr.__dict__.get("_key")
+        if key is not None:
+            return key
     if isinstance(expr, TensorLoad):
-        t = expr.tensor
-        tkey = tensor_ids.get(t)
-        if tkey is None:
-            # Unregistered tensors (e.g. intrinsic register descriptions,
-            # which are process-wide singletons) key by their metadata.
-            tkey = ("ext", t.name, t.shape, t.dtype.name)
-        return hash(
-            ("cload", tkey)
-            + tuple(canonical_hash(i, var_ids, tensor_ids) for i in expr.indices)
-        )
-    raise TypeError(f"unhandled node type {type(expr).__name__}")
+        tensor = expr.tensor
+        head = tensor if tensor_ids is None else tensor_ids.get(tensor, tensor)
+    elif isinstance(expr, BinaryOp):
+        head = expr.opcode
+    elif isinstance(expr, Compare):
+        head = expr.op
+    elif isinstance(expr, Reduce):
+        head = (expr.combiner,) + tuple(expr_key(ax.var, var_ids) for ax in expr.axes)
+    else:  # Cast, Select: class and dtype say it all
+        head = None
+    key = (expr.__class__, expr.dtype, head) + tuple(
+        [expr_key(child, var_ids, tensor_ids) for child in expr.children]
+    )
+    if memo:
+        expr._key = key
+    return key
 
 
 def arith_signature(expr: Expr) -> int:
@@ -637,84 +566,10 @@ def tensors_referenced(expr: Expr) -> List:
     return seen
 
 
-def structural_equal(a: Expr, b: Expr, var_map: Optional[dict] = None) -> bool:
-    """Structural equality of two expressions.
-
-    ``var_map`` optionally maps variables of ``a`` onto variables of ``b``;
-    when omitted variables must be identical objects.
-
-    Identity-mode comparisons (no variable mapping in effect) are memoized:
-    object identity and the cached structural hash short-circuit most calls,
-    and full-walk verdicts are remembered per node pair, so the Inspector's
-    repeated matching of the same subtrees costs O(1) after the first walk.
-    """
-    if not var_map:
-        if a is b:
-            _CACHE_STATS.equal_fast_paths += 1
-            return True
-        if structural_hash(a) != structural_hash(b):
-            _CACHE_STATS.equal_fast_paths += 1
-            return False
-        memo = a.__dict__.get("_eq_memo")
-        if memo is not None:
-            entry = memo.get(id(b))
-            if entry is not None and entry[0]() is b:
-                _CACHE_STATS.equal_fast_paths += 1
-                return entry[1]
-        _CACHE_STATS.equal_full_walks += 1
-        result = _structural_equal_impl(a, b, {})
-        if memo is None:
-            memo = a._eq_memo = {}
-        elif len(memo) >= _MEMO_CAP:
-            memo.clear()
-        try:
-            memo[id(b)] = (weakref.ref(b), result)
-        except TypeError:  # pragma: no cover - non-weakrefable peer
-            pass
-        return result
-    return _structural_equal_impl(a, b, var_map)
-
-
-def _structural_equal_impl(a: Expr, b: Expr, var_map: dict) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Var):
-        return var_map.get(a, a) is b
-    if isinstance(a, Const):
-        return a.dtype == b.dtype and a.value == b.value
-    if isinstance(a, Cast):
-        return a.dtype == b.dtype and structural_equal(a.value, b.value, var_map)
-    if isinstance(a, BinaryOp):
-        return (
-            a.opcode == b.opcode
-            and structural_equal(a.a, b.a, var_map)
-            and structural_equal(a.b, b.b, var_map)
-        )
-    if isinstance(a, Compare):
-        return (
-            a.op == b.op
-            and structural_equal(a.a, b.a, var_map)
-            and structural_equal(a.b, b.b, var_map)
-        )
-    if isinstance(a, Select):
-        return all(
-            structural_equal(x, y, var_map)
-            for x, y in zip(a.children, b.children)
-        )
-    if isinstance(a, TensorLoad):
-        if a.tensor is not b.tensor or len(a.indices) != len(b.indices):
-            return False
-        return all(
-            structural_equal(x, y, var_map) for x, y in zip(a.indices, b.indices)
-        )
-    if isinstance(a, Reduce):
-        if a.combiner != b.combiner or len(a.axes) != len(b.axes):
-            return False
-        extended = dict(var_map)
-        for ax_a, ax_b in zip(a.axes, b.axes):
-            extended[ax_a.var] = ax_b.var
-        return structural_equal(a.source, b.source, extended)
-    raise TypeError(f"unhandled node type {type(a).__name__}")
+def structural_equal(a: Expr, b: Expr) -> bool:
+    """Whether two expressions are the same tree, variables and tensors by
+    identity: their keys (:func:`expr_key`, remembered on the nodes) are equal."""
+    return a is b or expr_key(a) == expr_key(b)
 
 
 def substitute(expr: Expr, mapping: dict) -> Expr:

@@ -336,8 +336,9 @@ class _LoweringCache:
 
     A steady model run repeats the same layers call after call; handing back
     the *same* ``PrimFunc`` object saves rebuilding and re-lowering the DSL
-    tree and lets the plan cache answer by identity (its per-function hash
-    memo hits, no structural-equality walk).  The function keeps the name of
+    tree and lets the plan cache answer by identity (the function's
+    remembered ``func_key`` is the very dict key stored, so the probe
+    compares no tuples).  The function keeps the name of
     the first layer that asked.  Entries bake in interned expressions, so —
     like :class:`~repro.tir.plan.PlanCache` — everything is dropped when
     ``clear_expr_caches`` moves the epoch.

@@ -40,6 +40,7 @@ from .interpreter import Frame, Interpreter, alloc_buffers, random_array, run
 from .plan import (
     PlanCache,
     PlanCacheStats,
+    func_key,
     func_signature,
     func_structural_equal,
     func_structural_hash,
@@ -90,6 +91,7 @@ __all__ = [
     "PlanCache",
     "PlanCacheStats",
     "plan_cache",
+    "func_key",
     "func_signature",
     "func_structural_hash",
     "func_structural_equal",

@@ -11,7 +11,8 @@ promotion of warm plans to compiled C kernels, :mod:`~repro.tir.backend`) —
 or ``"auto"`` (the default), which means the native tier when a C compiler is
 available and the vectorized tier otherwise.  ``validation`` is a
 :class:`ValidationPolicy`: ``OFF`` trusts the engine, ``SPOT`` checks each
-distinct plan once against the scalar interpreter, ``FULL`` checks every run.
+distinct program (:func:`~repro.tir.plan.func_key`) once against the scalar
+interpreter, ``FULL`` checks every run.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .backend import native_toolchain, run_tiered
 from .engine import EngineStats, compile_plan
 from .interpreter import Interpreter
 from .lower import PrimFunc
-from .plan import func_signature, func_structural_hash, plan_cache
+from .plan import FuncKey, func_key, plan_cache
 
 __all__ = [
     "Executor",
@@ -109,7 +110,7 @@ class Executor:
         self.promote_after = promote_after
         self.stats = EngineStats()
         self.tier = self._resolve_tier(tier)
-        self._spot_checked: Set[int] = set()
+        self._spot_checked: Set[FuncKey] = set()
 
     @staticmethod
     def _resolve_tier(tier: str) -> str:
@@ -131,7 +132,7 @@ class Executor:
         ``Interpreter.run`` (the output buffer is mutated in place)."""
         check = self.validation is ValidationPolicy.FULL
         if self.validation is ValidationPolicy.SPOT:
-            key = (func_structural_hash(func), func_signature(func))
+            key = func_key(func)
             if key not in self._spot_checked:
                 self._spot_checked.add(key)
                 check = True

@@ -6,7 +6,8 @@ decomposition and :class:`Nest` the only place a nest's facts are derived
 (accumulation form, parallel / reduction split, injectivity); the static
 passes, the plan compiler and the C emitter all read it.  :func:`remembered`
 keeps what is derived from a function body — the nests, every pass result,
-the plan-cache hash — on the ``PrimFunc``, once per body.
+the plan-cache key (:func:`~repro.tir.plan.func_key`) — on the ``PrimFunc``,
+once per body.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from repro.dsl import (
     TensorLoad,
     Var,
     cast,
+    expr_key,
     expr_to_str,
     extract_linear,
     free_vars,
@@ -75,14 +76,6 @@ class TestAnalysis:
         e = cast("int32", a[i]) * cast("int32", b[i])
         assert free_vars(e) == [i]
         assert tensors_referenced(e) == [a, b]
-
-    def test_structural_equal_with_var_map(self):
-        a = placeholder((8,), "int8", "a")
-        i, j = Var("i"), Var("j")
-        e1 = a[i] + 1
-        e2 = a[j] + 1
-        assert not structural_equal(e1, e2)
-        assert structural_equal(e1, e2, {i: j})
 
     def test_structural_equal_different_tensors(self):
         a = placeholder((8,), "int8", "a")
@@ -150,51 +143,61 @@ class TestExtractLinear:
 
 
 class TestInterning:
-    """Hash-consing / memoization layer: cached hashes, memoized traversals."""
+    """Hash-consing / memoization layer: cached keys, memoized traversals."""
 
-    def test_structural_hash_consistent_with_equality(self):
-        from repro.dsl import structural_hash
-
+    def test_expr_key_consistent_with_equality(self):
         a = placeholder((8,), "int32", "a")
         i, j = Var("i"), Var("j")
         e1 = a[i] * 2 + 1
         e2 = a[i] * 2 + 1
         assert structural_equal(e1, e2)
-        assert structural_hash(e1) == structural_hash(e2)
-        # Variable identity is abstracted (soundness under var_map):
-        e3 = a[j] * 2 + 1
-        assert structural_hash(e1) == structural_hash(e3)
-        # Differing structure must (here) differ in hash:
-        assert structural_hash(e1) != structural_hash(a[i] * 3 + 1)
+        assert expr_key(e1) == expr_key(e2)
+        assert hash(expr_key(e1)) == hash(expr_key(e2))
+        # Variables and tensors are keyed by identity:
+        assert expr_key(a[j] * 2 + 1) != expr_key(e1)
+        assert not structural_equal(a[i], a[j])
+        assert expr_key(placeholder((8,), "int32", "a")[i] * 2 + 1) != expr_key(e1)
+        # ... unless an id map names them:
+        assert expr_key(a[i], {i: 0}) == expr_key(a[j], {j: 0})
+        # Differing structure differs in key:
+        assert expr_key(e1) != expr_key(a[i] * 3 + 1)
+        assert expr_key(e1) != expr_key(a[i] * 2 - 1)
 
-    def test_structural_hash_cached_on_node(self):
-        from repro.dsl import structural_hash
-
+    def test_expr_key_cached_on_node(self):
         a = placeholder((8,), "int32", "a")
         e = a[Var("i")] + 5
-        h1 = structural_hash(e)
-        assert e._shash == h1
-        assert structural_hash(e) == h1
+        key = expr_key(e)
+        assert e._key is key
+        assert expr_key(e) is key
+        assert key[3] is expr_key(e.a)  # a child's key is its own remembered one
+        # With id maps nothing is remembered:
+        fresh = a[Var("k")] + 5
+        expr_key(fresh, {}, {})
+        assert "_key" not in fresh.__dict__
 
-    def test_structural_equal_memoized(self):
-        from repro.dsl import expr_cache_stats, reset_expr_cache_stats
-
+    def test_structural_equal_reuses_cached_keys(self):
         a = placeholder((8,), "int32", "a")
         i = Var("i")
         e1 = a[i] * 2 + 1
         e2 = a[i] * 2 + 1
-        reset_expr_cache_stats()
         assert structural_equal(e1, e2)
-        first_walks = expr_cache_stats().equal_full_walks
-        assert structural_equal(e1, e2)  # second call served from the memo
-        assert expr_cache_stats().equal_full_walks == first_walks
-        assert expr_cache_stats().equal_fast_paths >= 1
+        k1, k2 = e1._key, e2._key
+        assert structural_equal(e1, e2)  # the second comparison builds no key
+        assert e1._key is k1 and e2._key is k2
+        assert expr_key(e1) is k1 and expr_key(e2) is k2
 
-    def test_structural_equal_var_map_still_exact(self):
-        a = placeholder((8,), "int32", "a")
-        i, j = Var("i"), Var("j")
-        assert not structural_equal(a[i], a[j])
-        assert structural_equal(a[i], a[j], {i: j})
+    def test_float_constants_keyed_by_bits(self):
+        x = Var("x", "float32")
+        keys = {
+            expr_key(x + Const(v, "float32"))
+            for v in (0.0, -0.0, float("nan"), -float("nan"), 1.0)
+        }
+        assert len(keys) == 5
+        assert not structural_equal(x * Const(0.0, "float32"), x * Const(-0.0, "float32"))
+        assert structural_equal(x * Const(0.5, "float32"), x * Const(0.5, "float32"))
+        # Integers by value; dtype is part of the key.
+        assert expr_key(Const(3, "int32")) == expr_key(Const(3, "int32"))
+        assert expr_key(Const(3, "int32")) != expr_key(Const(3, "int8"))
 
     def test_simplify_memoized_and_idempotent(self):
         from repro.dsl import expr_cache_stats, reset_expr_cache_stats

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for the expression layer."""
 
+import struct
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,10 @@ from repro.dsl import (
     Mul,
     Sub,
     Var,
+    expr_key,
     extract_linear,
     free_vars,
+    post_order,
     simplify,
     structural_equal,
     substitute,
@@ -85,6 +89,73 @@ def test_simplify_idempotent(expr_and_vars):
 def test_structural_equal_reflexive(expr_and_vars):
     expr, _ = expr_and_vars
     assert structural_equal(expr, expr)
+
+
+_BINOPS = [Add, Sub, Mul, Min, Max]
+
+
+def _rebuild(expr, target=None, change=None):
+    """A fresh copy of ``expr`` (new nodes, same variables); the node at
+    post-order position ``target`` is replaced by ``change(node)``."""
+    counter = [0]
+
+    def walk(node):
+        if isinstance(node, (Var, Const)):
+            new = node if isinstance(node, Var) else Const(node.value, node.dtype)
+        else:
+            new = type(node)(walk(node.a), walk(node.b))
+        position = counter[0]
+        counter[0] += 1
+        return change(new) if position == target else new
+
+    return walk(expr)
+
+
+@given(int_exprs())
+@settings(max_examples=200, deadline=None)
+def test_expr_key_of_rebuilt_tree_is_equal(expr_and_vars):
+    expr, _ = expr_and_vars
+    copy = _rebuild(expr)
+    assert expr_key(copy) == expr_key(expr)
+    assert hash(expr_key(copy)) == hash(expr_key(expr))
+    assert structural_equal(copy, expr)
+
+
+@given(int_exprs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_expr_key_sees_opcode_dtype_and_constant_changes(expr_and_vars, data):
+    expr, _ = expr_and_vars
+    nodes = list(post_order(expr))
+    target = data.draw(st.integers(0, len(nodes) - 1))
+    node = nodes[target]
+    if isinstance(node, Const):
+        change = data.draw(
+            st.sampled_from(
+                [
+                    lambda c: Const(c.value ^ 1, c.dtype),  # one bit of the constant
+                    lambda c: Const(c.value, "int64"),  # its dtype
+                ]
+            )
+        )
+    elif isinstance(node, Var):
+        change = lambda v: Var(v.name)  # another variable of the same name
+    else:
+        other = data.draw(st.sampled_from([op for op in _BINOPS if op is not type(node)]))
+        change = lambda n: other(n.a, n.b)  # the opcode
+    assert expr_key(_rebuild(expr, target, change)) != expr_key(expr)
+
+
+@given(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(0, 63),
+)
+@settings(max_examples=200, deadline=None)
+def test_expr_key_sees_every_float_bit(value, bit):
+    (bits,) = struct.unpack("<Q", struct.pack("<d", value))
+    (flipped,) = struct.unpack("<d", struct.pack("<Q", bits ^ (1 << bit)))
+    x = Var("x", "float32")
+    assert expr_key(x + Const(value, "float32")) == expr_key(x + Const(value, "float32"))
+    assert expr_key(x + Const(flipped, "float32")) != expr_key(x + Const(value, "float32"))
 
 
 @given(

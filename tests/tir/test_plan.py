@@ -19,12 +19,15 @@ from repro.tir import (
     Unvectorizable,
     alloc_buffers,
     compile_plan,
+    func_key,
     func_signature,
     func_structural_equal,
     func_structural_hash,
     lower,
+    native_toolchain,
     plan_cache,
     run,
+    tier_state,
 )
 from repro.workloads import Conv2DParams, conv2d_nchwc
 from tests.conftest import small_conv_hwc, small_matmul_int8
@@ -74,6 +77,122 @@ class TestStructuralIdentity:
         assert func_structural_hash(f1) == func_structural_hash(f2)
         assert func_structural_equal(f1, f2)
 
+    def test_key_is_remembered_per_function(self):
+        f1, f2 = _matmul_func(), _matmul_func()
+        assert func_key(f1) is func_key(f1)
+        assert func_key(f1) == func_key(f2) and func_key(f1) is not func_key(f2)
+        assert hash(func_key(f1)) == func_structural_hash(f1)
+
+    def test_rebound_loop_variables_keep_their_own_ordinals(self):
+        """Sibling nests reuse the same loop variables: each binding gets a
+        fresh ordinal, so ``a[i, j]`` and ``a[j, i]`` in the second nest stay
+        different programs."""
+        from repro.dsl.expr import Var
+        from repro.dsl.tensor import Tensor
+        from repro.tir import For, PrimFunc, SeqStmt, Store
+
+        def func(transposed):
+            a = placeholder((4, 4), "int32", "a")
+            out = Tensor((4, 4), "int32", "out")
+            i, j = Var("i"), Var("j")
+            read = a[j, i] if transposed else a[i, j]
+            body = SeqStmt(
+                [
+                    For(i, 4, For(j, 4, Store(out, [i, j], a[i, j]))),
+                    For(i, 4, For(j, 4, Store(out, [i, j], out[i, j] + read))),
+                ]
+            )
+            return PrimFunc("twice", [a, out], body, op=None)
+
+        plain, transposed = func(False), func(True)
+        assert func_structural_equal(plain, func(False))
+        assert not func_structural_equal(plain, transposed)
+        cache = PlanCache()
+        assert cache.get_or_compile(plain) is not cache.get_or_compile(transposed)
+
+
+def _zero_twin(zero):
+    """``out[i] = select(a[i] > 0.5, zero, a[i])``: twins for ``0.0`` / ``-0.0``
+    differ only in one constant's sign bit."""
+    from repro.dsl import Const, Select
+
+    a = placeholder((4,), "float32", "a")
+    return lower(compute((4,), lambda i: Select(a[i] > 0.5, Const(zero, "float32"), a[i]), name="out"))
+
+
+def _zero_twin_buffers(func):
+    return {
+        func.params[0]: np.array([0.75, 0.0, 0.9, 0.25], np.float32),
+        func.params[1]: np.zeros(4, np.float32),
+    }
+
+
+def _interpreted_bytes(func):
+    return run(func, _zero_twin_buffers(func)).tobytes()
+
+
+class TestSignedZeroTwins:
+    """Programs that differ only in a float constant's bits are different
+    programs: ``0.0 == -0.0`` as numbers, not as constants of a program."""
+
+    def test_twins_get_two_plans(self):
+        f1, f2 = _zero_twin(0.0), _zero_twin(-0.0)
+        assert not func_structural_equal(f1, f2)
+        cache = PlanCache()
+        assert cache.get_or_compile(f1) is not cache.get_or_compile(f2)
+        assert cache.stats.misses == 2 and cache.stats.hits == 0
+        nan_twins = [_zero_twin(v) for v in (float("nan"), -float("nan"))]
+        assert cache.get_or_compile(nan_twins[0]) is not cache.get_or_compile(nan_twins[1])
+
+    def test_vectorized_bytes_match_the_interpreter_for_both(self):
+        from repro.tir import Executor
+
+        f1, f2 = _zero_twin(0.0), _zero_twin(-0.0)
+        assert _interpreted_bytes(f1) != _interpreted_bytes(f2)
+        executor = Executor(tier="vectorized")
+        for func in (f1, f2):
+            assert executor.run(func, _zero_twin_buffers(func)).tobytes() == _interpreted_bytes(func)
+
+    def test_full_validation_runs_both_twins_exactly(self):
+        """Full validation compares values, under which ``-0.0 == 0.0``: it
+        cannot see a borrowed plan here, so the bytes are checked too."""
+        from repro.tir import Executor
+
+        f1, f2 = _zero_twin(0.0), _zero_twin(-0.0)
+        executor = Executor(validation="full")
+        for func in (f1, f2):
+            assert executor.run(func, _zero_twin_buffers(func)).tobytes() == _interpreted_bytes(func)
+
+    @pytest.mark.skipif(native_toolchain()[0] is None, reason="no native toolchain (C compiler)")
+    def test_native_twin_does_not_run_the_other_kernel(self):
+        from repro.tir import Executor
+
+        f1, f2 = _zero_twin(0.0), _zero_twin(-0.0)
+        executor = Executor(tier="native", promote_after=1)
+        executor.run(f1, _zero_twin_buffers(f1))
+        promoted = plan_cache().get_or_compile(f1)
+        assert tier_state(promoted).tier == "native"
+        for _ in range(2):  # the first run promotes f2's own plan, the second runs it
+            assert executor.run(f2, _zero_twin_buffers(f2)).tobytes() == _interpreted_bytes(f2)
+        assert plan_cache().get_or_compile(f2) is not promoted
+
+    def test_spot_validation_checks_each_program_once(self, monkeypatch):
+        from repro.tir import Executor, Interpreter
+
+        checked = []
+        real_run = Interpreter.run
+
+        def spy(self, buffers):
+            checked.append(self.func)
+            return real_run(self, buffers)
+
+        monkeypatch.setattr(Interpreter, "run", spy)
+        f1, f2, f1_again = _zero_twin(0.0), _zero_twin(-0.0), _zero_twin(0.0)
+        executor = Executor(tier="vectorized", validation="spot")
+        for func in (f1, f2, f1, f1_again):
+            executor.run(func, _zero_twin_buffers(func))
+        assert checked == [f1, f2]
+
 
 class TestPlanSharing:
     def test_structural_twins_share_one_plan_bit_identically(self, rng):
@@ -117,6 +236,19 @@ class TestPlanSharing:
         ref = run(r2.func, {t: a.copy() for t, a in buffers.items()})
         got = plan.run({t: a.copy() for t, a in buffers.items()}, func=r2.func)
         np.testing.assert_array_equal(got, ref)
+
+    def test_stats_and_telemetry_counters_agree(self):
+        from repro.telemetry import metrics
+
+        cache = PlanCache()
+        f1, f2 = _matmul_func(), _matmul_func()
+        with metrics.collecting() as registry:
+            for func in (f1, f1, f2):  # one miss, then two hits
+                cache.get_or_compile(func)
+        counters = registry.counters()
+        assert (cache.stats.misses, cache.stats.hits) == (1, 2)
+        assert counters["tir.plan_cache.misses"] == cache.stats.misses
+        assert counters["tir.plan_cache.hits"] == cache.stats.hits
 
     def test_lru_eviction(self):
         cache = PlanCache(capacity=2)
