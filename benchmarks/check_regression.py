@@ -65,8 +65,6 @@ def _resultsdb():
 # ``benchmark`` field in the fresh JSON -> run kind in the results DB.
 _KIND_BY_BENCHMARK = {
     "compile_time": "compile_time",
-    "distributed_tuning": "distributed_tuning",
-    "distributed_tuning_chaos": "distributed_chaos",
     "tuning_service": "service",
     "tuning_service_chaos": "service_chaos",
 }
@@ -93,8 +91,6 @@ def _metric_kind(path: str) -> str:
     if "proved" in leaf or "elided" in leaf:
         return "never_lower"
     if "native_runs" in leaf or "native_promotions" in leaf:
-        return "never_lower"
-    if "sandbox_rejections" in leaf or "worker_restarts" in leaf or "tasks_reclaimed" in leaf:
         return "never_lower"
     if leaf.endswith("_s") or leaf.endswith("_ms"):
         return "lower_is_better"

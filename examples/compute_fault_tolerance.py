@@ -1,51 +1,25 @@
 #!/usr/bin/env python3
-"""Compute-plane fault tolerance: sandboxed kernels, self-healing workers.
+"""Compute-plane fault tolerance: sandboxed kernel qualification.
 
-PR 7 made the *service* plane survive daemon death; this PR hardens the
-*compute* plane — the two places an experiment used to die outright:
-
-1. **Sandboxed kernel qualification.**  A freshly compiled native kernel is
-   untrusted: a miscompile can segfault, OOM, or spin, and before this PR
-   that killed the host interpreter.  Now the first compile + bit-identity
-   check runs in a disposable rlimited subprocess; this example injects a
-   SIGSEGV into that child (``backend.qualify`` fault point) and shows the
-   host surviving while the plan demotes with a classified
-   ``sandbox rejected`` reason — then a clean plan promotes through the
-   same sandbox.
-2. **Self-healing tuning workers.**  A SIGKILLed worker used to strand its
-   claimed lease indices and hang the sweep until the join timeout.  Now
-   every worker stamps a heartbeat beside the lease file; the supervisor
-   notices the corpse, releases its undone claims for siblings, respawns
-   the slot, and quarantines a task that keeps killing workers into
-   ``poison.jsonl`` — the sweep completes, bit-identical on every
-   surviving record.
-
-Both demos degrade gracefully: no C toolchain skips the sandbox demo, a
-non-fork start method (faults reach workers via fork inheritance) skips
-the healing demo.
+A freshly compiled native kernel is untrusted: a miscompile can segfault,
+OOM, or spin, and run in-process that kills the host interpreter.  So the
+first compile + bit-identity check runs in a disposable rlimited subprocess.
+This example injects a SIGSEGV into that child (``backend.qualify`` fault
+point) and shows the host surviving while the plan demotes with a classified
+``sandbox rejected`` reason — then a clean plan promotes through the same
+sandbox.  Without a C toolchain the demo is skipped.
 
 Run:  PYTHONPATH=src python examples/compute_fault_tolerance.py
 """
 
-import multiprocessing
 import os
-import signal
-import tempfile
 
 import numpy as np
 
 from repro.dsl import cast, compute, placeholder, reduce_axis, sum_reduce
-from repro.rewriter import (
-    DistributedTuner,
-    ShardedTuningStore,
-    TuningSession,
-    tasks_from_layers,
-)
-from repro.rewriter.workers import POISON_FILENAME, run_task
 from repro.testing import faults
 from repro.tir import EngineStats, alloc_buffers, compile_plan, lower, run, tier_state
 from repro.tir.backend import native_toolchain, run_tiered
-from repro.workloads.table1 import TABLE1_LAYERS
 
 
 def small_conv(name: str):
@@ -113,69 +87,5 @@ def demo_sandbox() -> None:
     assert state2.tier == "native" and state2.sandbox_outcome == "qualified"
 
 
-def demo_self_healing() -> None:
-    print("\n== Self-healing tuning workers ==")
-    if multiprocessing.get_start_method() != "fork":
-        print("  skipped: fault plans reach workers via fork inheritance")
-        return
-
-    layers = TABLE1_LAYERS[:4]
-    tasks = tasks_from_layers(layers)
-    poison = 2
-    base = tempfile.mkdtemp(prefix="unit_compute_faults.")
-    store = ShardedTuningStore(os.path.join(base, "store"), shards=4)
-    tuner = DistributedTuner(
-        store,
-        workers=2,
-        max_restarts=2,
-        poison_threshold=2,
-        heartbeat_interval=0.1,
-        start_method="fork",
-    )
-
-    def kill_self(injection):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    # Task 2 SIGKILLs every worker that claims it; the supervisor must
-    # quarantine it after poison_threshold claims and finish the rest.
-    with faults.FaultPlan(seed=1) as fault_plan:
-        fault_plan.on(
-            "worker.task", kill_self, times=None, when=lambda c: c["index"] == poison
-        )
-        report = tuner.run(tasks)
-
-    print(f"  sweep complete          : {report.complete}")
-    print(f"  completed / quarantined : {report.completed} / {report.quarantined}")
-    print(f"  worker crashes healed   : {report.crashes}")
-    print(f"  workers respawned       : {report.worker_restarts}")
-    print(f"  lease indices reclaimed : {report.tasks_reclaimed}")
-    poison_file = os.path.join(store.root, POISON_FILENAME)
-    print(f"  poison record           : {os.path.basename(poison_file)} "
-          f"({report.poison_records[0]['reason']})")
-    assert report.complete and report.quarantined == [poison]
-    assert report.crashes == tuner.poison_threshold
-    assert os.path.exists(poison_file)
-
-    # Everything that survived is bit-identical to single-process tuning.
-    reference = TuningSession()
-    for index, task in enumerate(tasks):
-        if index != poison:
-            run_task(task, reference)
-    reloaded = store.load()
-    identical = all(
-        reloaded.lookup(record.key) is not None
-        and reloaded.lookup(record.key).best_config == record.best_config
-        and reloaded.lookup(record.key).best_cost == record.best_cost
-        for record in reference.cache.records()
-    )
-    print(f"  bit-identical survivors : {identical}")
-    assert identical
-
-
-def main() -> None:
-    demo_sandbox()
-    demo_self_healing()
-
-
 if __name__ == "__main__":
-    main()
+    demo_sandbox()

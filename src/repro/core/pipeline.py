@@ -379,7 +379,7 @@ class UnitGpuRunner(_SessionTunedRunner):
 def unit_runner(runner: str, machine: str, intrinsic: str, tuning: str, session=None):
     """The UNIT operator runner a (runner kind, machine name, intrinsic,
     tuning mode) quadruple names — the fields a :class:`Target` row and a
-    :class:`~repro.rewriter.workers.TuningTask` share."""
+    :class:`~repro.rewriter.tasks.TuningTask` share."""
     spec = machine_by_name(machine)
     if runner == "cpu":
         return UnitCpuRunner(spec, intrinsic, tuning=tuning, session=session)
@@ -420,8 +420,7 @@ def compile_model(
     ``runner`` is supplied (construct that runner with the session instead).
     A plain ``TuningSession()`` shares one in-memory cache across compiles;
     ``TuningSession(store=path)`` additionally reads records other processes
-    published (e.g. a distributed pre-tuning pass) and publishes its own
-    fresh searches for them;
+    published and publishes its own fresh searches for them;
     ``RemoteSession(address, fallback_store=path)`` tunes against a
     :class:`~repro.service.server.TuningService` daemon (memory -> server ->
     miss, searches run server-side and coalesced with every other client).
@@ -448,7 +447,6 @@ def compile_model_batch(
     session: Optional[TuningSession] = None,
     quantize: bool = True,
     fuse: bool = True,
-    workers: Optional[int] = None,
 ) -> List[CompiledModel]:
     """Compile many models for many targets through one shared tuning session.
 
@@ -458,17 +456,6 @@ def compile_model_batch(
     models and models repeated across calls hit the shared cache instead of
     re-tuning, which is what makes sweeping the model zoo cheap.  Returns one
     :class:`CompiledModel` per (model, target) pair, model-major.
-
-    ``workers > 1`` *pre-tunes* through ``session.store`` in parallel: every
-    distinct tunable operator across the whole (model x target) sweep is
-    collected, fanned out over that many worker processes
-    (:class:`~repro.rewriter.workers.DistributedTuner`), and published into
-    the store; the subsequent per-model compiles then run entirely against
-    warm records.  Results are bit-identical to the single-process path.
-    It therefore needs a store-backed session (``TuningSession(store=...)``)
-    — a tuning daemon already coalesces and pre-tunes for its whole fleet, so
-    a :class:`~repro.service.client.RemoteSession` has no ``store`` to fan
-    out into.
     """
     if session is None:
         session = TuningSession()
@@ -478,25 +465,6 @@ def compile_model_batch(
         get_model(model, fresh=True) if isinstance(model, str) else model
         for model in models
     ]
-    if workers is not None and workers > 1:
-        if session.store is None:
-            raise ValueError(
-                "workers > 1 pre-tunes through session.store so worker "
-                "processes can share records: pass "
-                "session=TuningSession(store=...)"
-            )
-        from ..rewriter.workers import DistributedTuner, tasks_from_graph
-
-        tasks = {}
-        for graph in graphs:
-            for target in targets:
-                for task in tasks_from_graph(
-                    graph, target=target, quantize=quantize, fuse=fuse
-                ):
-                    tasks.setdefault(task.identity, task)
-        if tasks:
-            DistributedTuner(session.store, workers=workers).run(list(tasks.values()))
-
     compiled: List[CompiledModel] = []
     for graph in graphs:
         for target in targets:

@@ -33,28 +33,19 @@ one loop) and keeps the best.  Hit/miss counters live on ``session.stats``;
 ``session.trials_run`` counts every profiled candidate, which is how tests
 assert that a warm cache does no work.
 
-Sharded store and distributed workers
--------------------------------------
+Sharded store and tuning tasks
+------------------------------
 
 Records persist in exactly one format, a :class:`ShardedTuningStore`
 (records partitioned across lock-protected append-only JSONL shards,
 versioned by schema and cost-model fingerprint, safe for *concurrent*
-writers); :class:`TuningCache` is only the in-memory tier above it.  Fan the
-tuning problems out across worker processes with :class:`DistributedTuner`::
-
-    from repro.rewriter import DistributedTuner, ShardedTuningStore, TuningSession
-    from repro.rewriter.workers import tasks_from_layers
-    from repro.workloads.table1 import TABLE1_LAYERS
-
-    store = ShardedTuningStore("tuning_store", shards=8)
-    DistributedTuner(store, workers=4).run(tasks_from_layers(TABLE1_LAYERS))
-
-    session = TuningSession(store=store)   # reads through: memory -> shard
-    # ... every Table-1 record now hits without a single tuning trial.
+writers — the tuning daemon and user processes share one directory);
+:class:`TuningCache` is only the in-memory tier above it.
 
 A :class:`TuningTask` names one tuning problem portably; it owns the
 derivation of its :class:`TuningKey` (``task.key()``) and of its dedup
-identity (``task.identity``), and :func:`task_from_key` inverts the former.
+identity (``task.identity``), and :func:`task_from_key` inverts the former
+so the daemon can rebuild a search from a key alone.
 """
 
 from .cpu_tuner import (
@@ -88,16 +79,7 @@ from .records import (
 from .replace import build_intrinsic_call, has_tensorize_pragma, replace_tensorize
 from .session import TuningSession
 from .store import FileLock, LockTimeout, ShardedTuningStore, StoreStats
-from .workers import (
-    DistributedReport,
-    DistributedTuner,
-    LeaseFile,
-    TuningTask,
-    WorkerReport,
-    task_from_key,
-    tasks_from_graph,
-    tasks_from_layers,
-)
+from .tasks import TuningTask, task_from_key, tasks_from_graph
 from .tuner import TuningResult, TuningTrial, exhaustive_search
 
 __all__ = [
@@ -136,12 +118,7 @@ __all__ = [
     "LockTimeout",
     "ShardedTuningStore",
     "StoreStats",
-    "DistributedTuner",
-    "DistributedReport",
-    "LeaseFile",
     "TuningTask",
-    "WorkerReport",
     "task_from_key",
     "tasks_from_graph",
-    "tasks_from_layers",
 ]

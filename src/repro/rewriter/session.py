@@ -59,8 +59,7 @@ class TuningSession:
     the only way records persist): lookups read through (memory -> shard ->
     miss) and every fresh search's record is written through to the store,
     so later sessions and concurrent sessions in other processes — e.g.
-    :class:`~repro.rewriter.workers.DistributedTuner` workers — see each
-    other's winners.
+    the tuning daemon's — see each other's winners.
     """
 
     def __init__(self, store=None) -> None:

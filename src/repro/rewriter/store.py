@@ -29,9 +29,9 @@ concurrent writers from the start:
   first (``max_records=``) and records idle longer than ``max_idle=``.
 
 :class:`~repro.rewriter.session.TuningSession` reads through this store
-(memory -> shard -> miss) and writes fresh records through to it;
-:class:`~repro.rewriter.workers.DistributedTuner` points many worker
-processes at one store directory.
+(memory -> shard -> miss) and writes fresh records through to it; the
+tuning daemon and any number of user processes may share one store
+directory.
 """
 
 from __future__ import annotations
@@ -238,8 +238,7 @@ class StoreStats:
 
     Lock counters aggregate over every shard lock this store handle has used:
     ``lock_contentions`` counts acquisitions that found the lock held by
-    someone else, ``lock_wait_seconds`` the total time spent waiting — the
-    store-contention numbers the distributed-tuning benchmark reports.
+    someone else, ``lock_wait_seconds`` the total time spent waiting.
     """
 
     appends: int = 0
@@ -272,8 +271,8 @@ class ShardedTuningStore:
     ignored in favour of the stored one.
 
     All methods are safe against concurrent use from other processes; one
-    store *handle* is not itself thread-safe (give each thread or worker its
-    own handle, as :class:`~repro.rewriter.workers.DistributedTuner` does).
+    store *handle* is not itself thread-safe (give each thread or process
+    its own handle).
     """
 
     META_NAME = "store.json"

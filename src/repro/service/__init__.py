@@ -1,23 +1,22 @@
 """Tuning-as-a-service: a networked compile/tune daemon over the record store.
 
-PR 3 made the tuning corpus shareable across *processes* on one machine
-(:class:`~repro.rewriter.store.ShardedTuningStore` +
-:class:`~repro.rewriter.workers.DistributedTuner`); this package makes it
+:class:`~repro.rewriter.store.ShardedTuningStore` makes the tuning corpus
+shareable across *processes* on one machine; this package makes it
 shareable across *machines*:
 
 * :mod:`repro.service.protocol` — the versioned, length-prefixed JSON wire
   protocol (tune / get / put / stats / gc / warm / shutdown);
 * :mod:`repro.service.server` — :class:`TuningService`, a threaded TCP
-  daemon wrapping one store + session + worker machinery, with in-flight
-  request coalescing (each unique :class:`~repro.rewriter.records.TuningKey`
-  is searched at most once fleet-wide) and a speculative-tuning queue that
-  pre-tunes the remaining layers of a requested sweep during idle time;
+  daemon wrapping one store + session, with in-flight request coalescing
+  (each unique :class:`~repro.rewriter.records.TuningKey` is searched at
+  most once fleet-wide) and a speculative-tuning queue that pre-tunes the
+  remaining layers of a requested sweep during idle time;
 * :mod:`repro.service.client` — :class:`RemoteSession`, a drop-in
   :class:`~repro.rewriter.session.TuningSession` that reads through
   memory -> server -> miss, with retries and graceful fallback to a local
   store when the daemon is unreachable.
 
-This PR adds the fault-tolerance layer on top:
+A fault-tolerance layer sits on top:
 
 * **replication + failover** — ``serve --replicate-from HOST:PORT`` runs a
   daemon as a read-write *replica* that incrementally pulls the primary's
@@ -27,8 +26,8 @@ This PR adds the fault-tolerance layer on top:
   reads — killing the primary mid-sweep costs a reconnect, not the corpus;
 * **one retry policy** — :class:`~repro.retry.RetryPolicy` (capped
   exponential backoff, deterministic jitter, per-op deadlines,
-  transient-vs-fatal classification) now drives the client transport, the
-  worker lock claims, and the store's file-lock polling;
+  transient-vs-fatal classification) now drives the client transport and
+  the store's file-lock polling;
 * **degradation + recovery** — :class:`~repro.retry.CircuitBreaker` governs
   :class:`RemoteSession` fallback, the ``health`` op reports role and
   replication lag for probes, and ``python -m repro.service fsck`` audits a

@@ -8,8 +8,8 @@ keys, while three mechanisms keep the fleet from duplicating work:
 
 * **read-through** — a ``tune`` or ``get`` first consults the session cache
   and the shard files, so anything ever tuned (by this daemon, a previous
-  incarnation, or a :class:`~repro.rewriter.workers.DistributedTuner` run
-  into the same store directory) is served without a single trial;
+  incarnation, or a local session writing into the same store directory) is
+  served without a single trial;
 * **in-flight coalescing** — concurrent ``tune`` requests for the same
   :class:`~repro.rewriter.records.TuningKey` share one search: the first
   requester leads it, the rest park on an event and receive the *same*
@@ -20,10 +20,10 @@ keys, while three mechanisms keep the fleet from duplicating work:
   thread whenever no foreground request is in flight, so a client compiling
   a model layer by layer finds layers N+1.. already warm.
 
-Server-side searches reuse the :mod:`repro.rewriter.workers` machinery:
-the requested key is inverted back into a
-:class:`~repro.rewriter.workers.TuningTask` (:func:`task_from_key`) and run
-through :func:`~repro.rewriter.workers.run_task` — the same search every
+Server-side searches reuse :mod:`repro.rewriter.tasks`: the requested key
+is inverted back into a :class:`~repro.rewriter.tasks.TuningTask`
+(:func:`task_from_key`) and run through
+:func:`~repro.rewriter.tasks.run_task` — the same search every
 local session runs — so winners are bit-identical to a single-process local
 sweep.  Keys that cannot round-trip (custom candidate lists, library
 baselines) are declined with ``code="untunable"`` and the client searches
@@ -59,7 +59,7 @@ from ..hwsim.machine import machine_by_name
 from ..rewriter.records import TuningKey, TuningRecord, decode_record
 from ..rewriter.session import TuningSession
 from ..rewriter.store import ShardedTuningStore
-from ..rewriter.workers import TuningTask, run_task, task_from_key, tasks_from_graph
+from ..rewriter.tasks import TuningTask, run_task, task_from_key, tasks_from_graph
 from ..telemetry import metrics as _metrics, trace as _trace
 from ..testing import faults
 from . import protocol

@@ -4,7 +4,7 @@ A single-file :mod:`sqlite3` database (WAL mode) that turns the one-shot
 ``BENCH_*.json`` artifacts into a queryable history.  Each recorded run
 stores:
 
-* ``runs`` — kind (``compile_time`` / ``distributed_tuning`` / ``service``
+* ``runs`` — kind (``compile_time`` / ``service`` / ``ledger.<workload>``
   / ...), label, wall-clock timestamp, and run metadata: git revision,
   host, python version, native-toolchain availability, plus the full
   sanitized JSON payload;

@@ -35,17 +35,12 @@ Injection points
                     — contended/stale locks
 ``store.compact``   a shard is about to be rewritten (context: ``path``,
                     ``tmp``) — disk-full mid-compaction
-``backend.compile`` a native kernel is about to be compiled (context:
-                    ``func_name``, ``where`` — ``"host"`` or ``"sandbox"``)
-                    — hung or crashing compilers
+``backend.compile`` the sandbox child is about to compile the candidate
+                    kernel (context: ``func_name``, ``where="sandbox"``) —
+                    hung or crashing compilers
 ``backend.qualify`` the sandbox child is about to run the candidate kernel
                     (context: ``func_name``, ``where="sandbox"``) —
                     segfaulting/OOMing/hanging kernels
-``worker.task``     a tuning worker is about to search a leased task
-                    (context: ``worker``, ``index``, ``task``) — workers
-                    SIGKILLed mid-lease
-``worker.heartbeat`` a worker is about to stamp its liveness file (context:
-                    ``worker``, ``path``) — frozen heartbeats
 ==================  ==========================================================
 
 Usage::
@@ -100,8 +95,6 @@ POINTS = (
     "store.compact",
     "backend.compile",
     "backend.qualify",
-    "worker.task",
-    "worker.heartbeat",
 )
 
 
@@ -345,8 +338,8 @@ def segfault(injection: Injection) -> None:
     """Kill the calling process with a real SIGSEGV — no Python unwinding,
     no cleanup, exactly what a miscompiled kernel does.  Arm this only at
     points that run inside a disposable process (``backend.qualify`` in the
-    sandbox child, ``worker.task`` in a tuning worker): fired in the host it
-    kills the host, which is the failure mode the sandbox exists to absorb."""
+    sandbox child): fired in the host it kills the host, which is the
+    failure mode the sandbox exists to absorb."""
     import signal
 
     os.kill(os.getpid(), signal.SIGSEGV)
@@ -356,9 +349,8 @@ def hang(seconds: float = 3600.0) -> Callable[[Injection], None]:
     """Stop making progress (an infinite loop in a kernel, a wedged search).
 
     Distinct from :func:`delay` in intent: the duration is chosen to outlast
-    any watchdog under test, so the *watchdog* ends the wait (wall-clock
-    timeout in the sandbox, heartbeat/task timeout in the supervisor), never
-    this sleep."""
+    any watchdog under test, so the *watchdog* ends the wait (the sandbox's
+    wall-clock timeout), never this sleep."""
 
     def action(injection: Injection) -> None:
         time.sleep(seconds)

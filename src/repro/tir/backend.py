@@ -20,8 +20,8 @@ Promotion is conservative by construction:
   vector_nests``, no fallback steps — the PR 6 analysis tier) are eligible,
   and the function must pass :func:`~repro.codegen.lowlevel.native_support_reason`;
 * at promotion time the fresh kernel is spot-checked for **bit identity**
-  against the vectorized result that was just computed on the caller's real
-  buffers — a mismatch demotes instead of promoting;
+  (:func:`same_bits`) against the vectorized result that was just computed
+  on the caller's real buffers — a mismatch demotes instead of promoting;
 * any compile or runtime failure demotes the plan permanently (per plan);
   demoted plans keep running vectorized, so the native tier can never change
   results or raise where the vectorized tier would not.
@@ -49,7 +49,6 @@ import numpy as np
 
 from ..dsl.tensor import Tensor
 from ..telemetry import metrics as _metrics, trace as _trace
-from ..testing import faults
 
 if TYPE_CHECKING:  # runtime import is lazy (see _lowlevel) to avoid a cycle
     from ..codegen.lowlevel import NativeSource
@@ -73,6 +72,7 @@ __all__ = [
     "native_eligibility_reason",
     "native_toolchain",
     "run_tiered",
+    "same_bits",
     "tier_state",
 ]
 
@@ -283,7 +283,6 @@ def compile_native(func: PrimFunc) -> NativeKernel:
     kind, payload = native_toolchain()
     if kind is None:
         raise NativeUnavailable(str(payload))
-    faults.fire("backend.compile", func_name=func.name, where="host")
     return _compile_c(_lowlevel().generate_c(func), str(payload))
 
 
@@ -377,6 +376,19 @@ def _kernel_arrays(
     return arrays
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two results are the same bytes: equal shape, equal dtype and
+    equal ``tobytes()``.
+
+    The one comparison behind every bit-identity check (``Executor`` full
+    validation, the sandbox verdict, the promotion spot check).  Unlike
+    ``np.array_equal`` it tells ``-0.0`` from ``0.0`` and finds a NaN equal
+    to the same NaN.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def _try_promote(
     plan: ExecutablePlan,
     func: PrimFunc,
@@ -448,7 +460,7 @@ def _try_promote(
             promote_span.set(outcome="spot_check_raised")
             _demote(plan, f"native kernel raised during spot-check: {exc}", stats)
             return
-        if not np.array_equal(got, expected):
+        if not same_bits(got, expected):
             promote_span.set(outcome="not_bit_identical")
             _demote(
                 plan,

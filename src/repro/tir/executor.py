@@ -23,7 +23,7 @@ from typing import Dict, Optional, Set, Union
 import numpy as np
 
 from ..dsl.tensor import Tensor
-from .backend import native_toolchain, run_tiered
+from .backend import native_toolchain, run_tiered, same_bits
 from .engine import EngineStats, compile_plan
 from .interpreter import Interpreter
 from .lower import PrimFunc
@@ -156,7 +156,7 @@ class Executor:
                 result = run_tiered(
                     plan, buffers, stats=stats, func=func, promote_after=self.promote_after
                 )
-        if reference is not None and not np.array_equal(reference, result):
+        if reference is not None and not same_bits(reference, result):
             raise ValidationError(
                 f"{self.tier} tier result for {func.name!r} differs from the "
                 f"scalar interpreter"

@@ -3,8 +3,8 @@
 PR 8's native tier compiles a lowered PrimFunc and ``CDLL``-loads the result
 straight into the host process.  That is fine once the kernel is known good —
 but the *first* execution of a freshly compiled kernel is exactly the moment
-a miscompile shows itself, and a segfault there kills the tuning worker or
-the serving daemon outright.  This module moves that first contact into a
+a miscompile shows itself, and a segfault there kills the compiling process
+or the serving daemon outright.  This module moves that first contact into a
 **disposable subprocess**:
 
 * the host generates the low-level source (pure Python — it cannot crash the
@@ -51,6 +51,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..testing import faults
+from .backend import _compile_timeout_s, artefact_stem, cc_flags, native_toolchain, same_bits
 
 if TYPE_CHECKING:
     from ..codegen.lowlevel import NativeSource
@@ -227,7 +228,7 @@ def _sandbox_child(conn, payload: Dict[str, object]) -> None:
             return
         faults.fire("backend.qualify", func_name=payload["func_name"], where="sandbox")
         entry(*[array.ctypes.data_as(ctypes.c_void_p) for array in arrays])
-        if np.array_equal(arrays[-1], expected):
+        if same_bits(arrays[-1], expected):
             send(True, "qualified", "bit-identical to the vectorized tier")
         else:
             send(False, "mismatch", "kernel output is not bit-identical to the vectorized tier")
@@ -306,7 +307,6 @@ def qualify(
     every failure mode comes back as a :class:`SandboxVerdict`.
     """
     from ..codegen import lowlevel  # lazy: codegen imports repro.tir
-    from .backend import _compile_timeout_s, artefact_stem, cc_flags, native_toolchain
 
     kind, toolchain = native_toolchain()
     if kind is None:

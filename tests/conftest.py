@@ -102,6 +102,22 @@ def build_kernel(source, flags, tmp_path, tag):
     return backend.load_kernel(source, library)
 
 
+def float_copy(values):
+    """``copy[i] = a[i]`` over float32 with ``a`` holding ``values``: a kernel
+    whose correct output is its input byte for byte, so a test chooses every
+    output bit (``-0.0``, NaN).  Returns ``(func, buffers)``."""
+    from repro.tir import lower
+
+    n = len(values)
+    a = placeholder((n,), "float32", "a")
+    func = lower(compute((n,), lambda i: a[i], name="copy"))
+    buffers = {
+        func.inputs[0]: np.array(values, dtype=np.float32),
+        func.output: np.zeros(n, dtype=np.float32),
+    }
+    return func, buffers
+
+
 def small_conv_hwc(h=8, w=8, c=8, k=16, r=3):
     """The Figure 5 convolution with small shapes (VNNI-compatible)."""
     a = placeholder((h, w, c), "uint8", "data")

@@ -207,29 +207,8 @@ class TestStoreBackedCompilation:
             parameters = inspect.signature(function).parameters
             assert "session" in parameters, function.__name__
             assert not {"store", "remote"} & set(parameters), function.__name__
-
-    def test_compile_model_batch_workers_matches_serial(self, tmp_path):
-        from repro.core import compile_model_batch
-        from repro.rewriter import ShardedTuningStore, TuningSession
-
-        session = TuningSession(store=ShardedTuningStore(tmp_path / "s", shards=8))
-        distributed = compile_model_batch(
-            [_toy_model()], targets=("x86",), session=session, workers=2
-        )
-        # The workers published under exactly the keys the compiles look up.
-        assert session.trials_run == 0 and session.store_hits > 0
-        serial = compile_model_batch([_toy_model()], targets=("x86",))
-        assert [c.latency_ms for c in distributed] == [c.latency_ms for c in serial]
-
-    def test_compile_model_batch_workers_requires_store(self):
-        from repro.core import compile_model_batch
-        from repro.rewriter import TuningSession
-
-        for session in (None, TuningSession()):
-            with pytest.raises(ValueError, match=r"session\.store"):
-                compile_model_batch(
-                    [_toy_model()], targets=("x86",), session=session, workers=2
-                )
+        # Tuning runs in the calling process: no worker-pool pre-tuning.
+        assert "workers" not in inspect.signature(compile_model_batch).parameters
 
 
 class TestStoreConveniences:

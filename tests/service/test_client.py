@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro.core.experiments import figure10_cpu_ablation
-from repro.core.pipeline import UnitCpuRunner, compile_model, compile_model_batch
+from repro.core.pipeline import UnitCpuRunner, compile_model
 from repro.models.zoo import get_model
 from repro.rewriter import ShardedTuningStore, TuningSession
 from repro.service import RemoteSession, ServiceClient, TuningService
@@ -105,14 +105,6 @@ class TestDropIn:
         )
         assert remote.latency_ms == local.latency_ms
         assert service.session.searches_run > 0
-
-    def test_compile_model_batch_rejects_remote_plus_workers(self, service):
-        """A daemon already pre-tunes for its fleet: a RemoteSession has no
-        ``store`` for local worker processes to fan out into."""
-        with pytest.raises(ValueError, match=r"session\.store"):
-            compile_model_batch(
-                ["resnet-18"], session=RemoteSession(service.address), workers=2
-            )
 
     def test_figure_driver_against_the_daemon(self, service):
         local_rows = figure10_cpu_ablation(layers=TABLE1_LAYERS[:2])

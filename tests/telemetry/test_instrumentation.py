@@ -1,17 +1,14 @@
-"""End-to-end instrumentation tests: the hooks left inside the compiler,
-the distributed tuner, and the service must produce real telemetry when a
-sink is installed — and leave no trace when one is not."""
+"""End-to-end instrumentation tests: the hooks left inside the compiler and
+the service must produce real telemetry when a sink is installed — and leave
+no trace when one is not."""
 
 import time
 
 import pytest
 
-from repro.rewriter import ShardedTuningStore
-from repro.rewriter.workers import DistributedTuner, tasks_from_layers
 from repro.service import ServiceClient, TuningService
 from repro.telemetry import metrics, trace
 from repro.tir import PlanCache, compile_plan, lower
-from repro.workloads.table1 import TABLE1_LAYERS
 from tests.conftest import small_conv_hwc
 
 
@@ -51,24 +48,6 @@ class TestCompilerInstrumentation:
         with metrics.collecting() as registry:
             assert registry.counters() == {}
         assert trace.active() is None
-
-
-class TestDistributedTunerInstrumentation:
-    def test_run_records_counters_gauges_and_span(self, tmp_path):
-        store = ShardedTuningStore(tmp_path / "s", shards=4)
-        tasks = tasks_from_layers(TABLE1_LAYERS[:2])
-        with metrics.collecting() as registry, trace.tracing() as tracer:
-            report = DistributedTuner(store, workers=2).run(tasks)
-        counters = registry.counters()
-        assert counters["workers.runs"] == 1
-        assert counters["workers.tasks_completed"] == len(tasks)
-        # The report dataclass is live behind the gauges.
-        gauges = registry.gauges()
-        assert gauges["workers.report.tasks"] == float(len(tasks))
-        assert gauges["workers.report.elapsed_s"] == report.elapsed_s
-        (run_span,) = [r for r in tracer.finished() if r.name == "workers.run"]
-        assert run_span.attrs["tasks"] == len(tasks)
-        assert run_span.attrs["crashes"] == report.crashes
 
 
 class TestServiceInstrumentation:

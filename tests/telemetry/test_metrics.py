@@ -26,7 +26,7 @@ class TestDisabledPath:
         assert metrics.count("tir.plan_compiles") is None
 
     def test_event_is_noop(self):
-        assert metrics.event("workers.restarts", "slot0") is None
+        assert metrics.event("service.requests", "get") is None
 
     def test_observe_is_noop(self):
         assert metrics.observe("service.request_s", 0.01) is None
@@ -61,8 +61,8 @@ class TestCounters:
 
     def test_event_formats_name_only_when_active(self):
         with metrics.collecting() as registry:
-            metrics.event("workers.restarts", "slot3")
-            assert registry.counters() == {"workers.restarts.slot3": 1}
+            metrics.event("service.requests", "tune")
+            assert registry.counters() == {"service.requests.tune": 1}
 
     def test_collecting_restores_previous(self):
         outer = metrics.install()

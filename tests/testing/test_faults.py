@@ -1,6 +1,7 @@
 """Tests for the deterministic fault-injection registry."""
 
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,14 @@ class TestRegistry:
         for point in POINTS:
             plan.on(point, reset_connection)
         assert len(plan.rules) == len(POINTS)
+
+    def test_every_point_has_exactly_one_call_site(self):
+        """A point whose production code was deleted must leave ``POINTS``
+        with it, and no point may be fired from two places."""
+        src = Path(faults.__file__).resolve().parents[1]
+        text = "".join(path.read_text() for path in sorted(src.rglob("*.py")))
+        sites = {point: text.count(f'faults.fire("{point}"') for point in POINTS}
+        assert sites == {point: 1 for point in POINTS}
 
     def test_arming_and_disarming(self):
         plan = FaultPlan().on("store.append", disk_full)

@@ -26,7 +26,7 @@ from repro.tir import (
 )
 from repro.tir.backend import run_tiered
 from repro.workloads.dense import matmul_fp32
-from tests.conftest import small_conv_hwc
+from tests.conftest import float_copy, small_conv_hwc
 
 TOOLCHAIN_KIND = native_toolchain()[0]
 needs_toolchain = pytest.mark.skipif(
@@ -196,6 +196,35 @@ class TestDemotion:
         monkeypatch.setenv("REPRO_DISABLE_SANDBOX", "1")
         state = self._demotes_on_bit_mismatch(monkeypatch)
         assert state.sandbox_outcome is None
+
+    @needs_toolchain
+    def test_demotes_a_kernel_that_flips_a_zero_sign(self, monkeypatch):
+        import repro.tir.backend as backend
+
+        class UnsignedZeros:
+            def __init__(self, source):
+                self.source = source
+
+            def run(self, arrays):
+                arrays[-1][...] = arrays[0] + np.float32(0.0)  # -0.0 -> +0.0
+                return arrays[-1]
+
+        monkeypatch.setattr(backend, "load_kernel", lambda source, so_path: UnsignedZeros(source))
+        func, buffers = float_copy([-0.0, 1.0])
+        plan = compile_plan(func)
+        run_tiered(plan, buffers, stats=EngineStats(), promote_after=1)
+        state = tier_state(plan)
+        assert state.demoted and "bit-identical" in state.demotion_reason
+
+    @needs_toolchain
+    def test_promotes_a_kernel_whose_output_holds_a_nan(self, monkeypatch):
+        """The host spot check alone (sandbox off) compares bytes too."""
+        monkeypatch.setenv("REPRO_DISABLE_SANDBOX", "1")
+        func, buffers = float_copy([np.nan, 1.0])
+        plan = compile_plan(func)
+        run_tiered(plan, buffers, stats=EngineStats(), promote_after=1)
+        state = tier_state(plan)
+        assert state.tier == "native" and not state.demoted, state.demotion_reason
 
     def test_demotes_when_no_toolchain(self, monkeypatch):
         """The automatic-fallback guarantee: without any toolchain the tier

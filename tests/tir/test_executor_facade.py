@@ -21,7 +21,7 @@ from repro.tir import (
     lower,
     run,
 )
-from tests.conftest import small_conv_hwc
+from tests.conftest import float_copy, small_conv_hwc
 
 
 def _func():
@@ -119,6 +119,25 @@ class TestExecutor:
         func = _func()
         with pytest.raises(ValidationError, match="differs"):
             executor.run(func, _buffers(func))
+
+    def test_full_validation_accepts_a_nan_output(self):
+        """Bit identity compares bytes: the same NaN is the same result."""
+        func, buffers = float_copy([np.nan, 1.0])
+        got = Executor(tier="vectorized", validation="full").run(func, buffers)
+        assert got.tobytes() == buffers[func.inputs[0]].tobytes()
+
+    def test_full_validation_catches_a_flipped_zero_sign(self, monkeypatch):
+        honest_run = ExecutablePlan.run
+
+        def unsigned_zeros(self, buffers, stats=None, func=None):
+            out = honest_run(self, buffers, stats=stats, func=func)
+            out += np.float32(0.0)  # -0.0 + 0.0 is +0.0; nothing else moves
+            return out
+
+        monkeypatch.setattr(ExecutablePlan, "run", unsigned_zeros)
+        func, buffers = float_copy([-0.0, 1.0])
+        with pytest.raises(ValidationError, match="differs"):
+            Executor(tier="vectorized", validation="full").run(func, buffers)
 
     def test_runs_accumulate_into_executor_stats(self):
         executor = Executor(tier="vectorized")

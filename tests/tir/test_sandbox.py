@@ -25,7 +25,7 @@ from repro.tir import (
 )
 from repro.tir import sandbox
 from repro.tir.backend import run_tiered
-from tests.conftest import small_conv_hwc
+from tests.conftest import float_copy, small_conv_hwc
 
 TOOLCHAIN_KIND = native_toolchain()[0]
 needs_toolchain = pytest.mark.skipif(
@@ -63,6 +63,22 @@ class TestQualify:
         plan = _fresh_plan()
         arrays, expected = _qualify_inputs(plan)
         verdict = sandbox.qualify(plan.func, arrays, expected + 1)
+        assert not verdict.ok and verdict.outcome == "mismatch"
+
+    @needs_toolchain
+    def test_nan_output_qualifies(self):
+        """The verdict compares bytes: a correct NaN output is bit-identical."""
+        func, buffers = float_copy([np.nan, -0.0, 1.0])
+        arrays = [np.array(buffers[t], copy=True) for t in func.params]
+        verdict = sandbox.qualify(func, arrays, buffers[func.inputs[0]].copy())
+        assert verdict.ok and verdict.outcome == "qualified", verdict.reason
+
+    @needs_toolchain
+    def test_flipped_zero_sign_is_a_mismatch(self):
+        func, buffers = float_copy([-0.0, 1.0])
+        arrays = [np.array(buffers[t], copy=True) for t in func.params]
+        expected = np.array([0.0, 1.0], dtype=np.float32)  # the kernel writes -0.0
+        verdict = sandbox.qualify(func, arrays, expected)
         assert not verdict.ok and verdict.outcome == "mismatch"
 
     @needs_toolchain

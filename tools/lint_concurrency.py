@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Concurrency lint for the tuning store / service / worker stack.
+"""Concurrency lint for the tuning store / service stack.
 
 A static (stdlib ``ast``) check of the lock discipline the concurrent tiers
 document and depend on.  It runs in CI next to ``python -m repro.analysis``
@@ -49,7 +49,6 @@ REPO = Path(__file__).resolve().parent.parent
 
 DEFAULT_FILES = [
     "src/repro/rewriter/store.py",
-    "src/repro/rewriter/workers.py",
     "src/repro/service/server.py",
     "src/repro/service/client.py",
     "src/repro/retry.py",
@@ -76,18 +75,8 @@ GUARDED: Dict[str, Dict[str, Dict[str, Set[str]]]] = {
             },
         },
     },
-    "workers.py": {
-        # The heartbeat's task pointer is written by the worker's main
-        # thread (begin/finish) and read by the stamping thread (_stamp).
-        "Heartbeat": {
-            "_lock": {
-                "_current",
-                "_started",
-            },
-        },
-    },
     # Telemetry sinks are written from every instrumented thread (engine,
-    # service handlers, tuning workers' supervisor): all three instrument
+    # service handlers, the speculative tuner): all three instrument
     # tables, the tracer's finished-span list + id sequence, and the
     # results DB's sqlite connection live behind one lock each.
     "metrics.py": {
@@ -131,17 +120,6 @@ REQUIRE_LOCKED: Dict[str, Dict[str, Dict[str, Set[str]]]] = {
                 "last_served",
                 "read_shard_since",
                 "fsck",
-            },
-        },
-    },
-    "workers.py": {
-        # Every lease-file mutation (claim / release / done) must happen
-        # under the cross-process lock, or two workers can tune one task.
-        "LeaseFile": {
-            "_lock": {
-                "claim",
-                "release",
-                "mark_done",
             },
         },
     },
