@@ -24,7 +24,7 @@ from repro.tir import (
     run,
     tier_state,
 )
-from repro.tir.backend import run_tiered
+from repro.tir.backend import run_tiered, same_bits
 from repro.workloads.dense import matmul_fp32
 from tests.conftest import float_copy, small_conv_hwc
 
@@ -121,6 +121,46 @@ class TestPromotion:
         assert state.demoted
         assert "proved" in state.demotion_reason
         assert stats.native_promotions == 0 and stats.native_runs == 0
+
+
+def _f32(*values):
+    return np.array(values, dtype=np.float32)
+
+
+_OTHER_NAN = np.array([0x7FC00001], dtype=np.uint32).view(np.float32)
+_TRANSPOSED = np.arange(6, dtype=np.int32).reshape(2, 3).T  # a non-contiguous view
+
+
+class TestSameBits:
+    """The one comparison behind every bit-identity check: bytes, shape and
+    dtype, never ``==`` on values."""
+
+    @pytest.mark.parametrize(
+        "a, b, same",
+        [
+            (_f32(1.5, -2.0), _f32(1.5, -2.0), True),
+            (_f32(-0.0), _f32(0.0), False),
+            (_f32(np.nan, 1.0), _f32(np.nan, 1.0), True),
+            (_f32(np.nan), _OTHER_NAN, False),
+            (np.zeros(2, np.float32), np.zeros(2, np.int32), False),
+            (np.zeros((2, 2), np.int8), np.zeros(4, np.int8), False),
+            (_TRANSPOSED, _TRANSPOSED.copy(), True),
+            ([1.0, 2.0], np.array([1.0, 2.0]), True),
+        ],
+        ids=[
+            "equal",
+            "zero-sign",
+            "same-nan",
+            "nan-payload",
+            "dtype",
+            "shape",
+            "strided-view",
+            "array-like",
+        ],
+    )
+    def test_compares_bytes_shape_and_dtype(self, a, b, same):
+        assert same_bits(a, b) is same
+        assert same_bits(b, a) is same
 
 
 class TestDemotion:
