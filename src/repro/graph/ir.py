@@ -183,7 +183,7 @@ class PoolNode(GraphNode):
         s = input_shapes[0]
         oh = (s.height + 2 * self.padding - self.kernel) // self.stride + 1
         ow = (s.width + 2 * self.padding - self.kernel) // self.stride + 1
-        return TensorShape(s.channels, max(oh, 1), max(ow, 1))
+        return TensorShape(s.channels, oh, ow)
 
 
 @dataclass

@@ -36,6 +36,18 @@ class TestGraphConstruction:
         assert shapes["c1"] == TensorShape(16, 16, 16)
         assert shapes["p1"] == TensorShape(16, 8, 8)
 
+    def test_pool_window_larger_than_its_padded_input_is_rejected(self):
+        """A 3x3 window on a 2x2 input has no position: ``infer_shapes`` says
+        so by name, as it does for convolutions, instead of inferring 1x1
+        for an operator whose runners then produce 0x0."""
+        g = Graph("g")
+        g.add(InputNode(name="data", shape=TensorShape(4, 2, 2)))
+        g.add(PoolNode(name="p", inputs=["data"], kind="max", kernel=3, stride=2))
+        with pytest.raises(ValueError, match=r"'p' has empty output shape"):
+            g.infer_shapes()
+        g.node("p").padding = 1
+        assert g.infer_shapes()["p"] == TensorShape(4, 1, 1)
+
     def test_concat_sums_channels(self):
         g = Graph("g")
         g.add(InputNode(name="data", shape=TensorShape(8, 4, 4)))
