@@ -8,17 +8,14 @@ EXPERIMENTS.md records the paper-reported values next to the measured ones.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from ..baselines.cudnn import CuDnnModel
 from ..baselines.frameworks import MxnetOneDnnRunner, TvmCudnnRunner
 from ..baselines.onednn import OneDnnModel
 from ..baselines.tvm_baseline import TvmManualModel, TvmNeonModel
-from ..graph.executor import estimate_graph_latency
+from ..graph.estimate import estimate_graph_latency
 from ..graph.fuse import fuse_elementwise
 from ..graph.quantize import quantize_graph
 from ..hwsim.cost import geometric_mean
@@ -43,7 +40,6 @@ __all__ = [
     "table1_characteristics",
     "tuning_convergence",
     "resnet18_unique_convs",
-    "whole_model_execution",
 ]
 
 
@@ -333,72 +329,6 @@ def figure13_conv3d(depth: int = 8, session: Optional[TuningSession] = None) -> 
             }
         )
     rows.append(_add_geomean(rows, ["rel_unit"], label_key="layer", label="gmean"))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Whole-model numeric execution through cached plans (accuracy-path driver)
-# ---------------------------------------------------------------------------
-
-def whole_model_execution(
-    models: Optional[List[str]] = None,
-    input_hw: int = 32,
-    seed: int = 0,
-) -> List[Dict]:
-    """Run whole models numerically through the engine's cached plans.
-
-    The accuracy-figure execution path: every model is executed end to end by
-    :func:`repro.graph.executor.run_model` — convolutions and dense layers
-    lowered from the DSL, executed by the vectorized engine through the
-    process-wide executable-plan cache, activations living in one
-    liveness-planned arena.  Models run at a reduced ``input_hw`` so the full
-    sweep stays tractable; channel counts (and therefore layer structure) are
-    exactly the evaluated models', which is what makes the plan cache's
-    repeated-layer hits representative.
-
-    Each row reports the cold and warm wall-clock, the plan-cache hit
-    rates, the arena-vs-naive activation memory, and a determinism check
-    (two runs must agree bit for bit).
-    """
-    from ..graph.executor import run_model
-    from ..graph.ir import InputNode, rescale_input
-    from ..tir.plan import plan_cache
-
-    models = models or ["resnet-18"]
-    # The cold numbers must mean what they say even when earlier work in the
-    # process already compiled these layers' plans.
-    plan_cache().clear()
-    rows = []
-    for name in models:
-        graph = rescale_input(get_model(name, fresh=True), input_hw)
-        input_node = next(n for n in graph.nodes if isinstance(n, InputNode))
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(
-            (input_node.shape.channels, input_hw, input_hw)
-        ).astype(np.float32)
-        t0 = time.perf_counter()
-        cold = run_model(graph, {input_node.name: x}, rng=np.random.default_rng(seed))
-        cold_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        warm = run_model(graph, {input_node.name: x}, rng=np.random.default_rng(seed))
-        warm_s = time.perf_counter() - t0
-        rows.append(
-            {
-                "model": name,
-                "nodes": len(graph),
-                "input_hw": input_hw,
-                "cold_s": cold_s,
-                "warm_s": warm_s,
-                "cold_plan_hit_rate": cold.plan_hit_rate,
-                "warm_plan_hit_rate": warm.plan_hit_rate,
-                "plan_compiles": cold.plan_misses,
-                "arena_mb": cold.memory.arena_bytes / 1e6,
-                "naive_mb": cold.memory.naive_bytes / 1e6,
-                "memory_reuse": cold.memory.reuse_ratio,
-                "deterministic": bool(np.array_equal(cold.output, warm.output)),
-                "output_checksum": float(np.abs(cold.output).sum()),
-            }
-        )
     return rows
 
 

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
 from ..baselines.frameworks import MxnetOneDnnRunner, TvmCudnnRunner
-from ..graph.executor import GraphLatencyReport, estimate_graph_latency
+from ..graph.estimate import GraphLatencyReport, estimate_graph_latency
 from ..graph.fuse import fuse_elementwise
 from ..graph.ir import DepthwiseConv2DNode, Graph
 from ..graph.layout import plan_layout
+from ..graph.program import ModelRun, run_model
 from ..graph.quantize import quantize_graph
 from ..hwsim.cost import CostBreakdown
 from ..hwsim.cpu import CpuKernelModel
@@ -87,20 +88,17 @@ class CompiledModel:
     def latency_ms(self) -> float:
         return self.report.total_milliseconds
 
-    def run(self, inputs, weights=None, rng=None, keep=(), executor=None):
+    def run(self, inputs, weights=None, rng=None, keep=(), executor=None) -> ModelRun:
         """Execute the compiled graph numerically, end to end.
 
         Runs the (quantized, fused) graph through the memory-planned,
         plan-cached whole-model executor
-        (:func:`repro.graph.executor.run_model`): activations share one
+        (:func:`repro.graph.program.run_model`): activations share one
         liveness-planned arena and every operator executes through the
         process-wide executable-plan cache, so repeated layer shapes compile
         once.  Pass a :class:`repro.tir.Executor` via ``executor`` to select
-        the execution tier and validation policy.  Returns a
-        :class:`~repro.graph.executor.ModelRun`.
+        the execution tier and validation policy.
         """
-        from ..graph.executor import run_model
-
         return run_model(
             self.graph, inputs, weights=weights, rng=rng, keep=keep, executor=executor
         )

@@ -1,20 +1,14 @@
-"""``repro.graph`` — the Relay-like graph IR and its passes.
+"""``repro.graph`` — the Relay-like graph IR, its passes and its runners.
 
-A model is a DAG of operators; the quantization, layout/padding and operator
-fusion passes prepare it for tensorization, and the executor aggregates
-per-operator latencies into the end-to-end inference latency.
+A model is a DAG of operators (:mod:`.ir`); the quantization, layout/padding
+and operator fusion passes prepare it for tensorization.  Then one module per
+job: :mod:`.estimate` sums per-operator latencies, :mod:`.oracle` executes a
+graph node by node into fresh arrays (the definition of a correct run), and
+:mod:`.program` executes it memory-planned and plan-cached, byte-equal to
+the oracle.
 """
 
-from .executor import (
-    GraphLatencyReport,
-    GraphProgram,
-    MemoryPlan,
-    ModelRun,
-    estimate_graph_latency,
-    execute_graph,
-    plan_memory,
-    run_model,
-)
+from .estimate import GraphLatencyReport, estimate_graph_latency
 from .fuse import FUSABLE_KINDS, fuse_elementwise
 from .ir import (
     ConcatNode,
@@ -33,6 +27,8 @@ from .ir import (
     rescale_input,
 )
 from .layout import LayoutDecision, padding_waste, plan_layout
+from .oracle import execute_graph
+from .program import GraphProgram, MemoryPlan, ModelRun, plan_memory, run_model
 from .quantize import quantize_graph
 
 __all__ = [

@@ -66,6 +66,17 @@ class GraphNode:
     def macs(self) -> int:
         return 0
 
+    @property
+    def pad_fill(self) -> float:
+        """What the border of a padded input holds (max pooling: ``-inf``)."""
+        return 0.0
+
+    def _input_shape(self) -> TensorShape:
+        """The input shape ``weight_shape`` is derived from."""
+        if getattr(self, "in_shape", None) is None:
+            raise ValueError(f"node {self.name!r}: run Graph.infer_shapes() first")
+        return self.in_shape
+
 
 @dataclass
 class InputNode(GraphNode):
@@ -113,6 +124,12 @@ class Conv2DNode(GraphNode):
         # Grouped convolutions run ``groups`` independent smaller convolutions.
         return self.conv_params().macs * self.groups
 
+    @property
+    def weight_shape(self) -> Tuple[int, ...]:
+        """``(K, C / groups, R, S)``: a group's filters read its channel slice."""
+        channels = self._input_shape().channels
+        return (self.out_channels, channels // self.groups, self.kernel, self.kernel)
+
 
 @dataclass
 class DepthwiseConv2DNode(GraphNode):
@@ -144,6 +161,11 @@ class DepthwiseConv2DNode(GraphNode):
         out = self.output_shape([self.in_shape])
         return out.elements * self.kernel * self.kernel
 
+    @property
+    def weight_shape(self) -> Tuple[int, ...]:
+        """``(C, R, S)``: one filter per channel."""
+        return (self._input_shape().channels, self.kernel, self.kernel)
+
 
 @dataclass
 class DenseNode(GraphNode):
@@ -171,6 +193,11 @@ class DenseNode(GraphNode):
     def macs(self) -> int:
         return self.dense_params().macs
 
+    @property
+    def weight_shape(self) -> Tuple[int, ...]:
+        """``(out_features, C*H*W)``: the input is read flattened."""
+        return (self.out_features, self._input_shape().elements)
+
 
 @dataclass
 class PoolNode(GraphNode):
@@ -184,6 +211,10 @@ class PoolNode(GraphNode):
         oh = (s.height + 2 * self.padding - self.kernel) // self.stride + 1
         ow = (s.width + 2 * self.padding - self.kernel) // self.stride + 1
         return TensorShape(s.channels, oh, ow)
+
+    @property
+    def pad_fill(self) -> float:
+        return float("-inf") if self.kind == "max" else 0.0
 
 
 @dataclass
@@ -312,7 +343,7 @@ def rescale_input(graph: Graph, height: int, width: Optional[int] = None) -> Gra
     Channel counts (and therefore every layer's parameter shapes) are
     unchanged; only the spatial extents shrink or grow through the network.
     Useful for running whole models functionally at tractable sizes — the
-    engine-backed :func:`repro.graph.executor.run_model` path — while keeping
+    memory-planned :func:`repro.graph.program.run_model` path — while keeping
     every layer structurally identical to the full-size model.  Nodes are
     shallow-copied, so the original graph's inferred shapes are untouched.
     """

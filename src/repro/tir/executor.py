@@ -2,7 +2,6 @@
 
     executor = repro.tir.Executor(tier="native")
     out = executor.run(func, buffers)
-    run = executor.run_model(graph, inputs)
 
 ``tier`` is ``"interpreter"`` (the scalar reference semantics),
 ``"vectorized"`` (batched numpy through the cached
@@ -80,7 +79,7 @@ class ValidationError(AssertionError):
 
 
 class Executor:
-    """The one way to execute a PrimFunc (or a whole model).
+    """The one way to execute a PrimFunc.
 
     Parameters
     ----------
@@ -162,21 +161,6 @@ class Executor:
                 f"scalar interpreter"
             )
         return result
-
-    # -- whole models -------------------------------------------------------
-    def run_model(self, model, inputs, weights=None, rng=None, keep=()):
-        """Execute a graph (or compiled model) through this executor.
-
-        Accepts a :class:`~repro.graph.ir.Graph` or anything with a
-        ``.graph`` attribute (e.g. ``CompiledModel``).  Returns the
-        :class:`~repro.graph.executor.ModelRun`.
-        """
-        from ..graph.executor import run_model as _run_model
-
-        graph = getattr(model, "graph", model)
-        return _run_model(
-            graph, inputs, weights=weights, rng=rng, keep=keep, executor=self
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -121,17 +121,3 @@ class TestTable1AndConvergence:
         convs = experiments.resnet18_unique_convs()
         assert 8 <= len(convs) <= 11
 
-
-class TestWholeModelExecution:
-    def test_engine_backed_model_run(self):
-        rows = experiments.whole_model_execution(models=["resnet-18"], input_hw=16)
-        (row,) = rows
-        assert row["model"] == "resnet-18"
-        assert row["deterministic"] is True
-        # The repeated residual blocks must ride the plan cache: the warm run
-        # compiles nothing and every distinct layer compiled exactly once.
-        assert row["warm_plan_hit_rate"] == 1.0
-        assert 0 < row["plan_compiles"] < row["nodes"]
-        # The liveness-planned arena must beat per-op fresh allocation.
-        assert row["memory_reuse"] > 2.0
-        assert row["arena_mb"] < row["naive_mb"]

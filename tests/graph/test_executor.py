@@ -1,4 +1,4 @@
-"""Tests for the graph latency executor."""
+"""Tests for graph latency estimation and the node-by-node oracle."""
 
 import pytest
 
@@ -74,6 +74,24 @@ class TestExecutor:
         runner = _CountingRunner()
         report = estimate_graph_latency(_toy_graph(), runner)
         assert report.per_node["data"].seconds == 0.0
+
+    def test_grouped_convolution_costs_one_group_times_groups(self):
+        """The runner prices one group's convolution (``conv_params`` is per
+        group); the node costs that many of them."""
+        from repro.graph import Conv2DNode, Graph, InputNode
+
+        class PerGroup(_CountingRunner):
+            def conv2d_latency(self, params):
+                self.seen = params
+                return super().conv2d_latency(params)
+
+        g = Graph("grouped")
+        g.add(InputNode(name="in", shape=TensorShape(8, 6, 6)))
+        g.add(Conv2DNode(name="c", inputs=["in"], out_channels=12, kernel=3, groups=4))
+        runner = PerGroup()
+        report = estimate_graph_latency(g, runner)
+        assert (runner.seen.in_channels, runner.seen.out_channels) == (2, 3)
+        assert report.per_node["c"].seconds == pytest.approx(4 * 10e-6)
 
 
 class TestFunctionalExecution:
@@ -162,3 +180,27 @@ class TestFunctionalExecution:
 
         with _pytest.raises(KeyError):
             execute_graph(self._graph(), {})
+
+
+def test_unknown_node_kind_is_named_by_the_estimator_and_both_runners():
+    from dataclasses import dataclass
+
+    import numpy as np
+
+    from repro.graph import Graph, GraphNode, InputNode, execute_graph, run_model
+
+    @dataclass
+    class Mystery(GraphNode):
+        def output_shape(self, input_shapes):
+            return input_shapes[0]
+
+    g = Graph("mystery")
+    g.add(InputNode(name="in", shape=TensorShape(2, 3, 3)))
+    g.add(Mystery(name="m", inputs=["in"]))
+    image = {"in": np.zeros((2, 3, 3), np.float32)}
+    with pytest.raises(TypeError, match="unknown graph node type Mystery"):
+        estimate_graph_latency(g, _CountingRunner())
+    with pytest.raises(TypeError, match="cannot execute graph node type Mystery"):
+        execute_graph(g, image)
+    with pytest.raises(TypeError, match="cannot execute graph node type Mystery"):
+        run_model(g, image)

@@ -67,6 +67,25 @@ class TestGraphConstruction:
         assert params.out_height == 16
         assert node.macs == 16 * 16 * 32 * 8 * 9
 
+    def test_input_derived_metadata_needs_inferred_shapes(self):
+        g = Graph("g")
+        g.add(InputNode(name="data", shape=TensorShape(6, 4, 4)))
+        conv = Conv2DNode(name="c", inputs=["data"], out_channels=9, kernel=3, groups=3)
+        dense = DenseNode(name="fc", inputs=["data"], out_features=5)
+        g.add(conv)
+        g.add(dense)
+        for node, read in (
+            (conv, lambda: conv.weight_shape),
+            (conv, conv.conv_params),
+            (dense, lambda: dense.weight_shape),
+            (dense, dense.dense_params),
+        ):
+            with pytest.raises(ValueError, match=rf"'{node.name}': run Graph.infer_shapes"):
+                read()
+        g.infer_shapes()
+        assert conv.weight_shape == (9, 2, 3, 3)
+        assert dense.weight_shape == (5, 96)
+
     def test_dense_params(self):
         g = Graph("g")
         g.add(InputNode(name="data", shape=TensorShape(512, 1, 1)))

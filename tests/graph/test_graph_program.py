@@ -11,6 +11,7 @@ it replaced.
 """
 
 import gc
+import re
 import sys
 import threading
 import weakref
@@ -157,18 +158,19 @@ class TestMatchesTheOracle:
     )
     def test_nothing_survives_from_an_earlier_occupant_or_run(self, tier):
         """No step relies on what its output held before: with the whole
-        arena and every staging interior NaN before each run (the borders
-        are the program's to keep), the bytes are still the oracle's — the
-        lowered functions store their own identity, nobody zero-fills."""
+        arena and every staging interior 0xFF bytes (a NaN in float32) before
+        each run (the borders are the program's to keep), the bytes are still
+        the oracle's — the lowered functions store their own identity,
+        nobody zero-fills."""
         graph = _every_kind()
         keep = ["mp", "fc"]
         executor = Executor(tier=tier, promote_after=1)
         program = GraphProgram.for_graph(graph, keep)
         for seed in (1, 2, 1):
             (frame,) = program._idle
-            frame.arena[:] = np.nan
+            frame.arena[:] = 0xFF
             for (_, padding, _), staged in frame.staging.items():
-                staged[:, padding:-padding, padding:-padding] = np.nan
+                staged[:, padding:-padding, padding:-padding].view(np.uint8)[...] = 0xFF
             image = _image(graph, seed)
             expected = execute_graph(graph, image, rng=np.random.default_rng(3))
             got = run_model(
@@ -311,6 +313,40 @@ class TestWeightsAreBoundPerCall:
         _same_bytes(run_model(graph, image).output, execute_graph(graph, image)["conv0"])
         assert len(GraphProgram.for_graph(graph)._idle) == 1
 
+    @pytest.mark.parametrize(
+        "node, weight_shape",
+        [
+            (
+                Conv2DNode(name="op", inputs=["in"], out_channels=6, kernel=3, padding=1),
+                (6, 4, 3, 3),
+            ),
+            (
+                Conv2DNode(name="op", inputs=["in"], out_channels=6, kernel=3, padding=1, groups=2),
+                (6, 2, 3, 3),
+            ),
+            (DepthwiseConv2DNode(name="op", inputs=["in"], kernel=3, stride=2), (4, 3, 3)),
+            (DenseNode(name="op", inputs=["in"], out_features=5), (5, 4 * 6 * 6)),
+        ],
+        ids=["conv", "grouped", "depthwise", "dense"],
+    )
+    def test_every_compute_kind_takes_exactly_its_weight_shape(self, node, weight_shape):
+        graph = Graph("one_op")
+        graph.add(InputNode(name="in", shape=TensorShape(4, 6, 6)))
+        graph.add(node)
+        graph.infer_shapes()
+        assert node.weight_shape == weight_shape
+        image = _image(graph)
+        right = np.random.default_rng(3).standard_normal(weight_shape).astype(np.float32)
+        expected = execute_graph(graph, image, weights={"op": right})["op"]
+        assert expected.any()
+        _same_bytes(run_model(graph, image, weights={"op": right}).output, expected)
+        wrong = np.zeros((*weight_shape[:-1], weight_shape[-1] + 1), np.float32)
+        named = rf"'op'.*{re.escape(str(weight_shape))}"
+        with pytest.raises(ValueError, match=named):
+            execute_graph(graph, image, weights={"op": wrong})
+        with pytest.raises(ValueError, match=named):
+            run_model(graph, image, weights={"op": wrong})
+
 
 class TestConcurrentRuns:
     def test_four_threads_on_one_graph_all_match(self):
@@ -357,10 +393,10 @@ class TestEveryNodeStillGoesThroughTheExecutor:
         image = _image(resnet.graph)
         resnet.run(image, executor=Executor(tier="vectorized"))  # plans compiled
         counting = _Counting(tier="vectorized")
-        run = counting.run_model(resnet, image)
+        run = resnet.run(image, executor=counting)
         assert len(counting.funcs) == 21
         assert (run.plan_hits, run.plan_misses) == (21, 0)
-        run = counting.run_model(resnet, image)
+        run = resnet.run(image, executor=counting)
         assert len(counting.funcs) == 42 and run.plan_hits == 21
 
     def test_mobilenet_makes_53_calls(self):

@@ -66,14 +66,16 @@ class TestPlanMemory:
     def test_chain_reuses_two_slots(self):
         """A straight chain only ever has producer+consumer live: two slots."""
         plan = plan_memory(_chain_graph(8))
-        assert len(plan.slot_elements) == 2
+        assert len(plan.slot_bytes) == 2
         assert plan.reuse_ratio > 3.0
 
     def test_arena_never_larger_than_naive(self):
         for graph in (_mixed_graph(), _chain_graph()):
             plan = plan_memory(graph)
-            assert plan.arena_elements <= plan.naive_elements
-            assert plan.arena_bytes == plan.arena_elements * 4
+            assert plan.arena_bytes <= plan.naive_bytes
+            assert plan.arena_bytes == sum(plan.slot_bytes)
+            for name, slot in plan.slot_of.items():  # float32 activations
+                assert plan.slot_bytes[slot] >= graph.output_shape(name).elements * 4
 
     def test_branch_keeps_both_operands_live(self):
         """A node consumed later (p1 feeds both c2 and add) must not have its
@@ -104,7 +106,7 @@ class TestPlanMemory:
         g = _chain_graph(4)
         pinned = plan_memory(g, keep=["conv0", "conv1"])
         free_running = plan_memory(g)
-        assert pinned.arena_elements > free_running.arena_elements
+        assert pinned.arena_bytes > free_running.arena_bytes
 
     def test_keep_must_name_nodes_of_the_graph(self, rng):
         """An unknown ``keep`` name used to be pinned silently and surface as
@@ -186,9 +188,9 @@ class TestRunModel:
         import sys
         import threading
 
-        from repro.graph import executor as graph_executor
+        from repro.graph import oracle
 
-        cache = graph_executor._LoweringCache()
+        cache = oracle._LoweringCache()
         got, workers = [], 8
 
         def ask():

@@ -20,7 +20,7 @@ from repro.dsl import cast, compute, placeholder, reduce_axis, sum_reduce
 from repro.dsl.expr import Const, Expr, Reduce, Var, post_order
 from repro.dsl.tensor import Tensor
 from repro.graph import GraphProgram
-from repro.graph import executor as graph_executor
+from repro.graph import oracle
 from repro.isa.intrinsic import TensorIntrinsic
 from repro.models.zoo import EVALUATED_MODELS, get_model
 from repro.rewriter import CpuTuningConfig
@@ -65,16 +65,16 @@ def _table1_funcs(layer, instruction):
 
 
 def _zoo_funcs(model, monkeypatch):
-    """Every distinct function the graph executor lowers for ``model``."""
+    """Every distinct function the graph program lowers for ``model``."""
     seen = {}
-    real_get = graph_executor._LOWERINGS.get
+    real_get = oracle._LOWERINGS.get
 
     def recording_get(*args, **kwargs):
         entry = real_get(*args, **kwargs)
         seen[id(entry[0])] = entry[0]
         return entry
 
-    monkeypatch.setattr(graph_executor._LOWERINGS, "get", recording_get)
+    monkeypatch.setattr(oracle._LOWERINGS, "get", recording_get)
     GraphProgram(get_model(model, fresh=True))
     return list(seen.values())
 

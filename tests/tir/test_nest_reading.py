@@ -27,7 +27,7 @@ from repro.core import tensorize
 from repro.dsl import compute, placeholder, reduce_axis, sum_reduce
 from repro.dsl import expr as E
 from repro.graph import GraphProgram
-from repro.graph import executor as graph_executor
+from repro.graph import oracle
 from repro.models.zoo import EVALUATED_MODELS, get_model
 from repro.schedule import create_schedule
 from repro.tir import (
@@ -72,14 +72,14 @@ def _produced(key, monkeypatch):
         intrinsic, build = OPERATORS[instruction]
         return [tensorize(build(TABLE1_LAYERS[int(layer) - 1]), intrinsic).func]
     seen = {}
-    real_get = graph_executor._LOWERINGS.get
+    real_get = oracle._LOWERINGS.get
 
     def recording_get(*args, **kwargs):
         entry = real_get(*args, **kwargs)
         seen[id(entry[0])] = entry[0]
         return entry
 
-    monkeypatch.setattr(graph_executor._LOWERINGS, "get", recording_get)
+    monkeypatch.setattr(oracle._LOWERINGS, "get", recording_get)
     GraphProgram(get_model(key, fresh=True))
     return list(seen.values())
 
