@@ -33,24 +33,16 @@ def dot_product_grid(a_name: str, b_name: str):
     """A grid-form *contribution* model for accumulator dot products.
 
     Implements the :attr:`TensorIntrinsic.grid_impl` contract for every
-    instruction of the family ``d[i] = c[i] + sum_j a[f(i,j)] * b[g(i,j)]``:
-    given the ``a``/``b`` operands evaluated pointwise on ``lead + iteration
-    axes`` grids (possibly zero-stride broadcast views — they are consumed
-    without materialisation), it returns the accumulator *contribution*
-    ``sum_j a*b`` with the requested leading axes folded into the same exact
-    int32 accumulation.  Every 8/16-bit product and reduction-width sum fits
-    int32, so the fused ``einsum`` is bit-identical to the per-call hardware
-    model under wraparound integer addition.
+    instruction of the family ``d[i] = c[i] + sum_j a[f(i,j)] * b[g(i,j)]``,
+    where ``a_name`` and ``b_name`` are the multiplied operands in the order
+    the description lists them: the int32 product ``a @ b.T`` of the
+    ``(rows, K)`` matrices (or of each pair in two equal-length stacks).  The
+    int32 accumulation wraps exactly as the per-call hardware model's does,
+    so the sum over K in any order is bit-identical to the calls one by one.
     """
 
-    def impl(operands: Dict[str, np.ndarray], reduce_axes=()) -> np.ndarray:
-        a = operands[a_name]
-        b = operands[b_name]
-        nd = a.ndim
-        reduced = set(reduce_axes)
-        subs = list(range(nd))
-        keep = [d for d in range(nd - 2) if d not in reduced]
-        return np.einsum(a, subs, b, subs, keep + [nd - 2], dtype=np.int32)
+    def impl(operands: Dict[str, np.ndarray]) -> np.ndarray:
+        return np.einsum("...mk,...nk->...mn", operands[a_name], operands[b_name], dtype=np.int32)
 
     return impl
 
@@ -137,15 +129,15 @@ class TensorIntrinsic:
         self.batchable = batchable
         # Optional *grid-form contribution* model, the fast path of the
         # engine's cross-round batched dispatch.  Contract:
-        # ``grid_impl(operands, reduce_axes)`` receives every non-accumulator
-        # operand evaluated pointwise on a ``lead + iteration-axes`` grid
-        # (arrays may be zero-stride broadcast views; implementations must
-        # consume them without materialising, e.g. through ``einsum``), and
-        # returns the accumulator *contribution* — the instruction's output
-        # with a zeroed accumulator — summed over the leading ``reduce_axes``
-        # (which are dropped from the result) in the output register layout.
-        # Only sound for instructions whose accumulation is exact under
-        # reordering (integer wraparound); see ``dot_product_grid``.
+        # ``grid_impl(operands)`` receives the two multiplied operands by
+        # register name as int32 ``(rows, K)`` matrices — or as two stacks
+        # of them of equal length — with every reduced axis (the
+        # instruction's own and the program's reduction rounds) flattened
+        # into K, and returns the int32 accumulator *contribution* of every
+        # row pair: ``(rows of the first operand the description lists,
+        # rows of the second)``, stacked like its inputs.  Only sound for
+        # instructions whose accumulation is exact under reordering
+        # (integer wraparound); see ``dot_product_grid``.
         self.grid_impl = grid_impl
 
     # -- structural views --------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -100,8 +101,9 @@ def record_staleness(data: Dict) -> Optional[str]:
 def decode_record(data):
     """Decode one parsed record: ``(record, None)`` on success,
     ``(None, "corrupt")`` for anything that is not a well-formed record
-    object (JSON-valid non-objects included), ``(None, "stale")`` for
-    well-formed records from another schema version or cost model.
+    object (JSON-valid non-objects and ill-typed fields included),
+    ``(None, "stale")`` for well-formed records from another schema version
+    or cost model.
 
     The single definition of "servable record", shared by the shard files
     (:func:`decode_record_line`) and everything that takes records off the
@@ -177,18 +179,50 @@ class TuningKey:
 
     @classmethod
     def from_json(cls, data: Dict) -> "TuningKey":
-        return cls(
-            kind=data["kind"],
-            params=tuple((k, v) for k, v in data["params"]),
-            intrinsic=data["intrinsic"],
-            machine=data["machine"],
-            space=data["space"],
-        )
+        kind, intrinsic = data["kind"], data["intrinsic"]
+        machine, space, params = data["machine"], data["space"], data["params"]
+        if not (
+            type(kind) is str
+            and type(intrinsic) is str
+            and type(machine) is str
+            and type(space) is str
+            and type(params) is list
+        ):
+            raise TypeError(f"ill-typed key: {data!r}")
+        pairs = []
+        for pair in params:
+            if not (
+                type(pair) is list
+                and len(pair) == 2
+                and type(pair[0]) is str
+                and type(pair[1]) in _SCALARS
+            ):
+                raise TypeError(f"key param {pair!r} is not a (name, scalar) pair")
+            pairs.append((pair[0], pair[1]))
+        return cls(kind=kind, params=tuple(pairs), intrinsic=intrinsic, machine=machine, space=space)
+
+
+# The JSON scalar types a key parameter may hold.
+_SCALARS = (str, int, float, bool)
+
+
+def _finite(value):
+    """``value`` if it is a finite int or float (not a ``bool``), else a
+    corrupt record."""
+    if (type(value) is float or type(value) is int) and math.isfinite(value):
+        return value
+    raise TypeError(f"expected a finite number, got {value!r}")
 
 
 # -- config (de)serialisation -------------------------------------------------
 
 _CONFIG_TYPES = {"cpu": CpuTuningConfig, "gpu": GpuTuningConfig}
+# Every config field has a scalar default; its exact type (``bool`` is not
+# ``int``) is the only type a decoded value may have.
+_CONFIG_FIELDS = {
+    cls: {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    for cls in _CONFIG_TYPES.values()
+}
 
 
 def _encode_config(config) -> Optional[Dict]:
@@ -203,8 +237,14 @@ def _encode_config(config) -> Optional[Dict]:
 def _decode_config(data: Optional[Dict]):
     if data is None:
         return None
+    if type(data) is not dict:
+        raise TypeError(f"config is {data!r}")
     data = dict(data)
     cls = _CONFIG_TYPES[data.pop("type")]
+    fields = _CONFIG_FIELDS[cls]
+    for name, value in data.items():
+        if type(value) is not fields.get(name):
+            raise TypeError(f"config field {name!r} is {value!r}")
     return cls(**data)
 
 
@@ -219,12 +259,16 @@ def _encode_breakdown(cost: CostBreakdown) -> Dict:
 
 
 def _decode_breakdown(data: Dict) -> CostBreakdown:
+    seconds = _finite(data["seconds"])  # TypeError first unless data is a dict
+    detail = data.get("detail", {})
+    if type(detail) is not dict:
+        raise TypeError(f"breakdown detail is {detail!r}")
     return CostBreakdown(
-        seconds=data["seconds"],
-        compute_seconds=data["compute_seconds"],
-        memory_seconds=data["memory_seconds"],
-        overhead_seconds=data["overhead_seconds"],
-        detail=dict(data.get("detail", {})),
+        seconds=seconds,
+        compute_seconds=_finite(data["compute_seconds"]),
+        memory_seconds=_finite(data["memory_seconds"]),
+        overhead_seconds=_finite(data["overhead_seconds"]),
+        detail=dict(detail),
     )
 
 
@@ -257,11 +301,14 @@ class TuningRecord:
 
     @classmethod
     def from_json(cls, data: Dict) -> "TuningRecord":
+        trials = data["trials"]
+        if type(trials) is not int:
+            raise TypeError(f"trials is {trials!r}")
         return cls(
             key=TuningKey.from_json(data["key"]),
             best_config=_decode_config(data["config"]),
-            best_cost=data["cost"],
-            num_trials=data["trials"],
+            best_cost=_finite(data["cost"]),
+            num_trials=trials,
             breakdown=_decode_breakdown(data["breakdown"]),
         )
 

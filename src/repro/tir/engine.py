@@ -29,11 +29,12 @@ one ``execute_batch`` and one scatter per round, in loop order.  When the
 instruction is an integer accumulator-style dot product (``d = c + sum(...)``
 with wraparound addition) that ships a ``grid_impl``, and every input
 address is affine in those sequential loop variables, the plan takes the
-**grid form** instead: every operand is gathered once over the whole
-iteration space, the model folds the sequential axes into its own exact
-accumulation, and the nest ends in a single accumulate-and-scatter.  This
-turns the 36–648 Python round-trips of a convolution's reduction loops into
-one model call.
+**grid form** instead: the sequential axes and the instruction's own
+reduction become one K axis, each multiplied operand is gathered once into
+a contiguous int32 ``(rows, K)`` matrix holding only its distinct rows, the
+model contracts the two matrices as one integer matrix product, and the
+nest ends in a single accumulate-and-scatter.  This turns the 36–648 Python
+round-trips of a convolution's reduction loops into one model call.
 
 The expression language compiled here is exactly
 :data:`repro.analysis.structure.TIR_EXPR_KINDS` — what ``lower`` and the
@@ -75,18 +76,20 @@ __all__ = [
     "compile_plan",
 ]
 
-# Element budget for the materialised gathers of the grid-form dispatch (its
-# broadcast operand views cost nothing; only the raw gathers allocate).
+# Element budget for the grid-form dispatch, checked at compile time against
+# the uncompressed operand gathers (the broadcast shape of each operand's
+# index arrays).  The ``(rows, K)`` matrices a grid step materialises are no
+# larger whenever each operand's address moves along every reduced axis, as
+# in every tensorized convolution and matmul.
 _GRID_GATHER_BUDGET = 1 << 27
 
 
 class Unvectorizable(Exception):
     """A statement could not be proven safe to vectorize.
 
-    Raised at compile time for structural reasons (and surfaced only in
-    ``strict`` mode) and — rarely — at run time (a grid-form hardware model
-    returning the wrong number of elements); the engine's normal response is
-    to execute the offending nest through the scalar interpreter.
+    Raised at compile time for structural reasons and surfaced only in
+    ``strict`` mode; otherwise the offending nest compiles to a step that
+    runs it through the scalar interpreter.
     """
 
 
@@ -223,8 +226,9 @@ class _CompileCtx:
 
 # ---------------------------------------------------------------------------
 # Plan steps — the run-phase objects.  Every step is immutable after compile
-# and threads all mutable state through the caller's buffer dict, so one plan
-# may be shared across threads and cached process-wide.
+# (a grid step's layout, derived from its index arrays alone, is filled in
+# once) and threads all mutable state through the caller's buffer dict, so
+# one plan may be shared across threads and cached process-wide.
 # ---------------------------------------------------------------------------
 
 
@@ -492,16 +496,42 @@ class _IntrinsicStep:
                 stats.intrinsic_points += bn_total
 
 
-class _GridIntrinsicStep:
-    """All rounds of an accumulator intrinsic in one grid-form dispatch.
+class _GridLayout:
+    """How a grid-form step gathers and contracts its two operands.
 
-    Non-accumulator operands are handed to the
-    instruction's :attr:`~repro.isa.intrinsic.TensorIntrinsic.grid_impl` as
-    zero-stride broadcast *views* over the full ``grid + intrinsic-axes``
-    iteration space — nothing is materialised — and the model folds the
-    sequential (reduction-revisit) axes into its own exact int32
-    accumulation.  One gather per operand, one model call, one
-    accumulate-and-scatter for the whole nest.
+    ``ops`` are the two operands (indices into the step's ``inputs``) in the
+    instruction description's order and ``names`` their register names.
+    ``flat[x]`` holds operand ``x``'s flat gather indices as a ``(rows, K)``
+    matrix of ``counts[x]`` row blocks, one per distinct index row over the
+    shared axes, and ``inverse[x]`` maps every shared position to its block.
+    ``factored`` says whether one plain product of the two matrices does no
+    more work than the shared positions need.  The ``(shared, rows0, rows1)``
+    contribution reshapes to ``shape``, transposes by ``perm`` into ``grid +
+    iext`` order and reshapes to ``out`` (size 1 where it does not vary).
+    """
+
+    __slots__ = ("ops", "names", "flat", "inverse", "counts", "factored", "shape", "perm", "out")
+
+    def __init__(self, **kw) -> None:
+        for k, v in kw.items():
+            setattr(self, k, v)
+
+
+class _GridIntrinsicStep:
+    """All rounds of an accumulator dot product as one int32 matrix product.
+
+    The axes of the ``grid + intrinsic-axes`` iteration space split three
+    ways.  The reduced ones — the sequential (reduction-revisit) rounds and
+    the instruction's own reduction — form K.  A kept axis along which only
+    one operand's addresses vary gives that operand rows; one along which
+    both vary is *shared*.  Each operand is gathered once, at its true size,
+    into a contiguous int32 ``(rows, K)`` matrix: over the shared axes only
+    its distinct index rows are kept, with an inverse map back.  The
+    instruction's :attr:`~repro.isa.intrinsic.TensorIntrinsic.grid_impl`
+    contracts the two matrices in one call — one plain product when the
+    distinct rows factor the shared axes, else one product per shared
+    position — and the nest ends in one accumulate-and-scatter.  The layout
+    is derived from the plan's index arrays on the first run and kept.
     """
 
     __slots__ = (
@@ -519,11 +549,6 @@ class _GridIntrinsicStep:
         "seq_axes",
         "batch_part",
         "gather_idx",
-        "eff",
-        "bview",
-        "identity_fill",
-        "out_i",
-        "out_reg_shape",
         "acc_idx",
         "eff_acc",
         "pidx_o",
@@ -531,34 +556,100 @@ class _GridIntrinsicStep:
         "out_slicer",
         "sel",
         "sel_rows",
+        "layout",
     )
 
     def __init__(self, **kw) -> None:
+        self.layout = None
         for k, v in kw.items():
             setattr(self, k, v)
 
-    def run(self, bufs, stats) -> None:
-        intrin = self.call.intrin
-        out_buf = _get_buf(bufs, self.out_tensor)
+    def _build_layout(self) -> _GridLayout:
         full = self.grid + self.iext
-        operands: Dict[str, np.ndarray] = {}
-        for bi, b in enumerate(self.inputs):
-            if bi == self.acc_bi:
-                continue
-            src = _get_buf(bufs, b.program_tensor)
-            operands[b.intrin_tensor.name] = np.broadcast_to(
-                src[self.gather_idx[bi]], full
+        nd = len(full)
+        intrin = self.call.intrin
+        reduced = sorted(
+            list(self.seq_axes)
+            + [self.rank + j for j, ax in enumerate(self.call.axes) if ax in intrin.reduce_axes]
+        )
+        described = [t.name for t in intrin.input_tensors]
+        ops = sorted(
+            (bi for bi in range(len(self.inputs)) if bi != self.acc_bi),
+            key=lambda bi: described.index(self.inputs[bi].intrin_tensor.name),
+        )
+        idx = [
+            [np.reshape(a, np.shape(a) or (1,) * nd) for a in self.gather_idx[bi]]
+            for bi in ops
+        ]
+        varies = [{d for a in arrays for d in range(nd) if a.shape[d] > 1} for arrays in idx]
+        kept = [d for d in range(nd) if d not in reduced]
+        shared = [d for d in kept if d in varies[0] and d in varies[1]]
+        rows = [[d for d in kept if d in v and d not in shared] for v in varies]
+        n_shared = int(np.prod([full[d] for d in shared]))
+        k = int(np.prod([full[d] for d in reduced]))
+
+        flat, inverse, counts = [], [], []
+        for bi, arrays, own in zip(ops, idx, rows):
+            axes = shared + own + reduced
+            rest = [d for d in range(nd) if d not in axes]
+            per_shared, keys = [], []
+            for a in arrays:
+                b = np.broadcast_to(a, [full[d] if d in shared else a.shape[d] for d in range(nd)])
+                b = b.transpose(axes + rest).reshape(
+                    [n_shared] + [a.shape[d] for d in own + reduced]
+                )
+                per_shared.append(b)
+                if any(a.shape[d] > 1 for d in shared):
+                    keys.append(b.reshape(n_shared, -1))
+            if keys:
+                # Shared positions with equal index rows gather equal values.
+                _, first, inv = np.unique(
+                    np.concatenate(keys, axis=1), axis=0, return_index=True, return_inverse=True
+                )
+            else:
+                first, inv = np.zeros(1, dtype=np.intp), np.zeros(n_shared, dtype=np.intp)
+            shape = (first.size,) + tuple(full[d] for d in own + reduced)
+            gather = np.ravel_multi_index(
+                tuple(np.broadcast_to(b[first], shape) for b in per_shared),
+                self.inputs[bi].program_tensor.shape,
             )
-        result = np.asarray(intrin.grid_impl(operands, self.seq_axes))
-        expected = self.bn_total * int(np.prod(self.out_reg_shape))
-        if result.size != expected:
-            raise Unvectorizable(
-                f"grid-form model returned {result.size} elements, expected {expected}"
-            )
-        result = result.reshape(self.batch_part + self.out_reg_shape)
-        out_vals = result[
-            (slice(None),) * self.rank + self.bview[self.out_i]
-        ].reshape(self.batch_part + self.eff[self.out_i])
+            flat.append(gather.reshape(-1, k))
+            inverse.append(inv.reshape(-1))
+            counts.append(first.size)
+
+        order = shared + rows[0] + rows[1]
+        return _GridLayout(
+            ops=ops,
+            names=[self.inputs[bi].intrin_tensor.name for bi in ops],
+            flat=flat,
+            inverse=inverse,
+            counts=counts,
+            factored=counts[0] * counts[1] <= n_shared,
+            shape=tuple(full[d] for d in order),
+            perm=tuple(np.argsort(order)),
+            out=tuple(full[d] if d in order else 1 for d in range(nd)),
+        )
+
+    def run(self, bufs, stats) -> None:
+        layout = self.layout
+        if layout is None:  # a racing first run only builds it twice
+            layout = self.layout = self._build_layout()
+        out_buf = _get_buf(bufs, self.out_tensor)
+        a, b = (
+            np.take(_get_buf(bufs, self.inputs[bi].program_tensor), flat).astype(np.int32)
+            for bi, flat in zip(layout.ops, layout.flat)
+        )
+        (n0, n1), (inv0, inv1), (name0, name1) = layout.counts, layout.inverse, layout.names
+        grid_impl = self.call.intrin.grid_impl
+        if layout.factored:
+            contrib = grid_impl({name0: a, name1: b})
+            contrib = contrib.reshape(n0, -1, n1, b.shape[0] // n1)[inv0, :, inv1]
+        else:
+            contrib = grid_impl({
+                name0: a.reshape(n0, -1, a.shape[1])[inv0],
+                name1: b.reshape(n1, -1, b.shape[1])[inv1],
+            })
+        out_vals = contrib.reshape(layout.shape).transpose(layout.perm).reshape(layout.out)
         acc_vals = np.broadcast_to(
             out_buf[tuple(self.acc_idx)], self.batch_part + self.eff_acc
         )
@@ -573,15 +664,6 @@ class _GridIntrinsicStep:
             stats.intrinsic_rounds += self.n_rounds
             stats.intrinsic_points += self.n_rounds * self.bn_total
             stats.intrinsic_round_batches += 1
-
-
-_VECTOR_STEPS = (
-    _DeadStep,
-    _PlainStoreStep,
-    _AccumStoreStep,
-    _IntrinsicStep,
-    _GridIntrinsicStep,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +682,10 @@ class ExecutablePlan:
     are rebound positionally.
     """
 
-    def __init__(self, func: PrimFunc, steps, stats: PlanStats, strict: bool) -> None:
+    def __init__(self, func: PrimFunc, steps, stats: PlanStats) -> None:
         self.func = func
         self.steps = steps
         self.stats = stats
-        self.strict = strict
         self._interp = Interpreter(func)
 
     @property
@@ -641,18 +722,8 @@ class ExecutablePlan:
             elif isinstance(step, _AllocStep):
                 step.run(bufs, stats)
             else:
-                try:
-                    step.run(bufs, stats)
-                except Unvectorizable as exc:
-                    if self.strict:
-                        raise
-                    self._interp.run_stmt(step.stmt, bufs)
-                    if stats:
-                        stats.fallback_nests += 1
-                        if len(stats.fallback_reasons) < 32:
-                            stats.fallback_reasons.append(str(exc))
-                    continue
-                if stats and isinstance(step, _VECTOR_STEPS):
+                step.run(bufs, stats)
+                if stats:
                     stats.vector_nests += 1
         return bufs[self.func.output]
 
@@ -680,7 +751,7 @@ class _PlanCompiler:
             self.steps += [_AllocStep(s.tensor) for s in nest.scopes if s not in entered]
             entered = nest.scopes
             self._nest(nest)
-        return ExecutablePlan(self.func, self.steps, self.stats, self.strict)
+        return ExecutablePlan(self.func, self.steps, self.stats)
 
     # -- nest dispatch ------------------------------------------------------
     def _nest(self, nest: Nest) -> None:
@@ -1163,10 +1234,6 @@ class _PlanCompiler:
             out_np=out_np,
             bn_total=bn_total,
             batch_part=batch_part,
-            eff=eff,
-            bview=bview,
-            identity_fill=identity_fill,
-            out_i=out_i,
             pidx_o=pidx_o,
             scat_ext=scat_ext,
             out_slicer=out_slicer,
@@ -1196,7 +1263,6 @@ class _PlanCompiler:
                     gather_idx={
                         bi: tuple(gather_idx[bi]) for bi in range(len(call.inputs))
                     },
-                    out_reg_shape=out_b.intrin_tensor.shape,
                     acc_idx=tuple(gather_idx[acc_bi]),
                     eff_acc=eff[acc_bi],
                     sel=sel,
@@ -1224,7 +1290,14 @@ class _PlanCompiler:
                 for bi in range(len(call.inputs))
             ]
             rounds.append(_IntrinsicRound(input_idx, rsel, rsel_rows))
-        return _IntrinsicStep(rounds=rounds, **common)
+        return _IntrinsicStep(
+            rounds=rounds,
+            eff=eff,
+            bview=bview,
+            identity_fill=identity_fill,
+            out_i=out_i,
+            **common,
+        )
 
     def _round_stackable(
         self, call, bindings, eff, mask, mask_invariant, n_rounds, seq_vars, fctx

@@ -4,6 +4,9 @@ import pytest
 
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core import UnitCpuRunner, UnitGpuRunner, compile_model_batch, experiments
 from repro.hwsim import CostBreakdown
 from repro.rewriter import (
@@ -300,6 +303,48 @@ class TestExperimentSessionSharing:
         assert session.stats.hits > 0
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+_VALID = [
+    TuningRecord(
+        key=_key(),
+        best_config=config,
+        best_cost=2.5e-4,
+        num_trials=3,
+        breakdown=CostBreakdown(seconds=2.5e-4, compute_seconds=1e-4, detail={"macs": 64.0}),
+    )
+    for config in (None, CpuTuningConfig(unroll_limit=4), GpuTuningConfig(outer_product_p=2))
+]
+
+
+def _paths(value, prefix=()):
+    """Every path into a JSON value's containers, leaves and containers alike."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for step, child in items:
+        yield prefix + (step,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (step,))
+
+
+def _check_gate(line):
+    """``decode_record_line`` never raises; an accepted record has a hashable
+    key and re-encodes to a line that decodes to the same record."""
+    from repro.rewriter import decode_record_line
+
+    record, problem = decode_record_line(line)
+    assert (record is None) != (problem is None)
+    assert problem in (None, "corrupt", "stale")
+    if record is not None:
+        hash(record.key)
+        text = json.dumps(record.to_json(), sort_keys=True)
+        again, _ = decode_record_line(text)
+        assert json.dumps(again.to_json(), sort_keys=True) == text
+
+
 class TestNonObjectLines:
     def test_decode_record_line_triage(self):
         from repro.rewriter import decode_record_line
@@ -343,3 +388,66 @@ class TestNonObjectLines:
         # Current envelope, broken body: corrupt, not an exception.
         assert decode_record({k: v for k, v in data.items() if k != "key"}) == (None, "corrupt")
         assert decode_record({**data, "config": {"type": "tpu"}}) == (None, "corrupt")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("key.kind", {"x": 1}),
+            ("key.machine", 7),
+            ("key.params", [["in_channels", [64]]]),
+            ("key.params", [["in_channels", None]]),
+            ("key.params", ["ab"]),
+            ("key.params", {"in_channels": 64}),
+            ("cost", "fast"),
+            ("cost", None),
+            ("cost", True),
+            ("cost", float("nan")),
+            ("cost", float("inf")),
+            ("trials", [3]),
+            ("trials", 2.0),
+            ("breakdown.seconds", "1"),
+            ("breakdown.detail", [1]),
+            ("config.unroll_limit", "4"),
+            ("config.enable_unroll", 1),
+            ("config", "cpu"),
+        ],
+    )
+    def test_ill_typed_fields_are_corrupt(self, field, value):
+        """A current-schema record is servable only with every field of its
+        type: str key fields, (str, scalar) params, finite numbers, int
+        trials, a dict detail and a config of its dataclass's field types."""
+        from repro.rewriter import decode_record
+
+        data = _VALID[1].to_json()
+        assert decode_record(data)[1] is None
+        *parents, name = field.split(".")
+        target = data
+        for step in parents:
+            target = target[step]
+        target[name] = value
+        assert decode_record(data) == (None, "corrupt")
+
+
+class TestGateFuzz:
+    """The record gate never raises, whatever a line holds."""
+
+    @given(_JSON)
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_json(self, value):
+        _check_gate(json.dumps(value))
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_valid_records(self, data):
+        """One field of a valid record replaced by arbitrary JSON or deleted:
+        the gate never raises, and what it accepts is a usable record."""
+        record = data.draw(st.sampled_from(_VALID)).to_json()
+        path = data.draw(st.sampled_from(list(_paths(record))))
+        parent = record
+        for step in path[:-1]:
+            parent = parent[step]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_JSON)
+        _check_gate(json.dumps(record))

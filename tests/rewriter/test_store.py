@@ -389,6 +389,21 @@ class TestTornTailRepair:
         assert store.stats.corrupt_lines == 3
         assert store.stats.stale_records == 0
 
+    def test_ill_typed_current_schema_line_is_corrupt(self, tmp_path):
+        """A current-schema line whose key kind is an object must count as
+        corrupt, not break the scan of the shard and hide the next record."""
+        store = ShardedTuningStore(tmp_path / "s", shards=1)
+        store.put(_record(1))
+        bad = _record(2).to_json()
+        bad["key"]["kind"] = {"x": 1}
+        with open(store.shard_path(0), "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(bad) + "\n")
+        store.put(_record(3))
+        fresh = ShardedTuningStore(tmp_path / "s")
+        assert fresh.get(_key(1)) is not None
+        assert fresh.get(_key(3)) is not None
+        assert fresh.stats.corrupt_lines == 1
+
 
 class TestStoreGC:
     """LRU eviction by last-served timestamp (the store's GC policy)."""

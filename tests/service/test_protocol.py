@@ -6,6 +6,8 @@ import struct
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rewriter.records import SCHEMA_VERSION
 from repro.service import protocol
@@ -195,6 +197,47 @@ class TestInjectedFaults:
             assert plan.fired() == 0
         finally:
             a.close()
+            b.close()
+
+
+def _frame(body: bytes, skew: int) -> bytes:
+    """``body`` behind a length prefix that may lie by ``skew`` bytes."""
+    return struct.pack(">I", max(0, len(body) + skew)) + body
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+_BODIES = st.binary(max_size=48) | _JSON.map(lambda v: json.dumps(v).encode())
+
+_WIRE = st.binary(max_size=256) | st.lists(
+    st.builds(_frame, _BODIES, st.integers(-4, 4))
+    | st.builds(lambda n: struct.pack(">I", n), st.integers(0, 2**32 - 1)),
+    max_size=4,
+).map(b"".join)
+
+
+class TestFramingFuzz:
+    @given(_WIRE)
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_end_in_protocol_error_or_close(self, wire):
+        """Whatever a peer sends and then closes, the reader gets objects and
+        then ``ProtocolError`` or ``ConnectionClosed`` — nothing else."""
+        a, b = _pair()
+        try:
+            a.sendall(wire)
+            a.close()
+            for _ in range(len(wire) + 1):
+                try:
+                    message = recv_message(b)
+                except (ProtocolError, ConnectionClosed):
+                    return
+                assert isinstance(message, dict)
+            pytest.fail("the reader kept decoding frames past the end of the bytes")
+        finally:
             b.close()
 
 

@@ -136,6 +136,18 @@ class TestBasicOps:
         client.request("put", record=good)  # the daemon is still serving
         assert client.get(key).to_json() == good
 
+    def test_put_rejects_ill_typed_records(self, client, service):
+        """A current-schema record with an ill-typed field is corrupt: the
+        daemon must not persist a cost of ``"fast"``."""
+        (key,) = _keys_for(TABLE1_LAYERS[:1])
+        good = _reference_records(TABLE1_LAYERS[:1])[key].to_json()
+        for payload in ({**good, "cost": "fast"}, {**good, "trials": [3]}):
+            with pytest.raises(ServiceError) as excinfo:
+                client.request("put", record=payload)
+            assert excinfo.value.code == "corrupt"
+        assert client.get(key) is None
+        assert service.store.stats.appends == 0
+
     def test_stats_endpoint_shape(self, client, service):
         client.ping()
         (key,) = _keys_for(TABLE1_LAYERS[:1])
