@@ -18,13 +18,12 @@ sections:
 * **gc** — LRU eviction over the populated store, then a re-tune of one
   evicted key (a fresh search, proving memory and disk agree).
 
-A fifth section, ``--chaos``, is the fault-tolerance drill and runs alone:
-a *subprocess* primary daemon replicates into an in-process replica, a
-client warms half the slice, the primary is SIGKILLed mid-sweep, and the
-full sweep must finish from the replica — warm keys served without a single
-re-search, cold keys tuned exactly once on the replica, every record
-bit-identical to single-process tuning, and the killed primary's store
-auditing clean under ``fsck``.
+A fifth section, ``--chaos``, is the restart drill and runs alone: a
+*subprocess* daemon warms half the slice and is SIGKILLed, its store must
+audit clean under ``fsck``, and a new subprocess daemon started over the
+same store must serve the full sweep — warm keys without a single search,
+cold keys tuned exactly once, every record bit-identical to single-process
+tuning.
 
 Run standalone to write ``BENCH_service.json`` (the CI ``service-smoke``
 job uploads it as an artifact)::
@@ -35,7 +34,7 @@ job uploads it as an artifact)::
 Every integrity check is a hard ``assert`` — this script is the CI gate for
 the acceptance criterion that concurrent remote tuning is bit-identical to
 single-process tuning with each key searched at most once, and (under
-``--chaos``) that killing the primary loses nothing.
+``--chaos``) that killing the daemon loses nothing it persisted.
 """
 
 from __future__ import annotations
@@ -212,7 +211,7 @@ def bench_gc(root, layers, keep: int) -> dict:
             }
 
 
-def _spawn_primary(root: str) -> tuple:
+def _spawn_daemon(root: str) -> tuple:
     """Launch ``python -m repro.service serve`` and parse its bound address."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
@@ -229,126 +228,117 @@ def _spawn_primary(root: str) -> tuple:
     while time.monotonic() < deadline:
         line = proc.stdout.readline()
         if not line:
-            raise RuntimeError(f"primary daemon exited: rc={proc.poll()}")
+            raise RuntimeError(f"daemon exited: rc={proc.poll()}")
         if "listening on " in line:
             endpoint = line.split("listening on ", 1)[1].split(" over ", 1)[0]
             host, _, port = endpoint.strip().rpartition(":")
             return proc, (host, int(port))
     proc.kill()
-    raise RuntimeError("primary daemon never reported its address")
+    raise RuntimeError("daemon never reported its address")
 
 
-def bench_chaos_failover(root, layers, reference: dict) -> dict:
-    """SIGKILL the primary mid-sweep; the replica must carry the fleet.
+def _searches(address) -> int:
+    with ServiceClient(address, timeout=5.0) as client:
+        return client.stats()["session"]["searches_run"]
+
+
+def bench_chaos_restart(root, layers, reference: dict) -> dict:
+    """SIGKILL the daemon, restart it over the same store, sweep again.
 
     Invariants asserted:
 
-    * the client fails over (never errors out) and finishes the sweep;
-    * keys warmed before the kill are *served*, not re-searched — zero
-      searches anywhere for them after the primary dies;
-    * cold keys are tuned exactly once, on the replica;
-    * every record is bit-identical to single-process tuning;
-    * the killed primary's store audits clean under ``fsck`` — SIGKILL at
-      an arbitrary instant tears no durable state.
+    * the killed daemon's store audits clean under ``fsck`` — SIGKILL at an
+      arbitrary instant tears no durable state;
+    * keys warmed before the kill are *served* by the new daemon, not
+      re-searched;
+    * cold keys are tuned exactly once, by the new daemon;
+    * every record is bit-identical to single-process tuning.
     """
-    primary_root = f"{root}/primary"
-    replica_root = f"{root}/replica"
-    proc, primary_addr = _spawn_primary(primary_root)
+    store_root = f"{root}/store"
+    procs = []
     try:
+        # Phase 1: warm half the slice through the first daemon.
+        proc, first_addr = _spawn_daemon(store_root)
+        procs.append(proc)
         warm_slice = layers[: max(1, len(layers) // 2)]
-        with TuningService(
-            replica_root,
-            speculative=False,
-            replicate_from=primary_addr,
-            sync_interval_s=0.1,
-        ) as replica:
-            # Phase 1: warm half the slice through the primary.
-            warm = RemoteSession(primary_addr, tune_timeout=120.0)
-            t0 = time.perf_counter()
-            _sweep(warm, warm_slice)
-            warm_s = time.perf_counter() - t0
-            warmed = warm.server_tunes
-            assert warm.searches_run == 0
+        warm = RemoteSession(first_addr, tune_timeout=120.0)
+        t0 = time.perf_counter()
+        _sweep(warm, warm_slice)
+        warm_s = time.perf_counter() - t0
+        warmed = warm.server_tunes
+        assert warm.searches_run == 0 and _searches(first_addr) == warmed
+        warm.close()
 
-            # Phase 2: wait until the replica has pulled every warm record.
-            deadline = time.monotonic() + 30.0
-            applied = 0
-            while time.monotonic() < deadline:
-                with ServiceClient(replica.address, timeout=5.0) as probe:
-                    applied = probe.health()["replication"]["records_applied"]
-                if applied >= warmed:
-                    break
-                time.sleep(0.05)
-            assert applied >= warmed, (
-                f"replica stalled: {applied}/{warmed} records replicated"
-            )
-
-            # Phase 3: kill the primary dead — no drain, no goodbye.
-            os.kill(proc.pid, signal.SIGKILL)
-            proc.wait(timeout=30)
-
-            # Phase 4: a fresh client sweeps the FULL slice against the
-            # two-endpoint list; everything must come from the replica.
-            session = RemoteSession(
-                [primary_addr, replica.address],
-                retries=2,
-                timeout=5.0,
-                tune_timeout=120.0,
-            )
-            t0 = time.perf_counter()
-            _sweep(session, layers)
-            sweep_s = time.perf_counter() - t0
-
-            unique_keys = len(reference["_records"])
-            cold = unique_keys - warmed
-            assert session.client.failovers >= 1, "client never failed over"
-            assert session.searches_run == 0, (
-                f"client searched {session.searches_run} keys locally — "
-                "failover fell back instead of using the replica"
-            )
-            assert session.server_hits >= warmed, (
-                f"only {session.server_hits} warm hits for {warmed} warm keys "
-                "— records were lost in the failover"
-            )
-            assert replica.session.searches_run == cold, (
-                f"replica searched {replica.session.searches_run} keys for "
-                f"{cold} cold keys — work was lost or repeated"
-            )
-            mismatched = sum(
-                1
-                for key, expected in reference["_records"].items()
-                if session.cache.lookup(key).to_json() != expected
-            )
-            assert mismatched == 0, (
-                f"{mismatched} records diverged from single-process tuning"
-            )
-            replica_stats = replica.store.stats
-            assert replica_stats.corrupt_lines == 0
-            assert replica_stats.stale_records == 0
-
-        # Phase 5: the corpse's store must audit clean.
-        report = ShardedTuningStore(primary_root).fsck()
-        assert report["corrupt"] == 0, (
-            f"SIGKILL tore {report['corrupt']} durable lines in the primary store"
+        # Phase 2: kill it dead — no drain, no goodbye — and audit the corpse.
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+        report = ShardedTuningStore(store_root).fsck(quarantine=False)
+        assert report["corrupt"] == 0 and report["clean"] == 1, (
+            f"SIGKILL left the store unclean: {report}"
         )
-        assert ShardedTuningStore(primary_root).fsck(quarantine=False)["clean"] == 1
+        assert report["records"] == warmed, (
+            f"{report['records']} records on disk for {warmed} warmed keys"
+        )
+
+        # Phase 3: a new daemon over the same store.
+        t0 = time.perf_counter()
+        proc, addr = _spawn_daemon(store_root)
+        procs.append(proc)
+        restart_s = time.perf_counter() - t0
+
+        # Phase 4: a fresh client sweeps the FULL slice.
+        session = RemoteSession(addr, timeout=5.0, tune_timeout=120.0)
+        t0 = time.perf_counter()
+        _sweep(session, layers)
+        sweep_s = time.perf_counter() - t0
+
+        unique_keys = len(reference["_records"])
+        cold = unique_keys - warmed
+        assert session.searches_run == 0, (
+            f"client searched {session.searches_run} keys locally"
+        )
+        assert session.server_hits == warmed, (
+            f"{session.server_hits} warm hits for {warmed} warm keys "
+            "— the restarted daemon lost persisted records"
+        )
+        restarted_searches = _searches(addr)
+        assert session.server_tunes == cold and restarted_searches == cold, (
+            f"restarted daemon searched {restarted_searches} keys for "
+            f"{cold} cold keys — work was lost or repeated"
+        )
+        mismatched = sum(
+            1
+            for key, expected in reference["_records"].items()
+            if session.cache.lookup(key).to_json() != expected
+        )
+        assert mismatched == 0, (
+            f"{mismatched} records diverged from single-process tuning"
+        )
+        with ServiceClient(addr, timeout=5.0) as client:
+            store = client.stats()["store"]
+            client.shutdown()
+        assert store["corrupt_lines"] == 0 and store["stale_records"] == 0
+        assert proc.wait(timeout=30) == 0
+        session.close()
         return {
             "layers": len(layers),
             "warmed_keys": warmed,
             "cold_keys": cold,
             "warm_phase_s": warm_s,
-            "failover_sweep_s": sweep_s,
-            "failovers": session.client.failovers,
+            "restart_s": restart_s,
+            "restart_sweep_s": sweep_s,
             "client_searches": session.searches_run,
-            "replica_searches": replica.session.searches_run,
+            "restarted_searches": restarted_searches,
             "server_hits": session.server_hits,
             "mismatched_records": mismatched,
-            "primary_fsck": report,
+            "killed_fsck": report,
         }
     finally:
-        if proc.poll() is None:
-            proc.kill()
-        proc.stdout.close()
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            proc.stdout.close()
 
 
 def _sweep(session, layers):
@@ -368,7 +358,7 @@ def main(argv=None) -> dict:
     parser.add_argument(
         "--chaos",
         action="store_true",
-        help="run only the failover drill: SIGKILL the primary mid-sweep",
+        help="run only the restart drill: SIGKILL the daemon, restart it, sweep",
     )
     parser.add_argument("-o", "--output", default="BENCH_service.json")
     args = parser.parse_args(argv)
@@ -382,20 +372,19 @@ def main(argv=None) -> dict:
 
     if args.chaos:
         with tempfile.TemporaryDirectory(prefix="bench_chaos.") as root:
-            chaos = bench_chaos_failover(root, layers, single)
+            chaos = bench_chaos_restart(root, layers, single)
         print(
-            f"chaos failover   : {chaos['failover_sweep_s'] * 1e3:8.1f} ms  "
-            f"primary killed after {chaos['warmed_keys']} warm keys; "
-            f"{chaos['failovers']} failovers, "
+            f"chaos restart    : {chaos['restart_sweep_s'] * 1e3:8.1f} ms  "
+            f"daemon killed after {chaos['warmed_keys']} warm keys; "
             f"{chaos['server_hits']} hits, "
-            f"{chaos['replica_searches']} replica searches, "
+            f"{chaos['restarted_searches']} searches after restart, "
             f"{chaos['mismatched_records']} mismatched"
         )
         single.pop("_records")
         report = {
             "benchmark": "tuning_service_chaos",
             "single_process": single,
-            "chaos_failover": chaos,
+            "chaos_restart": chaos,
         }
         with open(args.output, "w") as handle:
             json.dump(report, handle, indent=2)

@@ -1,23 +1,18 @@
 #!/usr/bin/env python3
-"""Fault-tolerance walkthrough: replication, failover, and recovery.
+"""Fault-tolerance walkthrough: kill the daemon, restart it, lose it for good.
 
-PR 5's tuning service made one daemon serve a fleet; this PR makes the
-fleet survive the daemon.  This example:
+The tuning service is one daemon over one sharded store.  Its robustness
+comes from the store, not from a second daemon.  This example:
 
-1. starts a **primary** ``TuningService`` and a **replica** that pulls the
-   primary's shard records over the wire (``replicate_from=``) — incremental
-   anti-entropy sync, every record re-validated through the same staleness
-   gate the store uses on disk;
-2. warms a Table I slice through the primary and watches the replica
-   converge (the ``health`` endpoint reports role and replication lag);
-3. **kills the primary without ceremony** (``kill()`` — the in-process
-   stand-in for ``kill -9``) and points a fresh two-endpoint
-   ``RemoteSession`` at the fleet: the client fails over to the replica and
-   every warm key is *served*, not re-tuned — zero searches anywhere;
-4. shows the unified :class:`~repro.retry.RetryPolicy` and the session's
-   circuit breaker degrading gracefully when *no* endpoint answers: the
-   sweep completes from local search, records land in the fallback store;
-5. audits every store with ``fsck`` — the kill tore nothing durable.
+1. starts a ``TuningService`` and warms a Table I slice through it;
+2. **kills it without ceremony** (``kill()`` — the in-process stand-in for
+   ``kill -9``: no drain, no flush);
+3. **restarts** a daemon over the same store directory and port: a fresh
+   ``RemoteSession`` sweep is served every warm key — zero searches
+   anywhere — bit-identical to single-process tuning;
+4. takes the daemon away for good: the session goes offline, the sweep
+   completes by local search, and the records land in its fallback store;
+5. audits every store with ``fsck`` — the kills tore nothing durable.
 
 Run:  PYTHONPATH=src python examples/fault_tolerance.py
 """
@@ -28,7 +23,7 @@ import time
 
 from repro.core import UnitCpuRunner
 from repro.rewriter import ShardedTuningStore, TuningSession
-from repro.service import RemoteSession, ServiceClient, TuningService
+from repro.service import RemoteSession, TuningService
 from repro.workloads.table1 import TABLE1_LAYERS
 
 SLICE = TABLE1_LAYERS[:4]
@@ -42,53 +37,40 @@ def sweep(session, layers=SLICE):
 
 def main() -> None:
     base = tempfile.mkdtemp(prefix="unit_faults.")
-    primary_root = os.path.join(base, "primary")
-    replica_root = os.path.join(base, "replica")
+    store_root = os.path.join(base, "store")
 
-    # 1. A primary and a replica that tails it over the wire.
-    primary = TuningService(primary_root, speculative=False).start()
-    replica = TuningService(
-        replica_root,
-        speculative=False,
-        replicate_from=primary.address,
-        sync_interval_s=0.1,
-    ).start()
-    print("== Fleet ==")
-    print(f"  primary  {primary.address[0]}:{primary.address[1]} over {primary_root!r}")
-    print(f"  replica  {replica.address[0]}:{replica.address[1]} over {replica_root!r}")
-
-    # 2. Warm the slice through the primary; the replica converges behind it.
-    warm = RemoteSession(primary.address)
+    # 1. One daemon; warm the slice through it.
+    first = TuningService(store_root, speculative=False).start()
+    host, port = first.address
+    print("== Daemon ==")
+    print(f"  listening {host}:{port} over {store_root!r}")
+    warm = RemoteSession((host, port))
     sweep(warm)
-    deadline = time.monotonic() + 30.0
-    while time.monotonic() < deadline:
-        with ServiceClient(replica.address) as probe:
-            health = probe.health()
-        if health["replication"]["records_applied"] >= len(SLICE):
-            break
-        time.sleep(0.05)
-    print("\n== Replication (health endpoint) ==")
-    print(f"  replica role            : {health['role']}")
-    print(f"  records applied         : {health['replication']['records_applied']}")
-    print(f"  replication lag         : {health['replication']['lag_s'] * 1e3:.1f} ms")
-    assert health["replication"]["records_applied"] >= len(SLICE)
+    print(f"  warmed                  : {warm.server_tunes} keys tuned server-side")
+    assert warm.server_tunes == len(SLICE)
 
-    # 3. Kill the primary dead and fail over.
-    primary.kill()
-    fleet = RemoteSession([primary.address, replica.address], retries=1, timeout=2.0)
+    # 2. Kill it dead.
+    first.kill()
+    report = ShardedTuningStore(store_root).fsck(quarantine=False)
+    print("\n== Daemon killed ==")
+    print(f"  store after the kill    : {report['records']} records, "
+          f"{report['corrupt']} corrupt, clean={bool(report['clean'])}")
+    assert report["clean"] == 1 and report["records"] == len(SLICE)
+
+    # 3. Restart over the same store and port; the warm corpus is served.
+    second = TuningService(store_root, speculative=False, host=host, port=port).start()
+    fleet = RemoteSession((host, port), retries=1, timeout=2.0)
     t0 = time.perf_counter()
     sweep(fleet)
     elapsed = time.perf_counter() - t0
-    print("\n== Primary killed mid-fleet ==")
-    print(f"  warm sweep after kill   : {elapsed * 1e3:.1f} ms")
-    print(f"  failovers               : {fleet.client.failovers}")
-    print(f"  server hits (replica)   : {fleet.server_hits} / {len(SLICE)}")
-    print(f"  searches anywhere       : {fleet.searches_run + replica.session.searches_run}")
-    assert fleet.client.failovers >= 1
+    print("\n== Restarted over the same store ==")
+    print(f"  warm sweep after restart: {elapsed * 1e3:.1f} ms")
+    print(f"  server hits             : {fleet.server_hits} / {len(SLICE)}")
+    print(f"  searches anywhere       : {fleet.searches_run + second.session.searches_run}")
     assert fleet.server_hits == len(SLICE)
-    assert fleet.searches_run == 0 and replica.session.searches_run == 0
+    assert fleet.searches_run == 0 and second.session.searches_run == 0
 
-    # Bit-identical to single-process tuning, through death and failover.
+    # Bit-identical to single-process tuning, through death and restart.
     reference = TuningSession()
     sweep(reference)
     identical = all(
@@ -98,18 +80,15 @@ def main() -> None:
     print(f"  bit-identical to local  : {identical}")
     assert identical
 
-    # 4. Total outage: the breaker opens and the session degrades to local
-    #    search with a durable fallback store — no exception ever escapes.
-    replica.stop()
+    # 4. Total outage: the session goes offline and degrades to local search
+    #    with a durable fallback store — no exception ever escapes.
+    second.stop()
     fallback_root = os.path.join(base, "fallback")
     dark = RemoteSession(
-        [primary.address, replica.address],
-        retries=0,
-        timeout=0.5,
-        fallback_store=fallback_root,
+        (host, port), retries=0, timeout=0.5, fallback_store=fallback_root
     )
     sweep(dark, TABLE1_LAYERS[4:6])
-    print("\n== Total outage (circuit breaker open) ==")
+    print("\n== Total outage ==")
     print(f"  online                  : {dark.online}")
     print(f"  searched locally        : {dark.searches_run}")
     print(f"  fallback records        : {len(ShardedTuningStore(fallback_root).load())}")
@@ -117,8 +96,7 @@ def main() -> None:
 
     # 5. Post-mortem: every store audits clean — nothing durable tore.
     print("\n== fsck ==")
-    for name, root in (("primary", primary_root), ("replica", replica_root),
-                       ("fallback", fallback_root)):
+    for name, root in (("daemon", store_root), ("fallback", fallback_root)):
         report = ShardedTuningStore(root).fsck()
         print(f"  {name:8s}: {report['records']} records, "
               f"{report['corrupt']} corrupt, clean={bool(report['clean'])}")

@@ -544,7 +544,7 @@ class _NameTable:
         return candidate
 
 
-# The lane-broadcast spelling of a ``NativeLowering`` replicates one 4-byte
+# The lane-broadcast spelling of a ``NativeLowering`` repeats one 4-byte
 # group (an ``int32_t``) across the register.
 _BROADCAST_BYTES = 4
 

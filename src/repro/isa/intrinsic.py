@@ -84,7 +84,7 @@ class NativeLowering:
     ``s32`` ...) and ``lanes``; ``load`` and ``store`` also get ``ptr`` (an
     element pointer), ``store`` gets ``value``, and ``broadcast`` gets
     ``scalar`` — an ``int32_t`` holding one contiguous 4-byte reduction group
-    to replicate across the register.  ``op`` is formatted with one field per
+    to repeat across the register.  ``op`` is formatted with one field per
     operand register, named after the DSL description's tensors.
     """
 

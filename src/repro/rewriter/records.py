@@ -107,7 +107,7 @@ def decode_record(data):
 
     The single definition of "servable record", shared by the shard files
     (:func:`decode_record_line`) and everything that takes records off the
-    wire (the daemon's ``put`` and replication feed, the client), so disk
+    wire (the daemon's ``put``, the client), so disk
     and TCP always agree on what may be served.
     """
     try:

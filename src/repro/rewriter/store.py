@@ -181,9 +181,9 @@ class FileLock:
                         # exactly one waiter wins the rename, so two waiters
                         # can never each unlink a *different* (fresh) sentinel
                         # and both believe they hold the lock.
-                        breaker = f"{self.path}.break.{os.getpid()}"
-                        os.rename(self.path, breaker)
-                        os.unlink(breaker)
+                        doomed = f"{self.path}.break.{os.getpid()}"
+                        os.rename(self.path, doomed)
+                        os.unlink(doomed)
                 except OSError:
                     pass  # holder released / another waiter broke it first
         raise LockTimeout(f"could not lock {self.path!r} within {self.timeout}s")
@@ -472,58 +472,6 @@ class ShardedTuningStore:
     def __len__(self) -> int:
         """Distinct keys currently stored (reads every shard)."""
         return len(self.load())
-
-    # -- replication feed -----------------------------------------------------
-    def read_shard_since(
-        self, index: int, offset: int, max_bytes: int = 4 * 1024 * 1024
-    ) -> Tuple[List[Dict], int, bool]:
-        """The raw record dicts appended to one shard at/after byte ``offset``.
-
-        The anti-entropy feed for :class:`~repro.service.server.TuningService`
-        replication: returns ``(dicts, new_offset, reset)``.  Only *complete*
-        lines are consumed — ``new_offset`` always lands on a line boundary,
-        so a torn tail is simply re-offered once a later append heals it.  A
-        file smaller than ``offset`` (compacted or cleared since the last
-        pull) resets the scan to byte 0 and reports ``reset=True``; replaying
-        the whole shard is harmless because consumers apply lines last-wins.
-
-        Lines travel as parsed-but-unvalidated dicts: validation (schema +
-        cost-model fingerprint) belongs to the *consumer's* decode gate, so a
-        replica re-checks everything it ingests rather than trusting the
-        primary's opinion.  Undecodable line fragments are skipped here (the
-        consumer could do nothing with them anyway).
-        """
-        path = self.shard_path(index)
-        reset = False
-        offset = max(0, int(offset))
-        with self._locked(index):
-            if not os.path.exists(path):
-                return [], 0, offset > 0
-            size = os.path.getsize(path)
-            if size < offset:
-                offset = 0
-                reset = True
-            if size == offset:
-                return [], offset, reset
-            with open(path, "rb") as handle:
-                handle.seek(offset)
-                chunk = handle.read(max_bytes)
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            return [], offset, reset  # no complete line yet (torn tail)
-        complete, new_offset = chunk[: end + 1], offset + end + 1
-        dicts: List[Dict] = []
-        for raw in complete.decode("utf-8", errors="replace").split("\n"):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                data = json.loads(raw)
-            except ValueError:
-                continue  # a healed torn line; its replacement follows
-            if isinstance(data, dict):
-                dicts.append(data)
-        return dicts, new_offset, reset
 
     # -- last-served tracking (the GC clock) ----------------------------------
 

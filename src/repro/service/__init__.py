@@ -2,44 +2,40 @@
 
 :class:`~repro.rewriter.store.ShardedTuningStore` makes the tuning corpus
 shareable across *processes* on one machine; this package makes it
-shareable across *machines*:
+shareable across *machines* through one daemon:
 
 * :mod:`repro.service.protocol` — the versioned, length-prefixed JSON wire
   protocol (tune / get / put / stats / gc / warm / shutdown);
 * :mod:`repro.service.server` — :class:`TuningService`, a threaded TCP
   daemon wrapping one store + session, with in-flight request coalescing
   (each unique :class:`~repro.rewriter.records.TuningKey` is searched at
-  most once fleet-wide) and a speculative-tuning queue that pre-tunes the
-  remaining layers of a requested sweep during idle time;
+  most once, however many clients ask for it) and a speculative-tuning
+  queue that pre-tunes the remaining layers of a requested sweep during
+  idle time;
 * :mod:`repro.service.client` — :class:`RemoteSession`, a drop-in
   :class:`~repro.rewriter.session.TuningSession` that reads through
   memory -> server -> miss, with retries and graceful fallback to a local
   store when the daemon is unreachable.
 
-A fault-tolerance layer sits on top:
+Failures are handled without a second daemon:
 
-* **replication + failover** — ``serve --replicate-from HOST:PORT`` runs a
-  daemon as a read-write *replica* that incrementally pulls the primary's
-  shard records over the same wire protocol (``sync``), and
-  :class:`ServiceClient`/:class:`RemoteSession` accept address *lists* with
-  per-endpoint health tracking, automatic failover/failback, and hedged
-  reads — killing the primary mid-sweep costs a reconnect, not the corpus;
 * **one retry policy** — :class:`~repro.retry.RetryPolicy` (capped
-  exponential backoff, deterministic jitter, per-op deadlines,
-  transient-vs-fatal classification) now drives the client transport and
-  the store's file-lock polling;
-* **degradation + recovery** — :class:`~repro.retry.CircuitBreaker` governs
-  :class:`RemoteSession` fallback, the ``health`` op reports role and
-  replication lag for probes, and ``python -m repro.service fsck`` audits a
-  store offline, quarantining torn shard lines;
+  exponential backoff, deterministic jitter, deadlines) drives the client
+  transport and the store's file-lock polling;
+* **degradation + recovery** — an unreachable daemon takes a
+  :class:`RemoteSession` offline for a cool-down, during which it tunes
+  locally into an optional fallback store; a daemon restarted over the same
+  store directory serves everything its predecessor persisted, and
+  ``python -m repro.service fsck`` audits a store offline, quarantining
+  torn shard lines;
 * **deterministic fault injection** — :mod:`repro.testing.faults` names the
   failure points in protocol/server/store and drives the seeded chaos suite.
 
-``python -m repro.service serve|status|health|gc|warm|fsck|shutdown`` is
-the CLI.
+``python -m repro.service serve|status|gc|warm|ping|fsck|shutdown`` is the
+CLI.
 """
 
-from ..retry import CircuitBreaker, RetryPolicy
+from ..retry import RetryPolicy
 from .client import (
     RemoteSession,
     ServiceClient,
@@ -48,14 +44,12 @@ from .client import (
     normalize_addresses,
 )
 from .protocol import PROTOCOL_VERSION, ProtocolError
-from .server import ReplicationStats, TuningService
+from .server import TuningService
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "CircuitBreaker",
     "ProtocolError",
     "RemoteSession",
-    "ReplicationStats",
     "RetryPolicy",
     "ServiceClient",
     "ServiceError",

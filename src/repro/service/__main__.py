@@ -1,11 +1,8 @@
 """The tuning service CLI: ``python -m repro.service <command>``.
 
 ========  ====================================================================
-serve      run the daemon in the foreground over a store directory; with
-           ``--replicate-from HOST:PORT`` it runs as a read-write replica
-           that incrementally pulls the primary's shard records
+serve      run the daemon in the foreground over a store directory
 status     print the daemon's stats (requests, coalescing, store, caches)
-health     print the daemon's failover probe (role, replication lag, load)
 gc         run LRU store eviction on the daemon (``--max-records/--max-idle``)
 warm       pre-tune a named sweep into the daemon's store (``table1``,
            ``table1:K`` for its first K layers, or a model-zoo name such as
@@ -19,11 +16,8 @@ shutdown   stop the daemon after in-flight requests drain
 Examples::
 
     python -m repro.service serve --root tuning_store --port 9461
-    python -m repro.service serve --root replica_store --port 9462 \\
-        --replicate-from 127.0.0.1:9461
     python -m repro.service warm --sweep table1 --port 9461
     python -m repro.service status --port 9461
-    python -m repro.service health --port 9462
     python -m repro.service gc --max-records 500 --max-idle 86400 --port 9461
     python -m repro.service fsck --root tuning_store
     python -m repro.service shutdown --port 9461
@@ -36,9 +30,8 @@ import json
 import sys
 
 from .client import ServiceClient, ServiceError, ServiceUnavailable
+from .protocol import DEFAULT_PORT
 from .server import TuningService
-
-DEFAULT_PORT = 9461
 
 
 def _add_endpoint(parser: argparse.ArgumentParser) -> None:
@@ -75,26 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable idle-time speculative tuning",
     )
-    serve.add_argument(
-        "--replicate-from",
-        default=None,
-        metavar="HOST:PORT",
-        help="run as a replica of this primary daemon",
-    )
-    serve.add_argument(
-        "--sync-interval",
-        type=float,
-        default=0.25,
-        help="replica pull interval in seconds (default 0.25)",
-    )
 
     status = sub.add_parser("status", help="print daemon stats as JSON")
     _add_endpoint(status)
-
-    health = sub.add_parser(
-        "health", help="print the daemon's failover probe (role, lag, load)"
-    )
-    _add_endpoint(health)
 
     fsck = sub.add_parser(
         "fsck", help="audit a store directory offline (quarantine torn lines)"
@@ -153,16 +129,10 @@ def main(argv=None) -> int:
             port=args.port,
             shards=args.shards,
             speculative=not args.no_speculate,
-            replicate_from=args.replicate_from,
-            sync_interval_s=args.sync_interval,
         )
         service.start()
         host, port = service.address
-        role = "replica" if args.replicate_from else "primary"
-        print(
-            f"tuning service ({role}) listening on {host}:{port} over {args.root!r}",
-            flush=True,
-        )
+        print(f"tuning service listening on {host}:{port} over {args.root!r}", flush=True)
         try:
             service.serve_until_stopped()
         finally:
@@ -177,8 +147,6 @@ def main(argv=None) -> int:
         with _client(args) as client:
             if args.command == "status":
                 response = client.stats()
-            elif args.command == "health":
-                response = client.health()
             elif args.command == "gc":
                 if args.max_records is None and args.max_idle is None:
                     print("gc needs --max-records and/or --max-idle", file=sys.stderr)

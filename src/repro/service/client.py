@@ -1,47 +1,38 @@
 """The tuning service's client side: RPC transport + a drop-in session.
 
-:class:`ServiceClient` is the transport: persistent TCP connections,
-length-prefixed JSON frames, per-request timeout, and version checking on
-every response.  It accepts a *list* of daemon addresses — the first is the
-preferred (primary) endpoint, the rest are failover replicas — and keeps
-per-endpoint health: a transport failure closes that endpoint's connection,
-penalises it on the shared :class:`~repro.retry.RetryPolicy` backoff
-schedule, and the next attempt goes to the healthiest remaining endpoint,
-so losing the primary mid-request costs one reconnect, not the request.
-:meth:`ServiceClient.hedged_get` adds latency hedging for reads: every
-endpoint is probed (staggered by ``hedge_delay_s``) and the first answer
-wins.  Transport failures raise :class:`ServiceUnavailable`;
-server-reported failures raise :class:`ServiceError` carrying the
-machine-readable ``code`` (e.g. ``"version_mismatch"``, ``"untunable"``).
+:class:`ServiceClient` is the transport to one daemon: a persistent TCP
+connection, length-prefixed JSON frames, per-request timeout, and version
+checking on every response.  A transport failure closes the connection and
+the request is retried on a :class:`~repro.retry.RetryPolicy` schedule
+(capped exponential backoff, deterministic jitter).  When every attempt
+fails — or the daemon answers that it is shutting down — the request
+raises :class:`ServiceUnavailable`; other server-reported failures raise
+:class:`ServiceError` carrying the machine-readable ``code`` (e.g.
+``"version_mismatch"``, ``"untunable"``).
 
 :class:`RemoteSession` is the drop-in: a
 :class:`~repro.rewriter.session.TuningSession` whose lookup tier order is
 **memory -> server -> miss**, so ``compile_model(session=RemoteSession(...))``
 and every figure driver in :mod:`repro.core.experiments` tune against the
 daemon transparently.  On a miss it first asks the server to run the search
-(coalesced fleet-wide — see :mod:`repro.service.server`); only if the server
-declines (custom candidate lists, library baselines) or is unreachable
-does it search locally.  Degradation is governed by a
-:class:`~repro.retry.CircuitBreaker`: classified-fatal outages open it for
-an escalating cooldown, half-open probes test recovery, and a protocol
-version mismatch trips it permanently.  While the breaker is open, lookups
-and publishes fall back to an optional local
+(concurrent requests for one key coalesce — see :mod:`repro.service.server`);
+only if the server declines (custom candidate lists, library baselines) or
+is unreachable does it search locally.  An outage takes the session offline
+for ``offline_cooldown_s``; a protocol version mismatch takes it offline for
+good.  While offline, lookups and publishes use an optional local
 :class:`~repro.rewriter.store.ShardedTuningStore` — a dead daemon costs
 availability of the *shared* corpus, never correctness.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import queue as queue_module
 import socket
-import threading
 import time
 import warnings
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from ..hwsim.cost import CostBreakdown
-from ..retry import CircuitBreaker, RetryPolicy
+from ..retry import RetryPolicy
 from ..telemetry import metrics as _metrics
 from ..rewriter.records import TuningKey, TuningRecord, decode_record
 from ..rewriter.session import TuningSession
@@ -58,14 +49,14 @@ __all__ = [
 
 Address = Tuple[str, int]
 
-# What the transport may retry: socket-level trouble (ConnectionClosed is a
+# What the transport retries: socket-level trouble (ConnectionClosed is a
 # ConnectionError, hence an OSError) and torn/malformed frames.  Server
 # verdicts (ServiceError) are never transport-retried.
 TRANSPORT_ERRORS = (OSError, protocol.ProtocolError)
 
 
 class ServiceUnavailable(ConnectionError):
-    """No endpoint could be reached (or all died mid-request) after retries."""
+    """The daemon could not be reached after retries, or is shutting down."""
 
 
 class ServiceError(RuntimeError):
@@ -76,54 +67,40 @@ class ServiceError(RuntimeError):
         self.code = code
 
 
-def _as_endpoint(item) -> Address:
-    if isinstance(item, str):
-        host, sep, port = item.rpartition(":")
-        if not sep:
-            raise ValueError(f"address {item!r} is not of the form 'host:port'")
-        return (host or "127.0.0.1", int(port))
-    return (str(item[0]), int(item[1]))
+def normalize_addresses(address) -> Address:
+    """A ``(host, port)`` pair or a ``"host:port"`` string -> ``(host, port)``.
 
-
-def normalize_addresses(address) -> List[Address]:
-    """Whatever the caller has -> a non-empty ``[(host, port), ...]`` list.
-
-    Accepts one ``(host, port)`` pair, one ``"host:port"`` string, or a
-    sequence of either (mixed is fine).  Order is meaning: the first entry
-    is the preferred endpoint, the rest are failover replicas.
+    An empty host in the string form means ``127.0.0.1``.  Anything else
+    (a list of endpoints included) raises :class:`ValueError`.
     """
     if isinstance(address, str):
-        return [_as_endpoint(address)]
-    items = list(address)
-    if not items:
-        raise ValueError("need at least one service address")
-    if (
-        len(items) == 2
-        and not isinstance(items[0], (list, tuple))
-        and not (isinstance(items[0], str) and ":" in items[0])
-        and isinstance(items[1], (int, str))
-        and str(items[1]).isdigit()
-    ):
-        return [(str(items[0]), int(items[1]))]  # one bare (host, port) pair
-    return [_as_endpoint(item) for item in items]
+        host, sep, port = address.rpartition(":")
+        if not sep:
+            raise ValueError(f"address {address!r} is not of the form 'host:port'")
+        return (host or "127.0.0.1", int(port))
+    try:
+        host, port = address
+    except (TypeError, ValueError):
+        host = None
+    if not isinstance(host, str):
+        raise ValueError(
+            f"address {address!r} is not a (host, port) pair or a 'host:port' string"
+        )
+    return (host, int(port))
 
 
 class ServiceClient:
-    """One logical connection to a tuning-service endpoint *set*.
+    """One connection to one tuning daemon.
 
-    ``address`` is anything :func:`normalize_addresses` takes; the first
-    endpoint is preferred, later ones are replicas.  ``timeout`` bounds each
-    socket operation; ``tune_timeout`` bounds the blocking ``tune``/``warm``
-    requests (the server may be running a search on our behalf).
+    ``address`` is a ``(host, port)`` pair or a ``"host:port"`` string.
+    ``timeout`` bounds each socket operation; ``tune_timeout`` bounds the
+    blocking ``tune``/``warm`` requests (the server may be running a search
+    on our behalf).
 
-    Failed requests are retried on ``retry_policy`` (default: capped
-    exponential backoff with deterministic jitter, ``retries + 1`` total
-    attempts) with a fresh endpoint choice per attempt: an endpoint that
-    fails is closed and sidelined for an escalating cool-down on the same
-    backoff schedule, after which it is re-probed — so when a dead primary
-    comes back, traffic fails back to it by itself.  A daemon answering
-    ``shutting_down`` is treated exactly like a dead one.  When every
-    attempt is exhausted :class:`ServiceUnavailable` carries the last error.
+    A request that fails in transport closes the connection and is retried
+    ``retries`` more times (default 2) on a capped exponential backoff;
+    each retry reconnects (counted in :attr:`reconnects`).  When every
+    attempt fails, :class:`ServiceUnavailable` carries the last error.
 
     Not thread-safe: give each thread its own client (connections are cheap;
     records are not).
@@ -134,99 +111,33 @@ class ServiceClient:
         address,
         timeout: float = 10.0,
         tune_timeout: float = 300.0,
-        retries: Optional[int] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        hedge_delay_s: float = 0.05,
+        retries: int = 2,
     ) -> None:
-        self.addresses = normalize_addresses(address)
-        self.address = self.addresses[0]  # the preferred endpoint
+        self.address = normalize_addresses(address)
         self.timeout = timeout
         self.tune_timeout = tune_timeout
-        if retry_policy is None:
-            retry_policy = RetryPolicy(
-                max_attempts=(2 if retries is None else retries) + 1,
-                base_delay_s=0.05,
-                max_delay_s=2.0,
-                transient=TRANSPORT_ERRORS,
-            )
-        elif retries is not None:
-            retry_policy = dataclasses.replace(retry_policy, max_attempts=retries + 1)
-        self.retry = retry_policy
-        self.hedge_delay_s = hedge_delay_s
-        self._socks: List[Optional[socket.socket]] = [None] * len(self.addresses)
-        self._down_until = [0.0] * len(self.addresses)
-        self._failures = [0] * len(self.addresses)
-        self._active = 0
+        self.retries = retries
+        self.retry = RetryPolicy(max_attempts=retries + 1)
+        self._sock: Optional[socket.socket] = None
         self.requests_sent = 0
         self.reconnects = 0
-        self.failovers = 0
-        self.hedged_gets = 0
-        self.hedged_wins = 0
-
-    @property
-    def retries(self) -> int:
-        """Retry count after the first attempt (mirrors the policy)."""
-        return (self.retry.max_attempts or 1) - 1
-
-    # -- endpoint health -------------------------------------------------------
-    def _pick_endpoint(self, avoid: Optional[int] = None) -> int:
-        """The healthiest endpoint, preferred-first.
-
-        Endpoints are scanned in address order and the first one whose
-        cool-down has expired wins — so the preferred endpoint is re-probed
-        (and traffic fails *back*) as soon as its penalty lapses.  ``avoid``
-        names the endpoint that failed *this request's* previous attempt:
-        retrying it immediately would just re-time-out, so a sibling is
-        preferred even if the failed one's cool-down has already lapsed
-        (it has — the retry sleep and the penalty share a schedule).  With
-        everything down, the least-recently-penalised endpoint is tried
-        anyway: an attempt against a dead endpoint costs one connect
-        timeout, giving up costs the request.
-        """
-        now = time.monotonic()
-        for index in range(len(self.addresses)):
-            if index != avoid and self._down_until[index] <= now:
-                return index
-        if avoid is not None and self._down_until[avoid] <= now:
-            return avoid
-        return min(range(len(self.addresses)), key=lambda i: self._down_until[i])
-
-    def _endpoint_failed(self, index: int) -> None:
-        self._close_endpoint(index)
-        self._failures[index] += 1
-        self._down_until[index] = time.monotonic() + self.retry.backoff_s(
-            self._failures[index]
-        )
-
-    def _endpoint_ok(self, index: int) -> None:
-        self._failures[index] = 0
-        self._down_until[index] = 0.0
-        if index != self._active:
-            self.failovers += 1
-            _metrics.count("service.client.failovers")
-            self._active = index
 
     # -- transport ------------------------------------------------------------
-    def _connect(self, index: int) -> socket.socket:
-        sock = self._socks[index]
-        if sock is None:
-            sock = socket.create_connection(self.addresses[index], timeout=self.timeout)
+    def _connect(self) -> socket.socket:
+        if self._sock is None:
+            sock = socket.create_connection(self.address, timeout=self.timeout)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._socks[index] = sock
+            self._sock = sock
             self.reconnects += 1
-        return sock
+        return self._sock
 
-    def _close_endpoint(self, index: int) -> None:
-        sock, self._socks[index] = self._socks[index], None
+    def close(self) -> None:
+        sock, self._sock = self._sock, None
         if sock is not None:
             try:
                 sock.close()
             except OSError:  # pragma: no cover - close() on a dead socket
                 pass
-
-    def close(self) -> None:
-        for index in range(len(self.addresses)):
-            self._close_endpoint(index)
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -238,61 +149,43 @@ class ServiceClient:
         """Send one request; returns the ``ok`` response payload.
 
         Raises :class:`ServiceError` for server-reported failures (no
-        retry — the server is healthy, the request is not; the exception
-        is ``shutting_down``, which penalises the endpoint and fails over
-        like an outage) and :class:`ServiceUnavailable` once the retry
-        policy's attempts or deadline run out.
+        retry — the server is healthy, the request is not) and
+        :class:`ServiceUnavailable` once every attempt failed in transport,
+        or at once when the daemon answers ``shutting_down``.
         """
         message = protocol.request(op, **fields)
+        host, port = self.address
         last: Optional[Exception] = None
-        avoid: Optional[int] = None
         for _attempt in self.retry.attempts():
-            index = self._pick_endpoint(avoid=avoid)
             try:
-                sock = self._connect(index)
+                sock = self._connect()
                 sock.settimeout(_timeout if _timeout is not None else self.timeout)
                 protocol.send_message(sock, message)
                 response = protocol.recv_message(sock)
                 self.requests_sent += 1
             except TRANSPORT_ERRORS as exc:
-                self._endpoint_failed(index)
-                avoid = index
+                self.close()
                 last = exc
-                if self.retry.classify(exc) != "transient":
-                    break
                 continue
             mismatch = protocol.check_versions(response)
             if mismatch is not None:
                 raise ServiceError(*mismatch)
             if not response.get("ok"):
+                error = str(response.get("error", "request failed"))
                 code = str(response.get("code", "error"))
                 if code == "shutting_down":
-                    self._endpoint_failed(index)
-                    avoid = index
-                    last = ServiceError(
-                        str(response.get("error", "shutting down")), code
-                    )
-                    continue
-                raise ServiceError(
-                    str(response.get("error", "request failed")), code
-                )
-            self._endpoint_ok(index)
+                    self.close()
+                    raise ServiceUnavailable(f"tuning service at {host}:{port}: {error}")
+                raise ServiceError(error, code)
             return response
-        addresses = ", ".join(f"{host}:{port}" for host, port in self.addresses)
-        attempts = self.retry.max_attempts
         raise ServiceUnavailable(
-            f"tuning service unreachable at [{addresses}] after "
-            f"{attempts if attempts is not None else 'deadline-bounded'} "
-            f"attempts: {last}"
+            f"tuning service unreachable at {host}:{port} after "
+            f"{self.retries + 1} attempts: {last}"
         ) from last
 
     # -- typed operations ------------------------------------------------------
     def ping(self) -> dict:
         return self.request("ping")
-
-    def health(self) -> dict:
-        """The daemon's failover probe: role, replication lag, load."""
-        return self.request("health")
 
     @staticmethod
     def _decode_record(data) -> TuningRecord:
@@ -312,74 +205,6 @@ class ServiceClient:
             return None
         return self._decode_record(response["record"])
 
-    def hedged_get(self, key: TuningKey) -> Optional[TuningRecord]:
-        """A hedged read: probe every endpoint, first answer wins.
-
-        With one endpoint this is exactly :meth:`get`.  Otherwise each
-        endpoint gets its own one-shot probe client on its own thread,
-        started healthy-endpoints-first and staggered by ``hedge_delay_s``
-        — so a healthy preferred endpoint still serves almost every read
-        alone, while a dead or slow one only costs the stagger delay, not
-        a timeout.  The first definitive answer (hit *or* miss: endpoints
-        replicate from the preferred one, so its miss is authoritative)
-        wins; errors only surface when every endpoint fails.
-        """
-        if len(self.addresses) == 1:
-            return self.get(key)
-        self.hedged_gets += 1
-        now = time.monotonic()
-        order = sorted(
-            range(len(self.addresses)),
-            key=lambda i: (self._down_until[i] > now, i),
-        )
-        results: "queue_module.Queue" = queue_module.Queue()
-        settled = threading.Event()
-
-        def probe(rank: int, index: int) -> None:
-            if rank and settled.wait(self.hedge_delay_s * rank):
-                results.put((index, "late", None))
-                return
-            try:
-                with ServiceClient(
-                    self.addresses[index],
-                    timeout=self.timeout,
-                    retry_policy=dataclasses.replace(self.retry, max_attempts=1),
-                ) as one_shot:
-                    results.put((index, "ok", one_shot.get(key)))
-            except Exception as exc:
-                results.put((index, "error", exc))
-
-        threads = [
-            threading.Thread(
-                target=probe, args=(rank, index), name=f"hedged-get-{index}", daemon=True
-            )
-            for rank, index in enumerate(order)
-        ]
-        for thread in threads:
-            thread.start()
-        wait_s = self.timeout + self.hedge_delay_s * len(order) + 1.0
-        errors: List[BaseException] = []
-        for _ in threads:
-            try:
-                index, kind, value = results.get(timeout=wait_s)
-            except queue_module.Empty:  # pragma: no cover - probe thread wedged
-                break
-            if kind == "ok":
-                settled.set()
-                self._endpoint_ok(index)
-                if index != order[0]:
-                    self.hedged_wins += 1
-                    _metrics.count("service.client.hedged_wins")
-                return value
-            if kind == "error":
-                self._endpoint_failed(index)
-                errors.append(value)
-        settled.set()
-        last = errors[-1] if errors else None
-        raise ServiceUnavailable(
-            f"hedged get failed on every endpoint: {last}"
-        ) from last
-
     def put(self, record: TuningRecord) -> None:
         self.request("put", record=record.to_json())
 
@@ -387,7 +212,9 @@ class ServiceClient:
         """Have the *server* produce the record for ``key`` (coalesced).
 
         Raises :class:`ServiceError` with ``code="untunable"`` when the
-        server cannot rebuild the search from the key alone.
+        server cannot rebuild the search from the key alone, and with
+        ``code="tune_timeout"`` when the search it joined did not finish
+        within the server's ``tune_timeout``.
         """
         fields = {"key": key.to_json()}
         if sweep:
@@ -413,40 +240,31 @@ class ServiceClient:
 
 
 class RemoteSession(TuningSession):
-    """A tuning session backed by remote daemons: memory -> server -> miss.
+    """A tuning session backed by a remote daemon: memory -> server -> miss.
 
     Drop-in for every ``session=`` parameter in the pipeline::
 
-        session = RemoteSession(
-            [("tuner.fleet", 9461), ("tuner-replica.fleet", 9461)],
-            fallback_store="local_store",
-        )
+        session = RemoteSession(("tuner.local", 9461), fallback_store="local_store")
         compile_model(get_model("resnet-18"), session=session)
 
-    ``address`` takes everything :func:`normalize_addresses` does; with
-    more than one endpoint, reads are hedged (:meth:`ServiceClient.hedged_get`)
-    and any transport failure rolls over to the next endpoint, so killing
-    the primary costs a reconnect, not the warm corpus.
-
-    On a cache miss the session asks the daemon for the record; if the
-    daemon does not have it, the daemon *searches for it* (request-coalesced
-    with every other client asking for the same key) and only keys the
-    server cannot rebuild are searched locally.  Fresh local records are
-    published back to the server so the fleet's corpus stays warm.
+    ``address`` is what :class:`ServiceClient` takes.  On a cache miss the
+    session asks the daemon for the record; if the daemon does not have it,
+    the daemon *searches for it* (request-coalesced with every other client
+    asking for the same key) and only keys the server declines are searched
+    locally.  Fresh local records are published back to the server so the
+    shared corpus stays warm.
 
     ``speculate`` optionally names the sweep this session's keys belong to
     (a model-zoo name or ``"table1"``); it rides along on tune requests and
     prompts the daemon to pre-tune the sweep's remaining layers during idle
     time.
 
-    Availability is a :class:`~repro.retry.CircuitBreaker`:
-    ``breaker_failures`` consecutive outages (default 1 — one transport
-    failure already proves the fleet unreachable *through every endpoint*)
-    open it for ``offline_cooldown_s``, escalating on repeated trips; a
-    half-open probe then tests recovery.  While open, lookups and publishes
-    fall back to ``fallback_store`` (a local :class:`ShardedTuningStore` or
-    path, optional).  A protocol version mismatch trips the breaker
-    permanently.
+    An outage (:class:`ServiceUnavailable`) takes the session offline for
+    ``offline_cooldown_s``, after which the next request probes the daemon
+    again (a success clears the outage, a failure restarts it).  While offline,
+    lookups and publishes use ``fallback_store`` (a local
+    :class:`ShardedTuningStore` or path, optional).  :meth:`force_offline`
+    and a protocol version mismatch take the session offline for good.
     """
 
     def __init__(
@@ -455,31 +273,21 @@ class RemoteSession(TuningSession):
         fallback_store=None,
         timeout: float = 10.0,
         tune_timeout: float = 300.0,
-        retries: Optional[int] = None,
-        retry_policy: Optional[RetryPolicy] = None,
+        retries: int = 2,
         offline_cooldown_s: float = 5.0,
-        breaker_failures: int = 1,
         speculate: Optional[str] = None,
-        server_tune: bool = True,
     ) -> None:
         super().__init__()
         self.client = ServiceClient(
-            address,
-            timeout=timeout,
-            tune_timeout=tune_timeout,
-            retries=retries,
-            retry_policy=retry_policy,
+            address, timeout=timeout, tune_timeout=tune_timeout, retries=retries
         )
         if fallback_store is not None and not isinstance(fallback_store, ShardedTuningStore):
             fallback_store = ShardedTuningStore(fallback_store)
         self.fallback_store = fallback_store
         self.offline_cooldown_s = offline_cooldown_s
-        self.breaker = CircuitBreaker(
-            failure_threshold=breaker_failures,
-            reset_timeout_s=offline_cooldown_s,
-        )
+        # time.monotonic() before which the session stays on its local tiers.
+        self._offline_until = 0.0
         self.speculate = speculate
-        self.server_tune = server_tune
         self.server_hits = 0
         self.server_tunes = 0
         self.server_declines = 0
@@ -490,55 +298,52 @@ class RemoteSession(TuningSession):
     # -- availability ----------------------------------------------------------
     @property
     def online(self) -> bool:
-        """Whether the session is currently willing to talk to the daemon
-        (the breaker is closed, or half-open and due a probe)."""
-        return self.breaker.allow()
+        """Whether the session is currently willing to talk to the daemon."""
+        return time.monotonic() >= self._offline_until
 
     def _mark_down(self) -> None:
         self.offline_errors += 1
-        self.breaker.record_failure()
+        self._offline_until = time.monotonic() + self.offline_cooldown_s
 
     def _mark_up(self) -> None:
-        self.breaker.record_success()
+        self._offline_until = 0.0
 
     def force_offline(self) -> None:
-        """Pin the session to its local tiers (drills, tests): the breaker
-        opens permanently, so every lookup and publish uses the fallback
-        store from now on."""
-        self.breaker.trip(forever=True)
+        """Pin the session to its local tiers (drills, tests): every lookup
+        and publish uses the fallback store from now on."""
+        self._offline_until = float("inf")
 
     def _note_error(self, exc: ServiceError) -> None:
         """A server-reported error: most are per-request, but a version
-        mismatch can never heal within this process — trip the breaker
-        permanently (activating the fallback-store tier) instead of
-        silently re-tuning everything locally and persisting nothing."""
+        mismatch can never heal within this process — go offline for good
+        (activating the fallback-store tier) instead of silently re-tuning
+        everything locally and persisting nothing."""
         if exc.code == "version_mismatch" and self.incompatible is None:
             self.incompatible = str(exc)
-            self.breaker.trip(forever=True)
+            self.force_offline()
+            host, port = self.client.address
             warnings.warn(
-                f"tuning service at {self.client.address[0]}:"
-                f"{self.client.address[1]} is version-incompatible; "
+                f"tuning service at {host}:{port} is version-incompatible; "
                 f"falling back to local tuning permanently: {exc}",
                 RuntimeWarning,
                 stacklevel=3,
             )
 
-    # -- lookup tiers ----------------------------------------------------------
-    def _server_get(self, key: TuningKey) -> Optional[TuningRecord]:
-        if len(self.client.addresses) > 1:
-            return self.client.hedged_get(key)
-        return self.client.get(key)
+    def _count(self, field: str) -> None:
+        """One server outcome: ``self.<field>`` and the
+        ``service.client.<field>`` counter together."""
+        setattr(self, field, getattr(self, field) + 1)
+        _metrics.count("service.client." + field)
 
+    # -- lookup tiers ----------------------------------------------------------
     def _lookup(self, key: TuningKey) -> Optional[TuningRecord]:
-        """Memory -> server (hedged across endpoints) -> (offline: local
-        fallback store) -> miss."""
+        """Memory -> server -> (offline: local fallback store) -> miss."""
         record = self.cache.lookup(key)
         if record is not None:
             return record
         if self.online:
-            record = None
             try:
-                record = self._server_get(key)
+                record = self.client.get(key)
             except ServiceUnavailable:
                 self._mark_down()
             except ServiceError as exc:
@@ -546,8 +351,7 @@ class RemoteSession(TuningSession):
             else:
                 self._mark_up()
             if record is not None:
-                self.server_hits += 1
-                _metrics.count("service.client.server_hits")
+                self._count("server_hits")
                 self.cache.insert(record)
                 return record
         if not self.online and self.fallback_store is not None:
@@ -597,7 +401,7 @@ class RemoteSession(TuningSession):
         record = self._lookup(key)
         if record is not None:
             return record
-        if self.server_tune and self.online:
+        if self.online:
             try:
                 record = self.client.tune(key, sweep=self.speculate)
             except ServiceUnavailable:
@@ -607,8 +411,7 @@ class RemoteSession(TuningSession):
                 self._note_error(exc)
             else:
                 self._mark_up()
-                self.server_tunes += 1
-                _metrics.count("service.client.server_tunes")
+                self._count("server_tunes")
                 self.cache.insert(record)
                 return record
         return self._search_and_record(key, candidates, evaluate, oracle, precheck)
@@ -617,13 +420,11 @@ class RemoteSession(TuningSession):
     def summary(self) -> str:
         base = super().summary()
         state = "online" if self.online else "OFFLINE"
-        endpoints = ",".join(f"{host}:{port}" for host, port in self.client.addresses)
+        host, port = self.client.address
         return (
-            f"{base} | remote[{endpoints} {state}, "
-            f"breaker {self.breaker.state}]: {self.server_hits} server hits, "
+            f"{base} | remote[{host}:{port} {state}]: {self.server_hits} server hits, "
             f"{self.server_tunes} server tunes, {self.server_declines} declines, "
-            f"{self.local_fallbacks} local fallbacks, {self.offline_errors} outages, "
-            f"{self.client.failovers} failovers"
+            f"{self.local_fallbacks} local fallbacks, {self.offline_errors} outages"
         )
 
     def close(self) -> None:

@@ -14,13 +14,11 @@ Requests are ``{"op": <name>, ...}``; the operations are
 ``ping``     liveness probe, echoes the server's versions
 ``get``      look up one :class:`~repro.rewriter.records.TuningKey`
 ``put``      publish one :class:`~repro.rewriter.records.TuningRecord`
-``tune``     ensure a key is tuned *server-side* (coalesced fleet-wide)
+``tune``     ensure a key is tuned *server-side* (concurrent requests coalesce)
 ``stats``    server / session / store / coalescing counters
 ``gc``       run :meth:`ShardedTuningStore.evict` on the server's store
 ``warm``     pre-tune a named sweep (Table I slice or a model-zoo model)
 ``shutdown`` stop serving after the in-flight requests drain
-``sync``     anti-entropy pull: raw shard lines appended since given offsets
-``health``   role, replication lag, inflight depth (the failover probe)
 ========  ==================================================================
 
 Responses are ``{"ok": true, ...}`` or ``{"ok": false, "error": msg,
@@ -43,6 +41,7 @@ from ..testing import faults
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "DEFAULT_PORT",
     "MAX_MESSAGE_BYTES",
     "ProtocolError",
     "ConnectionClosed",
@@ -58,16 +57,18 @@ __all__ = [
 # peer from the previous release could misread.
 PROTOCOL_VERSION = 1
 
+# Where ``python -m repro.service serve`` listens, and where every CLI that
+# talks to it (the service admin commands, ``python -m repro query
+# service``) looks, unless told otherwise.
+DEFAULT_PORT = 9461
+
 # A frame larger than this is a corrupt length prefix or an abusive peer,
 # not a tuning record; reject it before allocating the buffer.
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
 
-# "sync" and "health" ride on the same envelope version: a v1 peer that
-# predates them rejects the unknown op cleanly, which is exactly the
-# failure mode replication and failover are built to tolerate.
-OPS = ("ping", "get", "put", "tune", "stats", "gc", "warm", "shutdown", "sync", "health")
+OPS = ("ping", "get", "put", "tune", "stats", "gc", "warm", "shutdown")
 
 
 class ProtocolError(RuntimeError):

@@ -28,18 +28,10 @@ local session runs — so winners are bit-identical to a single-process local
 sweep.  Keys that cannot round-trip (custom candidate lists, library
 baselines) are declined with ``code="untunable"`` and the client searches
 locally instead — correctness never depends on the server being able to
-rebuild the search.
-
-A daemon started with ``replicate_from=`` (CLI ``--replicate-from``) runs
-as a **replica**: a background thread pulls newly appended shard lines from
-the primary over the ordinary wire protocol (the ``sync`` op, incremental
-by per-shard byte offset) and re-validates every line through the same
-schema/cost-model decode gate the shard files use — a replica never trusts
-the primary's opinion of a record.  Replication is one-way (primary ->
-replica) and the replica stays fully serviceable: clients that fail over to
-it read the synced corpus warm and tune the rest against it directly.  The
-``health`` op reports the role, replication lag and inflight depth; it is
-what a failover client probes.
+rebuild the search.  A coalesced waiter whose leader outlives the daemon's
+``tune_timeout`` is answered ``code="tune_timeout"`` (the key is tunable,
+just not in time), and a daemon that is stopping answers
+``code="shutting_down"``.
 """
 
 from __future__ import annotations
@@ -63,20 +55,23 @@ from ..rewriter.tasks import TuningTask, run_task, task_from_key, tasks_from_gra
 from ..telemetry import metrics as _metrics, trace as _trace
 from ..testing import faults
 from . import protocol
-from .client import ServiceClient, ServiceError, ServiceUnavailable, normalize_addresses
 
 __all__ = [
     "TuningService",
     "ServiceStats",
-    "ReplicationStats",
     "expand_sweep",
     "SHUTTING_DOWN",
 ]
 
 # The one shutdown message, compared by the tune path to map a woken
 # waiter's error onto code="shutting_down" (clients treat that code as an
-# endpoint outage and fail over instead of declining the key).
+# outage, not as a declined key).
 SHUTTING_DOWN = "daemon is shutting down"
+COALESCED_TIMEOUT = "coalesced search timed out"
+
+# Failed-tune reasons that are not a verdict on the key; anything else
+# from the tune path means the key cannot be searched server-side.
+_TUNE_ERROR_CODES = {SHUTTING_DOWN: "shutting_down", COALESCED_TIMEOUT: "tune_timeout"}
 
 
 class _LockedStore:
@@ -116,30 +111,6 @@ class ServiceStats:
     speculative_queued: int = 0
     speculative_tuned: int = 0
     speculative_skipped: int = 0
-
-    def count(self, op: str) -> None:
-        self.requests[op] = self.requests.get(op, 0) + 1
-
-
-@dataclass
-class ReplicationStats:
-    """A replica's anti-entropy accounting (all zero on a primary).
-
-    ``records_applied`` counts lines that passed the replica's own decode
-    gate and were written through; ``stale_rejected``/``corrupt_rejected``
-    count lines the gate refused (a primary on a different cost model shows
-    up here, loudly, instead of poisoning the replica).  ``offset_resets``
-    counts shards replayed from byte 0 after the primary compacted or
-    cleared them.
-    """
-
-    syncs: int = 0
-    sync_failures: int = 0
-    records_applied: int = 0
-    stale_rejected: int = 0
-    corrupt_rejected: int = 0
-    offset_resets: int = 0
-    last_sync_unix: Optional[float] = None
 
 
 class _Inflight:
@@ -215,13 +186,6 @@ class TuningService:
 
     Use as a context manager, or call :meth:`start` / :meth:`stop`.
     ``port=0`` binds an ephemeral port (see :attr:`address` after start).
-
-    ``replicate_from`` (an address, ``(host, port)`` or ``"host:port"``)
-    runs this daemon as a replica of that primary: a background thread
-    pulls appended shard lines every ``sync_interval_s`` seconds through
-    the ``sync`` op and ingests them through the decode gate.  A replica
-    still serves and tunes like any daemon — replication only keeps its
-    corpus converging on the primary's.
     """
 
     def __init__(
@@ -233,8 +197,6 @@ class TuningService:
         speculative: bool = True,
         speculative_idle_s: float = 0.02,
         tune_timeout: float = 300.0,
-        replicate_from=None,
-        sync_interval_s: float = 0.25,
     ) -> None:
         self.store = _LockedStore(ShardedTuningStore(store_root, shards=shards))
         self.session = TuningSession(store=self.store)
@@ -247,12 +209,6 @@ class TuningService:
         # host clock steps (NTP slew, manual set), so the wire responses
         # derive it from time.monotonic(), not wall-clock arithmetic.
         self.started_monotonic: Optional[float] = None
-        self.replicate_from: Optional[Tuple[str, int]] = (
-            normalize_addresses(replicate_from)[0] if replicate_from is not None else None
-        )
-        self.sync_interval_s = sync_interval_s
-        self.replication = ReplicationStats()
-        self._sync_offsets: Dict[int, int] = {}  # sync-thread-private
         self._gate = threading.Lock()
         self._conns: set = set()
         self._inflight: Dict[TuningKey, _Inflight] = {}
@@ -272,8 +228,8 @@ class TuningService:
     @property
     def address(self) -> Tuple[str, int]:
         """The bound ``(host, port)``.  Still answers after :meth:`kill` /
-        :meth:`stop` — failover drills need the dead endpoint's address to
-        hand to clients — but not before :meth:`start`."""
+        :meth:`stop` — restart drills bind the new daemon to the dead one's
+        port — but not before :meth:`start`."""
         if self._server is not None:
             return self._server.server_address[:2]
         if self._bound_address is not None:
@@ -298,10 +254,8 @@ class TuningService:
         self.started_at = time.time()
         self.started_monotonic = time.monotonic()
         # No-ops unless a MetricsRegistry is installed in this process; the
-        # dataclasses stay the single source of truth for both views.
+        # dataclass stays the single source of truth for both views.
         _metrics.register_stats_gauges("service", self.stats)
-        with self._gate:
-            _metrics.register_stats_gauges("service.replication", self.replication)
         serve = threading.Thread(
             target=self._server.serve_forever,
             kwargs={"poll_interval": 0.05},
@@ -316,12 +270,6 @@ class TuningService:
             )
             spec.start()
             self._threads.append(spec)
-        if self.replicate_from is not None:
-            sync = threading.Thread(
-                target=self._replicate_forever, name="tuning-service-sync", daemon=True
-            )
-            sync.start()
-            self._threads.append(sync)
         return self
 
     def stop(self) -> None:
@@ -434,6 +382,13 @@ class TuningService:
                     protocol.send_message(sock, response)
                 except OSError:
                     return
+                finally:
+                    if message.get("op") == "shutdown" and response.get("ok"):
+                        # Stop only once the acknowledgement is on the wire:
+                        # the CLI process exits as soon as stop() returns.
+                        threading.Thread(
+                            target=self.stop, name="tuning-service-stop", daemon=True
+                        ).start()
         finally:
             with self._gate:
                 self._conns.discard(sock)
@@ -451,8 +406,7 @@ class TuningService:
         handler = getattr(self, f"_op_{op}", None)
         if op not in protocol.OPS or handler is None:
             return protocol.error_response(f"unknown op {op!r}", "unknown_op")
-        self.stats.count(op)
-        _metrics.event("service.requests", str(op))
+        self._count("requests", op)
         registry = _metrics.active()
         started = time.perf_counter() if registry is not None else 0.0
         with self._gate:
@@ -500,11 +454,11 @@ class TuningService:
         key = TuningKey.from_json(message["key"])
         record, how = self._tune_key(key)
         if record is None:
-            if how == SHUTTING_DOWN:
-                return protocol.error_response(SHUTTING_DOWN, "shutting_down")
-            self.stats.untunable_keys += 1
+            code = _TUNE_ERROR_CODES.get(how, "untunable")
+            if code == "untunable":
+                self.stats.untunable_keys += 1
             return protocol.error_response(
-                how or f"cannot reconstruct a search for {key}", "untunable"
+                how or f"cannot reconstruct a search for {key}", code
             )
         extra = {}
         sweep = message.get("sweep")
@@ -555,45 +509,12 @@ class TuningService:
         return protocol.ok_response(tasks=len(tasks), tuned=tuned, hits=hits)
 
     def _op_shutdown(self, message: Dict) -> Dict:
-        threading.Thread(target=self.stop, name="tuning-service-stop", daemon=True).start()
+        # _serve_connection stops the daemon after sending this reply.
         return protocol.ok_response(stopping=True)
 
-    def _op_sync(self, message: Dict) -> Dict:
-        """Serve the anti-entropy feed: raw lines appended since the
-        caller's per-shard byte offsets (see
-        :meth:`ShardedTuningStore.read_shard_since`).  Lines travel
-        unvalidated on purpose — the *replica's* decode gate is the
-        authority on what it ingests."""
-        offsets = message.get("offsets") or {}
-        shards: Dict[str, Dict] = {}
-        for index in range(self.store.num_shards):
-            try:
-                start = int(offsets.get(str(index), 0))
-            except (TypeError, ValueError):
-                start = 0
-            records, new_offset, reset = self.store.read_shard_since(index, start)
-            shards[str(index)] = {
-                "records": records,
-                "offset": new_offset,
-                "reset": reset,
-            }
-        return protocol.ok_response(shards=shards, role=self._role())
-
-    def _op_health(self, message: Dict) -> Dict:
-        """The failover probe: the same unified snapshot ``stats`` serves."""
-        return protocol.ok_response(**self._snapshot())
-
     def _snapshot(self) -> Dict:
-        """One consistent view behind both the ``stats`` and ``health`` ops.
-
-        Before this existed the two endpoints gathered overlapping fields
-        independently, so the memory-tier counters one returned could
-        disagree with the store counters the other returned *within a
-        single client call*.  Now everything is collected in one pass —
-        the gate is taken exactly once for the gate-guarded fields — and
-        both wire ops serve the identical payload, including the monotonic
-        ``uptime_s`` and the telemetry counter snapshot.
-        """
+        """The ``stats`` payload, collected in one pass: the gate is taken
+        once for the gate-guarded fields, and ``uptime_s`` is monotonic."""
         cache = self.session.stats
         expr = expr_cache_stats()
         store_stats = self.store.stats.as_dict()
@@ -601,9 +522,7 @@ class TuningService:
             inflight = len(self._inflight)
             queued = len(self._spec_queue)
             foreground = self._foreground
-            replication = dataclasses.asdict(self.replication)
-        payload: Dict = {
-            "role": self._role(),
+        return {
             "uptime_s": self._uptime(),
             "shutting_down": self._stop.is_set(),
             "service": dataclasses.asdict(self.stats),
@@ -625,88 +544,32 @@ class TuningService:
             "speculative_queue": queued,
             "telemetry": _metrics.snapshot_counters(),
         }
-        if self.replicate_from is not None:
-            last = replication.get("last_sync_unix")
-            replication["lag_s"] = (time.time() - last) if last else None
-            replication["primary"] = list(self.replicate_from)
-            payload["replication"] = replication
-        return payload
-
-    def _role(self) -> str:
-        return "replica" if self.replicate_from is not None else "primary"
 
     def _uptime(self) -> float:
         if self.started_monotonic is not None:
             return time.monotonic() - self.started_monotonic
         return time.time() - self.started_at if self.started_at else 0.0
 
-    # -- replication (replica role) -------------------------------------------
-    def _replicate_forever(self) -> None:
-        """The replica's anti-entropy loop: pull, validate, ingest, sleep.
-
-        One pull per ``sync_interval_s``; an unreachable primary counts a
-        failure and waits for the next tick (the loop *is* the retry
-        schedule, so the client itself runs with no retries).  The loop
-        never takes the store's shard locks and the service's ``_gate``
-        at the same time — stats updates happen after ingestion.
-        """
-        client = ServiceClient(self.replicate_from, timeout=5.0, retries=0)
-        try:
-            while not self._stop.is_set():
-                try:
-                    self._sync_once(client)
-                except (ServiceUnavailable, ServiceError, OSError):
-                    with self._gate:
-                        self.replication.sync_failures += 1
-                self._stop.wait(self.sync_interval_s)
-        finally:
-            client.close()
-
-    def _sync_once(self, client: ServiceClient) -> None:
-        offsets = {str(index): offset for index, offset in self._sync_offsets.items()}
-        response = client.request("sync", offsets=offsets)
-        applied = stale = corrupt = resets = 0
-        for name, shard in sorted(response.get("shards", {}).items()):
-            for data in shard.get("records", ()):
-                # The same gate the shard files and `put` use: schema +
-                # cost-model fingerprint.  A mismatched primary is counted,
-                # not ingested.
-                record, problem = decode_record(data)
-                if record is None:
-                    if problem == "stale":
-                        stale += 1
-                    else:
-                        corrupt += 1
-                    continue
-                self.session.cache.insert(record)
-                self.store.put(record)
-                applied += 1
-            try:
-                index = int(name)
-            except ValueError:
-                continue
-            self._sync_offsets[index] = int(shard.get("offset", 0))
-            if shard.get("reset"):
-                resets += 1
-        with self._gate:
-            stats = self.replication
-            stats.syncs += 1
-            stats.records_applied += applied
-            stats.stale_rejected += stale
-            stats.corrupt_rejected += corrupt
-            stats.offset_resets += resets
-            stats.last_sync_unix = time.time()
-        _metrics.count("service.replication.syncs")
-        if applied:
-            _metrics.count("service.replication.records_applied", applied)
+    def _count(self, field: str, op: Optional[str] = None) -> None:
+        """One daemon event: ``stats.<field>`` and the ``service.<field>``
+        counter together (``stats.requests[op]`` and
+        ``service.requests.<op>`` for a request)."""
+        if op is None:
+            setattr(self.stats, field, getattr(self.stats, field) + 1)
+            _metrics.count("service." + field)
+        else:
+            table = getattr(self.stats, field)
+            table[op] = table.get(op, 0) + 1
+            _metrics.event("service." + field, op)
 
     # -- coalesced tuning core ------------------------------------------------
     def _tune_key(self, key: TuningKey) -> Tuple[Optional[TuningRecord], Optional[str]]:
         """The record for ``key``, searching at most once fleet-wide.
 
         Returns ``(record, how)`` where ``how`` is ``"hit"``, ``"searched"``
-        or ``"coalesced"`` — or ``(None, reason)`` when the key cannot be
-        tuned server-side.
+        or ``"coalesced"`` — or ``(None, reason)`` when no record came back:
+        :data:`COALESCED_TIMEOUT` or :data:`SHUTTING_DOWN` for a waiter,
+        anything else when the key cannot be tuned server-side.
         """
         with self._gate:
             record = self.session._lookup(key)
@@ -717,14 +580,13 @@ class TuningService:
             if entry is not None:
                 leader = False
                 entry.waiters += 1
-                self.stats.coalesced_waiters += 1
-                _metrics.count("service.coalesced_waiters")
+                self._count("coalesced_waiters")
             else:
                 entry = self._inflight[key] = _Inflight()
                 leader = True
         if not leader:  # joined an existing search
             if not entry.done.wait(self.tune_timeout):
-                return None, "coalesced search timed out"
+                return None, COALESCED_TIMEOUT
             if entry.error is not None:
                 return None, entry.error
             return entry.record, "coalesced"

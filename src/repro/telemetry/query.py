@@ -259,14 +259,24 @@ def spans(
 
 @query.command()
 @click.option("--host", default="127.0.0.1", show_default=True)
-@click.option("--port", default=7463, show_default=True)
+@click.option(
+    "--port",
+    type=int,
+    default=None,
+    help="daemon port  [default: the port `python -m repro.service serve` binds]",
+)
 @click.option("--record", is_flag=True, help="store the snapshot in the results DB")
 @_DB
 @_FORMAT
-def service(host: str, port: int, record: bool, db_path: Optional[str], fmt: str) -> None:
-    """Live service introspection via the stats/health wire ops."""
+def service(
+    host: str, port: Optional[int], record: bool, db_path: Optional[str], fmt: str
+) -> None:
+    """Live service introspection via the stats wire op."""
     from ..service.client import ServiceClient
+    from ..service.protocol import DEFAULT_PORT
 
+    if port is None:
+        port = DEFAULT_PORT
     client = ServiceClient((host, port), retries=1)
     try:
         stats = client.stats()
@@ -281,9 +291,8 @@ def service(host: str, port: int, record: bool, db_path: Optional[str], fmt: str
         return
     rows: List[Sequence] = [
         ("uptime_s", f"{stats.get('uptime_s', 0.0):.1f}"),
-        ("role", stats.get("role", "-")),
     ]
-    for section in ("service", "session", "store", "expr_cache", "replication"):
+    for section in ("service", "session", "store", "expr_cache"):
         payload = stats.get(section)
         if not isinstance(payload, dict):
             continue

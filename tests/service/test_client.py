@@ -8,7 +8,13 @@ from repro.core.experiments import figure10_cpu_ablation
 from repro.core.pipeline import UnitCpuRunner, compile_model
 from repro.models.zoo import get_model
 from repro.rewriter import ShardedTuningStore, TuningSession
-from repro.service import RemoteSession, ServiceClient, TuningService
+from repro.service import (
+    RemoteSession,
+    ServiceClient,
+    ServiceError,
+    ServiceUnavailable,
+    TuningService,
+)
 from repro.workloads.table1 import TABLE1_LAYERS
 
 
@@ -217,12 +223,35 @@ class TestFailurePaths:
         assert session.client.requests_sent == 0  # never touched the wire
         assert service.session.searches_run == 0
 
+    @pytest.mark.parametrize(
+        "error", [ServiceError("record rejected: stale", "stale"), ServiceUnavailable("down")]
+    )
+    def test_failed_put_writes_the_fallback_store(self, service, tmp_path, monkeypatch, error):
+        session = RemoteSession(service.address, fallback_store=tmp_path / "local")
+
+        def decline(key, sweep=None):
+            raise ServiceError("declined for the test", "untunable")
+
+        def fail(record):
+            raise error
+
+        monkeypatch.setattr(session.client, "tune", decline)
+        monkeypatch.setattr(session.client, "put", fail)
+        _tune_layers(session, TABLE1_LAYERS[:1])
+        assert session.searches_run == 1
+        assert len(ShardedTuningStore(tmp_path / "local").load()) == 1
+        assert session.online is isinstance(error, ServiceError)  # an outage goes offline
 
     def test_publish_falls_back_when_server_refuses(self, service, monkeypatch):
         session = RemoteSession(service.address)
+
+        def decline(key, sweep=None):
+            raise ServiceError("declined for the test", "untunable")
+
         # Have the server-side tune decline so the client searches locally...
-        monkeypatch.setattr(session, "server_tune", False)
+        monkeypatch.setattr(session.client, "tune", decline)
         _tune_layers(session, TABLE1_LAYERS[:1])
+        assert session.server_declines == 1
         assert session.searches_run == 1
         # ...and the locally-found record was still published to the server.
         other = RemoteSession(service.address)
@@ -237,43 +266,115 @@ class TestAddressesAndPolicy:
         _tune_layers(session, TABLE1_LAYERS[:1])
         assert session.server_tunes == 1
 
-    def test_normalize_addresses_forms(self):
+    @pytest.mark.parametrize(
+        "address, expected",
+        [
+            (("10.0.0.1", 9461), ("10.0.0.1", 9461)),
+            (["10.0.0.1", "9461"], ("10.0.0.1", 9461)),
+            ("10.0.0.1:9461", ("10.0.0.1", 9461)),
+            (":9461", ("127.0.0.1", 9461)),
+        ],
+    )
+    def test_normalize_addresses_forms(self, address, expected):
         from repro.service import normalize_addresses
 
-        assert normalize_addresses(("10.0.0.1", 9461)) == [("10.0.0.1", 9461)]
-        assert normalize_addresses("10.0.0.1:9461") == [("10.0.0.1", 9461)]
-        assert normalize_addresses(":9461") == [("127.0.0.1", 9461)]
-        assert normalize_addresses(
-            ["10.0.0.1:9461", ("10.0.0.2", 9462)]
-        ) == [("10.0.0.1", 9461), ("10.0.0.2", 9462)]
+        assert normalize_addresses(address) == expected
+
+    @pytest.mark.parametrize(
+        "address",
+        [
+            "no-port-here",
+            [],
+            ("10.0.0.1",),
+            ["10.0.0.1:9461", "10.0.0.2:9461"],
+            [("10.0.0.1", 9461), ("10.0.0.2", 9462)],
+            9461,
+        ],
+    )
+    def test_anything_but_one_endpoint_is_rejected(self, address):
+        from repro.service import normalize_addresses
+
         with pytest.raises(ValueError):
-            normalize_addresses([])
+            normalize_addresses(address)
         with pytest.raises(ValueError):
-            normalize_addresses("no-port-here")
+            ServiceClient(address)
 
-    def test_explicit_retry_policy_drives_the_transport(self, service):
-        from repro.retry import RetryPolicy
+    def test_retries_set_the_attempt_count(self):
+        attempts = []
 
-        policy = RetryPolicy(max_attempts=7, base_delay_s=0.123, jitter=0.0)
-        client = ServiceClient(service.address, retry_policy=policy)
-        assert client.retry is policy
-        assert client.retries == 6
-        client.ping()
-        client.close()
+        class CountingClient(ServiceClient):
+            def _connect(self):
+                attempts.append(1)
+                return super()._connect()
 
-    def test_second_endpoint_serves_when_first_is_dead(self, service):
-        client = ServiceClient(
-            [("127.0.0.1", 1), service.address], retries=1, timeout=0.5
-        )
-        assert client.ping()["server"] == "tuning-service"
-        assert client.failovers == 1
-        assert client._active == 1
-        client.close()
+        client = CountingClient(("127.0.0.1", 1), retries=3, timeout=0.2)
+        assert client.retries == 3
+        with pytest.raises(ServiceUnavailable, match="after 4 attempts"):
+            client.ping()
+        assert len(attempts) == 4
+        assert ServiceClient(("127.0.0.1", 1)).retries == 2  # the default
 
-    def test_remote_session_summary_names_endpoints_and_breaker(self, service):
-        session = RemoteSession([service.address, ("127.0.0.1", 1)])
+    def test_remote_session_summary_names_endpoint_and_state(self, service):
+        session = RemoteSession(service.address)
         _tune_layers(session, TABLE1_LAYERS[:1])
         summary = session.summary()
-        assert "breaker closed" in summary
-        assert f"{service.address[0]}:{service.address[1]}" in summary
-        assert "1 server tunes" not in summary or session.server_tunes == 1
+        assert f"{service.address[0]}:{service.address[1]} online" in summary
+        assert "1 server tunes" in summary
+        session.force_offline()
+        assert " OFFLINE]" in session.summary()
+
+
+class TestOfflineWindow:
+    """``RemoteSession`` stays local until one timestamp passes."""
+
+    def test_outage_sets_the_cooldown_and_success_clears_it(self, service):
+        session = RemoteSession(service.address, offline_cooldown_s=30.0)
+        before = time.monotonic()
+        session._mark_down()
+        assert before + 30.0 <= session._offline_until <= time.monotonic() + 30.0
+        assert not session.online and session.offline_errors == 1
+        session._mark_up()
+        assert session._offline_until == 0.0 and session.online
+
+    def test_a_real_outage_takes_the_session_offline(self, tmp_path):
+        session = RemoteSession(
+            ("127.0.0.1", 1), retries=0, timeout=0.2, offline_cooldown_s=30.0
+        )
+        assert session.online
+        _tune_layers(session, TABLE1_LAYERS[:1])
+        assert not session.online
+        assert session.offline_errors == 1  # the second tier never asked
+        assert session.searches_run == 1
+
+    def test_force_offline_never_expires(self, service):
+        session = RemoteSession(service.address, offline_cooldown_s=0.0)
+        session.force_offline()
+        assert session._offline_until == float("inf")
+        assert not session.online
+
+    def test_session_comes_back_after_a_restart(self, tmp_path):
+        """Kill the daemon, restart it over the same store and port: after
+        the cooldown the same session is served the warm records."""
+        svc = TuningService(tmp_path / "store", speculative=False).start()
+        host, port = svc.address
+        _tune_layers(RemoteSession((host, port)), TABLE1_LAYERS[:2])
+        svc.kill()
+        session = RemoteSession(
+            (host, port),
+            retries=0,
+            timeout=1.0,
+            offline_cooldown_s=0.05,
+            fallback_store=tmp_path / "local",
+        )
+        _tune_layers(session, TABLE1_LAYERS[2:3])  # the daemon is down
+        assert session.offline_errors >= 1 and session.searches_run == 1
+        with TuningService(
+            tmp_path / "store", speculative=False, host=host, port=port
+        ) as fresh:
+            time.sleep(0.06)
+            assert session.online
+            _tune_layers(session, TABLE1_LAYERS[:2])
+            assert session.server_hits == 2
+            assert fresh.session.searches_run == 0  # served, not re-searched
+            for key, expected in _reference(TABLE1_LAYERS[:2]).items():
+                assert session.cache.lookup(key).to_json() == expected.to_json()

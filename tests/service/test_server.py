@@ -172,6 +172,21 @@ class TestBasicOps:
         finally:
             sock.close()
 
+    @pytest.mark.parametrize("op", ["sync", "health"])
+    def test_retired_ops_are_unknown(self, service, op):
+        assert op not in protocol.OPS
+        with pytest.raises(ValueError, match="unknown op"):
+            protocol.request(op)
+        sock = socket.create_connection(service.address, timeout=5)
+        try:
+            message = protocol.ok_response()
+            message["op"] = op
+            protocol.send_message(sock, message)
+            response = protocol.recv_message(sock)
+            assert response["ok"] is False and response["code"] == "unknown_op"
+        finally:
+            sock.close()
+
     def test_protocol_error_does_not_kill_the_daemon(self, service):
         sock = socket.create_connection(service.address, timeout=5)
         try:
@@ -280,6 +295,52 @@ class TestCoalescing:
             expected = [reference[key].to_json() for key in keys]
             for records in results.values():
                 assert records == expected
+
+    def test_coalesced_waiter_timeout_is_not_untunable(self, tmp_path):
+        """Regression: a waiter that gives up on a hung leader used to be
+        answered ``untunable`` and counted in ``untunable_keys`` although
+        the key is perfectly tunable.  It gets its own code now, and the
+        client still declines to a local search."""
+        import repro.service.server as server_module
+        from repro.service import RemoteSession
+
+        svc = TuningService(tmp_path / "store", speculative=False, tune_timeout=0.2)
+        svc.start()
+        original = server_module.run_task
+        reached = threading.Event()
+        release = threading.Event()
+
+        def hang(task, session):
+            reached.set()
+            release.wait(30.0)
+            return original(task, session)
+
+        server_module.run_task = hang
+        try:
+            (key,) = _keys_for(TABLE1_LAYERS[:1])
+            leader = threading.Thread(
+                target=lambda: ServiceClient(svc.address, tune_timeout=60.0).tune(key)
+            )
+            leader.start()
+            assert reached.wait(10.0)
+            with ServiceClient(svc.address, tune_timeout=30.0) as waiter:
+                with pytest.raises(ServiceError) as excinfo:
+                    waiter.tune(key)
+            assert excinfo.value.code == "tune_timeout"
+            assert "timed out" in str(excinfo.value)
+            assert svc.stats.untunable_keys == 0
+            assert svc.stats.coalesced_waiters == 1
+            # RemoteSession treats it as a decline: a local search follows.
+            session = RemoteSession(svc.address, tune_timeout=30.0)
+            UnitCpuRunner(session=session).conv2d_latency(TABLE1_LAYERS[0])
+            assert session.server_declines == 1 and session.searches_run == 1
+            assert session.online
+            assert svc.stats.untunable_keys == 0
+        finally:
+            release.set()
+            server_module.run_task = original
+            leader.join(timeout=30.0)
+            svc.stop()
 
 
 class TestGc:
@@ -415,6 +476,31 @@ class TestLifecycle:
             time.sleep(0.02)
         assert svc._server is None
 
+    def test_shutdown_reply_is_sent_before_the_daemon_stops(self, tmp_path):
+        """Regression: the stop began while the reply was still unsent, so
+        a ``serve`` process could exit first and the client saw a reset."""
+        from repro.testing.faults import FaultPlan
+
+        svc = TuningService(tmp_path / "store", speculative=False).start()
+        stopped_before_reply = []
+
+        def late_reply(injection):
+            if injection.context["response"].get("stopping"):
+                time.sleep(0.3)  # ample time for a concurrent stop to begin
+                stopped_before_reply.append(svc._stop.is_set())
+
+        try:
+            with FaultPlan() as plan, ServiceClient(svc.address) as client:
+                plan.on("server.respond", late_reply, times=None)
+                assert client.shutdown()["stopping"] is True
+            assert stopped_before_reply == [False]
+            deadline = time.time() + 10
+            while time.time() < deadline and svc._server is not None:
+                time.sleep(0.02)
+            assert svc._server is None
+        finally:
+            svc.stop()
+
     def test_shutdown_wakes_coalesced_tune_waiters(self, tmp_path):
         """The satellite scenario: clients parked on an in-flight search
         must get a clean ``shutting_down`` answer the moment the daemon
@@ -466,8 +552,7 @@ class TestLifecycle:
             woken_after = time.monotonic() - start
             assert not waiter.is_alive()
             assert woken_after < 5.0  # woken by stop(), not by its timeout
-            # A single-endpoint client maps shutting_down to "endpoint
-            # down" and exhausts its (zero) retries.
+            # A shutting_down answer is an outage, not a declined key.
             assert isinstance(outcomes["waiter"], ServiceUnavailable)
             release.set()
             leader.join(timeout=10.0)

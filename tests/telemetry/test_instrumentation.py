@@ -51,15 +51,42 @@ class TestCompilerInstrumentation:
 
 
 class TestServiceInstrumentation:
-    def test_stats_and_health_serve_identical_shape(self, tmp_path):
+    def test_stats_snapshot_shape(self, tmp_path):
         with TuningService(tmp_path / "store", speculative=False) as svc:
             with ServiceClient(svc.address) as client:
                 stats = client.stats()
-                health = client.health()
-        assert set(stats) == set(health)
-        for payload in (stats, health):
-            assert payload["uptime_s"] >= 0
-            assert payload["telemetry"] == {}  # no sink installed
+        assert set(stats) == {
+            "ok", "protocol", "schema", "uptime_s", "shutting_down", "service",
+            "session", "store", "expr_cache", "inflight", "foreground",
+            "speculative_queue", "telemetry",
+        }
+        assert stats["uptime_s"] >= 0
+        assert stats["telemetry"] == {}  # no sink installed
+
+    def test_one_count_per_event_feeds_field_and_counter(self, tmp_path):
+        """``stats.requests`` and ``service.requests.<op>``, and the
+        client's ``server_tunes`` / ``server_hits`` and their
+        ``service.client.*`` counters, move together."""
+        from repro.core.pipeline import UnitCpuRunner
+        from repro.service import RemoteSession
+        from repro.workloads.table1 import TABLE1_LAYERS
+
+        with metrics.collecting() as registry:
+            with TuningService(tmp_path / "store", speculative=False) as svc:
+                with ServiceClient(svc.address) as client:
+                    client.ping()
+                    client.ping()
+                first = RemoteSession(svc.address)
+                UnitCpuRunner(session=first).conv2d_latency(TABLE1_LAYERS[0])
+                second = RemoteSession(svc.address)
+                UnitCpuRunner(session=second).conv2d_latency(TABLE1_LAYERS[0])
+                requests = dict(svc.stats.requests)
+        counters = registry.counters()
+        assert requests["ping"] == counters["service.requests.ping"] == 2
+        assert requests["tune"] == counters["service.requests.tune"] == 1
+        assert (first.server_tunes, second.server_hits) == (1, 1)
+        assert counters["service.client.server_tunes"] == 1
+        assert counters["service.client.server_hits"] == 1
 
     def test_uptime_is_monotonic_across_calls(self, tmp_path):
         with TuningService(tmp_path / "store", speculative=False) as svc:

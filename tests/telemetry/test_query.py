@@ -98,6 +98,40 @@ class TestVerdicts:
         assert "table1[0].vector_s" in out and "PASS" in out
 
 
+class TestService:
+    def test_default_port_reaches_a_daemon_on_the_default_port(self, tmp_path, capsys):
+        """Regression: ``query service`` without ``--port`` used to dial
+        7463 while the daemon serves on its default port."""
+        from repro.service import TuningService
+        from repro.service.__main__ import DEFAULT_PORT
+
+        service = TuningService(tmp_path / "store", port=DEFAULT_PORT, speculative=False)
+        try:
+            service.start()
+        except OSError as exc:
+            pytest.skip(f"default port {DEFAULT_PORT} is taken on this host: {exc}")
+        try:
+            assert main(["service", "--format", "json"]) == 0
+            stats = json.loads(capsys.readouterr().out)
+            assert stats["service"]["requests"] == {"stats": 1}
+        finally:
+            service.stop()
+
+    def test_table_has_no_replication_rows(self, tmp_path, capsys):
+        from repro.service import TuningService
+
+        with TuningService(tmp_path / "store", speculative=False) as service:
+            port = str(service.address[1])
+            assert main(["service", "--port", port]) == 0
+        out = capsys.readouterr().out
+        assert "uptime_s" in out and "service.requests.stats" in out
+        assert "role" not in out and "replication" not in out
+
+    def test_unreachable_daemon_is_a_clean_error(self, capsys):
+        assert main(["service", "--port", "1"]) == 1
+        assert "unreachable" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -1,8 +1,8 @@
-"""Tests for the unified RetryPolicy / CircuitBreaker."""
+"""Tests for the unified RetryPolicy."""
 
 import pytest
 
-from repro.retry import CircuitBreaker, RetryPolicy
+from repro.retry import RetryPolicy
 
 
 class FakeClock:
@@ -103,140 +103,3 @@ class TestAttempts:
         )
         list(policy.attempts(sleep=clock.sleep, clock=clock))
         assert clock.sleeps == [1.0]  # a 10s backoff clipped to the budget
-
-
-class TestClassifyAndCall:
-    def test_classify_transient_vs_fatal(self):
-        policy = RetryPolicy(transient=(OSError,))
-        assert policy.classify(ConnectionResetError()) == "transient"
-        assert policy.classify(ValueError()) == "fatal"
-
-    def test_call_retries_transient_and_returns(self):
-        clock = FakeClock()
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise OSError("transient")
-            return "done"
-
-        policy = RetryPolicy(max_attempts=5, jitter=0.0)
-        assert policy.call(flaky, sleep=clock.sleep, clock=clock) == "done"
-        assert len(calls) == 3
-
-    def test_call_reraises_fatal_immediately(self):
-        clock = FakeClock()
-        calls = []
-
-        def broken():
-            calls.append(1)
-            raise ValueError("logic error")
-
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=5).call(broken, sleep=clock.sleep, clock=clock)
-        assert len(calls) == 1  # retrying a logic error only hides it
-
-    def test_call_raises_last_transient_at_exhaustion(self):
-        clock = FakeClock()
-
-        def always_down():
-            raise ConnectionRefusedError("down")
-
-        with pytest.raises(ConnectionRefusedError):
-            RetryPolicy(max_attempts=3, jitter=0.0).call(
-                always_down, sleep=clock.sleep, clock=clock
-            )
-        assert len(clock.sleeps) == 2
-
-    def test_on_retry_callback_sees_the_failure(self):
-        clock = FakeClock()
-        seen = []
-
-        def flaky():
-            if not seen:
-                raise OSError("first")
-            return "ok"
-
-        RetryPolicy(max_attempts=3, jitter=0.0).call(
-            flaky,
-            sleep=clock.sleep,
-            clock=clock,
-            on_retry=lambda attempt, exc: seen.append((attempt, str(exc))),
-        )
-        assert seen == [(1, "first")]
-
-
-class TestCircuitBreaker:
-    def _breaker(self, clock, **kwargs):
-        kwargs.setdefault("reset_timeout_s", 1.0)
-        return CircuitBreaker(clock=clock, **kwargs)
-
-    def test_closed_until_threshold(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock, failure_threshold=3)
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open" and not breaker.allow()
-
-    def test_default_threshold_is_one_failure(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock)
-        breaker.record_failure()
-        assert breaker.state == "open"
-
-    def test_half_open_after_timeout_then_success_closes(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock)
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock.now += 1.01
-        assert breaker.state == "half_open" and breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.trips == 0  # escalation reset
-
-    def test_failed_probe_reopens_immediately_and_escalates(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock, failure_threshold=3)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.now += 1.01
-        assert breaker.state == "half_open"
-        breaker.record_failure()  # one failed probe, not three
-        assert breaker.state == "open"
-        clock.now += 1.01
-        assert breaker.state == "open"  # second trip holds for 2s, not 1s
-        clock.now += 1.0
-        assert breaker.state == "half_open"
-
-    def test_reset_timeout_escalation_is_capped(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock, max_reset_timeout_s=4.0)
-        for _ in range(10):
-            breaker.record_failure()
-            clock.now += 100.0
-        assert breaker.reset_timeout_s() == 4.0
-
-    def test_success_resets_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock, failure_threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"  # never two *consecutive* failures
-
-    def test_permanent_trip_never_heals(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock)
-        breaker.trip(forever=True)
-        clock.now += 1e9
-        assert breaker.state == "open" and not breaker.allow()
-        assert breaker.permanent
-        assert "permanent" in breaker.summary()
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError, match="failure_threshold"):
-            CircuitBreaker(failure_threshold=0)

@@ -71,7 +71,6 @@ GUARDED: Dict[str, Dict[str, Dict[str, Set[str]]]] = {
                 "_spec_queue",
                 "_spec_queued_ids",
                 "_conns",
-                "replication",
             },
         },
     },
@@ -118,7 +117,6 @@ REQUIRE_LOCKED: Dict[str, Dict[str, Dict[str, Set[str]]]] = {
                 "clear",
                 "_scan_shard",
                 "last_served",
-                "read_shard_since",
                 "fsck",
             },
         },
