@@ -45,10 +45,6 @@ class LayoutDecision:
     def wasted_output_fraction(self) -> float:
         return 1.0 - self.out_channels / self.padded_out_channels
 
-    @property
-    def wasted_input_fraction(self) -> float:
-        return 1.0 - self.in_channels / self.padded_in_channels
-
 
 def plan_layout(graph: Graph, lanes: int = 16, reduction: int = 4) -> Dict[str, LayoutDecision]:
     """Choose the blocked layout for every convolution/dense node of ``graph``."""

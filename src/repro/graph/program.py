@@ -229,6 +229,7 @@ class GraphProgram:
         parameters it lacks are drawn from ``rng`` in node order and added to
         it.
         """
+        from ..tir.backend import promotion_batch
         from ..tir.plan import plan_cache
 
         cache_stats = plan_cache().stats
@@ -240,8 +241,9 @@ class GraphProgram:
             frame = _Frame(self)
         try:
             frame.inputs, frame.weights, frame.rng, frame.executor = inputs, weights, rng, executor
-            for step in frame.steps:
-                step()
+            with promotion_batch():
+                for step in frame.steps:
+                    step()
             kept = {name: frame.values[name].copy() for name in self.kept}
         finally:
             frame.inputs = frame.weights = frame.rng = frame.executor = None

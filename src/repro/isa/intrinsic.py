@@ -150,15 +150,6 @@ class TensorIntrinsic:
         return self.op.input_tensors
 
     @property
-    def axes(self) -> List[IterAxis]:
-        """All iteration axes of the instruction's DSL description."""
-        return self.op.all_axes
-
-    @property
-    def data_parallel_axes(self) -> List[IterAxis]:
-        return list(self.op.axes)
-
-    @property
     def reduce_axes(self) -> List[IterAxis]:
         return self.op.reduce_axes
 

@@ -26,6 +26,12 @@ Promotion is conservative by construction:
   demoted plans keep running vectorized, so the native tier can never change
   results or raise where the vectorized tier would not.
 
+A promotion that falls due outside a batch is qualified before the run
+returns.  Inside :func:`promotion_batch` (every ``GraphProgram.run``) it is
+queued instead, and the batch's exit qualifies the queued kernels
+concurrently, one sandbox child per CPU the process may use, then loads and
+spot-checks each in queue order exactly as an inline promotion would.
+
 Promotion state lives on the plan object itself (via :func:`tier_state`), so
 it is keyed off the process-wide :class:`~repro.tir.plan.PlanCache` exactly
 like the plan: every caller that hits the same cached plan shares one warm-run
@@ -42,8 +48,11 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from multiprocessing.connection import wait as wait_any
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +61,7 @@ from ..telemetry import metrics as _metrics, trace as _trace
 
 if TYPE_CHECKING:  # runtime import is lazy (see _lowlevel) to avoid a cycle
     from ..codegen.lowlevel import NativeSource
+    from .sandbox import Qualification, SandboxVerdict
 from .engine import EngineStats, ExecutablePlan
 from .lower import PrimFunc
 
@@ -71,6 +81,7 @@ __all__ = [
     "compile_native",
     "native_eligibility_reason",
     "native_toolchain",
+    "promotion_batch",
     "run_tiered",
     "same_bits",
     "tier_state",
@@ -303,7 +314,8 @@ class TierState:
     this plan's candidate kernel (``"qualified"``, ``"segfault"``, ``"oom"``,
     ``"hang"``, ``"mismatch"``, ... — see
     :class:`repro.tir.sandbox.SandboxVerdict`), or ``None`` when the sandbox
-    has not run (not yet promoted, disabled, or no toolchain).
+    has not run (not yet promoted, disabled, or no toolchain).  ``pending``
+    is set while the plan waits in a :func:`promotion_batch`.
     """
 
     tier: str = "vectorized"
@@ -312,15 +324,22 @@ class TierState:
     demoted: bool = False
     demotion_reason: str = ""
     sandbox_outcome: Optional[str] = None
+    pending: bool = False
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+
+# Serialises first touches of a plan, so every caller gets the one state.
+_TIER_STATE_LOCK = threading.Lock()
 
 
 def tier_state(plan: ExecutablePlan) -> TierState:
     """The promotion state attached to ``plan`` (created on first use)."""
     state = getattr(plan, "_tier_state", None)
     if state is None:
-        state = TierState()
-        plan._tier_state = state
+        with _TIER_STATE_LOCK:
+            state = getattr(plan, "_tier_state", None)
+            if state is None:
+                state = plan._tier_state = TierState()
     return state
 
 
@@ -389,40 +408,64 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _pre_run(inputs_before: List[np.ndarray], output_before: np.ndarray) -> List[np.ndarray]:
+    """Fresh copies of the buffers a promoting run consumed, in parameter order."""
+    return [np.array(a, copy=True) for a in (*inputs_before, output_before)]
+
+
+def _qualifying() -> bool:
+    """Whether promotion qualifies its candidate in the sandbox first."""
+    from . import sandbox
+
+    return native_toolchain()[0] is not None and sandbox.sandbox_enabled()
+
+
 def _try_promote(
     plan: ExecutablePlan,
-    func: PrimFunc,
     inputs_before: List[np.ndarray],
     output_before: np.ndarray,
     expected: np.ndarray,
     stats: Optional[EngineStats],
 ) -> None:
-    """Compile a kernel and spot-check it for bit identity before promoting.
+    """Qualify, compile and spot-check a kernel now, before the run returns."""
+    from . import sandbox
+
+    qualify = None
+    if _qualifying():
+        qualify = partial(sandbox.qualify, plan.func, _pre_run(inputs_before, output_before), expected)
+    _promote(plan, inputs_before, output_before, expected, stats, qualify)
+
+
+def _promote(
+    plan: ExecutablePlan,
+    inputs_before: List[np.ndarray],
+    output_before: np.ndarray,
+    expected: np.ndarray,
+    stats: Optional[EngineStats],
+    qualify: Optional[Callable[[], "SandboxVerdict"]],
+) -> None:
+    """Load a kernel and spot-check it for bit identity before promoting.
 
     ``inputs_before``/``output_before`` are the buffer values the vectorized
     run consumed; ``expected`` is the result it produced.  Running the fresh
     kernel over copies of the same inputs must reproduce ``expected`` bit for
     bit, else the plan demotes.
 
-    When a toolchain exists and the sandbox is enabled, the candidate is
-    first compiled and bit-checked in a disposable subprocess
-    (:func:`repro.tir.sandbox.qualify`): a kernel that segfaults, OOMs, or
-    hangs kills only that child, and the classified verdict becomes the
-    demotion reason.  Qualify once, load what was qualified: the host
-    ``CDLL``-loads the very library the child built and checked (one ``cc``
-    per promotion); only with the sandbox off does it compile for itself.
+    ``qualify`` is the sandbox verdict on the candidate (one
+    :func:`repro.tir.sandbox.qualify`, or the wait for a child a batch
+    started), or ``None`` when there is no toolchain or the sandbox is off:
+    a kernel that segfaults, OOMs, or hangs kills only that child, and the
+    classified verdict becomes the demotion reason.  Qualify once, load what
+    was qualified: the host ``CDLL``-loads the very library the child built
+    and checked (one ``cc`` per promotion); only with the sandbox off does it
+    compile for itself.
     """
-    from . import sandbox
-
     state = tier_state(plan)
-    toolchain_kind, _ = native_toolchain()
     qualified = None
     with _trace.span("tir.native_promote", func=plan.func.name) as promote_span:
-        if toolchain_kind is not None and sandbox.sandbox_enabled():
-            check = [np.array(a, copy=True) for a in inputs_before]
-            check.append(np.array(output_before, copy=True))
+        if qualify is not None:
             with _trace.span("tir.sandbox_qualify", func=plan.func.name) as sq:
-                verdict = sandbox.qualify(plan.func, check, expected)
+                verdict = qualify()
                 sq.set(outcome=verdict.outcome)
             state.sandbox_outcome = verdict.outcome
             _count(stats, "sandbox_qualifications")
@@ -452,10 +495,8 @@ def _try_promote(
             instructions=",".join(kernel.source.instructions),
             tiled_nests=kernel.source.tiled_nests,
         )
-        check = [np.array(a, copy=True) for a in inputs_before]
-        check.append(np.array(output_before, copy=True))
         try:
-            got = kernel.run(check)
+            got = kernel.run(_pre_run(inputs_before, output_before))
         except Exception as exc:  # demote on *any* kernel failure
             promote_span.set(outcome="spot_check_raised")
             _demote(plan, f"native kernel raised during spot-check: {exc}", stats)
@@ -472,6 +513,114 @@ def _try_promote(
         state.tier = "native"
         promote_span.set(outcome="promoted")
     _count(stats, "native_promotions")
+
+
+# ---------------------------------------------------------------------------
+# Promotion batches
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Queued:
+    """A promotion that fell due inside a batch: copies of what its run
+    consumed and produced (the caller's buffers move on)."""
+
+    plan: ExecutablePlan
+    inputs_before: List[np.ndarray]
+    output_before: np.ndarray
+    expected: np.ndarray
+    stats: Optional[EngineStats]
+
+
+_BATCH = threading.local()
+
+
+@contextmanager
+def promotion_batch() -> Iterator[None]:
+    """Queue the promotions that fall due on this thread; qualify them
+    concurrently when the batch exits.
+
+    Inside a batch, a plan whose promotion falls due is marked pending and
+    keeps running vectorized until the batch exits.  The exit starts one
+    sandbox child per queued plan, at most one per CPU the process may use
+    alive at a time, and handles the verdicts in queue order through the
+    same load, spot check and demotion as an inline promotion, so every plan
+    is promoted or demoted when the ``with`` block is left.  A nested batch
+    joins the outer one.  When the body raises, the queue is dropped (the
+    plans promote on a later run) and the exception propagates; no child or
+    sandbox work directory outlives the batch either way.
+    """
+    if getattr(_BATCH, "queue", None) is not None:
+        yield
+        return
+    queue: List[_Queued] = []
+    _BATCH.queue = queue
+    try:
+        yield
+    except BaseException:
+        _release(queue)
+        raise
+    finally:
+        _BATCH.queue = None
+    if queue:
+        _promote_queued(queue)
+
+
+def _release(queue: List[_Queued]) -> None:
+    for item in queue:
+        tier_state(item.plan).pending = False
+
+
+def _width() -> int:
+    """How many sandbox children a batch keeps alive: the CPUs this process may use."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _promote_queued(queue: List[_Queued]) -> None:
+    from . import sandbox
+
+    qualifying = _qualifying()
+    width = _width()
+    handles: List["Qualification"] = []
+
+    def launch(first: int) -> None:
+        """Start queued children while fewer than ``width`` of those not yet
+        handled are alive."""
+        while len(handles) < len(queue) and sum(h.running for h in handles[first:]) < width:
+            item = queue[len(handles)]
+            handles.append(
+                sandbox.start(
+                    item.plan.func, _pre_run(item.inputs_before, item.output_before), item.expected
+                )
+            )
+
+    def verdict(index: int) -> "SandboxVerdict":
+        handle = handles[index]
+        # Keep the pool full while this child works: each exit frees a slot.
+        while handle.running and len(handles) < len(queue) and handle.remaining_s > 0:
+            wait_any([h.sentinel for h in handles[index:] if h.running], handle.remaining_s)
+            launch(index)
+        return handle.wait()
+
+    try:
+        for index, item in enumerate(queue):
+            if qualifying:
+                launch(index)
+            state = tier_state(item.plan)
+            with state.lock:
+                _promote(
+                    item.plan,
+                    item.inputs_before,
+                    item.output_before,
+                    item.expected,
+                    item.stats,
+                    partial(verdict, index) if qualifying else None,
+                )
+                state.pending = False
+    finally:
+        for handle in handles:
+            handle.close()
+        _release(queue)
 
 
 def run_tiered(
@@ -504,10 +653,15 @@ def run_tiered(
             _count(stats, "native_runs")
             return result
 
-    if state.demoted or state.tier != "vectorized" or state.warm_runs + 1 < threshold:
+    if (
+        state.demoted
+        or state.pending
+        or state.tier != "vectorized"
+        or state.warm_runs + 1 < threshold
+    ):
         result = plan.run(buffers, stats=stats, func=func)
         with state.lock:
-            if not state.demoted:
+            if not (state.demoted or state.pending):
                 state.warm_runs += 1
         return result
 
@@ -521,13 +675,21 @@ def run_tiered(
         state.warm_runs += 1
         should_promote = (
             not state.demoted
+            and not state.pending
             and state.tier == "vectorized"
             and state.warm_runs >= threshold
         )
         if should_promote:
             reason = native_eligibility_reason(plan)
+            batch = getattr(_BATCH, "queue", None)
             if reason is not None:
                 _demote(plan, reason, stats)
+            elif batch is not None:
+                # ``result`` is the caller's buffer, which later steps overwrite.
+                state.pending = True
+                batch.append(
+                    _Queued(plan, inputs_before, output_before, np.array(result, copy=True), stats)
+                )
             else:
-                _try_promote(plan, func, inputs_before, output_before, result, stats)
+                _try_promote(plan, inputs_before, output_before, result, stats)
     return result

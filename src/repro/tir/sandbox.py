@@ -18,12 +18,19 @@ or the serving daemon outright.  This module moves that first contact into a
   segfaults, is OOM-killed, or hangs becomes a *classified verdict*
   (``segfault`` / ``oom`` / ``hang``) instead of a dead host.
 
-Only after a ``qualified`` verdict does :func:`repro.tir.backend._try_promote`
-load the kernel in-process — the very library the child built and checked,
-moved out of the sandbox work directory (``SandboxVerdict.library``), not a
-second compile of the same source.  The child is a fresh interpreter state with
-nothing to corrupt and nothing to leak: whatever the candidate kernel does —
-scribble over the heap, exhaust memory, spin forever — dies with it.
+:func:`start` forks the child and returns a :class:`Qualification` at once;
+its :meth:`~Qualification.wait` is the watchdog, with each child's budget
+counted from its own launch, so a :func:`repro.tir.backend.promotion_batch`
+keeps one child per CPU working while it collects verdicts in order.
+:func:`qualify` is ``start(...).wait()``, the one-kernel spelling.
+
+Only after a ``qualified`` verdict does the promotion in
+:mod:`repro.tir.backend` load the kernel in-process — the very library the
+child built and checked, moved out of the sandbox work directory
+(``SandboxVerdict.library``), not a second compile of the same source.  The
+child is a fresh interpreter state with nothing to corrupt and nothing to
+leak: whatever the candidate kernel does — scribble over the heap, exhaust
+memory, spin forever — dies with it.
 
 Knobs (environment):
 
@@ -57,11 +64,13 @@ if TYPE_CHECKING:
     from ..codegen.lowlevel import NativeSource
 
 __all__ = [
+    "Qualification",
     "SandboxVerdict",
     "default_memory_mb",
     "default_timeout_s",
     "qualify",
     "sandbox_enabled",
+    "start",
 ]
 
 _DEFAULT_TIMEOUT_S = 120.0
@@ -290,7 +299,121 @@ def _classify_exit(exitcode: Optional[int], elapsed: float) -> SandboxVerdict:
     )
 
 
-def qualify(
+class Qualification:
+    """One kernel's qualification: a sandbox child working under its own
+    wall-clock budget, or a verdict known before any fork.
+
+    :func:`start` returns one without waiting; :meth:`wait` collects the
+    verdict (watchdog, exit classification, library adoption) and closes it;
+    :meth:`close` kills a child that is still alive and removes its work
+    directory, so a qualification abandoned half way leaves nothing behind.
+    """
+
+    def __init__(
+        self,
+        verdict: Optional[SandboxVerdict] = None,
+        *,
+        child=None,
+        conn=None,
+        workdir: Optional[str] = None,
+        source: Optional["NativeSource"] = None,
+        timeout_s: float = 0.0,
+        launched: float = 0.0,
+    ) -> None:
+        self._verdict = verdict
+        self._child = child
+        self._conn = conn
+        self._workdir = workdir
+        self._source = source
+        self._timeout_s = timeout_s
+        self._launched = launched
+
+    @property
+    def running(self) -> bool:
+        """Whether the sandbox child has not exited yet."""
+        return self._child is not None and self._child.is_alive()
+
+    @property
+    def sentinel(self) -> int:
+        """The child's exit sentinel (for ``multiprocessing.connection.wait``)."""
+        return self._child.sentinel
+
+    @property
+    def remaining_s(self) -> float:
+        """Wall-clock budget left, counted from the child's launch."""
+        return self._launched + self._timeout_s - time.perf_counter()
+
+    def wait(self) -> SandboxVerdict:
+        """The verdict, once the child has given it or run out of time."""
+        if self._verdict is None:
+            try:
+                self._verdict = self._collect()
+            finally:
+                self.close()
+        return self._verdict
+
+    def close(self) -> None:
+        """Kill the child if it is still alive and remove its work directory."""
+        child, self._child = self._child, None
+        if child is not None and child.is_alive():
+            child.kill()
+            child.join(timeout=5.0)
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+        if self._workdir is not None:
+            shutil.rmtree(self._workdir, ignore_errors=True)
+            self._workdir = None
+
+    def _collect(self) -> SandboxVerdict:
+        child, conn = self._child, self._conn
+        verdict_data: Optional[Dict[str, object]] = None
+        watchdog_fired = False
+        try:
+            if conn.poll(max(0.0, self.remaining_s)):
+                verdict_data = conn.recv()
+            else:
+                watchdog_fired = True
+        except (EOFError, OSError):
+            pass  # child died mid-send; classify from its exit code below
+        if watchdog_fired and child.is_alive():
+            child.kill()
+            child.join(timeout=5.0)
+            return SandboxVerdict(
+                False,
+                "hang",
+                f"sandbox exceeded the {self._timeout_s:g}s wall-clock watchdog",
+                time.perf_counter() - self._launched,
+                child.exitcode,
+            )
+        child.join(timeout=5.0)  # a child wedged after its verdict dies in ``close``
+        elapsed = time.perf_counter() - self._launched
+        if verdict_data is None:
+            return _classify_exit(child.exitcode, elapsed)
+        verdict = SandboxVerdict(
+            bool(verdict_data.get("ok")),
+            str(verdict_data.get("outcome", "error")),
+            str(verdict_data.get("reason", "")),
+            elapsed,
+            child.exitcode,
+        )
+        if not verdict.ok:
+            return verdict
+        # Keep what was qualified: the workdir dies in ``close``, the library
+        # moves to the build directory under a name no other artefact has.
+        source = self._source
+        library = artefact_stem(source.func_name) + ".so"
+        try:
+            shutil.move(os.path.join(self._workdir, f"{source.func_name}.so"), library)
+        except OSError as exc:
+            return SandboxVerdict(
+                False, "error", f"could not keep the qualified library: {exc}",
+                elapsed, child.exitcode,
+            )
+        return replace(verdict, source=source, library=library)
+
+
+def start(
     func,
     arrays: Sequence[np.ndarray],
     expected: np.ndarray,
@@ -298,23 +421,25 @@ def qualify(
     timeout_s: Optional[float] = None,
     memory_mb: Optional[int] = None,
     compile_timeout_s: Optional[float] = None,
-) -> SandboxVerdict:
-    """Compile + bit-check ``func`` in a disposable subprocess.
+) -> Qualification:
+    """Generate ``func``'s C source and fork the child that compiles and
+    bit-checks it; returns at once.
 
     ``arrays`` are the kernel's buffers in parameter order (inputs plus the
     pre-run output buffer); ``expected`` is the vectorized tier's result for
-    the same inputs.  Never raises for anything the candidate kernel does —
-    every failure mode comes back as a :class:`SandboxVerdict`.
+    the same inputs.  The child's ``timeout_s`` budget counts from its
+    launch.  A verdict known before any fork (``unavailable``,
+    ``compile_error``, ``error``) comes back as a finished qualification.
     """
     from ..codegen import lowlevel  # lazy: codegen imports repro.tir
 
     kind, toolchain = native_toolchain()
     if kind is None:
-        return SandboxVerdict(False, "unavailable", str(toolchain))
+        return Qualification(SandboxVerdict(False, "unavailable", str(toolchain)))
     try:
         source = lowlevel.generate_c(func)
     except lowlevel.LoweringError as exc:
-        return SandboxVerdict(False, "compile_error", str(exc))
+        return Qualification(SandboxVerdict(False, "compile_error", str(exc)))
 
     timeout_s = timeout_s if timeout_s is not None else default_timeout_s()
     memory_mb = memory_mb if memory_mb is not None else default_memory_mb()
@@ -337,7 +462,7 @@ def qualify(
         "cpu_s": timeout_s,
         "compile_timeout_s": compile_timeout_s,
     }
-    start = time.perf_counter()
+    launched = time.perf_counter()
     try:
         ctx = multiprocessing.get_context()
         recv_conn, send_conn = ctx.Pipe(duplex=False)
@@ -350,58 +475,43 @@ def qualify(
         child.start()
     except Exception as exc:  # cannot even fork (daemonic parent, fd limits)
         shutil.rmtree(workdir, ignore_errors=True)
-        return SandboxVerdict(
-            False, "error", f"could not start sandbox process: {exc}",
-            time.perf_counter() - start,
-        )
-    try:
-        send_conn.close()  # child holds the write end now
-        verdict_data: Optional[Dict[str, object]] = None
-        watchdog_fired = False
-        try:
-            if recv_conn.poll(timeout_s):
-                verdict_data = recv_conn.recv()
-            else:
-                watchdog_fired = True
-        except (EOFError, OSError):
-            pass  # child died mid-send; classify from its exit code below
-        if watchdog_fired and child.is_alive():
-            child.kill()
-            child.join(timeout=5.0)
-            return SandboxVerdict(
-                False,
-                "hang",
-                f"sandbox exceeded the {timeout_s:g}s wall-clock watchdog",
-                time.perf_counter() - start,
-                child.exitcode,
+        return Qualification(
+            SandboxVerdict(
+                False, "error", f"could not start sandbox process: {exc}",
+                time.perf_counter() - launched,
             )
-        child.join(timeout=5.0)
-        if child.is_alive():  # pragma: no cover - verdict sent but exit wedged
-            child.kill()
-            child.join(timeout=5.0)
-        elapsed = time.perf_counter() - start
-        if verdict_data is None:
-            return _classify_exit(child.exitcode, elapsed)
-        verdict = SandboxVerdict(
-            bool(verdict_data.get("ok")),
-            str(verdict_data.get("outcome", "error")),
-            str(verdict_data.get("reason", "")),
-            elapsed,
-            child.exitcode,
         )
-        if not verdict.ok:
-            return verdict
-        # Keep what was qualified: the workdir dies below, the library moves
-        # to the build directory under a name no other artefact has.
-        library = artefact_stem(source.func_name) + ".so"
-        try:
-            shutil.move(str(payload["library"]), library)
-        except OSError as exc:
-            return SandboxVerdict(
-                False, "error", f"could not keep the qualified library: {exc}",
-                elapsed, child.exitcode,
-            )
-        return replace(verdict, source=source, library=library)
-    finally:
-        recv_conn.close()
-        shutil.rmtree(workdir, ignore_errors=True)
+    send_conn.close()  # child holds the write end now
+    return Qualification(
+        child=child,
+        conn=recv_conn,
+        workdir=workdir,
+        source=source,
+        timeout_s=timeout_s,
+        launched=launched,
+    )
+
+
+def qualify(
+    func,
+    arrays: Sequence[np.ndarray],
+    expected: np.ndarray,
+    *,
+    timeout_s: Optional[float] = None,
+    memory_mb: Optional[int] = None,
+    compile_timeout_s: Optional[float] = None,
+) -> SandboxVerdict:
+    """Compile + bit-check ``func`` in a disposable subprocess and wait for
+    the verdict: ``start(...).wait()``, the one-kernel spelling.
+
+    Never raises for anything the candidate kernel does — every failure mode
+    comes back as a :class:`SandboxVerdict`.
+    """
+    return start(
+        func,
+        arrays,
+        expected,
+        timeout_s=timeout_s,
+        memory_mb=memory_mb,
+        compile_timeout_s=compile_timeout_s,
+    ).wait()

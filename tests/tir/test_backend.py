@@ -257,6 +257,27 @@ class TestDemotion:
         assert state.demoted and "bit-identical" in state.demotion_reason
 
     @needs_toolchain
+    def test_demotes_a_kernel_that_raises_in_the_spot_check(self, monkeypatch):
+        import repro.tir.backend as backend
+
+        class Raising:
+            def __init__(self, source):
+                self.source = source
+
+            def run(self, arrays):
+                raise RuntimeError("kernel fault")
+
+        monkeypatch.setattr(backend, "load_kernel", lambda source, so_path: Raising(source))
+        plan = _proved_plan()
+        buffers = _fresh_buffers(plan)
+        expected = _reference(plan, buffers)
+        got = run_tiered(plan, buffers, stats=EngineStats(), promote_after=1)
+        np.testing.assert_array_equal(got, expected)
+        state = tier_state(plan)
+        assert state.demoted and state.tier == "vectorized"
+        assert state.demotion_reason == "native kernel raised during spot-check: kernel fault"
+
+    @needs_toolchain
     def test_promotes_a_kernel_whose_output_holds_a_nan(self, monkeypatch):
         """The host spot check alone (sandbox off) compares bytes too."""
         monkeypatch.setenv("REPRO_DISABLE_SANDBOX", "1")
@@ -363,6 +384,42 @@ class TestPromotionLifecycle:
         finally:
             sys.setswitchinterval(previous)
         assert len(stems) == len(set(stems)) == workers * 500
+
+
+class TestTierState:
+    def test_threads_first_touching_a_plan_get_one_state(self, monkeypatch):
+        """The state is created once per plan, however many threads reach an
+        unstated plan together (a slow constructor widens the window)."""
+        import threading
+        import time
+
+        import repro.tir.backend as backend
+
+        class SlowState(backend.TierState):
+            def __init__(self, *args, **kwargs):
+                time.sleep(0.01)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(backend, "TierState", SlowState)
+        plans = [_proved_plan() for _ in range(4)]
+        workers = 8
+        barrier = threading.Barrier(workers)
+        seen = [[] for _ in plans]
+
+        def touch():
+            barrier.wait()
+            for plan, states in zip(plans, seen):
+                states.append(tier_state(plan))
+
+        threads = [threading.Thread(target=touch) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        for plan, states in zip(plans, seen):
+            assert len(states) == workers
+            assert all(state is tier_state(plan) for state in states)
 
 
 class TestPromoteAfterKnobs:

@@ -8,7 +8,10 @@ host-side integration: a rejected kernel demotes the plan with a recorded
 ``sandbox_*`` reason while the host process (this test runner) survives.
 """
 
+import multiprocessing
 import os
+import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -123,6 +126,88 @@ class TestQualify:
         finally:
             monkeypatch.delenv("REPRO_DISABLE_NATIVE")
             native_toolchain(refresh=True)
+
+
+@needs_toolchain
+class TestStart:
+    """``start`` forks and returns; ``wait`` is the watchdog; ``close`` leaves
+    nothing behind."""
+
+    @pytest.fixture(autouse=True)
+    def _workdirs_here(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        self.tmp = tmp_path
+
+    def _left(self):
+        return list(self.tmp.glob("repro_sandbox_*"))
+
+    def test_start_returns_a_running_child_and_wait_qualifies(self):
+        plan = _fresh_plan()
+        arrays, expected = _qualify_inputs(plan)
+        handle = sandbox.start(plan.func, arrays, expected)
+        assert handle.running and len(self._left()) == 1
+        verdict = handle.wait()
+        assert verdict.ok and verdict.outcome == "qualified"
+        assert handle.wait() is verdict and not handle.running
+        assert self._left() == [] and multiprocessing.active_children() == []
+
+    def test_the_budget_counts_from_the_launch(self):
+        """A hung child that used up its budget before anyone waited is
+        classified at once."""
+        plan = _fresh_plan()
+        arrays, expected = _qualify_inputs(plan)
+        with faults.FaultPlan(seed=0) as plan_f:
+            plan_f.on("backend.qualify", faults.hang(60.0), when=_in_sandbox)
+            handle = sandbox.start(plan.func, arrays, expected, timeout_s=1.0)
+            time.sleep(1.5)
+            waited = time.perf_counter()
+            verdict = handle.wait()
+        assert verdict.outcome == "hang" and "watchdog" in verdict.reason
+        assert time.perf_counter() - waited < 1.0
+        assert self._left() == []
+
+    def test_close_kills_a_running_child(self):
+        plan = _fresh_plan()
+        arrays, expected = _qualify_inputs(plan)
+        with faults.FaultPlan(seed=0) as plan_f:
+            plan_f.on("backend.qualify", faults.hang(60.0), when=_in_sandbox)
+            handle = sandbox.start(plan.func, arrays, expected)
+            handle.close()
+        assert not handle.running
+        assert self._left() == [] and multiprocessing.active_children() == []
+
+    def test_a_lowering_error_is_a_finished_handle(self, monkeypatch):
+        from repro.codegen import lowlevel
+
+        def refuse(func):
+            raise lowlevel.LoweringError("no C for this")
+
+        monkeypatch.setattr(lowlevel, "generate_c", refuse)
+        plan = _fresh_plan()
+        handle = sandbox.start(plan.func, *_qualify_inputs(plan))
+        assert not handle.running
+        assert handle.wait().outcome == "compile_error"
+        assert self._left() == []
+
+    def test_a_failed_fork_is_an_error_verdict(self, monkeypatch):
+        def no_fork(process):
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
+        plan = _fresh_plan()
+        verdict = sandbox.start(plan.func, *_qualify_inputs(plan)).wait()
+        assert verdict.outcome == "error" and "fork refused" in verdict.reason
+        assert self._left() == []
+
+    def test_a_library_that_cannot_be_kept_is_an_error_verdict(self, monkeypatch):
+        def no_move(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(sandbox.shutil, "move", no_move)
+        plan = _fresh_plan()
+        verdict = sandbox.qualify(plan.func, *_qualify_inputs(plan))
+        assert verdict.outcome == "error" and "disk full" in verdict.reason
+        assert self._left() == []
 
 
 class TestPromotionIntegration:
