@@ -34,21 +34,18 @@ uploads it as an artifact)::
     PYTHONPATH=src python benchmarks/bench_compile_time.py [--quick] [-o OUT]
 
 * **native_tier**: the tiered native backend on the full-size layer 1 —
-  vectorized vs promoted-native run time, the speedup floor (where the
-  kernel is built with ``vpdpbusd`` itself), the bit-identity spot check,
-  and the promotion counters
+  vectorized vs promoted-native run time, the speedup floor, the
+  bit-identity spot check, and the promotion counters
   (``native_runs``/``native_promotions``) that ``check_regression.py``
   gates never-lower.
 
 ``--plan-smoke`` runs the CI plan-cache gate instead: warm-plan execution
 must be ≥5x faster than cold on the repeated-layer workload and every
 Table I layer must compile to a fully vectorized plan (zero fallbacks).
-``--native-smoke`` runs the CI native-tier gate: layer 1 must promote and
-stay bit-identical, and where the C compiler's flags define
-``__AVX512VNNI__`` run ≥8x faster than the vectorized tier (a scalar
-expansion of ``vpdpbusd`` is slower than the vectorized tier's int32 matrix
-product, so elsewhere the ratio is only printed; skips cleanly when no C
-compiler is installed).
+``--native-smoke`` runs the CI native-tier gate: layer 1 must promote, stay
+bit-identical and run ≥8x faster than the vectorized tier.  The native
+kernel is ``vpdpbusd`` itself, so the gate skips cleanly where no C compiler
+is installed or its flags do not define ``__AVX512VNNI__``.
 
 Or run under pytest-benchmark along with the figure benchmarks::
 
@@ -59,8 +56,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import time
 
 import numpy as np
@@ -81,7 +76,7 @@ from repro.tir import (
     native_toolchain,
     plan_cache,
 )
-from repro.tir.backend import cc_flags, same_bits
+from repro.tir.backend import instruction_support_reason, same_bits
 from repro.workloads import Conv2DParams, conv2d_nchwc
 from repro.workloads.table1 import TABLE1_LAYERS
 
@@ -190,8 +185,10 @@ def bench_native_tier(limit: int) -> dict:
     it for bit identity) and time the promoted native runs.  Reports the
     native/vectorized speedup plus the promotion counters that
     ``check_regression.py`` gates never-lower.  When no C compiler is
-    available the section reports ``available: false`` and
-    nothing else — the graceful-fallback story, not a failure.
+    available, or its flags do not define the feature macro of ``vpdpbusd``
+    (the instruction the layers are tensorized for), the section reports
+    ``available: false`` with the reason and nothing else — the
+    graceful-fallback story, not a failure.
     """
     from repro.tir import tier_state
     from repro.tir.backend import run_tiered
@@ -204,10 +201,15 @@ def bench_native_tier(limit: int) -> dict:
     }
     if kind is None:
         return report
-    for index, params in enumerate(TABLE1_LAYERS[:limit], start=1):
-        result = _compile_once(params)
-        plan = compile_plan(result.func)
-        buffers = alloc_buffers(result.func, np.random.default_rng(index))
+    funcs = [_compile_once(params).func for params in TABLE1_LAYERS[:limit]]
+    # Every layer is tensorized for the same instruction.
+    reason = instruction_support_reason(funcs[0])
+    if reason is not None:
+        report.update(available=False, toolchain=reason)
+        return report
+    for index, (params, func) in enumerate(zip(TABLE1_LAYERS[:limit], funcs), start=1):
+        plan = compile_plan(func)
+        buffers = alloc_buffers(func, np.random.default_rng(index))
         stats = EngineStats()
 
         t0 = time.perf_counter()
@@ -253,28 +255,10 @@ def bench_native_tier(limit: int) -> dict:
     return report
 
 
-# Layer 1's native kernel over its vectorized run where the kernel is built
-# with ``vpdpbusd`` itself: 18-26x measured on a 2-vCPU AVX-512 VNNI host,
-# held here with margin for slower runners.
+# Layer 1's native kernel (``vpdpbusd`` itself) over its vectorized run:
+# 18-26x measured on a 2-vCPU AVX-512 VNNI host, held here with margin for
+# slower runners.
 NATIVE_INSTRUCTION_FLOOR = 8.0
-
-
-def _native_floor():
-    """The native/vectorized floor for layer 1, or ``None`` where kernels
-    are built without the instruction (the C compiler's flags do not define
-    its feature macro).  The scalar expansion of ``vpdpbusd`` runs at about
-    0.4x the vectorized tier's int32 matrix product, so there only promotion
-    and bit identity are held."""
-    from repro.isa.registry import get_intrinsic
-
-    _, compiler = native_toolchain()
-    macros = subprocess.run(
-        [compiler, *cc_flags(), "-dM", "-E", "-x", "c", os.devnull],
-        capture_output=True,
-        text=True,
-    ).stdout
-    macro = get_intrinsic("x86.avx512.vpdpbusd").native_lowering.feature_macro
-    return NATIVE_INSTRUCTION_FLOOR if f"#define {macro} " in macros else None
 
 
 def _check_native_row(row) -> None:
@@ -282,26 +266,19 @@ def _check_native_row(row) -> None:
         f"layer {row['layer']} failed to promote: {row['demotion_reason'] or 'unknown reason'}"
     )
     assert row["bit_identical"], f"native layer {row['layer']} diverged from the vectorized tier"
-    floor = _native_floor()
-    if floor is None:
-        print(
-            f"scalar-expansion kernels: layer {row['layer']} native runs at "
-            f"{row['native_speedup']:.2f}x the vectorized tier (no floor)"
-        )
-        return
-    assert row["native_speedup"] >= floor, (
+    assert row["native_speedup"] >= NATIVE_INSTRUCTION_FLOOR, (
         f"native layer {row['layer']} speedup {row['native_speedup']:.2f}x "
-        f"below the {floor:g}x floor"
+        f"below the {NATIVE_INSTRUCTION_FLOOR:g}x floor"
     )
 
 
 def native_smoke() -> None:
     """The CI native-tier gate (``--native-smoke``).
 
-    Skips (exit 0) when no native toolchain exists; otherwise layer 1 must
-    promote and stay bit-identical, and where its kernel is built with
-    ``vpdpbusd`` itself run at least ``NATIVE_INSTRUCTION_FLOOR`` times
-    faster than the vectorized tier.
+    Skips (exit 0) when no native toolchain exists or its flags do not
+    define ``__AVX512VNNI__``; otherwise layer 1 must promote, stay
+    bit-identical and run at least ``NATIVE_INSTRUCTION_FLOOR`` times faster
+    than the vectorized tier.
     """
     report = bench_native_tier(1)
     if not report["available"]:

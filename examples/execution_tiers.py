@@ -8,7 +8,10 @@ example shows the tier lifecycle end to end:
    results on the same buffers;
 2. under the native tier a plan starts vectorized and *promotes* to a
    compiled C kernel (loaded through ctypes) after ``promote_after``
-   warm runs, spot-checked for bit identity at the moment of promotion;
+   warm runs, spot-checked for bit identity at the moment of promotion.
+   The kernel is the hardware instruction (``vpdpbusd``), so where the host
+   compiler does not define ``__AVX512VNNI__`` the plan never promotes and
+   keeps running vectorized, with the reason recorded;
 3. promotion is license-gated: a nest the static verifier could not prove
    never promotes — it demotes with a recorded reason and keeps running
    vectorized;
@@ -33,6 +36,7 @@ from repro.tir import (
     plan_cache,
     tier_state,
 )
+from repro.tir.backend import instruction_support_reason
 from repro.workloads import Conv2DParams, conv2d_nchwc
 
 
@@ -72,11 +76,14 @@ def main() -> None:
             f"native_runs={executor.stats.native_runs}"
         )
         assert np.array_equal(out, outputs["interpreter"])
-    if kind is not None:
+    if kind is None:
+        print("no toolchain: the plan quietly kept running vectorized\n")
+    elif instruction_support_reason(func) is not None:
+        assert executor.stats.native_promotions == 0 and state.tier == "vectorized"
+        print(f"no instruction: the plan kept running vectorized ({state.demotion_reason})\n")
+    else:
         assert executor.stats.native_promotions == 1
         print("promoted after 3 warm runs; native runs stay bit-identical\n")
-    else:
-        print("no toolchain: the plan quietly kept running vectorized\n")
 
     # 3. Unproved nests never promote.  A data-dependent gather cannot be
     #    bounds-proved by the static verifier, so the native tier refuses it

@@ -177,9 +177,6 @@ class CodegenResult:
                 counts["scalar_store"] += trip
         return counts
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return self.text
-
 
 class _Emitter:
     def __init__(self, target: str) -> None:
@@ -303,14 +300,14 @@ def generate(func: PrimFunc, target: str = "generic") -> CodegenResult:
 #   the tile innermost, and the tile is stored back.  The accumulators are
 #   independent chains, so the compiler can unroll and vectorise across them
 #   without reassociating anything.
-# * intrinsic calls expand to the interpreter's gather → execute → scatter
-#   register dance, with fixed-size stack arrays for the registers.  An
-#   instruction that carries a ``NativeLowering`` is emitted as the hardware
-#   instruction itself under ``#if defined(<its feature macro>)`` — the
-#   compiler's predefined macros are the CPU probe — with the scalar dance as
-#   the ``#else`` branch.  Only order-free integer dot products are natively
-#   expanded at all (``_intrinsic_native_reason``), so both branches agree
-#   with the interpreter bit for bit.
+# * an intrinsic call is emitted as the hardware instruction itself, spelled
+#   by the instruction's ``NativeLowering``: one vector value per operand
+#   register, the vendor intrinsic, one store.  An instruction without a
+#   lowering is refused (``_intrinsic_native_reason``), and so is anything but
+#   an order-free integer dot product, so the instruction agrees with the
+#   interpreter bit for bit.  The source is the same on every host; whether
+#   this host's compiler may build it (defines the lowering's feature macro)
+#   is ``repro.tir.backend``'s question, asked before promotion.
 # * loops are emitted serially: ``parallel`` nests run on one thread.
 # ---------------------------------------------------------------------------
 
@@ -326,11 +323,11 @@ class NativeSource:
 
     ``params`` records the buffer order of the entry point — identical to
     ``func.params``.  ``instructions`` names the hardware instructions the
-    source reaches when the compiler defines their feature macro (e.g.
-    ``("vpdpbusd",)``; ``()`` for a purely scalar source).  ``tiled_nests``
-    counts the reduction-update nests emitted over a register tile of
-    accumulators (``_CEmitter._reduction_nest``); 0 means every fold is one
-    serial chain per output element.
+    source executes (e.g. ``("vpdpbusd",)``; ``()`` for a source without
+    intrinsic calls); it builds only where the compiler defines each one's
+    feature macro.  ``tiled_nests`` counts the reduction-update nests emitted
+    over a register tile of accumulators (``_CEmitter._reduction_nest``); 0
+    means every fold is one serial chain per output element.
     """
 
     func_name: str
@@ -356,32 +353,6 @@ _C_TYPES = {
 # Weak kinds (NEP-50 "python scalar" operands): weak int, weak float, weak
 # bool.  Strong operands carry their DType.
 _WI, _WF, _WB = "wi", "wf", "wb"
-
-
-def _kind_of(expr: E.Expr):
-    """Infer the promotion kind of a value expression.
-
-    Returns a :class:`DType` for "strong" expressions (loads, casts, and any
-    op touching one) or one of the weak markers for pure python-scalar math.
-    Mirrors how the interpreter's operands behave under NEP-50.
-    """
-    if isinstance(expr, (E.TensorLoad, E.Cast)):
-        return expr.dtype
-    if isinstance(expr, E.Var):
-        return _WI
-    if isinstance(expr, E.Const):
-        if isinstance(expr.value, bool):
-            return _WB
-        return _WI if isinstance(expr.value, int) else _WF
-    if isinstance(expr, E.Compare):
-        return _WB
-    if isinstance(expr, E.Select):
-        return _combine_kinds(_kind_of(expr.true_value), _kind_of(expr.false_value))
-    if isinstance(expr, E.Reduce):
-        return _kind_of(expr.source)
-    if isinstance(expr, E.BinaryOp):
-        return _combine_kinds(_kind_of(expr.a), _kind_of(expr.b))
-    raise LoweringError(f"cannot infer promotion kind of {type(expr).__name__}")
 
 
 def _combine_kinds(ka, kb):
@@ -418,16 +389,19 @@ def _c_float_literal(value: float, single: bool) -> str:
 # -- native eligibility -------------------------------------------------------
 
 def _intrinsic_native_reason(intrin) -> Optional[str]:
-    """Why an intrinsic cannot be natively expanded, or None if it can.
+    """Why an intrinsic cannot be written natively, or None if it can.
 
-    Native expansion executes the intrinsic's DSL body point by point, which
-    matches the *hardware* model (einsum and friends) bit-for-bit only when
-    the accumulation is order-free.  We accept exactly the structural class
-    the engine already trusts for round stacking (`_round_stackable`): an
-    integer accumulator plus an integer sum-reduction that does not read the
-    accumulator or the output — int wraparound addition is associative, so
-    any evaluation order agrees.
+    Native code is the hardware instruction, so the intrinsic needs a
+    ``NativeLowering`` to spell it.  The instruction sums in its own order,
+    which matches the interpreter's point-by-point evaluation of the DSL body
+    bit for bit only when the accumulation is order-free.  We accept exactly
+    the structural class the engine already trusts for round stacking
+    (`_round_stackable`): an integer accumulator plus an integer sum-reduction
+    that does not read the accumulator or the output — int wraparound
+    addition is associative, so any evaluation order agrees.
     """
+    if intrin.native_lowering is None:
+        return f"intrinsic {intrin.name} has no NativeLowering"
     op = intrin.op
     out = op.output
     if not out.dtype.is_integer:
@@ -454,6 +428,10 @@ def _expr_native_reason(expr: E.Expr) -> Optional[str]:
             return f"{type(node).__name__} expressions have no native lowering"
         if node.dtype is not None and node.dtype.name not in _C_TYPES:
             return f"dtype {node.dtype.name} has no native lowering"
+        # numpy's float floor division and remainder are not C's floor(a / b)
+        # and fmod (1.0 // 0.1 is 9.0; -4.0 % 2.0 is +0.0).
+        if isinstance(node, (E.FloorDiv, E.Mod)) and not node.dtype.is_integer:
+            return f"{node.dtype.name} {type(node).__name__} has no native lowering"
     return None
 
 
@@ -491,7 +469,7 @@ def native_support_reason(func: PrimFunc) -> Optional[str]:
 _C_PRELUDE = """\
 #include <stdint.h>
 #include <stdlib.h>
-#include <math.h>
+#include <string.h>
 
 /* Python floor-division / floor-modulo over int64, with numpy's div-by-zero
  * convention (result 0). */
@@ -505,16 +483,6 @@ static inline int64_t repro_fmod(int64_t a, int64_t b) {
     if (b == 0) return 0;
     int64_t r = a % b;
     if (r != 0 && ((r < 0) != (b < 0))) r += b;
-    return r;
-}
-static inline float repro_fmodf(float a, float b) {
-    float r = fmodf(a, b);
-    if (r != 0.0f && ((r < 0.0f) != (b < 0.0f))) r += b;
-    return r;
-}
-static inline double repro_fmodd(double a, double b) {
-    double r = fmod(a, b);
-    if (r != 0.0 && ((r < 0.0) != (b < 0.0))) r += b;
     return r;
 }
 """
@@ -550,13 +518,13 @@ _BROADCAST_BYTES = 4
 
 
 def _operand_access(call: IntrinsicCall, binding, env) -> str:
-    """How the instruction path reaches one operand register's memory.
+    """How the instruction reaches one operand register's memory.
 
     ``"contiguous"``: lane ``l`` of the register is program element
     ``base + l`` — one unaligned vector load/store.  ``"broadcast"``: every
     4-byte group of lanes is the same contiguous program group — one scalar
     read plus a lane broadcast.  ``"staged"``: anything else; the operand is
-    filled lane by lane through the scalar path's stack array.
+    filled lane by lane through a stack array (``_gather`` / ``_scatter``).
     """
     reg, prog = binding.intrin_tensor, binding.program_tensor
     if reg.dtype != prog.dtype:
@@ -712,8 +680,6 @@ class _CEmitter:
             kind = _combine_kinds(tk, fk)
             ct = _c_type_for(kind)
             return f"(({cc}) ? (({ct})({ct_code})) : (({ct})({cf_code})))", kind
-        if isinstance(expr, E.Reduce):
-            raise LoweringError("Reduce must be hoisted before rendering")
         if isinstance(expr, E.BinaryOp):
             return self._binary(expr, subs)
         raise LoweringError(f"cannot lower {type(expr).__name__} to C")
@@ -723,20 +689,13 @@ class _CEmitter:
         cb, kb = self.value(expr.b, subs)
         kind = _combine_kinds(ka, kb)
         ct = _c_type_for(kind)
-        is_float = (kind == _WF) or (isinstance(kind, DType) and not kind.is_integer)
         if isinstance(expr, (E.Add, E.Sub, E.Mul)):
             op = {"Add": "+", "Sub": "-", "Mul": "*"}[type(expr).__name__]
             return f"(({ct})((({ct})({ca})) {op} (({ct})({cb}))))", kind
+        # Integer only: native_support_reason refuses a float FloorDiv / Mod.
         if isinstance(expr, E.FloorDiv):
-            if is_float:
-                if ct == "float":
-                    return f"floorf((({ct})({ca})) / (({ct})({cb})))", kind
-                return f"floor((({ct})({ca})) / (({ct})({cb})))", kind
             return f"(({ct})repro_fdiv((int64_t)(({ct})({ca})), (int64_t)(({ct})({cb}))))", kind
         if isinstance(expr, E.Mod):
-            if is_float:
-                helper = "repro_fmodf" if ct == "float" else "repro_fmodd"
-                return f"{helper}((({ct})({ca})), (({ct})({cb})))", kind
             return f"(({ct})repro_fmod((int64_t)(({ct})({ca})), (int64_t)(({ct})({cb}))))", kind
         if isinstance(expr, E.Min):
             a, b = f"(({ct})({ca}))", f"(({ct})({cb}))"
@@ -746,44 +705,13 @@ class _CEmitter:
             return f"(({b}) > ({a}) ? ({b}) : ({a}))", kind
         raise LoweringError(f"cannot lower {type(expr).__name__} to C")
 
-    def hoist_reduces(self, expr: E.Expr, subs: Dict[int, Tuple[str, object]]) -> None:
-        """Emit loop code for every Reduce in ``expr``, registering temps."""
-        if isinstance(expr, E.Reduce):
-            kind = _kind_of(expr.source)
-            ct = _c_type_for(kind)
-            tmp = self.fresh("red")
-            if expr.combiner == "sum":
-                self.line(f"{ct} {tmp} = 0;")
-                self._open_reduce_loops(expr.axes)
-                self.hoist_reduces(expr.source, subs)
-                code, _ = self.value(expr.source, subs)
-                # Sequential left fold from zero, truncating every step —
-                # exactly the interpreter's sum(values).
-                self.line(f"{tmp} = ({ct})({tmp} + ({ct})({code}));")
-                self._close_reduce_loops(expr.axes)
-            else:
-                cmp = "<" if expr.combiner == "min" else ">"
-                self.line(f"{ct} {tmp} = 0;")
-                self.line(f"int {tmp}_first = 1;")
-                self._open_reduce_loops(expr.axes)
-                self.hoist_reduces(expr.source, subs)
-                code, _ = self.value(expr.source, subs)
-                self.line(f"{ct} {tmp}_v = ({ct})({code});")
-                self.line(f"if ({tmp}_first) {{ {tmp} = {tmp}_v; {tmp}_first = 0; }}")
-                self.line(f"else if ({tmp}_v {cmp} {tmp}) {{ {tmp} = {tmp}_v; }}")
-                self._close_reduce_loops(expr.axes)
-            subs[id(expr)] = (tmp, kind)
-            return
-        for child in expr.children:
-            self.hoist_reduces(child, subs)
-
-    def _open_reduce_loops(self, axes) -> None:
+    def _open_loops(self, axes) -> None:
         for axis in axes:
             name = self.var_name(axis.var)
             self.line(f"for (int64_t {name} = 0; {name} < {axis.extent}; ++{name}) {{")
             self.depth += 1
 
-    def _close_reduce_loops(self, axes) -> None:
+    def _close_loops(self, axes) -> None:
         for _ in axes:
             self.depth -= 1
             self.line("}")
@@ -923,7 +851,7 @@ class _CEmitter:
                 self.line(f"const int64_t {self.var_name(loop.var)} = {origin} + {lane};")
                 slot = f"({slot}) * {width} + {lane}" if slot else lane
             self.line(statement(f"{acc}[{slot or 0}]"))
-            self._close_reduce_loops(wide)
+            self._close_loops(wide)
 
         def update(slot: str) -> str:
             code, _ = self.value(store.value, {id(store.value.a): (slot, store.tensor.dtype)})
@@ -931,26 +859,16 @@ class _CEmitter:
 
         element = self._element(store.tensor, store.indices)
         over_lanes(lambda slot: f"{slot} = {element};")
-        self._open_reduce_loops(reduction)
+        self._open_loops(reduction)
         over_lanes(update)
-        self._close_reduce_loops(reduction)
+        self._close_loops(reduction)
         over_lanes(lambda slot: f"{element} = {slot};")
-        self._close_reduce_loops(parallel)
+        self._close_loops(parallel)
 
     def _intrinsic(self, call: IntrinsicCall) -> None:
-        reason = _intrinsic_native_reason(call.intrin)
-        if reason:
-            raise LoweringError(reason)
-        lowering = call.intrin.native_lowering
         self.line("{")
         self.depth += 1
-        if lowering is not None:
-            self.line(f"#if defined({lowering.feature_macro})")
-            self._intrinsic_instruction(call, lowering)
-            self.line("#else")
-        self._intrinsic_scalar(call)
-        if lowering is not None:
-            self.line("#endif")
+        self._intrinsic_instruction(call, call.intrin.native_lowering)
         self.depth -= 1
         self.line("}")
 
@@ -962,7 +880,7 @@ class _CEmitter:
     def _gather(self, call: IntrinsicCall, bindings) -> None:
         # Lane by lane over the call's axes, in order (last write wins,
         # matching the interpreter's itertools.product walk).
-        self._open_reduce_loops(call.axes)
+        self._open_loops(call.axes)
         for binding in bindings:
             reg = binding.intrin_tensor
             src = self.tensor_name(binding.program_tensor)
@@ -970,41 +888,24 @@ class _CEmitter:
             src_flat = self.flat_index(binding.program_indices, binding.program_tensor.shape)
             dst_flat = self.flat_index(binding.intrin_indices, reg.shape)
             self.line(f"{dst}[{dst_flat}] = ({_c_type_for(reg.dtype)})({src}[{src_flat}]);")
-        self._close_reduce_loops(call.axes)
+        self._close_loops(call.axes)
 
     def _scatter(self, call: IntrinsicCall) -> None:
         # The output register back to the program tensor.
         out_binding = call.output
         src = self.tensor_name(out_binding.intrin_tensor)
         dst = self.tensor_name(out_binding.program_tensor)
-        self._open_reduce_loops(call.axes)
+        self._open_loops(call.axes)
         dst_flat = self.flat_index(out_binding.program_indices, out_binding.program_tensor.shape)
         src_flat = self.flat_index(out_binding.intrin_indices, out_binding.intrin_tensor.shape)
         cast = _c_type_for(out_binding.program_tensor.dtype)
         self.line(f"{dst}[{dst_flat}] = ({cast})({src}[{src_flat}]);")
-        self._close_reduce_loops(call.axes)
-
-    def _intrinsic_scalar(self, call: IntrinsicCall) -> None:
-        op = call.intrin.op
-        for binding in list(call.inputs) + [call.output]:
-            self._declare_register(binding)
-        self._gather(call, call.inputs)
-        # Execute: evaluate the intrinsic's DSL body point by point.
-        out_reg = op.output
-        out_name = self.tensor_name(call.output.intrin_tensor)
-        self._open_reduce_loops(op.axes)
-        subs: Dict[int, Tuple[str, object]] = {}
-        self.hoist_reduces(op.body, subs)
-        code, _ = self.value(op.body, subs)
-        out_flat = self.flat_index([ax.var for ax in op.axes], out_reg.shape)
-        self.line(f"{out_name}[{out_flat}] = ({_c_type_for(out_reg.dtype)})({code});")
-        self._close_reduce_loops(op.axes)
-        self._scatter(call)
+        self._close_loops(call.axes)
 
     def _intrinsic_instruction(self, call: IntrinsicCall, lowering) -> None:
         """The hardware instruction itself: one vector value per operand
         register, the instruction, one store.  Only a ``staged`` operand's
-        *fill* degrades to the scalar path's stack array."""
+        *fill* goes lane by lane through a stack array."""
         if lowering not in self.lowerings:
             self.lowerings.append(lowering)
         origin = {ax.var: E.Const(0) for ax in call.axes}
@@ -1063,10 +964,11 @@ def generate_c(func: PrimFunc) -> NativeSource:
 
     The entry point takes one pointer per ``func.params`` tensor (row-major,
     C-contiguous) and mirrors the scalar interpreter bit for bit; compile
-    with ``-O3 -fwrapv -ffp-contract=off``.  Add ``-march=native`` (or any
-    flag that defines an instruction's feature macro) and the tensorized
-    regions compile to the hardware instruction; without it the same source
-    compiles to the scalar expansion.
+    with ``-O3 -fwrapv -ffp-contract=off``.  Every tensorized region is the
+    hardware instruction (``NativeSource.instructions``), so the source
+    builds only with flags that define each instruction's feature macro
+    (``-march=native`` on a host that has it).  The text does not depend on
+    the host.
     """
     reason = native_support_reason(func)
     if reason:
@@ -1082,8 +984,8 @@ def generate_c(func: PrimFunc) -> NativeSource:
     lines = [_C_PRELUDE]
     # Vendor headers are slow to parse (immintrin.h: 50-70 ms per cc), so
     # only a source that uses an instruction includes its header.
-    for macro, header in dict.fromkeys((lw.feature_macro, lw.header) for lw in emitter.lowerings):
-        lines.append(f"#if defined({macro})\n#include <string.h>\n#include <{header}>\n#endif")
+    for header in dict.fromkeys(lw.header for lw in emitter.lowerings):
+        lines.append(f"#include <{header}>")
     lines.append(f"void {entry}({sig}) {{")
     lines.extend(emitter.lines)
     lines.append("}")

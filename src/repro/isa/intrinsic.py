@@ -74,9 +74,12 @@ class NativeLowering:
 
     The codegen half of the paper's "moderate effort" story: next to the LLVM
     intrinsic name, an instruction that a C compiler can reach carries the
-    spellings of its vendor intrinsic.  The emitter wraps them in
-    ``#if defined(feature_macro)`` (the compiler's own predefined macro is the
-    CPU probe) and keeps the scalar expansion as the ``#else`` branch.
+    spellings of its vendor intrinsic.  The emitter writes every call of the
+    instruction with them and nothing else; an instruction without a
+    lowering has no native form.  ``header`` is included by every source
+    that calls the instruction, and such a source builds only where the
+    compiler defines ``feature_macro`` (``repro.tir.backend`` refuses to
+    promote a plan elsewhere).
 
     Every spelling is a ``str.format`` template.  ``vector_type``, ``load``,
     ``broadcast`` and ``store`` are formatted per operand register with

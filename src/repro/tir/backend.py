@@ -10,15 +10,17 @@ dispatches over three tiers:
 * ``native`` — the vectorized tier plus *tiered promotion*
   (:func:`run_tiered`): once a plan has run warm ``promote_after`` times, its
   function is lowered through :func:`repro.codegen.lowlevel.generate_c`,
-  compiled by the host C toolchain with ``-march=native`` (tensorized regions
-  become the hardware instruction where the host has it), loaded through
-  ctypes, and subsequent runs dispatch to the compiled kernel.
+  compiled by the host C toolchain with ``-march=native``, loaded through
+  ctypes, and subsequent runs dispatch to the compiled kernel.  A tensorized
+  region is always the hardware instruction, so a plan whose instruction the
+  host compiler cannot target (its feature macro is undefined) never promotes.
 
 Promotion is conservative by construction:
 
 * only plans whose every nest the static verifier proved (``proved_nests ==
   vector_nests``, no fallback steps — the PR 6 analysis tier) are eligible,
-  and the function must pass :func:`~repro.codegen.lowlevel.native_support_reason`;
+  the function must pass :func:`~repro.codegen.lowlevel.native_support_reason`,
+  and the toolchain probe must define every instruction's feature macro;
 * at promotion time the fresh kernel is spot-checked for **bit identity**
   (:func:`same_bits`) against the vectorized result that was just computed
   on the caller's real buffers — a mismatch demotes instead of promoting;
@@ -52,7 +54,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing.connection import wait as wait_any
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+)
 
 import numpy as np
 
@@ -64,6 +68,8 @@ if TYPE_CHECKING:  # runtime import is lazy (see _lowlevel) to avoid a cycle
     from .sandbox import Qualification, SandboxVerdict
 from .engine import EngineStats, ExecutablePlan
 from .lower import PrimFunc
+from .stmt import IntrinsicCall
+from .visitor import walk
 
 
 def _lowlevel():
@@ -79,6 +85,7 @@ __all__ = [
     "NativeKernel",
     "TierState",
     "compile_native",
+    "instruction_support_reason",
     "native_eligibility_reason",
     "native_toolchain",
     "promotion_batch",
@@ -97,47 +104,66 @@ class NativeUnavailable(RuntimeError):
     """No C compiler is installed (or the native tier is disabled)."""
 
 
+def _env_number(name: str, fallback: float) -> float:
+    """The positive number in environment variable ``name``, else ``fallback``
+    (unset, unparsable, zero or negative)."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return fallback
+    try:
+        value = float(raw)
+    except ValueError:
+        return fallback
+    return value if value > 0 else fallback
+
+
 # Kernels are built for the host that runs them: ``-march=native`` is what
-# defines the feature macros the generated source keys its instruction paths
-# on.  A kernel built elsewhere never reaches this process (no on-disk cache),
-# and a wrong guess dies as a sandbox-classified SIGILL, not in the host.
+# defines the feature macros of the instructions the generated source calls.
+# A kernel built elsewhere never reaches this process (no on-disk cache), and
+# a wrong guess dies as a sandbox-classified SIGILL, not in the host.
 _HOST_FLAG = "-march=native"
 _CC_FLAGS = ["-O3", _HOST_FLAG, "-fwrapv", "-ffp-contract=off", "-fPIC", "-shared"]
 
 _TOOLCHAIN_LOCK = threading.Lock()
-# (kind, compiler path or reason, the flags that compiler accepts)
-_TOOLCHAIN: Optional[Tuple[Optional[str], object, List[str]]] = None
+# (kind, compiler path or reason, the flags that compiler accepts, the macros
+# those flags predefine)
+_Toolchain = Tuple[Optional[str], object, List[str], FrozenSet[str]]
+_TOOLCHAIN: Optional[_Toolchain] = None
 
 
-def _accepted_flags(compiler: str) -> List[str]:
-    """``_CC_FLAGS``, minus ``-march=native`` where the compiler rejects it
-    (one trivial translation unit, once per probe) — losing the flag costs
-    the instruction paths, rejecting it per kernel would cost the tier."""
+def _probe(compiler: str) -> Tuple[List[str], FrozenSet[str]]:
+    """One preprocessor run, once per discovery: ``_CC_FLAGS`` minus
+    ``-march=native`` where the compiler rejects it, and the macros it
+    predefines under ``-march=native`` (none when rejected).  Losing the flag
+    costs the instructions, rejecting it per kernel would cost the tier."""
     try:
         proc = subprocess.run(
-            [compiler, _HOST_FLAG, "-fsyntax-only", "-x", "c", "-"],
-            input="int repro_probe;\n",
+            [compiler, _HOST_FLAG, "-dM", "-E", "-x", "c", os.devnull],
             capture_output=True,
             text=True,
             timeout=_compile_timeout_s(),
         )
-        accepted = proc.returncode == 0
     except (OSError, subprocess.TimeoutExpired):
-        accepted = False
-    return [flag for flag in _CC_FLAGS if accepted or flag != _HOST_FLAG]
+        proc = None
+    if proc is None or proc.returncode != 0:
+        return [flag for flag in _CC_FLAGS if flag != _HOST_FLAG], frozenset()
+    macros = frozenset(
+        line.split()[1] for line in proc.stdout.splitlines() if line.startswith("#define ")
+    )
+    return list(_CC_FLAGS), macros
 
 
-def _discover_toolchain() -> Tuple[Optional[str], object, List[str]]:
+def _discover_toolchain() -> _Toolchain:
     if os.environ.get("REPRO_DISABLE_NATIVE"):
-        return None, "native tier disabled via REPRO_DISABLE_NATIVE", []
+        return None, "native tier disabled via REPRO_DISABLE_NATIVE", [], frozenset()
     for name in ("cc", "gcc", "clang"):
         path = shutil.which(name)
         if path:
-            return "cc", path, _accepted_flags(path)
-    return None, "no C compiler (cc/gcc/clang) is available", []
+            return ("cc", path, *_probe(path))
+    return None, "no C compiler (cc/gcc/clang) is available", [], frozenset()
 
 
-def _toolchain(refresh: bool = False) -> Tuple[Optional[str], object, List[str]]:
+def _toolchain(refresh: bool = False) -> _Toolchain:
     global _TOOLCHAIN
     with _TOOLCHAIN_LOCK:
         if _TOOLCHAIN is None or refresh:
@@ -159,6 +185,13 @@ def cc_flags() -> List[str]:
     """The flags every kernel is built with: ``_CC_FLAGS`` as the probed
     compiler accepts them."""
     return list(_toolchain()[2])
+
+
+def cc_macros() -> FrozenSet[str]:
+    """The macros the probed compiler predefines under ``-march=native``
+    (none where it rejects the flag): which instructions' feature macros a
+    kernel may rely on."""
+    return _toolchain()[3]
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +269,7 @@ def _compile_timeout_s() -> float:
     block promotion — and the promoting run — forever; now it raises
     ``LoweringError`` and the plan demotes like any other compile failure.
     """
-    raw = os.environ.get("REPRO_NATIVE_COMPILE_TIMEOUT")
-    if raw is not None:
-        try:
-            value = float(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return _DEFAULT_COMPILE_TIMEOUT_S
+    return _env_number("REPRO_NATIVE_COMPILE_TIMEOUT", _DEFAULT_COMPILE_TIMEOUT_S)
 
 
 def load_kernel(source: NativeSource, so_path: str) -> NativeKernel:
@@ -348,8 +373,9 @@ def native_eligibility_reason(plan: ExecutablePlan) -> Optional[str]:
 
     Eligibility requires the static verification tier (PR 6) to have proved
     every nest — the same proofs that elide runtime guards now license
-    codegen — plus a plan with no interpreter-fallback steps and a function
-    the native emitters accept.
+    codegen — plus a plan with no interpreter-fallback steps, a function the
+    native emitter accepts, and a toolchain whose probe defines the feature
+    macro of every instruction the function calls.
     """
     if plan.stats.fallback_nests > 0:
         return f"plan has {plan.stats.fallback_nests} interpreter-fallback nest(s)"
@@ -360,7 +386,26 @@ def native_eligibility_reason(plan: ExecutablePlan) -> Optional[str]:
             f"static verifier proved {plan.stats.proved_nests}/"
             f"{plan.stats.vector_nests} nests; native promotion requires all"
         )
-    return _lowlevel().native_support_reason(plan.func)
+    return _lowlevel().native_support_reason(plan.func) or instruction_support_reason(
+        plan.func
+    )
+
+
+def instruction_support_reason(func: PrimFunc) -> Optional[str]:
+    """Why a kernel built from ``func`` here could not be the hardware
+    instruction (the toolchain probe lacks the feature macro of an
+    instruction it calls), or None if it could.  ``func`` is one that
+    :func:`~repro.codegen.lowlevel.native_support_reason` accepts."""
+    macros = cc_macros()
+    for stmt in walk(func.body):
+        if isinstance(stmt, IntrinsicCall):
+            lowering = stmt.intrin.native_lowering
+            if lowering.feature_macro not in macros:
+                return (
+                    f"{lowering.instruction} needs {lowering.feature_macro}, "
+                    "which the toolchain probe did not define"
+                )
+    return None
 
 
 def _count(stats: Optional[EngineStats], field: str) -> None:

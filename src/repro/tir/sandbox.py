@@ -58,7 +58,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..testing import faults
-from .backend import _compile_timeout_s, artefact_stem, cc_flags, native_toolchain, same_bits
+from .backend import (
+    _compile_timeout_s, _env_number, artefact_stem, cc_flags, native_toolchain, same_bits
+)
 
 if TYPE_CHECKING:
     from ..codegen.lowlevel import NativeSource
@@ -80,17 +82,6 @@ _DEFAULT_MEMORY_MB = 4096
 def sandbox_enabled() -> bool:
     """Whether promotion runs the sandboxed qualification step."""
     return not os.environ.get("REPRO_DISABLE_SANDBOX")
-
-
-def _env_number(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        value = float(raw)
-    except ValueError:
-        return fallback
-    return value if value > 0 else fallback
 
 
 def default_timeout_s() -> float:

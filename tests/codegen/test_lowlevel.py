@@ -1,11 +1,15 @@
 """Tests for the virtual-ISA code generator."""
 
+import copy
+
 import pytest
 
 from repro.codegen import generate
 from repro.codegen.lowlevel import (
     Instruction,
+    LoweringError,
     generate_c,
+    _intrinsic_native_reason,
     native_support_reason,
 )
 from repro.core import tensorize
@@ -138,3 +142,23 @@ class TestNativeSupport:
         wmma = tensorize(small_matmul_fp16(32, 32, 32), target="cuda")
         reason = native_support_reason(wmma.func)
         assert reason is not None and "float16" in reason
+
+    def test_intrinsic_without_a_native_lowering_is_refused(self):
+        """``vpdpbusd``'s description with its ``NativeLowering`` taken away:
+        an order-free integer dot product the emitter has no spelling for,
+        so it has no native form at all."""
+        unspelled = copy.copy(get_intrinsic("x86.avx512.vpdpbusd"))
+        unspelled.name = "test.vpdpbusd.unspelled"
+        unspelled.native_lowering = None
+        params = Conv2DParams(in_channels=8, in_height=6, in_width=6, out_channels=16, kernel=1)
+        func = tensorize(conv2d_nchwc(params), unspelled).func
+        reason = native_support_reason(func)
+        assert reason == "intrinsic test.vpdpbusd.unspelled has no NativeLowering"
+        with pytest.raises(LoweringError, match="no NativeLowering"):
+            generate_c(func)
+
+    @pytest.mark.parametrize("name", ["x86.avx512.mac.int8.widened", "arm.neon.mla.int8.widened"])
+    def test_registered_intrinsics_without_a_lowering_are_refused(self, name):
+        intrinsic = get_intrinsic(name)
+        assert intrinsic.native_lowering is None
+        assert _intrinsic_native_reason(intrinsic) == f"intrinsic {name} has no NativeLowering"

@@ -1,12 +1,12 @@
-"""The native tier reaches the hardware instruction (``NativeLowering``).
+"""The native tier is the hardware instruction (``NativeLowering``).
 
-``generate_c`` writes each tensorized region twice: the vendor intrinsic
-under ``#if defined(<feature macro>)`` and the scalar expansion under
-``#else``.  Every bit-identity test here therefore builds the same source
-twice — with the flags kernels are really built with (``-march=native``
-defines the macro on a host that has the instruction) and with
-``-march=native`` stripped (macro undefined, scalar branch) — and holds both
-against the scalar interpreter.
+``generate_c`` writes each tensorized region as the vendor intrinsic and
+nothing else: the source is the same on every host and has no ``#if``.  A
+kernel builds only where the compiler defines the instruction's feature
+macro, so every bit-identity test here builds with the flags kernels are
+really built with and is skipped where the toolchain probe
+(``backend.cc_macros``) lacks the macro.  Where it lacks it, a plan that
+calls the instruction must stay vectorized, with a reason naming the macro.
 """
 
 import shutil
@@ -31,7 +31,6 @@ needs_toolchain = pytest.mark.skipif(
     TOOLCHAIN_KIND is None, reason="no native toolchain (C compiler)"
 )
 HOST_FLAG = "-march=native"
-SCALAR_FLAGS = [flag for flag in backend._CC_FLAGS if flag != HOST_FLAG]
 
 # instruction -> (its conv2d_nchwc operand layout, C spelling, feature macro)
 X86 = {
@@ -50,69 +49,75 @@ LAYERS = range(1, len(TABLE1_LAYERS) + 1)
 
 
 def _host_defines(macro: str) -> bool:
-    if TOOLCHAIN_KIND is None or HOST_FLAG not in backend.cc_flags():
-        return False
-    proc = subprocess.run(
-        [str(COMPILER), HOST_FLAG, "-dM", "-E", "-x", "c", "-"],
-        input="", capture_output=True, text=True,
-    )
-    return f"#define {macro} " in proc.stdout
+    return macro in backend.cc_macros()
 
 
 def _tensorized(params: Conv2DParams, name: str, table=X86, **kwargs):
     return tensorize(conv2d_nchwc(params, **table[name][0]), name, **kwargs).func
 
 
-def _assert_both_builds_match_interpreter(func, tmp_path, seed=0):
+def _assert_host_build_matches_interpreter(func, tmp_path, seed=0):
+    """Build ``func`` as kernels are built and hold it against the scalar
+    interpreter; skip where the probe lacks an instruction's feature macro."""
+    reason = backend.instruction_support_reason(func)
+    if reason is not None:
+        pytest.skip(reason)
     source = generate_c(func)
     buffers = alloc_buffers(func, np.random.default_rng(seed))
     expected = run(func, {t: a.copy() for t, a in buffers.items()})
-    for tag, flags in (("host", backend.cc_flags()), ("scalar", SCALAR_FLAGS)):
-        kernel = build_kernel(source, flags, tmp_path, tag)
-        got = kernel.run([buffers[p].copy() for p in func.params])
-        np.testing.assert_array_equal(got, expected, err_msg=f"{tag} build of {func.name}")
+    kernel = build_kernel(source, backend.cc_flags(), tmp_path, "host")
+    got = kernel.run([buffers[p].copy() for p in func.params])
+    assert backend.same_bits(got, expected), f"host build of {func.name}"
     return source
 
 
-def _instruction_branches(source: str, macro: str):
-    """The text of every ``#if defined(macro)`` ... ``#else`` span in the
-    kernel body (the header include guard before it has no ``#else``)."""
-    body = source[source.index("void repro_kernel") :]
-    pieces = body.split(f"#if defined({macro})")[1:]
-    return [piece[: piece.index("#else")] for piece in pieces]
+def _call_blocks(source: str, spelling: str):
+    """The text of every ``{`` ... ``}`` block the emitter wraps one
+    ``IntrinsicCall`` in (the blocks that spell the instruction)."""
+    lines = source.splitlines()
+    blocks = []
+    for start, line in enumerate(lines):
+        if line.strip() != "{":
+            continue
+        close = line.replace("{", "}")
+        end = next(i for i in range(start + 1, len(lines)) if lines[i] == close)
+        block = "\n".join(lines[start + 1 : end])
+        if spelling in block:
+            blocks.append(block)
+    return blocks
 
 
 class TestEmittedText:
     @pytest.mark.parametrize("name", sorted(X86))
     @pytest.mark.parametrize("index", LAYERS, ids=lambda i: f"layer{i}")
-    def test_table1_instruction_once_per_call_inside_its_guard(self, index, name):
+    def test_table1_instruction_once_per_call(self, index, name):
         """Full-size Table I: every ``IntrinsicCall`` spells the instruction
-        exactly once, inside its ``#if``, straight from program memory (the
-        blocked layout is register-contiguous: no staged operand)."""
-        _, spelling, macro = X86[name]
+        exactly once, straight from program memory (the blocked layout is
+        register-contiguous: no staged operand), and the source has no
+        ``#if``: there is no second, scalar copy of the region."""
+        _, spelling, _ = X86[name]
         func = _tensorized(TABLE1_LAYERS[index - 1], name)
         calls = collect(func.body, lambda s: isinstance(s, IntrinsicCall))
         source = generate_c(func)
         assert source.instructions == (get_intrinsic(name).native_lowering.instruction,)
+        assert "#if" not in source.source and "#else" not in source.source
         assert source.source.count(spelling) == len(calls) >= 1
-        branches = _instruction_branches(source.source, macro)
-        assert len(branches) == len(calls)
-        for branch in branches:
-            assert branch.count(spelling) == 1
-            assert branch.count("_mm512_loadu_si512(") == 2  # accumulator + weights
-            assert branch.count("_mm512_set1_epi32(") == 1  # the data group
-            assert branch.count("_mm512_storeu_si512(") == 1
-            assert "for (" not in branch and "= {0}" not in branch
-        # The scalar expansion exists once per call, as the #else branch.
-        assert source.source.count("#else") == source.source.count("#endif") - 1 == len(calls)
+        blocks = _call_blocks(source.source, spelling)
+        assert len(blocks) == len(calls)
+        for block in blocks:
+            assert block.count(spelling) == 1
+            assert block.count("_mm512_loadu_si512(") == 2  # accumulator + weights
+            assert block.count("_mm512_set1_epi32(") == 1  # the data group
+            assert block.count("_mm512_storeu_si512(") == 1
+            assert "for (" not in block and "= {0}" not in block
 
     def test_header_only_in_sources_that_use_it(self):
         plain = generate_c(lower(small_conv_hwc()))
         assert plain.instructions == ()
         assert "immintrin" not in plain.source and "#if" not in plain.source
         tensorized = generate_c(_tensorized(scaled_table1(TABLE1_LAYERS[1]), "x86.avx512.vpdpbusd"))
-        guard = "#if defined(__AVX512VNNI__)\n#include <string.h>\n#include <immintrin.h>\n#endif"
-        assert tensorized.source.count(guard) == 1
+        assert tensorized.source.count("#include <immintrin.h>\n") == 1
+        assert "#if" not in tensorized.source
 
     def test_no_openmp_surface(self):
         func = _tensorized(scaled_table1(TABLE1_LAYERS[1]), "x86.avx512.vpdpbusd")
@@ -121,34 +126,33 @@ class TestEmittedText:
             generate_c(func, parallel=True)
 
     @pytest.mark.parametrize("name", sorted(ARM))
-    def test_arm_dot_emits_guarded_vdotq(self, name, tmp_path):
-        """Text-tested on this host: the NEON spellings sit behind
-        ``__ARM_FEATURE_DOTPROD``; where that is undefined the same source is
-        the scalar expansion, which must still match the interpreter."""
+    def test_arm_dot_emits_vdotq(self, name, tmp_path):
+        """Text-tested on any host; built and run only where the probe
+        defines ``__ARM_FEATURE_DOTPROD``."""
         _, spelling, macro = ARM[name]
         func = _tensorized(scaled_table1(TABLE1_LAYERS[1], spatial=4), name, table=ARM)
         source = generate_c(func)
         assert source.instructions == (name.rsplit(".", 1)[1],)
-        assert f"#if defined({macro})\n#include <string.h>\n#include <arm_neon.h>\n#endif" in source.source
-        (branch,) = _instruction_branches(source.source, macro)
-        assert branch.count(spelling) == 1
+        assert "#include <arm_neon.h>\n" in source.source and "#if" not in source.source
+        (block,) = _call_blocks(source.source, spelling)
+        assert block.count(spelling) == 1
         elem = "s8" if name.endswith("sdot") else "u8"
-        assert "int32x4_t vec1 = vld1q_s32(" in branch
-        assert f"vreinterpretq_{elem}_s32(vdupq_n_s32(grp2))" in branch
-        assert f"{'int8' if elem == 's8' else 'uint8'}x16_t vec4 = vld1q_{elem}(" in branch
-        assert branch.count("vst1q_s32(") == 1
-        if TOOLCHAIN_KIND is not None and not _host_defines(macro):
-            _assert_both_builds_match_interpreter(func, tmp_path)
+        assert "int32x4_t vec1 = vld1q_s32(" in block
+        assert f"vreinterpretq_{elem}_s32(vdupq_n_s32(grp2))" in block
+        assert f"{'int8' if elem == 's8' else 'uint8'}x16_t vec4 = vld1q_{elem}(" in block
+        assert block.count("vst1q_s32(") == 1
+        if TOOLCHAIN_KIND is not None and _host_defines(macro):
+            _assert_host_build_matches_interpreter(func, tmp_path)
 
 
 @needs_toolchain
-class TestBothBuildsMatchInterpreter:
+class TestHostBuildMatchesInterpreter:
     @pytest.mark.parametrize("name", sorted(X86))
     @pytest.mark.parametrize("index", LAYERS, ids=lambda i: f"layer{i}")
     def test_table1_layer(self, index, name, tmp_path):
         # spatial=4: the scalar interpreter is the oracle, 32 times over.
         func = _tensorized(scaled_table1(TABLE1_LAYERS[index - 1], spatial=4), name)
-        _assert_both_builds_match_interpreter(func, tmp_path, seed=index)
+        _assert_host_build_matches_interpreter(func, tmp_path, seed=index)
 
     @pytest.mark.parametrize("name", sorted(X86))
     def test_residue_guarded_extent(self, name, tmp_path):
@@ -160,26 +164,26 @@ class TestBothBuildsMatchInterpreter:
         )
         func = _tensorized(params, name)
         assert collect(func.body, lambda s: isinstance(s, IfThenElse) and s.likely)
-        _assert_both_builds_match_interpreter(func, tmp_path)
+        _assert_host_build_matches_interpreter(func, tmp_path)
 
     @pytest.mark.parametrize("name", sorted(X86))
     def test_staged_fill_still_uses_the_instruction(self, name, tmp_path):
         """Lanes mapped onto OW (stride 2): the data operand and the
-        accumulator are strided in memory, so their *fill* goes through the
+        accumulator are strided in memory, so their *fill* goes through a
         stack array — the instruction itself is still emitted, once."""
-        _, spelling, macro = X86[name]
+        _, spelling, _ = X86[name]
         params = Conv2DParams(
             in_channels=8, in_height=5, in_width=31, out_channels=16, kernel=1, stride=2,
             name="ow_lanes",
         )
         func = _tensorized(params, name, mapping_index=4)
-        source = _assert_both_builds_match_interpreter(func, tmp_path)
-        (branch,) = _instruction_branches(source.source, macro)
-        assert branch.count(spelling) == 1
+        source = _assert_host_build_matches_interpreter(func, tmp_path)
+        (block,) = _call_blocks(source.source, spelling)
+        assert block.count(spelling) == 1
         data_reg = "vnni_a" if name.endswith("busd") else "vnni16_a"
-        assert f"t_{data_reg}[" in branch and "= {0};" in branch  # staged data fill
-        assert branch.count("_mm512_set1_epi32(") == 1  # the weights broadcast instead
-        assert branch.count("_mm512_storeu_si512((void*)(t_") == 1  # staged scatter
+        assert f"t_{data_reg}[" in block and "= {0};" in block  # staged data fill
+        assert block.count("_mm512_set1_epi32(") == 1  # the weights broadcast instead
+        assert block.count("_mm512_storeu_si512((void*)(t_") == 1  # staged scatter
 
     @pytest.mark.parametrize("name", sorted(X86))
     def test_host_build_executes_the_instruction(self, name, tmp_path):
@@ -197,9 +201,45 @@ class TestBothBuildsMatchInterpreter:
         assert source.instructions[0] in listing
 
 
+def _assert_stays_vectorized(func, macro):
+    """``func`` runs under a native executor that promotes after one warm
+    run, yet stays vectorized: the reason names ``macro``, and the output is
+    the interpreter's bytes."""
+    plan_cache().clear()
+    buffers = alloc_buffers(func, np.random.default_rng(0))
+    expected = run(func, {t: a.copy() for t, a in buffers.items()})
+    executor = Executor(tier="native", promote_after=1)
+    for _ in range(2):
+        got = executor.run(func, {t: a.copy() for t, a in buffers.items()})
+        assert backend.same_bits(got, expected)
+    state = tier_state(plan_cache().get_or_compile(func))
+    assert state.tier == "vectorized" and state.kernel is None
+    assert macro in state.demotion_reason
+    assert executor.stats.native_runs == 0 and executor.stats.native_promotions == 0
+
+
+@needs_toolchain
+class TestInstructionTheHostLacks:
+    @pytest.mark.parametrize("name", sorted(ARM))
+    def test_arm_dot_on_a_host_without_dotprod_stays_vectorized(self, name):
+        _, _, macro = ARM[name]
+        if _host_defines(macro):
+            pytest.skip(f"{HOST_FLAG} defines {macro} on this host")
+        func = _tensorized(scaled_table1(TABLE1_LAYERS[1], spatial=4), name, table=ARM)
+        assert backend.native_eligibility_reason(plan_cache().get_or_compile(func)) == (
+            f"{name.rsplit('.', 1)[1]} needs {macro}, which the toolchain probe did not define"
+        )
+        _assert_stays_vectorized(func, macro)
+
+
 @needs_toolchain
 class TestHostFlagProbe:
-    def test_compiler_rejecting_the_flag_loses_the_flag_not_the_tier(self, tmp_path, monkeypatch):
+    def test_compiler_rejecting_the_flag_loses_the_instruction_not_the_tier(
+        self, tmp_path, monkeypatch
+    ):
+        """A ``cc`` that rejects ``-march=native`` keeps the tier for plain
+        kernels, but predefines no instruction macro, so a ``vpdpbusd`` plan
+        stays vectorized."""
         fake_cc = tmp_path / "cc"
         fake_cc.write_text(
             "#!/bin/sh\n"
@@ -213,14 +253,16 @@ class TestHostFlagProbe:
             patched.setenv("PATH", str(tmp_path), prepend=":")
             try:
                 assert native_toolchain(refresh=True) == ("cc", str(fake_cc))
-                assert backend.cc_flags() == SCALAR_FLAGS
-                plan_cache().clear()
+                assert backend.cc_flags() == [f for f in backend._CC_FLAGS if f != HOST_FLAG]
+                assert backend.cc_macros() == frozenset()
                 func = _tensorized(scaled_table1(TABLE1_LAYERS[1]), "x86.avx512.vpdpbusd")
-                buffers = alloc_buffers(func, np.random.default_rng(0))
-                expected = run(func, {t: a.copy() for t, a in buffers.items()})
-                got = Executor(tier="native", promote_after=1).run(func, buffers)
-                np.testing.assert_array_equal(got, expected)
-                state = tier_state(plan_cache().get_or_compile(func))
+                _assert_stays_vectorized(func, "__AVX512VNNI__")
+                plain = lower(small_conv_hwc())
+                buffers = alloc_buffers(plain, np.random.default_rng(1))
+                expected = run(plain, {t: a.copy() for t, a in buffers.items()})
+                got = Executor(tier="native", promote_after=1).run(plain, buffers)
+                assert backend.same_bits(got, expected)
+                state = tier_state(plan_cache().get_or_compile(plain))
                 assert state.tier == "native", state.demotion_reason
             finally:
                 patched.undo()

@@ -24,7 +24,7 @@ from repro.tir import (
     run,
     tier_state,
 )
-from repro.tir.backend import run_tiered, same_bits
+from repro.tir.backend import instruction_support_reason, run_tiered, same_bits
 from repro.workloads.dense import matmul_fp32
 from tests.conftest import float_copy, small_conv_hwc
 
@@ -63,6 +63,36 @@ class TestEligibility:
     def test_unproved_gather_is_not(self):
         reason = native_eligibility_reason(_unproved_plan())
         assert reason is not None and "proved" in reason
+
+    def test_plan_with_a_fallback_nest_is_not(self):
+        from repro.dsl.expr import Compare, Const, Var
+        from repro.dsl import placeholder
+        from repro.dsl.tensor import Tensor
+        from repro.tir import For, IfThenElse, PrimFunc, Store
+
+        a = placeholder((4,), "int32", "a")
+        out = Tensor((4,), "int32", "out")
+        i = Var("i")
+        body = For(
+            i, 4, IfThenElse(Compare("<", i, Const(2)), Store(out, [i], a[i]), Store(out, [i], a[i] + 1))
+        )
+        plan = compile_plan(PrimFunc("branchy", [a, out], body, op=None))
+        assert native_eligibility_reason(plan) == "plan has 1 interpreter-fallback nest(s)"
+
+    def test_plan_without_nests_is_not(self):
+        from repro.tir import PrimFunc, SeqStmt
+
+        plan = compile_plan(PrimFunc("empty", [], SeqStmt([]), op=None))
+        assert native_eligibility_reason(plan) == "plan has no vectorized nests to compile"
+
+    def test_proved_plan_the_emitter_refuses_is_not(self):
+        """Float floor division vectorizes and proves, but has no native form."""
+        from repro.dsl import compute, placeholder
+
+        a = placeholder((4,), "float32", "a")
+        plan = compile_plan(lower(compute((4,), lambda i: a[i] // 0.1, name="fdiv")))
+        assert plan.stats.proved_nests == plan.stats.vector_nests == 1
+        assert native_eligibility_reason(plan) == "float32 FloorDiv has no native lowering"
 
 
 class TestPromotion:
@@ -353,7 +383,16 @@ class TestPromotionLifecycle:
         plan = compile_plan(func)
         with trace.tracing() as tracer:
             run_tiered(plan, _fresh_buffers(plan), stats=EngineStats(), promote_after=1)
-        (promote,) = [r for r in tracer.finished() if r.name == "tir.native_promote"]
+        promotes = [r for r in tracer.finished() if r.name == "tir.native_promote"]
+        reason = instruction_support_reason(func)
+        if reason is not None:
+            # No kernel here could be the instruction: the plan is refused
+            # before a promotion (and its span) ever starts.
+            assert "__AVX512VNNI__" in reason and promotes == []
+            assert tier_state(plan).tier == "vectorized"
+            assert tier_state(plan).demotion_reason == reason
+            return
+        (promote,) = promotes
         assert promote.attrs["outcome"] == "promoted"
         assert promote.attrs["instructions"] == "vpdpbusd"
         assert promote.attrs["tiled_nests"] == 0  # IntrinsicCall regions are not tiled
@@ -444,6 +483,40 @@ class TestPromoteAfterKnobs:
         )
 
 
+class TestToolchainProbe:
+    def test_a_compiler_that_cannot_run_loses_the_host_flag(self, tmp_path):
+        from repro.tir.backend import _CC_FLAGS, _probe
+
+        assert _probe(str(tmp_path / "no-such-cc")) == (
+            [flag for flag in _CC_FLAGS if flag != "-march=native"],
+            frozenset(),
+        )
+
+    def test_no_compiler_on_the_path(self, tmp_path, monkeypatch):
+        from repro.tir.backend import cc_macros
+
+        with monkeypatch.context() as patched:
+            patched.setenv("PATH", str(tmp_path))
+            try:
+                assert native_toolchain(refresh=True) == (
+                    None, "no C compiler (cc/gcc/clang) is available"
+                )
+                assert cc_macros() == frozenset()
+            finally:
+                patched.undo()
+                native_toolchain(refresh=True)
+
+    def test_failing_compiler_raises_lowering_error(self, tmp_path):
+        from repro.codegen.lowlevel import generate_c
+        from repro.tir.backend import _compile_c
+
+        fake_cc = tmp_path / "broken-cc"
+        fake_cc.write_text("#!/bin/sh\necho 'cc: internal error' >&2\nexit 1\n")
+        fake_cc.chmod(0o755)
+        with pytest.raises(LoweringError, match="failed:\ncc: internal error"):
+            _compile_c(generate_c(lower(small_conv_hwc())), str(fake_cc))
+
+
 class TestCompileTimeout:
     def test_hung_compiler_raises_lowering_error(self, tmp_path, monkeypatch):
         """A wedged cc must surface as LoweringError (which demotes the
@@ -530,6 +603,15 @@ class TestNativeKernel:
         got = kernel.run(arrays)
         assert got is arrays[-1]
         np.testing.assert_array_equal(got, expected)
+
+    def test_promoted_plan_missing_a_buffer_raises_key_error(self):
+        plan = _proved_plan()
+        run_tiered(plan, _fresh_buffers(plan), stats=EngineStats(), promote_after=1)
+        assert tier_state(plan).tier == "native"
+        buffers = _fresh_buffers(plan)
+        del buffers[plan.func.inputs[0]]
+        with pytest.raises(KeyError, match="missing buffer for parameter 'data'"):
+            run_tiered(plan, buffers, promote_after=1)
 
     def test_rejects_wrong_shape(self):
         func = lower(small_conv_hwc())
