@@ -35,9 +35,6 @@ Injection points
                     — contended/stale locks
 ``store.compact``   a shard is about to be rewritten (context: ``path``,
                     ``tmp``) — disk-full mid-compaction
-``backend.compile`` the sandbox child is about to compile the candidate
-                    kernel (context: ``func_name``, ``where="sandbox"``) —
-                    hung or crashing compilers
 ``backend.qualify`` the sandbox child is about to run the candidate kernel
                     (context: ``func_name``, ``where="sandbox"``) —
                     segfaulting/OOMing/hanging kernels
@@ -93,7 +90,6 @@ POINTS = (
     "store.append",
     "store.lock",
     "store.compact",
-    "backend.compile",
     "backend.qualify",
 )
 

@@ -35,7 +35,7 @@ from .backend import (
     tier_state,
 )
 from .executor import Executor, ValidationError, ValidationPolicy
-from .sandbox import SandboxVerdict, sandbox_enabled
+from .sandbox import SandboxVerdict
 from .interpreter import Frame, Interpreter, alloc_buffers, random_array, run
 from .plan import (
     PlanCache,
@@ -84,7 +84,6 @@ __all__ = [
     "native_toolchain",
     "tier_state",
     "SandboxVerdict",
-    "sandbox_enabled",
     "ExecutablePlan",
     "PlanStats",
     "compile_plan",

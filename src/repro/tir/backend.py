@@ -20,7 +20,8 @@ Promotion is conservative by construction:
 * only plans whose every nest the static verifier proved (``proved_nests ==
   vector_nests``, no fallback steps — the PR 6 analysis tier) are eligible,
   the function must pass :func:`~repro.codegen.lowlevel.native_support_reason`,
-  and the toolchain probe must define every instruction's feature macro;
+  and a C compiler must exist whose probe defines every instruction's
+  feature macro;
 * at promotion time the fresh kernel is spot-checked for **bit identity**
   (:func:`same_bits`) against the vectorized result that was just computed
   on the caller's real buffers — a mismatch demotes instead of promoting;
@@ -28,11 +29,13 @@ Promotion is conservative by construction:
   demoted plans keep running vectorized, so the native tier can never change
   results or raise where the vectorized tier would not.
 
-A promotion that falls due outside a batch is qualified before the run
-returns.  Inside :func:`promotion_batch` (every ``GraphProgram.run``) it is
-queued instead, and the batch's exit qualifies the queued kernels
-concurrently, one sandbox child per CPU the process may use, then loads and
-spot-checks each in queue order exactly as an inline promotion would.
+Every promotion is a batch.  Inside :func:`promotion_batch` (every
+``GraphProgram.run``) a promotion that falls due is queued, and the batch's
+exit qualifies the queued kernels concurrently, one sandbox child per CPU the
+process may use, then loads and spot-checks each in queue order.  A
+promotion that falls due outside a batch is a batch of one, handled before
+the run returns.  The sandbox child (:mod:`.sandbox`) is the only builder of
+a promoted kernel: the host loads the library the child built and checked.
 
 Promotion state lives on the plan object itself (via :func:`tier_state`), so
 it is keyed off the process-wide :class:`~repro.tir.plan.PlanCache` exactly
@@ -141,7 +144,7 @@ def _probe(compiler: str) -> Tuple[List[str], FrozenSet[str]]:
             [compiler, _HOST_FLAG, "-dM", "-E", "-x", "c", os.devnull],
             capture_output=True,
             text=True,
-            timeout=_compile_timeout_s(),
+            timeout=_cc_timeout_s(),
         )
     except (OSError, subprocess.TimeoutExpired):
         proc = None
@@ -165,6 +168,12 @@ def _discover_toolchain() -> _Toolchain:
 
 def _toolchain(refresh: bool = False) -> _Toolchain:
     global _TOOLCHAIN
+    # A discovered toolchain is read without the lock: the sandbox child
+    # builds with it after a fork, and a lock another host thread held at
+    # the fork would never be released in the child.
+    toolchain = _TOOLCHAIN
+    if toolchain is not None and not refresh:
+        return toolchain
     with _TOOLCHAIN_LOCK:
         if _TOOLCHAIN is None or refresh:
             _TOOLCHAIN = _discover_toolchain()
@@ -262,7 +271,7 @@ class NativeKernel:
 _DEFAULT_COMPILE_TIMEOUT_S = 120.0
 
 
-def _compile_timeout_s() -> float:
+def _cc_timeout_s() -> float:
     """Wall-clock budget for one C-compiler invocation.
 
     A wedged ``cc`` (NFS stall, broken ccache, runaway optimizer) used to
@@ -274,8 +283,8 @@ def _compile_timeout_s() -> float:
 
 def load_kernel(source: NativeSource, so_path: str) -> NativeKernel:
     """Load a built shared object as the kernel of ``source`` — the one place
-    a library becomes a :class:`NativeKernel`, whether this process compiled
-    it or the sandbox child did."""
+    a library becomes a :class:`NativeKernel`, in the sandbox child that
+    built it, in the host that adopts it, and in :func:`compile_native`."""
     library = ctypes.CDLL(so_path)
     entry = getattr(library, source.entry)
     entry.restype = None
@@ -285,8 +294,13 @@ def load_kernel(source: NativeSource, so_path: str) -> NativeKernel:
     return kernel
 
 
-def _compile_c(source: NativeSource, compiler: str) -> NativeKernel:
-    stem = artefact_stem(source.func_name)
+def _compile_c(source: NativeSource, compiler: str, stem: str) -> str:
+    """Build ``source`` into ``<stem>.so`` (writing ``<stem>.c``) with
+    ``cc_flags()`` under the compile timeout; returns the library path.
+
+    Raises ``LoweringError`` when ``cc`` fails, and one caused by
+    ``subprocess.TimeoutExpired`` when it runs out of time.
+    """
     c_path, so_path = stem + ".c", stem + ".so"
     with open(c_path, "w") as handle:
         handle.write(source.source)
@@ -295,22 +309,23 @@ def _compile_c(source: NativeSource, compiler: str) -> NativeKernel:
             [compiler, *cc_flags(), "-o", so_path, c_path],
             capture_output=True,
             text=True,
-            timeout=_compile_timeout_s(),
+            timeout=_cc_timeout_s(),
         )
     except subprocess.TimeoutExpired as exc:
         raise _lowlevel().LoweringError(
             f"C compilation of {source.func_name!r} timed out after "
             f"{exc.timeout:g}s"
-        ) from None
+        ) from exc
     if proc.returncode != 0:
         raise _lowlevel().LoweringError(
             f"C compilation of {source.func_name!r} failed:\n{proc.stderr.strip()}"
         )
-    return load_kernel(source, so_path)
+    return so_path
 
 
 def compile_native(func: PrimFunc) -> NativeKernel:
-    """Lower ``func`` to a compiled kernel with the host C toolchain.
+    """Lower ``func`` to a compiled kernel with the host C toolchain, in
+    this process and without qualification (promotion never calls it).
 
     Raises :class:`NativeUnavailable` when no toolchain exists and
     :class:`~repro.codegen.lowlevel.LoweringError` when ``func`` cannot be
@@ -319,7 +334,8 @@ def compile_native(func: PrimFunc) -> NativeKernel:
     kind, payload = native_toolchain()
     if kind is None:
         raise NativeUnavailable(str(payload))
-    return _compile_c(_lowlevel().generate_c(func), str(payload))
+    source = _lowlevel().generate_c(func)
+    return load_kernel(source, _compile_c(source, str(payload), artefact_stem(source.func_name)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +354,9 @@ class TierState:
     ``sandbox_outcome`` records what the qualification sandbox concluded for
     this plan's candidate kernel (``"qualified"``, ``"segfault"``, ``"oom"``,
     ``"hang"``, ``"mismatch"``, ... — see
-    :class:`repro.tir.sandbox.SandboxVerdict`), or ``None`` when the sandbox
-    has not run (not yet promoted, disabled, or no toolchain).  ``pending``
-    is set while the plan waits in a :func:`promotion_batch`.
+    :class:`repro.tir.sandbox.SandboxVerdict`), or ``None`` when no
+    promotion has been attempted (not yet warm, or refused as ineligible).
+    ``pending`` is set while the plan waits in a :func:`promotion_batch`.
     """
 
     tier: str = "vectorized"
@@ -374,7 +390,7 @@ def native_eligibility_reason(plan: ExecutablePlan) -> Optional[str]:
     Eligibility requires the static verification tier (PR 6) to have proved
     every nest — the same proofs that elide runtime guards now license
     codegen — plus a plan with no interpreter-fallback steps, a function the
-    native emitter accepts, and a toolchain whose probe defines the feature
+    native emitter accepts, and a C compiler whose probe defines the feature
     macro of every instruction the function calls.
     """
     if plan.stats.fallback_nests > 0:
@@ -386,8 +402,11 @@ def native_eligibility_reason(plan: ExecutablePlan) -> Optional[str]:
             f"static verifier proved {plan.stats.proved_nests}/"
             f"{plan.stats.vector_nests} nests; native promotion requires all"
         )
-    return _lowlevel().native_support_reason(plan.func) or instruction_support_reason(
-        plan.func
+    kind, missing = native_toolchain()
+    return (
+        _lowlevel().native_support_reason(plan.func)
+        or (str(missing) if kind is None else None)
+        or instruction_support_reason(plan.func)
     )
 
 
@@ -458,81 +477,44 @@ def _pre_run(inputs_before: List[np.ndarray], output_before: np.ndarray) -> List
     return [np.array(a, copy=True) for a in (*inputs_before, output_before)]
 
 
-def _qualifying() -> bool:
-    """Whether promotion qualifies its candidate in the sandbox first."""
-    from . import sandbox
-
-    return native_toolchain()[0] is not None and sandbox.sandbox_enabled()
-
-
-def _try_promote(
-    plan: ExecutablePlan,
-    inputs_before: List[np.ndarray],
-    output_before: np.ndarray,
-    expected: np.ndarray,
-    stats: Optional[EngineStats],
-) -> None:
-    """Qualify, compile and spot-check a kernel now, before the run returns."""
-    from . import sandbox
-
-    qualify = None
-    if _qualifying():
-        qualify = partial(sandbox.qualify, plan.func, _pre_run(inputs_before, output_before), expected)
-    _promote(plan, inputs_before, output_before, expected, stats, qualify)
-
-
 def _promote(
     plan: ExecutablePlan,
     inputs_before: List[np.ndarray],
     output_before: np.ndarray,
     expected: np.ndarray,
     stats: Optional[EngineStats],
-    qualify: Optional[Callable[[], "SandboxVerdict"]],
+    qualify: Callable[[], "SandboxVerdict"],
 ) -> None:
-    """Load a kernel and spot-check it for bit identity before promoting.
+    """Qualify, load and spot-check a kernel for bit identity before promoting.
+
+    ``qualify`` waits for the sandbox verdict on the candidate (the child
+    :func:`_promote_queued` started): a kernel that fails to build,
+    segfaults, OOMs, or hangs kills only that child, and the classified
+    verdict becomes the demotion reason.  Qualify once, load what was
+    qualified: the host ``CDLL``-loads the very library the child built and
+    checked (one ``cc`` per promotion).
 
     ``inputs_before``/``output_before`` are the buffer values the vectorized
-    run consumed; ``expected`` is the result it produced.  Running the fresh
+    run consumed; ``expected`` is the result it produced.  Running the loaded
     kernel over copies of the same inputs must reproduce ``expected`` bit for
     bit, else the plan demotes.
-
-    ``qualify`` is the sandbox verdict on the candidate (one
-    :func:`repro.tir.sandbox.qualify`, or the wait for a child a batch
-    started), or ``None`` when there is no toolchain or the sandbox is off:
-    a kernel that segfaults, OOMs, or hangs kills only that child, and the
-    classified verdict becomes the demotion reason.  Qualify once, load what
-    was qualified: the host ``CDLL``-loads the very library the child built
-    and checked (one ``cc`` per promotion); only with the sandbox off does it
-    compile for itself.
     """
     state = tier_state(plan)
-    qualified = None
     with _trace.span("tir.native_promote", func=plan.func.name) as promote_span:
-        if qualify is not None:
-            with _trace.span("tir.sandbox_qualify", func=plan.func.name) as sq:
-                verdict = qualify()
-                sq.set(outcome=verdict.outcome)
-            state.sandbox_outcome = verdict.outcome
-            _count(stats, "sandbox_qualifications")
-            if not verdict.ok:
-                _count(stats, "sandbox_rejections")
-                promote_span.set(outcome="sandbox_rejected")
-                _demote(
-                    plan,
-                    f"sandbox rejected native kernel ({verdict.describe()})",
-                    stats,
-                )
-                return
-            qualified = verdict
+        with _trace.span("tir.sandbox_qualify", func=plan.func.name) as sq:
+            verdict = qualify()
+            sq.set(outcome=verdict.outcome)
+        state.sandbox_outcome = verdict.outcome
+        _count(stats, "sandbox_qualifications")
+        if not verdict.ok:
+            _count(stats, "sandbox_rejections")
+            promote_span.set(outcome="sandbox_rejected")
+            _demote(plan, f"sandbox rejected native kernel ({verdict.describe()})", stats)
+            return
         try:
-            with _trace.span("tir.native_load", func=plan.func.name) as load_span:
-                if qualified is not None:
-                    load_span.set(origin="loaded_qualified")
-                    kernel = load_kernel(qualified.source, qualified.library)
-                else:
-                    load_span.set(origin="compiled")
-                    kernel = compile_native(plan.func)
-        except Exception as exc:  # NativeUnavailable, LoweringError, OSError, injected
+            with _trace.span("tir.native_load", func=plan.func.name):
+                kernel = load_kernel(verdict.source, verdict.library)
+        except Exception as exc:  # OSError, injected
             promote_span.set(outcome="compile_failed")
             _demote(plan, f"native compile failed: {exc}", stats)
             return
@@ -567,8 +549,8 @@ def _promote(
 
 @dataclass
 class _Queued:
-    """A promotion that fell due inside a batch: copies of what its run
-    consumed and produced (the caller's buffers move on)."""
+    """A promotion that fell due: copies of what its run consumed and
+    produced (the caller's buffers move on)."""
 
     plan: ExecutablePlan
     inputs_before: List[np.ndarray]
@@ -586,12 +568,11 @@ def promotion_batch() -> Iterator[None]:
     concurrently when the batch exits.
 
     Inside a batch, a plan whose promotion falls due is marked pending and
-    keeps running vectorized until the batch exits.  The exit starts one
-    sandbox child per queued plan, at most one per CPU the process may use
-    alive at a time, and handles the verdicts in queue order through the
-    same load, spot check and demotion as an inline promotion, so every plan
-    is promoted or demoted when the ``with`` block is left.  A nested batch
-    joins the outer one.  When the body raises, the queue is dropped (the
+    keeps running vectorized until the batch exits.  The exit hands the
+    queue to :func:`_promote_queued`, so every plan is promoted or demoted
+    when the ``with`` block is left.  Outside any batch a promotion is a
+    batch of one, handled before its run returns.  A nested batch joins the
+    outer one.  When the body raises, the queue is dropped (the
     plans promote on a later run) and the exception propagates; no child or
     sandbox work directory outlives the batch either way.
     """
@@ -622,9 +603,15 @@ def _width() -> int:
 
 
 def _promote_queued(queue: List[_Queued]) -> None:
+    """Promote or demote every queued plan: the one path to :func:`_promote`.
+
+    Starts one sandbox child per queued plan, at most one per CPU the
+    process may use alive at a time, and handles the verdicts in queue order
+    under each plan's ``TierState.lock`` — so the caller must not hold one.
+    No child or sandbox work directory outlives the call.
+    """
     from . import sandbox
 
-    qualifying = _qualifying()
     width = _width()
     handles: List["Qualification"] = []
 
@@ -649,8 +636,7 @@ def _promote_queued(queue: List[_Queued]) -> None:
 
     try:
         for index, item in enumerate(queue):
-            if qualifying:
-                launch(index)
+            launch(index)
             state = tier_state(item.plan)
             with state.lock:
                 _promote(
@@ -659,7 +645,7 @@ def _promote_queued(queue: List[_Queued]) -> None:
                     item.output_before,
                     item.expected,
                     item.stats,
-                    partial(verdict, index) if qualifying else None,
+                    partial(verdict, index),
                 )
                 state.pending = False
     finally:
@@ -679,9 +665,10 @@ def run_tiered(
 
     Runs natively when the plan is promoted; otherwise runs vectorized,
     counts the warm run, and attempts promotion once the plan is warm and
-    eligible.  Any native failure demotes the plan and falls back to the
-    vectorized result, so this never errors where the vectorized tier would
-    not.
+    eligible: queued in the open :func:`promotion_batch`, or a batch of one
+    before this call returns.  Any native failure demotes the plan and falls
+    back to the vectorized result, so this never errors where the vectorized
+    tier would not.
     """
     func = func or plan.func
     state = tier_state(plan)
@@ -716,25 +703,28 @@ def run_tiered(
     inputs_before = [np.array(a, copy=True) for a in arrays[:-1]]
     output_before = np.array(arrays[-1], copy=True)
     result = plan.run(buffers, stats=stats, func=func)
+    item = None
     with state.lock:
         state.warm_runs += 1
-        should_promote = (
+        if (
             not state.demoted
             and not state.pending
             and state.tier == "vectorized"
             and state.warm_runs >= threshold
-        )
-        if should_promote:
+        ):
             reason = native_eligibility_reason(plan)
-            batch = getattr(_BATCH, "queue", None)
             if reason is not None:
                 _demote(plan, reason, stats)
-            elif batch is not None:
+            else:
                 # ``result`` is the caller's buffer, which later steps overwrite.
                 state.pending = True
-                batch.append(
-                    _Queued(plan, inputs_before, output_before, np.array(result, copy=True), stats)
-                )
-            else:
-                _try_promote(plan, inputs_before, output_before, result, stats)
+                expected = np.array(result, copy=True)
+                item = _Queued(plan, inputs_before, output_before, expected, stats)
+    # Past the lock: ``_promote_queued`` takes it, and it is not reentrant.
+    if item is not None:
+        batch = getattr(_BATCH, "queue", None)
+        if batch is not None:
+            batch.append(item)
+        else:
+            _promote_queued([item])
     return result

@@ -9,42 +9,45 @@ or the serving daemon outright.  This module moves that first contact into a
 
 * the host generates the low-level source (pure Python — it cannot crash the
   process) and forks a child;
-* the child applies ``RLIMIT_AS``/``RLIMIT_CPU``, compiles the source with
-  the toolchain and flags every kernel is built with, runs it once over pickled
-  copies of the caller's real buffers, compares the output bit-for-bit
-  against the vectorized tier's result, and ships a verdict dict back over a
-  pipe;
-* the host watches the pipe under a wall-clock watchdog; a child that
-  segfaults, is OOM-killed, or hangs becomes a *classified verdict*
-  (``segfault`` / ``oom`` / ``hang``) instead of a dead host.
+* the child applies ``RLIMIT_AS``/``RLIMIT_CPU``, builds the source exactly
+  as :func:`repro.tir.backend.compile_native` does (same compiler, flags and
+  compile timeout) into its own work directory, loads it with
+  :func:`~repro.tir.backend.load_kernel`, runs it once over copies of the
+  caller's real buffers, compares the output bit-for-bit against the
+  vectorized tier's result, and ships a verdict dict back over a pipe;
+* the host watches the pipe under a wall-clock watchdog; a child whose
+  compiler fails or hangs, or whose kernel segfaults, is OOM-killed, or
+  hangs, becomes a *classified verdict* (``compile_error`` / ``hang`` /
+  ``segfault`` / ``oom``) instead of a dead host.
 
 :func:`start` forks the child and returns a :class:`Qualification` at once;
 its :meth:`~Qualification.wait` is the watchdog, with each child's budget
 counted from its own launch, so a :func:`repro.tir.backend.promotion_batch`
-keeps one child per CPU working while it collects verdicts in order.
+keeps one child per CPU working while it collects verdicts in order.  Every
+promotion is such a batch (one outside a graph run is a batch of one).
 :func:`qualify` is ``start(...).wait()``, the one-kernel spelling.
 
-Only after a ``qualified`` verdict does the promotion in
-:mod:`repro.tir.backend` load the kernel in-process — the very library the
-child built and checked, moved out of the sandbox work directory
-(``SandboxVerdict.library``), not a second compile of the same source.  The
-child is a fresh interpreter state with nothing to corrupt and nothing to
-leak: whatever the candidate kernel does — scribble over the heap, exhaust
-memory, spin forever — dies with it.
+The child is the only builder of a promoted kernel: after a ``qualified``
+verdict the promotion in :mod:`repro.tir.backend` loads in-process the very
+library the child built and checked, moved out of the sandbox work
+directory (``SandboxVerdict.library``).  The child is a fresh interpreter
+state with nothing to corrupt and nothing to leak: whatever the candidate
+kernel does — scribble over the heap, exhaust memory, spin forever — dies
+with it.
 
-Knobs (environment):
+Limits (environment, the only way to set them):
 
-* ``REPRO_DISABLE_SANDBOX`` — skip qualification and trust the in-process
-  spot check alone (the pre-PR-9 behaviour);
 * ``REPRO_SANDBOX_TIMEOUT`` — wall-clock seconds the child may take end to
   end (default 120);
-* ``REPRO_SANDBOX_MEMORY_MB`` — ``RLIMIT_AS`` headroom for the child beyond
-  the forked interpreter's existing address space (default 4096).
+* ``REPRO_SANDBOX_MEMORY_MB`` — ``RLIMIT_AS`` headroom in MiB for the child
+  beyond the forked interpreter's existing address space, a positive
+  integer (default 4096);
+* ``REPRO_NATIVE_COMPILE_TIMEOUT`` — seconds the child's ``cc`` may take
+  (default 120; see :mod:`repro.tir.backend`).
 """
 
 from __future__ import annotations
 
-import ctypes
 import multiprocessing
 import os
 import shutil
@@ -53,13 +56,13 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 import numpy as np
 
 from ..testing import faults
 from .backend import (
-    _compile_timeout_s, _env_number, artefact_stem, cc_flags, native_toolchain, same_bits
+    _compile_c, _env_number, artefact_stem, load_kernel, native_toolchain, same_bits
 )
 
 if TYPE_CHECKING:
@@ -71,17 +74,11 @@ __all__ = [
     "default_memory_mb",
     "default_timeout_s",
     "qualify",
-    "sandbox_enabled",
     "start",
 ]
 
 _DEFAULT_TIMEOUT_S = 120.0
 _DEFAULT_MEMORY_MB = 4096
-
-
-def sandbox_enabled() -> bool:
-    """Whether promotion runs the sandboxed qualification step."""
-    return not os.environ.get("REPRO_DISABLE_SANDBOX")
 
 
 def default_timeout_s() -> float:
@@ -90,8 +87,14 @@ def default_timeout_s() -> float:
 
 
 def default_memory_mb() -> int:
-    """``RLIMIT_AS`` headroom for one qualification child."""
-    return int(_env_number("REPRO_SANDBOX_MEMORY_MB", _DEFAULT_MEMORY_MB))
+    """``RLIMIT_AS`` headroom in MiB for one qualification child: the
+    positive integer in ``REPRO_SANDBOX_MEMORY_MB``, else the default.  A
+    fraction is refused, not truncated: a 0 headroom would starve the child."""
+    try:
+        value = int(os.environ.get("REPRO_SANDBOX_MEMORY_MB", ""))
+    except ValueError:
+        return _DEFAULT_MEMORY_MB
+    return value if value > 0 else _DEFAULT_MEMORY_MB
 
 
 @dataclass(frozen=True)
@@ -126,10 +129,6 @@ class SandboxVerdict:
 # ---------------------------------------------------------------------------
 
 
-class _SandboxCompileError(RuntimeError):
-    pass
-
-
 def _mapped_address_space_bytes() -> int:
     """The child's current virtual size (0 where /proc is unavailable)."""
     try:
@@ -154,43 +153,16 @@ def _apply_rlimits(memory_mb: int, cpu_s: float) -> None:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX
         return
-    if memory_mb:
-        ceiling = _mapped_address_space_bytes() + (int(memory_mb) << 20)
-        try:
-            resource.setrlimit(resource.RLIMIT_AS, (ceiling, ceiling))
-        except (ValueError, OSError):  # pragma: no cover - platform quirks
-            pass
-    if cpu_s:
-        seconds = max(1, int(cpu_s))
-        try:
-            resource.setrlimit(resource.RLIMIT_CPU, (seconds, seconds + 1))
-        except (ValueError, OSError):  # pragma: no cover - platform quirks
-            pass
-
-
-def _materialise(payload: Dict[str, object]):
-    """Compile the shipped source inside the child; returns a callable."""
-    faults.fire("backend.compile", func_name=payload["func_name"], where="sandbox")
-    workdir = str(payload["workdir"])
-    c_path = os.path.join(workdir, f"{payload['func_name']}.c")
-    so_path = str(payload["library"])
-    with open(c_path, "w") as handle:
-        handle.write(str(payload["source"]))
-    proc = subprocess.run(
-        [str(payload["compiler"]), *payload["cc_flags"], "-o", so_path, c_path],
-        capture_output=True,
-        text=True,
-        timeout=float(payload["compile_timeout_s"]),
-    )
-    if proc.returncode != 0:
-        raise _SandboxCompileError(
-            f"C compilation of {payload['func_name']!r} failed:\n{proc.stderr.strip()}"
-        )
-    library = ctypes.CDLL(so_path)
-    entry = getattr(library, payload["entry"])
-    entry.restype = None
-    entry._library = library  # keep the handle alive alongside the callable
-    return entry
+    ceiling = _mapped_address_space_bytes() + (memory_mb << 20)
+    try:
+        resource.setrlimit(resource.RLIMIT_AS, (ceiling, ceiling))
+    except (ValueError, OSError):  # pragma: no cover - platform quirks
+        pass
+    seconds = max(1, int(cpu_s))
+    try:
+        resource.setrlimit(resource.RLIMIT_CPU, (seconds, seconds + 1))
+    except (ValueError, OSError):  # pragma: no cover - platform quirks
+        pass
 
 
 def _sandbox_child(conn, payload: Dict[str, object]) -> None:
@@ -215,20 +187,20 @@ def _sandbox_child(conn, payload: Dict[str, object]) -> None:
             pass
 
     try:
-        _apply_rlimits(int(payload["memory_mb"]), float(payload["cpu_s"]))
-        arrays: List[np.ndarray] = list(payload["arrays"])
-        expected: np.ndarray = payload["expected"]
+        from ..codegen.lowlevel import LoweringError
+
+        _apply_rlimits(payload["memory_mb"], payload["cpu_s"])
+        source: "NativeSource" = payload["source"]
+        stem = os.path.join(str(payload["workdir"]), source.func_name)
         try:
-            entry = _materialise(payload)
-        except subprocess.TimeoutExpired:
-            send(False, "hang", f"C compiler exceeded {payload['compile_timeout_s']}s in the sandbox")
+            library = _compile_c(source, str(native_toolchain()[1]), stem)
+        except LoweringError as exc:
+            timed_out = isinstance(exc.__cause__, subprocess.TimeoutExpired)
+            send(False, "hang" if timed_out else "compile_error", str(exc))
             return
-        except _SandboxCompileError as exc:
-            send(False, "compile_error", str(exc))
-            return
-        faults.fire("backend.qualify", func_name=payload["func_name"], where="sandbox")
-        entry(*[array.ctypes.data_as(ctypes.c_void_p) for array in arrays])
-        if same_bits(arrays[-1], expected):
+        kernel = load_kernel(source, library)
+        faults.fire("backend.qualify", func_name=source.func_name, where="sandbox")
+        if same_bits(kernel.run(list(payload["arrays"])), payload["expected"]):
             send(True, "qualified", "bit-identical to the vectorized tier")
         else:
             send(False, "mismatch", "kernel output is not bit-identical to the vectorized tier")
@@ -404,22 +376,14 @@ class Qualification:
         return replace(verdict, source=source, library=library)
 
 
-def start(
-    func,
-    arrays: Sequence[np.ndarray],
-    expected: np.ndarray,
-    *,
-    timeout_s: Optional[float] = None,
-    memory_mb: Optional[int] = None,
-    compile_timeout_s: Optional[float] = None,
-) -> Qualification:
-    """Generate ``func``'s C source and fork the child that compiles and
+def start(func, arrays: Sequence[np.ndarray], expected: np.ndarray) -> Qualification:
+    """Generate ``func``'s C source and fork the child that builds and
     bit-checks it; returns at once.
 
     ``arrays`` are the kernel's buffers in parameter order (inputs plus the
     pre-run output buffer); ``expected`` is the vectorized tier's result for
-    the same inputs.  The child's ``timeout_s`` budget counts from its
-    launch.  A verdict known before any fork (``unavailable``,
+    the same inputs.  The child's ``REPRO_SANDBOX_TIMEOUT`` budget counts
+    from its launch.  A verdict known before any fork (``unavailable``,
     ``compile_error``, ``error``) comes back as a finished qualification.
     """
     from ..codegen import lowlevel  # lazy: codegen imports repro.tir
@@ -432,26 +396,17 @@ def start(
     except lowlevel.LoweringError as exc:
         return Qualification(SandboxVerdict(False, "compile_error", str(exc)))
 
-    timeout_s = timeout_s if timeout_s is not None else default_timeout_s()
-    memory_mb = memory_mb if memory_mb is not None else default_memory_mb()
-    if compile_timeout_s is None:
-        compile_timeout_s = min(_compile_timeout_s(), timeout_s)
+    timeout_s = default_timeout_s()
     workdir = tempfile.mkdtemp(prefix="repro_sandbox_")
     payload: Dict[str, object] = {
-        "compiler": str(toolchain),
-        "cc_flags": cc_flags(),
-        "source": source.source,
-        "entry": source.entry,
-        "func_name": source.func_name,
+        "source": source,
         "workdir": workdir,
-        "library": os.path.join(workdir, f"{source.func_name}.so"),
         "arrays": [np.ascontiguousarray(array) for array in arrays],
         "expected": np.asarray(expected),
-        "memory_mb": memory_mb,
+        "memory_mb": default_memory_mb(),
         # CPU budget tracks the wall budget: a kernel that burns a full
         # wall-timeout of pure CPU is hung by definition.
         "cpu_s": timeout_s,
-        "compile_timeout_s": compile_timeout_s,
     }
     launched = time.perf_counter()
     try:
@@ -483,26 +438,11 @@ def start(
     )
 
 
-def qualify(
-    func,
-    arrays: Sequence[np.ndarray],
-    expected: np.ndarray,
-    *,
-    timeout_s: Optional[float] = None,
-    memory_mb: Optional[int] = None,
-    compile_timeout_s: Optional[float] = None,
-) -> SandboxVerdict:
-    """Compile + bit-check ``func`` in a disposable subprocess and wait for
+def qualify(func, arrays: Sequence[np.ndarray], expected: np.ndarray) -> SandboxVerdict:
+    """Build + bit-check ``func`` in a disposable subprocess and wait for
     the verdict: ``start(...).wait()``, the one-kernel spelling.
 
     Never raises for anything the candidate kernel does — every failure mode
     comes back as a :class:`SandboxVerdict`.
     """
-    return start(
-        func,
-        arrays,
-        expected,
-        timeout_s=timeout_s,
-        memory_mb=memory_mb,
-        compile_timeout_s=compile_timeout_s,
-    ).wait()
+    return start(func, arrays, expected).wait()

@@ -11,7 +11,10 @@ directory outlives a run, including a run that raises.
 
 import contextlib
 import multiprocessing
+import sys
 import tempfile
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,8 +25,10 @@ from repro.graph import Conv2DNode, Graph, InputNode, TensorShape, execute_graph
 from repro.models.zoo import get_model
 from repro.rewriter import TuningSession
 from repro.testing import faults
-from repro.tir import Executor, alloc_buffers, native_toolchain, plan_cache, tier_state
+from repro.tir import Executor, alloc_buffers, lower, native_toolchain, plan_cache, tier_state
+from repro.tir import sandbox
 from repro.tir.backend import promotion_batch, same_bits
+from tests.conftest import small_conv_hwc
 
 needs_toolchain = pytest.mark.skipif(
     native_toolchain()[0] is None, reason="no native toolchain (C compiler)"
@@ -122,6 +127,52 @@ class TestOutsideABatch:
         assert tier_state(plan_cache().get_or_compile(func)).tier == "native"
         assert executor.stats.native_promotions == 1
 
+    def test_threads_promote_one_plan_once(self, monkeypatch):
+        """A batch of one runs after ``run_tiered`` lets go of the plan's
+        lock (``_promote_queued`` takes it again): threads crossing the
+        threshold together qualify and promote once, and none deadlocks."""
+        started = []
+        start = sandbox.start
+
+        def counted(*args):
+            started.append(args[0].name)
+            return start(*args)
+
+        monkeypatch.setattr(sandbox, "start", counted)
+        func = lower(small_conv_hwc())
+        buffers = alloc_buffers(func, np.random.default_rng(0))
+        expected = Executor(tier="interpreter").run(
+            func, {t: a.copy() for t, a in buffers.items()}
+        )
+        plan_cache().clear()
+        executor = Executor(promote_after=1)
+        workers = 4  # more than the cores CI has
+        barrier = threading.Barrier(workers)
+        results = []
+
+        def promote():
+            mine = {t: a.copy() for t, a in buffers.items()}
+            barrier.wait()
+            results.append(executor.run(func, mine))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=promote, daemon=True) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads), "deadlocked"
+        assert len(results) == workers and all(same_bits(r, expected) for r in results)
+        assert started == [func.name]
+        assert executor.stats.sandbox_qualifications == 1
+        assert executor.stats.native_promotions == 1
+        assert tier_state(plan_cache().get_or_compile(func)).tier == "native"
+
     def _funcs(self):
         executor = _Recording(tier="vectorized")
         run_model(_chain(), _image(_chain()), executor=executor)
@@ -208,13 +259,3 @@ class TestMixedVerdictsAndCleanup:
         assert [s.tier for s in states] == ["native"] * 3
         _nothing_left(sandbox_dir)
 
-
-@needs_toolchain
-def test_without_the_sandbox_a_batch_compiles_in_the_host(monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_SANDBOX", "1")
-    graph = _chain()
-    plan_cache().clear()
-    executor = _Recording(promote_after=1)
-    run_model(graph, _image(graph), executor=executor)
-    assert executor.stats.native_promotions == 3
-    assert executor.stats.sandbox_qualifications == 0

@@ -57,6 +57,7 @@ def _reference(plan, buffers):
 
 
 class TestEligibility:
+    @needs_toolchain
     def test_proved_conv_is_eligible(self):
         assert native_eligibility_reason(_proved_plan()) is None
 
@@ -194,9 +195,8 @@ class TestSameBits:
 
 
 class TestDemotion:
-    """Both promotion paths end in ``backend.load_kernel`` — the sandboxed one
-    loads the library the child qualified, the direct one (sandbox off) the
-    library ``compile_native`` just built — so breaking it breaks either."""
+    """Every promotion ends in ``backend.load_kernel`` loading the library the
+    sandbox child qualified, so breaking it breaks promotion."""
 
     def _demotes_on_compile_failure(self, monkeypatch):
         import repro.tir.backend as backend
@@ -245,27 +245,15 @@ class TestDemotion:
         assert stats.native_demotions == 1
         return state
 
+    @needs_toolchain
     def test_demotes_on_compile_failure(self, monkeypatch):
         state = self._demotes_on_compile_failure(monkeypatch)
-        if TOOLCHAIN_KIND is not None:  # the library that failed to load was qualified
-            assert state.sandbox_outcome == "qualified"
+        assert state.sandbox_outcome == "qualified"  # the library that failed to load
 
     @needs_toolchain
     def test_demotes_on_bit_mismatch(self, monkeypatch):
         state = self._demotes_on_bit_mismatch(monkeypatch)
         assert state.sandbox_outcome == "qualified"
-
-    def test_demotes_on_compile_failure_without_sandbox(self, monkeypatch):
-        """The direct path: ``compile_native`` builds in-process."""
-        monkeypatch.setenv("REPRO_DISABLE_SANDBOX", "1")
-        state = self._demotes_on_compile_failure(monkeypatch)
-        assert state.sandbox_outcome is None
-
-    @needs_toolchain
-    def test_demotes_on_bit_mismatch_without_sandbox(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_SANDBOX", "1")
-        state = self._demotes_on_bit_mismatch(monkeypatch)
-        assert state.sandbox_outcome is None
 
     @needs_toolchain
     def test_demotes_a_kernel_that_flips_a_zero_sign(self, monkeypatch):
@@ -308,9 +296,8 @@ class TestDemotion:
         assert state.demotion_reason == "native kernel raised during spot-check: kernel fault"
 
     @needs_toolchain
-    def test_promotes_a_kernel_whose_output_holds_a_nan(self, monkeypatch):
-        """The host spot check alone (sandbox off) compares bytes too."""
-        monkeypatch.setenv("REPRO_DISABLE_SANDBOX", "1")
+    def test_promotes_a_kernel_whose_output_holds_a_nan(self):
+        """The sandbox verdict and the host spot check both compare bytes."""
         func, buffers = float_copy([np.nan, 1.0])
         plan = compile_plan(func)
         run_tiered(plan, buffers, stats=EngineStats(), promote_after=1)
@@ -319,17 +306,24 @@ class TestDemotion:
 
     def test_demotes_when_no_toolchain(self, monkeypatch):
         """The automatic-fallback guarantee: without any toolchain the tier
-        silently keeps executing vectorized."""
+        silently keeps executing vectorized.  The plan is refused as
+        ineligible, naming what the probe found missing, and never queued."""
         monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
         try:
             native_toolchain(refresh=True)
             plan = _proved_plan()
             buffers = _fresh_buffers(plan)
             expected = _reference(plan, buffers)
-            got = run_tiered(plan, buffers, stats=EngineStats(), promote_after=1)
+            stats = EngineStats()
+            got = run_tiered(plan, buffers, stats=stats, promote_after=1)
             np.testing.assert_array_equal(got, expected)
             state = tier_state(plan)
-            assert state.demoted and "compile failed" in state.demotion_reason
+            assert native_eligibility_reason(plan) == (
+                "native tier disabled via REPRO_DISABLE_NATIVE"
+            )
+            assert state.demoted
+            assert state.demotion_reason == native_eligibility_reason(plan)
+            assert state.sandbox_outcome is None and stats.sandbox_qualifications == 0
         finally:
             monkeypatch.delenv("REPRO_DISABLE_NATIVE")
             native_toolchain(refresh=True)
@@ -359,19 +353,12 @@ class TestPromotionLifecycle:
         monkeypatch.setattr(backend, "compile_native", no_second_compile)
         plan, spans = self._promotion_spans()
         assert spans["tir.sandbox_qualify"].attrs["outcome"] == "qualified"
-        assert spans["tir.native_load"].attrs["origin"] == "loaded_qualified"
         assert spans["tir.native_promote"].attrs["outcome"] == "promoted"
         assert spans["tir.native_promote"].attrs["instructions"] == ""  # untensorized conv
         assert tier_state(plan).kernel.source.instructions == ()
         # ... whose one reduction-update nest folds over an accumulator tile.
         assert spans["tir.native_promote"].attrs["tiled_nests"] == 1
         assert tier_state(plan).kernel.source.tiled_nests == 1
-
-    def test_without_sandbox_the_host_compiles(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_SANDBOX", "1")
-        _, spans = self._promotion_spans()
-        assert "tir.sandbox_qualify" not in spans
-        assert spans["tir.native_load"].attrs["origin"] == "compiled"
 
     def test_span_names_the_instruction_a_tensorized_kernel_uses(self):
         from repro.core import tensorize
@@ -514,7 +501,7 @@ class TestToolchainProbe:
         fake_cc.write_text("#!/bin/sh\necho 'cc: internal error' >&2\nexit 1\n")
         fake_cc.chmod(0o755)
         with pytest.raises(LoweringError, match="failed:\ncc: internal error"):
-            _compile_c(generate_c(lower(small_conv_hwc())), str(fake_cc))
+            _compile_c(generate_c(lower(small_conv_hwc())), str(fake_cc), str(tmp_path / "k"))
 
 
 class TestCompileTimeout:
@@ -530,17 +517,17 @@ class TestCompileTimeout:
         monkeypatch.setenv("REPRO_NATIVE_COMPILE_TIMEOUT", "0.3")
         source = generate_c(lower(small_conv_hwc()))
         with pytest.raises(LoweringError, match="timed out"):
-            _compile_c(source, str(fake_cc))
+            _compile_c(source, str(fake_cc), str(tmp_path / "k"))
 
     def test_timeout_env_parsing(self, monkeypatch):
-        from repro.tir.backend import _compile_timeout_s
+        from repro.tir.backend import _cc_timeout_s
 
         monkeypatch.setenv("REPRO_NATIVE_COMPILE_TIMEOUT", "45")
-        assert _compile_timeout_s() == 45.0
+        assert _cc_timeout_s() == 45.0
         monkeypatch.setenv("REPRO_NATIVE_COMPILE_TIMEOUT", "zero")
-        assert _compile_timeout_s() == 120.0
+        assert _cc_timeout_s() == 120.0
         monkeypatch.setenv("REPRO_NATIVE_COMPILE_TIMEOUT", "-1")
-        assert _compile_timeout_s() == 120.0
+        assert _cc_timeout_s() == 120.0
 
 
 @needs_toolchain

@@ -10,7 +10,9 @@ host-side integration: a rejected kernel demotes the plan with a recorded
 
 import multiprocessing
 import os
+import signal
 import tempfile
+import threading
 import time
 
 import numpy as np
@@ -96,24 +98,49 @@ class TestQualify:
         assert verdict.exitcode is not None and verdict.exitcode < 0
 
     @needs_toolchain
-    def test_hang_hits_wall_clock_watchdog(self):
+    def test_hang_hits_wall_clock_watchdog(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANDBOX_TIMEOUT", "1")
         plan = _fresh_plan()
         arrays, expected = _qualify_inputs(plan)
         with faults.FaultPlan(seed=0) as plan_f:
             plan_f.on("backend.qualify", faults.hang(60.0), when=_in_sandbox)
-            verdict = sandbox.qualify(plan.func, arrays, expected, timeout_s=1.0)
+            verdict = sandbox.qualify(plan.func, arrays, expected)
         assert not verdict.ok and verdict.outcome == "hang"
         assert verdict.elapsed_s < 30.0  # watchdog, not the 60s sleep
 
     @needs_toolchain
     @pytest.mark.skipif(os.name != "posix", reason="rlimits are POSIX-only")
-    def test_oom_is_contained_by_rlimit(self):
+    def test_oom_is_contained_by_rlimit(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANDBOX_MEMORY_MB", "512")
         plan = _fresh_plan()
         arrays, expected = _qualify_inputs(plan)
         with faults.FaultPlan(seed=0) as plan_f:
             plan_f.on("backend.qualify", faults.oom(8192), when=_in_sandbox)
-            verdict = sandbox.qualify(plan.func, arrays, expected, memory_mb=512)
+            verdict = sandbox.qualify(plan.func, arrays, expected)
         assert not verdict.ok and verdict.outcome == "oom"
+
+    @needs_toolchain
+    def test_a_toolchain_lock_held_at_the_fork_does_not_wedge_the_child(self, monkeypatch):
+        """Qualification reads the discovered toolchain without
+        ``_TOOLCHAIN_LOCK``, in the host and in the child that builds with
+        it: a fork copies a lock another host thread holds, and nothing in
+        the child would ever release it."""
+        from repro.tir import backend
+
+        monkeypatch.setenv("REPRO_SANDBOX_TIMEOUT", "10")
+        plan = _fresh_plan()
+        arrays, expected = _qualify_inputs(plan)
+        verdicts = []
+        worker = threading.Thread(
+            target=lambda: verdicts.append(sandbox.qualify(plan.func, arrays, expected)),
+            daemon=True,
+        )
+        with backend._TOOLCHAIN_LOCK:
+            worker.start()
+            worker.join(timeout=20)
+            finished = not worker.is_alive()
+        assert finished, "qualification blocked on the toolchain lock"
+        assert verdicts[0].ok, verdicts[0].reason
 
     def test_no_toolchain_reports_unavailable(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
@@ -151,14 +178,15 @@ class TestStart:
         assert handle.wait() is verdict and not handle.running
         assert self._left() == [] and multiprocessing.active_children() == []
 
-    def test_the_budget_counts_from_the_launch(self):
+    def test_the_budget_counts_from_the_launch(self, monkeypatch):
         """A hung child that used up its budget before anyone waited is
         classified at once."""
+        monkeypatch.setenv("REPRO_SANDBOX_TIMEOUT", "1")
         plan = _fresh_plan()
         arrays, expected = _qualify_inputs(plan)
         with faults.FaultPlan(seed=0) as plan_f:
             plan_f.on("backend.qualify", faults.hang(60.0), when=_in_sandbox)
-            handle = sandbox.start(plan.func, arrays, expected, timeout_s=1.0)
+            handle = sandbox.start(plan.func, arrays, expected)
             time.sleep(1.5)
             waited = time.perf_counter()
             verdict = handle.wait()
@@ -242,18 +270,6 @@ class TestPromotionIntegration:
         assert stats.sandbox_rejections == 0
 
     @needs_toolchain
-    def test_disable_sandbox_env_skips_qualification(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_SANDBOX", "1")
-        plan = _fresh_plan()
-        stats = EngineStats()
-        buffers = alloc_buffers(plan.func, np.random.default_rng(2))
-        run_tiered(plan, buffers, stats=stats, promote_after=1)
-        state = tier_state(plan)
-        assert state.tier == "native"
-        assert state.sandbox_outcome is None
-        assert stats.sandbox_qualifications == 0
-
-    @needs_toolchain
     def test_demoted_plan_still_bit_identical(self):
         plan = _fresh_plan()
         stats = EngineStats()
@@ -316,6 +332,55 @@ class TestPromotionIntegration:
         }
 
 
+@needs_toolchain
+class TestCompilerInTheChild:
+    """The child builds the kernel with the toolchain's ``cc``: a compiler
+    that fails or hangs is a verdict on the promotion, never a dead host."""
+
+    @pytest.fixture(autouse=True)
+    def _workdirs_here(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        self.tmp = tmp_path
+
+    def _promote_with(self, monkeypatch, script):
+        from repro.tir import backend
+
+        fake_cc = self.tmp / "fake-cc"
+        fake_cc.write_text(script)
+        fake_cc.chmod(0o755)
+        kind, _, flags, macros = backend._toolchain()
+        monkeypatch.setattr(backend, "_TOOLCHAIN", (kind, str(fake_cc), flags, macros))
+        plan = _fresh_plan()
+        buffers = alloc_buffers(plan.func, np.random.default_rng(0))
+        expected = run(plan.func, {t: a.copy() for t, a in buffers.items()})
+        stats = EngineStats()
+        got = run_tiered(plan, buffers, stats=stats, promote_after=1)
+        assert np.array_equal(got, expected)
+        assert stats.sandbox_rejections == 1 and stats.native_promotions == 0
+        assert list(self.tmp.glob("repro_sandbox_*")) == []
+        assert multiprocessing.active_children() == []
+        state = tier_state(plan)
+        assert state.demoted and state.tier == "vectorized"
+        return state
+
+    def test_a_failing_compiler_is_a_compile_error(self, monkeypatch):
+        state = self._promote_with(
+            monkeypatch, "#!/bin/sh\necho 'cc: internal error' >&2\nexit 1\n"
+        )
+        assert state.sandbox_outcome == "compile_error"
+        assert state.demotion_reason.startswith("sandbox rejected native kernel (compile_error:")
+        assert "cc: internal error" in state.demotion_reason
+
+    def test_a_hung_compiler_is_a_hang(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE_COMPILE_TIMEOUT", "0.3")
+        started = time.perf_counter()
+        state = self._promote_with(monkeypatch, "#!/bin/sh\nexec sleep 600\n")
+        assert time.perf_counter() - started < 30.0  # the compile timeout, not the sleep
+        assert state.sandbox_outcome == "hang"
+        assert state.demotion_reason.startswith("sandbox rejected native kernel (hang:")
+        assert "timed out after 0.3s" in state.demotion_reason
+
+
 class TestKnobs:
     def test_env_timeout_and_memory_parsing(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANDBOX_TIMEOUT", "7.5")
@@ -329,7 +394,34 @@ class TestKnobs:
         assert sandbox.default_timeout_s() == 120.0
         assert sandbox.default_memory_mb() == 4096
 
-    def test_sandbox_enabled_env(self, monkeypatch):
-        assert sandbox.sandbox_enabled()
-        monkeypatch.setenv("REPRO_DISABLE_SANDBOX", "1")
-        assert not sandbox.sandbox_enabled()
+    @pytest.mark.parametrize("raw", ["0.5", "0", "1.9", "banana", ""])
+    def test_memory_must_be_a_positive_integer(self, monkeypatch, raw):
+        """A value that is not a positive integer never lifts the limit:
+        ``int(0.5)`` is 0, and a 0 headroom used to skip ``RLIMIT_AS``."""
+        monkeypatch.setenv("REPRO_SANDBOX_MEMORY_MB", raw)
+        assert sandbox.default_memory_mb() == 4096
+
+
+class TestClassifyExit:
+    """A child that died without a verdict is named by how it died."""
+
+    @pytest.mark.parametrize(
+        "exitcode, outcome, words",
+        [
+            (None, "hang", "never exited"),
+            (0, "crash", "status 0"),
+            (3, "crash", "status 3"),
+            (-signal.SIGSEGV, "segfault", "SIGSEGV"),
+            (-signal.SIGBUS, "segfault", "SIGBUS"),
+            (-signal.SIGKILL, "oom", "SIGKILL"),
+            (-signal.SIGXCPU, "hang", "RLIMIT_CPU"),
+            (-signal.SIGTERM, "crash", "SIGTERM"),
+        ],
+        ids=["none", "zero", "status", "segv", "bus", "kill", "xcpu", "other-signal"],
+    )
+    def test_exit_classification(self, exitcode, outcome, words):
+        verdict = sandbox._classify_exit(exitcode, 0.25)
+        assert not verdict.ok
+        assert verdict.outcome == outcome
+        assert words in verdict.reason
+        assert verdict.exitcode == exitcode and verdict.elapsed_s == 0.25
