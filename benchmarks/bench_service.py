@@ -1,6 +1,6 @@
-"""Tuning-service benchmark: coalescing, warm sharing, speculation, GC.
+"""Tuning-service benchmark: coalescing, warm sharing, GC.
 
-Not a paper figure — this tracks the networked tuning daemon itself.  Four
+Not a paper figure — this tracks the networked tuning daemon itself.  Three
 sections:
 
 * **single_process** — the reference: one local ``TuningSession`` tunes the
@@ -12,13 +12,10 @@ sections:
   in-flight coalescing), that every client's records are bit-identical to
   the reference, and that a late client gets pure warm hits with zero
   searches anywhere;
-* **speculation** — a fresh daemon, one client tunes a single layer with a
-  sweep hint; the background queue must pre-tune the remaining layers
-  during idle time, so a follow-up sweep performs zero new searches;
 * **gc** — LRU eviction over the populated store, then a re-tune of one
   evicted key (a fresh search, proving memory and disk agree).
 
-A fifth section, ``--chaos``, is the restart drill and runs alone: a
+A fourth section, ``--chaos``, is the restart drill and runs alone: a
 *subprocess* daemon warms half the slice and is SIGKILLed, its store must
 audit clean under ``fsck``, and a new subprocess daemon started over the
 same store must serve the full sweep — warm keys without a single search,
@@ -74,7 +71,7 @@ def bench_single_process(layers) -> dict:
 
 def bench_coalesced_clients(root, layers, clients: int, reference: dict) -> dict:
     """N concurrent remote clients over one shared slice, one daemon."""
-    with TuningService(root, speculative=False) as service:
+    with TuningService(root) as service:
         sessions = [RemoteSession(service.address, tune_timeout=120.0) for _ in range(clients)]
         barrier = threading.Barrier(clients)
         errors = []
@@ -147,44 +144,9 @@ def bench_coalesced_clients(root, layers, clients: int, reference: dict) -> dict
         }
 
 
-def bench_speculation(root, layers) -> dict:
-    """One request with a sweep hint; idle workers pre-tune the rest."""
-    sweep = f"table1:{len(layers)}"
-    with TuningService(root, speculative=True) as service:
-        session = RemoteSession(service.address, speculate=sweep, tune_timeout=120.0)
-        runner = UnitCpuRunner(session=session)
-        t0 = time.perf_counter()
-        runner.conv2d_latency(layers[0])
-        foreground_s = time.perf_counter() - t0
-        deadline = time.time() + 120
-        while time.time() < deadline and service.session.searches_run < len(layers):
-            time.sleep(0.01)
-        drained_s = time.perf_counter() - t0
-        assert service.session.searches_run == len(layers), (
-            f"speculation stalled: {service.session.searches_run}/{len(layers)}"
-        )
-        # The whole sweep is now warm: a full client sweep adds no searches.
-        follower = RemoteSession(service.address)
-        follower_runner = UnitCpuRunner(session=follower)
-        for params in layers:
-            follower_runner.conv2d_latency(params)
-        assert follower.searches_run == 0
-        assert service.session.searches_run == len(layers)
-        return {
-            "layers": len(layers),
-            "foreground_tunes": 1,
-            "foreground_s": foreground_s,
-            "speculatively_tuned": service.stats.speculative_tuned,
-            "speculative_skipped": service.stats.speculative_skipped,
-            "drain_s": drained_s,
-            "follower_searches": follower.searches_run,
-            "follower_hits": follower.server_hits,
-        }
-
-
 def bench_gc(root, layers, keep: int) -> dict:
     """Populate, evict down to ``keep`` records, re-tune one evicted key."""
-    with TuningService(root, speculative=False) as service:
+    with TuningService(root) as service:
         with ServiceClient(service.address, tune_timeout=120.0) as client:
             client.warm(f"table1:{len(layers)}")
             populated = service.session.searches_run
@@ -406,13 +368,6 @@ def main(argv=None) -> dict:
             f"({coalesced['coalesced_waiters']} coalesced, "
             f"{coalesced['mismatched_records']} mismatched)"
         )
-        speculation = bench_speculation(f"{root}/store-spec", layers)
-        print(
-            f"speculation      : 1 foreground + "
-            f"{speculation['speculatively_tuned']} speculative tunes, "
-            f"drained in {speculation['drain_s'] * 1e3:.1f} ms; "
-            f"follower searched {speculation['follower_searches']}"
-        )
         gc = bench_gc(f"{root}/store-gc", layers, keep=max(1, args.layers // 2))
         print(
             f"gc               : kept {gc['kept']}/{gc['populated']}, "
@@ -424,7 +379,6 @@ def main(argv=None) -> dict:
         "benchmark": "tuning_service",
         "single_process": single,
         "coalesced_clients": coalesced,
-        "speculation": speculation,
         "gc": gc,
     }
     with open(args.output, "w") as handle:

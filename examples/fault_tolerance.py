@@ -40,7 +40,7 @@ def main() -> None:
     store_root = os.path.join(base, "store")
 
     # 1. One daemon; warm the slice through it.
-    first = TuningService(store_root, speculative=False).start()
+    first = TuningService(store_root).start()
     host, port = first.address
     print("== Daemon ==")
     print(f"  listening {host}:{port} over {store_root!r}")
@@ -58,7 +58,7 @@ def main() -> None:
     assert report["clean"] == 1 and report["records"] == len(SLICE)
 
     # 3. Restart over the same store and port; the warm corpus is served.
-    second = TuningService(store_root, speculative=False, host=host, port=port).start()
+    second = TuningService(store_root, host=host, port=port).start()
     fleet = RemoteSession((host, port), retries=1, timeout=2.0)
     t0 = time.perf_counter()
     sweep(fleet)

@@ -56,7 +56,7 @@ def tune_a_layer() -> None:
 
 def serve_requests(root: Path) -> None:
     """A live daemon answering requests: per-op counters + latency histogram."""
-    with TuningService(root / "store", speculative=False) as svc:
+    with TuningService(root / "store") as svc:
         with ServiceClient(svc.address) as client:
             client.ping()
             stats = client.stats()

@@ -12,9 +12,8 @@ client machines share one warm corpus.  This example:
    slice: the daemon's read-through + in-flight coalescing ensure each
    unique ``TuningKey`` is searched exactly once *fleet-wide*, and both
    clients receive bit-identical records;
-3. lets one request's ``speculate=`` sweep hint pre-tune the remaining
-   layers during idle time, so a third client's full sweep is pure warm
-   hits;
+3. warms the rest of Table I with one synchronous ``warm("table1")``
+   request, so a third client's full sweep is pure warm hits;
 4. compiles a whole model with ``compile_model(session=RemoteSession(...))``
    — the drop-in path every figure driver shares;
 5. garbage-collects the store over the wire (LRU by last-served) and prints
@@ -26,7 +25,6 @@ Run:  PYTHONPATH=src python examples/tuning_service.py
 import os
 import tempfile
 import threading
-import time
 
 from repro.core import UnitCpuRunner, compile_model
 from repro.models.zoo import get_model
@@ -40,7 +38,7 @@ SLICE = TABLE1_LAYERS[:6]
 def main() -> None:
     root = os.path.join(tempfile.mkdtemp(prefix="unit_service."), "store")
 
-    with TuningService(root, speculative=True) as service:
+    with TuningService(root) as service:
         host, port = service.address
         print("== Daemon ==")
         print(f"  listening on {host}:{port} over {root!r}")
@@ -82,20 +80,18 @@ def main() -> None:
         assert service.session.searches_run == len(SLICE)
         assert clients[0].trials_run == clients[1].trials_run == 0
 
-        # 2. Speculation: one request hints its sweep; idle time tunes the rest.
-        hinted = RemoteSession((host, port), speculate="table1")
-        UnitCpuRunner(session=hinted).conv2d_latency(TABLE1_LAYERS[6])
-        deadline = time.time() + 60
-        while time.time() < deadline and service.session.searches_run < len(TABLE1_LAYERS):
-            time.sleep(0.01)
+        # 2. Warm: one request tunes the whole sweep before it is answered.
+        with ServiceClient((host, port)) as admin:
+            warmed = admin.warm("table1")
         follower = RemoteSession((host, port))
         follower_runner = UnitCpuRunner(session=follower)
         for params in TABLE1_LAYERS:
             follower_runner.conv2d_latency(params)
-        print("\n== Speculative warm-up (sweep hint: 'table1') ==")
-        print(f"  speculatively tuned     : {service.stats.speculative_tuned}")
+        print("\n== Synchronous warm-up (sweep: 'table1') ==")
+        print(f"  warm                    : {warmed['tuned']} tuned, {warmed['hits']} hits")
         print(f"  follower server hits    : {follower.server_hits} / {len(TABLE1_LAYERS)}")
         print(f"  follower searches       : {follower.searches_run}")
+        assert (warmed["tasks"], warmed["hits"]) == (len(TABLE1_LAYERS), len(SLICE))
         assert follower.searches_run == 0
 
         # 3. Whole-model compilation against the daemon.

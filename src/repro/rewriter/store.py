@@ -742,6 +742,8 @@ class ShardedTuningStore:
         """
         if max_records is not None and max_records < 0:
             raise ValueError("max_records must be non-negative")
+        if max_idle is not None and max_idle < 0:
+            raise ValueError("max_idle must be non-negative")
         self.flush_touches()
         now = time.time() if now is None else now
         shard_records: List[Dict[TuningKey, TuningRecord]] = []

@@ -9,9 +9,8 @@ shareable across *machines* through one daemon:
 * :mod:`repro.service.server` — :class:`TuningService`, a threaded TCP
   daemon wrapping one store + session, with in-flight request coalescing
   (each unique :class:`~repro.rewriter.records.TuningKey` is searched at
-  most once, however many clients ask for it) and a speculative-tuning
-  queue that pre-tunes the remaining layers of a requested sweep during
-  idle time;
+  most once, however many clients ask for it); it does work only when a
+  request asks for it (``warm`` tunes a named sweep synchronously);
 * :mod:`repro.service.client` — :class:`RemoteSession`, a drop-in
   :class:`~repro.rewriter.session.TuningSession` that reads through
   memory -> server -> miss, with retries and graceful fallback to a local

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .client import ServiceClient, ServiceError, ServiceUnavailable
@@ -66,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--no-speculate",
         action="store_true",
-        help="disable idle-time speculative tuning",
+        help="ignored: the daemon does no idle-time work (still parsed "
+        "because existing launch lines pass it)",
     )
 
     status = sub.add_parser("status", help="print daemon stats as JSON")
@@ -96,11 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="'table1', 'table1:K', or a model-zoo name (e.g. resnet-18)",
     )
-    warm.add_argument(
-        "--background",
-        action="store_true",
-        help="queue for idle-time tuning instead of blocking",
-    )
 
     ping = sub.add_parser("ping", help="liveness probe")
     _add_endpoint(ping)
@@ -115,6 +112,15 @@ def main(argv=None) -> int:
     if args.command == "fsck":
         from ..rewriter.store import ShardedTuningStore
 
+        # Opening a store creates one: refuse a root that is not a store
+        # yet, so a typo neither "passes" the audit nor leaves files behind.
+        if not os.path.exists(os.path.join(args.root, ShardedTuningStore.META_NAME)):
+            print(
+                f"error: {args.root!r} is not a tuning store "
+                f"(no {ShardedTuningStore.META_NAME})",
+                file=sys.stderr,
+            )
+            return 2
         store = ShardedTuningStore(args.root)
         report = store.fsck(quarantine=not args.check)
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -128,7 +134,6 @@ def main(argv=None) -> int:
             host=args.host,
             port=args.port,
             shards=args.shards,
-            speculative=not args.no_speculate,
         )
         service.start()
         host, port = service.address
@@ -153,7 +158,7 @@ def main(argv=None) -> int:
                     return 2
                 response = client.gc(max_records=args.max_records, max_idle=args.max_idle)
             elif args.command == "warm":
-                response = client.warm(args.sweep, background=args.background)
+                response = client.warm(args.sweep)
             elif args.command == "ping":
                 response = client.ping()
             else:  # shutdown

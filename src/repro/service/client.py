@@ -208,7 +208,7 @@ class ServiceClient:
     def put(self, record: TuningRecord) -> None:
         self.request("put", record=record.to_json())
 
-    def tune(self, key: TuningKey, sweep: Optional[str] = None) -> TuningRecord:
+    def tune(self, key: TuningKey) -> TuningRecord:
         """Have the *server* produce the record for ``key`` (coalesced).
 
         Raises :class:`ServiceError` with ``code="untunable"`` when the
@@ -216,10 +216,7 @@ class ServiceClient:
         ``code="tune_timeout"`` when the search it joined did not finish
         within the server's ``tune_timeout``.
         """
-        fields = {"key": key.to_json()}
-        if sweep:
-            fields["sweep"] = sweep
-        response = self.request("tune", _timeout=self.tune_timeout, **fields)
+        response = self.request("tune", key=key.to_json(), _timeout=self.tune_timeout)
         return self._decode_record(response["record"])
 
     def stats(self) -> dict:
@@ -230,10 +227,10 @@ class ServiceClient:
     ) -> dict:
         return self.request("gc", max_records=max_records, max_idle=max_idle)
 
-    def warm(self, sweep: str, background: bool = False) -> dict:
-        return self.request(
-            "warm", sweep=sweep, background=background, _timeout=self.tune_timeout
-        )
+    def warm(self, sweep: str) -> dict:
+        """Have the server tune a whole named sweep before answering
+        ``{tasks, tuned, hits}`` (see :func:`~repro.service.server.expand_sweep`)."""
+        return self.request("warm", sweep=sweep, _timeout=self.tune_timeout)
 
     def shutdown(self) -> dict:
         return self.request("shutdown")
@@ -254,11 +251,6 @@ class RemoteSession(TuningSession):
     locally.  Fresh local records are published back to the server so the
     shared corpus stays warm.
 
-    ``speculate`` optionally names the sweep this session's keys belong to
-    (a model-zoo name or ``"table1"``); it rides along on tune requests and
-    prompts the daemon to pre-tune the sweep's remaining layers during idle
-    time.
-
     An outage (:class:`ServiceUnavailable`) takes the session offline for
     ``offline_cooldown_s``, after which the next request probes the daemon
     again (a success clears the outage, a failure restarts it).  While offline,
@@ -275,7 +267,6 @@ class RemoteSession(TuningSession):
         tune_timeout: float = 300.0,
         retries: int = 2,
         offline_cooldown_s: float = 5.0,
-        speculate: Optional[str] = None,
     ) -> None:
         super().__init__()
         self.client = ServiceClient(
@@ -287,7 +278,6 @@ class RemoteSession(TuningSession):
         self.offline_cooldown_s = offline_cooldown_s
         # time.monotonic() before which the session stays on its local tiers.
         self._offline_until = 0.0
-        self.speculate = speculate
         self.server_hits = 0
         self.server_tunes = 0
         self.server_declines = 0
@@ -403,7 +393,7 @@ class RemoteSession(TuningSession):
             return record
         if self.online:
             try:
-                record = self.client.tune(key, sweep=self.speculate)
+                record = self.client.tune(key)
             except ServiceUnavailable:
                 self._mark_down()
             except ServiceError as exc:

@@ -17,7 +17,8 @@ Requests are ``{"op": <name>, ...}``; the operations are
 ``tune``     ensure a key is tuned *server-side* (concurrent requests coalesce)
 ``stats``    server / session / store / coalescing counters
 ``gc``       run :meth:`ShardedTuningStore.evict` on the server's store
-``warm``     pre-tune a named sweep (Table I slice or a model-zoo model)
+``warm``     tune a named sweep (Table I slice or a model-zoo model) before
+             answering ``{tasks, tuned, hits}``
 ``shutdown`` stop serving after the in-flight requests drain
 ========  ==================================================================
 
@@ -54,8 +55,9 @@ __all__ = [
 ]
 
 # Version of the framing + request/response envelope.  Bump on any change a
-# peer from the previous release could misread.
-PROTOCOL_VERSION = 1
+# peer from the previous release could misread.  2: ``warm`` always tunes
+# its sweep before answering, and ``tune`` takes no sweep hint.
+PROTOCOL_VERSION = 2
 
 # Where ``python -m repro.service serve`` listens, and where every CLI that
 # talks to it (the service admin commands, ``python -m repro query

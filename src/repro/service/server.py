@@ -14,11 +14,12 @@ keys, while three mechanisms keep the fleet from duplicating work:
   :class:`~repro.rewriter.records.TuningKey` share one search: the first
   requester leads it, the rest park on an event and receive the *same*
   record, so each unique key is searched at most once fleet-wide;
-* **speculative tuning** — a ``tune`` request may name the sweep its key
-  belongs to (a model-zoo model, ``"table1"`` or ``"table1:K"``); the
-  remaining layers of that sweep are queued and pre-tuned by a background
-  thread whenever no foreground request is in flight, so a client compiling
-  a model layer by layer finds layers N+1.. already warm.
+* **warm** — a ``warm`` request names a sweep (a model-zoo model,
+  ``"table1"`` or ``"table1:K"``) and the daemon tunes all of it before
+  answering, so later clients find the whole sweep warm.
+
+The daemon does work only when a request asks for it: a running service
+is one accept loop plus one handler thread per connection.
 
 Server-side searches reuse :mod:`repro.rewriter.tasks`: the requested key
 is inverted back into a :class:`~repro.rewriter.tasks.TuningTask`
@@ -41,13 +42,11 @@ import socket
 import socketserver
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..dsl.expr import expr_cache_stats
 from ..core.pipeline import TARGETS
-from ..hwsim.machine import machine_by_name
 from ..rewriter.records import TuningKey, TuningRecord, decode_record
 from ..rewriter.session import TuningSession
 from ..rewriter.store import ShardedTuningStore
@@ -108,9 +107,6 @@ class ServiceStats:
     searches_led: int = 0
     coalesced_waiters: int = 0
     untunable_keys: int = 0
-    speculative_queued: int = 0
-    speculative_tuned: int = 0
-    speculative_skipped: int = 0
 
 
 class _Inflight:
@@ -123,37 +119,17 @@ class _Inflight:
         self.waiters = 0
 
 
-def expand_sweep(name: str, like: Optional[TuningTask]) -> List[TuningTask]:
-    """The task list a sweep name stands for.
+def expand_sweep(name: str) -> List[TuningTask]:
+    """The task list a sweep name stands for, for the ``"x86"`` target.
 
     ``"table1"`` is the Table I layer set and ``"table1:K"`` (``K`` a
     positive integer) its first ``K`` layers; any other name is resolved
     through the model zoo and expanded to the distinct tunable operators
-    ``compile_model`` would hit.  ``like`` (the task of the request that
-    named the sweep) supplies the runner, machine, intrinsic and tuning mode
-    for either kind of sweep, so speculation warms exactly the records the
-    requester's siblings will look up; without it the sweep is expanded for
-    the ``"x86"`` target.  Anything else raises :class:`ValueError` naming
-    the sweep.
+    ``compile_model`` would hit (:func:`tasks_from_graph`).  Anything else
+    raises :class:`ValueError` naming the sweep.
     """
-    # A target row names the same four fields a task does.
-    named = like if like is not None else TARGETS["x86"]
     head, colon, count = name.partition(":")
-    if head == "table1":
-        from ..workloads.table1 import TABLE1_LAYERS
-
-        workloads = [("conv2d", params) for params in TABLE1_LAYERS]
-        if colon:
-            try:
-                k = int(count)
-            except ValueError:
-                k = 0
-            if k < 1:
-                raise ValueError(
-                    f"bad sweep {name!r}: K in 'table1:K' must be a positive integer"
-                )
-            workloads = workloads[:k]
-    else:
+    if head != "table1":
         from ..models.zoo import MODEL_ZOO, get_model
 
         if name not in MODEL_ZOO:
@@ -161,23 +137,32 @@ def expand_sweep(name: str, like: Optional[TuningTask]) -> List[TuningTask]:
                 f"bad sweep {name!r}: expected 'table1', 'table1:K' or a "
                 f"model-zoo name ({', '.join(sorted(MODEL_ZOO))})"
             )
-        # The requester's machine names the target, hence the graph passes.
-        spec = machine_by_name(named.machine)
-        target = next(t for t, row in TARGETS.items() if machine_by_name(row.machine) is spec)
-        workloads = [
-            (task.kind, task.params)
-            for task in tasks_from_graph(get_model(name, fresh=True), target=target)
-        ]
+        return tasks_from_graph(get_model(name, fresh=True), target="x86")
+    from ..workloads.table1 import TABLE1_LAYERS
+
+    layers = TABLE1_LAYERS
+    if colon:
+        try:
+            k = int(count)
+        except ValueError:
+            k = 0
+        if k < 1:
+            raise ValueError(
+                f"bad sweep {name!r}: K in 'table1:K' must be a positive integer"
+            )
+        layers = layers[:k]
+    # A target row names the same four fields a task does.
+    row = TARGETS["x86"]
     return [
         TuningTask(
-            kind=kind,
+            kind="conv2d",
             params=params,
-            runner=named.runner,
-            machine=named.machine,
-            intrinsic=named.intrinsic,
-            tuning=named.tuning,
+            runner=row.runner,
+            machine=row.machine,
+            intrinsic=row.intrinsic,
+            tuning=row.tuning,
         )
-        for kind, params in workloads
+        for params in layers
     ]
 
 
@@ -194,8 +179,6 @@ class TuningService:
         host: str = "127.0.0.1",
         port: int = 0,
         shards: int = 8,
-        speculative: bool = True,
-        speculative_idle_s: float = 0.02,
         tune_timeout: float = 300.0,
     ) -> None:
         self.store = _LockedStore(ShardedTuningStore(store_root, shards=shards))
@@ -212,17 +195,11 @@ class TuningService:
         self._gate = threading.Lock()
         self._conns: set = set()
         self._inflight: Dict[TuningKey, _Inflight] = {}
-        self._foreground = 0
-        self._spec_enabled = speculative
-        self._spec_idle = speculative_idle_s
-        self._spec_queue: deque = deque()
-        self._spec_queued_ids: set = set()
-        self._spec_wake = threading.Event()
         self._stop = threading.Event()
         self._stop_lock = threading.Lock()
         self._server: Optional[socketserver.ThreadingTCPServer] = None
         self._bound_address: Optional[Tuple[str, int]] = None
-        self._threads: List[threading.Thread] = []
+        self._accept: Optional[threading.Thread] = None
 
     # -- lifecycle ------------------------------------------------------------
     @property
@@ -256,24 +233,17 @@ class TuningService:
         # No-ops unless a MetricsRegistry is installed in this process; the
         # dataclass stays the single source of truth for both views.
         _metrics.register_stats_gauges("service", self.stats)
-        serve = threading.Thread(
+        self._accept = threading.Thread(
             target=self._server.serve_forever,
             kwargs={"poll_interval": 0.05},
             name="tuning-service-accept",
             daemon=True,
         )
-        serve.start()
-        self._threads.append(serve)
-        if self._spec_enabled:
-            spec = threading.Thread(
-                target=self._speculate_forever, name="tuning-service-speculate", daemon=True
-            )
-            spec.start()
-            self._threads.append(spec)
+        self._accept.start()
         return self
 
     def stop(self) -> None:
-        """Stop accepting, wake the speculative thread, flush the store.
+        """Stop accepting, join the accept loop, flush the store.
 
         Idempotent and thread-safe: the shutdown RPC stops the service from
         a daemon thread while the foreground (CLI ``serve``) may call
@@ -287,16 +257,15 @@ class TuningService:
         without waiting for the leader's search, which may outlive us.
         """
         self._stop.set()
-        self._spec_wake.set()
         self._abort_inflight()
         with self._stop_lock:
             if self._server is not None:
                 self._server.shutdown()
                 self._server.server_close()
                 self._server = None
-            for thread in self._threads:
-                thread.join(timeout=10.0)
-            self._threads = []
+            if self._accept is not None:
+                self._accept.join(timeout=10.0)
+                self._accept = None
             self.store.flush_touches()
 
     def kill(self) -> None:
@@ -309,7 +278,6 @@ class TuningService:
         :meth:`ShardedTuningStore.fsck` and the chaos suite audit.
         """
         self._stop.set()
-        self._spec_wake.set()
         self._abort_inflight()
         with self._stop_lock:
             server, self._server = self._server, None
@@ -327,7 +295,7 @@ class TuningService:
                 sock.close()
             except OSError:
                 pass
-        self._threads = []
+        self._accept = None
 
     def _abort_inflight(self) -> None:
         """Release every parked coalesced waiter with the shutdown error.
@@ -409,16 +377,12 @@ class TuningService:
         self._count("requests", op)
         registry = _metrics.active()
         started = time.perf_counter() if registry is not None else 0.0
-        with self._gate:
-            self._foreground += 1
         try:
             with _trace.span("service.request", op=str(op)):
                 return handler(message)
         except Exception as exc:  # a bad request must not kill the handler
             return protocol.error_response(f"{type(exc).__name__}: {exc}", "server_error")
         finally:
-            with self._gate:
-                self._foreground -= 1
             if registry is not None:
                 registry.observe("service.request_s", time.perf_counter() - started)
 
@@ -460,18 +424,7 @@ class TuningService:
             return protocol.error_response(
                 how or f"cannot reconstruct a search for {key}", code
             )
-        extra = {}
-        sweep = message.get("sweep")
-        if sweep:
-            # A bad hint must not fail the tune request, only be reported.
-            try:
-                tasks = expand_sweep(str(sweep), task_from_key(key))
-            except ValueError as exc:
-                extra["sweep_error"] = str(exc)
-            else:
-                for task in tasks:
-                    self._enqueue_task(task)
-        return protocol.ok_response(record=record.to_json(), how=how, **extra)
+        return protocol.ok_response(record=record.to_json(), how=how)
 
     def _op_stats(self, message: Dict) -> Dict:
         return protocol.ok_response(**self._snapshot())
@@ -489,12 +442,9 @@ class TuningService:
 
     def _op_warm(self, message: Dict) -> Dict:
         try:
-            tasks = expand_sweep(str(message["sweep"]), like=None)
+            tasks = expand_sweep(str(message["sweep"]))
         except ValueError as exc:
             return protocol.error_response(str(exc), "bad_sweep")
-        if message.get("background"):
-            queued = sum(1 for task in tasks if self._enqueue_task(task))
-            return protocol.ok_response(queued=queued, tasks=len(tasks))
         tuned = 0
         hits = 0
         for task in tasks:
@@ -520,8 +470,6 @@ class TuningService:
         store_stats = self.store.stats.as_dict()
         with self._gate:
             inflight = len(self._inflight)
-            queued = len(self._spec_queue)
-            foreground = self._foreground
         return {
             "uptime_s": self._uptime(),
             "shutting_down": self._stop.is_set(),
@@ -540,8 +488,6 @@ class TuningService:
                 f.name: getattr(expr, f.name) for f in dataclasses.fields(expr)
             },
             "inflight": inflight,
-            "foreground": foreground,
-            "speculative_queue": queued,
             "telemetry": _metrics.snapshot_counters(),
         }
 
@@ -625,72 +571,16 @@ class TuningService:
 
     def _tune_task(self, task: TuningTask) -> Tuple[Optional[TuningRecord], Optional[str]]:
         """Tune a task we already hold (the warm path), coalescing with any
-        in-flight foreground search for the same key."""
+        in-flight ``tune`` search for the same key."""
         try:
             key = task.key()
         except Exception as exc:
             return None, f"{type(exc).__name__}: {exc}"
         return self._tune_key(key)
 
-    # -- speculation ----------------------------------------------------------
-    def _enqueue_task(self, task: TuningTask) -> bool:
-        identity = task.identity
-        with self._gate:
-            if identity in self._spec_queued_ids:
-                return False
-            self._spec_queued_ids.add(identity)
-            self._spec_queue.append(task)
-            self.stats.speculative_queued += 1
-        self._spec_wake.set()
-        return True
-
-    def _speculate_forever(self) -> None:
-        """Drain the speculative queue whenever the foreground is idle.
-
-        Foreground requests always win: a queued task is only started when
-        no request handler is active, and each task re-checks the cache
-        right before tuning (a foreground client may have caused it to be
-        tuned meanwhile — that is a *skip*, not a search).
-        """
-        while not self._stop.is_set():
-            self._spec_wake.wait(timeout=0.2)
-            if self._stop.is_set():
-                return
-            with self._gate:
-                busy = self._foreground > 0
-                task = self._spec_queue.popleft() if (self._spec_queue and not busy) else None
-                if task is not None:
-                    # Release the dedup slot: the identity set only guards
-                    # the queue itself, so a sweep re-warmed after GC (or a
-                    # repeated `warm --background`) enqueues again instead
-                    # of no-opping forever.
-                    self._spec_queued_ids.discard(task.identity)
-                if not self._spec_queue and task is None:
-                    self._spec_wake.clear()
-            if task is None:
-                if busy:
-                    time.sleep(self._spec_idle)
-                continue
-            try:
-                key = task.key()
-            except Exception:  # the speculation thread must outlive a bad task
-                self.stats.speculative_skipped += 1
-                continue
-            if self.session.cache.lookup(key) is not None:
-                self.stats.speculative_skipped += 1
-                continue
-            before = self.session.searches_run
-            record, _ = self._tune_key(key)
-            if record is not None and self.session.searches_run > before:
-                self.stats.speculative_tuned += 1
-            else:
-                self.stats.speculative_skipped += 1
-
     def summary(self) -> str:
         s = self.stats
         return (
             f"TuningService: {sum(s.requests.values())} requests, {s.searches_led} searches led, "
-            f"{s.coalesced_waiters} coalesced waiters, "
-            f"{s.speculative_tuned} speculative tunes "
-            f"({s.speculative_skipped} skipped)"
+            f"{s.coalesced_waiters} coalesced waiters"
         )

@@ -447,6 +447,20 @@ class TestStoreGC:
         assert report["by_idle"] == 6 and report["kept"] == 2
         assert store.get(_key(6)) is not None and store.get(_key(7)) is not None
 
+    @pytest.mark.parametrize("limits", [{"max_idle": -1}, {"max_records": -1}])
+    def test_negative_limits_are_rejected_and_evict_nothing(self, tmp_path, limits):
+        """Regression: ``max_idle=-1`` used to evict every record, including
+        ones served a second ago, so a ``gc --max-idle -1`` typo wiped the
+        corpus."""
+        store = ShardedTuningStore(tmp_path / "s", shards=2)
+        for index in range(3):
+            store.put(_record(index))  # freshly touched
+        with pytest.raises(ValueError, match="must be non-negative"):
+            store.evict(**limits)
+        fresh = ShardedTuningStore(tmp_path / "s")
+        assert len(fresh) == 3
+        assert all(fresh.get(_key(index)) is not None for index in range(3))
+
     def test_evict_both_policies_compose(self, tmp_path):
         store = self._fill(tmp_path / "s")
         report = store.evict(max_records=1, max_idle=4.5, now=1010.0)

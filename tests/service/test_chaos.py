@@ -66,7 +66,7 @@ def _store_record(index, cost=1e-5):
 
 @pytest.fixture
 def service(tmp_path):
-    with TuningService(tmp_path / "store", speculative=False) as svc:
+    with TuningService(tmp_path / "store") as svc:
         yield svc
 
 
@@ -138,7 +138,7 @@ class TestServerFaults:
         client.close()
 
     def test_daemon_crash_mid_tune_falls_back_locally(self, tmp_path):
-        svc = TuningService(tmp_path / "crash_store", speculative=False).start()
+        svc = TuningService(tmp_path / "crash_store").start()
         session = RemoteSession(
             svc.address,
             retries=0,
@@ -220,7 +220,7 @@ class TestSeededChaosSweep:
         """The headline invariant: a sweep under seeded random connection
         resets loses nothing, corrupts nothing, re-searches nothing, and
         lands bit-identical to single-process tuning."""
-        service = TuningService(tmp_path / "store", speculative=False).start()
+        service = TuningService(tmp_path / "store").start()
         try:
             session = RemoteSession(
                 service.address,

@@ -20,7 +20,7 @@ from repro.workloads.table1 import TABLE1_LAYERS
 
 @pytest.fixture
 def service(tmp_path):
-    with TuningService(tmp_path / "store", speculative=False) as svc:
+    with TuningService(tmp_path / "store") as svc:
         yield svc
 
 
@@ -156,7 +156,7 @@ class TestFailurePaths:
         import repro.service.server as server_module
 
         store_root = tmp_path / "store"
-        svc = TuningService(store_root, speculative=False).start()
+        svc = TuningService(store_root).start()
         original = server_module.run_task
         reached = __import__("threading").Event()
 
@@ -191,7 +191,7 @@ class TestFailurePaths:
         assert len(fallback.load()) == 1
 
         # A restarted daemon over the same store directory comes up clean.
-        with TuningService(store_root, speculative=False) as fresh:
+        with TuningService(store_root) as fresh:
             with ServiceClient(fresh.address) as client:
                 stats = client.stats()
                 assert stats["store"]["corrupt_lines"] == 0
@@ -201,7 +201,7 @@ class TestFailurePaths:
                     assert client.tune(key).to_json() == expected.to_json()
 
     def test_session_reconnects_after_cooldown(self, tmp_path):
-        with TuningService(tmp_path / "store", speculative=False) as svc:
+        with TuningService(tmp_path / "store") as svc:
             session = RemoteSession(
                 svc.address, retries=0, timeout=2.0, offline_cooldown_s=0.05
             )
@@ -229,7 +229,7 @@ class TestFailurePaths:
     def test_failed_put_writes_the_fallback_store(self, service, tmp_path, monkeypatch, error):
         session = RemoteSession(service.address, fallback_store=tmp_path / "local")
 
-        def decline(key, sweep=None):
+        def decline(key):
             raise ServiceError("declined for the test", "untunable")
 
         def fail(record):
@@ -245,7 +245,7 @@ class TestFailurePaths:
     def test_publish_falls_back_when_server_refuses(self, service, monkeypatch):
         session = RemoteSession(service.address)
 
-        def decline(key, sweep=None):
+        def decline(key):
             raise ServiceError("declined for the test", "untunable")
 
         # Have the server-side tune decline so the client searches locally...
@@ -355,7 +355,7 @@ class TestOfflineWindow:
     def test_session_comes_back_after_a_restart(self, tmp_path):
         """Kill the daemon, restart it over the same store and port: after
         the cooldown the same session is served the warm records."""
-        svc = TuningService(tmp_path / "store", speculative=False).start()
+        svc = TuningService(tmp_path / "store").start()
         host, port = svc.address
         _tune_layers(RemoteSession((host, port)), TABLE1_LAYERS[:2])
         svc.kill()
@@ -369,7 +369,7 @@ class TestOfflineWindow:
         _tune_layers(session, TABLE1_LAYERS[2:3])  # the daemon is down
         assert session.offline_errors >= 1 and session.searches_run == 1
         with TuningService(
-            tmp_path / "store", speculative=False, host=host, port=port
+            tmp_path / "store", host=host, port=port
         ) as fresh:
             time.sleep(0.06)
             assert session.online

@@ -1,4 +1,4 @@
-"""Tests for the tuning daemon: coalescing, speculation, GC, versioning."""
+"""Tests for the tuning daemon: coalescing, warm, GC, versioning."""
 
 import json
 import socket
@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.core.pipeline import UnitCpuRunner
-from repro.rewriter import ShardedTuningStore, TuningKey, TuningSession, TuningTask
+from repro.rewriter import ShardedTuningStore, TuningKey, TuningSession
 from repro.service import (
     ServiceClient,
     ServiceError,
@@ -22,7 +22,7 @@ from repro.workloads.table1 import TABLE1_LAYERS
 
 @pytest.fixture
 def service(tmp_path):
-    with TuningService(tmp_path / "store", speculative=False) as svc:
+    with TuningService(tmp_path / "store") as svc:
         yield svc
 
 
@@ -63,10 +63,10 @@ class TestBasicOps:
     def test_put_survives_daemon_restart(self, tmp_path):
         (key,) = _keys_for(TABLE1_LAYERS[:1])
         record = _reference_records(TABLE1_LAYERS[:1])[key]
-        with TuningService(tmp_path / "store", speculative=False) as svc:
+        with TuningService(tmp_path / "store") as svc:
             with ServiceClient(svc.address) as client:
                 client.put(record)
-        with TuningService(tmp_path / "store", speculative=False) as svc:
+        with TuningService(tmp_path / "store") as svc:
             with ServiceClient(svc.address) as client:
                 got = client.get(key)
                 assert got is not None and got.to_json() == record.to_json()
@@ -233,7 +233,7 @@ class TestVersioning:
 class TestCoalescing:
     def test_concurrent_tunes_of_one_key_search_once_bit_identical(self, tmp_path):
         """The acceptance criterion: N clients, one search, identical bytes."""
-        with TuningService(tmp_path / "store", speculative=False) as svc:
+        with TuningService(tmp_path / "store") as svc:
             # Slow the search down so every client really is concurrent.
             import repro.service.server as server_module
 
@@ -276,7 +276,7 @@ class TestCoalescing:
             assert blobs == {json.dumps(reference.to_json(), sort_keys=True)}
 
     def test_distinct_keys_search_concurrently_exactly_once_each(self, tmp_path):
-        with TuningService(tmp_path / "store", speculative=False) as svc:
+        with TuningService(tmp_path / "store") as svc:
             layers = TABLE1_LAYERS[:4]
             keys = _keys_for(layers)
             reference = _reference_records(layers)
@@ -304,7 +304,7 @@ class TestCoalescing:
         import repro.service.server as server_module
         from repro.service import RemoteSession
 
-        svc = TuningService(tmp_path / "store", speculative=False, tune_timeout=0.2)
+        svc = TuningService(tmp_path / "store", tune_timeout=0.2)
         svc.start()
         original = server_module.run_task
         reached = threading.Event()
@@ -363,6 +363,21 @@ class TestGc:
         client.tune(evicted_key)
         assert service.session.searches_run == searches + 1
 
+    def test_gc_with_a_negative_max_idle_is_refused_and_evicts_nothing(
+        self, client, service
+    ):
+        keys = _keys_for(TABLE1_LAYERS[:3])
+        for key in keys:
+            client.tune(key)
+        with pytest.raises(ServiceError, match="max_idle must be non-negative") as excinfo:
+            client.gc(max_idle=-1)
+        assert excinfo.value.code == "server_error"
+        assert len(service.store.load()) == 3
+        searches = service.session.searches_run
+        for key in keys:
+            client.tune(key)  # the memory tier kept them too
+        assert service.session.searches_run == searches
+
     def test_gc_by_idle_via_rpc(self, client):
         (key,) = _keys_for(TABLE1_LAYERS[:1])
         client.tune(key)
@@ -385,90 +400,70 @@ class TestWarmAndSpeculation:
         assert response["tuned"] == response["tasks"]
 
     @pytest.mark.parametrize("sweep", ["table1[:3]", "table1:x", "table1:0", "no-such-model"])
-    def test_bad_sweep_names_are_reported_on_both_ops(self, tmp_path, sweep):
+    def test_bad_sweep_names_are_reported_on_both_ops(self, client, sweep):
+        """``expand_sweep`` and the wire ``warm`` both name the bad sweep."""
         with pytest.raises(ValueError, match="bad sweep") as excinfo:
-            expand_sweep(sweep, like=None)
+            expand_sweep(sweep)
         assert repr(sweep) in str(excinfo.value)
-        with TuningService(tmp_path / "store", speculative=True) as svc:
-            with ServiceClient(svc.address) as client:
-                for background in (False, True):
-                    with pytest.raises(ServiceError) as warm_error:
-                        client.warm(sweep, background=background)
-                    assert warm_error.value.code == "bad_sweep"
-                    assert repr(sweep) in str(warm_error.value)
-                # On a tune request the sweep is only a hint: the record is
-                # served, the bad hint is reported, nothing is queued.
-                (key,) = _keys_for(TABLE1_LAYERS[:1])
-                response = client.request("tune", key=key.to_json(), sweep=sweep)
-                assert response["record"]["key"] == key.to_json()
-                assert repr(sweep) in response["sweep_error"]
-                assert svc.stats.speculative_queued == 0
+        with pytest.raises(ServiceError) as warm_error:
+            client.warm(sweep)
+        assert warm_error.value.code == "bad_sweep"
+        assert repr(sweep) in str(warm_error.value)
 
     def test_expand_sweep_table1_slice_matches_layers(self):
-        tasks = expand_sweep("table1:3", like=None)
+        tasks = expand_sweep("table1:3")
         assert [t.params.name for t in tasks] == [p.name for p in TABLE1_LAYERS[:3]]
-        assert len(expand_sweep("table1", like=None)) == len(TABLE1_LAYERS)
-        assert len(expand_sweep("table1:99", like=None)) == len(TABLE1_LAYERS)
+        assert len(expand_sweep("table1")) == len(TABLE1_LAYERS)
+        assert len(expand_sweep("table1:99")) == len(TABLE1_LAYERS)
 
-    @pytest.mark.parametrize("sweep", ["table1:2", "resnet-18"])
-    def test_expand_sweep_honours_the_requesters_intrinsic_and_mode(self, sweep):
-        """Regression: a model-zoo sweep used to recover only the target from
-        ``like`` and expand to vpdpbusd / full tasks nobody would ask for."""
-        from repro.rewriter import task_from_key
-
-        like = TuningTask(
-            "conv2d", TABLE1_LAYERS[0], intrinsic="x86.avx512.vpdpwssd", tuning="first_pair"
-        )
-        # `like` arrives as the server rebuilds it from the requested key.
-        like = task_from_key(like.key())
-        assert (like.intrinsic, like.tuning) == ("x86.avx512.vpdpwssd", "first_pair")
-        tasks = expand_sweep(sweep, like)
-        assert tasks
-        for task in tasks:
-            assert (task.runner, task.machine, task.intrinsic, task.tuning) == (
-                like.runner,
-                like.machine,
-                like.intrinsic,
-                like.tuning,
-            )
-        plain = expand_sweep(sweep, like=None)
-        assert [(t.kind, t.params) for t in tasks] == [(t.kind, t.params) for t in plain]
-
-    def test_expand_sweep_model_uses_the_requesters_target_passes(self):
-        """The requester's machine picks the target, hence the graph passes:
-        a V100 client's zoo sweep is ``tasks_from_graph(target="cuda")``."""
+    def test_expand_sweep_is_the_x86_compile(self):
+        """A sweep warms exactly the records an x86 ``compile_model`` of the
+        same layers looks up."""
         from repro.models.zoo import get_model
-        from repro.rewriter import task_from_key, tasks_from_graph
+        from repro.rewriter import tasks_from_graph
 
-        for target in ("x86", "arm", "cuda"):
-            expected = tasks_from_graph(get_model("mobilenet-v2", fresh=True), target=target)
-            like = task_from_key(expected[0].key())
-            swept = expand_sweep("mobilenet-v2", like)
-            assert [t.key() for t in swept] == [t.key() for t in expected]
+        expected = tasks_from_graph(get_model("mobilenet-v2", fresh=True), target="x86")
+        assert [t.key() for t in expand_sweep("mobilenet-v2")] == [t.key() for t in expected]
+        assert [t.key() for t in expand_sweep("table1:2")] == _keys_for(TABLE1_LAYERS[:2])
 
-    def test_speculative_queue_pre_tunes_sweep_during_idle(self, tmp_path):
-        with TuningService(tmp_path / "store", speculative=True) as svc:
+
+class TestNoWorkOfItsOwn:
+    """The daemon does work only when a request asks for it."""
+
+    def test_the_only_thread_a_started_service_owns_is_its_accept_loop(self, tmp_path):
+        before = set(threading.enumerate())
+        with TuningService(tmp_path / "store"):
+            started = [t.name for t in threading.enumerate() if t not in before]
+            assert started == ["tuning-service-accept"]
+
+    @pytest.mark.parametrize("sweep", ["table1:3", "no-such-model"])
+    def test_a_tune_request_carrying_a_sweep_is_served_normally(self, tmp_path, sweep):
+        with TuningService(tmp_path / "store") as svc:
             with ServiceClient(svc.address, tune_timeout=30.0) as client:
                 (key,) = _keys_for(TABLE1_LAYERS[:1])
-                client.tune(key, sweep="table1:6")
-                deadline = time.time() + 30
-                while time.time() < deadline and svc.session.searches_run < 6:
-                    time.sleep(0.02)
-                assert svc.session.searches_run == 6
-                assert svc.stats.speculative_queued == 6
-                # layer 1 was already tuned by the foreground request
-                assert svc.stats.speculative_skipped >= 1
-                assert svc.stats.speculative_tuned == 5
-                # a client now sweeping those layers gets pure hits
-                searches = svc.session.searches_run
-                for other in _keys_for(TABLE1_LAYERS[:6]):
-                    client.tune(other)
-                assert svc.session.searches_run == searches
+                response = client.request("tune", key=key.to_json(), sweep=sweep)
+                assert set(response) == {"ok", "protocol", "schema", "record", "how"}
+                assert response["record"]["key"] == key.to_json()
+                assert response["how"] == "searched"
+        assert svc.session.searches_run == 1  # nothing else was tuned, even after stop
+
+    def test_warm_always_answers_tasks_tuned_and_hits(self, tmp_path):
+        """Even when a request asks for the old queued warm (the field a
+        previous release's client sent), the sweep is tuned before the
+        answer."""
+        with TuningService(tmp_path / "store") as svc:
+            with ServiceClient(svc.address, tune_timeout=30.0) as client:
+                first = client.request("warm", sweep="table1:2", background=True)
+                assert svc.session.searches_run == 2
+                again = client.warm("table1:2")
+        for response, tuned in ((first, 2), (again, 0)):
+            body = {k: v for k, v in response.items() if k not in ("ok", "protocol", "schema")}
+            assert body == {"tasks": 2, "tuned": tuned, "hits": 2 - tuned}
 
 
 class TestLifecycle:
     def test_shutdown_rpc_stops_the_daemon(self, tmp_path):
-        svc = TuningService(tmp_path / "store", speculative=False).start()
+        svc = TuningService(tmp_path / "store").start()
         with ServiceClient(svc.address) as client:
             assert client.shutdown()["stopping"] is True
         deadline = time.time() + 10
@@ -481,7 +476,7 @@ class TestLifecycle:
         a ``serve`` process could exit first and the client saw a reset."""
         from repro.testing.faults import FaultPlan
 
-        svc = TuningService(tmp_path / "store", speculative=False).start()
+        svc = TuningService(tmp_path / "store").start()
         stopped_before_reply = []
 
         def late_reply(injection):
@@ -508,7 +503,7 @@ class TestLifecycle:
         import repro.service.server as server_module
         from repro.service import ServiceUnavailable
 
-        svc = TuningService(tmp_path / "store", speculative=False).start()
+        svc = TuningService(tmp_path / "store").start()
         original = server_module.run_task
         reached = threading.Event()
         release = threading.Event()
@@ -619,25 +614,8 @@ class TestReviewHardening:
         assert not session.online  # permanently: the fallback tier is active
         assert session.searches_run == 1  # tuned locally, loudly
 
-    def test_speculative_dedup_releases_after_processing(self, tmp_path):
-        with TuningService(tmp_path / "store", speculative=True) as svc:
-            with ServiceClient(svc.address, tune_timeout=30.0) as client:
-                client.warm("table1:2", background=True)
-                deadline = time.time() + 30
-                while time.time() < deadline and svc.session.searches_run < 2:
-                    time.sleep(0.02)
-                assert svc.session.searches_run == 2
-                client.gc(max_idle=0.0)  # evict everything, memory included
-                # a re-warm must re-enqueue (the dedup set released its slots)
-                again = client.warm("table1:2", background=True)
-                assert again["queued"] == 2
-                deadline = time.time() + 30
-                while time.time() < deadline and svc.session.searches_run < 4:
-                    time.sleep(0.02)
-                assert svc.session.searches_run == 4
-
     def test_stop_is_idempotent_and_flushes(self, tmp_path):
-        svc = TuningService(tmp_path / "store", speculative=False).start()
+        svc = TuningService(tmp_path / "store").start()
         with ServiceClient(svc.address, tune_timeout=30.0) as client:
             (key,) = _keys_for(TABLE1_LAYERS[:1])
             client.tune(key)

@@ -18,7 +18,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(__file__))), 
 
 @pytest.fixture
 def service(tmp_path):
-    with TuningService(tmp_path / "store", speculative=False) as svc:
+    with TuningService(tmp_path / "store") as svc:
         yield svc
 
 
@@ -55,18 +55,19 @@ class TestAgainstADaemon:
         assert code == 0
         assert response["evicted"] == 1 and response["kept"] == 1
 
-    def test_warm_background_queues(self, service, capsys):
-        code, response, _ = _run(
-            capsys, "warm", "--sweep", "table1:2", "--background", *_endpoint(service)
-        )
-        assert code == 0
-        assert response == {"queued": 2, "tasks": 2}
-
     def test_gc_without_a_limit_exits_2(self, service, capsys):
         code, response, err = _run(capsys, "gc", *_endpoint(service))
         assert code == 2 and response is None
         assert "--max-records" in err
         assert service.stats.requests == {}  # refused before any request
+
+    def test_negative_max_idle_exits_1_and_evicts_nothing(self, service, capsys):
+        code, response, _ = _run(capsys, "warm", "--sweep", "table1:2", *_endpoint(service))
+        assert code == 0 and response["tuned"] == 2
+        code, response, err = _run(capsys, "gc", "--max-idle", "-1", *_endpoint(service))
+        assert code == 1 and response is None
+        assert "max_idle must be non-negative" in err
+        assert len(service.store.load()) == 2
 
     def test_server_error_exits_1_with_its_code(self, service, capsys):
         code, response, err = _run(capsys, "warm", "--sweep", "nope", *_endpoint(service))
@@ -96,7 +97,7 @@ def test_unreachable_daemon_exits_1(capsys, argv):
 class TestFsck:
     def _store(self, root):
         store = ShardedTuningStore(root, shards=2)
-        with TuningService(root, speculative=False) as svc:
+        with TuningService(root) as svc:
             with ServiceClient(svc.address) as client:
                 client.warm("table1:2")
         return store
@@ -107,6 +108,22 @@ class TestFsck:
             code, report, _ = _run(capsys, "fsck", "--root", str(tmp_path / "s"), *extra)
             assert code == 0
             assert report["clean"] == 1 and report["records"] == 2
+
+    @pytest.mark.parametrize("extra", [["--check"], []])
+    def test_a_root_without_a_store_is_refused_and_nothing_is_created(
+        self, tmp_path, capsys, extra
+    ):
+        """Regression: ``fsck --root <typo> --check`` used to report a clean
+        store, exit 0 and create ``<typo>/store.json``."""
+        root = tmp_path / "typo"
+        code, report, err = _run(capsys, "fsck", "--root", str(root), *extra)
+        assert code == 2 and report is None
+        assert repr(str(root)) in err and "store.json" in err
+        assert not root.exists()
+        (tmp_path / "empty").mkdir()
+        code, _, _ = _run(capsys, "fsck", "--root", str(tmp_path / "empty"), *extra)
+        assert code == 2
+        assert os.listdir(tmp_path / "empty") == []
 
     def test_torn_line_fails_check_then_repairs(self, tmp_path, capsys):
         store = self._store(tmp_path / "s")
@@ -143,6 +160,7 @@ class TestParser:
             ["health"],
             ["serve", "--replicate-from", "127.0.0.1:9461"],
             ["serve", "--sync-interval", "0.1"],
+            ["warm", "--sweep", "table1", "--background"],
         ],
     )
     def test_retired_commands_and_flags_are_rejected(self, argv, capsys):

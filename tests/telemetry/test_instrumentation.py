@@ -52,13 +52,12 @@ class TestCompilerInstrumentation:
 
 class TestServiceInstrumentation:
     def test_stats_snapshot_shape(self, tmp_path):
-        with TuningService(tmp_path / "store", speculative=False) as svc:
+        with TuningService(tmp_path / "store") as svc:
             with ServiceClient(svc.address) as client:
                 stats = client.stats()
         assert set(stats) == {
             "ok", "protocol", "schema", "uptime_s", "shutting_down", "service",
-            "session", "store", "expr_cache", "inflight", "foreground",
-            "speculative_queue", "telemetry",
+            "session", "store", "expr_cache", "inflight", "telemetry",
         }
         assert stats["uptime_s"] >= 0
         assert stats["telemetry"] == {}  # no sink installed
@@ -72,7 +71,7 @@ class TestServiceInstrumentation:
         from repro.workloads.table1 import TABLE1_LAYERS
 
         with metrics.collecting() as registry:
-            with TuningService(tmp_path / "store", speculative=False) as svc:
+            with TuningService(tmp_path / "store") as svc:
                 with ServiceClient(svc.address) as client:
                     client.ping()
                     client.ping()
@@ -89,7 +88,7 @@ class TestServiceInstrumentation:
         assert counters["service.client.server_hits"] == 1
 
     def test_uptime_is_monotonic_across_calls(self, tmp_path):
-        with TuningService(tmp_path / "store", speculative=False) as svc:
+        with TuningService(tmp_path / "store") as svc:
             with ServiceClient(svc.address) as client:
                 first = client.stats()["uptime_s"]
                 time.sleep(0.05)
@@ -98,7 +97,7 @@ class TestServiceInstrumentation:
 
     def test_telemetry_counters_ride_the_wire(self, tmp_path):
         with metrics.collecting():
-            with TuningService(tmp_path / "store", speculative=False) as svc:
+            with TuningService(tmp_path / "store") as svc:
                 with ServiceClient(svc.address) as client:
                     client.ping()
                     stats = client.stats()
@@ -108,7 +107,7 @@ class TestServiceInstrumentation:
 
     def test_request_latency_histogram(self, tmp_path):
         with metrics.collecting() as registry:
-            with TuningService(tmp_path / "store", speculative=False) as svc:
+            with TuningService(tmp_path / "store") as svc:
                 with ServiceClient(svc.address) as client:
                     client.ping()
                     client.stats()
@@ -118,7 +117,7 @@ class TestServiceInstrumentation:
 
     def test_service_gauges_track_live_stats(self, tmp_path):
         with metrics.collecting() as registry:
-            with TuningService(tmp_path / "store", speculative=False) as svc:
+            with TuningService(tmp_path / "store") as svc:
                 with ServiceClient(svc.address) as client:
                     client.ping()
                     gauges = registry.gauges()

@@ -105,7 +105,7 @@ class TestService:
         from repro.service import TuningService
         from repro.service.__main__ import DEFAULT_PORT
 
-        service = TuningService(tmp_path / "store", port=DEFAULT_PORT, speculative=False)
+        service = TuningService(tmp_path / "store", port=DEFAULT_PORT)
         try:
             service.start()
         except OSError as exc:
@@ -120,7 +120,7 @@ class TestService:
     def test_table_has_no_replication_rows(self, tmp_path, capsys):
         from repro.service import TuningService
 
-        with TuningService(tmp_path / "store", speculative=False) as service:
+        with TuningService(tmp_path / "store") as service:
             port = str(service.address[1])
             assert main(["service", "--port", port]) == 0
         out = capsys.readouterr().out

@@ -11,9 +11,8 @@ Rules
 -----
 
 R1  **guarded state** — attributes the policy table assigns to a lock
-    (e.g. ``TuningService._gate`` guards ``_inflight`` / ``_foreground`` /
-    ``_spec_queue`` / ``_spec_queued_ids``) may only be touched inside a
-    ``with self.<lock>:`` block.  ``__init__`` is exempt (construction
+    (e.g. ``TuningService._gate`` guards ``_inflight`` / ``_conns``) may
+    only be touched inside a ``with self.<lock>:`` block.  ``__init__`` is exempt (construction
     precedes sharing).
 
 R2  **no nested locks** — no method may enter a second ``with self.<lock>``
@@ -67,15 +66,12 @@ GUARDED: Dict[str, Dict[str, Dict[str, Set[str]]]] = {
         "TuningService": {
             "_gate": {
                 "_inflight",
-                "_foreground",
-                "_spec_queue",
-                "_spec_queued_ids",
                 "_conns",
             },
         },
     },
     # Telemetry sinks are written from every instrumented thread (engine,
-    # service handlers, the speculative tuner): all three instrument
+    # service handlers): all three instrument
     # tables, the tracer's finished-span list + id sequence, and the
     # results DB's sqlite connection live behind one lock each.
     "metrics.py": {
