@@ -42,10 +42,11 @@ uploads it as an artifact)::
 ``--plan-smoke`` runs the CI plan-cache gate instead: warm-plan execution
 must be ≥5x faster than cold on the repeated-layer workload and every
 Table I layer must compile to a fully vectorized plan (zero fallbacks).
-``--native-smoke`` runs the CI native-tier gate: layer 1 must promote, stay
-bit-identical and run ≥8x faster than the vectorized tier.  The native
-kernel is ``vpdpbusd`` itself, so the gate skips cleanly where no C compiler
-is installed or its flags do not define ``__AVX512VNNI__``.
+``--native-smoke`` runs the CI native-tier gate: layers 1 and 2 must promote,
+stay bit-identical and run ≥8x faster than the vectorized tier, and layer 2
+must be one register tile (``tiled_nests == 1``).
+The native kernel is ``vpdpbusd`` itself, so the gate skips cleanly where no
+C compiler is installed or its flags do not define ``__AVX512VNNI__``.
 
 Or run under pytest-benchmark along with the figure benchmarks::
 
@@ -250,6 +251,7 @@ def bench_native_tier(limit: int) -> dict:
                 "native_runs": stats.native_runs,
                 "native_promotions": stats.native_promotions,
                 "native_demotions": stats.native_demotions,
+                "tiled_nests": state.kernel.source.tiled_nests if state.kernel else 0,
             }
         )
     return report
@@ -276,22 +278,25 @@ def native_smoke() -> None:
     """The CI native-tier gate (``--native-smoke``).
 
     Skips (exit 0) when no native toolchain exists or its flags do not
-    define ``__AVX512VNNI__``; otherwise layer 1 must promote, stay
+    define ``__AVX512VNNI__``; otherwise layers 1 and 2 must promote, stay
     bit-identical and run at least ``NATIVE_INSTRUCTION_FLOOR`` times faster
-    than the vectorized tier.
+    than the vectorized tier, and layer 2 (no residue guard, so its
+    accumulators stay in registers) must be exactly one register tile.
     """
-    report = bench_native_tier(1)
+    report = bench_native_tier(2)
     if not report["available"]:
         print(f"native-tier smoke skipped: {report['toolchain']}")
         return
-    row = report["layers"][0]
-    print(
-        f"native tier ({report['toolchain']}): layer1 vector "
-        f"{row['vector_s'] * 1e3:7.1f} ms  native {row['native_s'] * 1e3:7.1f} ms "
-        f"({row['native_speedup']:.2f}x, bit_identical={row['bit_identical']}, "
-        f"tier={row['tier']})"
-    )
-    _check_native_row(row)
+    for row in report["layers"]:
+        print(
+            f"native tier ({report['toolchain']}): layer{row['layer']} vector "
+            f"{row['vector_s'] * 1e3:7.1f} ms  native_s {row['native_s'] * 1e3:7.1f} ms "
+            f"({row['native_speedup']:.2f}x, bit_identical={row['bit_identical']}, "
+            f"tier={row['tier']}, tiled_nests={row['tiled_nests']})"
+        )
+        _check_native_row(row)
+    tiles = report["layers"][1]["tiled_nests"]
+    assert tiles == 1, f"layer 2 promoted with {tiles} register tiles, expected 1"
     print("native-tier smoke ok")
 
 

@@ -21,6 +21,7 @@ loop-nest reading (:class:`repro.tir.visitor.Nest`), not matched here.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from ..tir.stmt import (
     Stmt,
     Store,
 )
-from ..tir.visitor import accumulation_form, read_nest, walk
+from ..tir.visitor import accumulation_form, read_nest, same_index, walk
 
 __all__ = [
     "Instruction",
@@ -308,6 +309,17 @@ def generate(func: PrimFunc, target: str = "generic") -> CodegenResult:
 #   interpreter bit for bit.  The source is the same on every host; whether
 #   this host's compiler may build it (defines the lowering's feature macro)
 #   is ``repro.tir.backend``'s question, asked before promotion.
+# * the band the CPU schedule puts under its outer loops — reduction loops,
+#   then data-parallel loops unrolled so independent calls hide the
+#   instruction's latency, then one call — keeps its accumulators in
+#   registers: one ``load`` per inner point into a local array of
+#   ``vector_type`` before the reduction loops, the instruction on that
+#   point's register inside them (in their original order), one ``store``
+#   per point after.  Only a band whose output blocks stay put across the
+#   reduction loops and are disjoint across the inner points, with a
+#   ``contiguous`` accumulator read at the output's own address, and at most
+#   ``_MAX_REGISTER_TILE`` registers, is emitted so; every other call keeps
+#   its own load and store.
 # * loops are emitted serially: ``parallel`` nests run on one thread.
 # ---------------------------------------------------------------------------
 
@@ -325,9 +337,13 @@ class NativeSource:
     ``func.params``.  ``instructions`` names the hardware instructions the
     source executes (e.g. ``("vpdpbusd",)``; ``()`` for a source without
     intrinsic calls); it builds only where the compiler defines each one's
-    feature macro.  ``tiled_nests`` counts the reduction-update nests emitted
-    over a register tile of accumulators (``_CEmitter._reduction_nest``); 0
-    means every fold is one serial chain per output element.
+    feature macro.  ``tiled_nests`` counts the nests emitted over a register
+    tile of accumulators: reduction-update nests
+    (``_CEmitter._reduction_nest``) and intrinsic bands whose instruction
+    registers stay in registers across the reduction loops
+    (``_CEmitter._intrinsic_band``); 0 means every fold is one serial chain
+    per output element and every instruction call loads and stores its
+    accumulator.
     """
 
     func_name: str
@@ -577,6 +593,31 @@ def _tile_shape(extents: List[int]) -> List[int]:
     return tile
 
 
+# The accumulator tile of an intrinsic band holds one instruction register
+# per point of the inner data-parallel loops; 16 is the CPU tuner's largest
+# ``unroll_limit``.  A wider band stays one call at a time.
+_MAX_REGISTER_TILE = 16
+
+
+def _loop_chain(stmt: Stmt) -> Tuple[List[For], Stmt]:
+    """The loops directly nested from ``stmt`` down, and what they enclose."""
+    loops: List[For] = []
+    while isinstance(stmt, For):
+        loops.append(stmt)
+        stmt = stmt.body
+    return loops, stmt
+
+
+def _register_fields(reg) -> Dict[str, object]:
+    """The per-register fields of a ``NativeLowering`` spelling."""
+    sign = "s" if reg.dtype.is_signed else "u"
+    return {
+        "elem": reg.dtype.name,
+        "sfx": f"{sign}{reg.dtype.bytes * 8}",
+        "lanes": reg.num_elements,
+    }
+
+
 class _CEmitter:
     def __init__(self, func: PrimFunc) -> None:
         self.func = func
@@ -726,6 +767,10 @@ class _CEmitter:
             if nest is not None:
                 self._accumulator_tiles(*nest)
                 return
+            band = self._intrinsic_band(stmt)
+            if band is not None:
+                self._intrinsic_tile(*band)
+                return
             name = self.var_name(stmt.var)
             self.line(f"for (int64_t {name} = 0; {name} < {stmt.extent}; ++{name}) {{")
             self.depth += 1
@@ -790,11 +835,7 @@ class _CEmitter:
         reduction-loop order, as written — only ``t[idx] (op) e`` tiles,
         because operand order decides which NaN payload survives.
         """
-        band: List[For] = []
-        node: Stmt = stmt
-        while isinstance(node, For):
-            band.append(node)
-            node = node.body
+        band, node = _loop_chain(stmt)
         if not isinstance(node, Store):
             return None  # a guard, a pragma scope or an intrinsic call under the loops
         nest = read_nest(stmt)
@@ -865,10 +906,99 @@ class _CEmitter:
         over_lanes(lambda slot: f"{element} = {slot};")
         self._close_loops(parallel)
 
-    def _intrinsic(self, call: IntrinsicCall) -> None:
+    # -- intrinsic bands: the accumulator registers stay in registers ------
+    def _intrinsic_band(self, stmt: For):
+        """``(reduction, inner, call, acc)`` when ``stmt`` heads ``reduction
+        loops > data-parallel loops > one IntrinsicCall`` (the band the CPU
+        schedule puts under its outer loops) whose accumulator may stay in
+        registers across the reduction loops, else ``None``.
+
+        The output address must not move with the reduction loops and must
+        move injectively, by whole registers, over the inner loops: each
+        inner point then owns one block of memory for the whole band.  ``acc``,
+        the only input that reads the output tensor, must read that same
+        block, and both must be ``contiguous``.  Each register still runs its
+        calls in reduction-loop order, as written.
+        """
+        loops, call = _loop_chain(stmt)
+        if not isinstance(call, IntrinsicCall):
+            return None  # a guard, a pragma scope or a store under the loops
+        nest = read_nest(stmt)
+        depth = len(loops) - len(nest.parallel)
+        if depth == 0 or nest.parallel != tuple(range(depth, len(loops))):
+            return None  # the band is not reduction loops around data-parallel loops
+        out = call.output
+        readers = [b for b in call.inputs if b.program_tensor is out.program_tensor]
+        if len(readers) != 1 or not same_index(readers[0].program_indices, out.program_indices):
+            return None
+        if math.prod(loop.extent for loop in loops[depth:]) > _MAX_REGISTER_TILE:
+            return None
+        env = {**self.env, **loop_env((loop.var, loop.extent) for loop in loops)}
+        if any(_operand_access(call, b, env) != "contiguous" for b in (readers[0], out)):
+            return None  # a staged accumulator or output
+        axes = loop_env((ax.var, ax.extent) for ax in call.axes)
+        if not nest.injective({**self.env, **axes}, reach=out.intrin_tensor.num_elements - 1):
+            return None
+        return loops[:depth], loops[depth:], call, readers[0]
+
+    def _intrinsic_tile(self, reduction, inner, call: IntrinsicCall, acc) -> None:
+        """Emit a recognised band over a tile of instruction registers: one
+        load per inner point before the reduction loops, the instruction on
+        that point's register inside them, one store per point after."""
+        self.tiled_nests += 1
+        lowering = call.intrin.native_lowering
+        out = call.output
+        names = _register_fields(out.intrin_tensor)
+        points = list(itertools.product(*(range(loop.extent) for loop in inner)))
+        tile = self.fresh("acc")
+        self.line(f"{lowering.vector_type.format(**names)} {tile}[{len(points)}];")
+
+        def block(slot: int) -> str:
+            point = {loop.var: E.Const(v) for loop, v in zip(inner, points[slot])}
+            return self._register_base(call, out, point)
+
+        for slot in range(len(points)):
+            self.line(f"{tile}[{slot}] = {lowering.load.format(ptr=block(slot), **names)};")
+        for loop in reduction + inner:
+            self.env[loop.var] = Interval(0, loop.extent - 1)
+        self._open_loops(reduction + inner)
+        index, width = "", 1
+        for loop in reversed(inner):
+            if loop.extent > 1:
+                name = self.var_name(loop.var)
+                term = name if width == 1 else f"{name} * {width}"
+                index = f"{term} + {index}" if index else term
+                width *= loop.extent
+        register = f"{tile}[{index or 0}]"
         self.line("{")
         self.depth += 1
-        self._intrinsic_instruction(call, call.intrin.native_lowering)
+        result = self._instruction(call, lowering, {acc.intrin_tensor.name: register})
+        self.line(f"{register} = {result};")
+        self.depth -= 1
+        self.line("}")
+        self._close_loops(reduction + inner)
+        for loop in reduction + inner:
+            del self.env[loop.var]
+        for slot in range(len(points)):
+            value = f"{tile}[{slot}]"
+            self.line(lowering.store.format(ptr=block(slot), value=value, **names) + ";")
+
+    def _intrinsic(self, call: IntrinsicCall) -> None:
+        """One call on its own: the accumulator comes from memory and the
+        result goes back to it."""
+        lowering = call.intrin.native_lowering
+        self.line("{")
+        self.depth += 1
+        result = self._instruction(call, lowering, {})
+        out = call.output
+        staged = _operand_access(call, out, self.env) != "contiguous"
+        if staged:
+            self._declare_register(out)
+        target = self.tensor_name(out.intrin_tensor) if staged else self._register_base(call, out)
+        names = _register_fields(out.intrin_tensor)
+        self.line(lowering.store.format(ptr=target, value=result, **names) + ";")
+        if staged:
+            self._scatter(call)
         self.depth -= 1
         self.line("}")
 
@@ -902,38 +1032,36 @@ class _CEmitter:
         self.line(f"{dst}[{dst_flat}] = ({cast})({src}[{src_flat}]);")
         self._close_loops(call.axes)
 
-    def _intrinsic_instruction(self, call: IntrinsicCall, lowering) -> None:
+    def _register_base(self, call: IntrinsicCall, binding, fixed=None) -> str:
+        """Pointer to the program element of a register's lane 0 (every axis
+        of the call at 0; ``fixed`` pins further variables)."""
+        origin = {**{ax.var: E.Const(0) for ax in call.axes}, **(fixed or {})}
+        indices = [E.substitute(idx, origin) for idx in binding.program_indices]
+        name = self.tensor_name(binding.program_tensor)
+        return f"{name} + {self.flat_index(indices, binding.program_tensor.shape)}"
+
+    def _instruction(self, call: IntrinsicCall, lowering, held: Dict[str, str]) -> str:
         """The hardware instruction itself: one vector value per operand
-        register, the instruction, one store.  Only a ``staged`` operand's
-        *fill* goes lane by lane through a stack array."""
+        register, then the instruction, returned as an expression.  ``held``
+        names the registers (by description tensor) that are already vector
+        values.  Only a ``staged`` operand's *fill* goes lane by lane through
+        a stack array."""
         if lowering not in self.lowerings:
             self.lowerings.append(lowering)
-        origin = {ax.var: E.Const(0) for ax in call.axes}
-
-        def base(binding) -> str:
-            indices = [E.substitute(idx, origin) for idx in binding.program_indices]
-            name = self.tensor_name(binding.program_tensor)
-            return f"{name} + {self.flat_index(indices, binding.program_tensor.shape)}"
-
-        def fields(reg) -> Dict[str, object]:
-            sign = "s" if reg.dtype.is_signed else "u"
-            return {
-                "elem": reg.dtype.name,
-                "sfx": f"{sign}{reg.dtype.bytes * 8}",
-                "lanes": reg.num_elements,
-            }
-
-        operands: Dict[str, str] = {}
+        operands: Dict[str, str] = dict(held)
         for binding in call.inputs:
             reg = binding.intrin_tensor
-            names = fields(reg)
+            if reg.name in held:
+                continue
+            names = _register_fields(reg)
             access = _operand_access(call, binding, self.env)
             if access == "contiguous":
-                value = lowering.load.format(ptr=base(binding), **names)
+                value = lowering.load.format(ptr=self._register_base(call, binding), **names)
             elif access == "broadcast":
                 group = self.fresh("grp")
                 self.line(f"int32_t {group};")
-                self.line(f"memcpy(&{group}, {base(binding)}, {_BROADCAST_BYTES});")
+                source = self._register_base(call, binding)
+                self.line(f"memcpy(&{group}, {source}, {_BROADCAST_BYTES});")
                 value = lowering.broadcast.format(scalar=group, **names)
             else:
                 self._declare_register(binding)
@@ -943,20 +1071,11 @@ class _CEmitter:
             self.line(f"{lowering.vector_type.format(**names)} {vector} = {value};")
             operands[reg.name] = vector
         try:
-            result = lowering.op.format(**operands)
+            return lowering.op.format(**operands)
         except KeyError as exc:
             raise LoweringError(
                 f"native lowering of {call.intrin.name} names unknown operand {exc}"
             ) from None
-        out = call.output
-        staged = _operand_access(call, out, self.env) != "contiguous"
-        if staged:
-            self._declare_register(out)
-        target = self.tensor_name(out.intrin_tensor) if staged else base(out)
-        names = fields(out.intrin_tensor)
-        self.line(lowering.store.format(ptr=target, value=result, **names) + ";")
-        if staged:
-            self._scatter(call)
 
 
 def generate_c(func: PrimFunc) -> NativeSource:

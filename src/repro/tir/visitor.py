@@ -252,11 +252,14 @@ class Nest:
         rest = self.body.value if acc is None else acc.rest
         return self.body.tensor in E.tensors_referenced(rest)
 
-    def injective(self, outer=None) -> bool:
+    def injective(self, outer=None, reach: int = 0) -> bool:
         """Whether distinct points of the parallel loops write distinct
         elements: the flat strides of the written index over them form a
         mixed radix (a loop under a div/mod, or a non-quasi-affine index, is
-        not provably so).  ``outer`` bounds the variables of enclosing loops."""
+        not provably so).  ``outer`` bounds the variables of enclosing loops
+        (and of an intrinsic call's own axes); ``reach`` is how far past its
+        first element one point writes (a register's lanes - 1), so distinct
+        points write disjoint blocks."""
         from ..analysis.interval import axis_strides, loop_env, mixed_radix
 
         tensor, indices = self.written
@@ -264,7 +267,7 @@ class Nest:
         env = {**(outer or {}), **loop_env(self.axes)}
         address = axis_strides(indices, tensor.shape, env, band)
         return address is not None and mixed_radix(
-            (abs(address[0][v]), n - 1) for v, n in band.items()
+            ((abs(address[0][v]), n - 1) for v, n in band.items()), reach
         )
 
 

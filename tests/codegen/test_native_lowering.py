@@ -9,6 +9,8 @@ really built with and is skipped where the toolchain probe
 calls the instruction must stay vectorized, with a reason naming the macro.
 """
 
+import dataclasses
+import re
 import shutil
 import subprocess
 
@@ -17,11 +19,14 @@ import pytest
 
 from repro.codegen.lowlevel import generate_c
 from repro.core import tensorize
+from repro.dsl import expr as E
 from repro.isa import get_intrinsic
+from repro.rewriter import CpuTuningConfig
 from repro.tir import Executor, alloc_buffers, lower, native_toolchain, plan_cache, run, tier_state
 from repro.tir import backend
+from repro.tir.lower import PrimFunc
 from repro.tir.stmt import IfThenElse, IntrinsicCall
-from repro.tir.visitor import collect
+from repro.tir.visitor import StmtMutator, collect, iter_nests
 from repro.workloads import Conv2DParams, conv2d_nchwc
 from repro.workloads.table1 import TABLE1_LAYERS
 from tests.conftest import build_kernel, scaled_table1, small_conv_hwc
@@ -46,6 +51,17 @@ ARM = {
     "arm.neon.udot": (dict(lanes=4, weight_dtype="uint8"), "vdotq_u32(", "__ARM_FEATURE_DOTPROD"),
 }
 LAYERS = range(1, len(TABLE1_LAYERS) + 1)
+# Table I layers whose output width the unroll band does not divide: the
+# instruction sits under a ``likely`` residue guard.
+GUARDED = (1, 4, 14)
+# The same guard (OW = 17) on a kernel small enough for the interpreter.
+RESIDUE = Conv2DParams(
+    in_channels=8, in_height=9, in_width=33, out_channels=16, kernel=1, stride=2, name="residue"
+)
+# With ``mapping_index=4`` the instruction's lanes map onto OW (stride 2).
+OW_LANES = Conv2DParams(
+    in_channels=8, in_height=5, in_width=31, out_channels=16, kernel=1, stride=2, name="ow_lanes"
+)
 
 
 def _host_defines(macro: str) -> bool:
@@ -87,6 +103,47 @@ def _call_blocks(source: str, spelling: str):
     return blocks
 
 
+def _register_tile(source: str, vector_type: str, load: str, store: str):
+    """The one register tile of ``source``, checked for its shape: a
+    ``vector_type accN[count]`` array, one accumulator ``load`` per register
+    right above the tile's reduction loops, one ``store`` per register right
+    below them, and no other ``store`` of the instruction anywhere.  Returns
+    ``(count, loops)``: the register count and the text of the loops."""
+    lines = source.splitlines()
+    declared = re.compile(rf"(\s*){re.escape(vector_type)} (acc\d+)\[(\d+)\];")
+    (start,) = [i for i, line in enumerate(lines) if declared.fullmatch(line)]
+    indent, name, count = declared.fullmatch(lines[start]).groups()
+    count = int(count)
+    head = start + 1 + count
+    for slot, line in enumerate(lines[start + 1 : head]):
+        assert line.startswith(f"{indent}{name}[{slot}] = {load}")
+    assert lines[head].startswith(f"{indent}for (")
+    end = next(i for i in range(head + 1, len(lines)) if lines[i] == f"{indent}}}")
+    for slot, line in enumerate(lines[end + 1 : end + 1 + count]):
+        assert line.startswith(f"{indent}{store}") and line.endswith(f", {name}[{slot}]);")
+    assert source.count(store) == count
+    return count, "\n".join(lines[head : end + 1])
+
+
+def _assert_one_call_at_a_time(source, spelling):
+    """No register tile: every call block spells the instruction once and
+    stores its result itself (to the program, or to a staged register)."""
+    assert source.tiled_nests == 0
+    assert not re.search(r"\bacc\d+\[", source.source)
+    blocks = _call_blocks(source.source, spelling)
+    assert blocks
+    for block in blocks:
+        assert block.count(spelling) == 1
+        assert block.count("_mm512_storeu_si512(") == 1
+
+
+def _inner_registers(func) -> int:
+    """How many instruction calls the band below the innermost reduction
+    loop of ``func``'s intrinsic nest runs side by side."""
+    (nest,) = [n for n in iter_nests(func) if isinstance(n.body, IntrinsicCall)]
+    return int(np.prod([n for k, (_, n) in enumerate(nest.axes) if k > max(nest.reduction)]))
+
+
 class TestEmittedText:
     @pytest.mark.parametrize("name", sorted(X86))
     @pytest.mark.parametrize("index", LAYERS, ids=lambda i: f"layer{i}")
@@ -94,7 +151,10 @@ class TestEmittedText:
         """Full-size Table I: every ``IntrinsicCall`` spells the instruction
         exactly once, straight from program memory (the blocked layout is
         register-contiguous: no staged operand), and the source has no
-        ``#if``: there is no second, scalar copy of the region."""
+        ``#if``: there is no second, scalar copy of the region.  An unguarded
+        band keeps its accumulators in registers: the call block loads only
+        the weights and broadcasts only the data group, and the tile loads
+        and stores each register once, outside the reduction loops."""
         _, spelling, _ = X86[name]
         func = _tensorized(TABLE1_LAYERS[index - 1], name)
         calls = collect(func.body, lambda s: isinstance(s, IntrinsicCall))
@@ -104,12 +164,21 @@ class TestEmittedText:
         assert source.source.count(spelling) == len(calls) >= 1
         blocks = _call_blocks(source.source, spelling)
         assert len(blocks) == len(calls)
+        guarded = index in GUARDED
+        assert source.tiled_nests == (0 if guarded else 1)
         for block in blocks:
             assert block.count(spelling) == 1
-            assert block.count("_mm512_loadu_si512(") == 2  # accumulator + weights
+            # the weights (and, per call, the accumulator)
+            assert block.count("_mm512_loadu_si512(") == (2 if guarded else 1)
             assert block.count("_mm512_set1_epi32(") == 1  # the data group
-            assert block.count("_mm512_storeu_si512(") == 1
+            assert block.count("_mm512_storeu_si512(") == (1 if guarded else 0)
             assert "for (" not in block and "= {0}" not in block
+        if not guarded:
+            count, loops = _register_tile(
+                source.source, "__m512i", "_mm512_loadu_si512(", "_mm512_storeu_si512("
+            )
+            assert count == _inner_registers(func) <= 16
+            assert loops.count("_mm512_loadu_si512(") == len(calls)  # the weights
 
     def test_header_only_in_sources_that_use_it(self):
         plain = generate_c(lower(small_conv_hwc()))
@@ -137,12 +206,27 @@ class TestEmittedText:
         (block,) = _call_blocks(source.source, spelling)
         assert block.count(spelling) == 1
         elem = "s8" if name.endswith("sdot") else "u8"
-        assert "int32x4_t vec1 = vld1q_s32(" in block
         assert f"vreinterpretq_{elem}_s32(vdupq_n_s32(grp2))" in block
         assert f"{'int8' if elem == 's8' else 'uint8'}x16_t vec4 = vld1q_{elem}(" in block
-        assert block.count("vst1q_s32(") == 1
         if TOOLCHAIN_KIND is not None and _host_defines(macro):
             _assert_host_build_matches_interpreter(func, tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(ARM))
+    def test_arm_dot_keeps_the_accumulators_in_registers(self, name):
+        """The NEON spellings tile the band like the AVX-512 ones: one
+        ``vld1q_s32`` and one ``vst1q_s32`` per accumulator register,
+        outside the reduction loops, and none in the call block."""
+        _, spelling, _ = ARM[name]
+        func = _tensorized(scaled_table1(TABLE1_LAYERS[1], spatial=4), name, table=ARM)
+        source = generate_c(func)
+        assert source.tiled_nests == 1
+        count, loops = _register_tile(source.source, "int32x4_t", "vld1q_s32(", "vst1q_s32(")
+        assert count == _inner_registers(func) == 8
+        assert source.source.count("vld1q_s32(") == count
+        (block,) = _call_blocks(source.source, spelling)
+        assert block in loops and "vld1q_s32(" not in block
+        # the instruction reads and writes the same register
+        assert re.search(rf"(acc\d+\[[^\]]+\]) = .*{re.escape(spelling)}.*\1", block)
 
 
 @needs_toolchain
@@ -158,12 +242,10 @@ class TestHostBuildMatchesInterpreter:
     def test_residue_guarded_extent(self, name, tmp_path):
         """OW = 17 does not divide its tile: the instruction sits under a
         ``likely`` guard and must only touch the in-range lanes' memory."""
-        params = Conv2DParams(
-            in_channels=8, in_height=9, in_width=33, out_channels=16, kernel=1, stride=2,
-            name="residue",
-        )
-        func = _tensorized(params, name)
+        func = _tensorized(RESIDUE, name)
         assert collect(func.body, lambda s: isinstance(s, IfThenElse) and s.likely)
+        # The guard sits inside the band: no register tile.
+        _assert_one_call_at_a_time(generate_c(func), X86[name][1])
         _assert_host_build_matches_interpreter(func, tmp_path)
 
     @pytest.mark.parametrize("name", sorted(X86))
@@ -172,12 +254,9 @@ class TestHostBuildMatchesInterpreter:
         accumulator are strided in memory, so their *fill* goes through a
         stack array — the instruction itself is still emitted, once."""
         _, spelling, _ = X86[name]
-        params = Conv2DParams(
-            in_channels=8, in_height=5, in_width=31, out_channels=16, kernel=1, stride=2,
-            name="ow_lanes",
-        )
-        func = _tensorized(params, name, mapping_index=4)
+        func = _tensorized(OW_LANES, name, mapping_index=4)
         source = _assert_host_build_matches_interpreter(func, tmp_path)
+        _assert_one_call_at_a_time(source, spelling)  # a staged output: no register tile
         (block,) = _call_blocks(source.source, spelling)
         assert block.count(spelling) == 1
         data_reg = "vnni_a" if name.endswith("busd") else "vnni16_a"
@@ -199,6 +278,64 @@ class TestHostBuildMatchesInterpreter:
             check=True, capture_output=True, text=True,
         ).stdout
         assert source.instructions[0] in listing
+
+
+class _SwapCall(StmtMutator):
+    def __init__(self, call) -> None:
+        self.call = call
+
+    def mutate_intrinsiccall(self, stmt):
+        return self.call
+
+
+class TestRegisterTileRefusals:
+    """Bands whose accumulators may not stay in registers keep today's one
+    call at a time, and still match the interpreter byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(X86))
+    def test_more_registers_than_the_cap(self, name, tmp_path):
+        """``unroll_limit=32`` puts all 28 output columns of Table I layer 15
+        below its reduction loop: 28 registers, over the cap of 16.  Built on
+        a twin with the layer's width, kernel and stride and fewer rows and
+        channels, so the interpreter finishes."""
+        config = CpuTuningConfig(unroll_limit=32)
+        full = _tensorized(TABLE1_LAYERS[14], name, config=config)
+        assert _inner_registers(full) == 28
+        _assert_one_call_at_a_time(generate_c(full), X86[name][1])
+        twin = Conv2DParams(
+            in_channels=8, in_height=5, in_width=56, out_channels=16, kernel=1, stride=2,
+            name="layer15_rows",
+        )
+        func = _tensorized(twin, name, config=config)
+        assert _inner_registers(func) == 28
+        _assert_one_call_at_a_time(generate_c(func), X86[name][1])
+        _assert_host_build_matches_interpreter(func, tmp_path)
+
+    @pytest.mark.parametrize("halved", ["output", "accumulator"])
+    @pytest.mark.parametrize("name", sorted(X86))
+    def test_hand_built_band(self, name, halved, tmp_path):
+        """Hand-built from a band that tiles: the index of the output and its
+        accumulator (``"output"``), or of the accumulator alone
+        (``"accumulator"``), names the inner loop ``ow`` as ``ow // 2``.
+        Either two points below the reduction loops update one register's
+        memory, or a point reads another point's block: one call at a time
+        computes both right, registers loaded once per point would not."""
+        func = _tensorized(scaled_table1(TABLE1_LAYERS[1], spatial=4), name)
+        assert generate_c(func).tiled_nests == 1
+        (call,) = collect(func.body, lambda s: isinstance(s, IntrinsicCall))
+        out = call.output
+        (ow,) = [v for i in out.program_indices for v in E.free_vars(i) if v.name == "ow"]
+
+        def halve(binding):
+            indices = tuple(E.substitute(i, {ow: ow // 2}) for i in binding.program_indices)
+            return dataclasses.replace(binding, program_indices=indices)
+
+        inputs = [halve(b) if b.program_tensor is out.program_tensor else b for b in call.inputs]
+        output = halve(out) if halved == "output" else out
+        swapped = IntrinsicCall(call.intrin, inputs, output, call.axes, call.reads_output)
+        func = PrimFunc(func.name, func.params, _SwapCall(swapped).mutate(func.body), func.op)
+        _assert_one_call_at_a_time(generate_c(func), X86[name][1])
+        _assert_host_build_matches_interpreter(func, tmp_path)
 
 
 def _assert_stays_vectorized(func, macro):

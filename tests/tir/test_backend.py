@@ -382,7 +382,7 @@ class TestPromotionLifecycle:
         (promote,) = promotes
         assert promote.attrs["outcome"] == "promoted"
         assert promote.attrs["instructions"] == "vpdpbusd"
-        assert promote.attrs["tiled_nests"] == 0  # IntrinsicCall regions are not tiled
+        assert promote.attrs["tiled_nests"] == 1  # the intrinsic band's register tile
 
     def test_artefact_names_are_unique_across_threads(self):
         """Plans promoting on different threads hold different locks; the

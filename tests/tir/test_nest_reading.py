@@ -245,6 +245,16 @@ class TestOneReadingManyPolicies:
         assert below.parallel == (0,) and below.injective(loop_env([(y, 3)]))
         assert _tiles(func, monkeypatch) == [[[4], [5]]]
 
+    def test_injective_by_whole_blocks(self):
+        """``reach``: each point also writes ``reach`` elements past its
+        first (an instruction register's lanes), so points 2 apart write
+        disjoint blocks of 2 but overlapping blocks of 3."""
+        x, rk = E.Var("x"), E.Var("rk")
+        out = placeholder((8,), "int32", "out")
+        nest = read_nest(For(x, 4, For(rk, 5, Store(out, [x * 2], E.TensorLoad(out, [x * 2]) + 1))))
+        assert nest.parallel == (0,)
+        assert nest.injective() and nest.injective(reach=1) and not nest.injective(reach=2)
+
     def test_likely_guarded_ragged_split_stays_serial(self):
         out = _dense(5, 6)
         sch = create_schedule(out)
