@@ -1,6 +1,6 @@
-"""Tuning-service benchmark: coalescing, warm sharing, GC.
+"""Tuning-service benchmark: coalescing and warm sharing.
 
-Not a paper figure — this tracks the networked tuning daemon itself.  Three
+Not a paper figure — this tracks the networked tuning daemon itself.  Two
 sections:
 
 * **single_process** — the reference: one local ``TuningSession`` tunes the
@@ -11,11 +11,9 @@ sections:
   ``TuningKey`` was searched exactly once server-side (read-through hits +
   in-flight coalescing), that every client's records are bit-identical to
   the reference, and that a late client gets pure warm hits with zero
-  searches anywhere;
-* **gc** — LRU eviction over the populated store, then a re-tune of one
-  evicted key (a fresh search, proving memory and disk agree).
+  searches anywhere.
 
-A fourth section, ``--chaos``, is the restart drill and runs alone: a
+A third section, ``--chaos``, is the restart drill and runs alone: a
 *subprocess* daemon warms half the slice and is SIGKILLed, its store must
 audit clean under ``fsck``, and a new subprocess daemon started over the
 same store must serve the full sweep — warm keys without a single search,
@@ -142,35 +140,6 @@ def bench_coalesced_clients(root, layers, clients: int, reference: dict) -> dict
                 "stale_records": store_stats.stale_records,
             },
         }
-
-
-def bench_gc(root, layers, keep: int) -> dict:
-    """Populate, evict down to ``keep`` records, re-tune one evicted key."""
-    with TuningService(root) as service:
-        with ServiceClient(service.address, tune_timeout=120.0) as client:
-            client.warm(f"table1:{len(layers)}")
-            populated = service.session.searches_run
-            report = client.gc(max_records=keep)
-            assert report["kept"] == keep
-            stats = client.stats()
-            assert stats["store"]["evicted_records"] == len(layers) - keep
-            # Memory agreed with disk: an evicted key re-tunes from scratch.
-            before = service.session.searches_run
-            session = RemoteSession(service.address, tune_timeout=120.0)
-            runner = UnitCpuRunner(session=session)
-            runner.conv2d_latency(layers[0])
-            retuned = service.session.searches_run - before
-            # layers[0] was warmed first, hence least recently served, hence
-            # evicted — its re-tune must be a fresh search, not a stale
-            # memory hit the store can no longer vouch for.
-            assert retuned == 1, "daemon memory served a store-evicted record"
-            return {
-                "populated": populated,
-                "kept": report["kept"],
-                "evicted": report["evicted"],
-                "evicted_records_stat": stats["store"]["evicted_records"],
-                "retuned_after_eviction": retuned,
-            }
 
 
 def _spawn_daemon(root: str) -> tuple:
@@ -368,18 +337,12 @@ def main(argv=None) -> dict:
             f"({coalesced['coalesced_waiters']} coalesced, "
             f"{coalesced['mismatched_records']} mismatched)"
         )
-        gc = bench_gc(f"{root}/store-gc", layers, keep=max(1, args.layers // 2))
-        print(
-            f"gc               : kept {gc['kept']}/{gc['populated']}, "
-            f"evicted {gc['evicted']}, re-tuned {gc['retuned_after_eviction']}"
-        )
 
     single.pop("_records")
     report = {
         "benchmark": "tuning_service",
         "single_process": single,
         "coalesced_clients": coalesced,
-        "gc": gc,
     }
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2)

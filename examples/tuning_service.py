@@ -16,8 +16,7 @@ client machines share one warm corpus.  This example:
    request, so a third client's full sweep is pure warm hits;
 4. compiles a whole model with ``compile_model(session=RemoteSession(...))``
    — the drop-in path every figure driver shares;
-5. garbage-collects the store over the wire (LRU by last-served) and prints
-   the daemon's stats endpoint.
+5. prints the daemon's stats endpoint.
 
 Run:  PYTHONPATH=src python examples/tuning_service.py
 """
@@ -101,15 +100,12 @@ def main() -> None:
         print("\n== compile_model(session=RemoteSession(...)) ==")
         print(f"  resnet-18 x86           : {compiled.latency_ms:.3f} ms")
 
-        # 4. Store GC + stats over the wire.
+        # 4. Stats over the wire.
         with ServiceClient((host, port)) as admin:
-            gc = admin.gc(max_records=8)
             stats = admin.stats()
-        print("\n== GC + stats endpoint ==")
-        print(f"  gc                      : kept {gc['kept']}, evicted {gc['evicted']}")
+        print("\n== Stats endpoint ==")
         print(f"  requests served         : {stats['service']['requests']}")
         print(f"  store                   : {stats['store']['appends']} appends, "
-              f"{stats['store']['evicted_records']} evicted, "
               f"{stats['store']['corrupt_lines']} corrupt")
         print(f"\n  {service.summary()}")
 

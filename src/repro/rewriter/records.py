@@ -360,25 +360,8 @@ class TuningCache:
     def insert(self, record: TuningRecord) -> None:
         self._records[record.key] = record
 
-    def discard(self, key: TuningKey) -> bool:
-        """Drop the record for ``key`` if present; returns whether it was.
-
-        The memory-side half of store GC: a long-running process backed by
-        an evicted store must also forget the evicted keys, or its memory
-        tier would keep serving records the store no longer vouches for.
-        """
-        return self._records.pop(key, None) is not None
-
     def records(self) -> List[TuningRecord]:
         return list(self._records.values())
-
-    def clear(self) -> None:
-        self._records.clear()
-        self.reset_stats()
-
-    def reset_stats(self) -> None:
-        self._hits = 0
-        self._misses = 0
 
     @property
     def stats(self) -> CacheStats:

@@ -12,21 +12,18 @@ concurrent writers from the start:
   per-shard cross-process :class:`FileLock` (``fcntl``/``msvcrt`` where
   available, an exclusive-create lockfile otherwise), so two processes
   publishing into the same shard serialise instead of interleaving bytes;
-* duplicate appends for one key are resolved *last-wins* at read time, and
-  :meth:`ShardedTuningStore.compact` folds each shard down to one line per
-  key via a crash-safe write-to-temp-then-``os.replace`` — a reader or a
-  crash mid-compaction sees either the old file or the new one, never a
-  partial file;
+* duplicate appends for one key are resolved *last-wins* at read time; a
+  shard file only ever grows by appends, and only :meth:`ShardedTuningStore.fsck`
+  rewrites one (its quarantine repair, via a crash-safe
+  write-to-temp-then-``os.replace``: a reader or a crash mid-repair sees
+  either the old file or the new one, never a partial file);
 * every persisted line carries the record schema version and the cost-model
   fingerprint (:func:`~repro.rewriter.records.cost_model_fingerprint`), so a
   store tuned under an edited ``hwsim`` cost model invalidates itself instead
-  of serving stale winners;
-* every ``get`` hit and ``put`` *touches* its key with a last-served
-  timestamp (buffered in memory, persisted to per-shard ``served-XX.jsonl``
-  sidecars by :meth:`ShardedTuningStore.flush_touches` and through
-  :meth:`~ShardedTuningStore.compact`), which drives the store's GC policy:
-  :meth:`ShardedTuningStore.evict` drops records least-recently-served
-  first (``max_records=``) and records idle longer than ``max_idle=``.
+  of serving stale winners.
+
+The record set is bounded by the operators compiled (one best configuration
+per operator shape and target), so the store keeps everything it is given.
 
 :class:`~repro.rewriter.session.TuningSession` reads through this store
 (memory -> shard -> miss) and writes fresh records through to it; the
@@ -43,7 +40,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from ..retry import RetryPolicy
 from ..telemetry import metrics as _metrics
@@ -218,13 +215,16 @@ class _ShardView:
     """One handle's incremental view of a shard file.
 
     ``offset`` is the byte position up to which lines have been decoded into
-    ``records`` (last-wins per key).  Shards are append-only between
-    compactions, so a lookup only ever decodes the bytes appended since the
-    previous read instead of rescanning the whole file; a shrunken file
-    (compaction or ``clear`` by another process) resets the view.
+    ``records`` (last-wins per key) from the file whose inode is ``inode``.
+    Shards only grow by appends, so a lookup only ever decodes the bytes
+    appended since the previous read instead of rescanning the whole file.
+    A file with another inode (another handle's
+    :meth:`ShardedTuningStore.fsck` replaced it) or fewer bytes than
+    ``offset`` resets the view: its offsets point into the old file.
     """
 
     offset: int = 0
+    inode: int = -1
     records: Dict[TuningKey, TuningRecord] = dataclasses.field(default_factory=dict)
 
     def reset(self) -> None:
@@ -248,11 +248,6 @@ class StoreStats:
     records_scanned: int = 0
     corrupt_lines: int = 0
     stale_records: int = 0
-    compactions: int = 0
-    compacted_away: int = 0
-    touches: int = 0
-    gc_runs: int = 0
-    evicted_records: int = 0
     lock_acquisitions: int = 0
     lock_contentions: int = 0
     lock_wait_seconds: float = 0.0
@@ -268,7 +263,10 @@ class ShardedTuningStore:
     (shard-count metadata, so every opener agrees on the partitioning),
     ``shard-XX.jsonl`` data files and ``shard-XX.lock`` lock files.  The
     shard count is fixed at creation; a later opener's ``shards`` argument is
-    ignored in favour of the stored one.
+    ignored in favour of the stored one.  Any other file in ``root`` (such
+    as the ``served-XX.jsonl`` last-served sidecars older stores kept) is
+    neither read nor deleted, except the ``*.tmp.*`` leftovers :meth:`fsck`
+    sweeps.
 
     All methods are safe against concurrent use from other processes; one
     store *handle* is not itself thread-safe (give each thread or process
@@ -290,7 +288,6 @@ class ShardedTuningStore:
         ]
         self._views = [_ShardView() for _ in range(self.num_shards)]
         self._counters = StoreStats()
-        self._touched: Dict[TuningKey, float] = {}
 
     # -- layout ---------------------------------------------------------------
     def _meta_path(self) -> str:
@@ -301,9 +298,6 @@ class ShardedTuningStore:
 
     def _lock_path(self, index: int) -> str:
         return os.path.join(self.root, f"shard-{index:02d}.lock")
-
-    def served_path(self, index: int) -> str:
-        return os.path.join(self.root, f"served-{index:02d}.jsonl")
 
     def quarantine_path(self, index: int) -> str:
         return os.path.join(self.root, f"quarantine-{index:02d}.jsonl")
@@ -372,7 +366,6 @@ class ShardedTuningStore:
                 handle.flush()
                 os.fsync(handle.fileno())
         self._counters.appends += 1
-        self._touch(record.key)  # a fresh record was produced for a requester
         return index
 
     @staticmethod
@@ -409,13 +402,13 @@ class ShardedTuningStore:
         """This handle's up-to-date last-wins view of one shard.
 
         Only bytes appended since the previous scan are read and decoded
-        (the shard is append-only between compactions); a file that shrank —
-        compacted or cleared by another process — resets the view and is
-        re-read from the start.  An unterminated tail can only come from a
-        writer that crashed mid-append (completed puts are flushed before
-        the shard lock is released, and we read under that lock), so it is
-        counted corrupt and skipped; a later append then starts a fresh,
-        decodable line after it.
+        (the shard only grows by appends); a file that was replaced —
+        repaired by another handle's :meth:`fsck`, and perhaps appended to
+        since — resets the view and is re-read from the start.  An
+        unterminated tail can only come from a writer that crashed
+        mid-append (completed puts are flushed before the shard lock is
+        released, and we read under that lock), so it is counted corrupt and
+        skipped; a later append then starts a fresh, decodable line after it.
         """
         path = self.shard_path(index)
         view = self._views[index]
@@ -423,9 +416,11 @@ class ShardedTuningStore:
             view.reset()
             return view.records
         with self._locked(index):
-            size = os.path.getsize(path)
-            if size < view.offset:
+            stat = os.stat(path)
+            size = stat.st_size
+            if stat.st_ino != view.inode or size < view.offset:
                 view.reset()
+                view.inode = stat.st_ino
             if size == view.offset:
                 return view.records
             with open(path, "rb") as handle:
@@ -451,7 +446,6 @@ class ShardedTuningStore:
         else:
             self._counters.hits += 1
             _metrics.count("store.hits")
-            self._touch(key)
         return found
 
     def load_into(self, cache: TuningCache) -> int:
@@ -473,161 +467,7 @@ class ShardedTuningStore:
         """Distinct keys currently stored (reads every shard)."""
         return len(self.load())
 
-    # -- last-served tracking (the GC clock) ----------------------------------
-
-    # Auto-flush the touch buffer past this size: touches are buffered so a
-    # get never pays a disk append, but an unbounded buffer means a process
-    # that exits without flushing silently loses its whole service history.
-    TOUCH_FLUSH_THRESHOLD = 256
-
-    def _touch(self, key: TuningKey, when: Optional[float] = None) -> None:
-        """Buffer a last-served timestamp for ``key`` (flushed lazily)."""
-        self._touched[key] = time.time() if when is None else when
-        self._counters.touches += 1
-        if len(self._touched) >= self.TOUCH_FLUSH_THRESHOLD:
-            self.flush_touches()
-
-    def touch(self, key: TuningKey, when: Optional[float] = None) -> None:
-        """Record that ``key`` was served by a tier *above* this store.
-
-        A long-running daemon promotes hot records into an in-memory cache
-        and stops calling :meth:`get` for them; without this, the store's
-        last-served clock would freeze at promotion time and LRU GC would
-        evict exactly the hottest records.  Callers with a memory tier must
-        touch through on their own cache hits.
-        """
-        self._touch(key, when)
-
-    def flush_touches(self) -> int:
-        """Persist buffered last-served timestamps to the shard sidecars.
-
-        Touches accumulate in memory (a ``get`` must not pay a disk append)
-        and are appended — one JSON line per key, under the shard lock — to
-        ``served-XX.jsonl`` here, from :meth:`compact` and from
-        :meth:`evict`.  Returns the number of entries written.
-        """
-        if not self._touched:
-            return 0
-        buffered, self._touched = self._touched, {}
-        by_shard: Dict[int, List[TuningKey]] = {}
-        for key in buffered:
-            by_shard.setdefault(self.shard_of(key), []).append(key)
-        for index, keys in by_shard.items():
-            with self._locked(index):
-                with open(self.served_path(index), "a", encoding="utf-8") as handle:
-                    for key in keys:
-                        entry = {"served": key.to_json(), "t": buffered[key]}
-                        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-                    handle.flush()
-                    os.fsync(handle.fileno())
-        return sum(len(keys) for keys in by_shard.values())
-
-    def _read_served(self, index: int) -> Dict[TuningKey, float]:
-        """The persisted last-served map of one shard (latest timestamp wins).
-
-        Call with the shard lock held (or on a quiesced store): the sidecar
-        is append-only between rewrites.  Undecodable lines are skipped —
-        losing a timestamp only makes its record *older* to the GC, never
-        corrupts a record.
-        """
-        served: Dict[TuningKey, float] = {}
-        path = self.served_path(index)
-        if not os.path.exists(path):
-            return served
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                    key = TuningKey.from_json(data["served"])
-                    stamp = float(data["t"])
-                except (ValueError, KeyError, TypeError):
-                    continue
-                if stamp >= served.get(key, float("-inf")):
-                    served[key] = stamp
-        return served
-
-    def last_served(self, key: TuningKey) -> Optional[float]:
-        """When ``key`` was last served (buffered or persisted), or ``None``."""
-        buffered = self._touched.get(key)
-        index = self.shard_of(key)
-        with self._locked(index):
-            persisted = self._read_served(index).get(key)
-        stamps = [s for s in (buffered, persisted) if s is not None]
-        return max(stamps) if stamps else None
-
-    def _rewrite_shard(
-        self,
-        index: int,
-        records: Dict[TuningKey, TuningRecord],
-        served: Dict[TuningKey, float],
-    ) -> None:
-        """Atomically replace one shard (and its served sidecar) with exactly
-        ``records`` / ``served``.  Call with the shard lock held."""
-        path = self.shard_path(index)
-        tmp = path + f".tmp.{os.getpid()}"
-        faults.fire("store.compact", path=path, tmp=tmp)
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for record in records.values():
-                handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        served_path = self.served_path(index)
-        tmp = served_path + f".tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for key, stamp in served.items():
-                entry = {"served": key.to_json(), "t": stamp}
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, served_path)
-        self._fsync_dir()
-
     # -- maintenance ----------------------------------------------------------
-    def compact(self) -> Dict[str, int]:
-        """Fold every shard down to one line per key, dropping dead lines.
-
-        Per shard, under its lock: read everything, keep the last valid
-        record per key, write them to a temporary file in the same directory
-        (flush + fsync) and atomically ``os.replace`` it over the shard.  A
-        crash at any point leaves either the old shard or the new one — never
-        a half-written file — and the shard lock keeps concurrent appenders
-        out of the window between read and replace.
-
-        Last-served timestamps survive compaction: buffered touches are
-        flushed first, then each shard's ``served-XX.jsonl`` sidecar is
-        folded down to one line per surviving key alongside the shard
-        itself.
-        """
-        self.flush_touches()
-        kept = 0
-        dropped = 0
-        for index in range(self.num_shards):
-            path = self.shard_path(index)
-            if not os.path.exists(path):
-                continue
-            with self._locked(index):
-                with open(path, "r", encoding="utf-8") as handle:
-                    lines = handle.readlines()
-                latest: Dict[TuningKey, TuningRecord] = {}
-                for record in self._decode_lines(lines):
-                    latest[record.key] = record
-                served = {
-                    key: stamp
-                    for key, stamp in self._read_served(index).items()
-                    if key in latest
-                }
-                self._rewrite_shard(index, latest, served)
-            self._views[index].reset()  # rewritten: our byte offsets are void
-            kept += len(latest)
-            dropped += len([l for l in lines if l.strip()]) - len(latest)
-            self._counters.compactions += 1
-        self._counters.compacted_away += dropped
-        return {"kept": kept, "dropped": dropped}
-
     def fsck(self, quarantine: bool = True) -> Dict[str, int]:
         """Audit every shard after a crash; optionally repair in place.
 
@@ -637,15 +477,15 @@ class ShardedTuningStore:
         * **valid** records — kept (and counted);
         * **stale** records — valid lines from another schema or cost-model
           fingerprint: counted but *left in place* (they are data, not
-          damage; :meth:`compact` is the pass that folds them away);
+          damage);
         * **corrupt** lines — torn tails from a crashed append, bit rot,
           foreign garbage: with ``quarantine=True`` they are moved verbatim
           to ``quarantine-XX.jsonl`` (append + fsync, so nothing is ever
           destroyed by the repair itself) and the shard is rewritten with
           the surviving lines in their original order.
 
-        Leftover ``*.tmp.*`` files from a crashed compaction are deleted —
-        their ``os.replace`` never happened, so the shard beside them is
+        Leftover ``*.tmp.*`` files from a crashed rewrite are deleted —
+        their ``os.replace`` never happened, so the file beside them is
         intact and the temp is pure garbage.  With ``quarantine=False``
         nothing is modified (the ``--check`` dry run).
 
@@ -720,112 +560,6 @@ class ShardedTuningStore:
         report["clean"] = int(report["corrupt"] == 0 and report["tmp_files"] == 0)
         return report
 
-    def evict(
-        self,
-        max_records: Optional[int] = None,
-        max_idle: Optional[float] = None,
-        now: Optional[float] = None,
-    ) -> Dict[str, int]:
-        """GC the store: LRU eviction by last-served timestamp.
-
-        ``max_idle`` (seconds) first drops every record whose last service
-        is older than ``now - max_idle``; ``max_records`` then drops the
-        least-recently-served survivors until at most that many remain.
-        A record that was never touched through a flushing handle has no
-        timestamp and counts as *least* recently served — the store cannot
-        justify keeping what nobody is reading.  Eviction rewrites each
-        affected shard with the same crash-safe replace as :meth:`compact`
-        (so it also folds duplicates away) and keeps the served sidecars in
-        sync.  Returns ``{"kept", "evicted", "by_idle", "by_count",
-        "evicted_keys"}`` — the keys so a caller with a memory tier above
-        this store (the tuning daemon) can forget them too.
-        """
-        if max_records is not None and max_records < 0:
-            raise ValueError("max_records must be non-negative")
-        if max_idle is not None and max_idle < 0:
-            raise ValueError("max_idle must be non-negative")
-        self.flush_touches()
-        now = time.time() if now is None else now
-        shard_records: List[Dict[TuningKey, TuningRecord]] = []
-        shard_served: List[Dict[TuningKey, float]] = []
-        for index in range(self.num_shards):
-            with self._locked(index):
-                path = self.shard_path(index)
-                if os.path.exists(path):
-                    with open(path, "r", encoding="utf-8") as handle:
-                        lines = handle.readlines()
-                else:
-                    lines = []
-                latest: Dict[TuningKey, TuningRecord] = {}
-                for record in self._decode_lines(lines):
-                    latest[record.key] = record
-                shard_records.append(latest)
-                shard_served.append(self._read_served(index))
-
-        never = float("-inf")
-        stamp_of = lambda index, key: shard_served[index].get(key, never)
-        evicted: List[Tuple[int, TuningKey]] = []
-        by_idle = 0
-        if max_idle is not None:
-            for index, latest in enumerate(shard_records):
-                for key in list(latest):
-                    if now - stamp_of(index, key) > max_idle:
-                        evicted.append((index, key))
-                        del latest[key]
-                        by_idle += 1
-        by_count = 0
-        total = sum(len(latest) for latest in shard_records)
-        if max_records is not None and total > max_records:
-            ranked = sorted(
-                ((index, key) for index, latest in enumerate(shard_records) for key in latest),
-                key=lambda pair: stamp_of(*pair),
-            )
-            for index, key in ranked[: total - max_records]:
-                evicted.append((index, key))
-                del shard_records[index][key]
-                by_count += 1
-
-        # Rewrite phase: re-read each *affected* shard under its lock and
-        # drop exactly the evicted keys from the fresh contents, so a record
-        # another process appended between the scan and this rewrite
-        # survives.  Shards that lost nothing are left untouched — a no-op
-        # GC must not rewrite and fsync the whole store under its locks
-        # (compact() is the explicit fold-duplicates pass).
-        dead: Dict[int, set] = {}
-        for index, key in evicted:
-            dead.setdefault(index, set()).add(key)
-        survivors = {index: len(latest) for index, latest in enumerate(shard_records)}
-        for index in sorted(dead):
-            path = self.shard_path(index)
-            if not os.path.exists(path):
-                continue
-            with self._locked(index):
-                with open(path, "r", encoding="utf-8") as handle:
-                    lines = handle.readlines()
-                latest = {}
-                for record in self._decode_lines(lines):
-                    latest[record.key] = record
-                for key in dead[index]:
-                    latest.pop(key, None)
-                served = {
-                    key: stamp
-                    for key, stamp in self._read_served(index).items()
-                    if key in latest
-                }
-                self._rewrite_shard(index, latest, served)
-            self._views[index].reset()
-            survivors[index] = len(latest)
-        kept = sum(survivors.values())
-        self._counters.gc_runs += 1
-        self._counters.evicted_records += len(evicted)
-        return {
-            "kept": kept,
-            "evicted": len(evicted),
-            "by_idle": by_idle,
-            "by_count": by_count,
-            "evicted_keys": [key for _, key in evicted],
-        }
-
     def _fsync_dir(self) -> None:
         # Make the rename itself durable where the platform allows it.
         try:
@@ -836,16 +570,6 @@ class ShardedTuningStore:
             os.fsync(fd)
         finally:
             os.close(fd)
-
-    def clear(self) -> None:
-        """Delete every shard's data (the store layout and metadata remain)."""
-        for index in range(self.num_shards):
-            with self._locked(index):
-                for path in (self.shard_path(index), self.served_path(index)):
-                    if os.path.exists(path):
-                        os.unlink(path)
-            self._views[index].reset()
-        self._touched.clear()
 
     # -- accounting -----------------------------------------------------------
     @property

@@ -5,7 +5,7 @@ shareable across *processes* on one machine; this package makes it
 shareable across *machines* through one daemon:
 
 * :mod:`repro.service.protocol` — the versioned, length-prefixed JSON wire
-  protocol (tune / get / put / stats / gc / warm / shutdown);
+  protocol (ping / get / put / tune / stats / warm / shutdown);
 * :mod:`repro.service.server` — :class:`TuningService`, a threaded TCP
   daemon wrapping one store + session, with in-flight request coalescing
   (each unique :class:`~repro.rewriter.records.TuningKey` is searched at
@@ -30,7 +30,7 @@ Failures are handled without a second daemon:
 * **deterministic fault injection** — :mod:`repro.testing.faults` names the
   failure points in protocol/server/store and drives the seeded chaos suite.
 
-``python -m repro.service serve|status|gc|warm|ping|fsck|shutdown`` is the
+``python -m repro.service serve|status|warm|ping|fsck|shutdown`` is the
 CLI.
 """
 

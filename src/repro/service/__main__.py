@@ -3,13 +3,12 @@
 ========  ====================================================================
 serve      run the daemon in the foreground over a store directory
 status     print the daemon's stats (requests, coalescing, store, caches)
-gc         run LRU store eviction on the daemon (``--max-records/--max-idle``)
 warm       pre-tune a named sweep into the daemon's store (``table1``,
            ``table1:K`` for its first K layers, or a model-zoo name such as
            ``resnet-18``)
 ping       liveness probe
 fsck       audit a store directory *offline* (no daemon): quarantine torn
-           shard lines, sweep leftover compaction temp files
+           shard lines, sweep leftover temp files of an interrupted repair
 shutdown   stop the daemon after in-flight requests drain
 ========  ====================================================================
 
@@ -18,7 +17,6 @@ Examples::
     python -m repro.service serve --root tuning_store --port 9461
     python -m repro.service warm --sweep table1 --port 9461
     python -m repro.service status --port 9461
-    python -m repro.service gc --max-records 500 --max-idle 86400 --port 9461
     python -m repro.service fsck --root tuning_store
     python -m repro.service shutdown --port 9461
 """
@@ -56,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="run the tuning daemon in the foreground")
     _add_endpoint(serve)
     serve.add_argument("--root", default="tuning_store", help="store directory")
-    serve.add_argument("--shards", type=int, default=8, help="shard count on creation")
     serve.add_argument(
         "--strategy",
         choices=("exhaustive",),
@@ -82,13 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="report only (no quarantine/cleanup); exit 1 when not clean",
-    )
-
-    gc = sub.add_parser("gc", help="evict least-recently-served store records")
-    _add_endpoint(gc)
-    gc.add_argument("--max-records", type=int, default=None, help="LRU size cap")
-    gc.add_argument(
-        "--max-idle", type=float, default=None, help="drop records idle this many seconds"
     )
 
     warm = sub.add_parser("warm", help="pre-tune a named sweep into the store")
@@ -129,12 +119,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "serve":
-        service = TuningService(
-            args.root,
-            host=args.host,
-            port=args.port,
-            shards=args.shards,
-        )
+        service = TuningService(args.root, host=args.host, port=args.port)
         service.start()
         host, port = service.address
         print(f"tuning service listening on {host}:{port} over {args.root!r}", flush=True)
@@ -142,8 +127,7 @@ def main(argv=None) -> int:
             service.serve_until_stopped()
         finally:
             # Also reached after a shutdown RPC: stop() is idempotent and
-            # blocks until the RPC's own stop (touch flush included) is
-            # done, so the process never exits with unflushed GC stamps.
+            # blocks until the RPC's own stop is done.
             service.stop()
         print(service.summary())
         return 0
@@ -152,11 +136,6 @@ def main(argv=None) -> int:
         with _client(args) as client:
             if args.command == "status":
                 response = client.stats()
-            elif args.command == "gc":
-                if args.max_records is None and args.max_idle is None:
-                    print("gc needs --max-records and/or --max-idle", file=sys.stderr)
-                    return 2
-                response = client.gc(max_records=args.max_records, max_idle=args.max_idle)
             elif args.command == "warm":
                 response = client.warm(args.sweep)
             elif args.command == "ping":

@@ -222,11 +222,6 @@ class ServiceClient:
     def stats(self) -> dict:
         return self.request("stats")
 
-    def gc(
-        self, max_records: Optional[int] = None, max_idle: Optional[float] = None
-    ) -> dict:
-        return self.request("gc", max_records=max_records, max_idle=max_idle)
-
     def warm(self, sweep: str) -> dict:
         """Have the server tune a whole named sweep before answering
         ``{tasks, tuned, hits}`` (see :func:`~repro.service.server.expand_sweep`)."""

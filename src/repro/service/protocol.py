@@ -16,7 +16,6 @@ Requests are ``{"op": <name>, ...}``; the operations are
 ``put``      publish one :class:`~repro.rewriter.records.TuningRecord`
 ``tune``     ensure a key is tuned *server-side* (concurrent requests coalesce)
 ``stats``    server / session / store / coalescing counters
-``gc``       run :meth:`ShardedTuningStore.evict` on the server's store
 ``warm``     tune a named sweep (Table I slice or a model-zoo model) before
              answering ``{tasks, tuned, hits}``
 ``shutdown`` stop serving after the in-flight requests drain
@@ -56,7 +55,9 @@ __all__ = [
 
 # Version of the framing + request/response envelope.  Bump on any change a
 # peer from the previous release could misread.  2: ``warm`` always tunes
-# its sweep before answering, and ``tune`` takes no sweep hint.
+# its sweep before answering, and ``tune`` takes no sweep hint.  Dropping an
+# op needs no bump: a peer that still sends it gets the coded ``unknown_op``
+# error.
 PROTOCOL_VERSION = 2
 
 # Where ``python -m repro.service serve`` listens, and where every CLI that
@@ -70,7 +71,7 @@ MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
 
-OPS = ("ping", "get", "put", "tune", "stats", "gc", "warm", "shutdown")
+OPS = ("ping", "get", "put", "tune", "stats", "warm", "shutdown")
 
 
 class ProtocolError(RuntimeError):

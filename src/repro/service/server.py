@@ -77,9 +77,11 @@ class _LockedStore:
     """A :class:`ShardedTuningStore` handle made safe for handler threads.
 
     One store *handle* is documented single-threaded (incremental shard
-    views, touch buffer); the daemon owns exactly one and serialises every
-    operation on it behind a lock.  File-level locking still protects the
-    shards from *other processes* — this lock only protects the handle.
+    views, counters); the daemon owns exactly one and serialises every
+    operation on it behind a lock.  Attributes are read under the lock too,
+    so a property such as ``stats`` is computed in one consistent pass.
+    File-level locking still protects the shards from *other processes* —
+    this lock only protects the handle.
     """
 
     def __init__(self, store: ShardedTuningStore) -> None:
@@ -87,7 +89,8 @@ class _LockedStore:
         self._lock = threading.Lock()
 
     def __getattr__(self, name):
-        value = getattr(self._store, name)
+        with self._lock:
+            value = getattr(self._store, name)
         if not callable(value):
             return value
         def locked(*args, **kwargs):
@@ -178,10 +181,9 @@ class TuningService:
         store_root,
         host: str = "127.0.0.1",
         port: int = 0,
-        shards: int = 8,
         tune_timeout: float = 300.0,
     ) -> None:
-        self.store = _LockedStore(ShardedTuningStore(store_root, shards=shards))
+        self.store = _LockedStore(ShardedTuningStore(store_root))
         self.session = TuningSession(store=self.store)
         self.host = host
         self.port = port
@@ -243,13 +245,13 @@ class TuningService:
         return self
 
     def stop(self) -> None:
-        """Stop accepting, join the accept loop, flush the store.
+        """Stop accepting and join the accept loop.
 
         Idempotent and thread-safe: the shutdown RPC stops the service from
         a daemon thread while the foreground (CLI ``serve``) may call
         ``stop()`` on its way out — whoever arrives second blocks until the
-        first finishes, so the process cannot exit before the last-served
-        touch buffer reaches disk.
+        first finishes.  Every acknowledged ``put`` is already on disk
+        (append + fsync), so there is nothing to flush.
 
         Coalesced ``tune`` waiters parked on an in-flight search are woken
         *now* with a clean ``shutting_down`` error — before the stop lock
@@ -266,12 +268,11 @@ class TuningService:
             if self._accept is not None:
                 self._accept.join(timeout=10.0)
                 self._accept = None
-            self.store.flush_touches()
 
     def kill(self) -> None:
         """Abrupt termination for crash drills: the in-process ``kill -9``.
 
-        No drain, no thread join, no touch flush — the listener closes,
+        No drain, no thread join — the listener closes,
         every live connection is torn down (clients observe a reset, never
         a hang) and coalesced waiters are released.  The store is left
         exactly as the last fsync left it, which is precisely the state
@@ -393,10 +394,6 @@ class TuningService:
     def _op_get(self, message: Dict) -> Dict:
         key = TuningKey.from_json(message["key"])
         record = self.session._lookup(key)
-        if record is not None:
-            # A memory-tier hit must still advance the store's last-served
-            # clock, or LRU GC would evict exactly the hottest records.
-            self.store.touch(key)
         return protocol.ok_response(
             found=record is not None,
             record=record.to_json() if record is not None else None,
@@ -428,17 +425,6 @@ class TuningService:
 
     def _op_stats(self, message: Dict) -> Dict:
         return protocol.ok_response(**self._snapshot())
-
-    def _op_gc(self, message: Dict) -> Dict:
-        report = self.store.evict(
-            max_records=message.get("max_records"),
-            max_idle=message.get("max_idle"),
-        )
-        # The memory tier must forget what the store evicted, or this daemon
-        # would keep serving records the fleet's GC policy retired.
-        for key in report.pop("evicted_keys"):
-            self.session.cache.discard(key)
-        return protocol.ok_response(**report)
 
     def _op_warm(self, message: Dict) -> Dict:
         try:
@@ -520,7 +506,6 @@ class TuningService:
         with self._gate:
             record = self.session._lookup(key)
             if record is not None:
-                self.store.touch(key)  # memory hits feed the GC clock too
                 return record, "hit"
             entry = self._inflight.get(key)
             if entry is not None:

@@ -86,9 +86,7 @@ def format_output(
     click.echo(_plain_table(rows, columns, title))
 
 
-def _when(created_unix: Optional[float]) -> str:
-    if not created_unix:
-        return "-"
+def _when(created_unix: float) -> str:
     return time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(created_unix))
 
 
@@ -293,19 +291,14 @@ def service(
         ("uptime_s", f"{stats.get('uptime_s', 0.0):.1f}"),
     ]
     for section in ("service", "session", "store", "expr_cache"):
-        payload = stats.get(section)
-        if not isinstance(payload, dict):
-            continue
-        for key, value in sorted(payload.items()):
+        for key, value in sorted(stats[section].items()):
             if isinstance(value, dict):
                 for sub_key, sub_value in sorted(value.items()):
                     rows.append((f"{section}.{key}.{sub_key}", sub_value))
             else:
                 rows.append((f"{section}.{key}", value))
-    telemetry = stats.get("telemetry")
-    if isinstance(telemetry, dict):
-        for key, value in sorted(telemetry.items()):
-            rows.append((f"telemetry.{key}", value))
+    for key, value in sorted(stats["telemetry"].items()):
+        rows.append((f"telemetry.{key}", value))
     format_output(rows, ["metric", "value"], fmt, title=f"service {host}:{port}")
 
 

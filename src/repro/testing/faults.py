@@ -1,7 +1,7 @@
 """Deterministic fault injection for the tuning service and store.
 
 The service's failure paths (socket resets, torn frames, daemon crashes,
-partial shard appends, stale locks, full disks) are exactly the paths a
+partial shard appends, stale locks) are exactly the paths a
 stress test cannot reach on demand — they depend on the kernel killing a
 process at the right byte.  This module makes them *schedulable*: the
 production modules call :func:`fire` at named **injection points**, and a
@@ -33,8 +33,6 @@ Injection points
                     ``handle``, ``line``) — partial appends (torn tails)
 ``store.lock``      a shard lock is about to be acquired (context: ``path``)
                     — contended/stale locks
-``store.compact``   a shard is about to be rewritten (context: ``path``,
-                    ``tmp``) — disk-full mid-compaction
 ``backend.qualify`` the sandbox child is about to run the candidate kernel
                     (context: ``func_name``, ``where="sandbox"``) —
                     segfaulting/OOMing/hanging kernels
@@ -75,7 +73,6 @@ __all__ = [
     "delay",
     "crash_daemon",
     "partial_append",
-    "disk_full",
     "contend_lock",
     "segfault",
     "hang",
@@ -89,7 +86,6 @@ POINTS = (
     "server.respond",
     "store.append",
     "store.lock",
-    "store.compact",
     "backend.qualify",
 )
 
@@ -300,11 +296,6 @@ def partial_append(fraction: float = 0.5) -> Callable[[Injection], None]:
         raise InjectedFault("injected crash mid-append")
 
     return action
-
-
-def disk_full(injection: Injection) -> None:
-    """``ENOSPC`` at the call site (``store.compact``)."""
-    raise OSError(errno.ENOSPC, "injected: no space left on device")
 
 
 def contend_lock(hold_s: float = 0.05) -> Callable[[Injection], None]:

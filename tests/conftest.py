@@ -165,6 +165,62 @@ def small_matmul_fp16(m=32, n=32, k=32):
     )
 
 
+def store_with_gc_sidecars(root):
+    """A tuning-store directory laid out the way releases with LRU store GC
+    left one: every key appended three times (the last append wins), a
+    ``served-XX.jsonl`` last-served sidecar per shard, and the
+    ``shard-00.jsonl.tmp.<pid>`` temp of an interrupted shard rewrite.
+    Lines use those releases' format (``json.dumps(..., sort_keys=True)``).
+
+    Returns ``(latest, sidecars, temp)``: the record each key must serve,
+    the sidecar paths and the temp file's path.
+    """
+    import json
+    import os
+
+    from repro.hwsim import CostBreakdown
+    from repro.rewriter import CpuTuningConfig, ShardedTuningStore, TuningKey, TuningRecord
+
+    store = ShardedTuningStore(root, shards=2)
+    keys = [
+        TuningKey(
+            kind="conv2d",
+            params=(("index", index),),
+            intrinsic="x86.avx512.vpdpbusd",
+            machine="cascade-lake",
+            space="full@gc-era",
+        )
+        for index in range(6)
+    ]
+    latest = {}
+    for attempt in range(3):  # interleaved duplicates, as concurrent puts leave them
+        for index, key in enumerate(keys):
+            cost = (index + 1) * 1e-5 * (3 - attempt)
+            record = TuningRecord(
+                key=key,
+                best_config=CpuTuningConfig(unroll_limit=2 + attempt),
+                best_cost=cost,
+                num_trials=3,
+                breakdown=CostBreakdown(seconds=cost),
+            )
+            with open(store.shard_path(store.shard_of(key)), "a", encoding="utf-8") as handle:
+                handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+            latest[key] = record
+    sidecars = []
+    for index in range(store.num_shards):
+        path = os.path.join(store.root, f"served-{index:02d}.jsonl")
+        with open(path, "a", encoding="utf-8") as handle:
+            for stamp, key in enumerate(keys):
+                if store.shard_of(key) == index:
+                    entry = {"served": key.to_json(), "t": 1000.0 + stamp}
+                    handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        sidecars.append(path)
+    temp = store.shard_path(0) + ".tmp.4242"
+    with open(temp, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(latest[keys[0]].to_json(), sort_keys=True)[:40])
+    return latest, sidecars, temp
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -20,6 +20,7 @@ from repro.rewriter import (
     params_fingerprint,
 )
 from repro.workloads import table1_layer
+from tests.conftest import store_with_gc_sidecars
 
 
 def _key(index: int, kind: str = "conv2d") -> TuningKey:
@@ -169,54 +170,6 @@ class TestCorruptionAndVersioning:
         assert store.stats.stale_records == 0
 
 
-class TestCompaction:
-    def test_compact_folds_duplicates(self, tmp_path):
-        store = ShardedTuningStore(tmp_path / "s", shards=2)
-        for _ in range(5):
-            store.put(_record(1, cost=9.0))
-        store.put(_record(1, cost=1.0))
-        store.put(_record(2))
-        report = store.compact()
-        assert report == {"kept": 2, "dropped": 5}
-        # Logical content is unchanged; last-wins survived.
-        assert store.get(_key(1)).best_cost == 1.0
-        assert store.get(_key(2)) is not None
-        # Physically one line per key now.
-        lines = sum(
-            len(open(store.shard_path(i), encoding="utf-8").readlines())
-            for i in range(store.num_shards)
-            if os.path.exists(store.shard_path(i))
-        )
-        assert lines == 2
-
-    def test_compact_drops_corrupt_and_stale_lines(self, tmp_path):
-        store = ShardedTuningStore(tmp_path / "s", shards=1)
-        store.put(_record(1))
-        stale = _record(2).to_json()
-        stale["schema"] = SCHEMA_VERSION + 1
-        with open(store.shard_path(0), "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(stale) + "\n")
-            handle.write("not json at all\n")
-        store.compact()
-        fresh = ShardedTuningStore(tmp_path / "s")
-        assert len(fresh.load()) == 1
-        assert fresh.stats.corrupt_lines == 0 and fresh.stats.stale_records == 0
-
-    def test_compact_leaves_no_temp_files(self, tmp_path):
-        store = ShardedTuningStore(tmp_path / "s", shards=4)
-        for index in range(8):
-            store.put(_record(index))
-        store.compact()
-        leftovers = [n for n in os.listdir(store.root) if ".tmp." in n]
-        assert leftovers == []
-
-    def test_clear(self, tmp_path):
-        store = ShardedTuningStore(tmp_path / "s", shards=2)
-        store.put(_record(1))
-        store.clear()
-        assert len(store.load()) == 0
-
-
 class TestFileLock:
     def test_mutual_exclusion_within_process(self, tmp_path):
         path = tmp_path / "x.lock"
@@ -342,17 +295,40 @@ class TestIncrementalScan:
         assert store.get(_key(2)) is not None
         assert store.stats.corrupt_lines == 1  # tail counted exactly once
 
-    def test_view_resets_after_external_compaction(self, tmp_path):
+    def test_view_resets_after_external_fsck_repair(self, tmp_path):
+        """Another handle's quarantine repair shrinks the shard; a reader
+        whose view is past the old end must re-read, not seek into it."""
         reader = ShardedTuningStore(tmp_path / "s", shards=1)
-        writer = ShardedTuningStore(tmp_path / "s")
-        for _ in range(4):
-            writer.put(_record(1, cost=9.0))
-        writer.put(_record(1, cost=1.0))
+        repairer = ShardedTuningStore(tmp_path / "s")
+        repairer.put(_record(1, cost=9.0))
+        with open(repairer.shard_path(0), "a", encoding="utf-8") as handle:
+            handle.write("x" * 4096 + "\n")  # a long corrupt line
+        repairer.put(_record(1, cost=1.0))
         assert reader.get(_key(1)).best_cost == 1.0  # reader's view is warm
-        writer.compact()  # another process rewrites the shard
-        writer.put(_record(2))
+        size = os.path.getsize(reader.shard_path(0))
+        assert repairer.fsck()["quarantined"] == 1  # the shard shrank
+        repairer.put(_record(2))
+        assert os.path.getsize(reader.shard_path(0)) < size
         assert reader.get(_key(2)) is not None  # shrunken file reset the view
         assert reader.get(_key(1)).best_cost == 1.0
+
+    def test_view_resets_after_external_repair_and_regrowth(self, tmp_path):
+        """A repaired shard that grew back past the reader's old offset must
+        still be re-read from the start, not from that offset."""
+        reader = ShardedTuningStore(tmp_path / "s", shards=1)
+        repairer = ShardedTuningStore(tmp_path / "s")
+        repairer.put(_record(0))
+        with open(repairer.shard_path(0), "a", encoding="utf-8") as handle:
+            handle.write("garbage\n")
+        repairer.put(_record(1))
+        assert reader.get(_key(1)) is not None  # reader's view is warm
+        size = os.path.getsize(reader.shard_path(0))
+        assert repairer.fsck()["quarantined"] == 1
+        for index in range(2, 6):
+            repairer.put(_record(index))
+        assert os.path.getsize(reader.shard_path(0)) > size
+        assert all(reader.get(_key(index)) is not None for index in range(6))
+        assert reader.stats.corrupt_lines == 1  # the garbage, read once
 
     def test_repeated_gets_do_not_rescan(self, tmp_path):
         store = ShardedTuningStore(tmp_path / "s", shards=1)
@@ -403,162 +379,6 @@ class TestTornTailRepair:
         assert fresh.get(_key(1)) is not None
         assert fresh.get(_key(3)) is not None
         assert fresh.stats.corrupt_lines == 1
-
-
-class TestStoreGC:
-    """LRU eviction by last-served timestamp (the store's GC policy)."""
-
-    def _fill(self, root, count=8, base=1000.0):
-        store = ShardedTuningStore(root, shards=4)
-        for index in range(count):
-            store.put(_record(index))
-            store._touch(_key(index), base + index)  # deterministic clock
-        return store
-
-    def test_get_and_put_touch_the_key(self, tmp_path):
-        store = ShardedTuningStore(tmp_path / "s", shards=2)
-        assert store.last_served(_key(1)) is None
-        store.put(_record(1))
-        after_put = store.last_served(_key(1))
-        assert after_put is not None
-        store.get(_key(1))
-        assert store.last_served(_key(1)) >= after_put
-        assert store.stats.touches == 2
-
-    def test_miss_does_not_touch(self, tmp_path):
-        store = ShardedTuningStore(tmp_path / "s", shards=2)
-        store.get(_key(1))
-        assert store.stats.touches == 0
-
-    def test_evict_max_records_drops_least_recently_served(self, tmp_path):
-        store = self._fill(tmp_path / "s")
-        report = store.evict(max_records=3, now=2000.0)
-        assert report["evicted"] == 5 and report["by_count"] == 5
-        assert report["kept"] == 3 and len(store) == 3
-        for index in (5, 6, 7):  # the most recently served survive
-            assert store.get(_key(index)) is not None
-        for index in range(5):
-            assert store.get(_key(index)) is None
-
-    def test_evict_max_idle_drops_stale_records(self, tmp_path):
-        store = self._fill(tmp_path / "s")  # touched at 1000..1007
-        report = store.evict(max_idle=4.5, now=1010.0)
-        # idle = 1010 - (1000+i) > 4.5  =>  evict i in 0..5, keep 6 and 7
-        assert report["by_idle"] == 6 and report["kept"] == 2
-        assert store.get(_key(6)) is not None and store.get(_key(7)) is not None
-
-    @pytest.mark.parametrize("limits", [{"max_idle": -1}, {"max_records": -1}])
-    def test_negative_limits_are_rejected_and_evict_nothing(self, tmp_path, limits):
-        """Regression: ``max_idle=-1`` used to evict every record, including
-        ones served a second ago, so a ``gc --max-idle -1`` typo wiped the
-        corpus."""
-        store = ShardedTuningStore(tmp_path / "s", shards=2)
-        for index in range(3):
-            store.put(_record(index))  # freshly touched
-        with pytest.raises(ValueError, match="must be non-negative"):
-            store.evict(**limits)
-        fresh = ShardedTuningStore(tmp_path / "s")
-        assert len(fresh) == 3
-        assert all(fresh.get(_key(index)) is not None for index in range(3))
-
-    def test_evict_both_policies_compose(self, tmp_path):
-        store = self._fill(tmp_path / "s")
-        report = store.evict(max_records=1, max_idle=4.5, now=1010.0)
-        assert report["by_idle"] == 6 and report["by_count"] == 1
-        assert len(store) == 1 and store.get(_key(7)) is not None
-
-    def test_evicted_keys_returned_for_memory_tiers(self, tmp_path):
-        store = self._fill(tmp_path / "s", count=4)
-        report = store.evict(max_records=2, now=2000.0)
-        assert sorted(k.params for k in report["evicted_keys"]) == [
-            (("index", 0),),
-            (("index", 1),),
-        ]
-
-    def test_never_served_records_go_first(self, tmp_path):
-        store = ShardedTuningStore(tmp_path / "s", shards=2)
-        for index in range(4):
-            store.put(_record(index))
-        store._touched.clear()  # simulate records from a non-flushing writer
-        store._touch(_key(3), 5000.0)
-        report = store.evict(max_records=1, now=5001.0)
-        assert report["evicted"] == 3
-        assert store.get(_key(3)) is not None
-
-    def test_last_served_survives_compact_and_reopen(self, tmp_path):
-        store = self._fill(tmp_path / "s", count=4)
-        store.flush_touches()
-        store.compact()
-        assert store.last_served(_key(2)) == 1002.0
-        fresh = ShardedTuningStore(tmp_path / "s")
-        assert fresh.last_served(_key(2)) == 1002.0
-        # ...and still drives eviction from the fresh handle
-        report = fresh.evict(max_records=2, now=2000.0)
-        assert report["evicted"] == 2
-        assert fresh.get(_key(3)) is not None
-
-    def test_compact_folds_served_sidecar(self, tmp_path):
-        store = ShardedTuningStore(tmp_path / "s", shards=1)
-        store.put(_record(1))
-        for stamp in (10.0, 20.0, 30.0):
-            store._touch(_key(1), stamp)
-            store.flush_touches()
-        store.put(_record(9))
-        store._touch(_key(9), 40.0)
-        store.compact()
-        with open(store.served_path(0), encoding="utf-8") as handle:
-            lines = [json.loads(l) for l in handle if l.strip()]
-        assert len(lines) == 2  # one line per surviving key, latest stamp
-        stamps = {tuple(map(tuple, e["served"]["params"])): e["t"] for e in lines}
-        assert stamps[(("index", 1),)] == 30.0
-
-    def test_eviction_counted_in_stats(self, tmp_path):
-        store = self._fill(tmp_path / "s", count=6)
-        store.evict(max_records=4, now=2000.0)
-        store.evict(max_records=2, now=2000.0)
-        stats = store.stats
-        assert stats.gc_runs == 2
-        assert stats.evicted_records == 4
-
-    def test_evict_rewrites_are_crash_safe_lines(self, tmp_path):
-        """Post-eviction shards are complete JSONL a fresh handle fully reads."""
-        store = self._fill(tmp_path / "s", count=8)
-        store.evict(max_records=4, now=2000.0)
-        fresh = ShardedTuningStore(tmp_path / "s")
-        assert len(fresh.load()) == 4
-        assert fresh.stats.corrupt_lines == 0 and fresh.stats.stale_records == 0
-
-    def test_evict_spares_record_appended_by_another_writer(self, tmp_path):
-        """A record published between GC's scan and rewrite must survive.
-
-        evict() scans every shard, decides evictions, then rewrites; the
-        rewrite re-reads each shard under its lock, so a record another
-        handle appended after the scan (here: injected at the first
-        rewrite-phase decode, into a shard rewritten later) is preserved.
-        """
-        store = self._fill(tmp_path / "s", count=4)
-        other = ShardedTuningStore(tmp_path / "s")
-        original_decode = store._decode_lines
-        scan_calls = store.num_shards  # decode calls before the rewrite phase
-        calls = []
-
-        def inject_then_decode(lines):
-            calls.append(True)
-            if len(calls) == scan_calls + 1:  # first rewrite-phase decode
-                other.put(_record(99))  # lands in a not-yet-rewritten shard
-            return original_decode(lines)
-
-        store._decode_lines = inject_then_decode
-        store.evict(max_records=2, now=2000.0)
-        fresh = ShardedTuningStore(tmp_path / "s")
-        assert fresh.get(_key(99)) is not None
-
-    def test_cache_discard(self):
-        cache = TuningCache()
-        cache.insert(_record(1))
-        assert cache.discard(_key(1)) is True
-        assert cache.discard(_key(1)) is False
-        assert cache.lookup(_key(1)) is None
 
 
 class TestFsck:
@@ -635,6 +455,131 @@ class TestFsck:
         # The rewrite invalidated the view; a read must rescan, not serve
         # offsets into the old file layout.
         assert store.get(_key(0)) is not None
+
+
+def _snapshot(root):
+    """Every file under ``root`` but the lock files -> (inode, bytes)."""
+    files = {}
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".lock"):
+            continue
+        path = os.path.join(root, name)
+        with open(path, "rb") as handle:
+            files[name] = (os.stat(path).st_ino, handle.read())
+    return files
+
+
+class TestAppendOnly:
+    """``put`` only appends to a shard; only ``fsck``'s repair rewrites one."""
+
+    def test_put_appends_to_the_same_file(self, tmp_path):
+        store = ShardedTuningStore(tmp_path / "s", shards=1)
+        store.put(_record(1))
+        inode, before = _snapshot(store.root)["shard-00.jsonl"]
+        store.put(_record(1, cost=2.0))
+        store.put(_record(2))
+        after_inode, after = _snapshot(store.root)["shard-00.jsonl"]
+        assert after_inode == inode  # never replaced
+        assert after.startswith(before) and after.count(b"\n") == 3
+
+    def test_reads_write_nothing(self, tmp_path):
+        store = ShardedTuningStore(tmp_path / "s", shards=2)
+        for index in range(4):
+            store.put(_record(index))
+        before = _snapshot(store.root)
+        reader = ShardedTuningStore(tmp_path / "s")
+        for index in range(6):  # hits and misses
+            reader.get(_key(index))
+            store.get(_key(index))
+        assert len(reader) == 4 and len(store.records()) == 4
+        assert _snapshot(store.root) == before  # no last-served sidecar
+
+    def test_clean_fsck_rewrites_nothing(self, tmp_path):
+        store = ShardedTuningStore(tmp_path / "s", shards=1)
+        store.put(_record(1, cost=9.0))
+        store.put(_record(1, cost=1.0))  # a duplicate is not damage
+        stale = _record(2).to_json()
+        stale["schema"] = SCHEMA_VERSION + 1
+        with open(store.shard_path(0), "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(stale) + "\n")
+        before = _snapshot(store.root)
+        report = store.fsck()
+        assert report["clean"] == 1 and report["records"] == 2 and report["stale"] == 1
+        assert _snapshot(store.root) == before
+
+    def test_repair_keeps_every_good_line_in_order(self, tmp_path):
+        """Quarantine drops only corrupt lines: duplicates and stale lines
+        stay, in append order, so last-wins still picks the same record."""
+        store = ShardedTuningStore(tmp_path / "s", shards=1)
+        store.put(_record(1, cost=9.0))
+        with open(store.shard_path(0), "a", encoding="utf-8") as handle:
+            handle.write("garbage\n")
+        store.put(_record(1, cost=1.0))
+        store.put(_record(2))
+        good = [
+            line
+            for line in open(store.shard_path(0), encoding="utf-8").read().splitlines()
+            if line != "garbage"
+        ]
+        assert store.fsck()["quarantined"] == 1
+        assert open(store.shard_path(0), encoding="utf-8").read().splitlines() == good
+        assert ShardedTuningStore(tmp_path / "s").get(_key(1)).best_cost == 1.0
+        leftovers = [n for n in os.listdir(store.root) if ".tmp." in n]
+        assert leftovers == []
+
+    def test_stats_carry_no_gc_counters(self, tmp_path):
+        stats = ShardedTuningStore(tmp_path / "s").stats.as_dict()
+        assert set(stats) == {
+            "appends",
+            "reads",
+            "hits",
+            "misses",
+            "records_scanned",
+            "corrupt_lines",
+            "stale_records",
+            "lock_acquisitions",
+            "lock_contentions",
+            "lock_wait_seconds",
+        }
+
+
+class TestStoreWithGcSidecars:
+    """A store directory written while the store kept an LRU GC clock opens
+    and serves unchanged; its sidecars are neither read nor deleted."""
+
+    def test_serves_the_last_record_written_per_key(self, tmp_path):
+        latest, _, _ = store_with_gc_sidecars(tmp_path / "s")
+        store = ShardedTuningStore(tmp_path / "s")
+        for key, record in latest.items():
+            assert store.get(key).to_json() == record.to_json()
+        assert len(store) == len(latest)
+        assert store.stats.corrupt_lines == 0  # sidecar lines are never read
+
+    def test_fsck_sweeps_only_the_temp_file(self, tmp_path):
+        latest, sidecars, temp = store_with_gc_sidecars(tmp_path / "s")
+        store = ShardedTuningStore(tmp_path / "s")
+        before = _snapshot(store.root)
+        check = store.fsck(quarantine=False)
+        assert check["tmp_files"] == 1 and check["clean"] == 0
+        assert check["records"] == 3 * len(latest) and check["corrupt"] == 0
+        repair = store.fsck()
+        assert repair["tmp_removed"] == 1 and repair["quarantined"] == 0
+        after = _snapshot(store.root)
+        del before[os.path.basename(temp)]
+        assert after == before  # shards and sidecars byte for byte
+        assert all(os.path.basename(path) in after for path in sidecars)
+        assert store.fsck(quarantine=False)["clean"] == 1
+
+    def test_appends_leave_the_sidecars_alone(self, tmp_path):
+        latest, sidecars, _ = store_with_gc_sidecars(tmp_path / "s")
+        before = {path: open(path, "rb").read() for path in sidecars}
+        store = ShardedTuningStore(tmp_path / "s")
+        newer = _record(0, cost=7.0)
+        for key in latest:
+            store.get(key)
+        store.put(newer)
+        assert {path: open(path, "rb").read() for path in sidecars} == before
+        assert ShardedTuningStore(tmp_path / "s").get(newer.key).best_cost == 7.0
 
 
 class TestLockRetrySchedule:

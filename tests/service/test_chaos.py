@@ -24,7 +24,6 @@ from repro.testing.faults import (
     contend_lock,
     crash_daemon,
     delay,
-    disk_full,
     partial_append,
     reset_connection,
     torn_frame,
@@ -194,25 +193,6 @@ class TestStoreFaults:
         assert plan.fired("store.lock") == 1
         assert waited >= 0.1  # the holder was waited out, not raced
         assert lock.contentions >= 1
-
-    def test_disk_full_mid_compaction_leaves_store_intact(self, tmp_path):
-        store = ShardedTuningStore(tmp_path / "s", shards=2)
-        for index in range(4):
-            store.put(_store_record(index))
-            store.put(_store_record(index, cost=2e-5))  # duplicates to fold
-        with FaultPlan() as plan:
-            plan.on("store.compact", disk_full, times=1)
-            with pytest.raises(OSError, match="space"):
-                store.compact()
-        assert plan.fired("store.compact") == 1
-        # The fault fired before the tmp write: no shard was replaced, no
-        # temp litter, every record still readable.
-        fresh = ShardedTuningStore(tmp_path / "s")
-        assert len(fresh.load()) == 4
-        assert fresh.fsck(quarantine=False)["clean"] == 1
-        # With the fault gone the deferred compaction completes.
-        report = store.compact()
-        assert report["dropped"] >= 1
 
 
 class TestSeededChaosSweep:

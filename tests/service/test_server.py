@@ -1,8 +1,10 @@
-"""Tests for the tuning daemon: coalescing, warm, GC, versioning."""
+"""Tests for the tuning daemon: coalescing, warm, versioning."""
 
+import dataclasses
 import json
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -16,8 +18,9 @@ from repro.service import (
     TuningService,
     protocol,
 )
-from repro.service.server import expand_sweep
+from repro.service.server import _LockedStore, expand_sweep
 from repro.workloads.table1 import TABLE1_LAYERS
+from tests.conftest import store_with_gc_sidecars
 
 
 @pytest.fixture
@@ -172,7 +175,7 @@ class TestBasicOps:
         finally:
             sock.close()
 
-    @pytest.mark.parametrize("op", ["sync", "health"])
+    @pytest.mark.parametrize("op", ["sync", "health", "gc"])
     def test_retired_ops_are_unknown(self, service, op):
         assert op not in protocol.OPS
         with pytest.raises(ValueError, match="unknown op"):
@@ -341,48 +344,6 @@ class TestCoalescing:
             server_module.run_task = original
             leader.join(timeout=30.0)
             svc.stop()
-
-
-class TestGc:
-    def test_gc_evicts_store_and_memory(self, client, service):
-        keys = _keys_for(TABLE1_LAYERS[:4])
-        for key in keys:
-            client.tune(key)
-        report = client.gc(max_records=2)
-        assert report["evicted"] == 2 and report["kept"] == 2
-        # the daemon's memory tier forgot the evicted keys too: re-tuning
-        # an evicted key is a fresh search, not a stale memory hit
-        searches = service.session.searches_run
-        still_cached = sum(
-            1 for key in keys if service.session.cache.lookup(key) is not None
-        )
-        assert still_cached == 2
-        evicted_key = next(
-            key for key in keys if service.session.cache.lookup(key) is None
-        )
-        client.tune(evicted_key)
-        assert service.session.searches_run == searches + 1
-
-    def test_gc_with_a_negative_max_idle_is_refused_and_evicts_nothing(
-        self, client, service
-    ):
-        keys = _keys_for(TABLE1_LAYERS[:3])
-        for key in keys:
-            client.tune(key)
-        with pytest.raises(ServiceError, match="max_idle must be non-negative") as excinfo:
-            client.gc(max_idle=-1)
-        assert excinfo.value.code == "server_error"
-        assert len(service.store.load()) == 3
-        searches = service.session.searches_run
-        for key in keys:
-            client.tune(key)  # the memory tier kept them too
-        assert service.session.searches_run == searches
-
-    def test_gc_by_idle_via_rpc(self, client):
-        (key,) = _keys_for(TABLE1_LAYERS[:1])
-        client.tune(key)
-        report = client.gc(max_idle=0.0)  # everything is instantly too idle
-        assert report["evicted"] == 1
 
 
 class TestWarmAndSpeculation:
@@ -560,29 +521,7 @@ class TestLifecycle:
 
 
 class TestReviewHardening:
-    """Regressions for the GC clock, staleness gate and dedup lifecycle."""
-
-    def test_memory_tier_hits_advance_the_gc_clock(self, client, service):
-        (key,) = _keys_for(TABLE1_LAYERS[:1])
-        client.tune(key)
-        first = service.store.last_served(key)
-        assert first is not None
-        touches = service.store.stats.touches
-        client.get(key)  # served from the daemon's memory cache
-        client.tune(key)  # a "hit", also from memory
-        assert service.store.stats.touches >= touches + 2
-        assert service.store.last_served(key) >= first
-
-    def test_hot_memory_resident_record_survives_idle_gc(self, client, service):
-        keys = _keys_for(TABLE1_LAYERS[:2])
-        for key in keys:
-            client.tune(key)
-        time.sleep(0.3)  # both records now look 0.3 s idle...
-        client.get(keys[0])  # ...but the first is re-served from daemon memory
-        report = service.store.evict(max_idle=0.15, now=time.time())
-        assert report["evicted"] == 1  # the cold key, not the hot one
-        (evicted_key,) = report["evicted_keys"]
-        assert evicted_key == keys[1]
+    """Regressions for the staleness gate and the daemon lifecycle."""
 
     def test_stale_record_from_server_is_rejected_client_side(self, service, monkeypatch):
         (key,) = _keys_for(TABLE1_LAYERS[:1])
@@ -614,12 +553,133 @@ class TestReviewHardening:
         assert not session.online  # permanently: the fallback tier is active
         assert session.searches_run == 1  # tuned locally, loudly
 
-    def test_stop_is_idempotent_and_flushes(self, tmp_path):
+    def test_stop_is_idempotent_and_the_record_is_on_disk(self, tmp_path):
         svc = TuningService(tmp_path / "store").start()
         with ServiceClient(svc.address, tune_timeout=30.0) as client:
             (key,) = _keys_for(TABLE1_LAYERS[:1])
-            client.tune(key)
+            record = client.tune(key)
         svc.stop()
         svc.stop()  # second call must be a harmless no-op
         fresh = ShardedTuningStore(tmp_path / "store")
-        assert fresh.last_served(key) is not None  # touches reached disk
+        assert fresh.get(key).to_json() == record.to_json()
+
+
+class _CountingLock:
+    """A lock that counts how often it is entered."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.entered = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.entered += 1
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._lock.release()
+
+
+class TestLockedStore:
+    def test_attributes_are_read_under_the_lock(self):
+        """``stats`` is a property that sums the counters: computing it while
+        a handler thread changes them could show ``reads != hits +
+        misses``, so the wrapper must evaluate it under its lock."""
+        wrapper = None
+
+        class FakeStore:
+            @property
+            def stats(self):
+                assert wrapper._lock.locked(), "stats evaluated outside the lock"
+                return "snapshot"
+
+            def get(self, key):
+                assert wrapper._lock.locked(), "get called outside the lock"
+                return key
+
+        wrapper = _LockedStore(FakeStore())
+        assert wrapper.stats == "snapshot"
+        assert wrapper.get("k") == "k"
+        assert not wrapper._lock.locked()
+
+    def test_stats_reply_is_consistent_under_concurrent_gets(self, client, service):
+        keys = _keys_for(TABLE1_LAYERS[:2])
+        for key in keys:
+            client.tune(key)
+        missing = dataclasses.replace(keys[1], space="nope")
+        stop = threading.Event()
+
+        def hammer():
+            while not stop.is_set():
+                service.store.get(keys[0])
+                service.store.get(missing)
+
+        threads = [threading.Thread(target=hammer) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline:
+                stats = service.store.stats
+                assert stats.reads == stats.hits + stats.misses
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            for thread in threads:
+                thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert service.store.stats.hits > 0 and service.store.stats.misses > 0
+
+    def test_memory_hits_do_not_take_the_store_lock(self, client, service):
+        (key,) = _keys_for(TABLE1_LAYERS[:1])
+        client.tune(key)  # now in the daemon's memory tier
+        counting = service.store._lock = _CountingLock()
+        assert client.get(key) is not None
+        assert client.tune(key) is not None
+        assert counting.entered == 0
+        assert client.get(_keys_for(TABLE1_LAYERS[1:2])[0]) is None  # a miss reads the store
+        assert counting.entered >= 1
+
+
+class TestStoreWithGcSidecars:
+    def test_daemon_serves_it_and_answers_gc_with_unknown_op(self, tmp_path):
+        latest, sidecars, _ = store_with_gc_sidecars(tmp_path / "store")
+        before = {path: open(path, "rb").read() for path in sidecars}
+        with TuningService(tmp_path / "store") as svc:
+            with ServiceClient(svc.address) as client:
+                for key, record in latest.items():
+                    assert client.get(key).to_json() == record.to_json()
+                    assert client.get(key).to_json() == record.to_json()  # memory hit
+            sock = socket.create_connection(svc.address, timeout=5)
+            try:
+                message = protocol.ok_response()  # an old client's gc request
+                message.update(op="gc", max_records=1)
+                protocol.send_message(sock, message)
+                response = protocol.recv_message(sock)
+            finally:
+                sock.close()
+            assert response["ok"] is False and response["code"] == "unknown_op"
+        assert {path: open(path, "rb").read() for path in sidecars} == before
+        assert len(ShardedTuningStore(tmp_path / "store")) == len(latest)
+
+
+class TestShardCount:
+    def test_a_new_store_gets_eight_shards(self, tmp_path):
+        svc = TuningService(tmp_path / "store")
+        assert svc.store.num_shards == 8
+
+    def test_the_daemon_adopts_the_stored_shard_count(self, tmp_path):
+        ShardedTuningStore(tmp_path / "store", shards=2)
+        with TuningService(tmp_path / "store") as svc:
+            with ServiceClient(svc.address, tune_timeout=30.0) as client:
+                client.warm("table1:3")
+            assert svc.store.num_shards == 2
+        with open(tmp_path / "store" / "store.json", encoding="utf-8") as handle:
+            assert json.load(handle)["shards"] == 2
+
+    def test_shards_is_not_an_option(self, tmp_path):
+        with pytest.raises(TypeError):
+            TuningService(tmp_path / "store", shards=4)
+        assert not (tmp_path / "store").exists()

@@ -47,26 +47,13 @@ class TestAgainstADaemon:
         assert response["service"]["requests"] == {"stats": 1}
         assert response["inflight"] == 0 and "store" in response
 
-    def test_warm_then_gc(self, service, capsys):
+    def test_warm_twice(self, service, capsys):
         code, response, _ = _run(capsys, "warm", "--sweep", "table1:2", *_endpoint(service))
         assert code == 0
         assert response == {"tasks": 2, "tuned": 2, "hits": 0}
-        code, response, _ = _run(capsys, "gc", "--max-records", "1", *_endpoint(service))
-        assert code == 0
-        assert response["evicted"] == 1 and response["kept"] == 1
-
-    def test_gc_without_a_limit_exits_2(self, service, capsys):
-        code, response, err = _run(capsys, "gc", *_endpoint(service))
-        assert code == 2 and response is None
-        assert "--max-records" in err
-        assert service.stats.requests == {}  # refused before any request
-
-    def test_negative_max_idle_exits_1_and_evicts_nothing(self, service, capsys):
         code, response, _ = _run(capsys, "warm", "--sweep", "table1:2", *_endpoint(service))
-        assert code == 0 and response["tuned"] == 2
-        code, response, err = _run(capsys, "gc", "--max-idle", "-1", *_endpoint(service))
-        assert code == 1 and response is None
-        assert "max_idle must be non-negative" in err
+        assert code == 0
+        assert response == {"tasks": 2, "tuned": 0, "hits": 2}
         assert len(service.store.load()) == 2
 
     def test_server_error_exits_1_with_its_code(self, service, capsys):
@@ -86,7 +73,7 @@ class TestAgainstADaemon:
 
 @pytest.mark.parametrize(
     "argv",
-    [["status"], ["ping"], ["shutdown"], ["warm", "--sweep", "table1:1"], ["gc", "--max-idle", "0"]],
+    [["status"], ["ping"], ["shutdown"], ["warm", "--sweep", "table1:1"]],
 )
 def test_unreachable_daemon_exits_1(capsys, argv):
     code, response, err = _run(capsys, *argv, "--port", "1")
@@ -150,7 +137,7 @@ class TestParser:
         )
 
     def test_default_port_is_the_protocol_constant(self):
-        for command in ("serve", "status", "gc", "warm", "ping", "shutdown"):
+        for command in ("serve", "status", "warm", "ping", "shutdown"):
             argv = [command] + (["--sweep", "table1"] if command == "warm" else [])
             assert build_parser().parse_args(argv).port == protocol.DEFAULT_PORT
 
@@ -161,6 +148,8 @@ class TestParser:
             ["serve", "--replicate-from", "127.0.0.1:9461"],
             ["serve", "--sync-interval", "0.1"],
             ["warm", "--sweep", "table1", "--background"],
+            ["gc", "--max-records", "1"],
+            ["serve", "--shards", "4"],
         ],
     )
     def test_retired_commands_and_flags_are_rejected(self, argv, capsys):

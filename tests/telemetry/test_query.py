@@ -65,6 +65,12 @@ class TestTrend:
         assert main(["trend", "--db", db_path]) == 0
         assert "table1[0].vector_s" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("pattern, listed", [("table1%", True), ("bench%", False)])
+    def test_list_filters_paths_with_a_like_pattern(self, db_path, capsys, pattern, listed):
+        assert main(["trend", pattern, "--list", "--db", db_path, "--format", "json"]) == 0
+        paths = [row["path"] for row in json.loads(capsys.readouterr().out)]
+        assert ("table1[0].vector_s" in paths) is listed
+
 
 class TestSpans:
     def test_top_spans_defaults_to_latest_run_with_spans_absent(self, db_path, capsys):
@@ -127,12 +133,85 @@ class TestService:
         assert "uptime_s" in out and "service.requests.stats" in out
         assert "role" not in out and "replication" not in out
 
+    def test_record_stores_a_snapshot(self, tmp_path, capsys):
+        import sqlite3
+
+        from repro.service import TuningService
+
+        path = str(tmp_path / "results.db")
+        with TuningService(tmp_path / "store") as service:
+            port = str(service.address[1])
+            argv = ["service", "--port", port, "--record", "--db", path, "--format", "json"]
+            assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("recorded service snapshot 1\n")
+        conn = sqlite3.connect(path)
+        try:
+            ((address, payload),) = conn.execute(
+                "SELECT address, payload FROM service_snapshots"
+            ).fetchall()
+        finally:
+            conn.close()
+        assert address == f"127.0.0.1:{port}"
+        assert json.loads(payload)["service"]["requests"] == {"stats": 1}
+
+    def test_telemetry_counters_become_rows(self, tmp_path, capsys):
+        from repro.service import TuningService
+        from repro.telemetry import metrics
+
+        with metrics.collecting():
+            with TuningService(tmp_path / "store") as service:
+                assert main(["service", "--port", str(service.address[1])]) == 0
+        assert "telemetry.service.requests.stats" in capsys.readouterr().out
+
     def test_unreachable_daemon_is_a_clean_error(self, capsys):
         assert main(["service", "--port", "1"]) == 1
         assert "unreachable" in capsys.readouterr().err
 
 
+class TestRendering:
+    def test_rich_tables_when_rich_is_present(self, monkeypatch, capsys):
+        """``rich`` is optional; where it is installed, tables go through it."""
+        from repro.telemetry import query
+
+        printed = []
+
+        class FakeTable:
+            def __init__(self, title=None):
+                self.title, self.columns, self.rows = title, [], []
+
+            def add_column(self, name):
+                self.columns.append(name)
+
+            def add_row(self, *cells):
+                self.rows.append(cells)
+
+        class FakeConsole:
+            def print(self, table):
+                printed.append(table)
+
+        monkeypatch.setattr(query, "_HAVE_RICH", True)
+        monkeypatch.setattr(query, "Table", FakeTable, raising=False)
+        monkeypatch.setattr(query, "Console", FakeConsole, raising=False)
+        query.format_output([("a", 1), ("b", 2.5)], ["name", "value"], title="t")
+        (table,) = printed
+        assert (table.title, table.columns) == ("t", ["name", "value"])
+        assert table.rows == [("a", "1"), ("b", "2.5")]
+        assert capsys.readouterr().out == ""
+        # csv and json never go through rich
+        query.format_output([("a", 1)], ["name", "value"], fmt="csv")
+        assert capsys.readouterr().out.splitlines() == ["name,value", "a,1"]
+        assert len(printed) == 1
+
+
 class TestEntryPoint:
+    def test_interrupt_exits_130(self, db_path, monkeypatch):
+        def interrupted(self, limit=50):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ResultsDB, "verdicts", interrupted)
+        assert main(["verdicts", "--db", db_path]) == 130
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "trend" in capsys.readouterr().out

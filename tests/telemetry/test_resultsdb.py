@@ -6,7 +6,9 @@ import pytest
 
 from repro.telemetry import trace
 from repro.telemetry.resultsdb import (
+    DB_ENV_VAR,
     ResultsDB,
+    default_db_path,
     json_safe,
     numeric_leaves,
     record_bench,
@@ -173,6 +175,38 @@ class TestRunMetadata:
         meta = run_metadata()
         assert set(meta) == {"git_rev", "host", "python", "toolchain"}
         assert all(isinstance(v, str) and v for v in meta.values())
+
+    def test_git_missing_reads_unknown(self, monkeypatch):
+        from repro.telemetry import resultsdb
+
+        def no_git(*args, **kwargs):
+            raise FileNotFoundError("git")
+
+        monkeypatch.setattr(resultsdb.subprocess, "run", no_git)
+        assert run_metadata()["git_rev"] == "unknown"
+
+    def test_toolchain_probe_failure_reads_unknown(self, monkeypatch):
+        from repro.tir import backend
+
+        def broken():
+            raise RuntimeError("probe failed")
+
+        monkeypatch.setattr(backend, "native_toolchain", broken)
+        assert run_metadata()["toolchain"] == "unknown"
+
+
+class TestDefaultPath:
+    def test_environment_names_the_db(self, monkeypatch, tmp_path):
+        path = str(tmp_path / "env.db")
+        monkeypatch.setenv(DB_ENV_VAR, path)
+        assert default_db_path() == path
+        run_id = record_bench("compile_time", {"x": 1})  # no db_path given
+        with ResultsDB(path) as db:
+            assert db.payload(run_id) == {"x": 1}
+
+    def test_without_the_environment_it_is_results_db(self, monkeypatch):
+        monkeypatch.delenv(DB_ENV_VAR, raising=False)
+        assert default_db_path() == "results.db"
 
 
 class TestCheckRegressionHistory:

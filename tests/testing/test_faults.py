@@ -11,7 +11,6 @@ from repro.testing.faults import (
     FaultPlan,
     InjectedFault,
     delay,
-    disk_full,
     reset_connection,
 )
 
@@ -40,10 +39,10 @@ class TestRegistry:
         assert sites == {point: 1 for point in POINTS}
 
     def test_arming_and_disarming(self):
-        plan = FaultPlan().on("store.append", disk_full)
+        plan = FaultPlan().on("store.append", reset_connection)
         with plan:
             assert faults.active()
-            with pytest.raises(OSError):
+            with pytest.raises(ConnectionResetError):
                 faults.fire("store.append", path="x", handle=None, line="")
         assert not faults.active()
         faults.fire("store.append", path="x", handle=None, line="")  # disarmed
@@ -56,10 +55,10 @@ class TestRegistry:
 
     def test_plans_nest(self):
         outer = FaultPlan().on("store.lock", delay(0.0))
-        inner = FaultPlan().on("store.append", disk_full)
+        inner = FaultPlan().on("store.append", reset_connection)
         with outer, inner:
             faults.fire("store.lock", path="x")
-            with pytest.raises(OSError):
+            with pytest.raises(ConnectionResetError):
                 faults.fire("store.append", path="x", handle=None, line="")
         assert outer.fired("store.lock") == 1
         assert inner.fired("store.append") == 1
@@ -77,10 +76,10 @@ class TestRuleSemantics:
 
     def test_after_skips_early_matches(self):
         with FaultPlan() as plan:
-            plan.on("store.append", disk_full, after=2)
+            plan.on("store.append", reset_connection, after=2)
             faults.fire("store.append", path="x", handle=None, line="")
             faults.fire("store.append", path="x", handle=None, line="")
-            with pytest.raises(OSError):  # the *third* append fails
+            with pytest.raises(ConnectionResetError):  # the *third* append fails
                 faults.fire("store.append", path="x", handle=None, line="")
         assert plan.fired() == 1
 
@@ -88,11 +87,11 @@ class TestRuleSemantics:
         with FaultPlan() as plan:
             plan.on(
                 "store.append",
-                disk_full,
+                reset_connection,
                 when=lambda context: "shard-03" in str(context["path"]),
             )
             faults.fire("store.append", path="shard-01.jsonl", handle=None, line="")
-            with pytest.raises(OSError):
+            with pytest.raises(ConnectionResetError):
                 faults.fire("store.append", path="shard-03.jsonl", handle=None, line="")
         assert plan.fired() == 1
 
@@ -173,9 +172,7 @@ class TestCannedActions:
             reset_connection(faults.Injection("protocol.send", 1, {}))
         assert info.value.errno == errno.ECONNRESET
 
-    def test_disk_full_raises_enospc(self):
-        import errno
-
-        with pytest.raises(OSError) as info:
-            disk_full(faults.Injection("store.compact", 1, {}))
-        assert info.value.errno == errno.ENOSPC
+    def test_oom_stops_at_its_cap_without_an_rlimit(self):
+        action = faults.oom(limit_mb=16)
+        with pytest.raises(MemoryError, match="16 MiB cap"):
+            action(faults.Injection("backend.qualify", 1, {}))

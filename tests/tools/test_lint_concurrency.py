@@ -62,27 +62,11 @@ class ShardedTuningStore:
     def put(self, key, record):
         self.data[key] = record  # R5: no `with self._locked(...)`
 
-    def flush_touches(self):
-        with self._locked(0):
-            pass
-
-    def compact(self):
-        with self._locked(0):
-            pass
-
-    def evict(self):
-        with self._locked(0):
-            pass
-
-    def clear(self):
-        with self._locked(0):
-            pass
-
     def _scan_shard(self):
         with self._locked(0):
             pass
 
-    def last_served(self):
+    def fsck(self):
         with self._locked(0):
             pass
 '''
@@ -123,6 +107,8 @@ class TestRulesFire:
         out = capsys.readouterr().out
         assert "[R5]" in out
         assert "ShardedTuningStore.put" in out
+        # The methods that do take the shard lock are not reported.
+        assert out.count("[R5]") == 1
 
     def test_unknown_basename_not_policed(self, tmp_path, capsys):
         """The same code under a different name only triggers the generic

@@ -107,12 +107,7 @@ REQUIRE_LOCKED: Dict[str, Dict[str, Dict[str, Set[str]]]] = {
         "ShardedTuningStore": {
             "_locked": {
                 "put",
-                "flush_touches",
-                "compact",
-                "evict",
-                "clear",
                 "_scan_shard",
-                "last_served",
                 "fsck",
             },
         },
