@@ -16,7 +16,7 @@ usage: python -m repro query <subcommand> [options]
 
 commands:
   query    query the telemetry results database and live services
-           (subcommands: runs, trend, spans, service, verdicts)
+           (subcommands: runs, trend, spans, service)
 
 other entry points:
   python -m repro.service   tuning service daemon and admin commands

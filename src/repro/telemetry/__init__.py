@@ -6,8 +6,8 @@ Three cooperating layers (see the README "Observability" section):
   histograms, off by default with a first-statement-early-return hot path;
 * :mod:`repro.telemetry.trace` — nested spans with wall + exclusive time,
   JSONL export, and tree/flame rendering;
-* :mod:`repro.telemetry.resultsdb` — sqlite (WAL) history of bench runs,
-  spans, and regression verdicts, queried by ``python -m repro query``
+* :mod:`repro.telemetry.resultsdb` — sqlite (WAL) history of bench runs
+  and their spans, queried by ``python -m repro query``
   (:mod:`repro.telemetry.query`, imported lazily: it needs ``click``).
 """
 

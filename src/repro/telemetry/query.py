@@ -4,9 +4,8 @@ Subcommands (all read the sqlite results DB written by the benchmarks,
 except ``service`` which speaks the live wire protocol):
 
 * ``runs``    — run history: id, kind, when, git rev, toolchain, row counts;
-* ``trend``   — one metric's trajectory over the last K runs (value, delta
-  vs the previous run, direction), the over-time complement to
-  ``check_regression.py``'s one-baseline gate;
+* ``trend``   — each matching metric's trajectory over its last K runs
+  (value, delta vs the previous run, direction);
 * ``spans``   — per-run flame summary (top-N names by exclusive time) or
   the full parent/child tree with ``--tree``;
 * ``service`` — live daemon introspection: wraps the ``stats`` wire op and
@@ -156,10 +155,12 @@ def trend(
     db_path: Optional[str],
     fmt: str,
 ) -> None:
-    """One metric's trajectory over the last K recorded runs.
+    """Each matching metric's trajectory over its last K recorded runs.
 
-    METRIC is a dotted path as printed by check_regression.py
-    (e.g. 'table1[0].vector_s'); SQL LIKE wildcards (%/_) match families.
+    METRIC is a dotted payload path; a ledger run recorded with
+    `benchmarks/ledger/run.py --record DB` stores 'metrics.<row>'
+    (e.g. 'metrics.op_compile_ms').  SQL LIKE wildcards (%/_) match
+    families, such as 'metrics.%compile_ms'.
     """
     with ResultsDB(db_path) as db:
         if list_paths or metric is None:
@@ -300,34 +301,6 @@ def service(
     for key, value in sorted(stats["telemetry"].items()):
         rows.append((f"telemetry.{key}", value))
     format_output(rows, ["metric", "value"], fmt, title=f"service {host}:{port}")
-
-
-@query.command()
-@click.option("--limit", default=20, show_default=True)
-@_DB
-@_FORMAT
-def verdicts(limit: int, db_path: Optional[str], fmt: str) -> None:
-    """Recorded regression verdicts, most recent first."""
-    with ResultsDB(db_path) as db:
-        rows_raw = db.verdicts(limit=limit)
-    rows = [
-        (
-            row["run_id"] if row["run_id"] is not None else "-",
-            row["metric"],
-            row["kind"],
-            "PASS" if row["ok"] else "FAIL",
-            f"{row['fresh']:.6g}" if row["fresh"] is not None else "-",
-            f"{row['baseline']:.6g}" if row["baseline"] is not None else "-",
-            _when(row["created_unix"]),
-        )
-        for row in rows_raw
-    ]
-    format_output(
-        rows,
-        ["run", "metric", "kind", "verdict", "fresh", "baseline", "when"],
-        fmt,
-        title="regression verdicts",
-    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:

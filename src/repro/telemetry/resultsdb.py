@@ -1,20 +1,18 @@
-"""Sqlite results store: every bench run, span, and regression verdict.
+"""Sqlite results store: every bench run and its spans.
 
 A single-file :mod:`sqlite3` database (WAL mode) that turns the one-shot
 ``BENCH_*.json`` artifacts into a queryable history.  Each recorded run
 stores:
 
-* ``runs`` — kind (``compile_time`` / ``service`` / ``ledger.<workload>``
-  / ...), label, wall-clock timestamp, and run metadata: git revision,
-  host, python version, native-toolchain availability, plus the full
-  sanitized JSON payload;
+* ``runs`` — kind (``ledger.<workload>`` / ``service`` / ...), label,
+  wall-clock timestamp, and run metadata: git revision, host, python
+  version, native-toolchain availability, plus the full sanitized JSON
+  payload;
 * ``metrics`` — the payload flattened to dotted-path numeric leaves
-  (``table1[0].vector_s``), the same paths ``check_regression.py``
-  compares, so trends and baseline gates speak one metric language;
+  (``metrics.op_compile_ms`` for a ledger run), the paths
+  ``python -m repro query trend`` takes;
 * ``spans`` — finished tracer spans (name, parent, wall, exclusive,
   attributes) for per-run flame summaries;
-* ``verdicts`` — per-metric regression verdicts from
-  ``check_regression.py``;
 * ``service_snapshots`` — live ``stats`` wire responses captured by
   ``repro query service --record``.
 
@@ -78,15 +76,6 @@ CREATE TABLE IF NOT EXISTS spans (
     attrs TEXT
 );
 CREATE INDEX IF NOT EXISTS idx_spans_run ON spans(run_id);
-CREATE TABLE IF NOT EXISTS verdicts (
-    run_id INTEGER REFERENCES runs(id),
-    metric TEXT NOT NULL,
-    kind TEXT NOT NULL,
-    ok INTEGER NOT NULL,
-    fresh REAL,
-    baseline REAL,
-    created_unix REAL NOT NULL
-);
 CREATE TABLE IF NOT EXISTS service_snapshots (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     created_unix REAL NOT NULL,
@@ -121,8 +110,8 @@ def json_safe(data):
 def numeric_leaves(data, prefix: str = "") -> Iterator[Tuple[str, float]]:
     """Flatten nested dicts/lists into dotted-path -> finite-numeric pairs.
 
-    The path syntax (``a.b[0].c``) matches ``check_regression.py`` exactly,
-    so ``--history`` trends and baseline gates address the same metrics.
+    Paths read ``a.b[0].c``: a dict key joins with ``.``, a list index is
+    bracketed.
     """
     if isinstance(data, dict):
         for key, value in data.items():
@@ -244,22 +233,6 @@ class ResultsDB:
             self._conn.commit()
         return run_id
 
-    def record_verdicts(
-        self, run_id: Optional[int], rows: Sequence[Tuple[str, str, bool, float, float]]
-    ) -> None:
-        """Persist ``(metric, kind, ok, fresh, baseline)`` verdict rows."""
-        now = time.time()
-        with self._lock:
-            self._conn.executemany(
-                "INSERT INTO verdicts (run_id, metric, kind, ok, fresh,"
-                " baseline, created_unix) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                [
-                    (run_id, metric, kind, int(ok), fresh, baseline, now)
-                    for metric, kind, ok, fresh, baseline in rows
-                ],
-            )
-            self._conn.commit()
-
     def record_service_snapshot(self, address: str, payload: dict) -> int:
         with self._lock:
             cursor = self._conn.execute(
@@ -335,41 +308,38 @@ class ResultsDB:
     def metric_trend(
         self, path: str, kind: Optional[str] = None, last: int = 10
     ) -> List[Dict]:
-        """Oldest-to-newest ``(run, timestamp, value)`` rows for one metric.
+        """The last ``last`` ``(run, timestamp, value)`` rows of each metric.
 
-        ``path`` may contain SQL ``LIKE`` wildcards (``%``/``_``); exact
-        dotted paths work unchanged since ``[``/``]``/``.`` are literal.
+        ``path`` may contain SQL ``LIKE`` wildcards (``%``/``_``) to match a
+        family; every matching path gets its own window.  Rows come sorted
+        by path, oldest to newest within a path.  Exact dotted paths work
+        unchanged since ``[``/``]``/``.`` are literal.
         """
         query = (
-            "SELECT m.run_id, m.path, m.value, r.created_unix, r.git_rev"
-            " FROM metrics m JOIN runs r ON r.id = m.run_id"
+            "SELECT run_id, path, value, created_unix, git_rev FROM ("
+            " SELECT m.run_id, m.path, m.value, r.created_unix, r.git_rev,"
+            " ROW_NUMBER() OVER (PARTITION BY m.path ORDER BY m.run_id DESC)"
+            " AS newest FROM metrics m JOIN runs r ON r.id = m.run_id"
             " WHERE m.path LIKE ?"
         )
         params: List = [path]
         if kind is not None:
             query += " AND r.kind = ?"
             params.append(kind)
-        query += " ORDER BY m.run_id DESC LIMIT ?"
-        params.append(max(1, last) * 8)  # headroom for multi-path patterns
+        query += ") WHERE newest <= ? ORDER BY path, run_id"
+        params.append(max(1, last))
         with self._lock:
             rows = self._conn.execute(query, params).fetchall()
-        per_path: Dict[str, List[Dict]] = {}
-        for run_id, mpath, value, created, git_rev in rows:
-            bucket = per_path.setdefault(mpath, [])
-            if len(bucket) < max(1, last):
-                bucket.append(
-                    {
-                        "run_id": run_id,
-                        "path": mpath,
-                        "value": value,
-                        "created_unix": created,
-                        "git_rev": git_rev,
-                    }
-                )
-        out: List[Dict] = []
-        for mpath in sorted(per_path):
-            out.extend(reversed(per_path[mpath]))  # oldest first per path
-        return out
+        return [
+            {
+                "run_id": run_id,
+                "path": mpath,
+                "value": value,
+                "created_unix": created,
+                "git_rev": git_rev,
+            }
+            for run_id, mpath, value, created, git_rev in rows
+        ]
 
     def spans(self, run_id: int) -> List[Dict]:
         with self._lock:
@@ -404,26 +374,6 @@ class ResultsDB:
             ).fetchall()
         return [
             {"name": row[0], "calls": row[1], "excl_s": row[2], "wall_s": row[3]}
-            for row in rows
-        ]
-
-    def verdicts(self, limit: int = 50) -> List[Dict]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT run_id, metric, kind, ok, fresh, baseline, created_unix"
-                " FROM verdicts ORDER BY rowid DESC LIMIT ?",
-                (limit,),
-            ).fetchall()
-        return [
-            {
-                "run_id": row[0],
-                "metric": row[1],
-                "kind": row[2],
-                "ok": bool(row[3]),
-                "fresh": row[4],
-                "baseline": row[5],
-                "created_unix": row[6],
-            }
             for row in rows
         ]
 

@@ -29,7 +29,6 @@ def db_path(tmp_path):
             {"benchmark": "compile_time", "table1": [{"vector_s": 0.4}]},
             label="second",
         )
-        db.record_verdicts(1, [("table1[0].vector_s", "lower_is_better", True, 0.4, 0.5)])
     return path
 
 
@@ -95,13 +94,6 @@ class TestSpans:
         ResultsDB(path).close()
         assert main(["spans", "--db", path]) != 0
         assert "no recorded runs" in capsys.readouterr().err
-
-
-class TestVerdicts:
-    def test_verdicts_render(self, db_path, capsys):
-        assert main(["verdicts", "--db", db_path]) == 0
-        out = capsys.readouterr().out
-        assert "table1[0].vector_s" in out and "PASS" in out
 
 
 class TestService:
@@ -206,11 +198,11 @@ class TestRendering:
 
 class TestEntryPoint:
     def test_interrupt_exits_130(self, db_path, monkeypatch):
-        def interrupted(self, limit=50):
+        def interrupted(self, kind=None, limit=20):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(ResultsDB, "verdicts", interrupted)
-        assert main(["verdicts", "--db", db_path]) == 130
+        monkeypatch.setattr(ResultsDB, "runs", interrupted)
+        assert main(["runs", "--db", db_path]) == 130
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

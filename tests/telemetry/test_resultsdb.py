@@ -50,23 +50,9 @@ class TestJsonSafe:
 
 
 class TestNumericLeaves:
-    def test_path_syntax_matches_check_regression(self):
-        """The DB and the gate must address metrics with identical paths."""
-        import importlib.util
-        import pathlib
-
-        spec = importlib.util.spec_from_file_location(
-            "check_regression",
-            pathlib.Path(__file__).resolve().parents[2]
-            / "benchmarks"
-            / "check_regression.py",
-        )
-        gate = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gate)
+    def test_path_syntax(self):
         payload = {"table1": [{"vector_s": 0.5, "label": "c1"}], "n": 3}
-        ours = dict(numeric_leaves(payload))
-        theirs = dict(gate._numeric_leaves(payload))
-        assert ours == theirs == {"table1[0].vector_s": 0.5, "n": 3.0}
+        assert dict(numeric_leaves(payload)) == {"table1[0].vector_s": 0.5, "n": 3.0}
 
     def test_skips_bools_and_non_finite(self):
         payload = {"flag": True, "bad": float("nan"), "ok": 1}
@@ -125,6 +111,21 @@ class TestResultsDB:
         points = db.metric_trend("t_s", last=3)
         assert [p["value"] for p in points] == [3.0, 4.0, 5.0]
 
+    def test_metric_trend_gives_each_family_path_its_own_window(self, db):
+        """A LIKE family spanning more paths than runs must still return the
+        last K runs of every path, as a ledger run's 80 metrics do."""
+        paths = [f"metrics.m{index:02d}_ms" for index in range(20)]
+        for run in range(10):
+            db.record_run("ledger.compile", {"metrics": {p[8:]: float(run) for p in paths}})
+        points = db.metric_trend("metrics.%", last=10)
+        for path in paths:
+            values = [p["value"] for p in points if p["path"] == path]
+            assert values == [float(run) for run in range(10)], path
+        assert [p["path"] for p in points] == sorted(p["path"] for p in points)
+        window = db.metric_trend("metrics.%", last=3)
+        assert len(window) == 20 * 3
+        assert {p["value"] for p in window} == {7.0, 8.0, 9.0}
+
     def test_metric_trend_filters_kind(self, db):
         db.record_run("compile_time", {"t_s": 1.0})
         db.record_run("service", {"t_s": 99.0})
@@ -145,17 +146,34 @@ class TestResultsDB:
         top = db.top_spans(run_id)
         assert {row["name"] for row in top} == {"outer", "inner"}
 
-    def test_verdicts_round_trip(self, db):
-        run_id = db.record_run("compile_time", {"a": 1})
-        db.record_verdicts(
-            run_id,
-            [("t_s", "lower_is_better", True, 1.0, 1.1),
-             ("native_runs", "never_lower", False, 2.0, 5.0)],
+    def test_opens_a_db_that_still_holds_a_verdicts_table(self, tmp_path):
+        """Older DBs carry a ``verdicts`` table; it is left alone, not read."""
+        import sqlite3
+
+        path = str(tmp_path / "old.db")
+        with ResultsDB(path) as db:
+            first = db.record_run("compile_time", {"t_s": 1.0})
+        conn = sqlite3.connect(path)
+        tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master")}
+        assert "verdicts" not in tables  # no longer created
+        conn.execute(
+            "CREATE TABLE verdicts (run_id INTEGER, metric TEXT NOT NULL,"
+            " kind TEXT NOT NULL, ok INTEGER NOT NULL, fresh REAL,"
+            " baseline REAL, created_unix REAL NOT NULL)"
         )
-        rows = db.verdicts()
-        assert len(rows) == 2
-        assert rows[0]["metric"] == "native_runs" and rows[0]["ok"] is False
-        assert rows[1]["metric"] == "t_s" and rows[1]["ok"] is True
+        conn.execute(
+            "INSERT INTO verdicts VALUES (?, 't_s', 'lower_is_better', 1, 1.0, 1.1, 0)",
+            (first,),
+        )
+        conn.commit()
+        conn.close()
+        with ResultsDB(path) as db:
+            second = db.record_run("compile_time", {"t_s": 2.0})
+            assert [p["value"] for p in db.metric_trend("t_s")] == [1.0, 2.0]
+            assert [row["id"] for row in db.runs()] == [second, first]
+        conn = sqlite3.connect(path)
+        assert conn.execute("SELECT COUNT(*) FROM verdicts").fetchone()[0] == 1
+        conn.close()
 
     def test_service_snapshot(self, db):
         db.record_service_snapshot("127.0.0.1:1234", {"uptime_s": 5.0})
@@ -207,58 +225,3 @@ class TestDefaultPath:
     def test_without_the_environment_it_is_results_db(self, monkeypatch):
         monkeypatch.delenv(DB_ENV_VAR, raising=False)
         assert default_db_path() == "results.db"
-
-
-class TestCheckRegressionHistory:
-    """End-to-end: the gate's --history mode against a populated DB."""
-
-    def _gate(self):
-        import importlib.util
-        import pathlib
-
-        spec = importlib.util.spec_from_file_location(
-            "check_regression_e2e",
-            pathlib.Path(__file__).resolve().parents[2]
-            / "benchmarks"
-            / "check_regression.py",
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_history_reports_trend_and_keeps_exit_code(self, tmp_path, capsys):
-        gate = self._gate()
-        db_path = str(tmp_path / "results.db")
-        with ResultsDB(db_path) as db:
-            for value in (1.0, 1.2, 1.1):
-                db.record_run(
-                    "compile_time", {"benchmark": "compile_time", "lowering_s": value}
-                )
-        fresh = tmp_path / "fresh.json"
-        base = tmp_path / "base.json"
-        fresh.write_text(json.dumps({"benchmark": "compile_time", "lowering_s": 1.1}))
-        base.write_text(json.dumps({"benchmark": "compile_time", "lowering_s": 1.0}))
-        rc = gate.main(
-            [str(fresh), str(base), "--history", "5", "--results-db", db_path]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0  # within tolerance: exit semantics unchanged
-        assert "HISTORY lowering_s" in out
-        assert "3 run(s)" in out
-        # verdicts were persisted against the latest matching run
-        with ResultsDB(db_path) as db:
-            assert any(v["metric"] == "lowering_s" for v in db.verdicts())
-
-    def test_history_skips_gracefully_without_db(self, tmp_path, capsys):
-        gate = self._gate()
-        fresh = tmp_path / "fresh.json"
-        base = tmp_path / "base.json"
-        fresh.write_text(json.dumps({"benchmark": "compile_time", "lowering_s": 9.0}))
-        base.write_text(json.dumps({"benchmark": "compile_time", "lowering_s": 1.0}))
-        missing = str(tmp_path / "absent.db")
-        rc = gate.main(
-            [str(fresh), str(base), "--history", "3", "--results-db", missing]
-        )
-        out = capsys.readouterr().out
-        assert rc == 1  # 9x blowup still fails, with or without a DB
-        assert "HISTORY skipped" in out

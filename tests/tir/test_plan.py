@@ -30,6 +30,7 @@ from repro.tir import (
     tier_state,
 )
 from repro.workloads import Conv2DParams, conv2d_nchwc
+from repro.workloads.table1 import TABLE1_LAYERS
 from tests.conftest import small_conv_hwc, small_matmul_int8
 
 
@@ -448,3 +449,15 @@ class TestPlanExecution:
         ref = run(func, {t: a.copy() for t, a in buffers.items()})
         got = plan.run({t: a.copy() for t, a in buffers.items()})
         np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("index", range(1, len(TABLE1_LAYERS) + 1), ids=lambda i: f"layer{i}")
+    def test_full_size_table1_plan_has_no_fallback(self, index):
+        """Every full-size Table I layer, tensorized as the tuner's default
+        configuration does, compiles to a fully vectorized plan: compiling
+        checks it without running a single MAC."""
+        func = tensorize(
+            conv2d_nchwc(TABLE1_LAYERS[index - 1]), "x86.avx512.vpdpbusd",
+            config=CpuTuningConfig(),
+        ).func
+        plan = compile_plan(func)
+        assert plan.fallback_nests == 0, plan.stats.fallback_reasons
