@@ -126,9 +126,6 @@ class _SessionTunedRunner:
     every candidate; ``OFF`` (the default) trusts the cost model.
     """
 
-    def _validation_op(self, kind: str, params):
-        raise NotImplementedError
-
     def _validator(self, kind: str, params):
         if self.validation is ValidationPolicy.OFF:
             return None
@@ -243,22 +240,10 @@ class UnitCpuRunner(_SessionTunedRunner):
             if d.bits < self.intrin.output_dtype.bits
         ]
         in_dt, w_dt = (narrow[0], narrow[1]) if len(narrow) >= 2 else ("uint8", "int8")
-        if kind == "conv2d":
-            return conv2d_nchwc(
-                params, lanes=lanes, reduction=reduction,
-                in_dtype=in_dt, weight_dtype=w_dt,
-            )
-        if kind == "conv3d":
-            return conv3d_ncdhwc(
-                params, lanes=lanes, reduction=reduction,
-                in_dtype=in_dt, weight_dtype=w_dt,
-            )
-        if kind == "dense":
-            return dense_int8(
-                params, lanes=lanes, reduction=reduction,
-                in_dtype=in_dt, weight_dtype=w_dt,
-            )
-        raise ValueError(f"no validation workload for kind {kind!r}")
+        build = {"conv2d": conv2d_nchwc, "conv3d": conv3d_ncdhwc, "dense": dense_int8}[kind]
+        return build(
+            params, lanes=lanes, reduction=reduction, in_dtype=in_dt, weight_dtype=w_dt
+        )
 
     # -- tuning ------------------------------------------------------------
     def _configs(self) -> List[CpuTuningConfig]:
@@ -331,18 +316,17 @@ class UnitGpuRunner(_SessionTunedRunner):
 
         if kind == "conv2d":
             return conv2d_gemm(params)
-        if kind == "dense":
-            # Pad to the WMMA tile like the graph-level layout pass does.
-            def pad16(n: int) -> int:
-                return ((max(n, 1) + 15) // 16) * 16
 
-            return matmul_fp16(
-                pad16(params.batch),
-                pad16(params.out_features),
-                pad16(params.in_features),
-                name=params.name,
-            )
-        raise ValueError(f"no validation workload for kind {kind!r}")
+        # dense: pad to the WMMA tile like the graph-level layout pass does.
+        def pad16(n: int) -> int:
+            return ((max(n, 1) + 15) // 16) * 16
+
+        return matmul_fp16(
+            pad16(params.batch),
+            pad16(params.out_features),
+            pad16(params.in_features),
+            name=params.name,
+        )
 
     def _configs(self) -> List[GpuTuningConfig]:
         if self.mode == "generic":

@@ -21,7 +21,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from ..dsl.expr import expr_cache_epoch
-from ..telemetry import metrics as _metrics, trace as _trace
+from ..telemetry import trace as _trace
 from .ir import (
     ConcatNode,
     DenseNode,
@@ -194,7 +194,6 @@ class GraphProgram:
                 arena_bytes=self.memory.arena_bytes,
                 staging_bytes=sum(a.nbytes for a in self._idle[0].staging.values()),
             )
-        _metrics.count("graph.program_builds")
 
     @classmethod
     def for_graph(cls, graph: Graph, keep: Sequence[str] = ()) -> "GraphProgram":
@@ -204,9 +203,7 @@ class GraphProgram:
         with cls._lock:
             programs = cls._programs.setdefault(graph, {})
             program = programs.get(keep)
-            if program is not None and program.describes(graph):
-                _metrics.count("graph.program_reuses")
-            else:
+            if program is None or not program.describes(graph):
                 program = programs[keep] = cls(graph, keep)
         return program
 

@@ -37,10 +37,6 @@ class LoopMapping:
     axis_map: Dict[IterAxis, IterAxis] = field(default_factory=dict)
 
     @property
-    def op_axes(self) -> List[IterAxis]:
-        return list(self.axis_map.keys())
-
-    @property
     def instr_axes(self) -> List[IterAxis]:
         return list(self.axis_map.values())
 
@@ -78,9 +74,7 @@ def _axis_set(load: TensorLoad, axes: Iterable[IterAxis]) -> Set[IterAxis]:
     return {ax for ax in axes if ax.var in vars_in}
 
 
-def enumerate_mappings(
-    prog_op: ComputeOp, instr_op: ComputeOp, innermost_first: bool = True
-) -> List[LoopMapping]:
+def enumerate_mappings(prog_op: ComputeOp, instr_op: ComputeOp) -> List[LoopMapping]:
     """Enumerate all type-respecting injective mappings of instruction loops.
 
     Every instruction loop must be assigned exactly one distinct operation
@@ -97,13 +91,9 @@ def enumerate_mappings(
     if len(prog_dp) < len(instr_dp) or len(prog_red) < len(instr_red):
         return []
 
-    if innermost_first:
-        # Prefer operation loops that are declared later (innermost).
-        prog_dp_order = list(reversed(prog_dp))
-        prog_red_order = list(reversed(prog_red))
-    else:
-        prog_dp_order = prog_dp
-        prog_red_order = prog_red
+    # Prefer operation loops that are declared later (innermost).
+    prog_dp_order = list(reversed(prog_dp))
+    prog_red_order = list(reversed(prog_red))
 
     mappings: List[LoopMapping] = []
     for dp_choice in itertools.permutations(prog_dp_order, len(instr_dp)):

@@ -15,7 +15,7 @@ import os
 from typing import Callable, Optional, Sequence
 
 from ..hwsim.cost import CostBreakdown
-from ..telemetry import metrics as _metrics, trace as _trace
+from ..telemetry import trace as _trace
 from .records import TuningCache, TuningKey, TuningRecord
 from .store import ShardedTuningStore
 from .tuner import exhaustive_search
@@ -137,8 +137,6 @@ class TuningSession:
                 candidates, lambda cfg: evaluate(cfg).seconds, precheck
             )
             sp.set(trials=result.num_trials, rejected=result.rejected)
-        _metrics.count("tuner.searches")
-        _metrics.count("tuner.trials", result.num_trials)
         if validate is not None:
             validate(result.best_config)
         best = evaluate(result.best_config)
@@ -180,13 +178,11 @@ class TuningSession:
         the store read)."""
         record = self.cache.lookup(key)
         if record is not None:
-            _metrics.count("tuner.memory_hits")
             return record
         if self.store is not None:
             record = self.store.get(key)
             if record is not None:
                 self.store_hits += 1
-                _metrics.count("tuner.store_hits")
                 self.cache.insert(record)
         return record
 

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
 from ..retry import RetryPolicy
-from ..telemetry import metrics as _metrics
 from ..testing import faults
 from .records import (
     SCHEMA_VERSION,
@@ -354,7 +353,6 @@ class ShardedTuningStore:
         unreadable.
         """
         line = json.dumps(record.to_json(), sort_keys=True) + "\n"
-        _metrics.count("store.puts")
         index = self.shard_of(record.key)
         path = self.shard_path(index)
         with self._locked(index):
@@ -442,10 +440,8 @@ class ShardedTuningStore:
         found = self._scan_shard(self.shard_of(key)).get(key)
         if found is None:
             self._counters.misses += 1
-            _metrics.count("store.misses")
         else:
             self._counters.hits += 1
-            _metrics.count("store.hits")
         return found
 
     def load_into(self, cache: TuningCache) -> int:

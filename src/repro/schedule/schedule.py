@@ -106,12 +106,6 @@ class Stage:
         """The schedule loop currently standing for a root axis."""
         return self.root_loops[axis]
 
-    def axis_of(self, loop: LoopVar) -> Optional[IterAxis]:
-        for axis, lv in self.root_loops.items():
-            if lv is loop:
-                return axis
-        return None
-
     def _check_leaf(self, loop: LoopVar) -> None:
         if loop not in self.leaf_vars:
             raise ValueError(f"{loop!r} is not a leaf loop of this stage")
@@ -311,9 +305,6 @@ class Stage:
 
     def data_parallel_leaves(self) -> List[LoopVar]:
         return [l for l in self.leaf_vars if not l.is_reduce]
-
-    def reduce_leaves(self) -> List[LoopVar]:
-        return [l for l in self.leaf_vars if l.is_reduce]
 
     def __repr__(self) -> str:
         order = ", ".join(l.name for l in self.leaf_vars)

@@ -33,7 +33,6 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from ..hwsim.cost import CostBreakdown
 from ..retry import RetryPolicy
-from ..telemetry import metrics as _metrics
 from ..rewriter.records import TuningKey, TuningRecord, decode_record
 from ..rewriter.session import TuningSession
 from ..rewriter.store import ShardedTuningStore
@@ -314,12 +313,6 @@ class RemoteSession(TuningSession):
                 stacklevel=3,
             )
 
-    def _count(self, field: str) -> None:
-        """One server outcome: ``self.<field>`` and the
-        ``service.client.<field>`` counter together."""
-        setattr(self, field, getattr(self, field) + 1)
-        _metrics.count("service.client." + field)
-
     # -- lookup tiers ----------------------------------------------------------
     def _lookup(self, key: TuningKey) -> Optional[TuningRecord]:
         """Memory -> server -> (offline: local fallback store) -> miss."""
@@ -336,7 +329,7 @@ class RemoteSession(TuningSession):
             else:
                 self._mark_up()
             if record is not None:
-                self._count("server_hits")
+                self.server_hits += 1
                 self.cache.insert(record)
                 return record
         if not self.online and self.fallback_store is not None:
@@ -396,7 +389,7 @@ class RemoteSession(TuningSession):
                 self._note_error(exc)
             else:
                 self._mark_up()
-                self._count("server_tunes")
+                self.server_tunes += 1
                 self.cache.insert(record)
                 return record
         return self._search_and_record(key, candidates, evaluate, oracle, precheck)

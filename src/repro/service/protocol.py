@@ -55,10 +55,10 @@ __all__ = [
 
 # Version of the framing + request/response envelope.  Bump on any change a
 # peer from the previous release could misread.  2: ``warm`` always tunes
-# its sweep before answering, and ``tune`` takes no sweep hint.  Dropping an
-# op needs no bump: a peer that still sends it gets the coded ``unknown_op``
-# error.
-PROTOCOL_VERSION = 2
+# its sweep before answering, and ``tune`` takes no sweep hint.  3: the
+# ``stats`` reply has no ``telemetry`` key.  Dropping an op needs no bump: a
+# peer that still sends it gets the coded ``unknown_op`` error.
+PROTOCOL_VERSION = 3
 
 # Where ``python -m repro.service serve`` listens, and where every CLI that
 # talks to it (the service admin commands, ``python -m repro query

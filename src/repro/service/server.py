@@ -51,7 +51,7 @@ from ..rewriter.records import TuningKey, TuningRecord, decode_record
 from ..rewriter.session import TuningSession
 from ..rewriter.store import ShardedTuningStore
 from ..rewriter.tasks import TuningTask, run_task, task_from_key, tasks_from_graph
-from ..telemetry import metrics as _metrics, trace as _trace
+from ..telemetry import trace as _trace
 from ..testing import faults
 from . import protocol
 
@@ -232,9 +232,6 @@ class TuningService:
         self._bound_address = self._server.server_address[:2]
         self.started_at = time.time()
         self.started_monotonic = time.monotonic()
-        # No-ops unless a MetricsRegistry is installed in this process; the
-        # dataclass stays the single source of truth for both views.
-        _metrics.register_stats_gauges("service", self.stats)
         self._accept = threading.Thread(
             target=self._server.serve_forever,
             kwargs={"poll_interval": 0.05},
@@ -375,17 +372,12 @@ class TuningService:
         handler = getattr(self, f"_op_{op}", None)
         if op not in protocol.OPS or handler is None:
             return protocol.error_response(f"unknown op {op!r}", "unknown_op")
-        self._count("requests", op)
-        registry = _metrics.active()
-        started = time.perf_counter() if registry is not None else 0.0
+        self.stats.requests[op] = self.stats.requests.get(op, 0) + 1
         try:
             with _trace.span("service.request", op=str(op)):
                 return handler(message)
         except Exception as exc:  # a bad request must not kill the handler
             return protocol.error_response(f"{type(exc).__name__}: {exc}", "server_error")
-        finally:
-            if registry is not None:
-                registry.observe("service.request_s", time.perf_counter() - started)
 
     # -- operations -----------------------------------------------------------
     def _op_ping(self, message: Dict) -> Dict:
@@ -474,25 +466,12 @@ class TuningService:
                 f.name: getattr(expr, f.name) for f in dataclasses.fields(expr)
             },
             "inflight": inflight,
-            "telemetry": _metrics.snapshot_counters(),
         }
 
     def _uptime(self) -> float:
         if self.started_monotonic is not None:
             return time.monotonic() - self.started_monotonic
         return time.time() - self.started_at if self.started_at else 0.0
-
-    def _count(self, field: str, op: Optional[str] = None) -> None:
-        """One daemon event: ``stats.<field>`` and the ``service.<field>``
-        counter together (``stats.requests[op]`` and
-        ``service.requests.<op>`` for a request)."""
-        if op is None:
-            setattr(self.stats, field, getattr(self.stats, field) + 1)
-            _metrics.count("service." + field)
-        else:
-            table = getattr(self.stats, field)
-            table[op] = table.get(op, 0) + 1
-            _metrics.event("service." + field, op)
 
     # -- coalesced tuning core ------------------------------------------------
     def _tune_key(self, key: TuningKey) -> Tuple[Optional[TuningRecord], Optional[str]]:
@@ -511,7 +490,7 @@ class TuningService:
             if entry is not None:
                 leader = False
                 entry.waiters += 1
-                self._count("coalesced_waiters")
+                self.stats.coalesced_waiters += 1
             else:
                 entry = self._inflight[key] = _Inflight()
                 leader = True

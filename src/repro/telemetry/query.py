@@ -298,8 +298,6 @@ def service(
                     rows.append((f"{section}.{key}.{sub_key}", sub_value))
             else:
                 rows.append((f"{section}.{key}", value))
-    for key, value in sorted(stats["telemetry"].items()):
-        rows.append((f"telemetry.{key}", value))
     format_output(rows, ["metric", "value"], fmt, title=f"service {host}:{port}")
 
 

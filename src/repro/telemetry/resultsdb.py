@@ -277,14 +277,9 @@ class ResultsDB:
             for row in rows
         ]
 
-    def latest_run_id(self, kind: Optional[str] = None) -> Optional[int]:
-        query = "SELECT MAX(id) FROM runs"
-        params: List = []
-        if kind is not None:
-            query += " WHERE kind = ?"
-            params.append(kind)
+    def latest_run_id(self) -> Optional[int]:
         with self._lock:
-            row = self._conn.execute(query, params).fetchone()
+            row = self._conn.execute("SELECT MAX(id) FROM runs").fetchone()
         return int(row[0]) if row and row[0] is not None else None
 
     def payload(self, run_id: int) -> Optional[dict]:

@@ -4,8 +4,7 @@
 tracer installed it returns a shared immutable null object — the first
 statement of :func:`span` is a global load and a ``None`` test, so
 instrumentation left permanently in hot paths costs nothing in production
-(the same discipline as ``testing/faults.fire`` and
-``telemetry.metrics.count``).
+(the same discipline as ``testing/faults.fire``).
 
 With a tracer installed, each thread keeps its own span stack (spans on
 different threads never parent each other).  A finished span records:

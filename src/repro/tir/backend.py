@@ -64,7 +64,7 @@ from typing import (
 import numpy as np
 
 from ..dsl.tensor import Tensor
-from ..telemetry import metrics as _metrics, trace as _trace
+from ..telemetry import trace as _trace
 
 if TYPE_CHECKING:  # runtime import is lazy (see _lowlevel) to avoid a cycle
     from ..codegen.lowlevel import NativeSource
@@ -427,20 +427,14 @@ def instruction_support_reason(func: PrimFunc) -> Optional[str]:
     return None
 
 
-def _count(stats: Optional[EngineStats], field: str) -> None:
-    """One native-tier event: ``stats.<field>`` and the ``tir.<field>`` counter together."""
-    if stats is not None:
-        setattr(stats, field, getattr(stats, field) + 1)
-    _metrics.count("tir." + field)
-
-
 def _demote(plan: ExecutablePlan, reason: str, stats: Optional[EngineStats]) -> None:
     state = tier_state(plan)
     state.tier = "vectorized"
     state.kernel = None
     state.demoted = True
     state.demotion_reason = reason
-    _count(stats, "native_demotions")
+    if stats is not None:
+        stats.native_demotions += 1
 
 
 def _kernel_arrays(
@@ -505,9 +499,11 @@ def _promote(
             verdict = qualify()
             sq.set(outcome=verdict.outcome)
         state.sandbox_outcome = verdict.outcome
-        _count(stats, "sandbox_qualifications")
+        if stats is not None:
+            stats.sandbox_qualifications += 1
         if not verdict.ok:
-            _count(stats, "sandbox_rejections")
+            if stats is not None:
+                stats.sandbox_rejections += 1
             promote_span.set(outcome="sandbox_rejected")
             _demote(plan, f"sandbox rejected native kernel ({verdict.describe()})", stats)
             return
@@ -539,7 +535,8 @@ def _promote(
         state.kernel = kernel
         state.tier = "native"
         promote_span.set(outcome="promoted")
-    _count(stats, "native_promotions")
+    if stats is not None:
+        stats.native_promotions += 1
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +679,8 @@ def run_tiered(
         except Exception as exc:
             _demote(plan, f"native kernel raised: {exc}", stats)
         else:
-            _count(stats, "native_runs")
+            if stats is not None:
+                stats.native_runs += 1
             return result
 
     if (

@@ -1379,7 +1379,7 @@ def compile_plan(func: PrimFunc, strict: bool = False) -> ExecutablePlan:
     :class:`~repro.tir.executor.Executor`) over calling this directly: the
     cache recognises structurally identical functions and compiles them once.
     """
-    from ..telemetry import metrics as _metrics, trace as _trace
+    from ..telemetry import trace as _trace
 
     with _trace.span("tir.compile_plan", func=func.name, strict=strict) as sp:
         plan = _PlanCompiler(func, strict=strict).compile()
@@ -1389,5 +1389,4 @@ def compile_plan(func: PrimFunc, strict: bool = False) -> ExecutablePlan:
             proved_nests=plan.stats.proved_nests,
             elided_checks=plan.stats.elided_checks,
         )
-    _metrics.count("tir.plan_compiles")
     return plan

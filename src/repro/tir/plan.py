@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..dsl import expr as E
-from ..telemetry import metrics as _metrics
 from .engine import ExecutablePlan, compile_plan
 from .lower import PrimFunc
 from .stmt import (
@@ -216,12 +215,6 @@ class PlanCache:
         with self._lock:
             self._entries.clear()
 
-    def _count(self, field: str) -> None:
-        """One lookup outcome: ``stats.<field>`` and the
-        ``tir.plan_cache.<field>`` counter together."""
-        setattr(self.stats, field, getattr(self.stats, field) + 1)
-        _metrics.count("tir.plan_cache." + field)
-
     def get_or_compile(self, func: PrimFunc) -> ExecutablePlan:
         """The cached plan for ``func``'s program, compiling on first sight.
 
@@ -242,9 +235,9 @@ class PlanCache:
             plan = self._entries.get(key)
             if plan is not None:
                 self._entries.move_to_end(key)
-                self._count("hits")
+                self.stats.hits += 1
                 return plan
-            self._count("misses")
+            self.stats.misses += 1
             plan = self._entries[key] = compile_plan(func)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)

@@ -162,6 +162,29 @@ class TestTrialValidation:
         assert cost.seconds > 0
 
 
+    def test_cpu_runner_validates_conv3d(self):
+        from repro.workloads import Conv2DParams, conv3d_from_conv2d
+
+        runner = UnitCpuRunner(tuning="first_pair", validation="spot")
+        params = conv3d_from_conv2d(
+            Conv2DParams(
+                in_channels=8, in_height=6, in_width=6, out_channels=16, kernel=3, name="c3"
+            ),
+            depth=3,
+        )
+        assert runner.conv3d_latency(params).seconds > 0
+        assert runner.session.searches_run == 1
+
+    def test_gpu_runner_validates_conv2d(self):
+        from repro.workloads import Conv2DParams
+
+        runner = UnitGpuRunner(mode="generic", validation="spot")
+        params = Conv2DParams(
+            in_channels=16, in_height=6, in_width=6, out_channels=16, kernel=3, name="gc"
+        )
+        assert runner.conv2d_latency(params).seconds > 0
+        assert runner.session.searches_run == 1
+
     def test_arm_runner_validates_dense(self):
         """Regression: dense validation must use the intrinsic's operand
         dtypes (sdot is int8 x int8, not the VNNI uint8 x int8 default)."""
@@ -283,3 +306,25 @@ class TestStaticPrecheck:
         assert runner.session.candidates_rejected == 1
         record = next(iter(runner.session.cache._records.values()))
         assert record.result.rejected == 1
+
+
+class TestCompileModelBatch:
+    def test_without_a_session_the_batch_shares_a_private_one(self, monkeypatch):
+        from repro.core import compile_model_batch, pipeline
+
+        made = []
+
+        class CountedSession(pipeline.TuningSession):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(pipeline, "TuningSession", CountedSession)
+        first, second = compile_model_batch([_toy_model(), _toy_model()])
+        (session,) = made
+        assert (first.target, second.target) == ("x86", "x86")
+        assert first.latency_ms == second.latency_ms > 0
+        # The second model's layers were tuned by the first: every key was
+        # searched once, then hit.
+        assert session.searches_run == len(session.cache.records())
+        assert session.stats.hits > 0

@@ -179,3 +179,69 @@ class TestFailureModes:
         mm = matmul_int8(4, 16, 8)
         with pytest.raises(IndexError):
             tensorize(mm, "x86.avx512.vpdpbusd", mapping_index=99)
+
+    def test_explicit_intrinsic_that_does_not_apply(self):
+        from repro.workloads import matmul_fp32
+
+        with pytest.raises(TensorizeError, match="is not applicable to"):
+            tensorize(matmul_fp32(32, 32, 32), "x86.avx512.vpdpbusd")
+
+
+class TestTensorizeResult:
+    def test_execute_runs_the_vectorized_tier_by_default(self, rng):
+        result = tensorize(matmul_int8(4, 16, 8), "x86.avx512.vpdpbusd")
+        buffers = alloc_buffers(result.func, rng)
+        out = result.execute({t: a.copy() for t, a in buffers.items()})
+        a, b = (buffers[t] for t in result.func.inputs)
+        np.testing.assert_array_equal(out, matmul_reference(a, b, transpose_b=True))
+
+    def test_execute_through_a_given_executor(self, rng):
+        result = tensorize(matmul_int8(4, 16, 8), "x86.avx512.vpdpbusd")
+        buffers = alloc_buffers(result.func, rng)
+        ref = Executor(tier="vectorized").run(
+            result.func, {t: a.copy() for t, a in buffers.items()}
+        )
+        executor = Executor(tier="interpreter")
+        out = result.execute({t: a.copy() for t, a in buffers.items()}, executor=executor)
+        np.testing.assert_array_equal(out, ref)
+
+    def test_repr_names_operation_intrinsic_and_mappings(self):
+        result = tensorize(matmul_int8(4, 16, 8), "x86.avx512.vpdpbusd")
+        assert repr(result) == (
+            f"TensorizeResult({result.operation.name} via x86.avx512.vpdpbusd, "
+            f"{result.num_feasible_mappings} feasible mapping(s))"
+        )
+
+
+class _SpoilingExecutor:
+    """The vectorized tier, except that one element of ``func``'s output is
+    off by one."""
+
+    def __init__(self, func):
+        self.func = func
+        self.inner = Executor(tier="vectorized")
+
+    def run(self, func, buffers):
+        out = self.inner.run(func, buffers)
+        if func is self.func:
+            out = out.copy()
+            out.flat[0] += 1
+        return out
+
+
+class TestValidateTensorize:
+    @pytest.mark.parametrize(
+        "build, intrinsic",
+        [
+            (lambda: matmul_int8(4, 16, 8), "x86.avx512.vpdpbusd"),
+            (lambda: matmul_fp16(16, 16, 16), "nvvm.wmma.m16n16k16.mma.row.row.f32.f32"),
+        ],
+        ids=["integer", "float"],
+    )
+    def test_a_wrong_output_is_refused(self, build, intrinsic):
+        from repro.core import validate_tensorize
+
+        result = tensorize(build(), intrinsic)
+        validate_tensorize(result)  # the real tier reproduces the reference
+        with pytest.raises(TensorizeError, match=r"\(1 of \d+ elements differ\)"):
+            validate_tensorize(result, executor=_SpoilingExecutor(result.func))

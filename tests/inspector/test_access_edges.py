@@ -149,3 +149,40 @@ class TestAwkwardIndexing:
             d.severity == "warning" and "cannot bound" in d.message
             for d in report.diagnostics
         )
+
+
+class TestInspectorReports:
+    def test_isomorphic_but_unmappable_operation_is_not_applicable(self):
+        """The arithmetic matches WMMA, but ``A`` varies along all three of
+        the instruction's loops while register ``a`` indexes only two."""
+        wmma = get_intrinsic("nvvm.wmma.m16n16k16.mma.row.row.f32.f32")
+        a = placeholder((16, 16, 16), "float16", "A")
+        b = placeholder((16, 16), "float16", "B")
+        k = reduce_axis(0, 16, "k")
+        skew = compute(
+            (16, 16),
+            lambda i, j: sum_reduce(cast("float32", a[i, j, k]) * cast("float32", b[k, j]), k),
+            name="skew",
+        )
+        assert match_isomorphism(wmma.op, skew.op).matched
+        result = inspect_applicability(skew, wmma)
+        assert not result.applicable and result.mappings == []
+        assert result.reason == (
+            "no feasible loop mapping (tried 2 candidate mappings; "
+            "data-access isomorphism failed for all)"
+        )
+        assert repr(result) == (
+            f"InspectionResult(skew x {wmma.name}: not applicable ({result.reason}), "
+            "0 feasible mapping(s))"
+        )
+
+    def test_applicable_result_and_mapping_reprs(self):
+        vnni = get_intrinsic("x86.avx512.vpdpbusd")
+        result = inspect_applicability(small_conv_hwc(), vnni)
+        assert repr(result) == (
+            f"InspectionResult(conv x {vnni.name}: applicable, "
+            f"{len(result.mappings)} feasible mapping(s))"
+        )
+        pairs = ", ".join(f"{a.name}->{b.name}" for a, b in result.mapping.axis_map.items())
+        assert repr(result.mapping) == f"LoopMapping({pairs})"
+        assert "->vnni_i" in pairs and "->vnni_j" in pairs

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dsl import Var, compute, placeholder
+from repro.dsl import Var, compute, placeholder, reduce_axis, sum_reduce
 from repro.schedule import Annotation, create_schedule
 from tests.conftest import small_conv_hwc
 
@@ -143,3 +143,97 @@ class TestIndexReconstruction:
         conv = small_conv_hwc()
         sch = create_schedule(conv)
         assert sch[conv] is sch.stage
+
+    def test_stage_of_a_multi_stage_schedule_must_be_indexed(self):
+        from repro.schedule import Schedule
+
+        first, second = _elementwise(8), _elementwise(8)
+        sch = Schedule([first.op, second.op])
+        assert sch[second].op is second.op
+        with pytest.raises(ValueError, match="index by op"):
+            sch.stage
+
+    def test_create_schedule_needs_a_computed_tensor(self):
+        with pytest.raises(TypeError, match="ComputeOp"):
+            create_schedule(placeholder((4,), "float32", "p"))
+
+    def test_fuse_many_needs_a_loop(self):
+        with pytest.raises(ValueError, match="at least one loop"):
+            create_schedule(_elementwise()).stage.fuse_many([])
+
+    def test_fuse_many_of_one_loop_is_that_loop(self):
+        st = create_schedule(_elementwise()).stage
+        (i,) = st.leaf_vars
+        assert st.fuse_many([i]) is i
+
+    def test_stage_repr_lists_leaf_loops_in_order(self):
+        st = create_schedule(_elementwise(24)).stage
+        outer, inner = st.split(st.leaf_vars[0], 8)
+        assert repr(st) == f"Stage(ew: [{outer.name}, {inner.name}])"
+
+
+def _corrupt_duplicate_leaf(st, i, k):
+    st.leaf_vars.append(i)
+
+
+def _corrupt_extent(st, i, k):
+    i.extent = 0
+
+
+def _corrupt_parallel_reduce(st, i, k):
+    k.annotation = Annotation.PARALLEL  # what ``parallel(k)`` refuses to do
+
+
+def _corrupt_short_split(st, i, k):
+    outer, _ = st.split(i, 4)
+    outer.extent -= 1
+
+
+def _corrupt_overshooting_split(st, i, k):
+    outer, _ = st.split(i, 4)
+    outer.extent += 1
+
+
+def _corrupt_fuse(st, i, k):
+    st.fuse(i, st.leaf_vars[1]).extent += 1
+
+
+def _dangling_tensorize(st, i, k):
+    from repro.isa import get_intrinsic
+
+    st.tensorize(k, get_intrinsic("x86.avx512.vpdpbusd"))
+    st.split(k, 2)  # the tensorize loop is no longer a leaf
+
+
+class TestVerify:
+    """``Stage.verify`` (run by ``lower``) refuses each malformed schedule."""
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (_corrupt_duplicate_leaf, "duplicate leaf loop"),
+            (_corrupt_extent, "non-positive extent 0"),
+            (_corrupt_parallel_reduce, "is annotated parallel"),
+            (_corrupt_short_split, "covers only 4 of 8"),
+            (_corrupt_overshooting_split, "overshoots"),
+            (_corrupt_fuse, "expected 32"),
+            (_dangling_tensorize, "no longer a leaf"),
+        ],
+        ids=lambda v: v.__name__.strip("_") if callable(v) else None,
+    )
+    def test_malformed_schedule_is_refused_before_lowering(self, corrupt, message):
+        from repro.tir import lower
+
+        a = placeholder((8, 8), "float32", "a")
+        b = placeholder((8, 4), "float32", "b")
+        k_axis = reduce_axis(0, 8, "k")
+        out = compute(
+            (8, 4), lambda i, j: sum_reduce(a[i, k_axis] * b[k_axis, j], k_axis), name="mm"
+        )
+        sch = create_schedule(out)
+        st = sch.stage
+        i, _, k = st.leaf_vars
+        st.verify()  # well formed before the corruption
+        corrupt(st, i, k)
+        with pytest.raises(ValueError, match=message):
+            lower(sch)

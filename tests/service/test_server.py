@@ -232,6 +232,27 @@ class TestVersioning:
                 client.ping()
             assert excinfo.value.code == "version_mismatch"
 
+    def test_previous_release_stats_request_gets_version_mismatch(
+        self, service, monkeypatch
+    ):
+        """Protocol 3 dropped the ``stats`` reply's ``telemetry`` key, which a
+        protocol-2 ``query service`` reads unconditionally: such a peer gets
+        the coded refusal instead of a reply it would fail on."""
+        assert protocol.PROTOCOL_VERSION == 3
+        with ServiceClient(service.address) as client:
+            assert "telemetry" not in client.stats()
+        current = protocol.request
+
+        def previous_release_request(op, **fields):
+            return {**current(op, **fields), "protocol": 2}
+
+        monkeypatch.setattr(protocol, "request", previous_release_request)
+        with ServiceClient(service.address) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.stats()
+        assert excinfo.value.code == "version_mismatch"
+        assert service.stats.version_rejections == 1
+
 
 class TestCoalescing:
     def test_concurrent_tunes_of_one_key_search_once_bit_identical(self, tmp_path):

@@ -147,14 +147,14 @@ class TestService:
         assert address == f"127.0.0.1:{port}"
         assert json.loads(payload)["service"]["requests"] == {"stats": 1}
 
-    def test_telemetry_counters_become_rows(self, tmp_path, capsys):
+    def test_service_counters_become_rows(self, tmp_path, capsys):
         from repro.service import TuningService
-        from repro.telemetry import metrics
 
-        with metrics.collecting():
-            with TuningService(tmp_path / "store") as service:
-                assert main(["service", "--port", str(service.address[1])]) == 0
-        assert "telemetry.service.requests.stats" in capsys.readouterr().out
+        with TuningService(tmp_path / "store") as service:
+            assert main(["service", "--port", str(service.address[1])]) == 0
+        out = capsys.readouterr().out
+        assert "service.requests.stats" in out
+        assert "telemetry." not in out
 
     def test_unreachable_daemon_is_a_clean_error(self, capsys):
         assert main(["service", "--port", "1"]) == 1

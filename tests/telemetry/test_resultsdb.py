@@ -85,8 +85,6 @@ class TestResultsDB:
         assert rows[0]["metrics"] == 2
         assert db.runs(kind="service")[0]["id"] == second
         assert db.latest_run_id() == second
-        assert db.latest_run_id(kind="compile_time") == first
-        assert db.latest_run_id(kind="nope") is None
 
     def test_run_rows_carry_metadata(self, db):
         run_id = db.record_run(

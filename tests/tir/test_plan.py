@@ -238,18 +238,12 @@ class TestPlanSharing:
         got = plan.run({t: a.copy() for t, a in buffers.items()}, func=r2.func)
         np.testing.assert_array_equal(got, ref)
 
-    def test_stats_and_telemetry_counters_agree(self):
-        from repro.telemetry import metrics
-
+    def test_stats_count_one_miss_then_hits(self):
         cache = PlanCache()
         f1, f2 = _matmul_func(), _matmul_func()
-        with metrics.collecting() as registry:
-            for func in (f1, f1, f2):  # one miss, then two hits
-                cache.get_or_compile(func)
-        counters = registry.counters()
+        for func in (f1, f1, f2):  # one miss, then two hits
+            cache.get_or_compile(func)
         assert (cache.stats.misses, cache.stats.hits) == (1, 2)
-        assert counters["tir.plan_cache.misses"] == cache.stats.misses
-        assert counters["tir.plan_cache.hits"] == cache.stats.hits
 
     def test_lru_eviction(self):
         cache = PlanCache(capacity=2)

@@ -284,13 +284,10 @@ class TestPromotionIntegration:
         assert np.array_equal(got, reference)
 
     @needs_toolchain
-    def test_every_native_tier_field_equals_its_counter(self):
+    def test_every_native_tier_field_counts_its_events(self):
         """Promote, sandbox-reject, demote: each ``EngineStats`` native-tier
-        field and the ``tir.<field>`` telemetry counter come from one
-        increment (``backend._count``), so after the drill they are equal —
-        and none of them is still zero."""
-        from repro.telemetry import metrics
-
+        field counts exactly the events of the drill — and none of them is
+        still zero."""
         fields = (
             "native_runs",
             "native_promotions",
@@ -299,30 +296,27 @@ class TestPromotionIntegration:
             "sandbox_rejections",
         )
         stats = EngineStats()
-        with metrics.collecting() as registry:
-            promoted = _fresh_plan()
-            for seed in range(3):  # promotes on the first run, then runs natively
-                buffers = alloc_buffers(promoted.func, np.random.default_rng(seed))
-                run_tiered(promoted, buffers, stats=stats, promote_after=1)
-            assert tier_state(promoted).tier == "native"
-
-            rejected = _fresh_plan()
-            with faults.FaultPlan(seed=0) as plan_f:
-                plan_f.on("backend.qualify", faults.segfault, when=_in_sandbox)
-                buffers = alloc_buffers(rejected.func, np.random.default_rng(5))
-                run_tiered(rejected, buffers, stats=stats, promote_after=1)
-            assert tier_state(rejected).sandbox_outcome == "segfault"
-
-            def raising(arrays):
-                raise RuntimeError("simulated kernel fault")
-
-            tier_state(promoted).kernel.run = raising
-            buffers = alloc_buffers(promoted.func, np.random.default_rng(6))
+        promoted = _fresh_plan()
+        for seed in range(3):  # promotes on the first run, then runs natively
+            buffers = alloc_buffers(promoted.func, np.random.default_rng(seed))
             run_tiered(promoted, buffers, stats=stats, promote_after=1)
-            assert tier_state(promoted).demoted
-            counters = registry.counters()
+        assert tier_state(promoted).tier == "native"
+
+        rejected = _fresh_plan()
+        with faults.FaultPlan(seed=0) as plan_f:
+            plan_f.on("backend.qualify", faults.segfault, when=_in_sandbox)
+            buffers = alloc_buffers(rejected.func, np.random.default_rng(5))
+            run_tiered(rejected, buffers, stats=stats, promote_after=1)
+        assert tier_state(rejected).sandbox_outcome == "segfault"
+
+        def raising(arrays):
+            raise RuntimeError("simulated kernel fault")
+
+        tier_state(promoted).kernel.run = raising
+        buffers = alloc_buffers(promoted.func, np.random.default_rng(6))
+        run_tiered(promoted, buffers, stats=stats, promote_after=1)
+        assert tier_state(promoted).demoted
         observed = {name: getattr(stats, name) for name in fields}
-        assert observed == {name: counters.get(f"tir.{name}") for name in fields}
         assert observed == {
             "native_runs": 2,
             "native_promotions": 1,

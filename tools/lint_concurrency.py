@@ -52,7 +52,6 @@ DEFAULT_FILES = [
     "src/repro/service/client.py",
     "src/repro/retry.py",
     "src/repro/testing/faults.py",
-    "src/repro/telemetry/metrics.py",
     "src/repro/telemetry/trace.py",
     "src/repro/telemetry/resultsdb.py",
 ]
@@ -71,18 +70,8 @@ GUARDED: Dict[str, Dict[str, Dict[str, Set[str]]]] = {
         },
     },
     # Telemetry sinks are written from every instrumented thread (engine,
-    # service handlers): all three instrument
-    # tables, the tracer's finished-span list + id sequence, and the
-    # results DB's sqlite connection live behind one lock each.
-    "metrics.py": {
-        "MetricsRegistry": {
-            "_lock": {
-                "_counters",
-                "_gauges",
-                "_histograms",
-            },
-        },
-    },
+    # service handlers): the tracer's finished-span list + id sequence and
+    # the results DB's sqlite connection live behind one lock each.
     "trace.py": {
         "Tracer": {
             "_lock": {
