@@ -75,9 +75,6 @@ class Interval:
             return Interval(self.lo * k, self.hi * k)
         return Interval(self.hi * k, self.lo * k)
 
-    def shifted(self, k: int) -> "Interval":
-        return Interval(self.lo + k, self.hi + k)
-
     def floordiv(self, other: "Interval") -> Optional["Interval"]:
         """``self // other`` (Python floor semantics); ``None`` if 0 ∈ other."""
         if other.lo <= 0 <= other.hi:
@@ -107,9 +104,6 @@ class Interval:
 
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def clamp_hi(self, hi: int) -> "Interval":
-        return Interval(self.lo, min(self.hi, hi))
 
     # -- predicates -------------------------------------------------------
     def within(self, lo: int, hi: int) -> bool:

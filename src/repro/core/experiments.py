@@ -16,8 +16,6 @@ from ..baselines.frameworks import MxnetOneDnnRunner, TvmCudnnRunner
 from ..baselines.onednn import OneDnnModel
 from ..baselines.tvm_baseline import TvmManualModel, TvmNeonModel
 from ..graph.estimate import estimate_graph_latency
-from ..graph.fuse import fuse_elementwise
-from ..graph.quantize import quantize_graph
 from ..hwsim.cost import geometric_mean
 from ..hwsim.machine import CASCADE_LAKE, GRAVITON2, V100
 from ..models.zoo import EVALUATED_MODELS, get_model
@@ -27,7 +25,7 @@ from ..rewriter.tuner import exhaustive_search
 from ..workloads.conv2d import Conv2DParams
 from ..workloads.conv3d import conv3d_from_conv2d
 from ..workloads.table1 import TABLE1_LAYERS, table1_as_rows
-from .pipeline import UnitCpuRunner, UnitGpuRunner, compile_model
+from .pipeline import UnitCpuRunner, UnitGpuRunner, compile_model, prepare_graph
 
 __all__ = [
     "figure1_fp16_without_tensor_core",
@@ -47,16 +45,8 @@ __all__ = [
 # helpers
 # ---------------------------------------------------------------------------
 
-def _prepare(graph, dtype: str, fuse: bool):
-    g = quantize_graph(graph, dtype)
-    if fuse:
-        g = fuse_elementwise(g)
-    return g
-
-
-def _e2e_latency(model_name: str, runner, dtype: str, fuse: bool) -> float:
-    graph = get_model(model_name, fresh=True)
-    g = _prepare(graph, dtype, fuse)
+def _e2e_latency(model_name: str, runner, target: str, fuse: bool) -> float:
+    g = prepare_graph(get_model(model_name, fresh=True), target, fuse=fuse)
     return estimate_graph_latency(g, runner).total_seconds
 
 
@@ -108,8 +98,8 @@ def figure1_fp16_without_tensor_core(models: Optional[List[str]] = None) -> List
     fp16 = TvmCudnnRunner(mode="fp16_no_tc")
     rows = []
     for name in models:
-        t32 = _e2e_latency(name, fp32, "float16", fuse=True)
-        t16 = _e2e_latency(name, fp16, "float16", fuse=True)
+        t32 = _e2e_latency(name, fp32, "cuda", fuse=True)
+        t16 = _e2e_latency(name, fp16, "cuda", fuse=True)
         rows.append(
             {
                 "model": name,
@@ -145,9 +135,9 @@ def figure8_cpu_end_to_end(
         unit_runner = UnitCpuRunner(
             CASCADE_LAKE, "x86.avx512.vpdpbusd", tuning="full", session=session
         )
-        t_mxnet = _e2e_latency(name, mxnet, "int8", fuse=False)
-        t_tvm = _e2e_latency(name, tvm_manual, "int8", fuse=True)
-        t_unit = _e2e_latency(name, unit_runner, "int8", fuse=True)
+        t_mxnet = _e2e_latency(name, mxnet, "x86", fuse=False)
+        t_tvm = _e2e_latency(name, tvm_manual, "x86", fuse=True)
+        t_unit = _e2e_latency(name, unit_runner, "x86", fuse=True)
         rows.append(
             {
                 "model": name,
@@ -179,8 +169,8 @@ def figure9_gpu_end_to_end(
     rows = []
     for name in models:
         unit_runner = UnitGpuRunner(V100, mode="tune", session=session)
-        t_cudnn = _e2e_latency(name, cudnn, "float16", fuse=True)
-        t_unit = _e2e_latency(name, unit_runner, "float16", fuse=True)
+        t_cudnn = _e2e_latency(name, cudnn, "cuda", fuse=True)
+        t_unit = _e2e_latency(name, unit_runner, "cuda", fuse=True)
         rows.append(
             {
                 "model": name,
@@ -287,9 +277,9 @@ def figure12_arm_end_to_end(
     rows = []
     for name in models:
         unit_runner = UnitCpuRunner(GRAVITON2, "arm.neon.sdot", tuning="full", session=session)
-        t_neon = _e2e_latency(name, neon, "int8", fuse=True)
-        t_manual = _e2e_latency(name, manual, "int8", fuse=True)
-        t_unit = _e2e_latency(name, unit_runner, "int8", fuse=True)
+        t_neon = _e2e_latency(name, neon, "arm", fuse=True)
+        t_manual = _e2e_latency(name, manual, "arm", fuse=True)
+        t_unit = _e2e_latency(name, unit_runner, "arm", fuse=True)
         rows.append(
             {
                 "model": name,

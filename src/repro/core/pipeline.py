@@ -22,11 +22,10 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
 from ..baselines.frameworks import MxnetOneDnnRunner, TvmCudnnRunner
 from ..graph.estimate import GraphLatencyReport, estimate_graph_latency
-from ..graph.fuse import fuse_elementwise
 from ..graph.ir import DepthwiseConv2DNode, Graph
 from ..graph.layout import plan_layout
 from ..graph.program import ModelRun, run_model
-from ..graph.quantize import quantize_graph
+from ..graph.quantize import rewrite_graph
 from ..hwsim.cost import CostBreakdown
 from ..hwsim.cpu import CpuKernelModel
 from ..hwsim.gpu import GpuKernelModel
@@ -61,7 +60,7 @@ class Target(NamedTuple):
     machine: str  # a repro.hwsim.machine_by_name() name
     intrinsic: str  # the tensorized instruction
     tuning: str  # the CPU runner's tuning= / the GPU runner's mode=
-    dtype: str  # the quantize_graph() dtype
+    dtype: str  # the rewrite_graph() dtype
 
 
 # The one target table: ``compile_model``'s default runner and graph passes,
@@ -108,8 +107,9 @@ class _SessionTunedRunner:
     """Shared tuning plumbing: key construction + session-backed search.
 
     Subclasses provide ``session``, ``intrin``, ``machine``, ``_space``,
-    ``validation``, ``tuning_results``, ``_configs()`` and (for functional
-    validation) ``_validation_op(kind, params)``.
+    ``validation``, ``tuning_results``, ``_configs`` (the candidates every
+    search tries) and (for functional validation)
+    ``_validation_op(kind, params)``.
 
     ``tuning_results`` holds trial-level data only for searches performed
     in-process; a record served from a cache loaded off disk carries no
@@ -172,7 +172,7 @@ class _SessionTunedRunner:
     def _tuned(self, kind: str, params, evaluate) -> CostBreakdown:
         record = self.session.tune(
             self.tuning_key(kind, params),
-            self._configs(),
+            self._configs,
             evaluate,
             oracle=self._validator(kind, params),
             precheck=self._precheck(kind, params),
@@ -219,9 +219,14 @@ class UnitCpuRunner(_SessionTunedRunner):
         self.candidates = list(candidates) if candidates is not None else cpu_tuning_candidates(
             max_pairs=max_candidates
         )
+        # The configurations each search tries, per tuning mode.
+        self._configs = {
+            "parallel": [CpuTuningConfig(enable_unroll=False)],
+            "first_pair": [CpuTuningConfig()],
+        }.get(tuning, self.candidates)
         self.session = session if session is not None else TuningSession()
         self.validation = ValidationPolicy.coerce(validation, default=ValidationPolicy.OFF)
-        self._space = space_fingerprint(tuning, self._configs())
+        self._space = space_fingerprint(tuning, self._configs)
         self.tuning_results: Dict[object, TuningResult] = {}
 
     # -- functional validation ---------------------------------------------
@@ -244,14 +249,6 @@ class UnitCpuRunner(_SessionTunedRunner):
         return build(
             params, lanes=lanes, reduction=reduction, in_dtype=in_dt, weight_dtype=w_dt
         )
-
-    # -- tuning ------------------------------------------------------------
-    def _configs(self) -> List[CpuTuningConfig]:
-        if self.tuning == "parallel":
-            return [CpuTuningConfig(enable_unroll=False)]
-        if self.tuning == "first_pair":
-            return [CpuTuningConfig()]
-        return self.candidates
 
     # -- operator latencies ---------------------------------------------------
     def conv2d_latency(self, params: Conv2DParams) -> CostBreakdown:
@@ -305,9 +302,15 @@ class UnitGpuRunner(_SessionTunedRunner):
         self.intrin = get_intrinsic(intrinsic_name)
         self.model = GpuKernelModel(machine, self.intrin)
         self.mode = mode
+        # The configurations each search tries, per mode.
+        self._configs = {
+            "generic": [GpuTuningConfig(outer_product_p=2)],
+            "fusedim": [GpuTuningConfig(outer_product_p=2, fuse_spatial=True)],
+            "splitk": [GpuTuningConfig(outer_product_p=2, fuse_spatial=True, split_k=64)],
+        }.get(mode) or gpu_tuning_candidates()
         self.session = session if session is not None else TuningSession()
         self.validation = ValidationPolicy.coerce(validation, default=ValidationPolicy.OFF)
-        self._space = space_fingerprint(mode, self._configs())
+        self._space = space_fingerprint(mode, self._configs)
         self.tuning_results: Dict[object, TuningResult] = {}
 
     def _validation_op(self, kind: str, params):
@@ -327,15 +330,6 @@ class UnitGpuRunner(_SessionTunedRunner):
             pad16(params.in_features),
             name=params.name,
         )
-
-    def _configs(self) -> List[GpuTuningConfig]:
-        if self.mode == "generic":
-            return [GpuTuningConfig(outer_product_p=2)]
-        if self.mode == "fusedim":
-            return [GpuTuningConfig(outer_product_p=2, fuse_spatial=True)]
-        if self.mode == "splitk":
-            return [GpuTuningConfig(outer_product_p=2, fuse_spatial=True, split_k=64)]
-        return gpu_tuning_candidates()
 
     def conv2d_latency(self, params: Conv2DParams) -> CostBreakdown:
         return self._tuned("conv2d", params, lambda cfg: self.model.conv2d_latency(params, cfg))
@@ -372,14 +366,11 @@ def unit_runner(runner: str, machine: str, intrinsic: str, tuning: str, session=
 
 def prepare_graph(graph: Graph, target: str, quantize: bool = True, fuse: bool = True) -> Graph:
     """The graph passes every compile for ``target`` starts with: quantize
-    to the target's dtype, then fuse elementwise operators."""
+    to the target's dtype, then fuse elementwise operators, in one walk
+    (``graph`` itself when both are off)."""
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}")
-    if quantize:
-        graph = quantize_graph(graph, TARGETS[target].dtype)
-    if fuse:
-        graph = fuse_elementwise(graph)
-    return graph
+    return rewrite_graph(graph, TARGETS[target].dtype if quantize else None, fuse)
 
 
 def compile_model(

@@ -1,15 +1,14 @@
 """``repro.graph`` — the Relay-like graph IR, its passes and its runners.
 
-A model is a DAG of operators (:mod:`.ir`); the quantization, layout/padding
-and operator fusion passes prepare it for tensorization.  Then one module per
-job: :mod:`.estimate` sums per-operator latencies, :mod:`.oracle` executes a
-graph node by node into fresh arrays (the definition of a correct run), and
-:mod:`.program` executes it memory-planned and plan-cached, byte-equal to
-the oracle.
+A model is a DAG of operators (:mod:`.ir`); quantization and operator
+fusion (one walk, :mod:`.quantize`) and layout/padding planning prepare it
+for tensorization.  Then one module per job: :mod:`.estimate` sums
+per-operator latencies, :mod:`.oracle` executes a graph node by node into
+fresh arrays (the definition of a correct run), and :mod:`.program`
+executes it memory-planned and plan-cached, byte-equal to the oracle.
 """
 
 from .estimate import GraphLatencyReport, estimate_graph_latency
-from .fuse import FUSABLE_KINDS, fuse_elementwise
 from .ir import (
     ConcatNode,
     Conv2DNode,
@@ -29,7 +28,7 @@ from .ir import (
 from .layout import LayoutDecision, padding_waste, plan_layout
 from .oracle import execute_graph
 from .program import GraphProgram, MemoryPlan, ModelRun, plan_memory, run_model
-from .quantize import quantize_graph
+from .quantize import FUSABLE_KINDS, fuse_elementwise, quantize_graph, rewrite_graph
 
 __all__ = [
     "Graph",
@@ -45,6 +44,7 @@ __all__ = [
     "ConcatNode",
     "FlattenNode",
     "SoftmaxNode",
+    "rewrite_graph",
     "quantize_graph",
     "plan_layout",
     "LayoutDecision",

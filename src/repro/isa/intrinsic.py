@@ -16,6 +16,7 @@ writing one new description, not a new compiler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -156,12 +157,13 @@ class TensorIntrinsic:
     def reduce_axes(self) -> List[IterAxis]:
         return self.op.reduce_axes
 
-    @property
+    # A registered description is immutable, so its register shape is read once.
+    @cached_property
     def output_lanes(self) -> int:
         """Number of output elements produced per instruction."""
         return self.op.output.num_elements
 
-    @property
+    @cached_property
     def reduction_width(self) -> int:
         """Number of elements accumulated horizontally per output lane."""
         width = 1

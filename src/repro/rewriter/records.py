@@ -22,6 +22,7 @@ of both tiers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -130,6 +131,12 @@ def decode_record_line(line: str):
     return decode_record(data)
 
 
+@functools.lru_cache(maxsize=None)
+def _field_names(cls) -> Tuple[str, ...]:
+    """A dataclass's sorted field names, ``name`` excluded."""
+    return tuple(sorted(f.name for f in dataclasses.fields(cls) if f.name != "name"))
+
+
 def params_fingerprint(params) -> Tuple[Tuple[str, object], ...]:
     """A hashable, JSON-safe identity for a workload-parameter object.
 
@@ -139,8 +146,7 @@ def params_fingerprint(params) -> Tuple[Tuple[str, object], ...]:
     read directly (ints and strings): ``asdict`` deep-copies on every lookup.
     """
     if dataclasses.is_dataclass(params) and not isinstance(params, type):
-        names = sorted([f.name for f in dataclasses.fields(params) if f.name != "name"])
-        return tuple([(name, getattr(params, name)) for name in names])
+        return tuple([(name, getattr(params, name)) for name in _field_names(type(params))])
     if isinstance(params, dict):
         return tuple(sorted((str(k), v) for k, v in params.items() if k != "name"))
     raise TypeError(f"cannot fingerprint workload params of type {type(params)!r}")

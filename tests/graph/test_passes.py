@@ -1,5 +1,7 @@
 """Tests for the graph-level passes: quantization, layout planning, fusion."""
 
+import dataclasses
+
 import pytest
 
 from repro.graph import (
@@ -10,6 +12,7 @@ from repro.graph import (
     padding_waste,
     plan_layout,
     quantize_graph,
+    rewrite_graph,
 )
 from repro.models import GraphBuilder, get_model
 
@@ -88,3 +91,33 @@ class TestFusion:
         fused = fuse_elementwise(g)
         assert fused.total_macs == g.total_macs
         assert fused.infer_shapes()[fused.nodes[-1].name] == g.infer_shapes()[g.nodes[-1].name]
+
+
+def _nodes(graph):
+    return [(type(n).__name__, dataclasses.asdict(n)) for n in graph.nodes]
+
+
+class TestOneWalk:
+    @pytest.mark.parametrize("dtype", ["int8", "float16"])
+    @pytest.mark.parametrize("model", ["resnet-18", "inception-v3", "mobilenet-v2"])
+    def test_is_the_two_passes_composed(self, model, dtype):
+        g = get_model(model, fresh=True)
+        one = rewrite_graph(g, dtype, fuse=True)
+        assert _nodes(one) == _nodes(fuse_elementwise(quantize_graph(g, dtype)))
+
+    def test_input_graph_untouched(self):
+        g = get_model("resnet-18", fresh=True)
+        before = _nodes(g)
+        rewrite_graph(g, "int8", fuse=True)
+        assert _nodes(g) == before
+
+    def test_final_dequantize_fuses_into_a_trailing_dense(self):
+        builder = GraphBuilder("headless", TensorShape(3, 8, 8))
+        builder.conv(16, 3)
+        builder.global_pool()
+        builder.dense(10)
+        g = builder.finish()
+        fused = rewrite_graph(g, "int8", fuse=True)
+        assert "final_dequantize" not in fused
+        assert fused.nodes[-1].fused_activations == ["dequantize"]
+        assert "final_dequantize" in quantize_graph(g, "int8")

@@ -99,8 +99,11 @@ class TestIsomorphism:
         pool = compute((8,), lambda i: max_reduce(a[i, k], k), name="pool")
         assert not match_isomorphism(vnni.op, pool.op).matched
 
-    def test_register_cannot_bind_two_sources(self):
-        """x[i]*x-like patterns where one register would need two tensors."""
+    def test_accumulator_read_from_another_tensor_still_matches(self):
+        """A bias-add matmul: the accumulator register ``c`` reads ``bias``
+        while ``d`` writes the output, and the match binds each to its own
+        tensor.  (A register that would need two tensors is refused; see
+        ``TestLeafBinding``.)"""
         vnni = get_intrinsic("x86.avx512.vpdpbusd")
         a = placeholder((4, 8), "uint8", "a")
         b = placeholder((4, 8), "int8", "b")
