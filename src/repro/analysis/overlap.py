@@ -50,7 +50,7 @@ from .interval import (
     row_major_strides,
 )
 
-__all__ = ["analyze_overlap", "check_tiles_disjoint", "check_nest_overlap"]
+__all__ = ["analyze_overlap", "check_tiles_disjoint", "check_nest_overlap", "indices_disjoint"]
 
 
 @remembered("overlap")
@@ -157,14 +157,36 @@ def check_tiles_disjoint(
     axes: List[Tuple[E.Var, int]],
     guards: Tuple[E.Expr, ...] = (),
 ) -> Optional[bool]:
-    """Mixed-radix disjointness of the intrinsic's output tiles.
+    """Mixed-radix disjointness of the intrinsic's output tiles: the
+    output binding's program address over the batch loops ``axes``, each
+    batch point writing one tile over the intrinsic's own axes (see
+    :func:`indices_disjoint`)."""
+    out_b = call.output
+    return indices_disjoint(
+        out_b.program_indices,
+        out_b.program_tensor.shape,
+        axes,
+        [(ax.var, int(ax.extent)) for ax in call.axes],
+        guards,
+    )
 
-    Flattens the output binding's program address row-major, decomposes it
-    quasi-affinely (fused-variable ``//``/``%`` terms become split atoms)
-    over the batch variables (outer loop variables the address depends on)
-    and the tile variables (the intrinsic's own axes), and requires every
-    batch coefficient to clear the combined span of all smaller batch terms
-    plus the tile's address width.
+
+def indices_disjoint(
+    indices,
+    shape,
+    axes: List[Tuple[E.Var, int]],
+    tile_axes: List[Tuple[E.Var, int]] = (),
+    guards: Tuple[E.Expr, ...] = (),
+) -> Optional[bool]:
+    """Mixed-radix disjointness of the tiles ``indices`` writes into a
+    buffer of ``shape``: one tile per point of the loops ``axes``, spanned by
+    the ``tile_axes`` (none: one element per point, e.g. a store).
+
+    Flattens the address row-major, decomposes it quasi-affinely
+    (fused-variable ``//``/``%`` terms become split atoms) over the batch
+    variables (loop variables of ``axes`` the address depends on) and the
+    tile variables, and requires every batch coefficient to clear the
+    combined span of all smaller batch terms plus the tile's address width.
 
     ``likely`` guards participate: a guard ``g < b`` whose support atoms
     appear in the address as an exact multiple ``s*g`` collapses those atoms
@@ -177,19 +199,16 @@ def check_tiles_disjoint(
     collision.  ``True`` = proved disjoint, ``False`` = two batch points
     provably collide, ``None`` = undecidable in the quasi-affine domain.
     """
-    out_b = call.output
-    tensor = out_b.program_tensor
+    strides = row_major_strides(shape)
 
-    strides = row_major_strides(tensor.shape)
-
-    ienv: Env = {ax.var: Interval(0, int(ax.extent) - 1) for ax in call.axes}
+    ienv: Env = loop_env(tile_axes)
     benv: Env = loop_env(axes)
     env: Env = {**benv, **ienv}
 
     flat_coeffs = {}
     atom_env = {}
     per_dim: List[dict] = []
-    for idx, stride in zip(out_b.program_indices, strides):
+    for idx, stride in zip(indices, strides):
         lin = linearize(idx, env)
         if lin is None:
             return None

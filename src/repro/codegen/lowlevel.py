@@ -20,15 +20,17 @@ loop-nest reading (:class:`repro.tir.visitor.Nest`), not matched here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..analysis.interval import Interval, axis_strides, loop_env, row_major_strides
+from ..analysis.interval import Interval, axis_strides, expr_interval, loop_env, row_major_strides
+from ..analysis.overlap import indices_disjoint
 from ..analysis.structure import TIR_EXPR_KINDS
 from ..dsl import expr as E
 from ..dsl.dtype import DType, from_string
@@ -320,7 +322,23 @@ def generate(func: PrimFunc, target: str = "generic") -> CodegenResult:
 #   ``contiguous`` accumulator read at the output's own address, and at most
 #   ``_MAX_REGISTER_TILE`` registers, is emitted so; every other call keeps
 #   its own load and store.
-# * loops are emitted serially: ``parallel`` nests run on one thread.
+# * one loop per nest runs across threads: the outermost loop whose
+#   iterations provably write disjoint outputs and read nothing another
+#   iteration writes.  That is the outermost tile loop of a reduction-update
+#   nest (``_reduction_nest`` has proved its store injective), or the
+#   outermost loop of a nest ending in one plain store or one instruction
+#   call — the schedule's fused ``parallel`` loop over a tensorized band,
+#   the init nest before it — whose writes the overlap analysis proves
+#   disjoint (``_disjoint_iterations``).  The loop's body becomes a static
+#   function (``repro_partN``), and ``repro_for`` runs the iterations in
+#   contiguous shares on the thread pool the entry point gets as its first
+#   argument (``repro.tir.backend``'s; NULL runs them serially).  Each
+#   output element is still written by one thread in its own fold order, so
+#   the bytes do not depend on the thread count.  Every other loop, and
+#   every loop inside a threaded one, is emitted serially.  (An init nest
+#   threaded like the nest after it leaves each thread's outputs in that
+#   thread's cache; a division of a provably non-negative index is plain C
+#   ``/``, which the compiler folds where ``repro_fdiv`` would stay a call.)
 # ---------------------------------------------------------------------------
 
 
@@ -343,7 +361,8 @@ class NativeSource:
     registers stay in registers across the reduction loops
     (``_CEmitter._intrinsic_band``); 0 means every fold is one serial chain
     per output element and every instruction call loads and stores its
-    accumulator.
+    accumulator.  ``parallel_loops`` counts the loops the source runs across
+    the entry point's thread pool; 0 means the kernel is serial.
     """
 
     func_name: str
@@ -352,6 +371,7 @@ class NativeSource:
     params: Tuple = ()
     instructions: Tuple[str, ...] = ()
     tiled_nests: int = 0
+    parallel_loops: int = 0
 
 
 _C_TYPES = {
@@ -593,6 +613,25 @@ def _tile_shape(extents: List[int]) -> List[int]:
     return tile
 
 
+# The entry point's first argument: the host's thread pool (the address of
+# its ``repro_pool_run``), or NULL to run every loop serially.
+_POOL_PARAM = "repro_pool"
+
+# Included by a source with threaded loops: ``repro_for`` runs iterations
+# 0..n-1 of a task across the pool, or serially without one.  A task runs
+# the iterations ``[first, end)``.
+_POOL_PRELUDE = """\
+typedef void (*repro_task)(int64_t, int64_t, void*);
+typedef void (*repro_pool_run)(repro_task, int64_t, void*);
+static void repro_for(void* pool, repro_task task, int64_t n, void* args) {
+    if (pool) {
+        ((repro_pool_run)pool)(task, n, args);
+        return;
+    }
+    task(0, n, args);
+}
+"""
+
 # The accumulator tile of an intrinsic band holds one instruction register
 # per point of the inner data-parallel loops; 16 is the CPU tuner's largest
 # ``unroll_limit``.  A wider band stays one call at a time.
@@ -632,6 +671,16 @@ class _CEmitter:
         self.lowerings: List = []
         # Reduction-update nests emitted over an accumulator tile.
         self.tiled_nests = 0
+        # The entry point's buffers (C name, element type), in parameter
+        # order, and every buffer in scope where the emitter is (the
+        # parameters plus the enclosing allocations).
+        self.params = [(self.tensor_name(t), _c_type_for(t.dtype)) for t in func.params]
+        self.buffers = list(self.params)
+        # The static functions the threaded loops call, one list of lines
+        # each; ``threaded`` is set while one is written, so no loop inside
+        # it is threaded too.
+        self.parts: List[List[str]] = []
+        self.threaded = False
 
     # -- plumbing ----------------------------------------------------------
     def line(self, text: str) -> None:
@@ -660,10 +709,12 @@ class _CEmitter:
             return f"(({self.index(expr.a)}) - ({self.index(expr.b)}))"
         if isinstance(expr, E.Mul):
             return f"(({self.index(expr.a)}) * ({self.index(expr.b)}))"
-        if isinstance(expr, E.FloorDiv):
-            return f"repro_fdiv({self.index(expr.a)}, {self.index(expr.b)})"
-        if isinstance(expr, E.Mod):
-            return f"repro_fmod({self.index(expr.a)}, {self.index(expr.b)})"
+        if isinstance(expr, (E.FloorDiv, E.Mod)):
+            a, b = self.index(expr.a), self.index(expr.b)
+            if isinstance(expr.b, E.Const) and expr.b.value > 0 and self._nonnegative(expr.a):
+                # C's truncating division is Python's floor division here.
+                return f"(({a}) {'/' if isinstance(expr, E.FloorDiv) else '%'} {b})"
+            return f"repro_{'fdiv' if isinstance(expr, E.FloorDiv) else 'fmod'}({a}, {b})"
         if isinstance(expr, E.Min):
             a, b = self.index(expr.a), self.index(expr.b)
             return f"(({b}) < ({a}) ? ({b}) : ({a}))"
@@ -679,6 +730,11 @@ class _CEmitter:
             return f"(int64_t)({self.index(expr.value)})"
         code, _ = self.value(expr, {})
         return f"(int64_t)({code})"
+
+    def _nonnegative(self, expr: E.Expr) -> bool:
+        """Whether ``expr`` is provably >= 0 over the enclosing loops' ranges."""
+        interval = expr_interval(expr, self.env)
+        return interval is not None and interval.lo >= 0
 
     def flat_index(self, indices, shape) -> str:
         strides = row_major_strides(shape)
@@ -757,6 +813,66 @@ class _CEmitter:
             self.depth -= 1
             self.line("}")
 
+    def _loop(
+        self, name: str, first: int, end: int, step: int, body: Callable[[], None], disjoint: bool
+    ) -> None:
+        """``for (name = first; name < end; name += step)`` around what
+        ``body()`` emits.
+
+        A ``disjoint`` loop (its iterations write disjoint outputs and read
+        nothing another iteration writes) of two or more iterations, outside
+        any threaded loop, runs across the host's thread pool: its body
+        becomes a static function ``repro_partN`` of the loop variable, the
+        enclosing loop variables and the buffers in scope; ``repro_taskN``
+        calls it for a range of iterations with those values from a struct,
+        and the entry point hands the task and the iteration count to
+        ``repro_for``.  A function of its own keeps every pointer's
+        ``restrict`` and the constant trip counts inside the loop, which the
+        compiler's own outlining of the loop (OpenMP's) loses at ~10 ms more
+        ``cc`` time per loop; a part over a range of iterations costs as
+        much, since its loop bounds are not constants."""
+        advance = f"++{name}" if step == 1 else f"{name} += {step}"
+        if not disjoint or self.threaded or (end - first) // step < 2:
+            self.line(f"for (int64_t {name} = {first}; {name} < {end}; {advance}) {{")
+            self.depth += 1
+            body()
+            self.depth -= 1
+            self.line("}")
+            return
+        k = len(self.parts)
+        ints = [self.var_name(var) for var in self.env]
+        names = ints + [n for n, _ in self.buffers]
+        self.line("{")
+        self.line(f"    struct repro_args{k} repro_a = {{{', '.join(names)}}};")
+        iterations = (end - first) // step
+        self.line(f"    repro_for({_POOL_PARAM}, repro_task{k}, {iterations}, &repro_a);")
+        self.line("}")
+        fields = [f"int64_t {n};" for n in ints] + [f"{ctype}* {n};" for n, ctype in self.buffers]
+        sig = ", ".join(
+            [f"int64_t {n}" for n in [name] + ints]
+            + [f"{ctype}* restrict {n}" for n, ctype in self.buffers]
+        )
+        outer = self.lines, self.depth
+        part = f"static __attribute__((noinline)) void repro_part{k}({sig}) {{"
+        self.lines, self.depth = [part], 1
+        self.parts.append(self.lines)
+        self.threaded = True
+        body()
+        self.threaded = False
+        iteration = "repro_i" if step == 1 else f"{step} * repro_i"
+        start = iteration if first == 0 else f"{first} + {iteration}"
+        call = ", ".join([start] + [f"a.{n}" for n in names])
+        self.lines += [
+            "}",
+            f"struct repro_args{k} {{ {' '.join(fields)} }};",
+            f"static void repro_task{k}(int64_t repro_first, int64_t repro_end, void* args) {{",
+            f"    const struct repro_args{k} a = *(const struct repro_args{k}*)args;",
+            "    for (int64_t repro_i = repro_first; repro_i < repro_end; ++repro_i)",
+            f"        repro_part{k}({call});",
+            "}",
+        ]
+        self.lines, self.depth = outer
+
     # -- statements --------------------------------------------------------
     def visit(self, stmt: Stmt) -> None:
         if isinstance(stmt, SeqStmt):
@@ -771,14 +887,13 @@ class _CEmitter:
             if band is not None:
                 self._intrinsic_tile(*band)
                 return
-            name = self.var_name(stmt.var)
-            self.line(f"for (int64_t {name} = 0; {name} < {stmt.extent}; ++{name}) {{")
-            self.depth += 1
-            self.env[stmt.var] = Interval(0, max(0, int(stmt.extent) - 1))
-            self.visit(stmt.body)
-            del self.env[stmt.var]
-            self.depth -= 1
-            self.line("}")
+            def body() -> None:
+                self.env[stmt.var] = Interval(0, max(0, int(stmt.extent) - 1))
+                self.visit(stmt.body)
+                del self.env[stmt.var]
+
+            disjoint = not self.threaded and self._disjoint_iterations(stmt)
+            self._loop(self.var_name(stmt.var), 0, stmt.extent, 1, body, disjoint)
         elif isinstance(stmt, IfThenElse):
             cond, _ = self.value(stmt.condition, {})
             self.line(f"if ({cond}) {{")
@@ -801,7 +916,9 @@ class _CEmitter:
             self.depth += 1
             # calloc matches the interpreter's np.zeros initialisation.
             self.line(f"{ctype}* {name} = ({ctype}*)calloc({count}, sizeof({ctype}));")
+            self.buffers.append((name, ctype))
             self.visit(stmt.body)
+            self.buffers.pop()
             self.line(f"free({name});")
             self.depth -= 1
             self.line("}")
@@ -866,18 +983,34 @@ class _CEmitter:
 
     def _accumulator_tile(self, parallel, reduction, store: Store, combo) -> None:
         """One tile body: ``combo`` gives ``(first iteration, end, tile
-        width)`` for every data-parallel loop."""
+        width)`` for every data-parallel loop.  The outermost loop runs across
+        the kernel's threads: the store is injective over the whole band, so
+        its iterations write disjoint elements."""
         wide = []
         lanes = 1
+        origins = []
         for loop, (first, end, width) in zip(parallel, combo):
             if width == 1:
-                origin = self.var_name(loop.var)
+                origins.append(self.var_name(loop.var))
             else:
-                origin = self.fresh("tile")
-                wide.append((loop, origin, width))
+                origins.append(self.fresh("tile"))
+                wide.append((loop, origins[-1], width))
                 lanes *= width
-            self.line(f"for (int64_t {origin} = {first}; {origin} < {end}; {origin} += {width}) {{")
-            self.depth += 1
+
+        def loops(level: int) -> None:
+            if level == len(parallel):
+                self._tile_body(wide, lanes, reduction, store)
+                return
+            first, end, width = combo[level]
+            body = functools.partial(loops, level + 1)
+            self._loop(origins[level], first, end, width, body, disjoint=level == 0)
+
+        loops(0)
+
+    def _tile_body(self, wide, lanes: int, reduction, store: Store) -> None:
+        """The accumulators of one tile: loaded, updated over the reduction
+        loops, stored; ``wide`` gives ``(loop, origin, width)`` for every
+        data-parallel loop of the tile wider than one."""
         acc = self.fresh("acc")
         self.line(f"{_c_type_for(store.tensor.dtype)} {acc}[{lanes}];")
 
@@ -904,7 +1037,37 @@ class _CEmitter:
         over_lanes(update)
         self._close_loops(reduction)
         over_lanes(lambda slot: f"{element} = {slot};")
-        self._close_loops(parallel)
+
+    def _disjoint_iterations(self, stmt: For) -> bool:
+        """Whether the iterations of ``stmt`` may run at once: it heads a
+        chain of loops, guards and pragma scopes ending in one write whose
+        address moves with ``stmt``, the overlap analysis proves the writes
+        of distinct loop points (enclosing loops included) disjoint, and no
+        iteration reads what another writes.  The write is an instruction
+        call whose only input from the output tensor is the accumulator at
+        the output's own address, or a store whose value does not read its
+        tensor."""
+        nest = read_nest(stmt)
+        body = nest.body
+        if isinstance(body, IntrinsicCall):
+            out = body.output
+            if any(
+                b.program_tensor is out.program_tensor
+                and not same_index(b.program_indices, out.program_indices)
+                for b in body.inputs
+            ):
+                return False
+            tensor, indices = out.program_tensor, out.program_indices
+            tile = [(ax.var, int(ax.extent)) for ax in body.axes]
+        elif isinstance(body, Store) and body.tensor not in E.tensors_referenced(body.value):
+            tensor, indices, tile = body.tensor, body.indices, []
+        else:
+            return False
+        if not any(stmt.var in E.free_vars(idx) for idx in indices):
+            return False
+        enclosing = [(var, iv.hi + 1) for var, iv in self.env.items()]
+        axes = enclosing + nest.axes
+        return indices_disjoint(indices, tensor.shape, axes, tile, tuple(nest.guards)) is True
 
     # -- intrinsic bands: the accumulator registers stay in registers ------
     def _intrinsic_band(self, stmt: For):
@@ -1081,10 +1244,12 @@ class _CEmitter:
 def generate_c(func: PrimFunc) -> NativeSource:
     """Lower ``func`` to a self-contained C translation unit.
 
-    The entry point takes one pointer per ``func.params`` tensor (row-major,
-    C-contiguous) and mirrors the scalar interpreter bit for bit; compile
-    with ``-O3 -fwrapv -ffp-contract=off``.  Every tensorized region is the
-    hardware instruction (``NativeSource.instructions``), so the source
+    The entry point takes the thread pool of its threaded loops (NULL:
+    serial), then one pointer per ``func.params`` tensor (row-major,
+    C-contiguous), and mirrors the scalar interpreter bit for bit at any
+    thread count; compile with ``-O3 -fwrapv -ffp-contract=off``.  Every
+    tensorized region is the hardware instruction
+    (``NativeSource.instructions``), so the source
     builds only with flags that define each instruction's feature macro
     (``-march=native`` on a host that has it).  The text does not depend on
     the host.
@@ -1093,18 +1258,20 @@ def generate_c(func: PrimFunc) -> NativeSource:
     if reason:
         raise LoweringError(reason)
     emitter = _CEmitter(func)
-    # Reserve parameter names before the body references them.
-    params = []
-    for tensor in func.params:
-        params.append((emitter.tensor_name(tensor), _c_type_for(tensor.dtype)))
     emitter.visit(func.body)
     entry = "repro_kernel"
-    sig = ", ".join(f"{ctype}* restrict {name}" for name, ctype in params)
+    sig = ", ".join(
+        [f"void* {_POOL_PARAM}"] + [f"{ctype}* restrict {name}" for name, ctype in emitter.params]
+    )
     lines = [_C_PRELUDE]
     # Vendor headers are slow to parse (immintrin.h: 50-70 ms per cc), so
     # only a source that uses an instruction includes its header.
     for header in dict.fromkeys(lw.header for lw in emitter.lowerings):
         lines.append(f"#include <{header}>")
+    if emitter.parts:
+        lines.append(_POOL_PRELUDE)
+    for part in emitter.parts:
+        lines.extend(part)
     lines.append(f"void {entry}({sig}) {{")
     lines.extend(emitter.lines)
     lines.append("}")
@@ -1115,4 +1282,5 @@ def generate_c(func: PrimFunc) -> NativeSource:
         params=tuple(func.params),
         instructions=tuple(lw.instruction for lw in emitter.lowerings),
         tiled_nests=emitter.tiled_nests,
+        parallel_loops=len(emitter.parts),
     )

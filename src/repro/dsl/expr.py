@@ -373,29 +373,6 @@ class ExprCacheStats:
     linear_hits: int = 0
     linear_misses: int = 0
 
-    @staticmethod
-    def _rate(hits: int, misses: int) -> float:
-        total = hits + misses
-        return hits / total if total else 0.0
-
-    @property
-    def simplify_hit_rate(self) -> float:
-        return self._rate(self.simplify_hits, self.simplify_misses)
-
-    @property
-    def linear_hit_rate(self) -> float:
-        return self._rate(self.linear_hits, self.linear_misses)
-
-    def as_dict(self) -> dict:
-        return {
-            "simplify_hits": self.simplify_hits,
-            "simplify_misses": self.simplify_misses,
-            "simplify_hit_rate": self.simplify_hit_rate,
-            "linear_hits": self.linear_hits,
-            "linear_misses": self.linear_misses,
-            "linear_hit_rate": self.linear_hit_rate,
-        }
-
 
 _CACHE_STATS = ExprCacheStats()
 

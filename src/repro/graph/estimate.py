@@ -65,7 +65,7 @@ def estimate_graph_latency(graph: Graph, runner) -> GraphLatencyReport:
     optionally provide ``depthwise_conv2d_latency(node)``.  Pooling and
     depthwise convolutions without it are charged at a fallback MAC rate.
     """
-    graph.infer_shapes()
+    graph.shapes()
     per_node: Dict[str, CostBreakdown] = {}
     total = CostBreakdown(seconds=0.0)
     for node in graph.nodes:

@@ -307,6 +307,14 @@ class Graph:
         self._shapes = shapes
         return shapes
 
+    def shapes(self) -> Dict[str, TensorShape]:
+        """The inferred activation shapes, inferring them only when a node
+        was added since the last :meth:`infer_shapes` (appending a node never
+        changes the shapes of the nodes before it)."""
+        if len(self._shapes) != len(self.nodes):
+            return self.infer_shapes()
+        return self._shapes
+
     def output_shape(self, name: str) -> TensorShape:
         if name not in self._shapes:
             self.infer_shapes()

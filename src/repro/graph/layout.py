@@ -48,7 +48,7 @@ class LayoutDecision:
 
 def plan_layout(graph: Graph, lanes: int = 16, reduction: int = 4) -> Dict[str, LayoutDecision]:
     """Choose the blocked layout for every convolution/dense node of ``graph``."""
-    graph.infer_shapes()
+    graph.shapes()
     decisions: Dict[str, LayoutDecision] = {}
     for node in graph.nodes:
         if isinstance(node, Conv2DNode):

@@ -55,7 +55,6 @@ import tempfile
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from multiprocessing.connection import wait as wait_any
 from typing import (
     TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -227,12 +226,172 @@ def artefact_stem(func_name: str) -> str:
     return os.path.join(_build_dir(), f"{func_name}_{next(_ARTEFACT_SERIAL)}")
 
 
+# How many threads a kernel's threaded loops run on: the CPUs this process
+# may use (``_width``), read on the first kernel call; 1 in a process forked
+# from this one.
+_THREADS: Optional[int] = None
+
+
+def _kernel_threads() -> int:
+    global _THREADS
+    if _THREADS is None:
+        _THREADS = _width()
+    return _THREADS
+
+
+def _one_thread_after_fork() -> None:
+    """The fork guard: the pool's worker threads are not copied into a
+    forked child, so the sandbox child (:mod:`.sandbox` forks it) and any
+    other fork run every kernel, loaded before the fork or after, serially."""
+    global _THREADS
+    _THREADS = 1
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_one_thread_after_fork)
+
+
+# The pool a kernel's threaded loops run on: ``repro_for`` in the generated
+# source calls ``repro_pool_run(task, n, args)``, which runs tasks 0..n-1 in
+# contiguous shares, the first on the calling thread and one on each worker,
+# and returns when all are done.  One job at a time: a second caller (another
+# Python thread in a kernel) runs its tasks serially.  After a job a worker
+# polls for the next one for up to 20 ms, yielding its CPU to anything else
+# runnable (a sandbox child's ``cc``), then sleeps on the condition variable:
+# a kernel's next loop follows within microseconds and the next kernel
+# within a few milliseconds (the ledger times each layer between two 3.4 ms
+# calibration runs), and waking a sleeping worker costs more than a short
+# kernel's loop takes.
+_POOL_SOURCE = r"""
+#include <pthread.h>
+#include <sched.h>
+#include <stdint.h>
+#include <time.h>
+
+typedef void (*repro_task)(int64_t, int64_t, void*);
+
+enum { POLL_NS = 20000000 };
+static pthread_mutex_t lock = PTHREAD_MUTEX_INITIALIZER;
+static pthread_cond_t wake = PTHREAD_COND_INITIALIZER;
+static int shares = 1;
+static int busy;
+static unsigned long jobs;
+static int pending;
+static repro_task job_task;
+static void* job_args;
+static int64_t job_n;
+
+static int64_t now_ns(void) {
+    struct timespec now;
+    clock_gettime(CLOCK_MONOTONIC, &now);
+    return now.tv_sec * 1000000000LL + now.tv_nsec;
+}
+
+static void run_share(int share) {
+    job_task(job_n * share / shares, job_n * (share + 1) / shares, job_args);
+}
+
+static void* worker(void* arg) {
+    int share = (int)(intptr_t)arg;
+    unsigned long seen = 0;
+    for (;;) {
+        int64_t until = now_ns() + POLL_NS;
+        while (__atomic_load_n(&jobs, __ATOMIC_ACQUIRE) == seen && now_ns() < until) sched_yield();
+        pthread_mutex_lock(&lock);
+        while (jobs == seen) pthread_cond_wait(&wake, &lock);
+        seen = jobs;
+        pthread_mutex_unlock(&lock);
+        run_share(share);
+        __atomic_sub_fetch(&pending, 1, __ATOMIC_RELEASE);
+    }
+    return 0;
+}
+
+int repro_pool_start(int threads) {
+    pthread_attr_t attr;
+    pthread_attr_init(&attr);
+    pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+    int started = 1;
+    for (; started < threads; ++started) {
+        pthread_t thread;
+        if (pthread_create(&thread, &attr, worker, (void*)(intptr_t)started) != 0) break;
+    }
+    pthread_attr_destroy(&attr);
+    shares = started;
+    return started;
+}
+
+void repro_pool_run(repro_task task, int64_t n, void* args) {
+    if (shares == 1 || __atomic_exchange_n(&busy, 1, __ATOMIC_ACQUIRE)) {
+        task(0, n, args);
+        return;
+    }
+    pthread_mutex_lock(&lock);
+    job_task = task;
+    job_args = args;
+    job_n = n;
+    __atomic_store_n(&pending, shares - 1, __ATOMIC_RELAXED);
+    __atomic_add_fetch(&jobs, 1, __ATOMIC_RELEASE);
+    pthread_cond_broadcast(&wake);
+    pthread_mutex_unlock(&lock);
+    run_share(0);
+    while (__atomic_load_n(&pending, __ATOMIC_ACQUIRE) != 0) {
+    }
+    __atomic_store_n(&busy, 0, __ATOMIC_RELEASE);
+}
+"""
+
+_POOL_LOCK = threading.Lock()
+# The loaded pool library and the address of its ``repro_pool_run``; the
+# address is 0 where the pool could not be built.
+_POOL: Optional[Tuple[Optional[ctypes.CDLL], int]] = None
+
+
+def _pool() -> Optional[int]:
+    """What a kernel's threaded loops run on: the address of the pool's
+    ``repro_pool_run`` (built and started with ``_kernel_threads()`` threads
+    on first use), or None — serial loops — on one thread, in a forked child,
+    or where the pool could not be built."""
+    global _POOL
+    if _kernel_threads() == 1:
+        return None
+    if _POOL is None:
+        with _POOL_LOCK:
+            if _POOL is None:
+                _POOL = _start_pool(_kernel_threads())
+    return _POOL[1] or None
+
+
+def _start_pool(threads: int) -> Tuple[Optional[ctypes.CDLL], int]:
+    """Build, load and start the pool: the library and the address of its
+    ``repro_pool_run``, or ``(None, 0)`` where it does not build."""
+    library = artefact_stem("repro_pool") + ".so"
+    command = [str(native_toolchain()[1]), "-O2", "-fPIC", "-shared", "-pthread"]
+    try:
+        subprocess.run(
+            command + ["-o", library, "-x", "c", "-"],
+            input=_POOL_SOURCE,
+            capture_output=True,
+            text=True,
+            timeout=_cc_timeout_s(),
+            check=True,
+        )
+        handle = ctypes.CDLL(library)
+    except (OSError, subprocess.SubprocessError):
+        return None, 0
+    handle.repro_pool_start(threads)
+    return handle, ctypes.cast(handle.repro_pool_run, ctypes.c_void_p).value
+
+
 class NativeKernel:
     """A compiled kernel for one PrimFunc.
 
     ``params`` is the buffer order of the entry point (``func.params``).
     Call :meth:`run` with arrays aligned to that order; the output array is
-    mutated in place, exactly like ``Interpreter.run``.
+    mutated in place, exactly like ``Interpreter.run``.  The entry point
+    takes the thread pool of its threaded loops first (:func:`_pool`: every
+    CPU this process may use, none in a forked child); the bytes do not
+    depend on it.
     """
 
     def __init__(self, source: NativeSource, entry: Callable) -> None:
@@ -259,7 +418,7 @@ class NativeKernel:
                     f"got {array.dtype}"
                 )
             prepared.append(array if array.flags.c_contiguous else np.ascontiguousarray(array))
-        self._entry(*[a.ctypes.data for a in prepared])
+        self._entry(_pool(), *[a.ctypes.data for a in prepared])
         # The kernel writes only its output parameter: a staged copy of an
         # input is dropped (the caller's input may be read-only), a staged
         # output is copied back.
@@ -288,7 +447,7 @@ def load_kernel(source: NativeSource, so_path: str) -> NativeKernel:
     library = ctypes.CDLL(so_path)
     entry = getattr(library, source.entry)
     entry.restype = None
-    entry.argtypes = [ctypes.c_void_p] * len(source.params)
+    entry.argtypes = [ctypes.c_void_p] * (1 + len(source.params))
     kernel = NativeKernel(source, entry)
     kernel._library = library  # keep the handle alive with the kernel
     return kernel
@@ -477,11 +636,11 @@ def _promote(
     output_before: np.ndarray,
     expected: np.ndarray,
     stats: Optional[EngineStats],
-    qualify: Callable[[], "SandboxVerdict"],
+    verdict: "SandboxVerdict",
 ) -> None:
-    """Qualify, load and spot-check a kernel for bit identity before promoting.
+    """Load and spot-check a qualified kernel for bit identity before promoting.
 
-    ``qualify`` waits for the sandbox verdict on the candidate (the child
+    ``verdict`` is the sandbox's on the candidate (the child
     :func:`_promote_queued` started): a kernel that fails to build,
     segfaults, OOMs, or hangs kills only that child, and the classified
     verdict becomes the demotion reason.  Qualify once, load what was
@@ -495,9 +654,6 @@ def _promote(
     """
     state = tier_state(plan)
     with _trace.span("tir.native_promote", func=plan.func.name) as promote_span:
-        with _trace.span("tir.sandbox_qualify", func=plan.func.name) as sq:
-            verdict = qualify()
-            sq.set(outcome=verdict.outcome)
         state.sandbox_outcome = verdict.outcome
         if stats is not None:
             stats.sandbox_qualifications += 1
@@ -595,7 +751,8 @@ def _release(queue: List[_Queued]) -> None:
 
 
 def _width() -> int:
-    """How many sandbox children a batch keeps alive: the CPUs this process may use."""
+    """The CPUs this process may use: how many sandbox children a batch
+    keeps alive, and how many threads a kernel's parallel loops run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -603,9 +760,14 @@ def _promote_queued(queue: List[_Queued]) -> None:
     """Promote or demote every queued plan: the one path to :func:`_promote`.
 
     Starts one sandbox child per queued plan, at most one per CPU the
-    process may use alive at a time, and handles the verdicts in queue order
+    process may use alive at a time, and collects the verdicts in queue
+    order.  Then, with every child gone, it handles them in queue order
     under each plan's ``TierState.lock`` — so the caller must not hold one.
-    No child or sandbox work directory outlives the call.
+    The spot checks wait for the children because a kernel runs its
+    threaded loops on every CPU: beside a child's ``cc`` each loop would
+    wait for a worker's time slice (with OpenMP's workers that took 10-17 ms
+    a kernel, against 0.2 ms on idle CPUs, for mobilenet-v2's kernels on 2
+    vCPUs).  No child or sandbox work directory outlives the call.
     """
     from . import sandbox
 
@@ -632,8 +794,17 @@ def _promote_queued(queue: List[_Queued]) -> None:
         return handle.wait()
 
     try:
-        for index, item in enumerate(queue):
-            launch(index)
+        verdicts = []
+        try:
+            for index, item in enumerate(queue):
+                launch(index)
+                with _trace.span("tir.sandbox_qualify", func=item.plan.func.name) as span:
+                    verdicts.append(verdict(index))
+                    span.set(outcome=verdicts[-1].outcome)
+        finally:
+            for handle in handles:
+                handle.close()
+        for item, result in zip(queue, verdicts):
             state = tier_state(item.plan)
             with state.lock:
                 _promote(
@@ -642,12 +813,10 @@ def _promote_queued(queue: List[_Queued]) -> None:
                     item.output_before,
                     item.expected,
                     item.stats,
-                    partial(verdict, index),
+                    result,
                 )
                 state.pending = False
     finally:
-        for handle in handles:
-            handle.close()
         _release(queue)
 
 

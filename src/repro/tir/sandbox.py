@@ -33,7 +33,10 @@ library the child built and checked, moved out of the sandbox work
 directory (``SandboxVerdict.library``).  The child is a fresh interpreter
 state with nothing to corrupt and nothing to leak: whatever the candidate
 kernel does — scribble over the heap, exhaust memory, spin forever — dies
-with it.
+with it.  It runs the kernel on one thread: a forked child has none of the
+host's pool threads, and the fork guard of :mod:`repro.tir.backend` keeps
+every kernel in it serial (the bytes are the same at any thread count; the
+host's spot check runs the loaded kernel on every CPU).
 
 Limits (environment, the only way to set them):
 

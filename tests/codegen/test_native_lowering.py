@@ -188,9 +188,13 @@ class TestEmittedText:
         assert tensorized.source.count("#include <immintrin.h>\n") == 1
         assert "#if" not in tensorized.source
 
-    def test_no_openmp_surface(self):
+    def test_threads_are_not_an_option(self):
+        """Which loops run across threads is the emitter's proof, not a
+        switch: one ``repro_for`` per proved loop, and no ``parallel=`` kwarg."""
         func = _tensorized(scaled_table1(TABLE1_LAYERS[1]), "x86.avx512.vpdpbusd")
-        assert "pragma" not in generate_c(func).source
+        source = generate_c(func)
+        assert source.source.count("repro_for(repro_pool, ") == source.parallel_loops == 2
+        assert "pragma" not in source.source
         with pytest.raises(TypeError):
             generate_c(func, parallel=True)
 

@@ -118,6 +118,30 @@ class TestSameAsSerial:
 
 
 @needs_toolchain
+class TestSpotChecksAfterTheChildren:
+    def test_no_child_is_alive_while_the_host_runs_a_kernel(self, sandbox_dir, monkeypatch):
+        """Every verdict of a batch is in before the first spot check: a
+        kernel runs its parallel loops on every CPU, and beside a child's
+        ``cc`` each of its regions would wait for a time slice."""
+        alive = []
+        real_run = backend.NativeKernel.run
+
+        def recording(kernel, arrays):
+            alive.append(len(multiprocessing.active_children()))
+            return real_run(kernel, arrays)
+
+        monkeypatch.setattr(backend.NativeKernel, "run", recording)
+        graph = _chain()
+        image = _image(graph)
+        plan_cache().clear()
+        executor = Executor(promote_after=1)
+        run_model(graph, image, rng=np.random.default_rng(1), executor=executor)
+        assert executor.stats.native_promotions == 3
+        assert alive == [0, 0, 0]
+        _nothing_left(sandbox_dir)
+
+
+@needs_toolchain
 class TestOutsideABatch:
     def test_a_single_run_is_native_when_the_promoting_call_returns(self):
         func = next(iter(self._funcs().values()))

@@ -138,6 +138,28 @@ class TestPromotion:
         np.testing.assert_array_equal(got, expected)
         assert tier_state(plan).tier == "native"
 
+    @needs_toolchain
+    def test_spot_check_runs_the_kernel_on_every_cpu(self, monkeypatch):
+        """The host spot-checks the kernel on the threads it will run on;
+        only the forked sandbox child runs it on one."""
+        from repro.tir import backend
+
+        plan = compile_plan(lower(matmul_fp32(32, 32, 16)))
+        threads = []
+        real_run = backend.NativeKernel.run
+
+        def recording(kernel, arrays):
+            threads.append(backend._kernel_threads())
+            return real_run(kernel, arrays)
+
+        monkeypatch.setattr(backend.NativeKernel, "run", recording)
+        buffers = _fresh_buffers(plan)
+        expected = _reference(plan, buffers)
+        assert same_bits(run_tiered(plan, buffers, stats=EngineStats(), promote_after=1), expected)
+        state = tier_state(plan)
+        assert state.tier == "native" and state.kernel.source.parallel_loops == 2
+        assert threads == [backend._width()]
+
     def test_unproved_plan_never_promotes(self):
         plan = _unproved_plan()
         stats = EngineStats()

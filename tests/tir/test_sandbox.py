@@ -28,8 +28,9 @@ from repro.tir import (
     run,
     tier_state,
 )
-from repro.tir import sandbox
-from repro.tir.backend import run_tiered
+from repro.tir import backend, compile_native, sandbox
+from repro.tir.backend import run_tiered, same_bits
+from repro.workloads.dense import matmul_fp32
 from tests.conftest import float_copy, small_conv_hwc
 
 TOOLCHAIN_KIND = native_toolchain()[0]
@@ -153,6 +154,56 @@ class TestQualify:
         finally:
             monkeypatch.delenv("REPRO_DISABLE_NATIVE")
             native_toolchain(refresh=True)
+
+
+@needs_toolchain
+class TestForkAfterParallelKernels:
+    """The pool's worker threads are not copied into a forked child, which
+    would wait forever for them to finish their shares; the fork guard runs
+    every kernel in a child on one thread, without the pool."""
+
+    def _ran_in_host(self, monkeypatch):
+        """A kernel with parallel loops that has run here on two or more threads."""
+        monkeypatch.setattr(backend, "_THREADS", max(2, backend._width()))
+        assert backend._pool() is not None
+        plan = compile_plan(lower(matmul_fp32(32, 32, 16)))
+        kernel = compile_native(plan.func)
+        assert kernel.source.parallel_loops == 2
+        arrays, expected = _qualify_inputs(plan)
+        assert same_bits(kernel.run([a.copy() for a in arrays]), expected)
+        return kernel, arrays, expected
+
+    def test_the_sandbox_still_qualifies_a_parallel_kernel(self, monkeypatch):
+        self._ran_in_host(monkeypatch)
+        monkeypatch.setenv("REPRO_SANDBOX_TIMEOUT", "30")
+        plan = compile_plan(lower(matmul_fp32(32, 48, 16, name="next")))
+        verdict = sandbox.qualify(plan.func, *_qualify_inputs(plan))
+        assert verdict.outcome == "qualified", verdict.describe()
+        assert verdict.source.parallel_loops == 2
+
+    def test_a_forked_child_runs_a_loaded_parallel_kernel(self, monkeypatch):
+        kernel, arrays, expected = self._ran_in_host(monkeypatch)
+        pid = os.fork()
+        if pid == 0:  # the child: exit status 0 only for the right bytes on one thread
+            code = 2
+            try:
+                signal.alarm(30)  # a wedged region dies by SIGALRM
+                one = backend._kernel_threads() == 1 and backend._pool() is None
+                code = 0 if one and same_bits(kernel.run(arrays), expected) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung in the parallel kernel")
+            time.sleep(0.01)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
+        assert backend._kernel_threads() >= 2  # the host keeps its threads
 
 
 @needs_toolchain
